@@ -77,10 +77,6 @@ def _verdict(report, name, ok):
     report.verdicts[name] = "pass" if ok else "fail"
 
 
-def _decreasing(seq):
-    return all(b < a for a, b in zip(seq, seq[1:]))
-
-
 # ---------------------------------------------------------------------------
 
 
@@ -170,8 +166,7 @@ def _exp_singular_birkhoff(cfg, table):
     qn = alpha.q(n)
     resid = []
     for x in xs[:40]:
-        offs = (x + np.array([float(alpha.multiple_mod_one(i))
-                              for i in range(qn)])) % 1.0
+        offs = (x + alpha.orbit(0, qn)) % 1.0
         closest = offs[int(np.argmin(np.minimum(offs, 1.0 - offs)))]
         resid.append(abs(birkhoff_sum(f, qn, float(x), alpha, order=1)
                          - f(closest, 1)))

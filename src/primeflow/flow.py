@@ -20,8 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .primes import CircleInterval
-from .roofs import FourierRoof, MaskedRoof, PowerRoof, SingularityError, birkhoff_sum
+from .roofs import FourierRoof, MaskedRoof, PowerRoof
 from .rotation import RotationNumber, circle_distance
 
 __all__ = [
@@ -82,26 +81,8 @@ def roof_infimum(roof) -> float:
 
 
 def _offsets(alpha: RotationNumber, n: int, backward: bool = False) -> np.ndarray:
-    """Float images of {sign * i * alpha mod 1} for 0 <= i < n, cached on the
-    rotation number and grown on demand.  Residues are reduced exactly."""
-    key = "_pf_offsets_back" if backward else "_pf_offsets_fwd"
-    cached = getattr(alpha, key, None)
-    if cached is not None and len(cached) >= n:
-        return cached[:n]
-    P = alpha.value.numerator
-    Q = alpha.value.denominator
-    if backward:
-        P = Q - P
-    m = max(n, 1024, 2 * len(cached) if cached is not None else 0)
-    out = np.empty(m)
-    r = 0
-    for i in range(m):
-        out[i] = r / Q
-        r += P
-        if r >= Q:
-            r -= Q
-    setattr(alpha, key, out)
-    return out[:n]
+    """Float images of {sign * i * alpha mod 1} for 0 <= i < n."""
+    return alpha.orbit(0, n, backward)
 
 
 def _roof_values(roof, alpha, x, lo, hi, backward=False) -> np.ndarray:
@@ -111,52 +92,30 @@ def _roof_values(roof, alpha, x, lo, hi, backward=False) -> np.ndarray:
 
 
 def evaluate(roof, alpha: RotationNumber, p: FlowPoint, t: float) -> FlowStep:
-    """Block-evaluated T_t(p): find N with S_N(f)(x) <= s + t < S_{N+1}(f)(x)
-    by cumulative sums over the rotation orbit, in extended precision."""
+    """T_t(p): find N with S_N(f)(x) <= s + t < S_{N+1}(f)(x) by cumulative
+    sums over the rotation orbit, in extended precision."""
+    p.validate(roof)
     x, s = p.x, p.s
     target = np.longdouble(s) + np.longdouble(t)
-    inf_f = roof_infimum(roof)
     if t >= 0.0:
         if target < roof(x):
             return _finish(roof, alpha, x, s, t, 0, 0.0)
-        N = None
-        base = np.longdouble(0.0)
-        lo = 0
-        while N is None:
-            hi = lo + max(256, int(float(target - base) / inf_f) + 16)
-            vals = _roof_values(roof, alpha, x, lo, hi)
-            cums = base + np.cumsum(vals.astype(np.longdouble))
-            # S_{lo+1+j} for j in range(hi-lo); N is the last index with S_N <= target
-            j = int(np.searchsorted(cums, target, side="right"))
-            if j < len(cums):
-                N = lo + j
-                consumed = float(cums[j - 1]) if j else float(base)
-            else:
-                base = cums[-1]
-                lo = hi
-        return _finish(roof, alpha, x, s, t, N, consumed)
+        # cums[j] = S_{j+1}; N is the last index with S_N <= target
+        vals = _covering_values(roof, alpha, x, float(target))
+        cums = np.cumsum(vals.astype(np.longdouble))
+        N = int(np.searchsorted(cums, target, side="right"))
+        return _finish(roof, alpha, x, s, t, N, float(cums[N - 1]) if N else 0.0)
     # backward: smallest n >= 1 with C_n = sum_{k<=n} f(x - k alpha) >= -(s+t)
     if target >= 0.0:
         return _finish(roof, alpha, x, s, t, 0, 0.0)
-    need = -target
-    base = np.longdouble(0.0)
-    lo = 1
-    while True:
-        hi = lo + max(256, int(float(need - base) / inf_f) + 16)
-        vals = _roof_values(roof, alpha, x, lo, hi, backward=True)
-        cums = base + np.cumsum(vals.astype(np.longdouble))
-        j = int(np.searchsorted(cums, need, side="left"))
-        if j < len(cums):
-            n = lo + j
-            return _finish(roof, alpha, x, s, t, -n, -float(cums[j]))
-        base = cums[-1]
-        lo = hi
+    vals = _covering_values(roof, alpha, x, float(-target), backward=True)
+    cums = np.cumsum(vals.astype(np.longdouble))
+    j = int(np.searchsorted(cums, -target, side="left"))
+    return _finish(roof, alpha, x, s, t, -(j + 1), -float(cums[j]))
 
 
 def _finish(roof, alpha, x, s, t, N, consumed) -> FlowStep:
-    backward = N < 0
-    off = float(_offsets(alpha, abs(N) + 1, backward)[abs(N)])
-    end_x = (x + off) % 1.0
+    end_x = (x + float(_offsets(alpha, abs(N) + 1, N < 0)[abs(N)])) % 1.0
     end_s = s + t - consumed
     top = roof(end_x)
     if not -1e-7 <= end_s < top + 1e-7:
@@ -227,10 +186,8 @@ def section_avoidance(roof, alpha: RotationNumber, p: FlowPoint, t: float,
 def _fiber_schedule(roof, alpha, p: FlowPoint, horizon: float):
     """Crossing times tau_i = S_i(f)(x) - s for the fibers visited in
     [0, horizon]: fiber i occupies [tau_i, tau_{i+1}) with height t - tau_i."""
-    step = evaluate(roof, alpha, p, horizon)
-    N = step.hits
-    offs = _offsets(alpha, N + 1)
-    xs = (p.x + offs) % 1.0
+    N = evaluate(roof, alpha, p, horizon).hits
+    xs = (p.x + _offsets(alpha, N + 1)) % 1.0
     fs = np.asarray(roof(xs), dtype=np.float64)
     tau = np.empty(N + 2)
     tau[0] = -p.s
@@ -257,10 +214,8 @@ def neighborhood_visit_times(roof, alpha: RotationNumber, p: FlowPoint,
     radius of 0."""
     out = []
     for sign in (-1.0, 1.0):
-        step = evaluate(roof, alpha, p, sign * t_max)
-        N = abs(step.hits)
-        offs = _offsets(alpha, N + 1, backward=sign < 0)
-        xs = (p.x + offs) % 1.0
+        N = abs(evaluate(roof, alpha, p, sign * t_max).hits)
+        xs = (p.x + _offsets(alpha, N + 1, backward=sign < 0)) % 1.0
         fs = np.asarray(roof(xs), dtype=np.float64)
         if sign > 0:
             # fiber i occupies t in [tau[i], tau[i+1])
@@ -473,6 +428,7 @@ def evaluate_times(roof, alpha: RotationNumber, p: FlowPoint, times):
     One cumulative roof-sum pass serves every requested time, so the total
     work is O(max |t|) regardless of how many times are asked for.
     """
+    p.validate(roof)
     times = np.asarray(times, dtype=np.float64)
     xs = np.empty(times.shape)
     ss = np.empty(times.shape)
@@ -485,9 +441,8 @@ def evaluate_times(roof, alpha: RotationNumber, p: FlowPoint, times):
         targets = p.s + t_sel
         if backward:
             need = np.maximum(-targets, 0.0)
-            t_extreme = float(np.max(need))
-            count = _count_fibers(roof, alpha, p.x, t_extreme, backward=True)
-            vals = _roof_values(roof, alpha, p.x, 1, count + 2, backward=True)
+            vals = _covering_values(roof, alpha, p.x, float(np.max(need)),
+                                    backward=True)
             cums = np.concatenate(([0.0], np.cumsum(vals.astype(np.longdouble)))).astype(float)
             n = np.searchsorted(cums, need, side="left")
             crossed = targets < 0.0
@@ -495,9 +450,7 @@ def evaluate_times(roof, alpha: RotationNumber, p: FlowPoint, times):
             consumed = np.where(crossed, -cums[n], 0.0)
             N = -n
         else:
-            t_extreme = float(np.max(targets))
-            count = _count_fibers(roof, alpha, p.x, t_extreme)
-            vals = _roof_values(roof, alpha, p.x, 0, count + 2)
+            vals = _covering_values(roof, alpha, p.x, float(np.max(targets)))
             cums = np.cumsum(vals.astype(np.longdouble)).astype(float)
             N = np.searchsorted(cums, targets, side="right")
             consumed = np.where(N > 0, cums[np.maximum(N, 1) - 1], 0.0)
@@ -508,16 +461,20 @@ def evaluate_times(roof, alpha: RotationNumber, p: FlowPoint, times):
     return xs, ss, Ns
 
 
-def _count_fibers(roof, alpha, x, t_extreme, backward=False) -> int:
-    """Number of fibers needed to cover a time span, found by growing."""
-    inf_f = roof_infimum(roof)
-    count = int(t_extreme / inf_f) + 16
+def _covering_values(roof, alpha, x, span, backward=False) -> np.ndarray:
+    """Roof values on the orbit of x (fibers 0, 1, ... forward, 1, 2, ...
+    backward), over enough fibers that all but the last two sum to >= span.
+    The count starts at span over the roof's mean and grows geometrically."""
+    # roof_infimum stands in for roofs without an integral and rejects masked ones
+    no_mean = isinstance(roof, MaskedRoof) or not hasattr(roof, "integral")
+    mean = roof_infimum(roof) if no_mean else roof.integral()
     lo = 1 if backward else 0
-    while True:
-        vals = _roof_values(roof, alpha, x, lo, lo + count)
-        if float(np.sum(vals)) >= t_extreme:
-            return count
-        count *= 2
+    vals = _roof_values(roof, alpha, x, lo, lo + int(span / mean) + 18, backward)
+    while float(np.sum(vals[:-2])) < span:
+        end = lo + len(vals)
+        more = _roof_values(roof, alpha, x, end, end + len(vals) // 8 + 16, backward)
+        vals = np.concatenate((vals, more))
+    return vals
 
 
 def orbit_trace(roof, alpha: RotationNumber, p: FlowPoint, times) -> list[tuple]:

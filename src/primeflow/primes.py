@@ -72,6 +72,7 @@ class PrimeTable:
         if limit > max_limit:
             raise ResourceError(f"limit {limit} exceeds budget {max_limit}")
         base = _simple_sieve(int(limit ** 0.5) + 1)
+        segment = -(-int(segment) // 8) * 8  # whole bytes of the bitset
         packed = np.zeros((limit + 8) // 8 + 1, dtype=np.uint8)
         prime_chunks = []
         for lo in range(0, limit + 1, segment):
@@ -84,9 +85,6 @@ class PrimeTable:
                 if start >= hi:
                     continue
                 mask[start - lo :: p] = False
-            if lo <= base[-1]:
-                # base primes themselves were knocked out only from p*p on
-                pass
             idx = np.flatnonzero(mask) + lo
             prime_chunks.append(idx)
             packed[lo // 8 : lo // 8 + (len(mask) + 7) // 8] |= np.packbits(
@@ -117,6 +115,8 @@ class PrimeTable:
             limit = int.from_bytes(fh.read(8), "little")
             int.from_bytes(fh.read(8), "little")  # segment size, informational
             packed = np.frombuffer(fh.read(), dtype=np.uint8).copy()
+        if len(packed) != (limit + 8) // 8 + 1:
+            raise ValueError(f"sieve cache payload does not match limit {limit}")
         bits = np.unpackbits(packed, bitorder="little")[: limit + 1]
         primes = np.flatnonzero(bits).astype(np.int64)
         return cls(limit, packed, primes)

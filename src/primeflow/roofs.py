@@ -40,8 +40,6 @@ __all__ = [
     "roof_from_json",
 ]
 
-_TWO_PI = 2.0 * math.pi
-
 
 class SingularityError(ValueError):
     """An evaluation or orbit hit the roof singularity."""
@@ -80,9 +78,10 @@ class PowerRoof:
     def __call__(self, x, order: int = 0):
         g, k = self.gamma, self.kappa
         x = np.asarray(x, dtype=np.float64) % 1.0
-        if np.any(x == 0.0):
-            raise SingularityError("PowerRoof evaluated at the singularity x = 0")
         y = 1.0 - x
+        # a tiny negative x reduces to 1.0, so the singularity is x or y == 0
+        if np.any(np.minimum(x, y) == 0.0):
+            raise SingularityError("PowerRoof evaluated at the singularity x = 0")
         if order == 0:
             out = k * (x ** g + y ** g) + self.c0
         elif order == 1:
@@ -227,16 +226,7 @@ class MaskedRoof:
 
 def _orbit_offsets(alpha: RotationNumber, n: int) -> np.ndarray:
     """Float images of {i*alpha mod 1} for 0 <= i < n, from exact residues."""
-    P = alpha.value.numerator
-    Q = alpha.value.denominator
-    out = np.empty(n)
-    r = 0
-    for i in range(n):
-        out[i] = r / Q
-        r += P
-        if r >= Q:
-            r -= Q
-    return out
+    return alpha.orbit(0, n)
 
 
 def _check_orbit_clear(roof, x: float, n: int, alpha: RotationNumber) -> None:
@@ -359,16 +349,7 @@ def quadratic_expansion_check(roof, x: float, k: int, n: int,
 
 def _partition_points(alpha: RotationNumber, n: int) -> np.ndarray:
     """Sorted circle points {-i alpha mod 1 : i < q_n}."""
-    qn = alpha.q(n)
-    P, Q = alpha.value.numerator, alpha.value.denominator
-    pts = np.empty(qn)
-    r = 0
-    for i in range(qn):
-        pts[i] = (Q - r) / Q if r else 0.0
-        r += P
-        if r >= Q:
-            r -= Q
-    return np.sort(pts)
+    return np.sort(alpha.orbit(0, alpha.q(n), backward=True))
 
 
 def derivative_zero_locator(roof: PowerRoof, n: int, alpha: RotationNumber,

@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import json
 import math
+import threading
 from fractions import Fraction
 
+import numpy as np
 import sympy
 
 __all__ = [
@@ -32,6 +34,10 @@ __all__ = [
 # convergent bracketing holds strictly at every exposed index.
 _TAIL_DEPTH = 48
 
+# RotationNumber.orbit: residue blocks of _BLOCK indices, _CHUNK per numpy pass
+_BLOCK = 1 << 12
+_CHUNK = 1 << 16
+
 
 class ConstructionError(RuntimeError):
     """Raised when an alpha constructor cannot satisfy its constraints."""
@@ -41,12 +47,6 @@ def circle_distance(x: float) -> float:
     """Distance of x to the nearest integer."""
     f = x - math.floor(x)
     return min(f, 1.0 - f)
-
-
-def _frac_norm(fr: Fraction) -> Fraction:
-    """Distance of an exact rational to the nearest integer."""
-    f = fr - (fr.numerator // fr.denominator)
-    return min(f, 1 - f)
 
 
 class RotationNumber:
@@ -85,6 +85,8 @@ class RotationNumber:
         self._residuals = [
             self._q[n] * self._value - self._p[n] for n in range(self.depth + 1)
         ]
+        self._orbit_lock = threading.Lock()
+        self._orbit_cache = {False: np.empty(0), True: np.empty(0)}
 
     # -- basic accessors ----------------------------------------------------
 
@@ -135,6 +137,25 @@ class RotationNumber:
             )
         P, Q = self._value.numerator, self._value.denominator
         return Fraction((i * P) % Q, Q)
+
+    def orbit(self, lo: int, hi: int, backward: bool = False) -> np.ndarray:
+        """Float images of i*alpha mod 1 (-i*alpha if backward), lo <= i < hi,
+        each r / Q for the exact r = +-i*P mod Q: bit-identical to `_orbit_loop`.
+        Read-only; a range from inside the cached prefix grows the cache."""
+        if not 0 <= lo <= hi:
+            raise ValueError(f"need 0 <= lo <= hi, got [{lo}, {hi})")
+        P, Q = self._value.numerator, self._value.denominator
+        with self._orbit_lock:
+            cached = self._orbit_cache[backward]
+            if lo > len(cached):
+                return _orbit_fill(P, Q, lo, np.empty(hi - lo), backward)
+            if hi > len(cached):
+                grown = np.empty(max(hi, 1024, 2 * len(cached)))
+                grown[: len(cached)] = cached
+                _orbit_fill(P, Q, len(cached), grown[len(cached):], backward)
+                grown.flags.writeable = False
+                self._orbit_cache[backward] = cached = grown
+            return cached[lo:hi]
 
     def orbit_min_distance(self, x: float, n: int) -> float:
         """min over 0 <= i <= n of the distance of x + i*alpha to Z."""
@@ -206,6 +227,53 @@ def ostrowski_expand(M: int, alpha: RotationNumber) -> OstrowskiExpansion:
             coeffs[s] = b
     assert rem == 0
     return OstrowskiExpansion(coeffs, alpha, M)
+
+
+def _orbit_loop(P: int, Q: int, lo: int, hi: int, backward: bool = False) -> np.ndarray:
+    """Bigint recurrence for RotationNumber.orbit: its fallback and test oracle."""
+    step = Q - P if backward else P
+    r = lo * step % Q
+    out = np.empty(hi - lo)
+    for k in range(hi - lo):
+        out[k] = r / Q
+        r += step
+        if r >= Q:
+            r -= Q
+    return out
+
+
+def _orbit_fill(P: int, Q: int, lo: int, out: np.ndarray, backward: bool) -> np.ndarray:
+    """Write the orbit entries lo <= i < lo + len(out) of RotationNumber.orbit
+    into out: int64 residues in blocks, divided in float64 (Q <= 2^53) or in
+    long double with the binary64 midpoints redone exactly (Q < 2^62)."""
+    if Q >= 1 << 62 or (Q > 1 << 53 and np.finfo(np.longdouble).nmant < 63):
+        out[:] = _orbit_loop(P, Q, lo, lo + len(out), backward)
+        return out
+    table = np.zeros(_BLOCK, dtype=np.int64)  # j*P mod Q, built by doubling
+    s = 1
+    while s < _BLOCK:
+        table[s : 2 * s] = table[:s] + s * P % Q
+        table[s : 2 * s] -= Q * (table[s : 2 * s] >= Q)
+        s *= 2
+    for a in range(0, len(out), _CHUNK):
+        n = min(_CHUNK, len(out) - a)
+        starts = np.array([(lo + a + b) * P % Q for b in range(0, n, _BLOCK)])
+        r = (starts[:, None] + table).ravel()[:n]
+        r -= Q * (r >= Q)
+        if backward:
+            r = (Q - r) * (r != 0)
+        if Q <= 1 << 53:
+            out[a : a + n] = r / float(Q)
+            continue
+        # long double holds r and Q exactly; rounding its quotient to binary64
+        # errs only where it lands exactly on a binary64 midpoint
+        ld = r.astype(np.longdouble) / np.array(Q).astype(np.longdouble)
+        d = ld.astype(np.float64)
+        other = np.nextafter(d, np.where(ld > d, np.inf, -np.inf))
+        tie = np.flatnonzero((ld != d) & ((d.astype(np.longdouble) + other) / 2 == ld))
+        d[tie] = [int(r[k]) / Q for k in tie]
+        out[a : a + n] = d
+    return out
 
 
 def orbit_min_distance(x: float, n: int, alpha: RotationNumber) -> float:

@@ -1,14 +1,17 @@
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from primeflow.flow import (
     FlowPoint,
+    _covering_values,
     ab_decomposition,
     evaluate,
     evaluate_naive,
+    evaluate_times,
     neighborhood_visit_times,
     orbit_trace,
     roof_infimum,
@@ -98,6 +101,24 @@ def test_defining_inclusion():
         resid = s + t - step.consumed
         assert -1e-9 <= resid < POWER(step.endpoint.x) + 1e-9
         assert abs(resid - step.endpoint.s) < 1e-9
+
+
+def test_covering_values_backward():
+    # the backward walk is sized on {x - i alpha}, not the forward orbit
+    x, span = 0.37, 5000.0
+    vals = _covering_values(POWER, SCALED, x, span, backward=True)
+    pts = [float((Fraction(x) - i * SCALED.value) % 1)
+           for i in range(1, len(vals) + 1)]
+    assert np.allclose(vals, POWER(np.array(pts)), rtol=1e-9, atol=0.0)
+    assert np.sum(vals[:-2]) >= span
+
+
+def test_start_height_checked():
+    for s in (-0.1, POWER(0.3), 10.0):
+        with pytest.raises(ValueError):
+            evaluate(POWER, GOLDEN, FlowPoint(0.3, s), 1.0)
+        with pytest.raises(ValueError):
+            evaluate_times(POWER, GOLDEN, FlowPoint(0.3, s), [1.0, -1.0])
 
 
 def test_tower_metric():

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 
@@ -263,6 +264,19 @@ def test_pnt_report_constant_reduces_to_theta(table):
         assert abs(rep.metric("D1", N, "+") - want) < 1e-8
         assert rep.metric("D2", N, "+") < 1e-8
     assert set(rep.verdicts) >= {"D1_trend", "D2_trend_+", "box_halving"}
+
+
+def test_pnt_report_threads_match_serial(psi, table):
+    # fresh rotation numbers, so the threaded cells grow the orbit cache
+    # concurrently from empty
+    docs = []
+    for workers in (1, 2):
+        kf = KocherginFlow(POWER, from_partial_quotients([1] * 12))
+        rep = pnt_report(psi, kf, FlowPoint(0.55, 0.05), (10 ** 3, 10 ** 4),
+                         table=table, workers=workers)
+        doc = json.loads(rep.to_json())
+        docs.append((doc["metrics"], doc["verdicts"]))
+    assert docs[0] == docs[1]
 
 
 def test_pnt_report_records_log_power(table):

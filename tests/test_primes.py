@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import sympy
 
 from primeflow.primes import (
     CircleInterval,
@@ -246,6 +247,25 @@ def test_cache_rejects_garbage(tmp_path):
     path.write_bytes(b"NOTASIEV" + b"\x00" * 32)
     with pytest.raises(ValueError):
         PrimeTable.load(path)
+
+
+def test_cache_rejects_truncated(tmp_path, table):
+    path = tmp_path / "sieve.bin"
+    table.save(path)
+    data = path.read_bytes()
+    path.write_bytes(data[: len(data) // 2])
+    with pytest.raises(ValueError):
+        PrimeTable.load(path)
+
+
+@pytest.mark.parametrize("segment", [1, 7, 8, 1001, 4096, 12345])
+def test_sieve_segments_match_sympy(segment):
+    limit = 20000
+    t = build_table(limit, segment=segment)
+    n = np.arange(limit + 1)
+    want = np.array([sympy.isprime(int(k)) for k in n])
+    assert np.array_equal(t.is_prime(n), want)
+    assert np.array_equal(t.primes, np.flatnonzero(want))
 
 
 def test_build_limit_guard():

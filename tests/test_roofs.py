@@ -35,6 +35,15 @@ def test_power_roof_values():
     assert abs(f(0.25) - 3.1547005) < 1e-6
 
 
+def test_power_roof_singularity_from_the_left():
+    f = PowerRoof()
+    # -1e-17 % 1.0 rounds to 1.0, the singularity seen from the left
+    for x in (0.0, 1.0, -1e-17, [0.3, -1e-17]):
+        with pytest.raises(SingularityError):
+            f(x)
+    assert np.isfinite(f(1e-17)) and np.isfinite(f(1.0 - 2.0 ** -53))
+
+
 def test_power_roof_symmetry():
     f = PowerRoof()
     for x in (0.1, 0.31, 0.47):

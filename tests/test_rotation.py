@@ -1,12 +1,18 @@
 import math
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from primeflow.rotation import (
     ConstructionError,
     RotationNumber,
+    _orbit_loop,
     construct_alpha,
     from_partial_quotients,
     multiple_mod_one,
@@ -185,3 +191,82 @@ def test_json_roundtrip():
     assert again.quotients == alpha.quotients
     assert again.flags == alpha.flags
     assert again.value == alpha.value
+
+
+# Bit lengths of the exact denominator Q, one band per division path of
+# RotationNumber.orbit: float64 (Q <= 2^53), long double (Q < 2^62), and the
+# bigint loop beyond.
+Q_BANDS = ((2, 53), (54, 62), (63, 90))
+
+
+@st.composite
+def alphas_in_band(draw, lo_bits, hi_bits):
+    head = draw(st.lists(st.integers(1, 9), max_size=4))
+    # Q is affine in the last partial quotient: Q(a) = a * step + base
+    q1 = RotationNumber(head + [1]).value.denominator
+    q2 = RotationNumber(head + [2]).value.denominator
+    step, base = q2 - q1, 2 * q1 - q2
+    a_lo = max(1, -(-(2 ** (lo_bits - 1) - base) // step))
+    a_hi = (2 ** hi_bits - 1 - base) // step
+    assume(a_lo <= a_hi)
+    return RotationNumber(head + [draw(st.integers(a_lo, a_hi))])
+
+
+@pytest.mark.parametrize("bits", Q_BANDS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_orbit_matches_bigint_loop(bits, data):
+    alpha = data.draw(alphas_in_band(*bits))
+    P, Q = alpha.value.numerator, alpha.value.denominator
+    assert bits[0] <= Q.bit_length() <= bits[1]
+    hi = {False: 0, True: 0}
+    for _ in range(4):
+        backward = data.draw(st.booleans())
+        # growing prefixes extend the cache; far ranges bypass it
+        if data.draw(st.booleans()):
+            lo = data.draw(st.integers(0, hi[backward]))
+            hi[backward] = max(hi[backward], lo + data.draw(st.integers(0, 70000)))
+            end = hi[backward]
+        else:
+            lo = data.draw(st.integers(0, 10 ** 15))
+            end = lo + data.draw(st.integers(0, 5000))
+        got = alpha.orbit(lo, end, backward)
+        assert np.array_equal(got, _orbit_loop(P, Q, lo, end, backward))
+
+
+def test_orbit_long_double_midpoints():
+    # Pell quotients: Q has 54 bits, so plain float64 division of the
+    # residues is wrong on most of the q_15 orbit and the long-double
+    # quotient lands on a binary64 midpoint a few hundred times
+    alpha = from_partial_quotients([2] * 16)
+    P, Q = alpha.value.numerator, alpha.value.denominator
+    assert Q.bit_length() == 54
+    n = alpha.q(15)
+    for backward in (False, True):
+        assert np.array_equal(alpha.orbit(0, n, backward),
+                              _orbit_loop(P, Q, 0, n, backward))
+
+
+def test_orbit_rejects_bad_range():
+    with pytest.raises(ValueError):
+        GOLDEN.orbit(5, 3)
+    with pytest.raises(ValueError):
+        GOLDEN.orbit(-1, 3)
+
+
+def test_orbit_cache_concurrent_growth():
+    # more threads than cores grow one cache with frequent thread switches
+    alpha = from_partial_quotients([2] * 16)
+    P, Q = alpha.value.numerator, alpha.value.denominator
+    want = _orbit_loop(P, Q, 0, 40000)
+    sizes = [5000 * (k + 1) for k in range(8)]
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            got = list(pool.map(alpha.orbit, [0] * 8, sizes, timeout=60))
+    finally:
+        sys.setswitchinterval(old)
+    for n, arr in zip(sizes, got):
+        assert np.array_equal(arr, want[:n])
+    assert np.array_equal(alpha.orbit(0, 40000), want)
