@@ -23,6 +23,7 @@ from .config import ExperimentReport
 from .flow import FlowPoint, evaluate, evaluate_times, time_integral
 from .primes import PrimeTable, build_table
 from .reparam import ReparamFlow, TorusPoint
+from .rotation import ConstructionError
 
 __all__ = [
     "ConstructionError",
@@ -37,10 +38,6 @@ __all__ = [
     "box_discrepancy",
     "pnt_report",
 ]
-
-
-class ConstructionError(ValueError):
-    """An observable failed its defining conditions at construction."""
 
 
 class SingularOrbitError(RuntimeError):

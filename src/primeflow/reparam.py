@@ -36,6 +36,12 @@ __all__ = [
     "rigidity_distance",
 ]
 
+_TWO_PI = 2.0 * math.pi
+# ReparamFlow.time_inverse_many: times per block, Halley steps per point
+# before the bisection fallback
+_BLOCK = 1 << 15
+_MAX_STEPS = 40
+
 
 @dataclass(frozen=True)
 class TorusPoint:
@@ -64,8 +70,6 @@ class ReparamFlow:
         for q, m, _, omega in self._terms:
             if abs(omega) < 1e-12:
                 raise ValueError(f"mode ({q}, {m}) is resonant with the flow")
-        self._coeff_sum = sum(abs(c) for _, _, c in v.terms)
-        self._inf_v = max(1.0 - self._coeff_sum, 1e-6)
         # |V(t) - t| never exceeds this
         self._osc_bound = sum(
             abs(c) / (math.pi * abs(w)) for _, _, c, w in self._terms
@@ -73,26 +77,70 @@ class ReparamFlow:
 
     # -- cocycle ------------------------------------------------------------
 
-    def _v_along(self, u, x1, x2):
-        out = np.ones_like(np.asarray(u, dtype=np.float64))
-        a = self.alpha.float_value
+    def _start_factors(self, x1, x2) -> list:
+        """b_k = c_k e(q x1 + m x2) / (2 pi w_k) for every mode: scalars for
+        a scalar start point, arrays for an array one."""
+        out = []
         for q, m, c, w in self._terms:
-            phase = np.exp(2j * math.pi * (q * x1 + m * x2 + w * u))
-            out = out + np.real(c * phase)
+            p = q * x1 + m * x2
+            p = _TWO_PI * (p - np.rint(p))
+            out.append(c * (np.cos(p) + 1j * np.sin(p)) / (_TWO_PI * w))
         return out
+
+    def _cocycle(self, u, b, derivatives: bool = False):
+        """V(u) for start factors b, and with derivatives also v = V' and V''.
+
+        V = u + sum Re(b) sin(2 pi w u) + Im(b) (cos(2 pi w u) - 1), so one
+        sin and one cos per mode give all three.  The phase w u is reduced to
+        turns first: at w ~ 4e4 and u ~ 1e6 the radian argument would reach
+        ~2.5e11, where sin and cos take a slow argument-reduction path.
+        """
+        V = u.copy()
+        if derivatives:
+            v = np.ones_like(u)
+            V2 = np.zeros_like(u)
+        for (_, _, _, w), bk in zip(self._terms, b):
+            p = w * u
+            p -= np.rint(p)
+            p *= _TWO_PI
+            s, c = np.sin(p), np.cos(p)
+            br, bi = bk.real, bk.imag
+            V += br * s + bi * (c - 1.0)
+            if derivatives:
+                k = _TWO_PI * w
+                v += k * (br * c - bi * s)
+                V2 -= (k * k) * (br * s + bi * c)
+        return (V, v, V2) if derivatives else V
+
+    def _blocks(self, fn, t, x1, x2):
+        """fn(t_block, b_block) over blocks of the broadcast of (t, x1, x2),
+        reshaped to it; the start factors of a scalar start point are computed
+        once and stay scalars."""
+        t = np.asarray(t, dtype=np.float64)
+        x1 = np.asarray(x1, dtype=np.float64)
+        x2 = np.asarray(x2, dtype=np.float64)
+        shape = np.broadcast_shapes(t.shape, x1.shape, x2.shape)
+        ts = np.broadcast_to(t, shape).ravel()
+        out = np.empty(ts.size)
+        scalar = x1.ndim == 0 and x2.ndim == 0
+        if scalar:
+            b = self._start_factors(float(x1), float(x2))
+        else:
+            x1s = np.broadcast_to(x1, shape).ravel()
+            x2s = np.broadcast_to(x2, shape).ravel()
+        for lo in range(0, ts.size, _BLOCK):
+            sl = slice(lo, lo + _BLOCK)
+            if not scalar:
+                b = self._start_factors(x1s[sl], x2s[sl])
+            out[sl] = fn(ts[sl], b)
+        return out.reshape(shape)
 
     def cocycle_integral(self, t, x: TorusPoint) -> float:
         return float(self.cocycle_many(t, x.x1, x.x2))
 
     def cocycle_many(self, t, x1, x2):
         """V(t, x) = t + Re sum a e(q x1 + m x2) (e(w t) - 1) / (2 pi i w)."""
-        t = np.asarray(t, dtype=np.float64)
-        out = t.astype(np.float64).copy()
-        for q, m, c, w in self._terms:
-            base = np.exp(2j * math.pi * (q * np.asarray(x1) + m * np.asarray(x2)))
-            E = (np.exp(2j * math.pi * w * t) - 1.0) / (2j * math.pi * w)
-            out = out + np.real(c * base * E)
-        return out
+        return self._blocks(self._cocycle, t, x1, x2)
 
     # -- inverse ------------------------------------------------------------
 
@@ -100,30 +148,39 @@ class ReparamFlow:
         return float(self.time_inverse_many(t, x.x1, x.x2))
 
     def time_inverse_many(self, t, x1, x2, tol: float = 1e-12):
-        """Solve V(u, x) = t by Newton from u = t, with bisection fallback."""
-        t = np.asarray(t, dtype=np.float64)
-        x1 = np.asarray(x1, dtype=np.float64)
-        x2 = np.asarray(x2, dtype=np.float64)
-        u = np.broadcast_to(t, np.broadcast(t, x1, x2).shape).astype(np.float64).copy()
-        ok = None
-        for _ in range(80):
-            resid = self.cocycle_many(u, x1, x2) - t
-            if np.max(np.abs(resid)) <= tol * (1.0 + np.max(np.abs(t))):
-                ok = True
-                break
-            u = u - resid / self._v_along(u, x1, x2)
-        if not ok:
-            u = self._bisect(t, x1, x2)
+        """Solve V(u, x) = t for every broadcast point of (t, x1, x2).
+
+        Each point meets |V(u_i) - t_i| <= tol (1 + |t_i|), and its u_i
+        depends only on (t_i, x_i), never on the rest of the batch: Halley
+        steps from u = t run per point until that point's residual meets
+        the tolerance (the step computed at that evaluation is still taken,
+        which brings u to rounding level), and only the points that have not
+        converged after _MAX_STEPS are bisected.
+        """
+        return self._blocks(lambda tb, b: self._halley(tb, b, tol), t, x1, x2)
+
+    def _halley(self, t, b, tol):
+        u = t.copy()
+        todo = np.arange(t.size)
+        for _ in range(_MAX_STEPS):
+            uk = u[todo]
+            V, v, V2 = self._cocycle(uk, b, derivatives=True)
+            r = V - t
+            u[todo] = uk - 2.0 * r * v / (2.0 * v * v - r * V2)
+            left = np.abs(r) > tol * (1.0 + np.abs(t))
+            if not left.any():
+                return u
+            todo, t = todo[left], t[left]
+            b = [bk[left] if np.ndim(bk) else bk for bk in b]
+        u[todo] = self._bisect(t, b)
         return u
 
-    def _bisect(self, t, x1, x2):
-        lo = t - self._osc_bound - 1.0
-        hi = t + self._osc_bound + 1.0
-        lo, hi = np.broadcast_arrays(lo + 0.0 * x1, hi + 0.0 * x1)
-        lo, hi = lo.copy(), hi.copy()
+    def _bisect(self, t, b):
+        width = self._osc_bound + 1.0
+        lo, hi = t - width, t + width
         for _ in range(100):
             mid = 0.5 * (lo + hi)
-            under = self.cocycle_many(mid, x1, x2) < t
+            under = self._cocycle(mid, b) < t
             lo = np.where(under, mid, lo)
             hi = np.where(under, hi, mid)
         return 0.5 * (lo + hi)
@@ -307,16 +364,14 @@ def rigidity_distance(flow: ReparamFlow, k: int, n: int,
     """
     alpha = flow.alpha
     t0 = k * alpha.q(n)
-    base = {}
-    for q, m, c, w in flow._terms:
-        base[(q, m)] = (_frac_exact(t0 * q, alpha), c, w)
+    modes = [(_frac_exact(t0 * q, alpha), w, b) for (q, _, _, w), b in
+             zip(flow._terms, flow._start_factors(x.x1, x.x2))]
     eps = 0.0
     for _ in range(60):
         W = 0.0
-        for (q, m), (frac_t0, c, w) in base.items():
-            phase_u = frac_t0 + w * eps
-            E = (np.exp(2j * math.pi * phase_u) - 1.0) / (2j * math.pi * w)
-            W += (c * np.exp(2j * math.pi * (q * x.x1 + m * x.x2)) * E).real
+        for frac_t0, w, b in modes:
+            p = _TWO_PI * (frac_t0 + w * eps)
+            W += b.real * math.sin(p) + b.imag * (math.cos(p) - 1.0)
         new = -W
         if abs(new - eps) < 1e-17 * (1.0 + abs(eps)):
             eps = new

@@ -39,8 +39,10 @@ _BLOCK = 1 << 12
 _CHUNK = 1 << 16
 
 
-class ConstructionError(RuntimeError):
-    """Raised when an alpha constructor cannot satisfy its constraints."""
+class ConstructionError(ValueError, RuntimeError):
+    """Raised when a constructor (of an alpha, or of an observable) cannot
+    satisfy its constraints; caught by ``except ValueError`` and by
+    ``except RuntimeError`` alike."""
 
 
 def circle_distance(x: float) -> float:

@@ -65,6 +65,14 @@ def test_construction_rejects_bad_w():
         TowerObservable(0.0, POWER, w=lambda r: np.cos(math.pi * np.asarray(r)))
 
 
+def test_construction_error_is_shared():
+    from primeflow import rotation
+
+    assert ConstructionError is rotation.ConstructionError
+    assert issubclass(ConstructionError, ValueError)
+    assert issubclass(ConstructionError, RuntimeError)
+
+
 def test_make_tower_observable_guards():
     with pytest.raises(ValueError):
         make_tower_observable(POWER, sigma=0.0)

@@ -3,7 +3,10 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from primeflow import reparam
 from primeflow.reparam import (
     CoboundaryPair,
     ReparamFlow,
@@ -257,3 +260,133 @@ def test_manifest_roundtrip(flow):
     assert again.v.terms == flow.v.terms
     x = TorusPoint(0.3, 0.6)
     assert abs(again.cocycle_integral(2.0, x) - flow.cocycle_integral(2.0, x)) < 1e-12
+
+
+# -- the cocycle evaluator against the complex-exponential formula ---------
+
+def _reference_cocycle(flow, t, x1, x2):
+    """V(t, x) = t + Re sum c e(q x1 + m x2) (e(w t) - 1) / (2 pi i w)."""
+    t = np.asarray(t, dtype=np.float64)
+    out = t.copy()
+    for q, m, c, w in flow._terms:
+        base = np.exp(2j * math.pi * (q * np.asarray(x1) + m * np.asarray(x2)))
+        E = (np.exp(2j * math.pi * w * t) - 1.0) / (2j * math.pi * w)
+        out = out + np.real(c * base * E)
+    return out
+
+
+def _reference_v(flow, u, x1, x2):
+    """v along the linear orbit: 1 + Re sum c e(q x1 + m x2 + w u)."""
+    out = np.ones_like(np.asarray(u, dtype=np.float64))
+    for q, m, c, w in flow._terms:
+        out = out + np.real(c * np.exp(2j * math.pi * (q * x1 + m * x2 + w * u)))
+    return out
+
+
+def _relative_residual(flow, u, t, x1, x2):
+    return np.abs(_reference_cocycle(flow, u, x1, x2) - t) / (1.0 + np.abs(t))
+
+
+@st.composite
+def random_flows(draw):
+    """A ReparamFlow with 1-4 modes, sum |c| <= 0.9 and every |w| >= 0.05."""
+    alpha = draw(st.sampled_from([GOLDEN, SCALED]))
+    a = alpha.float_value
+    terms = []
+    budget = 0.9
+    for _ in range(draw(st.integers(1, 4))):
+        q = draw(st.one_of(st.integers(0, 40), st.integers(0, 90000)))
+        m = draw(st.integers(-3, 3))
+        assume(abs(q * a + m) >= 0.05)
+        r = draw(st.floats(0.0, budget))
+        budget -= r
+        theta = draw(st.floats(0.0, 2.0 * math.pi))
+        terms.append((q, m, r * complex(math.cos(theta), math.sin(theta))))
+    return ReparamFlow(alpha, TimeChange(terms, alpha, check_band=False))
+
+
+@st.composite
+def times_and_start(draw):
+    n = draw(st.integers(1, 40))
+    t = np.array(draw(st.lists(
+        st.one_of(st.floats(-1e6, 1e6), st.floats(-50.0, 50.0)),
+        min_size=n, max_size=n)))
+    if draw(st.booleans()):
+        x1, x2 = draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 1.0))
+    else:
+        x1, x2 = (np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=n,
+                                         max_size=n))) for _ in range(2))
+    return t, x1, x2
+
+
+@settings(max_examples=60, deadline=None)
+@given(flow=random_flows(), case=times_and_start())
+def test_cocycle_many_matches_reference(flow, case):
+    t, x1, x2 = case
+    got = flow.cocycle_many(t, x1, x2)
+    assert got.shape == t.shape
+    ref = _reference_cocycle(flow, t, x1, x2)
+    assert np.all(np.abs(got - ref) <= 1e-12 * (1.0 + np.abs(t)))
+    V, v, _ = flow._cocycle(t, flow._start_factors(x1, x2), derivatives=True)
+    assert np.array_equal(V, got)
+    # v = V' carries the phase rounding of V times 2 pi w
+    k = 2.0 * math.pi * max(abs(w) for *_, w in flow._terms)
+    assert np.all(np.abs(v - _reference_v(flow, t, x1, x2))
+                  <= 1e-12 * (1.0 + np.abs(t)) * max(1.0, k))
+
+
+@settings(max_examples=60, deadline=None)
+@given(flow=random_flows(), case=times_and_start())
+def test_time_inverse_meets_reference_per_point(flow, case):
+    t, x1, x2 = case
+    u = flow.time_inverse_many(t, x1, x2)
+    assert np.all(_relative_residual(flow, u, t, x1, x2) <= 1e-12)
+
+
+@settings(max_examples=20, deadline=None)
+@given(flow=random_flows(),
+       xs=st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+                   min_size=1, max_size=6))
+def test_coboundary_array_start_matches_scalar(flow, xs):
+    g = lambda x1, x2: np.cos(2 * np.pi * np.asarray(x1)) + np.sin(
+        2 * np.pi * np.asarray(x2))
+    pair = coboundary_observable(flow, g, 4)
+    x1, x2 = np.array(xs).T
+    together = pair.psi(x1, x2)
+    alone = [pair.psi(a, b) for a, b in xs]
+    assert np.allclose(together, alone, rtol=0.0, atol=1e-12)
+
+
+# -- time_inverse_many: per-point contract and the bisection fallback -------
+
+def test_time_inverse_per_point_tolerance(flow):
+    # one large time in the batch must not loosen the small times' tolerance
+    x1, x2 = 0.31, 0.64
+    t = np.r_[np.arange(64.0), 1e6]
+    u = flow.time_inverse_many(t, x1, x2)
+    assert np.all(_relative_residual(flow, u, t, x1, x2) <= 1e-12)
+    alone = [flow.time_inverse_many(ti, x1, x2) for ti in t[:64]]
+    assert np.array_equal(u[:64], alone)
+
+
+def test_time_inverse_bisects_only_unconverged(flow, monkeypatch):
+    # with one Halley step and a loose tolerance, exactly the times whose
+    # starting residual |V(t) - t| misses it fall back to bisection
+    x1, x2, tol = 0.31, 0.64, 1e-3
+    t = np.linspace(-200.0, 200.0, 161)
+    missed = np.abs(flow.cocycle_many(t, x1, x2) - t) > tol * (1.0 + np.abs(t))
+    assert 0 < missed.sum() < t.size
+    full = flow.time_inverse_many(t, x1, x2, tol=tol)
+    bisected = []
+    bisect = ReparamFlow._bisect
+
+    def spy(self, tb, b):
+        bisected.append(tb.copy())
+        return bisect(self, tb, b)
+
+    monkeypatch.setattr(reparam, "_MAX_STEPS", 1)
+    monkeypatch.setattr(ReparamFlow, "_bisect", spy)
+    u = flow.time_inverse_many(t, x1, x2, tol=tol)
+    assert np.array_equal(np.concatenate(bisected), t[missed])
+    assert np.array_equal(u[~missed], full[~missed])
+    assert np.all(_relative_residual(flow, u, t, x1, x2)[missed] <= 1e-9)
