@@ -15,6 +15,7 @@ from .flow import FlowPoint, ab_decomposition
 from .observables import (
     KocherginFlow,
     TorusObservable,
+    _prime_points,
     box_discrepancy,
     coboundary_prime_discrepancy,
     make_tower_observable,
@@ -290,20 +291,19 @@ def _exp_interval_factorization(cfg, table):
         _verdict(report, "gamma2_admissible", False)
         return report
     _verdict(report, "gamma2_admissible", True)
+    coeffs = PhaseCoefficients(gamma1, gamma2, N, H)
+    whole = CircleInterval.full_circle()
     maxes = []
     ok = True
     for q in qs:
         parts = build_interval_partition(table, q, gamma1, N, H)
         js = [CircleInterval(float(rng.random()), float(rng.uniform(0.1, 0.4)))
               for _ in range(3)]
+        marg = [box_indicator_sum(table, coeffs, I, whole) for I in parts]
         worst = 0.0
         for J in js:
-            marg = [box_indicator_sum(
-                table, PhaseCoefficients(gamma1, gamma2, N, H), I,
-                CircleInterval.full_circle()) for I in parts]
             for I, mI in zip(parts, marg):
-                got = box_indicator_sum(
-                    table, PhaseCoefficients(gamma1, gamma2, N, H), I, J)
+                got = box_indicator_sum(table, coeffs, I, J)
                 resid = abs(got - J.length * mI) / H
                 worst = max(worst, resid)
                 ok = ok and resid <= 1.0 / q
@@ -432,6 +432,7 @@ def _exp_pnt_kochergin(cfg, table):
     grid = tuple(n for n in cfg.n_grid if n <= table.limit)
     rep = pnt_report(psi, flow, start, grid, table=table,
                      workers=cfg.get_int("threads", 1))
+    rep.experiment = "pnt_kochergin"
     rep.params["quotients"] = list(flow.alpha.quotients)
     return rep
 
@@ -445,7 +446,7 @@ def _exp_pnt_reparam(cfg, table):
     psi = TorusObservable(0.0, [(1, 0, 1.0), (0, 1, 0.5)])
     start = TorusPoint(cfg.get_float("x1", 0.31), cfg.get_float("x2", 0.64))
     grid = tuple(n for n in cfg.n_grid if n <= table.limit)
-    rep = pnt_report(psi, flow, start, grid, table=table,
+    rep = pnt_report(psi, flow, start, grid, table=table, log_power=2.0,
                      workers=cfg.get_int("threads", 1))
     rep.experiment = "pnt_reparam"
     rep.params["quotients"] = list(alpha.quotients)
@@ -464,21 +465,15 @@ def _exp_pnt_reparam(cfg, table):
 def _exp_equidist_boxes(cfg, table):
     """Box-counting equidistribution of the weighted prime orbit."""
     table = _table(cfg, table)
-    flow, psi, start = _kochergin_setup(cfg)
-    from .flow import evaluate_times
-
+    flow, _, start = _kochergin_setup(cfg)
     grid = tuple(n for n in cfg.n_grid if n <= table.limit)
     report = ExperimentReport("equidist_boxes",
                               {"n_grid": list(grid),
                                "quotients": list(flow.alpha.quotients)})
     vals = []
     for N in grid:
-        ps = table.primes_between(1, N)
-        w = np.log(ps.astype(np.float64))
-        xs, ss, _ = evaluate_times(flow.roof, flow.alpha, start,
-                                   ps.astype(np.float64))
-        d = box_discrepancy((xs, ss), w, flow,
-                            boxes=cfg.get_int("boxes", 32))
+        d = box_discrepancy(*_prime_points(flow, start, table, N, "+", 0),
+                            flow, boxes=cfg.get_int("boxes", 32))
         report.add("box_discrepancy", d, N=N)
         vals.append(d)
     if len(vals) >= 2:

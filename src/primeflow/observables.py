@@ -10,7 +10,8 @@ integrals, so time integrals along the special flow stay cheap.
 Prime-orbit sums walk the whole orbit once: positions at every prime time
 come out of a single cumulative pass over the rotation orbit (special flow)
 or one vectorized cocycle inversion (reparametrized flow), so total work is
-linear in the time horizon.
+linear in the time horizon.  The statistics take either flow, KocherginFlow
+or reparam.ReparamFlow, through the four methods both define.
 """
 
 import math
@@ -21,7 +22,7 @@ import numpy as np
 
 from .config import ExperimentReport
 from .flow import FlowPoint, evaluate, evaluate_times, time_integral
-from .primes import PrimeTable, build_table
+from .primes import build_table
 from .reparam import ReparamFlow, TorusPoint
 from .rotation import ConstructionError
 
@@ -39,18 +40,76 @@ __all__ = [
     "pnt_report",
 ]
 
+reparam_time_integral = ReparamFlow.time_integral  # the former function's name
+
 
 class SingularOrbitError(RuntimeError):
-    """A prime-orbit sum stepped onto the singular base point."""
+    """An orbit point landed on the singular base point (times[index])."""
+
+    def __init__(self, message, index):
+        super().__init__(message)
+        self.index = index
 
 
 @dataclass(frozen=True)
 class KocherginFlow:
-    """Roof and rotation number bundled so flows of both kinds share the
-    prime-orbit entry points."""
+    """The special flow under roof over the rotation by alpha; like ReparamFlow
+    it defines positions, mean, time_integral and box_masses."""
 
     roof: object
     alpha: object
+
+    def positions(self, start: FlowPoint, times):
+        """Coordinate arrays (x, s) of T_t(start) for every t in times;
+        SingularOrbitError if one lands on the fiber over a singular 0."""
+        xs, ss, _ = evaluate_times(self.roof, self.alpha, start, times)
+        dist = np.minimum(xs, 1.0 - xs)
+        if getattr(self.roof, "gamma", 0.0) < 0.0 and np.any(dist < 1e-12):
+            i = int(np.argmin(dist))
+            raise SingularOrbitError(
+                f"orbit lands on the singular point at times[{i}]", i)
+        return xs, ss
+
+    def mean(self, psi) -> float:
+        """Mean of psi under the normalized invariant measure Leb^f / int f."""
+        return space_average(psi, self.roof, normalized=True)
+
+    def time_integral(self, psi, start: FlowPoint, T: float) -> float:
+        """Signed int_0^T psi(T_t start) dt: for T < 0, minus the forward
+        integral over [0, -T] from T_T start."""
+        if T >= 0.0:
+            return time_integral(self.roof, self.alpha, psi, start, T)
+        back = evaluate(self.roof, self.alpha, start, T).endpoint
+        return -time_integral(self.roof, self.alpha, psi, back, -T)
+
+    def box_masses(self, boxes: int, h_max=None):
+        """Masses of the boxes [i/boxes, (i+1)/boxes) x [j dh, (j+1) dh) under
+        Leb^f / int f, the mass above them and their height h_max (5)."""
+        h_max = 5.0 if h_max is None else h_max
+        cuts = np.unique(np.clip(
+            np.concatenate((_graded_edges(), np.arange(boxes + 1) / boxes)),
+            _DELTA, 1.0 - _DELTA))
+        y, w = np.polynomial.legendre.leggauss(24)
+        mid = 0.5 * (cuts[1:] + cuts[:-1])
+        half = 0.5 * (cuts[1:] - cuts[:-1])
+        pts = (mid[:, None] + half[:, None] * y[None, :]).ravel()
+        fv = np.asarray(self.roof(pts), dtype=np.float64)
+        wts = (w[None, :] * half[:, None]).ravel()
+        cols = np.minimum((pts * boxes).astype(int), boxes - 1)
+        dh = h_max / boxes
+        masses = np.zeros((boxes, boxes))
+        for j in range(boxes):
+            covered = np.clip(fv - j * dh, 0.0, dh)
+            np.add.at(masses[:, j], cols, wts * covered)
+        tail = float(np.dot(wts, np.clip(fv - h_max, 0.0, None)))
+        area = float(np.dot(wts, fv))
+        # the end slivers sit under the singularities, far above h_max when
+        # the roof blows up, so their mass goes to the overflow cell
+        for end, extra in zip((_DELTA, 1 - _DELTA), _sliver_areas(self.roof)):
+            if float(self.roof(end)) > h_max:
+                tail += extra
+                area += extra
+        return masses / area, tail / area, h_max
 
 
 def _trig_eval(terms, y):
@@ -315,11 +374,16 @@ def space_average(psi: TowerObservable, roof=None, normalized=True,
 # prime-orbit sums
 
 
-def _prime_times(table, N, z, m):
+def _prime_points(flow, start, table, N, z, m):
+    """Flow positions at the times z(p - m), p <= N, and the weights log p."""
     ps = table.primes_between(1, N)
-    weights = np.log(ps.astype(np.float64))
-    sign = {"+": 1.0, "-": -1.0}[z]
-    return ps, weights, sign * (ps.astype(np.float64) - float(m))
+    times = {"+": 1.0, "-": -1.0}[z] * (ps.astype(np.float64) - float(m))
+    try:
+        return flow.positions(start, times), np.log(ps.astype(np.float64))
+    except SingularOrbitError as err:
+        raise SingularOrbitError(
+            f"orbit lands on the singular point at prime {int(ps[err.index])}",
+            err.index) from None
 
 
 def prime_orbit_sum(psi, flow, start, N, z="+", m=0, table=None) -> float:
@@ -330,59 +394,14 @@ def prime_orbit_sum(psi, flow, start, N, z="+", m=0, table=None) -> float:
         return 0.0
     if table is None:
         table = build_table(int(N))
-    ps, weights, times = _prime_times(table, N, z, m)
-    if isinstance(flow, ReparamFlow):
-        u = flow.time_inverse_many(times, start.x1, start.x2)
-        a = flow.alpha.float_value
-        vals = psi((start.x1 + u * a) % 1.0, (start.x2 + u) % 1.0)
-    else:
-        xs, ss, _ = evaluate_times(flow.roof, flow.alpha, start, times)
-        dist = np.minimum(xs, 1.0 - xs)
-        if getattr(flow.roof, "gamma", 0.0) < 0.0 and np.min(dist) < 1e-12:
-            p_bad = int(ps[int(np.argmin(dist))])
-            raise SingularOrbitError(
-                f"orbit lands on the singular point at prime {p_bad}")
-        vals = psi(xs, ss)
-    return float(np.dot(weights, np.asarray(vals, dtype=np.float64)))
+    pts, weights = _prime_points(flow, start, table, N, z, m)
+    return float(np.dot(weights, np.asarray(psi(*pts), dtype=np.float64)))
 
 
-def reparam_time_integral(flow: ReparamFlow, psi: TorusObservable,
-                          x: TorusPoint, T: float) -> float:
-    """int_0^T psi(T_t x) dt in closed form: substituting t = V(s) turns the
-    integral into int_0^{U} psi(L_s x) v(L_s x) ds with U the inverted time,
-    and the integrand is a finite sum of exponentials in s."""
-    U = flow.time_inverse(T, x)
-    a = flow.alpha.float_value
-    # complex-exponential expansions of psi and v along the linear orbit
-    def expand(constant, terms):
-        out = [(0, 0, complex(constant))]
-        for q, m, c in terms:
-            out.append((q, m, 0.5 * c))
-            out.append((-q, -m, 0.5 * c.conjugate()))
-        return out
-
-    psi_terms = expand(psi.constant, psi.terms)
-    v_terms = expand(1.0, flow.v.terms)
-    total = 0.0 + 0.0j
-    for q1, m1, c1 in psi_terms:
-        for q2, m2, c2 in v_terms:
-            q, m = q1 + q2, m1 + m2
-            amp = c1 * c2 * np.exp(2j * math.pi * (q * x.x1 + m * x.x2))
-            omega = q * a + m
-            if q == 0 and m == 0:
-                total += amp * U
-            else:
-                total += amp * (np.exp(2j * math.pi * omega * U) - 1.0) / (
-                    2j * math.pi * omega)
-    return float(total.real)
-
-
-def _integer_orbit_values(flow: ReparamFlow, g, x: TorusPoint, M: int):
-    """g evaluated along x, T_1 x, ..., T_M x with one vectorized inversion."""
-    u = flow.time_inverse_many(np.arange(M + 1, dtype=np.float64), x.x1, x.x2)
-    a = flow.alpha.float_value
-    return np.asarray(g((x.x1 + u * a) % 1.0, (x.x2 + u) % 1.0),
-                      dtype=np.float64)
+def _integer_orbit_values(flow, g, x, M: int):
+    """g evaluated along x, T_1 x, ..., T_M x in one positions call."""
+    steps = np.arange(M + 1, dtype=np.float64)
+    return np.asarray(g(*flow.positions(x, steps)), dtype=np.float64)
 
 
 def coboundary_prime_discrepancy(flow: ReparamFlow, g, depth: int,
@@ -413,76 +432,22 @@ def coboundary_prime_discrepancy(flow: ReparamFlow, g, depth: int,
 # equidistribution box counts
 
 
-def _tower_box_masses(roof, boxes, h_max, sub=24):
-    """Reference masses of the boxes [i/boxes, (i+1)/boxes) x [j dh, (j+1) dh)
-    under Leb^f / int f, plus the mass above h_max, by graded quadrature."""
-    edges = _graded_edges()
-    cuts = np.unique(np.clip(
-        np.concatenate((edges, np.arange(boxes + 1) / boxes)),
-        _DELTA, 1.0 - _DELTA))
-    y, w = np.polynomial.legendre.leggauss(sub)
-    mid = 0.5 * (cuts[1:] + cuts[:-1])
-    half = 0.5 * (cuts[1:] - cuts[:-1])
-    pts = (mid[:, None] + half[:, None] * y[None, :]).ravel()
-    fv = np.asarray(roof(pts), dtype=np.float64)
-    wts = (np.broadcast_to(w[None, :], (len(half), sub)) * half[:, None]).ravel()
-    cols = np.minimum((pts * boxes).astype(int), boxes - 1)
-    dh = h_max / boxes
-    masses = np.zeros((boxes, boxes))
-    for j in range(boxes):
-        covered = np.clip(fv - j * dh, 0.0, dh)
-        np.add.at(masses[:, j], cols, wts * covered)
-    tail = float(np.dot(wts, np.clip(fv - h_max, 0.0, None)))
-    area = float(np.dot(wts, fv))
-    # the end slivers sit under the singularities, far above h_max when the
-    # roof blows up, so their mass goes to the overflow cell
-    left, right = _sliver_areas(roof)
-    if float(roof(_DELTA)) > h_max:
-        tail += left
-        area += left
-    if float(roof(1.0 - _DELTA)) > h_max:
-        tail += right
-        area += right
-    return masses / area, tail / area
-
-
 def box_discrepancy(points, weights, flow, boxes=32, h_max=None) -> float:
     """Max deviation, over a boxes^2 partition, between the weighted
     empirical measure of the orbit points and the invariant measure.
 
-    For the special flow the partition covers the tower up to h_max and the
-    overflow mass above h_max enters as one extra cell, with its reference
-    value computed analytically from the roof.
+    The cells are those of flow.box_masses.  For the special flow they cover
+    the tower up to h_max and the mass above h_max enters as one extra cell,
+    with its reference value computed analytically from the roof.
     """
     weights = np.asarray(weights, dtype=np.float64)
     weights = weights / weights.sum()
-    if isinstance(flow, ReparamFlow):
-        x1, x2 = points
-        emp = np.zeros((boxes, boxes))
-        i = np.minimum((np.asarray(x1) * boxes).astype(int), boxes - 1)
-        j = np.minimum((np.asarray(x2) * boxes).astype(int), boxes - 1)
-        np.add.at(emp, (i, j), weights)
-        ref = np.zeros((boxes, boxes))
-        grid = np.arange(boxes) / boxes
-        for q, m, c in flow.v.terms:
-            def seg(freq, lo):
-                if freq == 0:
-                    return np.full(boxes, 1.0 / boxes, dtype=complex)
-                e = np.exp(2j * math.pi * freq * lo)
-                return e * (np.exp(2j * math.pi * freq / boxes) - 1.0) / (
-                    2j * math.pi * freq)
-            ref = ref + np.real(c * np.outer(seg(q, grid), seg(m, grid)))
-        ref = ref + 1.0 / boxes ** 2
-        return float(np.max(np.abs(emp - ref)))
-    xs, ss = points
-    if h_max is None:
-        h_max = 5.0
-    ref, ref_tail = _tower_box_masses(flow.roof, boxes, h_max)
+    ref, ref_tail, height = flow.box_masses(boxes, h_max)
+    xs, ys = (np.asarray(c) for c in points)
     emp = np.zeros((boxes, boxes))
-    inside = np.asarray(ss) < h_max
-    i = np.minimum((np.asarray(xs)[inside] * boxes).astype(int), boxes - 1)
-    j = np.minimum((np.asarray(ss)[inside] / (h_max / boxes)).astype(int),
-                   boxes - 1)
+    inside = ys < height
+    i = np.minimum((xs[inside] * boxes).astype(int), boxes - 1)
+    j = np.minimum((ys[inside] / (height / boxes)).astype(int), boxes - 1)
     np.add.at(emp, (i, j), weights[inside])
     emp_tail = float(weights[~inside].sum())
     return float(max(np.max(np.abs(emp - ref)), abs(emp_tail - ref_tail)))
@@ -494,28 +459,25 @@ def box_discrepancy(points, weights, flow, boxes=32, h_max=None) -> float:
 
 def pnt_report(psi, flow, start, n_grid=(10 ** 4, 10 ** 5, 10 ** 6),
                directions=("+", "-"), m=0, table=None, boxes=32,
-               h_max=None, log_power=2.0, workers=1) -> ExperimentReport:
+               h_max=None, log_power=None, workers=1) -> ExperimentReport:
     """Discrepancy statistics of the prime-orbit sums across an N-grid.
 
     For each N and direction z the report records D1 (prime sum vs time
     integral), D2 (time integral vs space average), D3 (prime sum vs space
     average), all divided by N, plus the box-counting discrepancy of the
-    weighted prime orbit against the invariant measure.  For the
-    reparametrized flow D3 log^A N is recorded as well.  Verdicts assert the
-    monotone trends along the grid.  Cells (N, z) are independent and run on
-    a thread pool when workers > 1; aggregation order is fixed either way.
+    weighted prime orbit against the invariant measure.  When log_power A is
+    given, D3 log^A N is recorded as well.  Verdicts assert the monotone
+    trends along the grid.  Cells (N, z) are independent and run on a thread
+    pool when workers > 1; aggregation order is fixed either way.  The
+    report is named "pnt_report"; the registered experiments rename theirs.
     """
     t0 = _time.monotonic()
     n_grid = tuple(sorted(int(n) for n in n_grid))
     if table is None:
         table = build_table(max(n_grid))
-    reparam = isinstance(flow, ReparamFlow)
-    if reparam:
-        mean = psi.mean(flow.v)
-    else:
-        mean = space_average(psi, flow.roof, normalized=True)
+    mean = flow.mean(psi)
     report = ExperimentReport(
-        experiment="pnt_reparam" if reparam else "pnt_kochergin",
+        experiment="pnt_report",
         params={"n_grid": list(n_grid), "directions": list(directions),
                 "m": m, "boxes": boxes})
     report.add("space_average", mean)
@@ -524,25 +486,12 @@ def pnt_report(psi, flow, start, n_grid=(10 ** 4, 10 ** 5, 10 ** 6),
         N, z = cell
         P = prime_orbit_sum(psi, flow, start, N, z, m, table)
         sign = 1.0 if z == "+" else -1.0
-        if reparam:
-            I = sign * reparam_time_integral(flow, psi, start, sign * N)
-        elif z == "+":
-            I = time_integral(flow.roof, flow.alpha, psi, start, float(N))
-        else:
-            back = evaluate(flow.roof, flow.alpha, start, -float(N)).endpoint
-            I = time_integral(flow.roof, flow.alpha, psi, back, float(N))
+        I = sign * flow.time_integral(psi, start, sign * N)
         return abs(P - I) / N, abs(I - N * mean) / N, abs(P - N * mean) / N
 
     def run_box(N):
-        ps, weights, times = _prime_times(table, N, "+", m)
-        if reparam:
-            u = flow.time_inverse_many(times, start.x1, start.x2)
-            a = flow.alpha.float_value
-            pts = ((start.x1 + u * a) % 1.0, (start.x2 + u) % 1.0)
-        else:
-            xs, ss, _ = evaluate_times(flow.roof, flow.alpha, start, times)
-            pts = (xs, ss)
-        return box_discrepancy(pts, weights, flow, boxes=boxes, h_max=h_max)
+        return box_discrepancy(*_prime_points(flow, start, table, N, "+", m),
+                               flow, boxes=boxes, h_max=h_max)
 
     cells = [(N, z) for N in n_grid for z in directions]
     if workers > 1:
@@ -561,13 +510,12 @@ def pnt_report(psi, flow, start, n_grid=(10 ** 4, 10 ** 5, 10 ** 6),
         report.add("D1", d1, N, z)
         report.add("D2", d2, N, z)
         report.add("D3", d3, N, z)
-        if reparam:
+        if log_power is not None:
             report.add("D3_logA", d3 * math.log(N) ** log_power, N, z)
         d1_max[N] = max(d1_max.get(N, 0.0), d1)
         d2_by_z[z][N] = d2
-    box_by_n = dict(zip(n_grid, box_out))
-    for N in n_grid:
-        report.add("box_discrepancy", box_by_n[N], N, "+")
+    for N, box in zip(n_grid, box_out):
+        report.add("box_discrepancy", box, N, "+")
     def decreasing(seq):
         return all(b < a for a, b in zip(seq, seq[1:]))
     report.verdicts["D1_trend"] = (
@@ -576,8 +524,7 @@ def pnt_report(psi, flow, start, n_grid=(10 ** 4, 10 ** 5, 10 ** 6),
         report.verdicts[f"D2_trend_{z}"] = (
             "pass" if decreasing([d2_by_z[z][N] for N in n_grid]) else "fail")
     if len(n_grid) >= 2:
-        lo, hi = n_grid[0], n_grid[-1]
         report.verdicts["box_halving"] = (
-            "pass" if box_by_n[hi] <= 0.5 * box_by_n[lo] else "fail")
+            "pass" if box_out[-1] <= 0.5 * box_out[0] else "fail")
     report.wall_clock = _time.monotonic() - t0
     return report

@@ -43,14 +43,20 @@ _BLOCK = 1 << 15
 _MAX_STEPS = 40
 
 
+def _unit(x):
+    """x mod 1 in [0, 1): for a tiny negative x, x % 1.0 rounds up to 1.0."""
+    x = x % 1.0
+    return x * (x < 1.0)
+
+
 @dataclass(frozen=True)
 class TorusPoint:
     x1: float
     x2: float
 
     def __post_init__(self):
-        object.__setattr__(self, "x1", self.x1 % 1.0)
-        object.__setattr__(self, "x2", self.x2 % 1.0)
+        object.__setattr__(self, "x1", _unit(self.x1))
+        object.__setattr__(self, "x2", _unit(self.x2))
 
 
 def torus_distance(p: TorusPoint, q: TorusPoint) -> float:
@@ -188,17 +194,68 @@ class ReparamFlow:
     # -- evaluation ---------------------------------------------------------
 
     def evaluate(self, t, x: TorusPoint) -> TorusPoint:
-        u = self.time_inverse(t, x)
-        a = self.alpha.float_value
-        return TorusPoint(x.x1 + u * a, x.x2 + u)
+        return TorusPoint(*map(float, self.evaluate_many(t, x.x1, x.x2)))
 
     def evaluate_many(self, t, x1, x2):
         u = self.time_inverse_many(t, x1, x2)
         a = self.alpha.float_value
-        return (x1 + u * a) % 1.0, (x2 + u) % 1.0
+        return _unit(x1 + u * a), _unit(x2 + u)
 
     def roof(self) -> FourierRoof:
         return roof_from_timechange(self.v)
+
+    # -- flow protocol, shared with observables.KocherginFlow ---------------
+
+    def positions(self, start: TorusPoint, times):
+        """Coordinate arrays (x1, x2) of T_t(start) for every t in times."""
+        return self.evaluate_many(times, start.x1, start.x2)
+
+    def mean(self, psi) -> float:
+        """Mean of the torus observable psi against the invariant density v."""
+        return psi.mean(self.v)
+
+    def time_integral(self, psi, x: TorusPoint, T: float) -> float:
+        """int_0^T psi(T_t x) dt in closed form: substituting t = V(s) turns
+        the integral into int_0^{U} psi(L_s x) v(L_s x) ds with U the inverted
+        time, and the integrand is a finite sum of exponentials in s."""
+        U = self.time_inverse(T, x)
+        a = self.alpha.float_value
+        # complex-exponential expansions of psi and v along the linear orbit
+        def expand(constant, terms):
+            out = [(0, 0, complex(constant))]
+            for q, m, c in terms:
+                out += [(q, m, 0.5 * c), (-q, -m, 0.5 * c.conjugate())]
+            return out
+
+        psi_terms = expand(psi.constant, psi.terms)
+        v_terms = expand(1.0, self.v.terms)
+        total = 0.0 + 0.0j
+        for q1, m1, c1 in psi_terms:
+            for q2, m2, c2 in v_terms:
+                q, m = q1 + q2, m1 + m2
+                amp = c1 * c2 * np.exp(2j * math.pi * (q * x.x1 + m * x.x2))
+                omega = q * a + m
+                if q == 0 and m == 0:
+                    total += amp * U
+                else:
+                    total += amp * (np.exp(2j * math.pi * omega * U) - 1.0) / (
+                        2j * math.pi * omega)
+        return float(total.real)
+
+    def box_masses(self, boxes: int, h_max=None):
+        """Masses v dLeb of the cells [i/boxes, (i+1)/boxes) x [j/boxes,
+        (j+1)/boxes), the mass outside them (0) and their height (1)."""
+        ref = np.zeros((boxes, boxes))
+        grid = np.arange(boxes) / boxes
+        for q, m, c in self.v.terms:
+            def seg(freq, lo):
+                if freq == 0:
+                    return np.full(boxes, 1.0 / boxes, dtype=complex)
+                e = np.exp(2j * math.pi * freq * lo)
+                return e * (np.exp(2j * math.pi * freq / boxes) - 1.0) / (
+                    2j * math.pi * freq)
+            ref = ref + np.real(c * np.outer(seg(q, grid), seg(m, grid)))
+        return ref + 1.0 / boxes ** 2, 0.0, 1.0
 
     # -- manifest -----------------------------------------------------------
 

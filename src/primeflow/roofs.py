@@ -230,20 +230,21 @@ def _orbit_offsets(alpha: RotationNumber, n: int) -> np.ndarray:
 
 
 def _check_orbit_clear(roof, x: float, n: int, alpha: RotationNumber) -> None:
+    """Raise SingularityError if x + i alpha = 0 mod 1 for some 0 <= i < n:
+    with x = a/D and alpha = P/Q exactly, solve a Q + i P D = 0 (mod D Q)."""
     if not isinstance(roof, PowerRoof) and not (
         isinstance(roof, MaskedRoof) and isinstance(roof.roof, PowerRoof)
     ):
         return
     X = Fraction(x) % 1
-    P, Q = alpha.value.numerator, alpha.value.denominator
-    D = X.denominator
-    M = D * Q
-    r = X.numerator * Q
-    step = P * D
-    for i in range(n):
-        if r == 0:
-            raise SingularityError(f"orbit point index {i} hits the singularity")
-        r = (r + step) % M
+    P, Q, D = alpha.value.numerator, alpha.value.denominator, X.denominator
+    r, step, M = X.numerator * Q, P * D, D * Q
+    g = math.gcd(step, M)
+    if r % g:
+        return
+    i = -(r // g) * pow(step // g, -1, M // g) % (M // g)
+    if i < n:
+        raise SingularityError(f"orbit point index {i} hits the singularity")
 
 
 def birkhoff_sum(g, n: int, x: float, alpha: RotationNumber, order: int = 0) -> float:

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from primeflow.flow import (
     FlowPoint,
@@ -89,6 +91,55 @@ def test_flow_property_and_inverse():
         assert tower_metric(one, two) <= 1e-7
         back = evaluate(POWER, GOLDEN, mid, -t1).endpoint
         assert tower_metric(back, p) <= 1e-7
+
+
+@st.composite
+def _random_flow(draw):
+    """A random PowerRoof or FourierRoof over a random partial-quotient
+    alpha, with a start point whose x is no exact orbit point of 0."""
+    if draw(st.booleans()):
+        roof = PowerRoof(gamma=draw(st.floats(-0.95, -0.05)),
+                         c0=draw(st.floats(0.05, 0.95)))
+    else:
+        n = draw(st.integers(1, 3))
+        mods = draw(st.lists(st.floats(0.0, 0.9 / n), min_size=n, max_size=n))
+        args = draw(st.lists(st.floats(0.0, 2.0 * math.pi), min_size=n,
+                             max_size=n))
+        qs = draw(st.lists(st.integers(1, 12), min_size=n, max_size=n))
+        roof = FourierRoof([(q, r * complex(math.cos(a), math.sin(a)))
+                            for q, r, a in zip(qs, mods, args)],
+                           check_band=False)
+    alpha = from_partial_quotients(
+        draw(st.lists(st.integers(1, 6), min_size=8, max_size=14)))
+    x = draw(st.floats(0.001, 0.999))
+    # a dyadic x with denominator above Q is never congruent to -i alpha
+    assume(Fraction(x).denominator > alpha.value.denominator)
+    # heights away from 0 and f(x): (x, 0) and (x - alpha, f(x - alpha)) are
+    # one point of the flow but far apart in the tower metric
+    s = draw(st.floats(0.01, 0.99)) * roof(x)
+    return roof, alpha, FlowPoint(x, s)
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=_random_flow(), t=st.floats(-50.0, 50.0))
+def test_evaluate_matches_naive_random_roofs(case, t):
+    roof, alpha, p = case
+    a = evaluate(roof, alpha, p, t)
+    b = evaluate_naive(roof, alpha, p, t)
+    assert a.hits == b.hits
+    assert tower_metric(a.endpoint, b.endpoint) <= 1e-9
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=_random_flow(), t1=st.floats(-50.0, 50.0),
+       t2=st.floats(-50.0, 50.0))
+def test_flow_property_random_roofs(case, t1, t2):
+    roof, alpha, p = case
+    mid = evaluate(roof, alpha, p, t1).endpoint
+    one = evaluate(roof, alpha, p, t1 + t2).endpoint
+    two = evaluate(roof, alpha, mid, t2).endpoint
+    assert tower_metric(one, two) <= 1e-7
+    assert tower_metric(evaluate(roof, alpha, mid, -t1).endpoint, p) <= 1e-7
 
 
 def test_defining_inclusion():

@@ -5,6 +5,8 @@ import random
 import numpy as np
 import pytest
 
+from primeflow.config import ExperimentConfig
+from primeflow.experiments import run_experiment
 from primeflow.flow import FlowPoint, evaluate, evaluate_times
 from primeflow.observables import (
     ConstructionError,
@@ -184,6 +186,40 @@ def test_prime_sum_singular_hit():
         prime_orbit_sum(one, kf, start, 100)
 
 
+def test_positions_name_the_singular_time():
+    class BadRoof:
+        gamma = -0.5
+
+        def __call__(self, x, order=0):
+            return np.ones_like(np.asarray(x, dtype=float))
+
+    start = FlowPoint((-2 * GOLDEN.float_value) % 1.0, 0.1)
+    kf = KocherginFlow(BadRoof(), GOLDEN)
+    with pytest.raises(SingularOrbitError, match=r"times\[1\]") as err:
+        kf.positions(start, np.array([1.0, 2.0, 3.0]))
+    assert err.value.index == 1
+
+
+def test_kochergin_time_integral_is_signed(psi):
+    # int_{-T}^{T} along the orbit of p is the forward integral from T_{-T} p
+    kf = KocherginFlow(POWER, GOLDEN)
+    p, T = FlowPoint(0.41, 0.2), 37.5
+    back = evaluate(POWER, GOLDEN, p, -T).endpoint
+    whole = kf.time_integral(psi, back, 2.0 * T)
+    split = kf.time_integral(psi, p, T) - kf.time_integral(psi, p, -T)
+    assert abs(whole - split) < 1e-8 * (1.0 + abs(whole))
+
+
+def test_torus_coordinates_lie_in_unit_interval():
+    # -1e-17 % 1.0 rounds to 1.0; the point is (0, 0) and must count there
+    fl = ReparamFlow(GOLDEN, TimeChange([(2, 0, 0.3), (1, 1, 0.2j)]))
+    assert TorusPoint(-1e-17, 0.5).x1 == 0.0
+    x1, x2 = fl.evaluate_many(np.array([-1e-17]), 0.0, 0.0)
+    assert 0.0 <= x1[0] < 1.0 and 0.0 <= x2[0] < 1.0
+    at_origin = box_discrepancy((np.zeros(1), np.zeros(1)), [1.0], fl)
+    assert box_discrepancy((x1, x2), [1.0], fl) == at_origin
+
+
 def test_torus_observable_means():
     v = TimeChange([(2, 0, 0.3), (1, 1, 0.2j)])
     psi = TorusObservable(0.25, [(2, 0, 0.4 + 0.1j), (-1, -1, 0.6)])
@@ -295,3 +331,31 @@ def test_pnt_report_records_log_power(table):
     d3 = rep.metric("D3", 10 ** 4, "+")
     want = d3 * math.log(10 ** 4) ** 2
     assert abs(rep.metric("D3_logA", 10 ** 4, "+") - want) < 1e-12
+
+
+def test_pnt_report_reparam_threads_match_serial(table):
+    docs = []
+    for workers in (1, 2):
+        fl = ReparamFlow(SCALED, make_timechange(SCALED))
+        psi = TorusObservable(0.0, [(1, 0, 1.0), (0, 1, 0.5)])
+        rep = pnt_report(psi, fl, TorusPoint(0.31, 0.64), (10 ** 3, 10 ** 4),
+                         table=table, workers=workers)
+        doc = json.loads(rep.to_json())
+        docs.append((doc["experiment"], doc["metrics"], doc["verdicts"]))
+    assert docs[0] == docs[1]
+    # a direct call names its report generically and, without log_power,
+    # records no D3_logA
+    assert docs[0][0] == "pnt_report"
+    assert "D3_logA" not in {m["name"] for m in docs[0][1]}
+
+
+def test_box_rows_shared_by_equidist_and_pnt(table):
+    rows = []
+    for name in ("equidist_boxes", "pnt_kochergin"):
+        cfg = ExperimentConfig(name, sieve_limit=10 ** 4,
+                               n_grid=(10 ** 3, 10 ** 4))
+        rep = run_experiment(cfg, table)
+        rows.append([(m.N, m.value) for m in rep.metrics
+                     if m.name == "box_discrepancy"])
+    assert len(rows[0]) == 2
+    assert rows[0] == rows[1]

@@ -1,8 +1,11 @@
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from primeflow.primes import CircleInterval
 from primeflow.rotation import construct_alpha, from_partial_quotients
@@ -13,6 +16,7 @@ from primeflow.roofs import (
     PowerRoof,
     SingularityError,
     TimeChange,
+    _check_orbit_clear,
     birkhoff_sum,
     birkhoff_sum_many,
     derivative_zero_locator,
@@ -162,6 +166,47 @@ def test_birkhoff_singularity_guard():
     f = PowerRoof()
     with pytest.raises(SingularityError, match="index 0"):
         birkhoff_sum(f, 5, 0.0, GOLDEN)
+
+
+class _Alpha:
+    """Stand-in rotation number: the orbit check reads only alpha.value."""
+
+    def __init__(self, value):
+        self.value = value
+
+
+def _orbit_hit_loop(x, n, alpha):
+    """First i < n with x + i alpha = 0 mod 1, by the bigint orbit loop."""
+    X = Fraction(x) % 1
+    P, Q = alpha.value.numerator, alpha.value.denominator
+    D = X.denominator
+    M = D * Q
+    r = X.numerator * Q
+    step = P * D
+    for i in range(n):
+        if r == 0:
+            return i
+        r = (r + step) % M
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=st.integers(0, 400), two=st.integers(0, 7),
+       odd=st.sampled_from([1, 3, 5, 9, 15]), i=st.integers(0, 200),
+       n=st.integers(0, 250), nudge=st.sampled_from([0.0, 1e-3, 0.37]))
+@example(p=3, two=3, odd=1, i=5, n=6, nudge=0.0)
+@example(p=3, two=3, odd=1, i=5, n=5, nudge=0.0)
+def test_check_orbit_clear_matches_loop(p, two, odd, i, n, nudge):
+    # alpha = p / (2^two * odd) with x = -i alpha mod 1 puts orbit point i on
+    # the singularity whenever that x is a dyadic float
+    alpha = _Alpha(Fraction(p, 2 ** two * odd))
+    x = (float(-i * alpha.value % 1) + nudge) % 1.0
+    hit = _orbit_hit_loop(x, n, alpha)
+    if hit is None:
+        _check_orbit_clear(PowerRoof(), x, n, alpha)
+    else:
+        with pytest.raises(SingularityError, match=rf"index {hit} "):
+            _check_orbit_clear(PowerRoof(), x, n, alpha)
 
 
 def test_birkhoff_accepts_masked_roof():
