@@ -452,11 +452,9 @@ def _exp_pnt_reparam(cfg, table):
     rep.params["quotients"] = list(alpha.quotients)
     depth = cfg.get_int("coboundary_depth", 10 ** 3)
     g = lambda x1, x2: np.cos(2 * np.pi * np.asarray(x1))
-    d3s = []
-    for N in grid:
-        d3 = coboundary_prime_discrepancy(flow, g, depth, start, N, table)
+    d3s = coboundary_prime_discrepancy(flow, g, depth, start, grid, table)
+    for N, d3 in zip(grid, d3s):
         rep.add("coboundary_D3", d3, N=N)
-        d3s.append(d3)
     if len(d3s) >= 2:
         _verdict(rep, "coboundary_halving", d3s[-1] <= 0.5 * d3s[0])
     return rep
@@ -470,10 +468,12 @@ def _exp_equidist_boxes(cfg, table):
     report = ExperimentReport("equidist_boxes",
                               {"n_grid": list(grid),
                                "quotients": list(flow.alpha.quotients)})
+    (xs, ss), weights = _prime_points(flow, start, table, max(grid, default=0),
+                                      "+", 0)
     vals = []
-    for N in grid:
-        d = box_discrepancy(*_prime_points(flow, start, table, N, "+", 0),
-                            flow, boxes=cfg.get_int("boxes", 32))
+    for N, k in zip(grid, np.searchsorted(table.primes, grid, side="right")):
+        d = box_discrepancy((xs[:k], ss[:k]), weights[:k], flow,
+                            boxes=cfg.get_int("boxes", 32))
         report.add("box_discrepancy", d, N=N)
         vals.append(d)
     if len(vals) >= 2:

@@ -183,19 +183,6 @@ def section_avoidance(roof, alpha: RotationNumber, p: FlowPoint, t: float,
     return alpha.orbit_min_distance(float(start), count) >= radius
 
 
-def _fiber_schedule(roof, alpha, p: FlowPoint, horizon: float):
-    """Crossing times tau_i = S_i(f)(x) - s for the fibers visited in
-    [0, horizon]: fiber i occupies [tau_i, tau_{i+1}) with height t - tau_i."""
-    N = evaluate(roof, alpha, p, horizon).hits
-    xs = (p.x + _offsets(alpha, N + 1)) % 1.0
-    fs = np.asarray(roof(xs), dtype=np.float64)
-    tau = np.empty(N + 2)
-    tau[0] = -p.s
-    np.cumsum(fs, out=tau[1:])
-    tau[1:] -= p.s
-    return xs, fs, tau, N
-
-
 def _merge_intervals(pieces, tol=1e-9):
     merged = []
     for a, b in pieces:
@@ -213,24 +200,16 @@ def neighborhood_visit_times(roof, alpha: RotationNumber, p: FlowPoint,
     """Merged intervals of t in [-t_max, t_max] whose base point lies within
     radius of 0."""
     out = []
-    for sign in (-1.0, 1.0):
-        N = abs(evaluate(roof, alpha, p, sign * t_max).hits)
-        xs = (p.x + _offsets(alpha, N + 1, backward=sign < 0)) % 1.0
-        fs = np.asarray(roof(xs), dtype=np.float64)
-        if sign > 0:
-            # fiber i occupies t in [tau[i], tau[i+1])
-            tau = np.concatenate(([-p.s], np.cumsum(fs) - p.s))
-        else:
-            # backward fiber i occupies t in [-bounds[i+1], -bounds[i])
-            cum = np.cumsum(fs)
-            bounds = np.concatenate(([0.0], p.s + cum - fs[0]))
-        dist = np.minimum(xs, 1.0 - xs)
-        hit = dist < radius
-        for i in np.flatnonzero(hit):
-            if sign > 0:
-                a, b = max(tau[i], 0.0), min(tau[i + 1], t_max)
+    for backward in (False, True):
+        xs, _, S, _ = _crossings(roof, alpha, p, [-t_max if backward else t_max],
+                                 backward)
+        # the orbit stands at the bottom of fiber i at time tau[i]
+        tau = -S - p.s if backward else S - p.s
+        for i in np.flatnonzero(np.minimum(xs, 1.0 - xs) < radius):
+            if backward:
+                a, b = max(tau[i], -t_max), (tau[i - 1] if i else 0.0)
             else:
-                a, b = max(-bounds[i + 1], -t_max), min(-bounds[i], 0.0)
+                a, b = max(tau[i], 0.0), min(tau[i + 1], t_max)
             if b > a:
                 out.append((float(a), float(b)))
     return _merge_intervals(sorted(out))
@@ -265,14 +244,15 @@ def ab_decomposition(roof, alpha: RotationNumber, p: FlowPoint, horizon: float,
     if a0_radius is None:
         a0_radius = 0.25 / alpha.q(n + 1) if n + 1 <= alpha.depth else 0.25 / alpha._virtual_q
     ia_radius = qn ** (-1.0 - delta)
-    xs, fs, tau, N = _fiber_schedule(roof, alpha, p, horizon)
+    xs, _, S, _ = _crossings(roof, alpha, p, [horizon])
+    tau = S - p.s  # fiber i holds t in [tau[i], tau[i + 1])
     centers = _offsets(alpha, qn, backward=True)  # {-i alpha}
     in_ia = _min_dist_to_centers(xs, centers) <= ia_radius
     dist0 = np.minimum(xs, 1.0 - xs)
 
     a_pieces = []
     a0_pieces = []
-    for i in range(N + 1):
+    for i in range(len(xs)):
         lo, hi = max(tau[i], 0.0), min(tau[i + 1], horizon)
         if hi <= lo:
             continue
@@ -374,52 +354,51 @@ def window_decomposition(roof, alpha: RotationNumber, x_tilde: float, L: int,
     return windows
 
 
-def time_integral(roof, alpha: RotationNumber, psi, p: FlowPoint, T: float,
-                  rel_tol: float = 1e-8) -> float:
-    """int_0^T psi(T_t(p)) dt by fiber decomposition: a partial first fiber,
-    full middle fibers, and a partial last fiber.  psi(x, s) must accept
-    array arguments; closed-form fiber integrals are used when psi provides
-    a fiber_integral(x, lo, hi) method."""
-    if T < 0.0:
-        raise ValueError("T must be >= 0")
-    if T == 0.0:
-        return 0.0
-    xs, fs, tau, N = _fiber_schedule(roof, alpha, p, T)
-    # fiber i spans heights [lo_i, hi_i]: full fibers in the middle, the
-    # first starts at p.s, the last stops where time T runs out
-    los = np.zeros(N + 1)
-    los[0] = p.s
-    his = fs.copy()
-    his[N] = T - tau[N]
+def time_integral(roof, alpha: RotationNumber, psi, p: FlowPoint, T,
+                  rel_tol: float = 1e-8):
+    """Signed int_0^T psi(T_t(p)) dt for a scalar or an array of T: per
+    direction one cumulative sum of full-fiber integrals, corrected by the
+    partial first fiber and the partial fiber reached at each T.  psi(x, s)
+    must accept arrays; its fiber_integral_many is used when it has one,
+    Gauss-Legendre quadrature otherwise."""
+    T = np.asarray(T, dtype=np.float64)
+    out = np.zeros(T.shape)
+    for backward in (False, True):
+        sel = T < 0.0 if backward else T > 0.0
+        if not np.any(sel):
+            continue
+        t = T[sel]
+        xs, fs, S, n = _crossings(roof, alpha, p, t, backward)
+        sign = -1.0 if backward else 1.0
+        # the fibers passed bottom to top; the fiber reached at each t up to
+        # its height there, and the start fiber up to height s
+        full = _fiber_integrals(psi, xs[1:] if backward else xs[:-1], fs[:-1],
+                                rel_tol)
+        part = _fiber_integrals(psi, np.append(xs[n], p.x),
+                                np.append(p.s + t - sign * S[n], p.s), rel_tol)
+        G = np.zeros(len(full) + 1)
+        G[1:] = np.cumsum(full, dtype=np.longdouble)
+        out[sel] = sign * G[n] + part[:-1] - part[-1]
+    return float(out) if out.ndim == 0 else out
+
+
+def _fiber_integrals(psi, xs, his, rel_tol):
+    """int_0^his psi(x, s) ds for every fiber base x."""
     if hasattr(psi, "fiber_integral_many"):
-        return float(np.sum(psi.fiber_integral_many(xs, los, his)))
-    if hasattr(psi, "fiber_integral"):
-        total = math.fsum(
-            psi.fiber_integral(float(xs[i]), float(los[i]), float(his[i]))
-            for i in range(N + 1)
-        )
-        return total
-    return _quad_fibers(psi, xs, los, his, rel_tol)
-
-
-def _quad_fibers(psi, xs, los, his, rel_tol):
-    total_prev = None
+        return psi.fiber_integral_many(xs, np.zeros_like(his), his)
+    prev = None
     for nodes in (16, 32, 64, 128, 256):
         y, w = np.polynomial.legendre.leggauss(nodes)
-        mid = 0.5 * (los + his)
-        half = 0.5 * (his - los)
-        pts = mid[:, None] + half[:, None] * y[None, :]
+        half = 0.5 * his
+        pts = half[:, None] * (1.0 + y[None, :])
         vals = psi(xs[:, None] + 0.0 * pts, pts)
         per_fiber = (vals * w[None, :]).sum(axis=1) * half
-        total = float(per_fiber.sum())
-        if total_prev is not None and abs(total - total_prev) <= rel_tol * (
-            1.0 + abs(total)
-        ):
-            return total
-        total_prev = total
+        if prev is not None and np.sum(np.abs(per_fiber - prev)) <= rel_tol * (
+                1.0 + np.sum(np.abs(per_fiber))):
+            return per_fiber
+        prev = per_fiber
     raise RuntimeError(
-        f"fiber quadrature failed to converge (last delta on {len(xs)} fibers)"
-    )
+        f"fiber quadrature failed to converge (last delta on {len(xs)} fibers)")
 
 
 def evaluate_times(roof, alpha: RotationNumber, p: FlowPoint, times):
@@ -430,35 +409,44 @@ def evaluate_times(roof, alpha: RotationNumber, p: FlowPoint, times):
     """
     p.validate(roof)
     times = np.asarray(times, dtype=np.float64)
-    xs = np.empty(times.shape)
-    ss = np.empty(times.shape)
+    xs, ss = np.empty(times.shape), np.empty(times.shape)
     Ns = np.zeros(times.shape, dtype=np.int64)
     for backward in (False, True):
         sel = times < 0.0 if backward else times >= 0.0
         if not np.any(sel):
             continue
         t_sel = times[sel]
-        targets = p.s + t_sel
-        if backward:
-            need = np.maximum(-targets, 0.0)
-            vals = _covering_values(roof, alpha, p.x, float(np.max(need)),
-                                    backward=True)
-            cums = np.concatenate(([0.0], np.cumsum(vals.astype(np.longdouble)))).astype(float)
-            n = np.searchsorted(cums, need, side="left")
-            crossed = targets < 0.0
-            n = np.where(crossed, np.maximum(n, 1), 0)
-            consumed = np.where(crossed, -cums[n], 0.0)
-            N = -n
-        else:
-            vals = _covering_values(roof, alpha, p.x, float(np.max(targets)))
-            cums = np.cumsum(vals.astype(np.longdouble)).astype(float)
-            N = np.searchsorted(cums, targets, side="right")
-            consumed = np.where(N > 0, cums[np.maximum(N, 1) - 1], 0.0)
-        offs = _offsets(alpha, int(np.max(np.abs(N))) + 1, backward)
-        xs[sel] = (p.x + offs[np.abs(N)]) % 1.0
-        ss[sel] = p.s + t_sel - consumed
-        Ns[sel] = N
+        bases, _, S, n = _crossings(roof, alpha, p, t_sel, backward)
+        sign = -1 if backward else 1
+        xs[sel] = bases[n]
+        ss[sel] = p.s + t_sel - sign * S[n]
+        Ns[sel] = sign * n
     return xs, ss, Ns
+
+
+def _crossings(roof, alpha, p: FlowPoint, times, backward=False):
+    """The fibers the orbit of p visits up to every time in times (all >= 0,
+    or all < 0 when backward), from one roof evaluation per fiber.
+
+    Fiber k, k crossings away, has base x + k alpha (x - k alpha backward).
+    Returns the bases xs of fibers 0..n_max, the farthest one reached; fs,
+    the roofs crossed in order (fibers 0..n_max, backward 1..n_max+1); S,
+    their long-double partial sums rounded to float, S[0] = 0; and n, the
+    fiber holding each time.  Fiber k holds s + t in [S[k], S[k+1]), or
+    backward in [-S[k], -S[k-1]).
+    """
+    p.validate(roof)
+    targets = p.s + np.asarray(times, dtype=np.float64)
+    if backward:
+        targets = np.maximum(-targets, 0.0)
+    vals = _covering_values(roof, alpha, p.x, float(np.max(targets)), backward)
+    S = np.zeros(len(vals) + 1)
+    S[1:] = np.cumsum(vals, dtype=np.longdouble)
+    n = (np.searchsorted(S, targets, side="left") if backward
+         else np.searchsorted(S, targets, side="right") - 1)
+    top = int(np.max(n))
+    xs = (p.x + _offsets(alpha, top + 1, backward)) % 1.0
+    return xs, vals[:top + 1], S[:top + 2], n
 
 
 def _covering_values(roof, alpha, x, span, backward=False) -> np.ndarray:
@@ -479,8 +467,6 @@ def _covering_values(roof, alpha, x, span, backward=False) -> np.ndarray:
 
 def orbit_trace(roof, alpha: RotationNumber, p: FlowPoint, times) -> list[tuple]:
     """Rows (t, x, s, N) for each requested time, for CSV export."""
-    rows = []
-    for t in times:
-        step = evaluate(roof, alpha, p, float(t))
-        rows.append((float(t), step.endpoint.x, step.endpoint.s, step.hits))
-    return rows
+    xs, ss, Ns = evaluate_times(roof, alpha, p, times)
+    return [(float(t), float(x), float(s), int(N))
+            for t, x, s, N in zip(times, xs, ss, Ns)]

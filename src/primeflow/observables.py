@@ -10,8 +10,10 @@ integrals, so time integrals along the special flow stay cheap.
 Prime-orbit sums walk the whole orbit once: positions at every prime time
 come out of a single cumulative pass over the rotation orbit (special flow)
 or one vectorized cocycle inversion (reparametrized flow), so total work is
-linear in the time horizon.  The statistics take either flow, KocherginFlow
-or reparam.ReparamFlow, through the four methods both define.
+linear in the time horizon, and a statistic over an N-grid reads every N
+off the prefixes of one pass at the largest N.  The statistics take either
+flow, KocherginFlow or reparam.ReparamFlow, through the four methods both
+define.
 """
 
 import math
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ExperimentReport
-from .flow import FlowPoint, evaluate, evaluate_times, time_integral
+from .flow import FlowPoint, evaluate_times, time_integral
 from .primes import build_table
 from .reparam import ReparamFlow, TorusPoint
 from .rotation import ConstructionError
@@ -74,13 +76,9 @@ class KocherginFlow:
         """Mean of psi under the normalized invariant measure Leb^f / int f."""
         return space_average(psi, self.roof, normalized=True)
 
-    def time_integral(self, psi, start: FlowPoint, T: float) -> float:
-        """Signed int_0^T psi(T_t start) dt: for T < 0, minus the forward
-        integral over [0, -T] from T_T start."""
-        if T >= 0.0:
-            return time_integral(self.roof, self.alpha, psi, start, T)
-        back = evaluate(self.roof, self.alpha, start, T).endpoint
-        return -time_integral(self.roof, self.alpha, psi, back, -T)
+    def time_integral(self, psi, start: FlowPoint, T):
+        """Signed int_0^T psi(T_t start) dt for a scalar or an array of T."""
+        return time_integral(self.roof, self.alpha, psi, start, T)
 
     def box_masses(self, boxes: int, h_max=None):
         """Masses of the boxes [i/boxes, (i+1)/boxes) x [j dh, (j+1) dh) under
@@ -269,10 +267,6 @@ class TorusObservable:
             out = out + np.real(c * np.exp(2j * math.pi * (q * x1 + m * x2)))
         return out
 
-    @property
-    def sup_bound(self):
-        return abs(self.constant) + sum(abs(c) for _, _, c in self.terms)
-
     def mean(self, v=None) -> float:
         """Exact mean: against Lebesgue when v is None, else against the
         invariant density v of a time change (mean of v is 1)."""
@@ -374,10 +368,16 @@ def space_average(psi: TowerObservable, roof=None, normalized=True,
 # prime-orbit sums
 
 
+def _sign(z) -> float:
+    if z not in ("+", "-"):
+        raise ValueError(f"direction must be '+' or '-', got {z!r}")
+    return 1.0 if z == "+" else -1.0
+
+
 def _prime_points(flow, start, table, N, z, m):
     """Flow positions at the times z(p - m), p <= N, and the weights log p."""
     ps = table.primes_between(1, N)
-    times = {"+": 1.0, "-": -1.0}[z] * (ps.astype(np.float64) - float(m))
+    times = _sign(z) * (ps.astype(np.float64) - float(m))
     try:
         return flow.positions(start, times), np.log(ps.astype(np.float64))
     except SingularOrbitError as err:
@@ -405,27 +405,31 @@ def _integer_orbit_values(flow, g, x, M: int):
 
 
 def coboundary_prime_discrepancy(flow: ReparamFlow, g, depth: int,
-                                 x: TorusPoint, N: int, table=None) -> float:
+                                 x: TorusPoint, N, table=None):
     """|sum_{p <= N} psi(T_p x) log p| / N for the coboundary observable
-    psi = h - h o T_1 built from g by depth-fold averaging.
+    psi = h - h o T_1 built from g by depth-fold averaging, for an int N or
+    each N of a sequence.
 
-    The transfer function h at every integer orbit time comes from one
-    weighted moving sum over precomputed orbit values of g, so the whole
-    computation is a single vectorized pass rather than per-prime orbit
-    sweeps.  The invariant mean of psi is zero, so this is the full
-    space-vs-prime discrepancy.
+    The transfer function h at every integer orbit time up to the largest N
+    comes from one weighted moving sum over precomputed orbit values of g,
+    so every N reads a prefix of a single vectorized pass.  The invariant
+    mean of psi is zero, so this is the full space-vs-prime discrepancy.
     """
+    Ns = np.atleast_1d(np.asarray(N, dtype=np.int64))
+    top = int(np.max(Ns, initial=0))
     if table is None:
-        table = build_table(int(N))
-    gv = _integer_orbit_values(flow, g, x, N + depth + 1)
+        table = build_table(top)
+    gv = _integer_orbit_values(flow, g, x, top + depth + 1)
     # h(T_j x) = -(1/depth) sum_{n=1..depth} S_n(g)(T_j x)
     #          = -(1/depth) sum_{i=0..depth-1} (depth - i) g(T_{j+i} x)
     kernel = (np.arange(depth, 0, -1, dtype=np.float64)) / depth
-    h = -np.convolve(gv, kernel[::-1], mode="full")[depth - 1: depth + N + 1]
-    psi_vals = h[:-1] - h[1:]
-    ps = table.primes_between(1, N)
+    h = -np.convolve(gv, kernel[::-1], mode="full")[depth - 1: depth + top + 1]
+    ps = table.primes_between(1, top)
     weights = np.log(ps.astype(np.float64))
-    return abs(float(np.dot(weights, psi_vals[ps]))) / N
+    vals = (h[:-1] - h[1:])[ps]  # psi at the prime times
+    out = np.array([abs(float(np.dot(weights[:k], vals[:k]))) / int(n)
+                    for n, k in zip(Ns, np.searchsorted(ps, Ns, side="right"))])
+    return float(out[0]) if np.ndim(N) == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -465,64 +469,72 @@ def pnt_report(psi, flow, start, n_grid=(10 ** 4, 10 ** 5, 10 ** 6),
     For each N and direction z the report records D1 (prime sum vs time
     integral), D2 (time integral vs space average), D3 (prime sum vs space
     average), all divided by N, plus the box-counting discrepancy of the
-    weighted prime orbit against the invariant measure.  When log_power A is
-    given, D3 log^A N is recorded as well.  Verdicts assert the monotone
-    trends along the grid.  Cells (N, z) are independent and run on a thread
-    pool when workers > 1; aggregation order is fixed either way.  The
-    report is named "pnt_report"; the registered experiments rename theirs.
+    weighted "+" prime orbit against the invariant measure.  When log_power
+    A is given, D3 log^A N is recorded as well.  Verdicts assert the
+    monotone trends along the grid.  Each direction, and "+" always for the
+    boxes, makes one pass at the largest N (one positions and one
+    time_integral call) whose prefixes answer every N; with workers > 1
+    the two direction passes run on a thread pool.  The report is named
+    "pnt_report"; the registered experiments rename theirs.
     """
     t0 = _time.monotonic()
     n_grid = tuple(sorted(int(n) for n in n_grid))
+    signs = {z: _sign(z) for z in ("+",) + tuple(directions)}
+    top = max(n_grid, default=0)
     if table is None:
-        table = build_table(max(n_grid))
+        table = build_table(top)
     mean = flow.mean(psi)
     report = ExperimentReport(
         experiment="pnt_report",
         params={"n_grid": list(n_grid), "directions": list(directions),
                 "m": m, "boxes": boxes})
     report.add("space_average", mean)
+    counts = np.searchsorted(table.primes, n_grid, side="right")
 
-    def run_cell(cell):
-        N, z = cell
-        P = prime_orbit_sum(psi, flow, start, N, z, m, table)
-        sign = 1.0 if z == "+" else -1.0
-        I = sign * flow.time_integral(psi, start, sign * N)
-        return abs(P - I) / N, abs(I - N * mean) / N, abs(P - N * mean) / N
+    def run_pass(z):
+        """The prime positions up to the largest N and, for a requested
+        direction, (D1, D2, D3) at every N."""
+        pts, weights = _prime_points(flow, start, table, top, z, m)
+        if z not in directions:
+            return pts, weights, None
+        vals = np.asarray(psi(*pts), dtype=np.float64)
+        Is = signs[z] * flow.time_integral(psi, start, signs[z] * np.array(n_grid, float))
+        cells = []
+        for N, k, I in zip(n_grid, counts, Is.tolist()):
+            P = float(np.dot(weights[:k], vals[:k]))
+            cells.append((abs(P - I) / N, abs(I - N * mean) / N,
+                          abs(P - N * mean) / N))
+        return pts, weights, cells
 
-    def run_box(N):
-        return box_discrepancy(*_prime_points(flow, start, table, N, "+", m),
-                               flow, boxes=boxes, h_max=h_max)
-
-    cells = [(N, z) for N in n_grid for z in directions]
     if workers > 1:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            cell_out = list(pool.map(run_cell, cells))
-            box_out = list(pool.map(run_box, n_grid))
+            passes = dict(zip(signs, pool.map(run_pass, signs)))
     else:
-        cell_out = [run_cell(c) for c in cells]
-        box_out = [run_box(N) for N in n_grid]
+        passes = {z: run_pass(z) for z in signs}
 
-    d1_max = {}
-    d2_by_z = {z: {} for z in directions}
-    for (N, z), (d1, d2, d3) in zip(cells, cell_out):
-        report.add("D1", d1, N, z)
-        report.add("D2", d2, N, z)
-        report.add("D3", d3, N, z)
-        if log_power is not None:
-            report.add("D3_logA", d3 * math.log(N) ** log_power, N, z)
-        d1_max[N] = max(d1_max.get(N, 0.0), d1)
-        d2_by_z[z][N] = d2
+    cells = {z: passes[z][2] for z in directions}
+    for i, N in enumerate(n_grid):
+        for z in directions:
+            d1, d2, d3 = cells[z][i]
+            report.add("D1", d1, N, z)
+            report.add("D2", d2, N, z)
+            report.add("D3", d3, N, z)
+            if log_power is not None:
+                report.add("D3_logA", d3 * math.log(N) ** log_power, N, z)
+    (xs, ys), weights, _ = passes["+"]
+    box_out = [box_discrepancy((xs[:k], ys[:k]), weights[:k], flow,
+                               boxes=boxes, h_max=h_max) for k in counts]
     for N, box in zip(n_grid, box_out):
         report.add("box_discrepancy", box, N, "+")
     def decreasing(seq):
         return all(b < a for a, b in zip(seq, seq[1:]))
-    report.verdicts["D1_trend"] = (
-        "pass" if decreasing([d1_max[N] for N in n_grid]) else "fail")
+    d1_max = [max(cells[z][i][0] for z in directions) for i in range(len(n_grid))]
+    report.verdicts["D1_trend"] = "pass" if decreasing(d1_max) else "fail"
     for z in directions:
         report.verdicts[f"D2_trend_{z}"] = (
-            "pass" if decreasing([d2_by_z[z][N] for N in n_grid]) else "fail")
+            "pass" if decreasing([c[1] for c in cells[z]]) else "fail")
     if len(n_grid) >= 2:
         report.verdicts["box_halving"] = (
             "pass" if box_out[-1] <= 0.5 * box_out[0] else "fail")

@@ -214,11 +214,12 @@ class ReparamFlow:
         """Mean of the torus observable psi against the invariant density v."""
         return psi.mean(self.v)
 
-    def time_integral(self, psi, x: TorusPoint, T: float) -> float:
-        """int_0^T psi(T_t x) dt in closed form: substituting t = V(s) turns
-        the integral into int_0^{U} psi(L_s x) v(L_s x) ds with U the inverted
-        time, and the integrand is a finite sum of exponentials in s."""
-        U = self.time_inverse(T, x)
+    def time_integral(self, psi, x: TorusPoint, T):
+        """int_0^T psi(T_t x) dt, for a scalar or an array of T, in closed
+        form: substituting t = V(s) turns the integral into int_0^{U} psi(L_s
+        x) v(L_s x) ds with U the inverted time, and the integrand is a finite
+        sum of exponentials in s."""
+        U = self.time_inverse_many(T, x.x1, x.x2)
         a = self.alpha.float_value
         # complex-exponential expansions of psi and v along the linear orbit
         def expand(constant, terms):
@@ -240,7 +241,7 @@ class ReparamFlow:
                 else:
                     total += amp * (np.exp(2j * math.pi * omega * U) - 1.0) / (
                         2j * math.pi * omega)
-        return float(total.real)
+        return float(total.real) if np.ndim(total) == 0 else total.real
 
     def box_masses(self, boxes: int, h_max=None):
         """Masses v dLeb of the cells [i/boxes, (i+1)/boxes) x [j/boxes,

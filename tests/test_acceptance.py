@@ -18,7 +18,7 @@ from primeflow.observables import (
     _integer_orbit_values,
     coboundary_prime_discrepancy,
 )
-from primeflow.primes import build_table, select_S_qr, theta_ap
+from primeflow.primes import ap_error, build_table, select_S_qr, theta_ap
 from primeflow.reparam import ReparamFlow, TorusPoint
 from primeflow.roofs import FourierRoof, PowerRoof
 from primeflow.rotation import construct_alpha, from_partial_quotients
@@ -203,6 +203,20 @@ def test_c12_good_prime_members_valid(table):
         assert N / 2 <= ell <= N
         assert ell % 3 == 2
         assert bool(table.is_prime(ell))
+
+
+def test_c12_filter_margin(table):
+    # why the selection above is empty: at N = 1e4, C = 10, A = 2 every one
+    # of the 279 candidates already fails at x_1 = 110, where the smallest
+    # ratio E(x_1, l) / bound is about 2.07e4, some 4.3 orders of magnitude
+    N, C, A = 10 ** 4, 10.0, 2.0
+    x1 = int(math.ceil(N ** 0.51))
+    cands = table.primes_between(-(-N // 2) - 1, N)
+    cands = cands[cands % 3 == 2]
+    bound = C * x1 / (N * math.log(x1) ** (2 * A))
+    worst = min(ap_error(table, x1, int(ell)) for ell in cands) / bound
+    assert (x1, len(cands)) == (110, 279)
+    assert 1e4 <= worst <= 1e5
 
 
 # -- 13: weak-mixing ratios --------------------------------------------------

@@ -337,3 +337,41 @@ def test_orbit_trace_rows():
     assert rows[0][1] == 0.3 and rows[0][3] == 0
     for t, x, s, N in rows:
         assert 0.0 <= x < 1.0 and 0.0 <= s < POWER(x)
+
+
+def test_time_integral_array_matches_scalar_calls():
+    from primeflow.observables import make_tower_observable
+
+    psi = make_tower_observable(POWER, psi_inf=0.3)
+    p = FlowPoint(0.41, 0.2)
+    # T = 0, T inside the first fiber either way, and many fibers both ways
+    Ts = np.array([0.0, 0.05, -0.1, 3.7, -3.7, 41.0, -41.0, 250.5, -250.5])
+    many = time_integral(POWER, GOLDEN, psi, p, Ts)
+    assert many.shape == Ts.shape and many[0] == 0.0
+    for T, got in zip(Ts, many):
+        one = time_integral(POWER, GOLDEN, psi, p, float(T))
+        assert isinstance(one, float)
+        assert abs(got - one) <= 1e-12 * max(1.0, abs(one))
+    # inside the first fiber the integral is one fiber integral
+    for T in (0.05, -0.1):
+        lo, hi = sorted((p.s, p.s + T))
+        direct = psi.fiber_integral(p.x, lo, hi) * np.sign(T)
+        assert abs(time_integral(POWER, GOLDEN, psi, p, T) - direct) < 1e-14
+    # signed: int_{-T}^{T} is the forward integral from T_{-T} p
+    for T in (3.7, 41.0, 250.5):
+        back = evaluate(POWER, GOLDEN, p, -T).endpoint
+        whole = time_integral(POWER, GOLDEN, psi, back, 2.0 * T)
+        split = many[Ts == T][0] - many[Ts == -T][0]
+        assert abs(whole - split) < 1e-8 * (1.0 + abs(whole))
+
+
+def test_time_integral_quadrature_matches_closed_form():
+    from primeflow.observables import make_tower_observable
+
+    psi = make_tower_observable(POWER, psi_inf=0.3)
+    plain = lambda X, S: psi(X, S)  # no fiber_integral_many: quadrature
+    p = FlowPoint(0.27, 0.05)
+    Ts = np.array([-30.0, -0.01, 0.02, 12.0, 30.0])
+    exact = time_integral(POWER, GOLDEN, psi, p, Ts)
+    quad = time_integral(POWER, GOLDEN, plain, p, Ts)
+    assert np.allclose(quad, exact, rtol=1e-6, atol=1e-9)

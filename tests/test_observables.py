@@ -359,3 +359,61 @@ def test_box_rows_shared_by_equidist_and_pnt(table):
                      if m.name == "box_discrepancy"])
     assert len(rows[0]) == 2
     assert rows[0] == rows[1]
+
+
+@pytest.mark.parametrize("kind", ["kochergin", "reparam"])
+def test_pnt_report_one_pass_per_direction(kind, table, monkeypatch):
+    # every N of the grid reads prefixes of one pass per direction: one
+    # positions call at the prime times, one time_integral call at z N
+    if kind == "kochergin":
+        cls, flow = KocherginFlow, KocherginFlow(POWER, GOLDEN)
+        psi, start = make_tower_observable(POWER, 0.3), FlowPoint(0.55, 0.05)
+    else:
+        cls, flow = ReparamFlow, ReparamFlow(SCALED, make_timechange(SCALED))
+        psi = TorusObservable(0.0, [(1, 0, 1.0), (0, 1, 0.5)])
+        start = TorusPoint(0.31, 0.64)
+    calls = []
+    for name in ("positions", "time_integral"):
+        def spy(self, *args, _name=name, _orig=getattr(cls, name)):
+            times = np.asarray(args[-1])
+            calls.append((_name, "+" if np.all(times >= 0) else "-"))
+            return _orig(self, *args)
+        monkeypatch.setattr(cls, name, spy)
+    pnt_report(psi, flow, start, (10 ** 3, 3 * 10 ** 3, 10 ** 4), table=table)
+    assert sorted(calls) == [("positions", "+"), ("positions", "-"),
+                             ("time_integral", "+"), ("time_integral", "-")]
+
+
+def test_unknown_direction_is_named(psi, table):
+    kf = KocherginFlow(POWER, GOLDEN)
+    start = FlowPoint(0.55, 0.05)
+    with pytest.raises(ValueError, match="'x'"):
+        pnt_report(psi, kf, start, (10 ** 3,), directions=("+", "x"),
+                   table=table)
+    with pytest.raises(ValueError, match="'x'"):
+        prime_orbit_sum(psi, kf, start, 10 ** 3, z="x", table=table)
+
+
+def test_reparam_time_integral_array_matches_scalar_calls():
+    fl = ReparamFlow(SCALED, make_timechange(SCALED))
+    psi = TorusObservable(0.2, [(1, 0, 0.5), (0, 1, 0.3 + 0.2j)])
+    x = TorusPoint(0.31, 0.64)
+    Ts = np.array([0.0, 0.3, -7.3, 7.3, 1234.5, -10 ** 5])
+    many = fl.time_integral(psi, x, Ts)
+    assert many.shape == Ts.shape and many[0] == 0.0
+    for T, got in zip(Ts, many):
+        one = fl.time_integral(psi, x, float(T))
+        assert isinstance(one, float)
+        assert abs(got - one) <= 1e-12 * max(1.0, abs(one))
+
+
+def test_coboundary_discrepancy_array_matches_scalar_calls(table):
+    fl = ReparamFlow(SCALED, make_timechange(SCALED))
+    g = lambda x1, x2: np.cos(2 * np.pi * np.asarray(x1))
+    x = TorusPoint(0.31, 0.64)
+    Ns = np.array([10 ** 3, 5 * 10 ** 3, 2 * 10 ** 4])
+    many = coboundary_prime_discrepancy(fl, g, 40, x, Ns, table)
+    one = [coboundary_prime_discrepancy(fl, g, 40, x, int(N), table)
+           for N in Ns]
+    assert all(isinstance(d, float) for d in one)
+    assert many.tolist() == one
