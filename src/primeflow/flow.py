@@ -169,9 +169,9 @@ def section_avoidance(roof, alpha: RotationNumber, p: FlowPoint, t: float,
     the open radius-ball around 0 (checked on the rotation orbit directly)."""
     if t < 0.0:
         raise ValueError("t must be >= 0")
+    z = _sign(direction)
     if radius <= 0.0:
         return True
-    z = {"+": 1.0, "-": -1.0}[direction]
     step = evaluate(roof, alpha, p, z * t)
     N = step.hits
     if N >= 0:
@@ -183,36 +183,50 @@ def section_avoidance(roof, alpha: RotationNumber, p: FlowPoint, t: float,
     return alpha.orbit_min_distance(float(start), count) >= radius
 
 
-def _merge_intervals(pieces, tol=1e-9):
-    merged = []
-    for a, b in pieces:
-        if b <= a:
-            continue
-        if merged and a <= merged[-1][1] + tol:
-            merged[-1][1] = max(merged[-1][1], b)
-        else:
-            merged.append([a, b])
-    return [(a, b) for a, b in merged]
+def _sign(direction) -> float:
+    if direction not in ("+", "-"):
+        raise ValueError(f"direction must be '+' or '-', got {direction!r}")
+    return 1.0 if direction == "+" else -1.0
+
+
+def _union(lo, hi):
+    """The intervals [lo, hi), sorted by lo, merged into (a, b) tuples: empty
+    pieces drop out, and a piece starting within 1e-9 of the largest end
+    before it joins that interval."""
+    keep = hi > lo
+    lo, hi = lo[keep], hi[keep]
+    if not len(lo):
+        return []
+    end = np.maximum.accumulate(hi)
+    first = np.flatnonzero(np.append(True, lo[1:] > end[:-1] + 1e-9))
+    last = np.append(first[1:], len(lo)) - 1
+    return list(zip(lo[first].tolist(), end[last].tolist()))
 
 
 def neighborhood_visit_times(roof, alpha: RotationNumber, p: FlowPoint,
                              t_max: float, radius: float):
     """Merged intervals of t in [-t_max, t_max] whose base point lies within
     radius of 0."""
-    out = []
+    if not t_max >= 0.0:
+        raise ValueError(f"t_max must be >= 0, got {t_max}")
+    los, his = [], []
     for backward in (False, True):
         xs, _, S, _ = _crossings(roof, alpha, p, [-t_max if backward else t_max],
                                  backward)
-        # the orbit stands at the bottom of fiber i at time tau[i]
-        tau = -S - p.s if backward else S - p.s
-        for i in np.flatnonzero(np.minimum(xs, 1.0 - xs) < radius):
-            if backward:
-                a, b = max(tau[i], -t_max), (tau[i - 1] if i else 0.0)
-            else:
-                a, b = max(tau[i], 0.0), min(tau[i + 1], t_max)
-            if b > a:
-                out.append((float(a), float(b)))
-    return _merge_intervals(sorted(out))
+        near = np.minimum(xs, 1.0 - xs) < radius
+        # the orbit stands at the bottom of fiber i at time tau[i]; backward,
+        # fiber i >= 1 holds [tau[i], tau[i - 1]) and fiber 0 [tau[0], 0]
+        if backward:
+            tau = -S - p.s
+            lo, hi = np.maximum(tau[:-1], -t_max), np.append(0.0, tau[:-2])
+        else:
+            tau = S - p.s
+            lo, hi = np.maximum(tau[:-1], 0.0), np.minimum(tau[1:], t_max)
+        los.append(lo[near])
+        his.append(hi[near])
+    lo, hi = np.concatenate(los), np.concatenate(his)
+    order = np.lexsort((hi, lo))
+    return _union(lo[order], hi[order])
 
 
 @dataclass
@@ -236,6 +250,8 @@ def ab_decomposition(roof, alpha: RotationNumber, p: FlowPoint, horizon: float,
     deep-tower core A_0, and the complement B, and check the interval
     structure (P1: A one interval; P2: A_0 one interval; P3: A minus A_0 at
     most two intervals, with its measure reported)."""
+    if not horizon > 0.0:
+        raise ValueError(f"horizon must be > 0, got {horizon}")
     if not -roof.gamma * (1.0 + delta) < 1.0:
         raise ValueError("need -gamma * (1 + delta) < 1")
     qn = alpha.q(n)
@@ -246,25 +262,13 @@ def ab_decomposition(roof, alpha: RotationNumber, p: FlowPoint, horizon: float,
     ia_radius = qn ** (-1.0 - delta)
     xs, _, S, _ = _crossings(roof, alpha, p, [horizon])
     tau = S - p.s  # fiber i holds t in [tau[i], tau[i + 1])
+    lo, hi = np.maximum(tau[:-1], 0.0), np.minimum(tau[1:], horizon)
     centers = _offsets(alpha, qn, backward=True)  # {-i alpha}
     in_ia = _min_dist_to_centers(xs, centers) <= ia_radius
-    dist0 = np.minimum(xs, 1.0 - xs)
-
-    a_pieces = []
-    a0_pieces = []
-    for i in range(len(xs)):
-        lo, hi = max(tau[i], 0.0), min(tau[i + 1], horizon)
-        if hi <= lo:
-            continue
-        if in_ia[i]:
-            a_pieces.append((lo, hi))
-        if dist0[i] <= a0_radius:
-            # height >= cutoff means t >= tau_i + cutoff
-            lo0 = max(tau[i] + height_cutoff, lo)
-            if hi > lo0:
-                a0_pieces.append((lo0, hi))
-    A = _merge_intervals(a_pieces)
-    A0 = _merge_intervals(a0_pieces)
+    core = np.minimum(xs, 1.0 - xs) <= a0_radius
+    A = _union(lo[in_ia], hi[in_ia])
+    # height >= cutoff means t >= tau_i + cutoff
+    A0 = _union(np.maximum(tau[:-1][core] + height_cutoff, lo[core]), hi[core])
     # B and the excess A \ A_0 by interval subtraction
     B = _subtract([(0.0, horizon)], A)
     excess = _subtract(A, A0)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ExperimentReport
-from .flow import FlowPoint, evaluate_times, time_integral
+from .flow import FlowPoint, _sign, evaluate_times, time_integral
 from .primes import build_table
 from .reparam import ReparamFlow, TorusPoint
 from .rotation import ConstructionError
@@ -41,9 +41,6 @@ __all__ = [
     "box_discrepancy",
     "pnt_report",
 ]
-
-reparam_time_integral = ReparamFlow.time_integral  # the former function's name
-
 
 class SingularOrbitError(RuntimeError):
     """An orbit point landed on the singular base point (times[index])."""
@@ -366,12 +363,6 @@ def space_average(psi: TowerObservable, roof=None, normalized=True,
 
 # ---------------------------------------------------------------------------
 # prime-orbit sums
-
-
-def _sign(z) -> float:
-    if z not in ("+", "-"):
-        raise ValueError(f"direction must be '+' or '-', got {z!r}")
-    return 1.0 if z == "+" else -1.0
 
 
 def _prime_points(flow, start, table, N, z, m):

@@ -1,15 +1,22 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from primeflow.flow import (
+    ABReport,
     FlowPoint,
     _covering_values,
+    _crossings,
+    _min_dist_to_centers,
+    _offsets,
+    _subtract,
+    _union,
     ab_decomposition,
     evaluate,
     evaluate_naive,
@@ -266,6 +273,174 @@ def test_ab_decomposition_empty_orbit():
 def test_ab_decomposition_delta_guard():
     with pytest.raises(ValueError):
         ab_decomposition(POWER, SCALED, FlowPoint(0.3, 0.1), 100.0, 2, 1.5)
+
+
+@pytest.mark.parametrize("cutoff", [None, 1.0])
+@pytest.mark.parametrize("horizon", [0.0, -3.0])
+def test_ab_decomposition_rejects_nonpositive_horizon(horizon, cutoff):
+    msg = re.escape(f"horizon must be > 0, got {horizon}")
+    with pytest.raises(ValueError, match=msg):
+        ab_decomposition(POWER, SCALED, FlowPoint(0.3, 0.1), horizon, 3, 0.9,
+                         height_cutoff=cutoff)
+
+
+def test_visit_times_reject_negative_t_max():
+    with pytest.raises(ValueError, match=re.escape("t_max must be >= 0, got -1.0")):
+        neighborhood_visit_times(POWER, GOLDEN, FlowPoint(0.3, 0.1), -1.0, 0.02)
+
+
+@pytest.mark.parametrize("radius", [0.01, 0.0])
+def test_section_avoidance_bad_direction(radius):
+    with pytest.raises(ValueError, match="direction must be '\\+' or '-', got 'x'"):
+        section_avoidance(POWER, GOLDEN, FlowPoint(0.3, 0.1), 5.0, "x", radius)
+
+
+# Reference: the per-fiber loops the visit sets were first written with.
+
+
+def _merge_intervals_loop(pieces, tol=1e-9):
+    merged = []
+    for a, b in pieces:
+        if b <= a:
+            continue
+        if merged and a <= merged[-1][1] + tol:
+            merged[-1][1] = max(merged[-1][1], b)
+        else:
+            merged.append([a, b])
+    return [(a, b) for a, b in merged]
+
+
+def _visit_times_loop(roof, alpha, p, t_max, radius):
+    out = []
+    for backward in (False, True):
+        xs, _, S, _ = _crossings(roof, alpha, p, [-t_max if backward else t_max],
+                                 backward)
+        tau = -S - p.s if backward else S - p.s
+        for i in np.flatnonzero(np.minimum(xs, 1.0 - xs) < radius):
+            if backward:
+                a, b = max(tau[i], -t_max), (tau[i - 1] if i else 0.0)
+            else:
+                a, b = max(tau[i], 0.0), min(tau[i + 1], t_max)
+            if b > a:
+                out.append((float(a), float(b)))
+    return _merge_intervals_loop(sorted(out))
+
+
+def _ab_decomposition_loop(roof, alpha, p, horizon, n, delta,
+                           height_cutoff=None, a0_radius=None):
+    qn = alpha.q(n)
+    if height_cutoff is None:
+        height_cutoff = math.log(horizon)
+    if a0_radius is None:
+        a0_radius = 0.25 / alpha.q(n + 1) if n + 1 <= alpha.depth else 0.25 / alpha._virtual_q
+    ia_radius = qn ** (-1.0 - delta)
+    xs, _, S, _ = _crossings(roof, alpha, p, [horizon])
+    tau = S - p.s
+    centers = _offsets(alpha, qn, backward=True)
+    in_ia = _min_dist_to_centers(xs, centers) <= ia_radius
+    dist0 = np.minimum(xs, 1.0 - xs)
+    a_pieces = []
+    a0_pieces = []
+    for i in range(len(xs)):
+        lo, hi = max(tau[i], 0.0), min(tau[i + 1], horizon)
+        if hi <= lo:
+            continue
+        if in_ia[i]:
+            a_pieces.append((lo, hi))
+        if dist0[i] <= a0_radius:
+            lo0 = max(tau[i] + height_cutoff, lo)
+            if hi > lo0:
+                a0_pieces.append((lo0, hi))
+    A = _merge_intervals_loop(a_pieces)
+    A0 = _merge_intervals_loop(a0_pieces)
+    B = _subtract([(0.0, horizon)], A)
+    excess = _subtract(A, A0)
+    excess_measure = sum(b - a for a, b in excess)
+    return ABReport(A=A, A0=A0, B=B, p1=len(A) <= 1, p2=len(A0) <= 1,
+                    p3=len(excess) <= 2, a_measure=sum(b - a for a, b in A),
+                    a0_measure=sum(b - a for a, b in A0),
+                    excess_measure=excess_measure,
+                    excess_ratio=excess_measure / horizon)
+
+
+def _bits(intervals):
+    """The endpoints as raw float64 bytes, so -0.0 and 0.0 differ."""
+    return np.asarray(intervals, dtype=np.float64).tobytes()
+
+
+@st.composite
+def _sorted_pieces(draw):
+    """Pieces sorted by start, some empty, some starting within a few 1e-9
+    of the end before them."""
+    near = st.sampled_from([-0.5, 0.0, 5e-10, 1e-9, 1.5e-9, 2e-9])
+    steps = draw(st.lists(st.tuples(near | st.floats(-1.0, 1.0),
+                                    st.sampled_from([-1.0, 0.0, 1e-10])
+                                    | st.floats(-1.0, 3.0)), max_size=30))
+    lo, hi, out = 0.0, 0.0, []
+    for gap, length in steps:
+        lo = max(lo, hi + gap)
+        hi = lo + length
+        out.append((lo, hi))
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(pieces=_sorted_pieces())
+def test_union_matches_merge_loop(pieces):
+    lo = np.array([a for a, _ in pieces], dtype=np.float64)
+    hi = np.array([b for _, b in pieces], dtype=np.float64)
+    got = _union(lo, hi)
+    ref = _merge_intervals_loop(pieces)
+    assert got == ref
+    assert _bits(got) == _bits(ref)
+
+
+VISIT_ALPHAS = {"scaled": SCALED, "golden": GOLDEN}
+
+
+# starts inside the core radius 0.25 / q_{n+1} (golden: 0.05, scaled: 3.4e-4)
+@example(name="golden", n=3, x=0.0125, frac=0.5, horizon=40.0, delta=0.9,
+         cutoff=None, core=None)
+@example(name="scaled", n=3, x=1e-4, frac=0.3, horizon=300.0, delta=0.9,
+         cutoff=None, core=None)
+# horizons that end inside the first fiber, below and above height 1
+@example(name="golden", n=3, x=0.5, frac=0.2, horizon=0.05, delta=0.9,
+         cutoff=None, core=0.6)
+@example(name="scaled", n=4, x=0.003, frac=0.0, horizon=2.0, delta=0.5,
+         cutoff=0.5, core=0.01)
+@settings(max_examples=80, deadline=None)
+@given(name=st.sampled_from(sorted(VISIT_ALPHAS)), n=st.sampled_from([3, 4]),
+       x=st.floats(1e-6, 1.0 - 1e-6), frac=st.floats(0.0, 0.99),
+       horizon=st.floats(1e-3, 2000.0), delta=st.floats(0.05, 0.9),
+       cutoff=st.none() | st.floats(0.0, 10.0),
+       core=st.none() | st.floats(1e-4, 0.6))
+def test_ab_decomposition_matches_fiber_loop(name, n, x, frac, horizon, delta,
+                                             cutoff, core):
+    alpha = VISIT_ALPHAS[name]
+    p = FlowPoint(x, frac * POWER(x))
+    got = ab_decomposition(POWER, alpha, p, horizon, n, delta, cutoff, core)
+    ref = _ab_decomposition_loop(POWER, alpha, p, horizon, n, delta, cutoff, core)
+    assert got == ref
+    for field in ("A", "A0", "B"):
+        assert _bits(getattr(got, field)) == _bits(getattr(ref, field))
+
+
+# a start inside the radius, at height 0, and horizons inside the first fiber
+@example(name="golden", x=0.01, frac=0.5, t_max=30.0, radius=0.02)
+@example(name="scaled", x=0.37, frac=0.0, t_max=25.0, radius=0.05)
+@example(name="golden", x=0.5, frac=0.2, t_max=0.01, radius=0.3)
+@example(name="golden", x=0.01, frac=0.0, t_max=0.0, radius=0.3)
+@settings(max_examples=80, deadline=None)
+@given(name=st.sampled_from(sorted(VISIT_ALPHAS)), x=st.floats(1e-6, 1.0 - 1e-6),
+       frac=st.floats(0.0, 0.99), t_max=st.floats(0.0, 500.0),
+       radius=st.floats(1e-4, 0.3))
+def test_visit_times_match_fiber_loop(name, x, frac, t_max, radius):
+    alpha = VISIT_ALPHAS[name]
+    p = FlowPoint(x, frac * POWER(x))
+    got = neighborhood_visit_times(POWER, alpha, p, t_max, radius)
+    ref = _visit_times_loop(POWER, alpha, p, t_max, radius)
+    assert got == ref
+    assert _bits(got) == _bits(ref)
 
 
 def _clear_window_base(roof, L, n, count):

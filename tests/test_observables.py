@@ -19,7 +19,6 @@ from primeflow.observables import (
     make_tower_observable,
     pnt_report,
     prime_orbit_sum,
-    reparam_time_integral,
     space_average,
 )
 from primeflow.primes import build_table
@@ -245,7 +244,7 @@ def test_reparam_time_integral_closed_form():
         y1, y2 = fl.evaluate_many(ts, np.full_like(ts, x.x1),
                                   np.full_like(ts, x.x2))
         riemann = float(np.mean(psi(y1, y2))) * T
-        assert abs(reparam_time_integral(fl, psi, x, T) - riemann) < 1e-6
+        assert abs(fl.time_integral(psi, x, T) - riemann) < 1e-6
 
 
 def test_coboundary_discrepancy_matches_direct(table):
