@@ -92,30 +92,15 @@ def _roof_values(roof, alpha, x, lo, hi, backward=False) -> np.ndarray:
 
 
 def evaluate(roof, alpha: RotationNumber, p: FlowPoint, t: float) -> FlowStep:
-    """T_t(p): find N with S_N(f)(x) <= s + t < S_{N+1}(f)(x) by cumulative
-    sums over the rotation orbit, in extended precision."""
-    p.validate(roof)
-    x, s = p.x, p.s
-    target = np.longdouble(s) + np.longdouble(t)
-    if t >= 0.0:
-        if target < roof(x):
-            return _finish(roof, alpha, x, s, t, 0, 0.0)
-        # cums[j] = S_{j+1}; N is the last index with S_N <= target
-        vals = _covering_values(roof, alpha, x, float(target))
-        cums = np.cumsum(vals.astype(np.longdouble))
-        N = int(np.searchsorted(cums, target, side="right"))
-        return _finish(roof, alpha, x, s, t, N, float(cums[N - 1]) if N else 0.0)
-    # backward: smallest n >= 1 with C_n = sum_{k<=n} f(x - k alpha) >= -(s+t)
-    if target >= 0.0:
-        return _finish(roof, alpha, x, s, t, 0, 0.0)
-    vals = _covering_values(roof, alpha, x, float(-target), backward=True)
-    cums = np.cumsum(vals.astype(np.longdouble))
-    j = int(np.searchsorted(cums, -target, side="left"))
-    return _finish(roof, alpha, x, s, t, -(j + 1), -float(cums[j]))
+    """T_t(p): find N with S_N(f)(x) <= s + t < S_{N+1}(f)(x) on the crossing
+    schedule of evaluate_times."""
+    backward = t < 0.0
+    xs, _, S, n = _crossings(roof, alpha, p, [t], backward)
+    n, sign = int(n[0]), -1 if backward else 1
+    return _finish(roof, float(xs[n]), p.s, t, sign * n, sign * float(S[n]))
 
 
-def _finish(roof, alpha, x, s, t, N, consumed) -> FlowStep:
-    end_x = (x + float(_offsets(alpha, abs(N) + 1, N < 0)[abs(N)])) % 1.0
+def _finish(roof, end_x, s, t, N, consumed) -> FlowStep:
     end_s = s + t - consumed
     top = roof(end_x)
     if not -1e-7 <= end_s < top + 1e-7:
@@ -138,14 +123,14 @@ def evaluate_naive(roof, alpha: RotationNumber, p: FlowPoint, t: float) -> FlowS
             xi = (x + float(_offsets(alpha, i + 1)[i])) % 1.0
             room = np.longdouble(roof(xi)) - height
             if remaining < room:
-                return _finish(roof, alpha, x, s, t, i, float(consumed))
+                return _finish(roof, xi, s, t, i, float(consumed))
             remaining -= room
             consumed += height + room
             height = np.longdouble(0.0)
             i += 1
     remaining = np.longdouble(-t)
     if remaining <= s:
-        return _finish(roof, alpha, x, s, t, 0, 0.0)
+        return _finish(roof, x % 1.0, s, t, 0, 0.0)
     remaining -= np.longdouble(s)
     consumed = np.longdouble(0.0)
     n = 1
@@ -154,7 +139,7 @@ def evaluate_naive(roof, alpha: RotationNumber, p: FlowPoint, t: float) -> FlowS
         fx = np.longdouble(roof(xi))
         consumed -= fx
         if remaining <= fx:
-            return _finish(roof, alpha, x, s, t, -n, float(consumed))
+            return _finish(roof, xi, s, t, -n, float(consumed))
         remaining -= fx
         n += 1
 
@@ -252,6 +237,9 @@ def ab_decomposition(roof, alpha: RotationNumber, p: FlowPoint, horizon: float,
     most two intervals, with its measure reported)."""
     if not horizon > 0.0:
         raise ValueError(f"horizon must be > 0, got {horizon}")
+    if not isinstance(roof, PowerRoof):
+        raise TypeError("ab_decomposition requires a power-singularity roof, "
+                        f"got {type(roof).__name__}")
     if not -roof.gamma * (1.0 + delta) < 1.0:
         raise ValueError("need -gamma * (1 + delta) < 1")
     qn = alpha.q(n)

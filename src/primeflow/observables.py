@@ -406,7 +406,11 @@ def coboundary_prime_discrepancy(flow: ReparamFlow, g, depth: int,
     so every N reads a prefix of a single vectorized pass.  The invariant
     mean of psi is zero, so this is the full space-vs-prime discrepancy.
     """
+    if depth < 1:
+        raise ValueError(f"depth must be >= 1, got {depth}")
     Ns = np.atleast_1d(np.asarray(N, dtype=np.int64))
+    if np.any(Ns < 1):
+        raise ValueError(f"N must be >= 1, got {int(np.min(Ns))}")
     top = int(np.max(Ns, initial=0))
     if table is None:
         table = build_table(top)

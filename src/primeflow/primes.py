@@ -184,50 +184,32 @@ def ap_error(table: PrimeTable, x: int, q: int) -> float:
     """E(x, q): max over coprime classes a of sup_{y < x} of
     |sum_{p <= y, p = a (q)} log p - y / phi(q)|.
 
-    The sup is attained at prime jumps (both one-sided limits) or at y -> x,
-    since the deviation is linear-decreasing between jumps.
+    Inside a class the deviation falls linearly between prime jumps, so the
+    sup is the largest of |theta - p/phi| just before and just after each
+    prime p < x of the class and |theta - x/phi| as y -> x; a class with no
+    prime below x contributes x/phi.
     """
     if q < 1:
         raise ValueError("q must be >= 1")
+    if not x >= 1:
+        raise ValueError(f"x must be >= 1, got {x}")
     phi = _totient(q)
-    ps = table.primes_between(1, x - 1)  # primes p < x
-    res = ps % q
-    coprime = np.gcd(res, q) == 1
-    ps, res = ps[coprime], res[coprime]
-
-    present = np.unique(res)
-    n_coprime = phi
-    best = 0.0
-    if len(present) < n_coprime:
-        # some coprime class has no prime < x: deviation -y/phi peaks at y -> x
-        best = x / phi
-
+    ps = table.primes_between(1, math.ceil(x) - 1)  # primes p < x
+    ps = ps[q % ps != 0]  # a prime is coprime to q unless it divides q
     if len(ps) == 0:
-        return max(best, x / phi if n_coprime else 0.0)
-
-    order = np.lexsort((ps, res))
-    ps_s = ps[order].astype(np.float64)
-    res_s = res[order]
-    logs = np.log(ps_s)
-    cs = np.cumsum(logs)
-    starts = np.flatnonzero(np.r_[True, res_s[1:] != res_s[:-1]])
-    base = np.zeros(len(ps_s))
-    base[starts[1:]] = cs[starts[1:] - 1]
-    base = np.maximum.accumulate(base)
-    within = cs - base  # cumulative theta inside the class, at each prime
-
-    # next jump location inside the class (or x at the class tail)
-    nxt = np.empty(len(ps_s))
-    nxt[:-1] = ps_s[1:]
-    nxt[-1] = x
-    ends = np.r_[starts[1:] - 1, len(ps_s) - 1]
-    nxt[ends] = x
-
-    d_hi = np.abs(within - ps_s / phi)
-    d_lo = np.abs(within - nxt / phi)
-    # initial segment of each class: deviation -y/phi up to the first prime
-    d_init = ps_s[starts] / phi
-    return float(max(best, d_hi.max(), d_lo.max(), d_init.max()))
+        return x / phi
+    res = ps % q
+    order = np.argsort(res, kind="stable")  # by class, ascending inside each
+    ps, res = ps[order].astype(np.float64), res[order]
+    cs = np.r_[0.0, np.cumsum(np.log(ps))]
+    # theta of the class just before and just after each of its primes
+    base = cs[np.searchsorted(res, res)]
+    before, after = cs[:-1] - base, cs[1:] - base
+    last = np.r_[res[1:] != res[:-1], True]
+    empty = x / phi if np.count_nonzero(last) < phi else 0.0
+    return float(max(empty, np.abs(before - ps / phi).max(),
+                     np.abs(after - ps / phi).max(),
+                     np.abs(after[last] - x / phi).max()))
 
 
 def select_S_qr(table: PrimeTable, q: int, r: int, N: int, C: float,
@@ -248,18 +230,11 @@ def select_S_qr(table: PrimeTable, q: int, r: int, N: int, C: float,
     lo = -(-N // 2) - 1  # primes l with l > ceil(N/2) - 1, i.e. l >= N/2
     cands = table.primes_between(lo, N)
     cands = cands[cands % q == r % q]
-    out = []
-    for ell in cands:
-        ell = int(ell)
-        ok = True
-        for xn in xs:
-            bound = C * xn / (N * math.log(xn) ** (2 * A))
-            if ap_error(table, xn, ell) > bound:
-                ok = False
-                break
-        if ok:
-            out.append(ell)
-    return out
+    bounds = [C * xn / (N * math.log(xn) ** (2 * A)) for xn in xs]
+    # all() stops at the first x_n that a candidate fails
+    return [int(ell) for ell in cands
+            if all(ap_error(table, xn, int(ell)) <= bound
+                   for xn, bound in zip(xs, bounds))]
 
 
 @dataclass(frozen=True)

@@ -284,6 +284,12 @@ def test_ab_decomposition_rejects_nonpositive_horizon(horizon, cutoff):
                          height_cutoff=cutoff)
 
 
+def test_ab_decomposition_rejects_roof_without_singularity():
+    with pytest.raises(TypeError, match="got FourierRoof"):
+        ab_decomposition(FourierRoof([(2, 0.3)]), SCALED, FlowPoint(0.3, 0.1),
+                         10.0, 3, 0.9)
+
+
 def test_visit_times_reject_negative_t_max():
     with pytest.raises(ValueError, match=re.escape("t_max must be >= 0, got -1.0")):
         neighborhood_visit_times(POWER, GOLDEN, FlowPoint(0.3, 0.1), -1.0, 0.02)

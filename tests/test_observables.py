@@ -122,8 +122,8 @@ def test_evaluate_times_matches_evaluate():
     for i, t in enumerate(ts):
         step = evaluate(POWER, GOLDEN, p, float(t))
         assert step.hits == Ns[i]
-        assert abs(step.endpoint.x - xs[i]) < 1e-12
-        assert abs(step.endpoint.s - ss[i]) < 1e-9
+        assert step.endpoint.x == xs[i]
+        assert step.endpoint.s == ss[i]
 
 
 def test_prime_sum_of_one_is_theta(table):
@@ -416,3 +416,15 @@ def test_coboundary_discrepancy_array_matches_scalar_calls(table):
            for N in Ns]
     assert all(isinstance(d, float) for d in one)
     assert many.tolist() == one
+
+
+@pytest.mark.parametrize("depth, N, name", [(0, 10 ** 3, "depth"),
+                                            (-2, 10 ** 3, "depth"),
+                                            (40, [10 ** 3, 0], "N"),
+                                            (40, 0, "N")])
+def test_coboundary_discrepancy_rejects_bad_input(depth, N, name, table):
+    fl = ReparamFlow(SCALED, make_timechange(SCALED))
+    g = lambda x1, x2: np.cos(2 * np.pi * np.asarray(x1))
+    with pytest.raises(ValueError, match=f"^{name} must be >= 1"):
+        coboundary_prime_discrepancy(fl, g, depth, TorusPoint(0.31, 0.64), N,
+                                     table)

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 import sympy
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from primeflow.primes import (
     CircleInterval,
@@ -81,24 +83,42 @@ def test_ap_error_frozen(table):
     assert abs(ap_error(table, 1000, 7) - 26.621020223931964) < 1e-9
 
 
-def test_ap_error_matches_scan(table):
-    # brute force over a dense grid of y values plus one-sided prime limits
-    x, q = 400, 5
-    phi = 4
+def _ap_error_scan(table, x, q):
+    """E(x, q) by walking each coprime class prime by prime: |theta - y/phi|
+    just before and just after every jump, and as y -> x."""
+    classes = [a for a in range(q) if math.gcd(a, q) == 1]
+    phi = len(classes)
+    primes = [int(p) for p in table.primes_between(1, 5000) if p < x]
     best = 0.0
-    for a in range(q):
-        if math.gcd(a, q) != 1:
-            continue
+    for a in classes:
         cum = 0.0
-        pts = []
-        cps = [int(p) for p in table.primes_between(1, x - 1) if p % q == a]
-        for p in cps:
-            pts.append(abs(cum - p / phi))
-            cum += math.log(p)
-            pts.append(abs(cum - p / phi))
-        pts.append(abs(cum - x / phi) if cps else x / phi)
-        best = max(best, max(pts))
-    assert abs(ap_error(table, x, q) - best) < 1e-9
+        for p in primes:
+            if p % q == a:
+                best = max(best, abs(cum - p / phi))
+                cum += math.log(p)
+                best = max(best, abs(cum - p / phi))
+        best = max(best, abs(cum - x / phi))
+    return best
+
+
+@example(x=400, q=5)
+@example(x=500, q=1)  # a single class
+@example(x=30, q=97)  # q > x: most classes have no prime
+@example(x=1000, q=30)  # composite q, primes 2, 3, 5 left out
+@example(x=4, q=4)  # no prime p < 4 with p = 1 (mod 4)
+@example(x=1, q=3)  # no prime below x at all
+@example(x=11.5, q=1)  # 11 < x counts
+@settings(max_examples=150, deadline=None)
+@given(x=st.integers(1, 5000) | st.floats(1.0, 5000.0), q=st.integers(1, 500))
+def test_ap_error_matches_scan(table, x, q):
+    ref = _ap_error_scan(table, x, q)
+    assert abs(ap_error(table, x, q) - ref) <= 1e-12 * max(1.0, ref)
+
+
+@pytest.mark.parametrize("x", [0, -5, 0.5])
+def test_ap_error_rejects_x_below_one(table, x):
+    with pytest.raises(ValueError, match=f"x must be >= 1, got {x}"):
+        ap_error(table, x, 3)
 
 
 def test_ap_error_empty_class(table):
