@@ -45,6 +45,7 @@ from .reparam import (
 )
 from .roofs import (
     ContainmentError,
+    PiecewiseLinear,
     PowerRoof,
     birkhoff_sum,
     birkhoff_sum_many,
@@ -90,9 +91,8 @@ def _exp_dk_bound(cfg, table):
     rng = cfg.rng()
     xs = rng.random(samples)
     banks = {
-        "indicator": (lambda x: (np.asarray(x) % 1.0 < 0.5).astype(float) - 0.5,
-                      2.0),
-        "sawtooth": (lambda x: (np.asarray(x) % 1.0) - 0.5, 1.0),
+        "indicator": (PiecewiseLinear(0.5, 0.0, [(0.5, -1.0)]), 2.0),
+        "sawtooth": (PiecewiseLinear(-0.5, 1.0), 1.0),
     }
     ok = True
     for aname, quots in (("golden", [1] * (depth + 1)),

@@ -401,9 +401,9 @@ def coboundary_prime_discrepancy(flow: ReparamFlow, g, depth: int,
     psi = h - h o T_1 built from g by depth-fold averaging, for an int N or
     each N of a sequence.
 
-    The transfer function h at every integer orbit time up to the largest N
-    comes from one weighted moving sum over precomputed orbit values of g,
-    so every N reads a prefix of a single vectorized pass.  The invariant
+    psi at every integer orbit time up to the largest N is one moving sum
+    over precomputed orbit values of g, the difference of one cumulative
+    sum, so every N reads a prefix of a single vectorized pass.  The invariant
     mean of psi is zero, so this is the full space-vs-prime discrepancy.
     """
     if depth < 1:
@@ -414,14 +414,14 @@ def coboundary_prime_discrepancy(flow: ReparamFlow, g, depth: int,
     top = int(np.max(Ns, initial=0))
     if table is None:
         table = build_table(top)
-    gv = _integer_orbit_values(flow, g, x, top + depth + 1)
-    # h(T_j x) = -(1/depth) sum_{n=1..depth} S_n(g)(T_j x)
-    #          = -(1/depth) sum_{i=0..depth-1} (depth - i) g(T_{j+i} x)
-    kernel = (np.arange(depth, 0, -1, dtype=np.float64)) / depth
-    h = -np.convolve(gv, kernel[::-1], mode="full")[depth - 1: depth + top + 1]
+    gv = _integer_orbit_values(flow, g, x, top + depth)
+    # h(T_j x) = -(1/depth) sum_{i=0..depth-1} (depth - i) g(T_{j+i} x), so
+    # psi(T_j x) = h(T_j x) - h(T_{j+1} x) = -g_j + (1/depth) sum_{i=1..depth} g_{j+i}
+    cs = np.cumsum(gv)
+    psi = (cs[depth:] - cs[: top + 1]) / depth - gv[: top + 1]
     ps = table.primes_between(1, top)
     weights = np.log(ps.astype(np.float64))
-    vals = (h[:-1] - h[1:])[ps]  # psi at the prime times
+    vals = psi[ps]  # psi at the prime times
     out = np.array([abs(float(np.dot(weights[:k], vals[:k]))) / int(n)
                     for n, k in zip(Ns, np.searchsorted(ps, Ns, side="right"))])
     return float(out[0]) if np.ndim(N) == 0 else out

@@ -193,7 +193,8 @@ def ap_error(table: PrimeTable, x: int, q: int) -> float:
         raise ValueError("q must be >= 1")
     if not x >= 1:
         raise ValueError(f"x must be >= 1, got {x}")
-    phi = _totient(q)
+    # every select_S_qr candidate is prime: read it off the sieve
+    phi = q - 1 if q <= table.limit and table.is_prime(q) else _totient(q)
     ps = table.primes_between(1, math.ceil(x) - 1)  # primes p < x
     ps = ps[q % ps != 0]  # a prime is coprime to q unless it divides q
     if len(ps) == 0:

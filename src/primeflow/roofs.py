@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -28,6 +29,7 @@ __all__ = [
     "FourierRoof",
     "TimeChange",
     "MaskedRoof",
+    "PiecewiseLinear",
     "QuadraticExpansion",
     "birkhoff_sum",
     "birkhoff_sum_many",
@@ -224,6 +226,31 @@ class MaskedRoof:
         return float(np.mean(self(xs)))
 
 
+class PiecewiseLinear:
+    """g(x) = a + b*y + sum_k h_k [y >= c_k] with y = x mod 1, for jump
+    points 0 <= c_1 < c_2 < ... < 1: the bounded-variation test functions of
+    the Denjoy-Koksma checks.  The indicator of [0, 1/2) minus its mean is
+    PiecewiseLinear(0.5, 0.0, [(0.5, -1.0)]); the sawtooth y - 1/2 is
+    PiecewiseLinear(-0.5, 1.0).  `birkhoff_sum_many` sums it from one sorted
+    orbit instead of evaluating it at every orbit point."""
+
+    def __init__(self, a: float = 0.0, b: float = 0.0, jumps=()):
+        self.a, self.b = float(a), float(b)
+        self.jumps = tuple((float(c), float(h)) for c, h in jumps)
+        cs = [c for c, _ in self.jumps]
+        if not all(0.0 <= c < 1.0 for c in cs):
+            raise ValueError(f"jump points must lie in [0, 1), got {cs}")
+        if any(c >= d for c, d in zip(cs, cs[1:])):
+            raise ValueError(f"jump points must be strictly increasing, got {cs}")
+
+    def __call__(self, x):
+        y = np.asarray(x) % 1.0
+        out = self.a + self.b * y
+        for c, h in self.jumps:
+            out = out + h * (y >= c)
+        return out
+
+
 def _orbit_offsets(alpha: RotationNumber, n: int) -> np.ndarray:
     """Float images of {i*alpha mod 1} for 0 <= i < n, from exact residues."""
     return alpha.orbit(0, n)
@@ -250,6 +277,9 @@ def _check_orbit_clear(roof, x: float, n: int, alpha: RotationNumber) -> None:
 def birkhoff_sum(g, n: int, x: float, alpha: RotationNumber, order: int = 0) -> float:
     """S_n(g)(x) = sum_{0 <= i < n} g(x + i*alpha); for n < 0 the convention
     S_n(g)(x) = -S_{|n|}(g)(x + n*alpha), so that S is a cocycle over Z."""
+    n = _term_count(n)
+    if not math.isfinite(x):
+        raise ValueError(f"x must be finite, got {x}")
     if n == 0:
         return 0.0
     if n < 0:
@@ -266,13 +296,74 @@ def _takes_order(g) -> bool:
     return isinstance(g, (PowerRoof, FourierRoof, MaskedRoof))
 
 
+def _term_count(n) -> int:
+    try:
+        return operator.index(n)
+    except TypeError:
+        raise ValueError(f"n must be an integer, got {n!r}") from None
+
+
+def _piecewise_sums(g: PiecewiseLinear, offs: np.ndarray,
+                    x: np.ndarray) -> np.ndarray:
+    """S_n(g)(x) for each x from the sorted orbit.
+
+    The block path sums g at y_i = ((x + o_i) % 1) % 1.  With k = floor(x)
+    and s_i = floor(x + o_i) - k, plus one where the first % rounds a tiny
+    negative up to 1.0, the pairs (s_i, y_i) are lexicographically
+    nondecreasing in o_i, because x + o_i rounds monotonically.  So every
+    count #{i : (s_i, y_i) >= (m, c)} is one searchsorted position, checked
+    against the exact float expression at its two neighbours (and bisected
+    on that expression where an orbit point sits within rounding of the
+    threshold).  Jump counts are therefore those of the block path; the
+    linear part sum y_i = n (x - k) + sum o_i - sum s_i is exact up to the
+    rounding of each x + o_i."""
+    n = len(offs)
+    o = np.sort(offs)
+    k = np.floor(x)
+    frac = x - k
+
+    def past(i, m, c):
+        z = x + o[i]
+        w = z % 1.0
+        s = np.floor(z) - k + (w == 1.0)
+        return (s > m) | ((s == m) & (w % 1.0 >= c))
+
+    def count(m, c):
+        i = np.searchsorted(o, (m + c) - frac)
+        bad = (i > 0) & past(np.maximum(i - 1, 0), m, c)
+        bad |= (i < n) & ~past(np.minimum(i, n - 1), m, c)
+        lo, hi = np.where(bad, 0, i), np.where(bad, n, i)
+        while (live := lo < hi).any():
+            mid = (lo + hi) // 2
+            ok = past(np.minimum(mid, n - 1), m, c)
+            hi = np.where(live & ok, mid, hi)
+            lo = np.where(live & ~ok, mid + 1, lo)
+        return n - lo
+
+    wraps = count(1, 0.0), count(2, 0.0)  # s_i <= 2, as x + o_i < k + 2
+    out = g.a * n + g.b * (n * frac + float(np.sum(o)) - (wraps[0] + wraps[1]))
+    for c, h in g.jumps:
+        out = out + h * (count(0, c) - wraps[0] + count(1, c) - wraps[1]
+                         + count(2, c))
+    return out
+
+
 def birkhoff_sum_many(g, n: int, xs: np.ndarray, alpha: RotationNumber,
                       order: int = 0, chunk: int = 1 << 22) -> np.ndarray:
-    """Vectorized S_n(g) over an array of base points (n >= 1)."""
+    """Vectorized S_n(g) over an array of base points (n >= 1).
+
+    A `PiecewiseLinear` g is summed from one sorted orbit in
+    O((n + xs.size) log n): its indicator terms equal the block path's and
+    its linear part agrees to the rounding of each x + o_i."""
+    n = _term_count(n)
     if n < 1:
         raise ValueError("n must be >= 1")
     xs = np.asarray(xs, dtype=np.float64)
+    if not np.isfinite(xs).all():
+        raise ValueError(f"x must be finite, got {xs[~np.isfinite(xs)][0]}")
     offs = _orbit_offsets(alpha, n)
+    if isinstance(g, PiecewiseLinear):
+        return _piecewise_sums(g, offs, xs.ravel()).reshape(xs.shape)
     out = np.zeros(xs.shape)
     step = max(1, chunk // max(1, xs.size))
     for lo in range(0, n, step):

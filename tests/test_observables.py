@@ -418,6 +418,26 @@ def test_coboundary_discrepancy_array_matches_scalar_calls(table):
     assert many.tolist() == one
 
 
+@pytest.mark.parametrize("depth", [1, 7, 300])
+def test_coboundary_moving_sum_matches_convolution(depth, table):
+    # oracle: h from the weighted convolution, psi = h - h o T_1
+    from primeflow.observables import _integer_orbit_values
+
+    fl = ReparamFlow(SCALED, make_timechange(SCALED))
+    g = lambda x1, x2: np.cos(2 * np.pi * np.asarray(x1))
+    x = TorusPoint(0.31, 0.64)
+    Ns = np.array([10 ** 3, 10 ** 4, 3 * 10 ** 4])
+    top = int(Ns[-1])
+    gv = _integer_orbit_values(fl, g, x, top + depth + 1)
+    kernel = np.arange(depth, 0, -1, dtype=np.float64) / depth
+    h = -np.convolve(gv, kernel[::-1], mode="full")[depth - 1: depth + top + 1]
+    ps = table.primes_between(1, top)
+    terms = np.log(ps.astype(np.float64)) * (h[:-1] - h[1:])[ps]
+    want = [abs(float(np.sum(terms[ps <= N]))) / N for N in Ns]
+    got = coboundary_prime_discrepancy(fl, g, depth, x, Ns, table)
+    assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+
+
 @pytest.mark.parametrize("depth, N, name", [(0, 10 ** 3, "depth"),
                                             (-2, 10 ** 3, "depth"),
                                             (40, [10 ** 3, 0], "N"),

@@ -115,6 +115,15 @@ def test_ap_error_matches_scan(table, x, q):
     assert abs(ap_error(table, x, q) - ref) <= 1e-12 * max(1.0, ref)
 
 
+@pytest.mark.parametrize("x, q", [(500, 1009), (900, 997), (30, 97), (10, 11)])
+def test_ap_error_prime_modulus_reads_the_sieve(x, q):
+    # phi(q) = q - 1 from the sieve when q is within it, trial division
+    # when it is not: bit-identical values
+    inside, outside = build_table(2000), build_table(x)
+    assert q > outside.limit
+    assert ap_error(inside, x, q) == ap_error(outside, x, q)
+
+
 @pytest.mark.parametrize("x", [0, -5, 0.5])
 def test_ap_error_rejects_x_below_one(table, x):
     with pytest.raises(ValueError, match=f"x must be >= 1, got {x}"):

@@ -13,6 +13,7 @@ from primeflow.roofs import (
     FourierRoof,
     HypothesisError,
     MaskedRoof,
+    PiecewiseLinear,
     PowerRoof,
     SingularityError,
     TimeChange,
@@ -244,6 +245,124 @@ def test_denjoy_koksma_bv():
             for g, var in ((indicator, 2.0), (sawtooth, 1.0)):
                 dev = np.abs(birkhoff_sum_many(g, qn, xs, alpha))
                 assert dev.max() <= var + 1e-6
+
+
+INDICATOR = PiecewiseLinear(0.5, 0.0, [(0.5, -1.0)])
+SAWTOOTH = PiecewiseLinear(-0.5, 1.0)
+PELL = from_partial_quotients([2] * 12)
+
+
+def _block(g):
+    """The same observable as a plain callable: birkhoff_sum_many then
+    takes the block path, the oracle of the sorted one."""
+    return lambda x: g(x)
+
+
+def test_piecewise_linear_matches_dk_lambdas():
+    indicator = lambda x: (np.asarray(x) % 1.0 < 0.5).astype(float) - 0.5
+    sawtooth = lambda x: (np.asarray(x) % 1.0) - 0.5
+    xs = np.r_[np.random.default_rng(2).uniform(-3, 3, 500),
+               0.0, 0.5, -0.5, 1.0, -1e-17, np.nextafter(0.5, 0), 2.5]
+    assert np.array_equal(INDICATOR(xs), indicator(xs))
+    assert np.array_equal(SAWTOOTH(xs), sawtooth(xs))
+    assert INDICATOR(0.7) == indicator(0.7) and SAWTOOTH(0.7) == sawtooth(0.7)
+
+
+@pytest.mark.parametrize("jumps", [[(1.0, 1.0)], [(-0.1, 1.0)],
+                                   [(0.5, 1.0), (0.2, 1.0)],
+                                   [(0.3, 1.0), (0.3, -1.0)]])
+def test_piecewise_linear_rejects_bad_jumps(jumps):
+    with pytest.raises(ValueError, match="jump points"):
+        PiecewiseLinear(0.0, 0.0, jumps)
+
+
+def _assert_sorted_path_exact(n, xs, alpha, c):
+    """Indicator sums and jump counts bit-identical to the block path,
+    the sawtooth within 1e-12 per term of it and of the fsum scalar path."""
+    step = PiecewiseLinear(0.0, 0.0, [(c, 1.0)])  # S_n is the jump count
+    for g in (INDICATOR, step):
+        got = birkhoff_sum_many(g, n, xs, alpha)
+        assert got.shape == np.shape(xs)
+        assert np.array_equal(got, birkhoff_sum_many(_block(g), n, xs, alpha))
+    got = birkhoff_sum_many(SAWTOOTH, n, xs, alpha)
+    want = birkhoff_sum_many(_block(SAWTOOTH), n, xs, alpha)
+    assert np.max(np.abs(got - want), initial=0.0) <= 1e-12 * n
+    for x, s in zip(np.ravel(xs), np.ravel(got)):
+        assert abs(s - birkhoff_sum(SAWTOOTH, n, float(x), alpha)) <= 1e-12 * n
+
+
+@settings(max_examples=60, deadline=None)
+@given(which=st.sampled_from(["golden", "pell", "scaled"]),
+       level=st.integers(1, 11), shift=st.sampled_from([-1, 0, 1, None]),
+       extra=st.integers(1, 3000), dims=st.integers(0, 2),
+       xs=st.lists(st.floats(-3.0, 3.0), min_size=12, max_size=12),
+       c=st.floats(0.0, 1.0, exclude_max=True))
+def test_sorted_birkhoff_matches_block_path(which, level, shift, extra, dims,
+                                            xs, c):
+    alpha = {"golden": GOLDEN, "pell": PELL, "scaled": SCALED}[which]
+    q = alpha.q(min(level, alpha.depth))
+    n = extra if shift is None else max(1, q + shift)
+    xs = np.array(xs)[: [1, 7, 12][dims]].reshape([(), (7,), (3, 4)][dims])
+    _assert_sorted_path_exact(n, xs, alpha, c)
+
+
+@pytest.mark.parametrize("alpha", [GOLDEN, PELL, SCALED], ids=["golden", "pell",
+                                                               "scaled"])
+def test_sorted_birkhoff_at_float_preimages(alpha):
+    # x on the float preimage of a jump or of a wrap point, and its two
+    # neighbouring floats: an orbit point lands within an ulp of the
+    # threshold, so the searchsorted guess needs its exact fix-up
+    n = alpha.q(4)
+    offs = alpha.orbit(0, n)
+    xs = []
+    for i in (0, 1, n // 2, n - 1):
+        for theta in (0.5, 0.3, 1.0, 0.0, -1.0, 2.0, -2.5):
+            t = theta - offs[i]
+            xs += [np.nextafter(t, -np.inf), t, np.nextafter(t, np.inf)]
+    _assert_sorted_path_exact(n, np.array(xs), alpha, 0.3)
+    # x + o_0 = x: a tiny negative x makes the block path's % round up to 1.0
+    tiny = np.array([-1e-17, -2.0 ** -60, -5e-324, 0.0])
+    assert (tiny[:3] % 1.0 == 1.0).all()
+    _assert_sorted_path_exact(n, tiny, alpha, 0.0)
+
+
+@pytest.mark.parametrize("n", [2.5, np.float64(3.0), "3"])
+def test_birkhoff_rejects_non_integer_n(n):
+    for g in (SAWTOOTH, _block(SAWTOOTH)):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            birkhoff_sum_many(g, n, np.array([0.3]), GOLDEN)
+        with pytest.raises(ValueError, match="n must be an integer"):
+            birkhoff_sum(g, n, 0.3, GOLDEN)
+    got = birkhoff_sum_many(SAWTOOTH, np.int64(3), np.array([0.3]), GOLDEN)
+    assert got.shape == (1,)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_birkhoff_rejects_non_finite_x(bad):
+    for g in (INDICATOR, _block(INDICATOR)):
+        with pytest.raises(ValueError, match=f"x must be finite, got {bad}"):
+            birkhoff_sum_many(g, 5, np.array([0.3, bad]), GOLDEN)
+        with pytest.raises(ValueError, match="x must be finite"):
+            birkhoff_sum(g, 5, bad, GOLDEN)
+
+
+def test_dk_bound_report_matches_block_path(monkeypatch):
+    from primeflow import experiments
+    from primeflow.config import ExperimentConfig
+
+    cfg = ExperimentConfig("dk_bound", params={"samples": 10})
+    fast = experiments.run_experiment(cfg)
+    monkeypatch.setattr(
+        experiments, "birkhoff_sum_many",
+        lambda g, n, xs, alpha: birkhoff_sum_many(_block(g), n, xs, alpha))
+    slow = experiments.run_experiment(cfg)
+    assert fast.verdicts == slow.verdicts
+    for a, b in zip(fast.metrics, slow.metrics, strict=True):
+        assert a.name == b.name
+        if "indicator" in a.name:
+            assert a.value == b.value
+        else:
+            assert abs(a.value - b.value) <= 1e-12 * abs(b.value)
 
 
 def test_lemma_birkhoff_singular_bound():
