@@ -278,6 +278,7 @@ def birkhoff_sum(g, n: int, x: float, alpha: RotationNumber, order: int = 0) -> 
     """S_n(g)(x) = sum_{0 <= i < n} g(x + i*alpha); for n < 0 the convention
     S_n(g)(x) = -S_{|n|}(g)(x + n*alpha), so that S is a cocycle over Z."""
     n = _term_count(n)
+    _check_order(g, order)
     if not math.isfinite(x):
         raise ValueError(f"x must be finite, got {x}")
     if n == 0:
@@ -294,6 +295,14 @@ def birkhoff_sum(g, n: int, x: float, alpha: RotationNumber, order: int = 0) -> 
 
 def _takes_order(g) -> bool:
     return isinstance(g, (PowerRoof, FourierRoof, MaskedRoof))
+
+
+def _check_order(g, order) -> None:
+    """A derivative order is only taken by the roof types; any other g would
+    silently be summed at order 0."""
+    if order != 0 and not _takes_order(g):
+        raise ValueError(f"order={order} needs a roof that takes an order, "
+                         f"not {type(g).__name__}")
 
 
 def _term_count(n) -> int:
@@ -358,6 +367,7 @@ def birkhoff_sum_many(g, n: int, xs: np.ndarray, alpha: RotationNumber,
     n = _term_count(n)
     if n < 1:
         raise ValueError("n must be >= 1")
+    _check_order(g, order)
     xs = np.asarray(xs, dtype=np.float64)
     if not np.isfinite(xs).all():
         raise ValueError(f"x must be finite, got {xs[~np.isfinite(xs)][0]}")

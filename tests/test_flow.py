@@ -29,7 +29,7 @@ from primeflow.flow import (
     tower_metric,
     window_decomposition,
 )
-from primeflow.roofs import FourierRoof, PowerRoof
+from primeflow.roofs import FourierRoof, PowerRoof, SingularityError
 from primeflow.rotation import construct_alpha, from_partial_quotients
 
 GOLDEN = from_partial_quotients([1] * 12)
@@ -436,6 +436,8 @@ def test_ab_decomposition_matches_fiber_loop(name, n, x, frac, horizon, delta,
 @example(name="scaled", x=0.37, frac=0.0, t_max=25.0, radius=0.05)
 @example(name="golden", x=0.5, frac=0.2, t_max=0.01, radius=0.3)
 @example(name="golden", x=0.01, frac=0.0, t_max=0.0, radius=0.3)
+# x = alpha: the first backward crossing lands on the singularity x = 0
+@example(name="golden", x=float(GOLDEN.value), frac=0.0, t_max=0.0, radius=0.25)
 @settings(max_examples=80, deadline=None)
 @given(name=st.sampled_from(sorted(VISIT_ALPHAS)), x=st.floats(1e-6, 1.0 - 1e-6),
        frac=st.floats(0.0, 0.99), t_max=st.floats(0.0, 500.0),
@@ -443,8 +445,14 @@ def test_ab_decomposition_matches_fiber_loop(name, n, x, frac, horizon, delta,
 def test_visit_times_match_fiber_loop(name, x, frac, t_max, radius):
     alpha = VISIT_ALPHAS[name]
     p = FlowPoint(x, frac * POWER(x))
+    try:
+        ref = _visit_times_loop(POWER, alpha, p, t_max, radius)
+    except SingularityError:
+        # an orbit through the singularity: both must refuse it alike
+        with pytest.raises(SingularityError):
+            neighborhood_visit_times(POWER, alpha, p, t_max, radius)
+        return
     got = neighborhood_visit_times(POWER, alpha, p, t_max, radius)
-    ref = _visit_times_loop(POWER, alpha, p, t_max, radius)
     assert got == ref
     assert _bits(got) == _bits(ref)
 

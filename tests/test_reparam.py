@@ -390,3 +390,131 @@ def test_time_inverse_bisects_only_unconverged(flow, monkeypatch):
     assert np.array_equal(np.concatenate(bisected), t[missed])
     assert np.array_equal(u[~missed], full[~missed])
     assert np.all(_relative_residual(flow, u, t, x1, x2)[missed] <= 1e-9)
+
+
+# -- the half-angle kernel against libm sin and cos --------------------------
+
+def _libm_cocycle(self, u, b, derivatives=False):
+    """The cocycle kernel with one libm sin and one cos per mode: the oracle
+    for ReparamFlow._cocycle, which takes both from one tan."""
+    V = u.copy()
+    if derivatives:
+        v = np.ones_like(u)
+        V2 = np.zeros_like(u)
+    for (_, _, _, w), bk in zip(self._terms, b):
+        p = w * u
+        p -= np.rint(p)
+        p *= 2.0 * math.pi
+        s, c = np.sin(p), np.cos(p)
+        br, bi = bk.real, bk.imag
+        V += br * s + bi * (c - 1.0)
+        if derivatives:
+            k = 2.0 * math.pi * w
+            v += k * (br * c - bi * s)
+            V2 -= (k * k) * (br * s + bi * c)
+    return (V, v, V2) if derivatives else V
+
+
+def _exact_phase_times(flow, phases=(0.0, 0.25, -0.25, 0.5, -0.5),
+                       turns=(0, 1, 977, 123456)):
+    """Times u at which w u is exactly n + p for some mode w, with their
+    neighbouring floats."""
+    out = []
+    for *_, w in flow._terms:
+        for n in turns:
+            for p in phases:
+                u = (n + p) / w
+                for _ in range(8):
+                    if w * u == n + p:
+                        out += [np.nextafter(u, -np.inf), u,
+                                np.nextafter(u, np.inf)]
+                        break
+                    u = np.nextafter(u, np.inf if w * u < n + p else -np.inf)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("scalar_start", [True, False])
+def test_cocycle_kernel_matches_libm(flow, scalar_start):
+    rng = np.random.default_rng(11)
+    exact = _exact_phase_times(flow)
+    assert exact.size >= 3 * 5 * len(flow._terms)
+    u = np.concatenate((rng.uniform(-1e7, 1e7, 4000), rng.uniform(-5, 5, 500),
+                        exact, [0.0]))
+    if scalar_start:
+        b = flow._start_factors(0.31, 0.64)
+    else:
+        b = flow._start_factors(rng.random(u.size), rng.random(u.size))
+    got = flow._cocycle(u, b, derivatives=True)
+    ref = _libm_cocycle(flow, u, b, derivatives=True)
+    assert np.array_equal(flow._cocycle(u, b), got[0])
+    eps = np.finfo(float).eps
+    for j, (g, r) in enumerate(zip(got, ref)):
+        # a few ulps of the identity part (u, 1, 0) plus of each mode's size
+        scale = sum(np.abs(bk) * (2.0 * math.pi * abs(w)) ** j
+                    for (*_, w), bk in zip(flow._terms, b))
+        scale = scale + (np.abs(u), 1.0, 0.0)[j]
+        assert np.all(np.abs(g - r) <= 4.0 * eps * scale), j
+
+
+def test_time_inverse_matches_libm_kernel(flow, monkeypatch):
+    from primeflow.primes import build_table
+
+    ps = build_table(10 ** 5).primes.astype(np.float64)
+    t = np.concatenate((np.arange(10.0 ** 5 + 1), ps, -ps))
+    x1, x2 = 0.31, 0.64  # pnt_reparam's start point, on its flow
+    u = flow.time_inverse_many(t, x1, x2)
+    monkeypatch.setattr(ReparamFlow, "_cocycle", _libm_cocycle)
+    ref = flow.time_inverse_many(t, x1, x2)
+    assert np.all(np.abs(u - ref) <= np.spacing(np.abs(ref)))
+    V = flow.cocycle_many(u, x1, x2)  # the libm kernel
+    assert np.all(np.abs(V - t) <= 1e-12 * (1.0 + np.abs(t)))
+
+
+def test_time_inverse_takes_tan_not_sin_or_cos(flow, monkeypatch):
+    # one Halley step, then bisection: both branches of the solve run
+    t = np.linspace(-200.0, 200.0, 161)
+    b = flow._start_factors(0.31, 0.64)
+    calls = []
+    tan = np.tan
+
+    def spy_tan(*args, **kwargs):
+        calls.append("tan")
+        return tan(*args, **kwargs)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the solve called sin or cos")
+
+    monkeypatch.setattr(reparam, "_MAX_STEPS", 1)
+    monkeypatch.setattr(np, "tan", spy_tan)
+    monkeypatch.setattr(np, "sin", refuse)
+    monkeypatch.setattr(np, "cos", refuse)
+    bisected = []
+    bisect = ReparamFlow._bisect
+
+    def spy_bisect(self, tb, bb):
+        bisected.append(tb.size)
+        return bisect(self, tb, bb)
+
+    monkeypatch.setattr(ReparamFlow, "_bisect", spy_bisect)
+    u = flow._halley(t, b, 1e-12)
+    assert calls and bisected
+    monkeypatch.undo()
+    assert np.all(_relative_residual(flow, u, t, 0.31, 0.64) <= 1e-9)
+
+
+# -- bad input to the cocycle and its inverse --------------------------------
+
+@pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1e-12])
+def test_time_inverse_rejects_bad_tol(flow, tol):
+    with pytest.raises(ValueError, match="tol must be finite and > 0"):
+        flow.time_inverse_many(5.0, 0.31, 0.64, tol=tol)
+
+
+@pytest.mark.parametrize("name", ["t", "x1", "x2"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_cocycle_and_inverse_reject_non_finite(flow, name, bad):
+    args = {"t": np.array([5.0, 7.0]), "x1": 0.31, "x2": np.array([0.64, 0.1])}
+    args[name] = np.where(np.arange(2) == 1, bad, args[name])
+    for fn in (flow.time_inverse_many, flow.cocycle_many):
+        with pytest.raises(ValueError, match=f"{name} must be finite, got {bad}"):
+            fn(**args)

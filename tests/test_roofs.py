@@ -346,6 +346,19 @@ def test_birkhoff_rejects_non_finite_x(bad):
             birkhoff_sum(g, 5, bad, GOLDEN)
 
 
+@pytest.mark.parametrize("g", [SAWTOOTH, lambda x: x % 1.0 - 0.5],
+                         ids=["PiecewiseLinear", "lambda"])
+def test_birkhoff_rejects_order_the_observable_ignores(g):
+    name = type(g).__name__
+    with pytest.raises(ValueError, match=f"order=1 .*{name}"):
+        birkhoff_sum_many(g, 5, np.array([0.3]), GOLDEN, order=1)
+    with pytest.raises(ValueError, match=f"order=1 .*{name}"):
+        birkhoff_sum(g, 5, 0.3, GOLDEN, order=1)
+    roof = PowerRoof(gamma=-0.5, c0=1e-12, kappa=1.0)
+    assert np.isfinite(birkhoff_sum_many(roof, 5, np.array([0.3]), GOLDEN,
+                                         order=1)).all()
+
+
 def test_dk_bound_report_matches_block_path(monkeypatch):
     from primeflow import experiments
     from primeflow.config import ExperimentConfig
