@@ -20,6 +20,7 @@ __all__ = [
     "theta_interval",
     "theta_ap",
     "ap_error",
+    "ap_error_many",
     "select_S_qr",
     "quad_phase_sum",
     "diophantine_gamma2_check",
@@ -30,6 +31,9 @@ __all__ = [
 
 DEFAULT_MAX_LIMIT = 1 << 31
 _SEGMENT = 1 << 22
+# moduli x primes held at once by ap_error_many (one modulus at least):
+# 128 KiB float64 buffers stay in cache and are reused between chunks
+_AP_CHUNK = 1 << 14
 
 _CACHE_MAGIC = b"PFSIEVE1"
 _CACHE_VERSION = 1
@@ -180,6 +184,13 @@ def _totient(q: int) -> int:
     return phi
 
 
+def _check_x(x) -> None:
+    if not x >= 1:
+        raise ValueError(f"x must be >= 1, got {x}")
+    if not math.isfinite(x):
+        raise ValueError(f"x must be finite, got {x}")
+
+
 def ap_error(table: PrimeTable, x: int, q: int) -> float:
     """E(x, q): max over coprime classes a of sup_{y < x} of
     |sum_{p <= y, p = a (q)} log p - y / phi(q)|.
@@ -191,8 +202,7 @@ def ap_error(table: PrimeTable, x: int, q: int) -> float:
     """
     if q < 1:
         raise ValueError("q must be >= 1")
-    if not x >= 1:
-        raise ValueError(f"x must be >= 1, got {x}")
+    _check_x(x)
     # every select_S_qr candidate is prime: read it off the sieve
     phi = q - 1 if q <= table.limit and table.is_prime(q) else _totient(q)
     ps = table.primes_between(1, math.ceil(x) - 1)  # primes p < x
@@ -213,11 +223,84 @@ def ap_error(table: PrimeTable, x: int, q: int) -> float:
                      np.abs(after[last] - x / phi).max()))
 
 
+def ap_error_many(table: PrimeTable, x, qs) -> np.ndarray:
+    """E(x, q) of `ap_error` for every modulus q in qs at one x, bit-identical
+    to [ap_error(table, x, q) for q in qs] (for q < 2^53).
+
+    The primes below x, their logs and phi(q) are found once per call.  Each
+    chunk of moduli sorts its residue matrix with one stable row-wise sort;
+    a prime dividing q sits alone in its class and gets weight 0, so the
+    row cumulative sums over the others are the scalar ones.
+    """
+    _check_x(x)
+    qs = np.asarray(qs, dtype=np.int64)
+    flat = qs.reshape(-1)
+    if flat.size and flat.min() < 1:
+        raise ValueError(f"q must be >= 1, got {int(flat.min())}")
+    phi = flat - 1
+    # trial division only for moduli the sieve does not mark prime
+    other = flat > table.limit
+    other[~other] = ~table.is_prime(flat[~other])
+    for i in np.flatnonzero(other):
+        phi[i] = _totient(int(flat[i]))
+    out = x / phi
+    ps = table.primes_between(1, math.ceil(x) - 1)  # primes p < x
+    if len(ps) and flat.size:
+        logs = np.log(ps.astype(np.float64))
+        # residues below 2^16 sort by radix, in the same stable order
+        key = np.uint16 if flat.max() <= np.iinfo(np.uint16).max else np.int64
+        rows = max(1, _AP_CHUNK // len(ps))
+        for lo in range(0, flat.size, rows):
+            part = slice(lo, lo + rows)
+            out[part] = _ap_error_rows(ps, logs, flat[part], phi[part],
+                                       out[part], key)
+    return out.reshape(qs.shape)
+
+
+def _ap_error_rows(ps, logs, qs, phi, x_phi, key) -> np.ndarray:
+    """ap_error's jump form with one row per modulus; see ap_error_many."""
+    m, n = len(qs), len(ps)
+    res = (ps % qs[:, None]).astype(key, copy=False)
+    order = np.argsort(res, axis=1, kind="stable")
+    p, w = ps[order], logs[order]
+    order += np.arange(0, m * n, n)[:, None]  # flat index into res
+    res = np.take(res, order)
+    start = np.ones((m, n), dtype=bool)  # first prime of its class
+    np.not_equal(res[:, 1:], res[:, :-1], out=start[:, 1:])
+    last = np.ones_like(start)  # last prime of its class
+    last[:, :-1] = start[:, 1:]
+    # phi(q) = q - 1 only for a prime q, which no prime but q divides
+    keep = p != qs[:, None]
+    other = phi != qs - 1
+    if other.any():
+        keep[other] = qs[other, None] % p[other] != 0
+    np.multiply(w, keep, out=w)  # times a bool: exact for finite values
+    cs = np.zeros((m, n + 1))
+    np.cumsum(w, axis=1, out=cs[:, 1:])
+    # theta of the class just before its first prime: the row sums never
+    # decrease, so a running max of the values at class starts reads it off
+    base = np.multiply(cs[:, :-1], start, out=w)
+    np.maximum.accumulate(base, axis=1, out=base)
+    after = cs[:, 1:] - base
+    before = np.subtract(cs[:, :-1], base, out=base)
+    p = np.divide(p, phi[:, None])
+    dev = np.abs(np.subtract(before, p, out=before), out=before)
+    tail = np.abs(np.subtract(after, p, out=p), out=p)
+    np.maximum(dev, tail, out=dev)
+    tail = np.abs(np.subtract(after, x_phi[:, None], out=tail), out=tail)
+    np.maximum(dev, np.multiply(tail, last, out=tail), out=dev)
+    np.multiply(dev, keep, out=dev)
+    classes = np.count_nonzero(last & keep, axis=1)
+    return np.maximum(dev.max(axis=1), np.where(classes < phi, x_phi, 0.0))
+
+
 def select_S_qr(table: PrimeTable, q: int, r: int, N: int, C: float,
                 A: float) -> list[int]:
     """Primes l in [N/2, N] with l = r (mod q) passing the dyadic E-filter
     E(x_n, l) <= C * x_n / (N * log(x_n)^(2A)) for x_1 = N^(1/2 + 1/100),
     x_{n+1} = 2 x_n, up to the sieve limit."""
+    if q < 1:
+        raise ValueError(f"q must be >= 1, got {q}")
     x1 = N ** (0.5 + 0.01)
     if x1 > table.limit:
         raise ResourceError(
@@ -231,11 +314,13 @@ def select_S_qr(table: PrimeTable, q: int, r: int, N: int, C: float,
     lo = -(-N // 2) - 1  # primes l with l > ceil(N/2) - 1, i.e. l >= N/2
     cands = table.primes_between(lo, N)
     cands = cands[cands % q == r % q]
-    bounds = [C * xn / (N * math.log(xn) ** (2 * A)) for xn in xs]
-    # all() stops at the first x_n that a candidate fails
-    return [int(ell) for ell in cands
-            if all(ap_error(table, xn, int(ell)) <= bound
-                   for xn, bound in zip(xs, bounds))]
+    # one round per x_n on the candidates that passed every earlier x_n
+    for xn in xs:
+        if len(cands) == 0:
+            break
+        bound = C * xn / (N * math.log(xn) ** (2 * A))
+        cands = cands[ap_error_many(table, xn, cands) <= bound]
+    return [int(ell) for ell in cands]
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,6 @@ import threading
 from fractions import Fraction
 
 import numpy as np
-import sympy
 
 __all__ = [
     "RotationNumber",
@@ -302,6 +301,8 @@ def _scaled_d(growth, depth: int, seed: int) -> RotationNumber:
 
 
 def _scaled_c_a(growth, depth: int, seed: int, window) -> RotationNumber:
+    import sympy  # only this construction needs it; keep it off the import path
+
     if depth < 1:
         raise ValueError("depth must be >= 1")
     if not sympy.isprime(seed):

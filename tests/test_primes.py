@@ -6,12 +6,14 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from primeflow import primes
 from primeflow.primes import (
     CircleInterval,
     PhaseCoefficients,
     PrimeTable,
     ResourceError,
     ap_error,
+    ap_error_many,
     box_indicator_sum,
     build_interval_partition,
     build_table,
@@ -136,6 +138,57 @@ def test_ap_error_empty_class(table):
     assert ap_error(table, 4, 4) >= 4 / 2
 
 
+@pytest.mark.parametrize("x", [math.inf, math.nan, -math.inf])
+def test_ap_error_rejects_non_finite_x(table, x):
+    with pytest.raises(ValueError, match="x must be"):
+        ap_error(table, x, 3)
+    with pytest.raises(ValueError, match="x must be"):
+        ap_error_many(table, x, [3])
+
+
+@pytest.mark.parametrize("qs", [[0], [3, -2], [5, 0, 7]])
+def test_ap_error_many_rejects_q_below_one(table, qs):
+    with pytest.raises(ValueError, match=f"q must be >= 1, got {min(qs)}"):
+        ap_error_many(table, 100, qs)
+
+
+_MULTI_CHUNK = (5000, list(range(1, 201)))
+
+
+def test_multi_chunk_example_spans_chunks(table):
+    x, qs = _MULTI_CHUNK
+    assert len(qs) * len(table.primes_between(1, x - 1)) > primes._AP_CHUNK
+
+
+@example(x=_MULTI_CHUNK[0], qs=_MULTI_CHUNK[1])  # more than one chunk
+@example(x=1000, qs=list(range(1, 60)))  # q = 1 and composite q
+@example(x=30, qs=[97, 31, 1009])  # q > x: classes with no prime
+@example(x=11.5, qs=[1, 2, 3, 4, 6])  # float x, 11 < x counts
+@example(x=500, qs=[1_000_003, 2_000_006, 7])  # above the sieve: _totient
+@example(x=100_000, qs=[65_535, 65_536, 70_001, 3])  # int64 residue sort
+@example(x=3, qs=[2, 6])  # the only prime below x divides q
+@example(x=1, qs=[3, 1])  # no prime below x at all
+@example(x=100, qs=[])
+@settings(max_examples=100, deadline=None)
+@given(x=st.integers(1, 20_000) | st.floats(1.0, 20_000.0)
+       | st.integers(60_000, 100_000),
+       qs=st.lists(st.integers(1, 500) | st.integers(60_000, 70_000)
+                   | st.sampled_from([1_000_003, 2_000_006]), max_size=30))
+def test_ap_error_many_matches_scalar(table, x, qs):
+    got = ap_error_many(table, x, qs)
+    assert got.shape == (len(qs),)
+    assert got.tolist() == [ap_error(table, x, q) for q in qs]
+
+
+def test_ap_error_many_select_rounds_match_scalar(table):
+    # every x_n the N = 1e4 filter visits, on all 279 candidates
+    cands = table.primes_between(-(-10 ** 4 // 2) - 1, 10 ** 4)
+    cands = cands[cands % 3 == 2]
+    for x in (220, 7_040, 112_640):
+        got = ap_error_many(table, x, cands)
+        assert got.tolist() == [ap_error(table, x, int(q)) for q in cands]
+
+
 def test_quad_phase_zero_coeffs_is_theta(table):
     c = PhaseCoefficients(0.0, 0.0, 10 ** 5, 10 ** 4)
     s = quad_phase_sum(table, c)
@@ -237,6 +290,68 @@ def test_short_interval_ap_average(table):
             devs.append(abs(logs[sel].sum() - 500.0))
         worst.append(max(devs))
     assert avg <= np.mean(worst) + 1e-9
+
+
+def _ladder(table, N):
+    """The filter's x_n: x_1 = N^(1/2 + 1/100), x_{n+1} = 2 x_n up to the
+    sieve limit, each rounded up."""
+    xs, x = [], N ** (0.5 + 0.01)
+    while x <= table.limit:
+        xs.append(int(math.ceil(x)))
+        x *= 2
+    return xs
+
+
+def _select_S_qr_loop(table, q, r, N, C, A):
+    """select_S_qr as one scalar ap_error call per (candidate, x_n) pair,
+    all() stopping at the first x_n a candidate fails."""
+    xs = _ladder(table, N)
+    cands = table.primes_between(-(-N // 2) - 1, N)
+    cands = cands[cands % q == r % q]
+    bounds = [C * xn / (N * math.log(xn) ** (2 * A)) for xn in xs]
+    return [int(ell) for ell in cands
+            if all(ap_error(table, xn, int(ell)) <= bound
+                   for xn, bound in zip(xs, bounds))]
+
+
+@pytest.mark.parametrize("N, C, A", [
+    (10 ** 4, 10.0, 2.0),  # every candidate fails at x_1
+    (10 ** 4, 1e7, 2.0),  # every candidate passes every x_n
+    (2 * 10 ** 5, 10.0, 2.0),
+    (1000, 2e6, 3.0),  # 38 candidates, 11 left after the last x_n
+])
+def test_select_s_qr_matches_loop(table, N, C, A):
+    assert select_S_qr(table, 3, 2, N, C, A) == \
+        _select_S_qr_loop(table, 3, 2, N, C, A)
+
+
+@pytest.mark.parametrize("N, C, A, rounds", [
+    (10 ** 4, 10.0, 2.0, 1),
+    (200, 1e5, 3.0, 6),  # none left after the 6th of 17 x_n
+    (1000, 2e6, 3.0, 15),  # survivors at every x_n
+])
+def test_select_s_qr_one_call_per_round(table, monkeypatch, N, C, A, rounds):
+    calls = []
+
+    def spy(table, x, qs):
+        calls.append((x, len(qs)))
+        return ap_error_many(table, x, qs)
+
+    def scalar(*args):
+        raise AssertionError("select_S_qr called the scalar ap_error")
+
+    monkeypatch.setattr(primes, "ap_error_many", spy)
+    monkeypatch.setattr(primes, "ap_error", scalar)
+    sel = select_S_qr(table, 3, 2, N, C, A)
+    assert [x for x, _ in calls] == _ladder(table, N)[:rounds]
+    assert all(n > 0 for _, n in calls)
+    assert (len(sel) > 0) == (rounds == len(_ladder(table, N)))
+
+
+@pytest.mark.parametrize("q", [0, -3])
+def test_select_s_qr_rejects_q_below_one(table, q):
+    with pytest.raises(ValueError, match=f"q must be >= 1, got {q}"):
+        select_S_qr(table, q, 2, 10 ** 4, 10.0, 2.0)
 
 
 def test_select_s_qr_desk_scale(table):

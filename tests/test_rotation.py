@@ -1,5 +1,7 @@
+import json
 import math
 import random
+import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
@@ -183,6 +185,32 @@ def test_scaled_c_a_properties():
 def test_scaled_c_a_rejects_composite_seed():
     with pytest.raises(ConstructionError):
         construct_alpha("scaled_C_A", depth=2, seed=4)
+
+
+def test_sympy_is_imported_only_for_scaled_c_a():
+    # a fresh interpreter: the CLI's import graph leaves sympy out, and the
+    # first scaled_C_A construction brings it in
+    script = """
+import json, sys
+import primeflow.cli
+from primeflow.rotation import ConstructionError, construct_alpha
+before = "sympy" in sys.modules
+alpha = construct_alpha("scaled_C_A", growth=lambda q: q ** 4.0, depth=4,
+                        seed=2)
+try:
+    construct_alpha("scaled_C_A", depth=2, seed=4)
+    rejected = False
+except ConstructionError:
+    rejected = True
+print(json.dumps([before, "sympy" in sys.modules, list(alpha.quotients),
+                  rejected]))
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=120, check=True)
+    before, after, quotients, rejected = json.loads(proc.stdout)
+    assert (before, after, rejected) == (False, True, True)
+    # katok_wm's default alpha: scaled_C_A, exponent 4, depth 4, seed 2
+    assert quotients == [2, 5, 685, 214074801606]
 
 
 def test_json_roundtrip():
