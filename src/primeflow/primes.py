@@ -247,24 +247,21 @@ def ap_error_many(table: PrimeTable, x, qs) -> np.ndarray:
     ps = table.primes_between(1, math.ceil(x) - 1)  # primes p < x
     if len(ps) and flat.size:
         logs = np.log(ps.astype(np.float64))
-        # residues below 2^16 sort by radix, in the same stable order
-        key = np.uint16 if flat.max() <= np.iinfo(np.uint16).max else np.int64
         rows = max(1, _AP_CHUNK // len(ps))
         for lo in range(0, flat.size, rows):
             part = slice(lo, lo + rows)
             out[part] = _ap_error_rows(ps, logs, flat[part], phi[part],
-                                       out[part], key)
+                                       out[part])
     return out.reshape(qs.shape)
 
 
-def _ap_error_rows(ps, logs, qs, phi, x_phi, key) -> np.ndarray:
+def _ap_error_rows(ps, logs, qs, phi, x_phi) -> np.ndarray:
     """ap_error's jump form with one row per modulus; see ap_error_many."""
     m, n = len(qs), len(ps)
-    res = (ps % qs[:, None]).astype(key, copy=False)
+    res = ps % qs[:, None]
     order = np.argsort(res, axis=1, kind="stable")
     p, w = ps[order], logs[order]
-    order += np.arange(0, m * n, n)[:, None]  # flat index into res
-    res = np.take(res, order)
+    res = np.take_along_axis(res, order, axis=1)
     start = np.ones((m, n), dtype=bool)  # first prime of its class
     np.not_equal(res[:, 1:], res[:, :-1], out=start[:, 1:])
     last = np.ones_like(start)  # last prime of its class

@@ -165,7 +165,7 @@ def test_multi_chunk_example_spans_chunks(table):
 @example(x=30, qs=[97, 31, 1009])  # q > x: classes with no prime
 @example(x=11.5, qs=[1, 2, 3, 4, 6])  # float x, 11 < x counts
 @example(x=500, qs=[1_000_003, 2_000_006, 7])  # above the sieve: _totient
-@example(x=100_000, qs=[65_535, 65_536, 70_001, 3])  # int64 residue sort
+@example(x=100_000, qs=[65_535, 65_536, 70_001, 3])  # residues above 2^16
 @example(x=3, qs=[2, 6])  # the only prime below x divides q
 @example(x=1, qs=[3, 1])  # no prime below x at all
 @example(x=100, qs=[])
