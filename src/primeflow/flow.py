@@ -6,17 +6,15 @@ works through the counting function N(x, s, t) defined by
 s + t - S_N(f)(x) in [0, f(x + N alpha)), with the negative-time Birkhoff
 convention making N well defined for t < 0.
 
-Besides evaluation this module hosts the tower metric, section-avoidance
-tests, visit-time sets of small neighborhoods of the singular fiber, the
-A / A_0 / B decomposition of a time horizon, window decompositions along
-rotation blocks, and time integrals of tower observables.
+Besides evaluation this module hosts the tower metric, the A / A_0 / B
+decomposition of a time horizon into visit sets of the singular tower, and
+time integrals of tower observables.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -28,16 +26,11 @@ __all__ = [
     "FlowStep",
     "PrecisionError",
     "ABReport",
-    "Window",
     "evaluate",
     "evaluate_naive",
     "tower_metric",
-    "section_avoidance",
-    "neighborhood_visit_times",
     "ab_decomposition",
-    "window_decomposition",
     "time_integral",
-    "orbit_trace",
 ]
 
 
@@ -148,32 +141,6 @@ def tower_metric(p: FlowPoint, q: FlowPoint) -> float:
     return circle_distance(p.x - q.x) + abs(p.s - q.s)
 
 
-def section_avoidance(roof, alpha: RotationNumber, p: FlowPoint, t: float,
-                      direction: str, radius: float) -> bool:
-    """True iff no base point of the orbit {T_{z w}(p)}_{0 <= w <= t} enters
-    the open radius-ball around 0 (checked on the rotation orbit directly)."""
-    if t < 0.0:
-        raise ValueError("t must be >= 0")
-    z = _sign(direction)
-    if radius <= 0.0:
-        return True
-    step = evaluate(roof, alpha, p, z * t)
-    N = step.hits
-    if N >= 0:
-        start = Fraction(p.x) % 1
-        count = N
-    else:
-        start = (Fraction(p.x) + N * alpha.value) % 1
-        count = -N
-    return alpha.orbit_min_distance(float(start), count) >= radius
-
-
-def _sign(direction) -> float:
-    if direction not in ("+", "-"):
-        raise ValueError(f"direction must be '+' or '-', got {direction!r}")
-    return 1.0 if direction == "+" else -1.0
-
-
 def _union(lo, hi):
     """The intervals [lo, hi), sorted by lo, merged into (a, b) tuples: empty
     pieces drop out, and a piece starting within 1e-9 of the largest end
@@ -186,32 +153,6 @@ def _union(lo, hi):
     first = np.flatnonzero(np.append(True, lo[1:] > end[:-1] + 1e-9))
     last = np.append(first[1:], len(lo)) - 1
     return list(zip(lo[first].tolist(), end[last].tolist()))
-
-
-def neighborhood_visit_times(roof, alpha: RotationNumber, p: FlowPoint,
-                             t_max: float, radius: float):
-    """Merged intervals of t in [-t_max, t_max] whose base point lies within
-    radius of 0."""
-    if not t_max >= 0.0:
-        raise ValueError(f"t_max must be >= 0, got {t_max}")
-    los, his = [], []
-    for backward in (False, True):
-        xs, _, S, _ = _crossings(roof, alpha, p, [-t_max if backward else t_max],
-                                 backward)
-        near = np.minimum(xs, 1.0 - xs) < radius
-        # the orbit stands at the bottom of fiber i at time tau[i]; backward,
-        # fiber i >= 1 holds [tau[i], tau[i - 1]) and fiber 0 [tau[0], 0]
-        if backward:
-            tau = -S - p.s
-            lo, hi = np.maximum(tau[:-1], -t_max), np.append(0.0, tau[:-2])
-        else:
-            tau = S - p.s
-            lo, hi = np.maximum(tau[:-1], 0.0), np.minimum(tau[1:], t_max)
-        los.append(lo[near])
-        his.append(hi[near])
-    lo, hi = np.concatenate(los), np.concatenate(his)
-    order = np.lexsort((hi, lo))
-    return _union(lo[order], hi[order])
 
 
 @dataclass
@@ -305,47 +246,6 @@ def _subtract(base, holes):
     return [(a, b) for a, b in out if b - a > 1e-12]
 
 
-@dataclass(frozen=True)
-class Window:
-    u: int
-    start: float
-    end: float
-    base: float
-
-    @property
-    def length(self) -> float:
-        return self.end - self.start
-
-
-def window_decomposition(roof, alpha: RotationNumber, x_tilde: float, L: int,
-                         n: int, count: int, delta: float,
-                         t1: float = 0.0) -> list[Window]:
-    """Windows W_u = [t1 + S_{uLq_n}(f)(x~), t1 + S_{(u+1)Lq_n}(f)(x~)]
-    whose base points x~ + uLq_n alpha must stay outside the singular union
-    I_a; lengths are bounded below by (inf f) L q_n."""
-    qn = alpha.q(n)
-    block = L * qn
-    ia_radius = qn ** (-1.0 - delta)
-    centers = _offsets(alpha, qn, backward=True)
-    inf_f = roof_infimum(roof)
-    offs = _offsets(alpha, count * block + 1)
-    bases = (x_tilde + offs[::block][: count + 1]) % 1.0
-    d = _min_dist_to_centers(bases, centers)
-    bad = np.flatnonzero(d[:count] <= ia_radius)
-    if len(bad):
-        raise ValueError(f"window base point u = {int(bad[0])} lies inside I_a")
-    vals = _roof_values(roof, alpha, x_tilde, 0, count * block)
-    cums = np.concatenate(([0.0], np.cumsum(vals.astype(np.longdouble)))).astype(float)
-    windows = []
-    for u in range(count):
-        a = t1 + cums[u * block]
-        b = t1 + cums[(u + 1) * block]
-        if b - a < inf_f * block - 1e-9:
-            raise RuntimeError(f"window {u} shorter than (inf f) L q_n")
-        windows.append(Window(u, a, b, float(bases[u])))
-    return windows
-
-
 def time_integral(roof, alpha: RotationNumber, psi, p: FlowPoint, T,
                   rel_tol: float = 1e-8):
     """Signed int_0^T psi(T_t(p)) dt for a scalar or an array of T: per
@@ -356,7 +256,8 @@ def time_integral(roof, alpha: RotationNumber, psi, p: FlowPoint, T,
     T = np.asarray(T, dtype=np.float64)
     out = np.zeros(T.shape)
     for backward in (False, True):
-        sel = T < 0.0 if backward else T > 0.0
+        # nan goes forward, where _crossings rejects it
+        sel = T < 0.0 if backward else ~(T <= 0.0)
         if not np.any(sel):
             continue
         t = T[sel]
@@ -404,7 +305,8 @@ def evaluate_times(roof, alpha: RotationNumber, p: FlowPoint, times):
     xs, ss = np.empty(times.shape), np.empty(times.shape)
     Ns = np.zeros(times.shape, dtype=np.int64)
     for backward in (False, True):
-        sel = times < 0.0 if backward else times >= 0.0
+        # nan goes forward, where _crossings rejects it
+        sel = times < 0.0 if backward else ~(times < 0.0)
         if not np.any(sel):
             continue
         t_sel = times[sel]
@@ -425,10 +327,13 @@ def _crossings(roof, alpha, p: FlowPoint, times, backward=False):
     the roofs crossed in order (fibers 0..n_max, backward 1..n_max+1); S,
     their long-double partial sums rounded to float, S[0] = 0; and n, the
     fiber holding each time.  Fiber k holds s + t in [S[k], S[k+1]), or
-    backward in [-S[k], -S[k-1]).
+    backward in [-S[k], -S[k-1]).  A non-finite time raises ValueError.
     """
     p.validate(roof)
-    targets = p.s + np.asarray(times, dtype=np.float64)
+    times = np.asarray(times, dtype=np.float64)
+    if not np.isfinite(times).all():
+        raise ValueError(f"t must be finite, got {times[~np.isfinite(times)][0]}")
+    targets = p.s + times
     if backward:
         targets = np.maximum(-targets, 0.0)
     vals = _covering_values(roof, alpha, p.x, float(np.max(targets)), backward)
@@ -456,9 +361,3 @@ def _covering_values(roof, alpha, x, span, backward=False) -> np.ndarray:
         vals = np.concatenate((vals, more))
     return vals
 
-
-def orbit_trace(roof, alpha: RotationNumber, p: FlowPoint, times) -> list[tuple]:
-    """Rows (t, x, s, N) for each requested time, for CSV export."""
-    xs, ss, Ns = evaluate_times(roof, alpha, p, times)
-    return [(float(t), float(x), float(s), int(N))
-            for t, x, s, N in zip(times, xs, ss, Ns)]

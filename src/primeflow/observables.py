@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ExperimentReport
-from .flow import FlowPoint, _sign, evaluate_times, time_integral
+from .flow import FlowPoint, evaluate_times, time_integral
 from .primes import build_table
 from .reparam import ReparamFlow, TorusPoint
 from .rotation import ConstructionError
@@ -36,7 +36,6 @@ __all__ = [
     "KocherginFlow",
     "make_tower_observable",
     "space_average",
-    "prime_orbit_sum",
     "coboundary_prime_discrepancy",
     "box_discrepancy",
     "pnt_report",
@@ -365,6 +364,12 @@ def space_average(psi: TowerObservable, roof=None, normalized=True,
 # prime-orbit sums
 
 
+def _sign(direction) -> float:
+    if direction not in ("+", "-"):
+        raise ValueError(f"direction must be '+' or '-', got {direction!r}")
+    return 1.0 if direction == "+" else -1.0
+
+
 def _prime_points(flow, start, table, N, z, m):
     """Flow positions at the times z(p - m), p <= N, and the weights log p."""
     ps = table.primes_between(1, N)
@@ -375,18 +380,6 @@ def _prime_points(flow, start, table, N, z, m):
         raise SingularOrbitError(
             f"orbit lands on the singular point at prime {int(ps[err.index])}",
             err.index) from None
-
-
-def prime_orbit_sum(psi, flow, start, N, z="+", m=0, table=None) -> float:
-    """sum_{p <= N} psi(T_{z(p - m)} start) log p in one orbit pass."""
-    if m < 0:
-        raise ValueError("shift m must be >= 0")
-    if N < 2:
-        return 0.0
-    if table is None:
-        table = build_table(int(N))
-    pts, weights = _prime_points(flow, start, table, N, z, m)
-    return float(np.dot(weights, np.asarray(psi(*pts), dtype=np.float64)))
 
 
 def _integer_orbit_values(flow, g, x, M: int):
@@ -465,12 +458,12 @@ def pnt_report(psi, flow, start, n_grid=(10 ** 4, 10 ** 5, 10 ** 6),
     integral), D2 (time integral vs space average), D3 (prime sum vs space
     average), all divided by N, plus the box-counting discrepancy of the
     weighted "+" prime orbit against the invariant measure.  When log_power
-    A is given, D3 log^A N is recorded as well.  Verdicts assert the
-    monotone trends along the grid.  Each direction, and "+" always for the
-    boxes, makes one pass at the largest N (one positions and one
-    time_integral call) whose prefixes answer every N; with workers > 1
-    the two direction passes run on a thread pool.  The report is named
-    "pnt_report"; the registered experiments rename theirs.
+    A is given, D3 log^A N is recorded as well.  On a grid of two points
+    or more, verdicts assert the monotone trends along it.  Each direction,
+    and "+" always for the boxes, makes one pass at the largest N (one
+    positions and one time_integral call) whose prefixes answer every N;
+    with workers > 1 the two direction passes run on a thread pool.  The
+    report is named "pnt_report"; the registered experiments rename theirs.
     """
     t0 = _time.monotonic()
     n_grid = tuple(sorted(int(n) for n in n_grid))
@@ -525,12 +518,13 @@ def pnt_report(psi, flow, start, n_grid=(10 ** 4, 10 ** 5, 10 ** 6),
         report.add("box_discrepancy", box, N, "+")
     def decreasing(seq):
         return all(b < a for a, b in zip(seq, seq[1:]))
-    d1_max = [max(cells[z][i][0] for z in directions) for i in range(len(n_grid))]
-    report.verdicts["D1_trend"] = "pass" if decreasing(d1_max) else "fail"
-    for z in directions:
-        report.verdicts[f"D2_trend_{z}"] = (
-            "pass" if decreasing([c[1] for c in cells[z]]) else "fail")
     if len(n_grid) >= 2:
+        d1_max = [max(cells[z][i][0] for z in directions)
+                  for i in range(len(n_grid))]
+        report.verdicts["D1_trend"] = "pass" if decreasing(d1_max) else "fail"
+        for z in directions:
+            report.verdicts[f"D2_trend_{z}"] = (
+                "pass" if decreasing([c[1] for c in cells[z]]) else "fail")
         report.verdicts["box_halving"] = (
             "pass" if box_out[-1] <= 0.5 * box_out[0] else "fail")
     report.wall_clock = _time.monotonic() - t0

@@ -157,7 +157,9 @@ def build_table(limit: int, **kw) -> PrimeTable:
 
 
 def theta_interval(table: PrimeTable, N: int, H: int) -> float:
-    """Sum of log p over primes in (N, N+H]."""
+    """Sum of log p over primes in (N, N+H], for H >= 0."""
+    if H < 0:
+        raise ValueError(f"H must be >= 0, got {H}")
     ps = table.primes_between(N, N + H)
     return float(np.sum(np.log(ps.astype(np.longdouble)))) if len(ps) else 0.0
 
@@ -398,10 +400,6 @@ class CircleInterval:
     @classmethod
     def full_circle(cls) -> "CircleInterval":
         return cls(0.0, 1.0)
-
-    @classmethod
-    def empty_arc(cls) -> "CircleInterval":
-        return cls(0.0, 0.0)
 
 
 def box_indicator_sum(table: PrimeTable, coeffs: PhaseCoefficients,

@@ -14,7 +14,6 @@ at t ~ q_n), and the Katok weak-mixing ratio diagnostics.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -30,7 +29,6 @@ __all__ = [
     "KatokRatios",
     "RigidityReport",
     "make_timechange",
-    "coboundary_observable",
     "katok_ratios",
     "roof_sum_deviation",
     "rigidity_distance",
@@ -66,10 +64,6 @@ class TorusPoint:
     def __post_init__(self):
         object.__setattr__(self, "x1", _unit(self.x1))
         object.__setattr__(self, "x2", _unit(self.x2))
-
-
-def torus_distance(p: TorusPoint, q: TorusPoint) -> float:
-    return circle_distance(p.x1 - q.x1) + circle_distance(p.x2 - q.x2)
 
 
 class ReparamFlow:
@@ -173,17 +167,11 @@ class ReparamFlow:
             out[sl] = fn(ts[sl], b)
         return out.reshape(shape)
 
-    def cocycle_integral(self, t, x: TorusPoint) -> float:
-        return float(self.cocycle_many(t, x.x1, x.x2))
-
     def cocycle_many(self, t, x1, x2):
         """V(t, x) = t + Re sum a e(q x1 + m x2) (e(w t) - 1) / (2 pi i w)."""
         return self._blocks(self._cocycle, t, x1, x2)
 
     # -- inverse ------------------------------------------------------------
-
-    def time_inverse(self, t, x: TorusPoint) -> float:
-        return float(self.time_inverse_many(t, x.x1, x.x2))
 
     def time_inverse_many(self, t, x1, x2, tol: float = 1e-12):
         """Solve V(u, x) = t for every broadcast point of (t, x1, x2).
@@ -292,22 +280,6 @@ class ReparamFlow:
             ref = ref + np.real(c * np.outer(seg(q, grid), seg(m, grid)))
         return ref + 1.0 / boxes ** 2, 0.0, 1.0
 
-    # -- manifest -----------------------------------------------------------
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "alpha": json.loads(self.alpha.to_json()),
-            "coefficients": [[q, m, c.real, c.imag] for q, m, c in self.v.terms],
-        })
-
-    @classmethod
-    def from_json(cls, text: str) -> "ReparamFlow":
-        data = json.loads(text)
-        alpha = RotationNumber(data["alpha"]["quotients"],
-                               data["alpha"].get("flags", ()))
-        terms = [(q, m, complex(re, im)) for q, m, re, im in data["coefficients"]]
-        return cls(alpha, TimeChange(terms, alpha, check_band=False))
-
 
 def make_timechange(alpha: RotationNumber, exponent: float = 0.6,
                     m_mode: int = 1) -> TimeChange:
@@ -364,18 +336,6 @@ class CoboundaryPair:
     def h(self, x1, x2):
         _, hsum = self._orbit_sums(x1, x2)
         return -hsum / self.N
-
-    def certificate(self, grid: int = 256) -> float:
-        """sup over a grid of |psi + g| = |(1/N) sum g o T^n|; unique
-        ergodicity drives this to 0 as N grows."""
-        xs = (np.arange(grid) + 0.5) / grid
-        X1, X2 = np.meshgrid(xs, xs)
-        psum, _ = self._orbit_sums(X1.ravel(), X2.ravel())
-        return float(np.max(np.abs(psum / self.N)))
-
-
-def coboundary_observable(flow: ReparamFlow, g, N: int) -> CoboundaryPair:
-    return CoboundaryPair(flow, g, N)
 
 
 @dataclass(frozen=True)

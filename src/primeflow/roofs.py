@@ -10,7 +10,6 @@ derivative sum with its small-derivative neighborhood.
 
 from __future__ import annotations
 
-import json
 import math
 import operator
 from dataclasses import dataclass
@@ -33,13 +32,10 @@ __all__ = [
     "QuadraticExpansion",
     "birkhoff_sum",
     "birkhoff_sum_many",
-    "roof_integral",
     "roof_from_timechange",
     "quadratic_expansion_check",
     "derivative_zero_locator",
     "small_derivative_set",
-    "roof_to_json",
-    "roof_from_json",
 ]
 
 
@@ -61,8 +57,6 @@ class PowerRoof:
     gamma in (-1, 0) so the singularity at 0 is integrable.  The default
     kappa normalizes the integral 2*kappa/(gamma+1) + c0 to 1.
     """
-
-    kind = "power"
 
     def __init__(self, gamma: float = -0.5, c0: float = 0.2, kappa: float | None = None):
         if not -1.0 < gamma < 0.0:
@@ -97,14 +91,6 @@ class PowerRoof:
     def integral(self) -> float:
         return 2.0 * self.kappa / (self.gamma + 1.0) + self.c0
 
-    def singularity_coefficients(self):
-        """Leading coefficients of d^i f near 0+ (A) and 1- (B):
-        d^i f(x) ~ A_i x^(gamma-i), d^i f(1-u) ~ B_i u^(gamma-i)."""
-        g, k = self.gamma, self.kappa
-        A = (k, k * g, k * g * (g - 1.0))
-        B = (k, -k * g, k * g * (g - 1.0))
-        return A, B
-
 
 class FourierRoof:
     """f(x) = 1 + Re(sum_j b_j e(q_j x)) for a finite frequency list.
@@ -113,8 +99,6 @@ class FourierRoof:
     denominators q_n and each coefficient modulus must sit in the band
     [q_{n+1}^(-2/3), q_{n+1}^(-1/2)].
     """
-
-    kind = "fourier"
 
     def __init__(self, pairs, alpha: RotationNumber | None = None,
                  check_band: bool = True):
@@ -173,8 +157,6 @@ class FourierRoof:
 class TimeChange:
     """v(x, y) = 1 + Re(sum a_{q,m} e(q x + m y)) on the torus."""
 
-    kind = "timechange"
-
     def __init__(self, terms, alpha: RotationNumber | None = None,
                  check_band: bool = True):
         self.terms = tuple((int(q), int(m), complex(a)) for q, m, a in terms)
@@ -207,8 +189,6 @@ class TimeChange:
 class MaskedRoof:
     """chi * f for an indicator chi of the complement of an arc (the masked
     roofs of the long-sum estimates keep the roof away from its singularity)."""
-
-    kind = "masked"
 
     def __init__(self, roof, excluded: CircleInterval):
         self.roof = roof
@@ -383,10 +363,6 @@ def birkhoff_sum_many(g, n: int, xs: np.ndarray, alpha: RotationNumber,
     return out
 
 
-def roof_integral(roof) -> float:
-    return roof.integral()
-
-
 def roof_from_timechange(v: TimeChange, samples: int = 100,
                          nodes: int = 64) -> FourierRoof:
     """Fiber average f(x) = int_0^1 v(x, s) ds: only m = 0 modes survive.
@@ -513,31 +489,3 @@ def small_derivative_set(roof: PowerRoof, n: int, alpha: RotationNumber,
             raise ContainmentError(f"small-derivative point {w} outside the union")
     return arcs
 
-
-def roof_to_json(roof) -> str:
-    if isinstance(roof, PowerRoof):
-        data = {"kind": "power", "gamma": roof.gamma, "kappa": roof.kappa,
-                "c0": roof.c0}
-    elif isinstance(roof, FourierRoof):
-        data = {"kind": "fourier",
-                "pairs": [[q, b.real, b.imag] for q, b in roof.pairs]}
-    elif isinstance(roof, TimeChange):
-        data = {"kind": "timechange",
-                "terms": [[q, m, a.real, a.imag] for q, m, a in roof.terms]}
-    else:
-        raise TypeError(f"cannot serialize {type(roof).__name__}")
-    return json.dumps(data)
-
-
-def roof_from_json(text: str, alpha: RotationNumber | None = None):
-    data = json.loads(text)
-    kind = data["kind"]
-    if kind == "power":
-        return PowerRoof(data["gamma"], data["c0"], data["kappa"])
-    if kind == "fourier":
-        pairs = [(q, complex(re, im)) for q, re, im in data["pairs"]]
-        return FourierRoof(pairs, alpha, check_band=False)
-    if kind == "timechange":
-        terms = [(q, m, complex(re, im)) for q, m, re, im in data["terms"]]
-        return TimeChange(terms, alpha, check_band=False)
-    raise ValueError(f"unknown roof kind {kind!r}")

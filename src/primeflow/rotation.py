@@ -18,12 +18,8 @@ import numpy as np
 
 __all__ = [
     "RotationNumber",
-    "OstrowskiExpansion",
     "ConstructionError",
     "from_partial_quotients",
-    "ostrowski_expand",
-    "orbit_min_distance",
-    "multiple_mod_one",
     "construct_alpha",
     "circle_distance",
 ]
@@ -100,19 +96,20 @@ class RotationNumber:
     def numerators(self):
         return tuple(self._p[1:])
 
+    def _level(self, n: int) -> int:
+        if not 0 <= n <= self.depth:
+            raise ValueError(f"index n = {n} outside [0, depth = {self.depth}]")
+        return n
+
     def q(self, n: int) -> int:
-        return self._q[n]
+        return self._q[self._level(n)]
 
     def p(self, n: int) -> int:
-        return self._p[n]
+        return self._p[self._level(n)]
 
     def residual(self, n: int) -> Fraction:
         """beta_n = q_n * alpha - p_n, exact."""
-        return self._residuals[n]
-
-    def qalpha_distance(self, n: int) -> Fraction:
-        """|q_n alpha| as an exact rational (equals |beta_n| for n >= 1)."""
-        return abs(self._residuals[n])
+        return self._residuals[self._level(n)]
 
     @property
     def value(self) -> Fraction:
@@ -190,44 +187,8 @@ class RotationNumber:
         return f"RotationNumber(quotients={self.quotients}, flags={self.flags})"
 
 
-class OstrowskiExpansion:
-    """Greedy expansion M = sum_s b_s q_s in the denominator base (s >= 0)."""
-
-    def __init__(self, coefficients, alpha: RotationNumber, value: int):
-        self.coefficients = dict(coefficients)  # index s -> b_s
-        self.alpha = alpha
-        self.value = value
-
-    def recombine(self) -> int:
-        return sum(b * self.alpha.q(s) for s, b in self.coefficients.items())
-
-    def __repr__(self):
-        return f"OstrowskiExpansion({self.coefficients!r}, M={self.value})"
-
-
 def from_partial_quotients(quotients, flags=()) -> RotationNumber:
     return RotationNumber(quotients, flags)
-
-
-def ostrowski_expand(M: int, alpha: RotationNumber) -> OstrowskiExpansion:
-    """Greedy representation of M in the base q_0 = 1, q_1, ..., q_depth."""
-    if M < 0:
-        raise ValueError("M must be >= 0")
-    limit = alpha.q(alpha.depth) + (alpha.q(alpha.depth - 1) if alpha.depth >= 1 else 0)
-    if M >= limit:
-        raise ValueError(
-            f"M = {M} not below q_{alpha.depth} + q_{alpha.depth - 1} = {limit}; "
-            "extend quotients"
-        )
-    coeffs = {}
-    rem = M
-    for s in range(alpha.depth, -1, -1):
-        qs = alpha.q(s)
-        if qs <= rem:
-            b, rem = divmod(rem, qs)
-            coeffs[s] = b
-    assert rem == 0
-    return OstrowskiExpansion(coeffs, alpha, M)
 
 
 def _orbit_loop(P: int, Q: int, lo: int, hi: int, backward: bool = False) -> np.ndarray:
@@ -275,14 +236,6 @@ def _orbit_fill(P: int, Q: int, lo: int, out: np.ndarray, backward: bool) -> np.
         d[tie] = [int(r[k]) / Q for k in tie]
         out[a : a + n] = d
     return out
-
-
-def orbit_min_distance(x: float, n: int, alpha: RotationNumber) -> float:
-    return alpha.orbit_min_distance(x, n)
-
-
-def multiple_mod_one(i: int, alpha: RotationNumber) -> float:
-    return alpha.multiple_mod_one(i)
 
 
 def _scaled_d(growth, depth: int, seed: int) -> RotationNumber:

@@ -21,15 +21,11 @@ from primeflow.flow import (
     evaluate,
     evaluate_naive,
     evaluate_times,
-    neighborhood_visit_times,
-    orbit_trace,
     roof_infimum,
-    section_avoidance,
     time_integral,
     tower_metric,
-    window_decomposition,
 )
-from primeflow.roofs import FourierRoof, PowerRoof, SingularityError
+from primeflow.roofs import FourierRoof, PowerRoof
 from primeflow.rotation import construct_alpha, from_partial_quotients
 
 GOLDEN = from_partial_quotients([1] * 12)
@@ -190,60 +186,30 @@ def test_roof_infimum():
     assert abs(roof_infimum(FourierRoof([(2, 0.3)])) - 0.7) < 1e-12
 
 
-def test_section_avoidance_trivia():
-    p = FlowPoint(0.5, 0.1)
-    assert section_avoidance(POWER, GOLDEN, p, 3.0, "+", 0.0)
-    assert not section_avoidance(UNIT, GOLDEN, FlowPoint(0.0, 0.1), 1.0, "+", 0.01)
-    assert section_avoidance(POWER, GOLDEN, p, 1.0, "+", 0.01)
-
-
-def test_section_avoidance_matches_enumeration():
-    p = FlowPoint(0.37, 0.05)
-    t, rho = 25.0, 0.03
-    for z in ("+", "-"):
-        step = evaluate(POWER, GOLDEN, p, t if z == "+" else -t)
-        n = abs(step.hits)
-        sign = 1 if z == "+" else -1
-        pts = [(p.x + sign * i * GOLDEN.float_value) % 1.0 for i in range(n + 1)]
-        expected = all(min(y, 1.0 - y) >= rho for y in pts)
-        assert section_avoidance(POWER, GOLDEN, p, t, z, rho) == expected
-
-
-def test_visit_times_single_interval_per_pass():
-    p = FlowPoint(0.5, 0.1)
-    intervals = neighborhood_visit_times(POWER, GOLDEN, p, 20.0, 0.02)
-    for a, b in intervals:
-        assert -20.0 <= a < b <= 20.0
-    # each interval must sit wholly inside one half-axis
-    for a, b in intervals:
-        assert b <= 0.0 or a >= 0.0
-
-
 def test_visit_times_consistent_with_flow():
-    # midpoint of each reported interval really is inside the neighborhood
+    # with height cutoff 0, A_0 is the set of visit times to the rho-ball
+    # around 0: the midpoint of each interval really is inside the ball
     p = FlowPoint(0.41, 0.02)
     rho = 0.015
-    intervals = neighborhood_visit_times(POWER, GOLDEN, p, 30.0, rho)
-    assert intervals
-    for a, b in intervals:
+    rep = ab_decomposition(POWER, GOLDEN, p, 30.0, 3, 0.9, height_cutoff=0.0,
+                           a0_radius=rho)
+    assert rep.A0
+    for a, b in rep.A0:
         mid = evaluate(POWER, GOLDEN, p, 0.5 * (a + b)).endpoint
-        assert min(mid.x, 1.0 - mid.x) < rho
+        assert min(mid.x, 1.0 - mid.x) <= rho
 
 
 def test_lemma_visit_interval_structure_scaled():
-    # visits to the quarter-1/q_{n+1} neighborhood form one interval within
-    # a c*q_{n+1} horizon, on one side of 0
+    # visits to the quarter-1/q_{n+1} neighborhood (A_0 at height cutoff 0)
+    # form one interval within a c*q_{n+1} horizon
     n = 3
-    rho = 0.25 / SCALED.q(n + 1)
     horizon = 0.05 * SCALED.q(n + 1)
     rng = np.random.default_rng(12)
     for x in rng.random(20):
         s = 0.5 * POWER(float(x))
-        intervals = neighborhood_visit_times(POWER, SCALED, FlowPoint(float(x), s),
-                                             horizon, rho)
-        assert len(intervals) <= 1
-        for a, b in intervals:
-            assert b <= 0.0 or a >= 0.0
+        rep = ab_decomposition(POWER, SCALED, FlowPoint(float(x), s), horizon,
+                               n, 0.9, height_cutoff=0.0)
+        assert len(rep.A0) <= 1
 
 
 def test_ab_decomposition_claims():
@@ -290,18 +256,7 @@ def test_ab_decomposition_rejects_roof_without_singularity():
                          10.0, 3, 0.9)
 
 
-def test_visit_times_reject_negative_t_max():
-    with pytest.raises(ValueError, match=re.escape("t_max must be >= 0, got -1.0")):
-        neighborhood_visit_times(POWER, GOLDEN, FlowPoint(0.3, 0.1), -1.0, 0.02)
-
-
-@pytest.mark.parametrize("radius", [0.01, 0.0])
-def test_section_avoidance_bad_direction(radius):
-    with pytest.raises(ValueError, match="direction must be '\\+' or '-', got 'x'"):
-        section_avoidance(POWER, GOLDEN, FlowPoint(0.3, 0.1), 5.0, "x", radius)
-
-
-# Reference: the per-fiber loops the visit sets were first written with.
+# Reference: the per-fiber loop the visit sets were first written with.
 
 
 def _merge_intervals_loop(pieces, tol=1e-9):
@@ -314,22 +269,6 @@ def _merge_intervals_loop(pieces, tol=1e-9):
         else:
             merged.append([a, b])
     return [(a, b) for a, b in merged]
-
-
-def _visit_times_loop(roof, alpha, p, t_max, radius):
-    out = []
-    for backward in (False, True):
-        xs, _, S, _ = _crossings(roof, alpha, p, [-t_max if backward else t_max],
-                                 backward)
-        tau = -S - p.s if backward else S - p.s
-        for i in np.flatnonzero(np.minimum(xs, 1.0 - xs) < radius):
-            if backward:
-                a, b = max(tau[i], -t_max), (tau[i - 1] if i else 0.0)
-            else:
-                a, b = max(tau[i], 0.0), min(tau[i + 1], t_max)
-            if b > a:
-                out.append((float(a), float(b)))
-    return _merge_intervals_loop(sorted(out))
 
 
 def _ab_decomposition_loop(roof, alpha, p, horizon, n, delta,
@@ -431,71 +370,6 @@ def test_ab_decomposition_matches_fiber_loop(name, n, x, frac, horizon, delta,
         assert _bits(getattr(got, field)) == _bits(getattr(ref, field))
 
 
-# a start inside the radius, at height 0, and horizons inside the first fiber
-@example(name="golden", x=0.01, frac=0.5, t_max=30.0, radius=0.02)
-@example(name="scaled", x=0.37, frac=0.0, t_max=25.0, radius=0.05)
-@example(name="golden", x=0.5, frac=0.2, t_max=0.01, radius=0.3)
-@example(name="golden", x=0.01, frac=0.0, t_max=0.0, radius=0.3)
-# x = alpha: the first backward crossing lands on the singularity x = 0
-@example(name="golden", x=float(GOLDEN.value), frac=0.0, t_max=0.0, radius=0.25)
-@settings(max_examples=80, deadline=None)
-@given(name=st.sampled_from(sorted(VISIT_ALPHAS)), x=st.floats(1e-6, 1.0 - 1e-6),
-       frac=st.floats(0.0, 0.99), t_max=st.floats(0.0, 500.0),
-       radius=st.floats(1e-4, 0.3))
-def test_visit_times_match_fiber_loop(name, x, frac, t_max, radius):
-    alpha = VISIT_ALPHAS[name]
-    p = FlowPoint(x, frac * POWER(x))
-    try:
-        ref = _visit_times_loop(POWER, alpha, p, t_max, radius)
-    except SingularityError:
-        # an orbit through the singularity: both must refuse it alike
-        with pytest.raises(SingularityError):
-            neighborhood_visit_times(POWER, alpha, p, t_max, radius)
-        return
-    got = neighborhood_visit_times(POWER, alpha, p, t_max, radius)
-    assert got == ref
-    assert _bits(got) == _bits(ref)
-
-
-def _clear_window_base(roof, L, n, count):
-    for x in np.linspace(0.31, 0.9, 300):
-        try:
-            return float(x), window_decomposition(roof, SCALED, float(x), L, n,
-                                                  count, 0.9)
-        except ValueError:
-            continue
-    raise AssertionError("no window base point outside I_a found")
-
-
-def test_window_decomposition_unit_roof():
-    _, wd = _clear_window_base(UNIT, 1, 3, 5)
-    qn = SCALED.q(3)
-    for w in wd:
-        assert abs(w.length - qn) < 1e-9
-
-
-def test_window_decomposition_contiguous_and_bounded():
-    n, L, count = 3, 4, 12
-    _, wd = _clear_window_base(POWER, L, n, count)
-    assert len(wd) == count
-    qn = SCALED.q(n)
-    lo = POWER.c0 * L * qn
-    for w, nxt in zip(wd, wd[1:]):
-        assert abs(w.end - nxt.start) < 1e-9
-    for w in wd:
-        assert w.length >= lo - 1e-9
-        # Eq-style upper bound with fitted slack
-        assert w.length <= 2.0 * (L * qn + L * qn ** (-POWER.gamma * 1.9))
-
-
-def test_window_decomposition_bad_base():
-    # a base point inside I_a must be rejected, naming the window
-    n = 2
-    bad_x = 1e-9
-    with pytest.raises(ValueError, match="u = 0"):
-        window_decomposition(POWER, SCALED, bad_x, 2, n, 3, 0.9)
-
-
 def test_time_integral_constant():
     psi = lambda X, S: np.full(np.broadcast(X, S).shape, 2.0)
     got = time_integral(POWER, GOLDEN, psi, FlowPoint(0.3, 0.1), 37.0)
@@ -518,14 +392,6 @@ def test_time_integral_matches_riemann():
             for q in (evaluate(POWER, GOLDEN, p, float(t)) for t in ts[::60])]
     riemann = float(np.mean(vals)) * T
     assert abs(got - riemann) < 0.05 * (1.0 + abs(got))
-
-
-def test_orbit_trace_rows():
-    rows = orbit_trace(POWER, GOLDEN, FlowPoint(0.3, 0.1), [0.0, 1.0, 2.5])
-    assert len(rows) == 3
-    assert rows[0][1] == 0.3 and rows[0][3] == 0
-    for t, x, s, N in rows:
-        assert 0.0 <= x < 1.0 and 0.0 <= s < POWER(x)
 
 
 def test_time_integral_array_matches_scalar_calls():

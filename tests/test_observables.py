@@ -18,7 +18,6 @@ from primeflow.observables import (
     coboundary_prime_discrepancy,
     make_tower_observable,
     pnt_report,
-    prime_orbit_sum,
     space_average,
 )
 from primeflow.primes import build_table
@@ -127,50 +126,28 @@ def test_evaluate_times_matches_evaluate():
 
 
 def test_prime_sum_of_one_is_theta(table):
+    # psi = 1: the prime sum is theta(N) and the time integral N, so D1 =
+    # |theta(N) - N| / N
     kf = KocherginFlow(POWER, GOLDEN)
-    one = lambda y, s: np.ones_like(np.asarray(y, dtype=float))
-    got = prime_orbit_sum(one, kf, FlowPoint(0.37, 0.05), 10 ** 5, table=table)
-    assert abs(got - table.theta(10 ** 5)) < 1e-8
-
-
-def test_prime_sum_small_n(psi, table):
-    kf = KocherginFlow(POWER, GOLDEN)
-    assert prime_orbit_sum(psi, kf, FlowPoint(0.3, 0.1), 1, table=table) == 0.0
-    with pytest.raises(ValueError):
-        prime_orbit_sum(psi, kf, FlowPoint(0.3, 0.1), 100, m=-1, table=table)
-
-
-def test_prime_sum_linearity(psi, table):
-    kf = KocherginFlow(POWER, GOLDEN)
-    p = FlowPoint(0.41, 0.02)
-    other = make_tower_observable(POWER, psi_inf=-0.1, sigma=2.0,
-                                  u_terms=((2, 0.5, 0.3),))
-    combo = lambda y, s: 2.0 * psi(y, s) - 3.0 * other(y, s)
-    a = prime_orbit_sum(psi, kf, p, 10 ** 4, table=table)
-    b = prime_orbit_sum(other, kf, p, 10 ** 4, table=table)
-    c = prime_orbit_sum(combo, kf, p, 10 ** 4, table=table)
-    assert abs(c - (2.0 * a - 3.0 * b)) < 1e-8 * (1.0 + abs(c))
-
-
-def test_prime_sum_sup_bound(psi, table):
-    kf = KocherginFlow(POWER, GOLDEN)
-    sup = 0.3 + psi.u_sup
-    got = prime_orbit_sum(psi, kf, FlowPoint(0.55, 0.01), 10 ** 5, table=table)
-    assert abs(got) <= sup * table.theta(10 ** 5)
+    one = make_tower_observable(POWER, psi_inf=1.0, u_terms=())
+    N = 10 ** 5
+    rep = pnt_report(one, kf, FlowPoint(0.37, 0.05), (N,), directions=("+",),
+                     table=table)
+    assert abs(rep.metric("D1", N, "+") * N - abs(table.theta(N) - N)) < 1e-7
 
 
 def test_prime_sum_shift_relabels(table):
+    # a constant observable cannot see the shift m at all
     kf = KocherginFlow(POWER, GOLDEN)
-    c = 0.4
-    const = lambda y, s: np.full(np.asarray(y, dtype=float).shape, c)
+    const = make_tower_observable(POWER, psi_inf=0.4, u_terms=())
     p = FlowPoint(0.3, 0.1)
-    a = prime_orbit_sum(const, kf, p, 10 ** 4, m=0, table=table)
-    b = prime_orbit_sum(const, kf, p, 10 ** 4, m=1, table=table)
-    # a constant observable cannot see the shift at all
-    assert abs(a - b) < 1e-9
+    a, b = (pnt_report(const, kf, p, (10 ** 4,), m=m, table=table)
+            for m in (0, 1))
+    for z in ("+", "-"):
+        assert abs(a.metric("D3", 10 ** 4, z) - b.metric("D3", 10 ** 4, z)) < 1e-12
 
 
-def test_prime_sum_singular_hit():
+def test_prime_sum_singular_hit(table):
     class BadRoof:
         gamma = -0.5
 
@@ -180,9 +157,9 @@ def test_prime_sum_singular_hit():
     alpha = GOLDEN
     start = FlowPoint((-2 * alpha.float_value) % 1.0, 0.1)
     kf = KocherginFlow(BadRoof(), alpha)
-    one = lambda y, s: np.ones_like(np.asarray(y, dtype=float))
+    one = make_tower_observable(BadRoof(), psi_inf=1.0, u_terms=())
     with pytest.raises(SingularOrbitError, match="prime 2"):
-        prime_orbit_sum(one, kf, start, 100)
+        pnt_report(one, kf, start, (100,), table=table)
 
 
 def test_positions_name_the_singular_time():
@@ -249,14 +226,14 @@ def test_reparam_time_integral_closed_form():
 
 def test_coboundary_discrepancy_matches_direct(table):
     fl = ReparamFlow(SCALED, make_timechange(SCALED))
-    from primeflow.reparam import coboundary_observable
+    from primeflow.reparam import CoboundaryPair
 
     g = lambda x1, x2: np.cos(2 * np.pi * np.asarray(x1))
     depth = 50
     x = TorusPoint(0.31, 0.64)
     N = 10 ** 4
     fast = coboundary_prime_discrepancy(fl, g, depth, x, N, table)
-    pair = coboundary_observable(fl, g, depth)
+    pair = CoboundaryPair(fl, g, depth)
     ps = table.primes_between(1, N)
     u = fl.time_inverse_many(ps.astype(float), x.x1, x.x2)
     a = SCALED.float_value
@@ -389,8 +366,6 @@ def test_unknown_direction_is_named(psi, table):
     with pytest.raises(ValueError, match="'x'"):
         pnt_report(psi, kf, start, (10 ** 3,), directions=("+", "x"),
                    table=table)
-    with pytest.raises(ValueError, match="'x'"):
-        prime_orbit_sum(psi, kf, start, 10 ** 3, z="x", table=table)
 
 
 def test_reparam_time_integral_array_matches_scalar_calls():
@@ -448,3 +423,32 @@ def test_coboundary_discrepancy_rejects_bad_input(depth, N, name, table):
     with pytest.raises(ValueError, match=f"^{name} must be >= 1"):
         coboundary_prime_discrepancy(fl, g, depth, TorusPoint(0.31, 0.64), N,
                                      table)
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("kind", ["kochergin", "reparam"])
+def test_non_finite_times_rejected(kind, t):
+    if kind == "kochergin":
+        flow, start = KocherginFlow(POWER, GOLDEN), FlowPoint(0.7, 0.3)
+        psi = make_tower_observable(POWER, 0.3)
+    else:
+        flow = ReparamFlow(SCALED, make_timechange(SCALED))
+        start = TorusPoint(0.31, 0.64)
+        psi = TorusObservable(0.0, [(1, 0, 1.0), (0, 1, 0.5)])
+    msg = f"t must be finite, got {t}"
+    with pytest.raises(ValueError, match=msg):
+        flow.positions(start, np.array([1.0, t]))
+    with pytest.raises(ValueError, match=msg):
+        flow.time_integral(psi, start, t)
+    with pytest.raises(ValueError, match=msg):
+        flow.time_integral(psi, start, np.array([2.0, t]))
+
+
+@pytest.mark.parametrize("name", ["pnt_kochergin", "pnt_reparam"])
+def test_one_point_grid_records_no_trend(name):
+    # a sieve limit of 1e4 leaves one point of the default grid; a trend of
+    # one point is vacuous, so no verdict is recorded
+    rep = run_experiment(ExperimentConfig(name, sieve_limit=10 ** 4))
+    assert rep.params["n_grid"] == [10 ** 4]
+    assert rep.verdicts == {}
+    assert {m.name for m in rep.metrics if m.N == 10 ** 4} >= {"D1", "D2", "D3"}

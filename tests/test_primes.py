@@ -61,6 +61,12 @@ def test_theta_interval_frozen(table):
     assert theta_interval(table, 24, 4) == 0.0
 
 
+def test_theta_interval_rejects_negative_length(table):
+    assert theta_interval(table, 10, 0) == 0.0
+    with pytest.raises(ValueError, match="H must be >= 0, got -1"):
+        theta_interval(table, 10, -1)
+
+
 def test_theta_interval_additive(table):
     a = theta_interval(table, 1000, 500)
     b = theta_interval(table, 1500, 500)
@@ -229,7 +235,6 @@ def test_circle_interval_wraparound():
     assert arc.contains(0.05)
     assert not arc.contains(0.5)
     assert CircleInterval.full_circle().contains(0.123)
-    assert not CircleInterval.empty_arc().contains(0.123)
 
 
 def test_box_sum_full_box_is_theta(table):

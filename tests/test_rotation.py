@@ -17,9 +17,6 @@ from primeflow.rotation import (
     _orbit_loop,
     construct_alpha,
     from_partial_quotients,
-    multiple_mod_one,
-    orbit_min_distance,
-    ostrowski_expand,
 )
 
 
@@ -37,7 +34,7 @@ def test_pell_denominators():
     alpha = from_partial_quotients([2, 2, 2, 2])
     assert alpha.denominators == (2, 5, 12, 29)
     for n in range(1, 4):
-        assert alpha.qalpha_distance(n) <= Fraction(1, alpha.q(n + 1))
+        assert abs(alpha.residual(n)) <= Fraction(1, alpha.q(n + 1))
 
 
 def test_single_quotient():
@@ -58,8 +55,17 @@ def test_rejects_bad_quotients():
 def test_bracketing_invariant():
     for alpha in (GOLDEN, PELL, from_partial_quotients([1, 3, 2, 7, 1, 1, 5])):
         for n in range(1, alpha.depth):
-            d = alpha.qalpha_distance(n)
+            d = abs(alpha.residual(n))
             assert Fraction(1, alpha.q(n + 1) + alpha.q(n)) < d <= Fraction(1, alpha.q(n + 1))
+
+
+@pytest.mark.parametrize("n", [-1, -2, 6])
+def test_index_outside_depth_rejected(n):
+    alpha = from_partial_quotients([1, 2, 3, 4, 5])
+    for accessor in (alpha.q, alpha.p, alpha.residual):
+        with pytest.raises(ValueError, match=f"n = {n} outside \\[0, depth = 5\\]"):
+            accessor(n)
+    assert (alpha.q(0), alpha.q(5)) == (1, alpha.denominators[-1])
 
 
 def test_residual_alternation():
@@ -72,46 +78,12 @@ def test_residual_alternation():
         assert b < a
 
 
-def test_ostrowski_zero():
-    exp = ostrowski_expand(0, GOLDEN)
-    assert exp.recombine() == 0
-    assert all(b == 0 for b in exp.coefficients.values())
-
-
-def test_ostrowski_golden_ten():
-    alpha = from_partial_quotients([1, 1, 1, 1, 1])
-    exp = ostrowski_expand(10, alpha)
-    used = {alpha.q(s): b for s, b in exp.coefficients.items() if b}
-    assert used == {8: 1, 2: 1}
-    assert exp.recombine() == 10
-
-
-def test_ostrowski_base_element():
-    for n in range(1, GOLDEN.depth + 1):
-        exp = ostrowski_expand(GOLDEN.q(n), GOLDEN)
-        assert exp.recombine() == GOLDEN.q(n)
-
-
-def test_ostrowski_roundtrip_identity():
-    rng = random.Random(7)
-    qk = PELL.q(PELL.depth)
-    for _ in range(200):
-        m = rng.randrange(qk)
-        assert ostrowski_expand(m, PELL).recombine() == m
-
-
-def test_ostrowski_range_error():
-    small = from_partial_quotients([1, 1, 1])
-    with pytest.raises(ValueError, match="extend quotients"):
-        ostrowski_expand(10 ** 6, small)
-
-
 def test_orbit_min_distance_examples():
-    assert orbit_min_distance(0.0, 5, GOLDEN) == 0.0
+    assert GOLDEN.orbit_min_distance(0.0, 5) == 0.0
     # min(|0.5|, |0.5 + alpha|) with alpha ~ 0.61803
-    d = orbit_min_distance(0.5, 1, GOLDEN)
+    d = GOLDEN.orbit_min_distance(0.5, 1)
     assert abs(d - 0.1180) < 1e-3
-    assert orbit_min_distance(0.25, 0, GOLDEN) == 0.25
+    assert GOLDEN.orbit_min_distance(0.25, 0) == 0.25
 
 
 def test_orbit_min_distance_matches_enumeration():
@@ -120,13 +92,13 @@ def test_orbit_min_distance_matches_enumeration():
         expected = min(
             min((x + i * a) % 1, 1 - (x + i * a) % 1) for i in range(25)
         )
-        assert abs(orbit_min_distance(x, 24, GOLDEN) - expected) < 1e-9
+        assert abs(GOLDEN.orbit_min_distance(x, 24) - expected) < 1e-9
 
 
 def test_multiple_mod_one():
-    assert multiple_mod_one(0, GOLDEN) == 0.0
-    assert abs(multiple_mod_one(1, GOLDEN) - GOLDEN.float_value) < 1e-15
-    v = multiple_mod_one(5, GOLDEN)
+    assert GOLDEN.multiple_mod_one(0) == 0.0
+    assert abs(GOLDEN.multiple_mod_one(1) - GOLDEN.float_value) < 1e-15
+    v = GOLDEN.multiple_mod_one(5)
     assert abs(v - 0.09017) < 1e-4
     assert min(v, 1 - v) <= 1 / 8
 
