@@ -140,7 +140,7 @@ class ExperimentReport:
                 return m.value
         raise KeyError(f"no metric {name!r} with N={N}, z={z}")
 
-    def to_json(self, timestamp=None) -> str:
+    def to_json(self) -> str:
         doc = {
             "schema_version": SCHEMA_VERSION,
             "experiment": self.experiment,
@@ -156,8 +156,6 @@ class ExperimentReport:
                 "numpy": np.__version__,
             },
         }
-        if timestamp is not None:
-            doc["timestamp"] = timestamp
         return json.dumps(doc, indent=2, sort_keys=False)
 
     def to_csv(self) -> str:
@@ -172,11 +170,10 @@ class ExperimentReport:
         return buf.getvalue()
 
 
-def emit_report(report: ExperimentReport, json_path=None, csv_path=None,
-                timestamp=None):
+def emit_report(report: ExperimentReport, json_path=None, csv_path=None):
     if json_path:
         with open(json_path, "w") as fh:
-            fh.write(report.to_json(timestamp=timestamp))
+            fh.write(report.to_json())
             fh.write("\n")
     if csv_path:
         with open(csv_path, "w") as fh:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .roofs import FourierRoof, MaskedRoof, PowerRoof
+from .roofs import PowerRoof
 from .rotation import RotationNumber, circle_distance
 
 __all__ = [
@@ -56,32 +56,15 @@ class FlowStep:
     consumed: float
 
 
-def roof_infimum(roof) -> float:
-    if isinstance(roof, PowerRoof):
-        return roof.c0
-    if isinstance(roof, FourierRoof):
-        lo = 1.0 - sum(abs(b) for _, b in roof.pairs)
-        if lo > 0.0:
-            return lo
-        return roof._grid_min()
-    if isinstance(roof, MaskedRoof):
-        raise ValueError("masked roofs cannot drive the flow (inf may be 0)")
-    xs = (np.arange(1 << 12) + 0.5) / (1 << 12)
-    lo = float(np.min(np.asarray(roof(xs), dtype=np.float64)))
-    if lo <= 0.0:
-        raise ValueError("roof must be bounded below by a positive constant")
-    return lo
-
-
 def _offsets(alpha: RotationNumber, n: int, backward: bool = False) -> np.ndarray:
     """Float images of {sign * i * alpha mod 1} for 0 <= i < n."""
     return alpha.orbit(0, n, backward)
 
 
-def _roof_values(roof, alpha, x, lo, hi, backward=False) -> np.ndarray:
-    offs = _offsets(alpha, hi, backward)[lo:hi]
-    pts = (x + offs) % 1.0
-    return np.asarray(roof(pts), dtype=np.float64)
+def _roof_values(roof, alpha, x, lo, hi, backward=False):
+    """Bases x +- i alpha of the fibers lo <= i < hi and the roofs on them."""
+    pts = (x + _offsets(alpha, hi, backward)[lo:hi]) % 1.0
+    return pts, np.asarray(roof(pts), dtype=np.float64)
 
 
 def evaluate(roof, alpha: RotationNumber, p: FlowPoint, t: float) -> FlowStep:
@@ -106,6 +89,8 @@ def _finish(roof, end_x, s, t, N, consumed) -> FlowStep:
 
 def evaluate_naive(roof, alpha: RotationNumber, p: FlowPoint, t: float) -> FlowStep:
     """Fiber-by-fiber stepping oracle for evaluate."""
+    if not math.isfinite(t):
+        raise ValueError(f"t must be finite, got {t}")
     x, s = p.x, p.s
     if t >= 0.0:
         remaining = np.longdouble(t)
@@ -246,13 +231,12 @@ def _subtract(base, holes):
     return [(a, b) for a, b in out if b - a > 1e-12]
 
 
-def time_integral(roof, alpha: RotationNumber, psi, p: FlowPoint, T,
-                  rel_tol: float = 1e-8):
+def time_integral(roof, alpha: RotationNumber, psi, p: FlowPoint, T):
     """Signed int_0^T psi(T_t(p)) dt for a scalar or an array of T: per
     direction one cumulative sum of full-fiber integrals, corrected by the
     partial first fiber and the partial fiber reached at each T.  psi(x, s)
     must accept arrays; its fiber_integral_many is used when it has one,
-    Gauss-Legendre quadrature otherwise."""
+    Gauss-Legendre quadrature to relative tolerance 1e-8 otherwise."""
     T = np.asarray(T, dtype=np.float64)
     out = np.zeros(T.shape)
     for backward in (False, True):
@@ -265,17 +249,16 @@ def time_integral(roof, alpha: RotationNumber, psi, p: FlowPoint, T,
         sign = -1.0 if backward else 1.0
         # the fibers passed bottom to top; the fiber reached at each t up to
         # its height there, and the start fiber up to height s
-        full = _fiber_integrals(psi, xs[1:] if backward else xs[:-1], fs[:-1],
-                                rel_tol)
+        full = _fiber_integrals(psi, xs[1:] if backward else xs[:-1], fs[:-1])
         part = _fiber_integrals(psi, np.append(xs[n], p.x),
-                                np.append(p.s + t - sign * S[n], p.s), rel_tol)
+                                np.append(p.s + t - sign * S[n], p.s))
         G = np.zeros(len(full) + 1)
         G[1:] = np.cumsum(full, dtype=np.longdouble)
         out[sel] = sign * G[n] + part[:-1] - part[-1]
     return float(out) if out.ndim == 0 else out
 
 
-def _fiber_integrals(psi, xs, his, rel_tol):
+def _fiber_integrals(psi, xs, his):
     """int_0^his psi(x, s) ds for every fiber base x."""
     if hasattr(psi, "fiber_integral_many"):
         return psi.fiber_integral_many(xs, np.zeros_like(his), his)
@@ -286,7 +269,7 @@ def _fiber_integrals(psi, xs, his, rel_tol):
         pts = half[:, None] * (1.0 + y[None, :])
         vals = psi(xs[:, None] + 0.0 * pts, pts)
         per_fiber = (vals * w[None, :]).sum(axis=1) * half
-        if prev is not None and np.sum(np.abs(per_fiber - prev)) <= rel_tol * (
+        if prev is not None and np.sum(np.abs(per_fiber - prev)) <= 1e-8 * (
                 1.0 + np.sum(np.abs(per_fiber))):
             return per_fiber
         prev = per_fiber
@@ -336,28 +319,29 @@ def _crossings(roof, alpha, p: FlowPoint, times, backward=False):
     targets = p.s + times
     if backward:
         targets = np.maximum(-targets, 0.0)
-    vals = _covering_values(roof, alpha, p.x, float(np.max(targets)), backward)
+    bases, vals = _covering_values(roof, alpha, p.x, float(np.max(targets)),
+                                   backward)
     S = np.zeros(len(vals) + 1)
     S[1:] = np.cumsum(vals, dtype=np.longdouble)
     n = (np.searchsorted(S, targets, side="left") if backward
          else np.searchsorted(S, targets, side="right") - 1)
     top = int(np.max(n))
-    xs = (p.x + _offsets(alpha, top + 1, backward)) % 1.0
+    # backward, the bases start at fiber 1; fiber 0 is x - 0 alpha
+    xs = (np.concatenate(([(p.x + 0.0) % 1.0], bases[:top])) if backward
+          else bases[:top + 1])
     return xs, vals[:top + 1], S[:top + 2], n
 
 
-def _covering_values(roof, alpha, x, span, backward=False) -> np.ndarray:
-    """Roof values on the orbit of x (fibers 0, 1, ... forward, 1, 2, ...
-    backward), over enough fibers that all but the last two sum to >= span.
-    The count starts at span over the roof's mean and grows geometrically."""
-    # roof_infimum stands in for roofs without an integral and rejects masked ones
-    no_mean = isinstance(roof, MaskedRoof) or not hasattr(roof, "integral")
-    mean = roof_infimum(roof) if no_mean else roof.integral()
+def _covering_values(roof, alpha, x, span, backward=False):
+    """Fiber bases and roof values on the orbit of x (fibers 0, 1, ...
+    forward, 1, 2, ... backward), over enough fibers that all but the last
+    two roof values sum to >= span.  The count starts at span over the
+    roof's mean and grows geometrically."""
     lo = 1 if backward else 0
-    vals = _roof_values(roof, alpha, x, lo, lo + int(span / mean) + 18, backward)
+    bases, vals = _roof_values(roof, alpha, x, lo,
+                               lo + int(span / roof.integral()) + 18, backward)
     while float(np.sum(vals[:-2])) < span:
         end = lo + len(vals)
-        more = _roof_values(roof, alpha, x, end, end + len(vals) // 8 + 16, backward)
-        vals = np.concatenate((vals, more))
-    return vals
-
+        b, v = _roof_values(roof, alpha, x, end, end + len(vals) // 8 + 16, backward)
+        bases, vals = np.append(bases, b), np.append(vals, v)
+    return bases, vals

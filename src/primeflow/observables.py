@@ -4,7 +4,7 @@ A tower observable has the shape psi(y, s) = psi_inf + rho(s) u(y) w(s/f(y))
 with w(0) = w(1) = 0: the vanishing of w at both ends makes the value match
 across the roof identification exactly, and the decay of rho forces
 convergence to psi_inf high up the tower.  The default family uses
-rho(s) = exp(-s/sigma) and w = sin^2(pi .), which admits closed-form fiber
+rho(s) = exp(-s/5) and w = sin^2(pi .), which admits closed-form fiber
 integrals, so time integrals along the special flow stay cheap.
 
 Prime-orbit sums walk the whole orbit once: positions at every prime time
@@ -41,6 +41,10 @@ __all__ = [
     "pnt_report",
 ]
 
+_SIGMA = 5.0  # the decay scale of rho(s) = exp(-s/5)
+_H_MAX = 5.0  # the height of the special flow's box grid
+
+
 class SingularOrbitError(RuntimeError):
     """An orbit point landed on the singular base point (times[index])."""
 
@@ -70,16 +74,15 @@ class KocherginFlow:
 
     def mean(self, psi) -> float:
         """Mean of psi under the normalized invariant measure Leb^f / int f."""
-        return space_average(psi, self.roof, normalized=True)
+        return space_average(psi, self.roof)
 
     def time_integral(self, psi, start: FlowPoint, T):
         """Signed int_0^T psi(T_t start) dt for a scalar or an array of T."""
         return time_integral(self.roof, self.alpha, psi, start, T)
 
-    def box_masses(self, boxes: int, h_max=None):
+    def box_masses(self, boxes: int):
         """Masses of the boxes [i/boxes, (i+1)/boxes) x [j dh, (j+1) dh) under
-        Leb^f / int f, the mass above them and their height h_max (5)."""
-        h_max = 5.0 if h_max is None else h_max
+        Leb^f / int f, the mass above them and their height 5 = boxes * dh."""
         cuts = np.unique(np.clip(
             np.concatenate((_graded_edges(), np.arange(boxes + 1) / boxes)),
             _DELTA, 1.0 - _DELTA))
@@ -90,20 +93,20 @@ class KocherginFlow:
         fv = np.asarray(self.roof(pts), dtype=np.float64)
         wts = (w[None, :] * half[:, None]).ravel()
         cols = np.minimum((pts * boxes).astype(int), boxes - 1)
-        dh = h_max / boxes
+        dh = _H_MAX / boxes
         masses = np.zeros((boxes, boxes))
         for j in range(boxes):
             covered = np.clip(fv - j * dh, 0.0, dh)
             np.add.at(masses[:, j], cols, wts * covered)
-        tail = float(np.dot(wts, np.clip(fv - h_max, 0.0, None)))
+        tail = float(np.dot(wts, np.clip(fv - _H_MAX, 0.0, None)))
         area = float(np.dot(wts, fv))
-        # the end slivers sit under the singularities, far above h_max when
+        # the end slivers sit under the singularities, far above 5 when
         # the roof blows up, so their mass goes to the overflow cell
         for end, extra in zip((_DELTA, 1 - _DELTA), _sliver_areas(self.roof)):
-            if float(self.roof(end)) > h_max:
+            if float(self.roof(end)) > _H_MAX:
                 tail += extra
                 area += extra
-        return masses / area, tail / area, h_max
+        return masses / area, tail / area, _H_MAX
 
 
 def _trig_eval(terms, y):
@@ -119,25 +122,22 @@ class TowerObservable:
     """psi(y, s) = psi_inf + rho(s) u(y) w(s / f(y)) on the tower over f.
 
     u is a trig polynomial given as (frequency, cos coeff, sin coeff)
-    triples.  When built through make_tower_observable the decay profile is
-    exp(-s/sigma) and w = sin^2(pi .), and fiber integrals have a closed
-    form; custom rho and w fall back to quadrature.
+    triples.  The default rho(s) = exp(-s/5) and w = sin^2(pi .) give fiber
+    integrals in closed form; custom rho and w fall back to quadrature.
     """
 
-    def __init__(self, psi_inf, roof, u_terms=((1, 1.0, 0.0),), sigma=5.0,
-                 rho=None, w=None, check=True):
+    def __init__(self, psi_inf, roof, u_terms=((1, 1.0, 0.0),), rho=None,
+                 w=None):
         self.psi_inf = float(psi_inf)
         self.roof = roof
         self.u_terms = tuple((int(k), float(a), float(b)) for k, a, b in u_terms)
-        self.sigma = float(sigma)
         self._closed_form = rho is None and w is None
         self.rho = rho if rho is not None else (
-            lambda s: np.exp(-np.asarray(s, dtype=np.float64) / self.sigma))
+            lambda s: np.exp(-np.asarray(s, dtype=np.float64) / _SIGMA))
         self.w = w if w is not None else (
             lambda r: np.sin(math.pi * np.asarray(r, dtype=np.float64)) ** 2)
         self.u_sup = sum(math.hypot(a, b) for _, a, b in self.u_terms)
-        if check:
-            self._verify()
+        self._verify()
 
     def u(self, y):
         return _trig_eval(self.u_terms, y)
@@ -204,7 +204,7 @@ class TowerObservable:
         lo = np.asarray(lo, dtype=np.float64)
         hi = np.asarray(hi, dtype=np.float64)
         fy = np.asarray(self.roof(y), dtype=np.float64)
-        a = 1.0 / self.sigma
+        a = 1.0 / _SIGMA
         omega = 2.0 * math.pi / fy
         # int e^{-as} sin^2(pi s / f) = (1/2) int e^{-as} (1 - cos(omega s))
         plain = (np.exp(-a * lo) - np.exp(-a * hi)) / a
@@ -278,13 +278,11 @@ class TorusObservable:
         return total
 
 
-def make_tower_observable(roof, psi_inf=0.0, sigma=5.0,
+def make_tower_observable(roof, psi_inf=0.0,
                           u_terms=((1, 1.0, 0.0),)) -> TowerObservable:
-    """Default observable bank entry: exponential decay profile exp(-s/sigma)
+    """Default observable bank entry: exponential decay profile exp(-s/5)
     and vertical shape sin^2(pi .), horizontal shape a trig polynomial."""
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
-    return TowerObservable(psi_inf, roof, u_terms=u_terms, sigma=sigma)
+    return TowerObservable(psi_inf, roof, u_terms=u_terms)
 
 
 # ---------------------------------------------------------------------------
@@ -327,13 +325,10 @@ def _composite_gauss(func, edges, nodes):
     return float(per_cell.sum()), per_cell
 
 
-def space_average(psi: TowerObservable, roof=None, normalized=True,
-                  rel_tol=1e-6) -> float:
-    """Mean of psi over the tower, int_0^1 int_0^f(y) psi ds dy, divided by
-    the area int f when normalized.  The y-mesh refines geometrically toward
+def space_average(psi: TowerObservable, roof) -> float:
+    """Mean of psi over the tower, int_0^1 int_0^f(y) psi ds dy divided by
+    the area int f, to relative tolerance 1e-6.  The y-mesh refines toward
     both ends of the circle where the roof may blow up."""
-    if roof is None:
-        roof = psi.roof
     edges = _graded_edges()
 
     def fiber(ys):
@@ -350,9 +345,8 @@ def space_average(psi: TowerObservable, roof=None, normalized=True,
         area += sliver
         if total is not None:
             dn, da = abs(num - total[0]), abs(area - total[1])
-            if dn <= rel_tol * (1.0 + abs(num)) and da <= rel_tol * (
-                    1.0 + abs(area)):
-                return num / area if normalized else num
+            if dn <= 1e-6 * (1.0 + abs(num)) and da <= 1e-6 * (1.0 + abs(area)):
+                return num / area
         total = (num, area, cells_n)
     worst = int(np.argmax(np.abs(cells_n - total[2])))
     raise RuntimeError(
@@ -424,17 +418,17 @@ def coboundary_prime_discrepancy(flow: ReparamFlow, g, depth: int,
 # equidistribution box counts
 
 
-def box_discrepancy(points, weights, flow, boxes=32, h_max=None) -> float:
+def box_discrepancy(points, weights, flow, boxes=32) -> float:
     """Max deviation, over a boxes^2 partition, between the weighted
     empirical measure of the orbit points and the invariant measure.
 
     The cells are those of flow.box_masses.  For the special flow they cover
-    the tower up to h_max and the mass above h_max enters as one extra cell,
+    the tower up to height 5 and the mass above it enters as one extra cell,
     with its reference value computed analytically from the roof.
     """
     weights = np.asarray(weights, dtype=np.float64)
     weights = weights / weights.sum()
-    ref, ref_tail, height = flow.box_masses(boxes, h_max)
+    ref, ref_tail, height = flow.box_masses(boxes)
     xs, ys = (np.asarray(c) for c in points)
     emp = np.zeros((boxes, boxes))
     inside = ys < height
@@ -451,10 +445,11 @@ def box_discrepancy(points, weights, flow, boxes=32, h_max=None) -> float:
 
 def pnt_report(psi, flow, start, n_grid=(10 ** 4, 10 ** 5, 10 ** 6),
                directions=("+", "-"), m=0, table=None, boxes=32,
-               h_max=None, log_power=None, workers=1) -> ExperimentReport:
+               log_power=None, workers=1) -> ExperimentReport:
     """Discrepancy statistics of the prime-orbit sums across an N-grid.
 
-    For each N and direction z the report records D1 (prime sum vs time
+    The orbit is read at the times z (p - m) for a shift m >= 0.  For each
+    N and direction z the report records D1 (prime sum vs time
     integral), D2 (time integral vs space average), D3 (prime sum vs space
     average), all divided by N, plus the box-counting discrepancy of the
     weighted "+" prime orbit against the invariant measure.  When log_power
@@ -466,6 +461,8 @@ def pnt_report(psi, flow, start, n_grid=(10 ** 4, 10 ** 5, 10 ** 6),
     report is named "pnt_report"; the registered experiments rename theirs.
     """
     t0 = _time.monotonic()
+    if m < 0:
+        raise ValueError(f"shift m must be >= 0, got {m}")
     n_grid = tuple(sorted(int(n) for n in n_grid))
     signs = {z: _sign(z) for z in ("+",) + tuple(directions)}
     top = max(n_grid, default=0)
@@ -513,7 +510,7 @@ def pnt_report(psi, flow, start, n_grid=(10 ** 4, 10 ** 5, 10 ** 6),
                 report.add("D3_logA", d3 * math.log(N) ** log_power, N, z)
     (xs, ys), weights, _ = passes["+"]
     box_out = [box_discrepancy((xs[:k], ys[:k]), weights[:k], flow,
-                               boxes=boxes, h_max=h_max) for k in counts]
+                               boxes=boxes) for k in counts]
     for N, box in zip(n_grid, box_out):
         report.add("box_discrepancy", box, N, "+")
     def decreasing(seq):

@@ -265,7 +265,7 @@ class ReparamFlow:
                         2j * math.pi * omega)
         return float(total.real) if np.ndim(total) == 0 else total.real
 
-    def box_masses(self, boxes: int, h_max=None):
+    def box_masses(self, boxes: int):
         """Masses v dLeb of the cells [i/boxes, (i+1)/boxes) x [j/boxes,
         (j+1)/boxes), the mass outside them (0) and their height (1)."""
         ref = np.zeros((boxes, boxes))
@@ -281,19 +281,16 @@ class ReparamFlow:
         return ref + 1.0 / boxes ** 2, 0.0, 1.0
 
 
-def make_timechange(alpha: RotationNumber, exponent: float = 0.6,
-                    m_mode: int = 1) -> TimeChange:
-    """Default time change on the flagged levels: |a_{q_n,0}| = q_{n+1}^-e
-    inside the admissible band, plus an equal-modulus m-mode to make the
-    change genuinely two-dimensional."""
+def make_timechange(alpha: RotationNumber) -> TimeChange:
+    """Default time change on the flagged levels: |a_{q_n,0}| = q_{n+1}^-0.6
+    inside the admissible band, plus an equal-modulus (q_n, 1) mode to make
+    the change genuinely two-dimensional."""
     terms = []
     for n in alpha.flags:
         if n + 1 > alpha.depth:
             continue
-        amp = alpha.q(n + 1) ** -exponent
-        terms.append((alpha.q(n), 0, amp))
-        if m_mode:
-            terms.append((alpha.q(n), m_mode, amp))
+        amp = alpha.q(n + 1) ** -0.6
+        terms += [(alpha.q(n), 0, amp), (alpha.q(n), 1, amp)]
     if not terms:
         raise ValueError("alpha has no flagged levels to build a time change")
     return TimeChange(terms, alpha)

@@ -27,7 +27,6 @@ __all__ = [
     "PowerRoof",
     "FourierRoof",
     "TimeChange",
-    "MaskedRoof",
     "PiecewiseLinear",
     "QuadraticExpansion",
     "birkhoff_sum",
@@ -186,26 +185,6 @@ class TimeChange:
         return 1.0
 
 
-class MaskedRoof:
-    """chi * f for an indicator chi of the complement of an arc (the masked
-    roofs of the long-sum estimates keep the roof away from its singularity)."""
-
-    def __init__(self, roof, excluded: CircleInterval):
-        self.roof = roof
-        self.excluded = excluded
-
-    def __call__(self, x, order: int = 0):
-        x = np.asarray(x, dtype=np.float64)
-        vals = np.asarray(self.roof(x, order), dtype=np.float64)
-        out = np.where(self.excluded.contains(x), 0.0, vals)
-        return out if out.ndim else float(out)
-
-    def integral(self) -> float:
-        # quadrature over the complement; adequate for diagnostics
-        xs = (np.arange(1 << 16) + 0.5) / (1 << 16)
-        return float(np.mean(self(xs)))
-
-
 class PiecewiseLinear:
     """g(x) = a + b*y + sum_k h_k [y >= c_k] with y = x mod 1, for jump
     points 0 <= c_1 < c_2 < ... < 1: the bounded-variation test functions of
@@ -239,9 +218,7 @@ def _orbit_offsets(alpha: RotationNumber, n: int) -> np.ndarray:
 def _check_orbit_clear(roof, x: float, n: int, alpha: RotationNumber) -> None:
     """Raise SingularityError if x + i alpha = 0 mod 1 for some 0 <= i < n:
     with x = a/D and alpha = P/Q exactly, solve a Q + i P D = 0 (mod D Q)."""
-    if not isinstance(roof, PowerRoof) and not (
-        isinstance(roof, MaskedRoof) and isinstance(roof.roof, PowerRoof)
-    ):
+    if not isinstance(roof, PowerRoof):
         return
     X = Fraction(x) % 1
     P, Q, D = alpha.value.numerator, alpha.value.denominator, X.denominator
@@ -274,7 +251,7 @@ def birkhoff_sum(g, n: int, x: float, alpha: RotationNumber, order: int = 0) -> 
 
 
 def _takes_order(g) -> bool:
-    return isinstance(g, (PowerRoof, FourierRoof, MaskedRoof))
+    return isinstance(g, (PowerRoof, FourierRoof))
 
 
 def _check_order(g, order) -> None:
@@ -338,7 +315,7 @@ def _piecewise_sums(g: PiecewiseLinear, offs: np.ndarray,
 
 
 def birkhoff_sum_many(g, n: int, xs: np.ndarray, alpha: RotationNumber,
-                      order: int = 0, chunk: int = 1 << 22) -> np.ndarray:
+                      order: int = 0) -> np.ndarray:
     """Vectorized S_n(g) over an array of base points (n >= 1).
 
     A `PiecewiseLinear` g is summed from one sorted orbit in
@@ -355,7 +332,7 @@ def birkhoff_sum_many(g, n: int, xs: np.ndarray, alpha: RotationNumber,
     if isinstance(g, PiecewiseLinear):
         return _piecewise_sums(g, offs, xs.ravel()).reshape(xs.shape)
     out = np.zeros(xs.shape)
-    step = max(1, chunk // max(1, xs.size))
+    step = max(1, (1 << 22) // max(1, xs.size))
     for lo in range(0, n, step):
         block = (xs[..., None] + offs[lo : lo + step]) % 1.0
         vals = g(block, order) if _takes_order(g) else g(block)
@@ -363,21 +340,20 @@ def birkhoff_sum_many(g, n: int, xs: np.ndarray, alpha: RotationNumber,
     return out
 
 
-def roof_from_timechange(v: TimeChange, samples: int = 100,
-                         nodes: int = 64) -> FourierRoof:
+def roof_from_timechange(v: TimeChange) -> FourierRoof:
     """Fiber average f(x) = int_0^1 v(x, s) ds: only m = 0 modes survive.
 
-    Verified against Gauss-Legendre quadrature at sample points.
+    Verified against 64-node Gauss-Legendre quadrature at 100 sample points.
     """
     zero_modes = [(q, a) for q, m, a in v.terms if m == 0]
     if zero_modes:
         f = FourierRoof(zero_modes, v.alpha, check_band=False)
     else:
         f = FourierRoof([(1, 0.0)], check_band=False)
-    ys, ws = np.polynomial.legendre.leggauss(nodes)
+    ys, ws = np.polynomial.legendre.leggauss(64)
     ys = 0.5 * (ys + 1.0)
     ws = 0.5 * ws
-    xs = np.arange(samples) / samples
+    xs = np.arange(100) / 100
     quad = (v(xs[:, None], ys[None, :]) * ws[None, :]).sum(axis=1)
     err = float(np.max(np.abs(quad - f(xs))))
     if err > 1e-10:
@@ -430,8 +406,7 @@ def _partition_points(alpha: RotationNumber, n: int) -> np.ndarray:
     return np.sort(alpha.orbit(0, alpha.q(n), backward=True))
 
 
-def derivative_zero_locator(roof: PowerRoof, n: int, alpha: RotationNumber,
-                            max_iter: int = 60):
+def derivative_zero_locator(roof: PowerRoof, n: int, alpha: RotationNumber):
     """One zero of S_{q_n}(f') per interval of the {-i alpha}_{i<q_n}
     partition, by simultaneous bisection.  On each interval the sum is
     increasing from -inf to +inf, so the bracket is the interval itself.
@@ -445,7 +420,7 @@ def derivative_zero_locator(roof: PowerRoof, n: int, alpha: RotationNumber,
     a = pts
     b = np.r_[pts[1:], pts[0] + 1.0]
     lo, hi = a.copy(), b.copy()
-    for _ in range(max_iter):
+    for _ in range(60):
         if np.max(hi - lo) <= 1e-14:
             break
         mid = 0.5 * (lo + hi)

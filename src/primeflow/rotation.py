@@ -253,21 +253,20 @@ def _scaled_d(growth, depth: int, seed: int) -> RotationNumber:
     return RotationNumber(quotients, flags)
 
 
-def _scaled_c_a(growth, depth: int, seed: int, window) -> RotationNumber:
+def _scaled_c_a(growth, depth: int, seed: int) -> RotationNumber:
     import sympy  # only this construction needs it; keep it off the import path
 
     if depth < 1:
         raise ValueError("depth must be >= 1")
     if not sympy.isprime(seed):
         raise ConstructionError(f"seed quotient {seed} must be prime")
-    lo_frac, hi_frac = window
     quotients = [int(seed)]
     q_prev, q_cur = 1, int(seed)
     flags = []
     for level in range(1, depth):
         target = growth(q_cur)
-        lo = int(math.ceil(target * lo_frac))
-        hi = int(math.floor(target * hi_frac))
+        lo = int(math.ceil(target * 0.5))
+        hi = int(math.floor(float(target)))
         residue = q_prev % q_cur
         # smallest candidate >= lo congruent to q_prev mod q_cur
         first = lo + ((residue - lo) % q_cur)
@@ -290,19 +289,19 @@ def _scaled_c_a(growth, depth: int, seed: int, window) -> RotationNumber:
     return RotationNumber(quotients, flags)
 
 
-def construct_alpha(mode: str, *, growth=None, depth: int = 4, seed: int = 2,
-                    window=(0.5, 1.0)) -> RotationNumber:
+def construct_alpha(mode: str, *, growth=None, depth: int = 4,
+                    seed: int = 2) -> RotationNumber:
     """Build a rotation number whose flagged denominators grow by a given rule.
 
     mode "scaled_D": each flagged level satisfies q_{n+1} >= growth(q_n).
     mode "scaled_C_A": additionally every q_n (n >= 1) is prime and
-    q_{n+1} = q_{n-1} (mod q_n) with q_{n+1} chosen prime inside
-    [growth(q_n) * window[0], growth(q_n) * window[1]].
+    q_{n+1} = q_{n-1} (mod q_n) with q_{n+1} chosen prime inside the window
+    [growth(q_n) / 2, growth(q_n)].
     """
     if growth is None:
         growth = lambda q: q * q
     if mode == "scaled_D":
         return _scaled_d(growth, depth, seed)
     if mode == "scaled_C_A":
-        return _scaled_c_a(growth, depth, seed, window)
+        return _scaled_c_a(growth, depth, seed)
     raise ValueError(f"unknown mode {mode!r}")

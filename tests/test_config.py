@@ -77,7 +77,6 @@ def test_report_json_schema():
                                  "value": 0.25}
     assert doc["verdicts"] == {"ok": "pass"}
     assert "timestamp" not in doc
-    assert "timestamp" in json.loads(rep.to_json(timestamp="2026-01-01"))
 
 
 def test_report_json_deterministic():

@@ -21,7 +21,6 @@ from primeflow.flow import (
     evaluate,
     evaluate_naive,
     evaluate_times,
-    roof_infimum,
     time_integral,
     tower_metric,
 )
@@ -160,11 +159,29 @@ def test_defining_inclusion():
 def test_covering_values_backward():
     # the backward walk is sized on {x - i alpha}, not the forward orbit
     x, span = 0.37, 5000.0
-    vals = _covering_values(POWER, SCALED, x, span, backward=True)
+    bases, vals = _covering_values(POWER, SCALED, x, span, backward=True)
     pts = [float((Fraction(x) - i * SCALED.value) % 1)
            for i in range(1, len(vals) + 1)]
+    assert np.allclose(bases, pts, rtol=0.0, atol=1e-12)
     assert np.allclose(vals, POWER(np.array(pts)), rtol=1e-9, atol=0.0)
+    assert np.array_equal(vals, POWER(bases))
     assert np.sum(vals[:-2]) >= span
+
+
+@pytest.mark.parametrize("backward", [False, True])
+def test_crossing_bases_are_the_offset_bases(backward):
+    # the bases the roof values were taken on are those of (x + offsets) % 1
+    p, t = FlowPoint(0.37, 0.05), -3000.0 if backward else 3000.0
+    xs, _, _, n = _crossings(POWER, SCALED, p, [t], backward)
+    offs = _offsets(SCALED, int(n[0]) + 1, backward)
+    assert np.array_equal(xs, (p.x + offs) % 1.0)
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_naive_rejects_non_finite_time(t):
+    # the stepping loop never ends for a time no fiber can hold
+    with pytest.raises(ValueError, match=f"t must be finite, got {t}"):
+        evaluate_naive(POWER, GOLDEN, FlowPoint(0.7, 0.3), t)
 
 
 def test_start_height_checked():
@@ -179,11 +196,6 @@ def test_tower_metric():
     assert tower_metric(FlowPoint(0.3, 0.1), FlowPoint(0.3, 0.1)) == 0.0
     assert abs(tower_metric(FlowPoint(0.3, 0.1), FlowPoint(0.3, 0.4)) - 0.3) < 1e-15
     assert abs(tower_metric(FlowPoint(0.9, 0.2), FlowPoint(0.1, 0.2)) - 0.2) < 1e-15
-
-
-def test_roof_infimum():
-    assert roof_infimum(POWER) == POWER.c0
-    assert abs(roof_infimum(FourierRoof([(2, 0.3)])) - 0.7) < 1e-12
 
 
 def test_visit_times_consistent_with_flow():

@@ -319,15 +319,22 @@ def _select_S_qr_loop(table, q, r, N, C, A):
                    for xn, bound in zip(xs, bounds))]
 
 
+# 22 candidates, each with E(x_n, l) below 1/500 of the bound at every x_n
+_ALL_PASS = (500, 1e7, 2.0)
+
+
 @pytest.mark.parametrize("N, C, A", [
     (10 ** 4, 10.0, 2.0),  # every candidate fails at x_1
-    (10 ** 4, 1e7, 2.0),  # every candidate passes every x_n
+    _ALL_PASS,  # every candidate passes every x_n
     (2 * 10 ** 5, 10.0, 2.0),
     (1000, 2e6, 3.0),  # 38 candidates, 11 left after the last x_n
 ])
 def test_select_s_qr_matches_loop(table, N, C, A):
-    assert select_S_qr(table, 3, 2, N, C, A) == \
-        _select_S_qr_loop(table, 3, 2, N, C, A)
+    sel = select_S_qr(table, 3, 2, N, C, A)
+    assert sel == _select_S_qr_loop(table, 3, 2, N, C, A)
+    if (N, C, A) == _ALL_PASS:
+        cands = table.primes_between(-(-N // 2) - 1, N)
+        assert sel == [int(ell) for ell in cands if ell % 3 == 2]
 
 
 @pytest.mark.parametrize("N, C, A, rounds", [

@@ -7,12 +7,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from primeflow.primes import CircleInterval
 from primeflow.rotation import construct_alpha, from_partial_quotients
 from primeflow.roofs import (
     FourierRoof,
     HypothesisError,
-    MaskedRoof,
     PiecewiseLinear,
     PowerRoof,
     SingularityError,
@@ -205,21 +203,6 @@ def test_check_orbit_clear_matches_loop(p, two, odd, i, n, nudge):
     else:
         with pytest.raises(SingularityError, match=rf"index {hit} "):
             _check_orbit_clear(PowerRoof(), x, n, alpha)
-
-
-def test_birkhoff_accepts_masked_roof():
-    f = PowerRoof()
-    masked = MaskedRoof(f, CircleInterval(-0.01, 0.02))
-    # the mask kills the singular neighborhood, so x = 0 orbits are legal
-    # only when no orbit point is exactly 0
-    s = birkhoff_sum(masked, 8, 0.3, GOLDEN)
-    direct = 0.0
-    a = GOLDEN.float_value
-    for i in range(8):
-        p = (0.3 + i * a) % 1.0
-        if not masked.excluded.contains(p):
-            direct += f(p)
-    assert abs(s - direct) < 1e-9
 
 
 def test_birkhoff_many_matches_scalar():
