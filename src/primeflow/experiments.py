@@ -15,10 +15,10 @@ from .flow import FlowPoint, ab_decomposition
 from .observables import (
     KocherginFlow,
     TorusObservable,
+    TowerObservable,
     _prime_points,
     box_discrepancy,
     coboundary_prime_discrepancy,
-    make_tower_observable,
     pnt_report,
 )
 from .primes import (
@@ -420,7 +420,7 @@ def _exp_katok_wm(cfg, table):
 def _kochergin_setup(cfg):
     alpha = _alpha_from(cfg, "scaled_D", 2.5, 5, 1)
     roof = PowerRoof()
-    psi = make_tower_observable(roof, psi_inf=cfg.get_float("psi_inf", 0.3))
+    psi = TowerObservable(roof, psi_inf=cfg.get_float("psi_inf", 0.3))
     start = FlowPoint(cfg.get_float("x0", 0.55), cfg.get_float("s0", 0.05))
     return KocherginFlow(roof, alpha), psi, start
 

@@ -234,9 +234,10 @@ def _subtract(base, holes):
 def time_integral(roof, alpha: RotationNumber, psi, p: FlowPoint, T):
     """Signed int_0^T psi(T_t(p)) dt for a scalar or an array of T: per
     direction one cumulative sum of full-fiber integrals, corrected by the
-    partial first fiber and the partial fiber reached at each T.  psi(x, s)
-    must accept arrays; its fiber_integral_many is used when it has one,
-    Gauss-Legendre quadrature to relative tolerance 1e-8 otherwise."""
+    partial first fiber and the partial fiber reached at each T.  psi
+    supplies the fiber integrals through fiber_integral_many(x, lo, hi),
+    int_lo^hi psi(x, s) ds elementwise, as observables.TowerObservable
+    does."""
     T = np.asarray(T, dtype=np.float64)
     out = np.zeros(T.shape)
     for backward in (False, True):
@@ -249,32 +250,14 @@ def time_integral(roof, alpha: RotationNumber, psi, p: FlowPoint, T):
         sign = -1.0 if backward else 1.0
         # the fibers passed bottom to top; the fiber reached at each t up to
         # its height there, and the start fiber up to height s
-        full = _fiber_integrals(psi, xs[1:] if backward else xs[:-1], fs[:-1])
-        part = _fiber_integrals(psi, np.append(xs[n], p.x),
-                                np.append(p.s + t - sign * S[n], p.s))
+        full = psi.fiber_integral_many(xs[1:] if backward else xs[:-1], 0.0,
+                                       fs[:-1])
+        part = psi.fiber_integral_many(np.append(xs[n], p.x), 0.0,
+                                       np.append(p.s + t - sign * S[n], p.s))
         G = np.zeros(len(full) + 1)
         G[1:] = np.cumsum(full, dtype=np.longdouble)
         out[sel] = sign * G[n] + part[:-1] - part[-1]
     return float(out) if out.ndim == 0 else out
-
-
-def _fiber_integrals(psi, xs, his):
-    """int_0^his psi(x, s) ds for every fiber base x."""
-    if hasattr(psi, "fiber_integral_many"):
-        return psi.fiber_integral_many(xs, np.zeros_like(his), his)
-    prev = None
-    for nodes in (16, 32, 64, 128, 256):
-        y, w = np.polynomial.legendre.leggauss(nodes)
-        half = 0.5 * his
-        pts = half[:, None] * (1.0 + y[None, :])
-        vals = psi(xs[:, None] + 0.0 * pts, pts)
-        per_fiber = (vals * w[None, :]).sum(axis=1) * half
-        if prev is not None and np.sum(np.abs(per_fiber - prev)) <= 1e-8 * (
-                1.0 + np.sum(np.abs(per_fiber))):
-            return per_fiber
-        prev = per_fiber
-    raise RuntimeError(
-        f"fiber quadrature failed to converge (last delta on {len(xs)} fibers)")
 
 
 def evaluate_times(roof, alpha: RotationNumber, p: FlowPoint, times):

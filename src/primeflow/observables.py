@@ -1,11 +1,11 @@
 """Observable banks for the tower and the torus, and prime-orbit statistics.
 
 A tower observable has the shape psi(y, s) = psi_inf + rho(s) u(y) w(s/f(y))
-with w(0) = w(1) = 0: the vanishing of w at both ends makes the value match
-across the roof identification exactly, and the decay of rho forces
-convergence to psi_inf high up the tower.  The default family uses
-rho(s) = exp(-s/5) and w = sin^2(pi .), which admits closed-form fiber
-integrals, so time integrals along the special flow stay cheap.
+with rho(s) = exp(-s/5) and w = sin^2(pi .): the vanishing of w at both ends
+of the fiber makes the value match across the roof identification exactly,
+the decay of rho forces convergence to psi_inf high up the tower, and the
+pair admits closed-form fiber integrals, so time integrals along the
+special flow stay cheap.
 
 Prime-orbit sums walk the whole orbit once: positions at every prime time
 come out of a single cumulative pass over the rotation orbit (special flow)
@@ -34,7 +34,6 @@ __all__ = [
     "TowerObservable",
     "TorusObservable",
     "KocherginFlow",
-    "make_tower_observable",
     "space_average",
     "coboundary_prime_discrepancy",
     "box_discrepancy",
@@ -118,24 +117,26 @@ def _trig_eval(terms, y):
     return out
 
 
+def _rho(s):
+    return np.exp(-np.asarray(s, dtype=np.float64) / _SIGMA)
+
+
+def _w(r):
+    return np.sin(math.pi * np.asarray(r, dtype=np.float64)) ** 2
+
+
 class TowerObservable:
-    """psi(y, s) = psi_inf + rho(s) u(y) w(s / f(y)) on the tower over f.
+    """psi(y, s) = psi_inf + rho(s) u(y) w(s / f(y)) on the tower over f,
+    with rho(s) = exp(-s/5) and w = sin^2(pi .).
 
     u is a trig polynomial given as (frequency, cos coeff, sin coeff)
-    triples.  The default rho(s) = exp(-s/5) and w = sin^2(pi .) give fiber
-    integrals in closed form; custom rho and w fall back to quadrature.
+    triples.
     """
 
-    def __init__(self, psi_inf, roof, u_terms=((1, 1.0, 0.0),), rho=None,
-                 w=None):
+    def __init__(self, roof, psi_inf=0.0, u_terms=((1, 1.0, 0.0),)):
         self.psi_inf = float(psi_inf)
         self.roof = roof
         self.u_terms = tuple((int(k), float(a), float(b)) for k, a, b in u_terms)
-        self._closed_form = rho is None and w is None
-        self.rho = rho if rho is not None else (
-            lambda s: np.exp(-np.asarray(s, dtype=np.float64) / _SIGMA))
-        self.w = w if w is not None else (
-            lambda r: np.sin(math.pi * np.asarray(r, dtype=np.float64)) ** 2)
         self.u_sup = sum(math.hypot(a, b) for _, a, b in self.u_terms)
         self._verify()
 
@@ -146,17 +147,11 @@ class TowerObservable:
         y = np.asarray(y, dtype=np.float64)
         s = np.asarray(s, dtype=np.float64)
         fy = np.asarray(self.roof(y), dtype=np.float64)
-        return self.psi_inf + self.rho(s) * self.u(y) * self.w(s / fy)
+        return self.psi_inf + _rho(s) * self.u(y) * _w(s / fy)
 
     # -- defining conditions ------------------------------------------------
 
     def _verify(self):
-        # w must vanish at both ends of the fiber
-        ends = np.abs(np.asarray(self.w(np.array([0.0, 1.0])), dtype=float))
-        if np.max(ends) > 1e-10:
-            raise ConstructionError(
-                f"w(0), w(1) must vanish, got {ends[0]:.2e}, {ends[1]:.2e}")
-        w_sup = float(np.max(np.abs(self.w((np.arange(2048) + 0.5) / 2048))))
         # continuity across the singular base point: at fixed height the
         # value must approach psi_inf as y -> 0 from either side (only
         # meaningful when the roof actually blows up there)
@@ -179,9 +174,9 @@ class TowerObservable:
                     np.max(np.abs(bottom - self.psi_inf)))
         if resid > 1e-12:
             raise ConstructionError(f"roof matching residual {resid:.2e}")
-        # convergence to psi_inf with the explicit decay bound
+        # convergence to psi_inf with the explicit decay bound (sup w = 1)
         for r in (10.0, 100.0, 1000.0):
-            bound = abs(float(self.rho(r))) * self.u_sup * w_sup
+            bound = float(_rho(r)) * self.u_sup
             vals = self(ys, np.minimum(np.full_like(ys, r), fys * 0.999))
             sel = fys > r
             if np.any(sel):
@@ -194,12 +189,8 @@ class TowerObservable:
     # -- fiber integrals ----------------------------------------------------
 
     def fiber_integral_many(self, y, lo, hi):
-        """Vectorized int_lo^hi psi(y, s) ds for the closed-form family."""
-        if not self._closed_form:
-            return np.array([self.fiber_integral(float(yy), float(a), float(b))
-                             for yy, a, b in zip(np.atleast_1d(y),
-                                                 np.atleast_1d(lo),
-                                                 np.atleast_1d(hi))])
+        """int_lo^hi psi(y, s) ds in closed form, elementwise over the
+        broadcast of y, lo and hi."""
         y = np.asarray(y, dtype=np.float64)
         lo = np.asarray(lo, dtype=np.float64)
         hi = np.asarray(hi, dtype=np.float64)
@@ -212,37 +203,6 @@ class TowerObservable:
         cospart = np.real((np.exp(z * hi) - np.exp(z * lo)) / z)
         decay = 0.5 * (plain - cospart)
         return self.psi_inf * (hi - lo) + self.u(y) * decay
-
-    def fiber_integral(self, y, lo, hi):
-        if self._closed_form:
-            return float(self.fiber_integral_many(
-                np.array([y]), np.array([lo]), np.array([hi]))[0])
-        fy = float(self.roof(y))
-        uy = float(self.u(np.array([y]))[0])
-
-        def g(s):
-            return self.rho(s) * self.w(s / fy)
-
-        return self.psi_inf * (hi - lo) + uy * _decay_integral(g, lo, hi)
-
-
-def _decay_integral(g, lo, hi, tol=1e-12):
-    """Integrate a decaying integrand over [lo, hi] on doubling panels, so a
-    fiber of enormous height costs only logarithmically many panels."""
-    nodes, weights = np.polynomial.legendre.leggauss(32)
-    total = 0.0
-    a = lo
-    width = min(1.0, hi - lo) if hi > lo else 0.0
-    while a < hi and width > 0.0:
-        b = min(a + width, hi)
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        piece = float(np.dot(weights, g(mid + half * nodes))) * half
-        total += piece
-        if abs(piece) < tol * (1.0 + abs(total)) and b - a >= width:
-            break
-        a = b
-        width *= 2.0
-    return total
 
 
 class TorusObservable:
@@ -278,13 +238,6 @@ class TorusObservable:
         return total
 
 
-def make_tower_observable(roof, psi_inf=0.0,
-                          u_terms=((1, 1.0, 0.0),)) -> TowerObservable:
-    """Default observable bank entry: exponential decay profile exp(-s/5)
-    and vertical shape sin^2(pi .), horizontal shape a trig polynomial."""
-    return TowerObservable(psi_inf, roof, u_terms=u_terms)
-
-
 # ---------------------------------------------------------------------------
 # space averages
 
@@ -301,17 +254,17 @@ def _graded_edges():
     return np.unique(np.concatenate((left, 1.0 - left[::-1])))
 
 
-def _sliver_areas(roof, delta=_DELTA):
-    """Roof area over [0, delta] and [1 - delta, 1], from a local power-law
-    fit f(y) ~ C y^-p at each end."""
+def _sliver_areas(roof):
+    """Roof area over [0, delta] and [1 - delta, 1], delta = 2^-45, from a
+    local power-law fit f(y) ~ C y^-p at each end."""
     out = []
-    for y1, y2 in ((delta, delta / 2.0), (1.0 - delta, 1.0 - delta / 2.0)):
+    for y1, y2 in ((_DELTA, _DELTA / 2.0), (1.0 - _DELTA, 1.0 - _DELTA / 2.0)):
         f1 = float(roof(y1))
         f2 = float(roof(y2))
         p = math.log2(max(f2, 1e-300) / max(f1, 1e-300))
         if p >= 1.0:
             raise RuntimeError("roof end sliver is not integrable")
-        out.append(f1 * delta / (1.0 - p))
+        out.append(f1 * _DELTA / (1.0 - p))
     return tuple(out)
 
 
@@ -426,6 +379,8 @@ def box_discrepancy(points, weights, flow, boxes=32) -> float:
     the tower up to height 5 and the mass above it enters as one extra cell,
     with its reference value computed analytically from the roof.
     """
+    if boxes < 1:
+        raise ValueError(f"boxes must be >= 1, got {boxes}")
     weights = np.asarray(weights, dtype=np.float64)
     weights = weights / weights.sum()
     ref, ref_tail, height = flow.box_masses(boxes)
@@ -449,12 +404,13 @@ def pnt_report(psi, flow, start, n_grid=(10 ** 4, 10 ** 5, 10 ** 6),
     """Discrepancy statistics of the prime-orbit sums across an N-grid.
 
     The orbit is read at the times z (p - m) for a shift m >= 0.  For each
-    N and direction z the report records D1 (prime sum vs time
-    integral), D2 (time integral vs space average), D3 (prime sum vs space
-    average), all divided by N, plus the box-counting discrepancy of the
-    weighted "+" prime orbit against the invariant measure.  When log_power
-    A is given, D3 log^A N is recorded as well.  On a grid of two points
-    or more, verdicts assert the monotone trends along it.  Each direction,
+    N and each of the distinct directions z the report records D1 (prime
+    sum vs time integral), D2 (time integral vs space average), D3 (prime
+    sum vs space average), all divided by N, plus the box-counting
+    discrepancy of the weighted "+" prime orbit against the invariant
+    measure.  When log_power A is given, D3 log^A N is recorded as well.
+    On a grid of two points or more, verdicts assert the monotone trends
+    along it.  Each direction,
     and "+" always for the boxes, makes one pass at the largest N (one
     positions and one time_integral call) whose prefixes answer every N;
     with workers > 1 the two direction passes run on a thread pool.  The
@@ -463,6 +419,9 @@ def pnt_report(psi, flow, start, n_grid=(10 ** 4, 10 ** 5, 10 ** 6),
     t0 = _time.monotonic()
     if m < 0:
         raise ValueError(f"shift m must be >= 0, got {m}")
+    if not directions or len(set(directions)) < len(directions):
+        raise ValueError(
+            f"directions must be non-empty and distinct, got {directions!r}")
     n_grid = tuple(sorted(int(n) for n in n_grid))
     signs = {z: _sign(z) for z in ("+",) + tuple(directions)}
     top = max(n_grid, default=0)

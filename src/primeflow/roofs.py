@@ -124,8 +124,8 @@ class FourierRoof:
         if total >= 1.0 and self._grid_min() <= 0.0:
             raise ValueError("roof is not positive on the circle")
 
-    def _grid_min(self, grid: int = 4096) -> float:
-        xs = np.arange(grid) / grid
+    def _grid_min(self) -> float:
+        xs = np.arange(4096) / 4096
         return float(np.min(self(xs)))
 
     def __call__(self, x, order: int = 0):
@@ -168,8 +168,8 @@ class TimeChange:
         if total >= 1.0 and self._grid_min() <= 0.0:
             raise ValueError("time change is not positive on the torus")
 
-    def _grid_min(self, grid: int = 256) -> float:
-        xs = np.arange(grid) / grid
+    def _grid_min(self) -> float:
+        xs = np.arange(256) / 256
         X, Y = np.meshgrid(xs, xs)
         return float(np.min(self(X, Y)))
 

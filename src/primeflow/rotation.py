@@ -92,10 +92,6 @@ class RotationNumber:
         """q_1, ..., q_depth."""
         return tuple(self._q[1:])
 
-    @property
-    def numerators(self):
-        return tuple(self._p[1:])
-
     def _level(self, n: int) -> int:
         if not 0 <= n <= self.depth:
             raise ValueError(f"index n = {n} outside [0, depth = {self.depth}]")

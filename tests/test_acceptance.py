@@ -20,7 +20,7 @@ from primeflow.observables import (
 )
 from primeflow.primes import ap_error, build_table, select_S_qr, theta_ap
 from primeflow.reparam import ReparamFlow, TorusPoint
-from primeflow.roofs import FourierRoof, PowerRoof
+from primeflow.roofs import FourierRoof, PowerRoof, birkhoff_sum_many
 from primeflow.rotation import construct_alpha, from_partial_quotients
 
 X6 = 10 ** 6
@@ -144,6 +144,19 @@ def test_c07_derivative_zeros():
         assert rep.metric("zero_count", N=n) == alpha.q(n)
     assert rep.verdicts["one_zero_per_interval"] == "pass"
     assert rep.verdicts["containment"] == "pass"
+
+
+def test_c07_containment_margin():
+    # why the containment verdict above checks nothing at its defaults: on
+    # the 1e5-point grid the smallest |S_{q_3}(f')| is about 0.041, some 40
+    # times the threshold 1e-3, so no grid point needs an arc to contain it
+    alpha = construct_alpha("scaled_D", growth=lambda q: q ** 2,
+                            depth=4, seed=3)
+    xs = (np.arange(10 ** 5) + 0.5) / 10 ** 5
+    smallest = float(np.min(np.abs(
+        birkhoff_sum_many(PowerRoof(), alpha.q(3), xs, alpha, order=1))))
+    assert alpha.q(3) == 103
+    assert 0.01 <= smallest <= 0.1
 
 
 # -- 8: visit-set interval structure ----------------------------------------

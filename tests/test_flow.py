@@ -382,20 +382,37 @@ def test_ab_decomposition_matches_fiber_loop(name, n, x, frac, horizon, delta,
         assert _bits(getattr(got, field)) == _bits(getattr(ref, field))
 
 
+class _Affine:
+    """psi(x, s) = c cos(2 pi x) + a + b s, whose fiber integrals
+    (c cos 2 pi x + a)(hi - lo) + b (hi^2 - lo^2) / 2 are exact."""
+
+    def __init__(self, c, a, b):
+        self.c, self.a, self.b = c, a, b
+
+    def __call__(self, x, s):
+        return (self.c * np.cos(2 * np.pi * np.asarray(x)) + self.a
+                + self.b * np.asarray(s, dtype=float))
+
+    def fiber_integral_many(self, x, lo, hi):
+        x, lo, hi = (np.asarray(v, dtype=float) for v in (x, lo, hi))
+        return ((self.c * np.cos(2 * np.pi * x) + self.a) * (hi - lo)
+                + self.b * (hi ** 2 - lo ** 2) / 2)
+
+
 def test_time_integral_constant():
-    psi = lambda X, S: np.full(np.broadcast(X, S).shape, 2.0)
+    psi = _Affine(0.0, 2.0, 0.0)
     got = time_integral(POWER, GOLDEN, psi, FlowPoint(0.3, 0.1), 37.0)
     assert abs(got - 74.0) < 1e-6
 
 
 def test_time_integral_single_fiber():
-    psi = lambda X, S: np.asarray(S, dtype=float)
+    psi = _Affine(0.0, 0.0, 1.0)
     got = time_integral(UNIT, GOLDEN, psi, FlowPoint(0.3, 0.0), 0.6)
     assert abs(got - 0.18) < 1e-10
 
 
 def test_time_integral_matches_riemann():
-    psi = lambda X, S: np.cos(2 * np.pi * np.asarray(X)) + np.asarray(S)
+    psi = _Affine(1.0, 0.0, 1.0)
     p = FlowPoint(0.27, 0.05)
     T = 12.0
     got = time_integral(POWER, GOLDEN, psi, p, T)
@@ -407,9 +424,9 @@ def test_time_integral_matches_riemann():
 
 
 def test_time_integral_array_matches_scalar_calls():
-    from primeflow.observables import make_tower_observable
+    from primeflow.observables import TowerObservable
 
-    psi = make_tower_observable(POWER, psi_inf=0.3)
+    psi = TowerObservable(POWER, psi_inf=0.3)
     p = FlowPoint(0.41, 0.2)
     # T = 0, T inside the first fiber either way, and many fibers both ways
     Ts = np.array([0.0, 0.05, -0.1, 3.7, -3.7, 41.0, -41.0, 250.5, -250.5])
@@ -422,7 +439,7 @@ def test_time_integral_array_matches_scalar_calls():
     # inside the first fiber the integral is one fiber integral
     for T in (0.05, -0.1):
         lo, hi = sorted((p.s, p.s + T))
-        direct = psi.fiber_integral(p.x, lo, hi) * np.sign(T)
+        direct = float(psi.fiber_integral_many(p.x, lo, hi)) * np.sign(T)
         assert abs(time_integral(POWER, GOLDEN, psi, p, T) - direct) < 1e-14
     # signed: int_{-T}^{T} is the forward integral from T_{-T} p
     for T in (3.7, 41.0, 250.5):
@@ -433,12 +450,15 @@ def test_time_integral_array_matches_scalar_calls():
 
 
 def test_time_integral_quadrature_matches_closed_form():
-    from primeflow.observables import make_tower_observable
+    # the closed-form fiber integrals against a midpoint rule along the orbit
+    from primeflow.observables import TowerObservable
 
-    psi = make_tower_observable(POWER, psi_inf=0.3)
-    plain = lambda X, S: psi(X, S)  # no fiber_integral_many: quadrature
+    psi = TowerObservable(POWER, psi_inf=0.3)
     p = FlowPoint(0.27, 0.05)
-    Ts = np.array([-30.0, -0.01, 0.02, 12.0, 30.0])
+    Ts = np.array([-30.0, -0.01, 0.01, 12.0, 30.0])
     exact = time_integral(POWER, GOLDEN, psi, p, Ts)
-    quad = time_integral(POWER, GOLDEN, plain, p, Ts)
-    assert np.allclose(quad, exact, rtol=1e-6, atol=1e-9)
+    M = 400000
+    for T, got in zip(Ts, exact):
+        ts = (np.arange(M) + 0.5) * (T / M)
+        xs, ss, _ = evaluate_times(POWER, GOLDEN, p, ts)
+        assert abs(got - float(np.mean(psi(xs, ss))) * T) < 1e-9

@@ -16,7 +16,6 @@ from primeflow.observables import (
     TowerObservable,
     box_discrepancy,
     coboundary_prime_discrepancy,
-    make_tower_observable,
     pnt_report,
     space_average,
 )
@@ -36,7 +35,7 @@ SPACE_AVG_DEFAULT = 0.367175320309594505
 
 @pytest.fixture(scope="module")
 def psi():
-    return make_tower_observable(POWER, psi_inf=0.3)
+    return TowerObservable(POWER, psi_inf=0.3)
 
 
 @pytest.fixture(scope="module")
@@ -60,11 +59,6 @@ def test_construction_decay(psi):
         assert np.max(np.abs(vals - 0.3)) <= math.exp(-r / 5.0) + 1e-15
 
 
-def test_construction_rejects_bad_w():
-    with pytest.raises(ConstructionError):
-        TowerObservable(0.0, POWER, w=lambda r: np.cos(math.pi * np.asarray(r)))
-
-
 def test_construction_error_is_shared():
     from primeflow import rotation
 
@@ -74,27 +68,17 @@ def test_construction_error_is_shared():
 
 
 def test_trivial_observables():
-    flat = TowerObservable(0.7, POWER, u_terms=((1, 0.0, 0.0),))
+    flat = TowerObservable(POWER, 0.7, u_terms=((1, 0.0, 0.0),))
     assert flat(0.3, 0.2) == 0.7
     assert abs(space_average(flat, POWER) - 0.7) < 1e-9
 
 
 def test_fiber_integral_closed_form(psi):
-    y = 0.23
-    F = POWER(y)
-    ss = np.linspace(0.0, F, 200001)
-    riemann = float(np.trapezoid(psi(np.full_like(ss, y), ss), ss))
-    assert abs(psi.fiber_integral(y, 0.0, F) - riemann) < 1e-9
-
-
-def test_fiber_integral_quadrature_path(psi):
-    custom = TowerObservable(
-        0.3, POWER,
-        rho=lambda s: np.exp(-np.asarray(s, dtype=float) / 5.0),
-        w=lambda r: np.sin(math.pi * np.asarray(r, dtype=float)) ** 2)
+    # a whole fiber and a partial one against the trapezoid rule
     for y, lo, hi in ((0.23, 0.0, POWER(0.23)), (0.6, 0.2, 0.9)):
-        assert abs(custom.fiber_integral(y, lo, hi)
-                   - psi.fiber_integral(y, lo, hi)) < 1e-9
+        ss = np.linspace(lo, hi, 200001)
+        riemann = float(np.trapezoid(psi(np.full_like(ss, y), ss), ss))
+        assert abs(float(psi.fiber_integral_many(y, lo, hi)) - riemann) < 1e-9
 
 
 def test_space_average_oracle(psi):
@@ -117,7 +101,7 @@ def test_prime_sum_of_one_is_theta(table):
     # psi = 1: the prime sum is theta(N) and the time integral N, so D1 =
     # |theta(N) - N| / N
     kf = KocherginFlow(POWER, GOLDEN)
-    one = make_tower_observable(POWER, psi_inf=1.0, u_terms=())
+    one = TowerObservable(POWER, psi_inf=1.0, u_terms=())
     N = 10 ** 5
     rep = pnt_report(one, kf, FlowPoint(0.37, 0.05), (N,), directions=("+",),
                      table=table)
@@ -127,7 +111,7 @@ def test_prime_sum_of_one_is_theta(table):
 def test_prime_sum_shift_relabels(table):
     # a constant observable cannot see the shift m at all
     kf = KocherginFlow(POWER, GOLDEN)
-    const = make_tower_observable(POWER, psi_inf=0.4, u_terms=())
+    const = TowerObservable(POWER, psi_inf=0.4, u_terms=())
     p = FlowPoint(0.3, 0.1)
     a, b = (pnt_report(const, kf, p, (10 ** 4,), m=m, table=table)
             for m in (0, 1))
@@ -139,10 +123,30 @@ def test_prime_sum_shift_relabels(table):
 def test_negative_shift_rejected(table, m):
     # at m < 0 the orbit would be read at the times p + |m|, after the prime
     kf = KocherginFlow(POWER, GOLDEN)
-    psi = make_tower_observable(POWER, 0.3)
+    psi = TowerObservable(POWER, 0.3)
     with pytest.raises(ValueError, match=f"shift m must be >= 0, got {m}"):
         pnt_report(psi, kf, FlowPoint(0.55, 0.05), (10 ** 3, 10 ** 4), m=m,
                    table=table)
+
+
+@pytest.mark.parametrize("directions", [(), ("+", "+")])
+def test_directions_must_be_distinct(table, directions):
+    # () used to fail in max() on a grid of two points, ("+", "+") wrote
+    # every D1/D2/D3 row twice
+    kf = KocherginFlow(POWER, GOLDEN)
+    with pytest.raises(ValueError, match="directions"):
+        pnt_report(TowerObservable(POWER, 0.3), kf, FlowPoint(0.55, 0.05),
+                   (10 ** 3, 10 ** 4), directions=directions, table=table)
+
+
+@pytest.mark.parametrize("boxes", [0, -3])
+@pytest.mark.parametrize("torus", [False, True])
+def test_box_count_must_be_positive(boxes, torus):
+    flow = (ReparamFlow(SCALED, make_timechange(SCALED)) if torus
+            else KocherginFlow(POWER, GOLDEN))
+    pts = (np.array([0.2, 0.7]), np.array([0.1, 0.4]))
+    with pytest.raises(ValueError, match=f"boxes must be >= 1, got {boxes}"):
+        box_discrepancy(pts, np.ones(2), flow, boxes=boxes)
 
 
 class _BadRoof:
@@ -160,7 +164,7 @@ def test_prime_sum_singular_hit(table):
     alpha = GOLDEN
     start = FlowPoint((-2 * alpha.float_value) % 1.0, 0.1)
     kf = KocherginFlow(_BadRoof(), alpha)
-    one = make_tower_observable(_BadRoof(), psi_inf=1.0, u_terms=())
+    one = TowerObservable(_BadRoof(), psi_inf=1.0, u_terms=())
     with pytest.raises(SingularOrbitError, match="prime 2"):
         pnt_report(one, kf, start, (100,), table=table)
 
@@ -273,7 +277,7 @@ def test_box_discrepancy_tower_reference():
 
 def test_pnt_report_constant_reduces_to_theta(table):
     kf = KocherginFlow(POWER, GOLDEN)
-    flat = TowerObservable(0.3, POWER, u_terms=((1, 0.0, 0.0),))
+    flat = TowerObservable(POWER, 0.3, u_terms=((1, 0.0, 0.0),))
     rep = pnt_report(flat, kf, FlowPoint(0.3, 0.1), (10 ** 3, 10 ** 4),
                      directions=("+",), table=table)
     for N in (10 ** 3, 10 ** 4):
@@ -340,7 +344,7 @@ def test_pnt_report_one_pass_per_direction(kind, table, monkeypatch):
     # positions call at the prime times, one time_integral call at z N
     if kind == "kochergin":
         cls, flow = KocherginFlow, KocherginFlow(POWER, GOLDEN)
-        psi, start = make_tower_observable(POWER, 0.3), FlowPoint(0.55, 0.05)
+        psi, start = TowerObservable(POWER, 0.3), FlowPoint(0.55, 0.05)
     else:
         cls, flow = ReparamFlow, ReparamFlow(SCALED, make_timechange(SCALED))
         psi = TorusObservable(0.0, [(1, 0, 1.0), (0, 1, 0.5)])
@@ -427,7 +431,7 @@ def test_coboundary_discrepancy_rejects_bad_input(depth, N, name, table):
 def test_non_finite_times_rejected(kind, t):
     if kind == "kochergin":
         flow, start = KocherginFlow(POWER, GOLDEN), FlowPoint(0.7, 0.3)
-        psi = make_tower_observable(POWER, 0.3)
+        psi = TowerObservable(POWER, 0.3)
     else:
         flow = ReparamFlow(SCALED, make_timechange(SCALED))
         start = TorusPoint(0.31, 0.64)
