@@ -16,6 +16,7 @@ from .observables import (
     KocherginFlow,
     TorusObservable,
     TowerObservable,
+    _check_boxes,
     _prime_points,
     box_discrepancy,
     coboundary_prime_discrepancy,
@@ -464,6 +465,8 @@ def _exp_equidist_boxes(cfg, table):
     """Box-counting equidistribution of the weighted prime orbit."""
     table = _table(cfg, table)
     flow, _, start = _kochergin_setup(cfg)
+    boxes = cfg.get_int("boxes", 32)
+    _check_boxes(boxes)
     grid = tuple(n for n in cfg.n_grid if n <= table.limit)
     report = ExperimentReport("equidist_boxes",
                               {"n_grid": list(grid),
@@ -472,8 +475,7 @@ def _exp_equidist_boxes(cfg, table):
                                       "+", 0)
     vals = []
     for N, k in zip(grid, np.searchsorted(table.primes, grid, side="right")):
-        d = box_discrepancy((xs[:k], ss[:k]), weights[:k], flow,
-                            boxes=cfg.get_int("boxes", 32))
+        d = box_discrepancy((xs[:k], ss[:k]), weights[:k], flow, boxes=boxes)
         report.add("box_discrepancy", d, N=N)
         vals.append(d)
     if len(vals) >= 2:

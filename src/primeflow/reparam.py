@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .roofs import FourierRoof, TimeChange, roof_from_timechange
+from .roofs import FourierRoof, TimeChange, _finite, roof_from_timechange
 from .rotation import RotationNumber, circle_distance
 
 __all__ = [
@@ -39,15 +39,6 @@ _TWO_PI = 2.0 * math.pi
 # before the bisection fallback
 _BLOCK = 1 << 15
 _MAX_STEPS = 40
-
-
-def _finite(name, x):
-    """x as a float64 array; ValueError naming it if any entry is not finite."""
-    x = np.asarray(x, dtype=np.float64)
-    bad = ~np.isfinite(x)
-    if bad.any():
-        raise ValueError(f"{name} must be finite, got {x[bad].flat[0]}")
-    return x
 
 
 def _unit(x):
@@ -373,17 +364,6 @@ def _max_multiple(roof: FourierRoof, q: int) -> int:
     return max(1, top // q)
 
 
-def _frac_exact(i: int, alpha: RotationNumber) -> float:
-    """Signed fractional part of i * alpha in [-1/2, 1/2), reduced exactly
-    in bigints.  The signed form keeps tiny phases (far below 1 ulp of 1.0)
-    fully resolved."""
-    P, Q = alpha.value.numerator, alpha.value.denominator
-    r = (i * P) % Q
-    if 2 * r >= Q:
-        r -= Q
-    return r / Q
-
-
 def roof_sum_deviation(roof: FourierRoof, alpha: RotationNumber, M: int,
                        x: float) -> float:
     """|S_M(f)(x) - M| via the geometric-series closed form
@@ -393,8 +373,8 @@ def roof_sum_deviation(roof: FourierRoof, alpha: RotationNumber, M: int,
     for q, b in roof.pairs:
         if b == 0:
             continue
-        num = np.exp(2j * math.pi * _frac_exact(M * q, alpha)) - 1.0
-        den = np.exp(2j * math.pi * _frac_exact(q, alpha)) - 1.0
+        num = np.exp(2j * math.pi * alpha.signed_frac(M * q)) - 1.0
+        den = np.exp(2j * math.pi * alpha.signed_frac(q)) - 1.0
         total += (b * np.exp(2j * math.pi * q * x) * num / den).real
     return abs(total)
 
@@ -418,7 +398,7 @@ def rigidity_distance(flow: ReparamFlow, k: int, n: int,
     """
     alpha = flow.alpha
     t0 = k * alpha.q(n)
-    modes = [(_frac_exact(t0 * q, alpha), w, b) for (q, _, _, w), b in
+    modes = [(alpha.signed_frac(t0 * q), w, b) for (q, _, _, w), b in
              zip(flow._terms, flow._start_factors(x.x1, x.x2))]
     eps = 0.0
     for _ in range(60):
@@ -432,7 +412,7 @@ def rigidity_distance(flow: ReparamFlow, k: int, n: int,
             break
         eps = new
     a = alpha.float_value
-    d1 = abs(_frac_exact(t0, alpha) + eps * a)
+    d1 = abs(alpha.signed_frac(t0) + eps * a)
     d2 = abs(eps) if abs(eps) < 0.5 else circle_distance(eps)
     dev = roof_sum_deviation(flow.roof(), alpha, t0, x.x1)
     return RigidityReport(time=t0, epsilon=eps, distance=d1 + d2,

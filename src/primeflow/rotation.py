@@ -35,9 +35,9 @@ _CHUNK = 1 << 16
 
 
 class ConstructionError(ValueError, RuntimeError):
-    """Raised when a constructor (of an alpha, or of an observable) cannot
-    satisfy its constraints; caught by ``except ValueError`` and by
-    ``except RuntimeError`` alike."""
+    """Raised when the constructor of an alpha cannot satisfy its
+    constraints; caught by ``except ValueError`` and by ``except
+    RuntimeError`` alike."""
 
 
 def circle_distance(x: float) -> float:
@@ -118,19 +118,15 @@ class RotationNumber:
 
     # -- circle arithmetic --------------------------------------------------
 
-    def multiple_mod_one(self, i: int) -> float:
-        """i * alpha mod 1, exact up to one binary64 rounding."""
-        return float(self.multiple_mod_one_fraction(i))
-
-    def multiple_mod_one_fraction(self, i: int) -> Fraction:
-        if i < 0:
-            raise ValueError("i must be >= 0")
-        if i > self._q[-1] ** 2:
-            raise OverflowError(
-                f"multiple {i} exceeds supported range q_max^2 = {self._q[-1] ** 2}"
-            )
+    def signed_frac(self, i: int) -> float:
+        """i * alpha mod 1 as a signed value in [-1/2, 1/2): r / Q for the
+        exact r = i*P mod Q (less Q when 2r >= Q), reduced in bigints, so
+        phases far below 1 ulp of 1.0 stay fully resolved."""
         P, Q = self._value.numerator, self._value.denominator
-        return Fraction((i * P) % Q, Q)
+        r = (i * P) % Q
+        if 2 * r >= Q:
+            r -= Q
+        return r / Q
 
     def orbit(self, lo: int, hi: int, backward: bool = False) -> np.ndarray:
         """Float images of i*alpha mod 1 (-i*alpha if backward), lo <= i < hi,

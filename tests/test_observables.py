@@ -9,7 +9,6 @@ from primeflow.config import ExperimentConfig
 from primeflow.experiments import run_experiment
 from primeflow.flow import FlowPoint, evaluate, evaluate_times
 from primeflow.observables import (
-    ConstructionError,
     KocherginFlow,
     SingularOrbitError,
     TorusObservable,
@@ -60,11 +59,62 @@ def test_construction_decay(psi):
 
 
 def test_construction_error_is_shared():
-    from primeflow import rotation
+    # caught by except ValueError and except RuntimeError alike
+    from primeflow.rotation import ConstructionError
 
-    assert ConstructionError is rotation.ConstructionError
     assert issubclass(ConstructionError, ValueError)
     assert issubclass(ConstructionError, RuntimeError)
+
+
+@pytest.mark.parametrize("amp", [1.0, 1e3])
+@pytest.mark.parametrize("roof", [PowerRoof(-0.5), PowerRoof(-0.9),
+                                  FourierRoof([(2, 0.3), (5, 0.2j)])],
+                         ids=["power-0.5", "power-0.9", "fourier"])
+def test_tower_identities(roof, amp):
+    # the identities the form of psi guarantees for any u, as oracles
+    psi = TowerObservable(roof, 0.3, ((1, amp, 0.0), (3, 0.0, -0.5 * amp)))
+    coeff = 1.5 * amp  # sum of |coefficients|
+    tiny = 10.0 ** -np.arange(4.0, 13.0)
+    ys = np.concatenate(((np.arange(1000) + 0.5) / 1000, tiny, 1.0 - tiny))
+    fys = roof(ys)
+    # roof matching: both glued values equal psi_inf
+    for s in (np.zeros_like(ys), fys):
+        assert np.max(np.abs(psi(ys, s) - 0.3)) <= 1e-12
+    # decay: |psi - psi_inf| <= exp(-s/5) sum |coefficients| up the fiber
+    for frac in (0.1, 0.37, 0.5, 0.9):
+        ss = frac * fys
+        drift = np.abs(psi(ys, ss) - 0.3)
+        assert np.all(drift <= np.exp(-ss / 5.0) * coeff + 1e-12)
+    if isinstance(roof, PowerRoof):
+        # approaching the singular fiber at fixed height from either side,
+        # psi settles to psi_inf, within sin^2 x <= x^2
+        for s in (0.5, 2.0, 5.0):
+            for side in (tiny, 1.0 - tiny):
+                drift = np.abs(psi(side, np.full_like(side, s)) - 0.3)
+                bound = (math.exp(-s / 5.0) * coeff
+                         * (math.pi * s / roof(side)) ** 2)
+                assert np.all(np.diff(drift) <= 0.0)
+                assert np.all(drift <= bound + 1e-15)
+                assert drift[0] > 1e3 * drift[-1]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("name, build", [
+    ("psi_inf", lambda x: TowerObservable(POWER, x)),
+    ("psi_inf", lambda x: TowerObservable(FourierRoof([(2, 0.3)]), x)),
+    ("u_terms coefficient",
+     lambda x: TowerObservable(POWER, 0.3, ((1, 1.0, 0.0), (2, 0.0, x)))),
+    ("constant", lambda x: TorusObservable(x, [(1, 0, 1.0)])),
+    ("c", lambda x: TorusObservable(0.0, [(1, 0, 1.0), (0, 1, x)])),
+    ("b", lambda x: FourierRoof([(2, 0.3), (3, complex(0.1, x))])),
+    ("a", lambda x: TimeChange([(2, 0, 0.3), (1, 1, x)])),
+    ("c0", lambda x: PowerRoof(c0=x)),
+    ("kappa", lambda x: PowerRoof(kappa=x)),
+], ids=["psi_inf-power", "psi_inf-fourier", "u_terms", "constant", "c", "b",
+        "a", "c0", "kappa"])
+def test_non_finite_parameters_rejected(name, build, bad):
+    with pytest.raises(ValueError, match=f"^{name} must be finite, got "):
+        build(bad)
 
 
 def test_trivial_observables():
@@ -137,6 +187,32 @@ def test_directions_must_be_distinct(table, directions):
     with pytest.raises(ValueError, match="directions"):
         pnt_report(TowerObservable(POWER, 0.3), kf, FlowPoint(0.55, 0.05),
                    (10 ** 3, 10 ** 4), directions=directions, table=table)
+
+
+@pytest.mark.parametrize("kind", ["kochergin", "reparam", "equidist_boxes"])
+def test_box_count_checked_before_the_orbit(kind, table, monkeypatch):
+    # a bad box count is named before any orbit pass is paid for
+    if kind == "reparam":
+        cls, flow = ReparamFlow, ReparamFlow(SCALED, make_timechange(SCALED))
+        psi = TorusObservable(0.0, [(1, 0, 1.0), (0, 1, 0.5)])
+        start = TorusPoint(0.31, 0.64)
+    else:
+        cls, flow = KocherginFlow, KocherginFlow(POWER, GOLDEN)
+        psi, start = TowerObservable(POWER, 0.3), FlowPoint(0.55, 0.05)
+    calls = []
+    orig = cls.positions
+    monkeypatch.setattr(
+        cls, "positions",
+        lambda self, *args: calls.append(args) or orig(self, *args))
+    with pytest.raises(ValueError, match="boxes must be >= 1, got 0"):
+        if kind == "equidist_boxes":
+            run_experiment(ExperimentConfig(
+                kind, sieve_limit=10 ** 4, n_grid=(10 ** 3, 10 ** 4),
+                params={"boxes": "0"}), table)
+        else:
+            pnt_report(psi, flow, start, (10 ** 3, 10 ** 4), table=table,
+                       boxes=0)
+    assert calls == []
 
 
 @pytest.mark.parametrize("boxes", [0, -3])

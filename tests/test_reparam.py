@@ -251,7 +251,7 @@ def test_roof_sum_deviation_matches_direct():
     roof = FourierRoof([(alpha.q(n), b)], alpha)
     M = 3 * alpha.q(n)
     x = 0.29
-    direct = abs(sum(roof((x + float(alpha.multiple_mod_one(i))) % 1.0)
+    direct = abs(sum(roof((x + alpha.signed_frac(i)) % 1.0)
                      for i in range(M)) - M)
     assert abs(roof_sum_deviation(roof, alpha, M, x) - direct) < 1e-8
 

@@ -128,6 +128,19 @@ def test_roof_from_timechange_modes():
     assert np.allclose(g(xs), 1.0)
 
 
+@pytest.mark.parametrize("m", [1, 31, 100])
+def test_roof_from_timechange_matches_fiber_rule(m):
+    # the 256-point equispaced rule in y integrates e(k y) exactly for
+    # |k| < 256, so it is an exact oracle for the fiber average
+    v = TimeChange([(2, 0, 0.2 + 0.1j), (3, m, 0.1), (1, -m, 0.05j)],
+                   check_band=False)
+    f = roof_from_timechange(v)
+    xs = np.arange(97) / 97
+    ys = np.arange(256) / 256
+    rule = v(xs[:, None], ys[None, :]).mean(axis=1)
+    assert np.max(np.abs(f(xs) - rule)) < 1e-14
+
+
 def test_birkhoff_sum_base_cases():
     f = FourierRoof([(2, 0.3)])
     assert birkhoff_sum(f, 0, 0.3, GOLDEN) == 0.0
@@ -384,7 +397,7 @@ def test_derivative_sum_tracks_closest_point():
     resid = []
     for x in rng.random(40):
         offs = (x + np.array(
-            [float(SCALED.multiple_mod_one(i)) for i in range(qn)])) % 1.0
+            [SCALED.signed_frac(i) for i in range(qn)])) % 1.0
         i_min = int(np.argmin(np.minimum(offs, 1.0 - offs)))
         closest = offs[i_min]
         dev = abs(birkhoff_sum(f, qn, float(x), SCALED, order=1) - f(closest, 1))

@@ -96,11 +96,15 @@ def test_orbit_min_distance_matches_enumeration():
 
 
 def test_multiple_mod_one():
-    assert GOLDEN.multiple_mod_one(0) == 0.0
-    assert abs(GOLDEN.multiple_mod_one(1) - GOLDEN.float_value) < 1e-15
-    v = GOLDEN.multiple_mod_one(5)
+    # signed_frac is i * alpha mod 1, shifted into [-1/2, 1/2)
+    assert GOLDEN.signed_frac(0) == 0.0
+    assert abs(GOLDEN.signed_frac(1) - (GOLDEN.float_value - 1.0)) < 1e-15
+    v = GOLDEN.signed_frac(5)
     assert abs(v - 0.09017) < 1e-4
-    assert min(v, 1 - v) <= 1 / 8
+    assert abs(v) <= 1 / 8
+    for i in range(200):
+        r = (i * GOLDEN.value) % 1
+        assert GOLDEN.signed_frac(i) == float(r if r < Fraction(1, 2) else r - 1)
 
 
 def test_multiple_mod_one_additivity():
@@ -109,16 +113,9 @@ def test_multiple_mod_one_additivity():
     for _ in range(1000):
         i = rng.randrange(10 ** 6)
         j = rng.randrange(10 ** 6)
-        lhs = deep.multiple_mod_one(i + j)
-        rhs = (deep.multiple_mod_one(i) + deep.multiple_mod_one(j)) % 1.0
-        diff = abs(lhs - rhs)
-        assert min(diff, 1 - diff) < 1e-11
-
-
-def test_multiple_mod_one_overflow_guard():
-    small = from_partial_quotients([1, 1])
-    with pytest.raises(OverflowError):
-        small.multiple_mod_one(small.q(2) ** 2 + 10)
+        diff = (deep.signed_frac(i + j) - deep.signed_frac(i)
+                - deep.signed_frac(j))
+        assert abs(diff - round(diff)) < 1e-11
 
 
 def test_scaled_d_growth():
