@@ -54,7 +54,7 @@ from .roofs import (
     quadratic_expansion_check,
     small_derivative_set,
 )
-from .rotation import construct_alpha, from_partial_quotients
+from .rotation import construct_alpha, frac, from_partial_quotients
 
 __all__ = ["REGISTRY", "UnknownExperimentError", "run_experiment"]
 
@@ -168,7 +168,7 @@ def _exp_singular_birkhoff(cfg, table):
     qn = alpha.q(n)
     resid = []
     for x in xs[:40]:
-        offs = (x + alpha.orbit(0, qn)) % 1.0
+        offs = frac(x + alpha.orbit(0, qn))
         closest = offs[int(np.argmin(np.minimum(offs, 1.0 - offs)))]
         resid.append(abs(birkhoff_sum(f, qn, float(x), alpha, order=1)
                          - f(closest, 1)))

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .roofs import PowerRoof
-from .rotation import RotationNumber, circle_distance
+from .rotation import RotationNumber, circle_distance, frac
 
 __all__ = [
     "FlowPoint",
@@ -63,7 +63,7 @@ def _offsets(alpha: RotationNumber, n: int, backward: bool = False) -> np.ndarra
 
 def _roof_values(roof, alpha, x, lo, hi, backward=False):
     """Bases x +- i alpha of the fibers lo <= i < hi and the roofs on them."""
-    pts = (x + _offsets(alpha, hi, backward)[lo:hi]) % 1.0
+    pts = frac(x + _offsets(alpha, hi, backward)[lo:hi])
     return pts, np.asarray(roof(pts), dtype=np.float64)
 
 
@@ -207,8 +207,8 @@ def _min_dist_to_centers(xs, centers) -> np.ndarray:
     idx = np.searchsorted(cs, xs)
     lo = cs[(idx - 1) % len(cs)]
     hi = cs[idx % len(cs)]
-    d1 = np.abs(((xs - lo) + 0.5) % 1.0 - 0.5)
-    d2 = np.abs(((xs - hi) + 0.5) % 1.0 - 0.5)
+    d1 = np.abs(frac((xs - lo) + 0.5) - 0.5)
+    d2 = np.abs(frac((xs - hi) + 0.5) - 0.5)
     return np.minimum(d1, d2)
 
 

@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .rotation import frac
+
 __all__ = [
     "ResourceError",
     "PrimeTable",
@@ -339,8 +341,8 @@ class PhaseCoefficients:
 def _phase_pairs(table: PrimeTable, coeffs: PhaseCoefficients):
     ps = table.primes_between(coeffs.N, coeffs.N + coeffs.H)
     m = (ps - coeffs.N).astype(np.float64)
-    u = (coeffs.gamma1 * m) % 1.0
-    w = (coeffs.gamma2 * m * m) % 1.0
+    u = frac(coeffs.gamma1 * m)
+    w = frac(coeffs.gamma2 * m * m)
     return ps, u, w
 
 
@@ -350,7 +352,7 @@ def quad_phase_sum(table: PrimeTable, coeffs: PhaseCoefficients) -> complex:
     if len(ps) == 0:
         return 0j
     logs = np.log(ps.astype(np.float64))
-    phase = 2.0 * np.pi * ((u + w) % 1.0)
+    phase = 2.0 * np.pi * frac(u + w)
     re = math.fsum(logs * np.cos(phase))
     im = math.fsum(logs * np.sin(phase))
     return complex(re, im)
@@ -395,7 +397,7 @@ class CircleInterval:
             return np.zeros(x.shape, dtype=bool)
         if self.full:
             return np.ones(x.shape, dtype=bool)
-        return (x - self.start) % 1.0 < self.length
+        return frac(x - self.start) < self.length
 
     @classmethod
     def full_circle(cls) -> "CircleInterval":
@@ -428,7 +430,7 @@ def build_interval_partition(table: PrimeTable, q: int, gamma1: float,
         raise ValueError("q must be >= 2")
     ps = table.primes_between(N, N + H)
     m = (ps - N).astype(np.float64)
-    y = (gamma1 * m) % 1.0
+    y = frac(gamma1 * m)
     cell = 1.0 / (q * q)
     binw = 2.0 * q ** -9.0
     nbins = q ** 7 // 2  # complete bins only

