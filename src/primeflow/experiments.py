@@ -162,8 +162,7 @@ def _exp_singular_birkhoff(cfg, table):
             cs.append(dev / xmin ** f.gamma)
         consts.append(max(cs))
         report.add("fitted_constant", consts[-1], N=n)
-    _verdict(report, "constant_stable",
-             consts[1] <= 2.0 * consts[0] or consts[0] <= 2.0 * consts[1])
+    _verdict(report, "constant_stable", max(consts) <= 2.0 * min(consts))
     n = 3
     qn = alpha.q(n)
     resid = []

@@ -189,12 +189,6 @@ class FourierRoof:
                 return b / 2.0
         return 0j
 
-    def coefficient(self, q: int) -> complex:
-        for qq, b in self.pairs:
-            if qq == q:
-                return b
-        return 0j
-
 
 class TimeChange:
     """v(x, y) = 1 + Re(sum a_{q,m} e(q x + m y)) on the torus."""

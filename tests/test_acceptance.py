@@ -11,6 +11,7 @@ import time
 import numpy as np
 import pytest
 
+from primeflow import experiments
 from primeflow.config import ExperimentConfig
 from primeflow.experiments import run_experiment
 from primeflow.flow import FlowPoint, evaluate, evaluate_naive, tower_metric
@@ -124,6 +125,27 @@ def test_c05_rigidity_trend():
     for seq in (devs, dists):
         for a, b in zip(seq, seq[1:]):
             assert b <= a / 3.0
+
+
+def test_singular_constant_stable_can_fail(monkeypatch):
+    # the verdict passes at the defaults (0.187 vs 0.168) and fails once
+    # the deviations at the second level, q_3 = 103, are inflated tenfold
+    assert _run("singular_birkhoff").verdicts["constant_stable"] == "pass"
+    q3 = construct_alpha("scaled_D", growth=lambda q: q ** 2,
+                         depth=4, seed=3).q(3)
+    real = experiments.birkhoff_sum
+
+    def inflated(f, n, x, alpha, order=0):
+        s = real(f, n, x, alpha, order=order)
+        if order == 0 and n == q3:
+            return n * f.integral() + 10.0 * (s - n * f.integral())
+        return s
+
+    monkeypatch.setattr(experiments, "birkhoff_sum", inflated)
+    rep = _run("singular_birkhoff")
+    assert rep.metric("fitted_constant", N=3) > 5.0 * rep.metric(
+        "fitted_constant", N=2)
+    assert rep.verdicts["constant_stable"] == "fail"
 
 
 # -- 6: main-plus-quadratic expansion ---------------------------------------

@@ -132,7 +132,55 @@ def test_fiber_integral_closed_form(psi):
 
 
 def test_space_average_oracle(psi):
-    assert abs(space_average(psi, POWER) - SPACE_AVG_DEFAULT) < 1e-6
+    assert abs(space_average(psi, POWER) - SPACE_AVG_DEFAULT) <= 1e-12
+
+
+# 20-digit quadrature of the same mean over PowerRoof(gamma, c0=0.2)
+@pytest.mark.parametrize("gamma, want", [
+    (-0.75, 0.39496331205565658842),
+    (-0.9, 0.37737068233257802555),
+    (-0.97, 0.33969815397565069277),
+])
+def test_space_average_oracle_across_gamma(gamma, want):
+    roof = PowerRoof(gamma, c0=0.2)
+    psi = TowerObservable(roof, psi_inf=0.3)
+    assert abs(space_average(psi, roof) - want) <= 1e-12
+
+
+class _Ragged:
+    """A fiber integral that oscillates fast on [1/4, 1/2] only."""
+    psi_inf = 0.0
+
+    def fiber_integral_many(self, y, lo, hi):
+        return np.where((y > 0.25) & (y < 0.5), np.cos(1e4 * y), 0.0)
+
+
+def test_space_average_names_the_worst_cell():
+    with pytest.raises(RuntimeError,
+                       match=r"worst cell \[2\.500e-01, 5\.000e-01\]"):
+        space_average(_Ragged(), POWER)
+
+
+@pytest.mark.parametrize("roof", [PowerRoof(-0.5), PowerRoof(-0.9),
+                                  PowerRoof(-0.97), FourierRoof([(3, 0.5)])],
+                         ids=["power-0.5", "power-0.9", "power-0.97",
+                              "fourier"])
+def test_box_masses_sum_to_one(roof):
+    masses, tail, height = KocherginFlow(roof, GOLDEN).box_masses(32)
+    assert height == 5.0
+    assert abs(masses.sum() + tail - 1.0) <= 1e-14
+    if isinstance(roof, FourierRoof):
+        # 1 + cos never reaches 5: the tail is the two end slivers alone
+        assert 0.0 <= tail <= 1e-12
+
+
+def test_box_masses_tail_error():
+    # the mass above 5 against the closed form int (f - 5)_+ / int f for the
+    # default roof: the Gauss cells straddle the crossings f = j 5/32, which
+    # costs about 1.8e-6 relative; pinned so a change in either shows
+    _, tail, _ = KocherginFlow(POWER, GOLDEN).box_masses(32)
+    exact = 0.017391662061217288
+    assert 1e-6 <= abs(tail - exact) / exact <= 3e-6
 
 
 def test_evaluate_times_matches_evaluate():

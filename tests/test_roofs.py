@@ -134,7 +134,7 @@ def test_fourier_roof_band_validation():
     n = 2
     q, q1 = alpha.q(n), alpha.q(n + 1)
     ok = FourierRoof([(q, q1 ** -0.6)], alpha)
-    assert ok.coefficient(q) == q1 ** -0.6
+    assert 2 * ok.fhat(q) == q1 ** -0.6
     with pytest.raises(ValueError):
         FourierRoof([(q, 0.9)], alpha)
     with pytest.raises(ValueError):
