@@ -1,23 +1,19 @@
-"""Command-line entry point: sieve caching, alpha construction, and the
-experiment registry."""
+"""Command-line entry point: sieve, alpha construction, and the experiment
+registry."""
 
 import argparse
 import sys
 
 from .config import ConfigError, ExperimentConfig, emit_report, parse_config
 from .experiments import REGISTRY, UnknownExperimentError, run_experiment
-from .primes import PrimeTable, build_table
+from .primes import build_table
 from .rotation import construct_alpha
 
 
 def _cmd_sieve(args):
     table = build_table(args.limit)
-    if args.cache:
-        table.save(args.cache)
-        print(f"sieve to {table.limit} cached at {args.cache}")
-    else:
-        print(f"sieve to {table.limit}: {len(table.primes)} primes, "
-              f"theta = {table.theta(table.limit):.6f}")
+    print(f"sieve to {table.limit}: {len(table.primes)} primes, "
+          f"theta = {table.theta(table.limit):.6f}")
     return 0
 
 
@@ -53,8 +49,7 @@ def _cmd_run(args):
         cfg.seed = args.seed
     if args.threads:
         cfg.params["threads"] = args.threads
-    table = PrimeTable.load(args.cache) if args.cache else None
-    report = run_experiment(cfg, table)
+    report = run_experiment(cfg)
     out_json = args.out_json or cfg.out_json or None
     out_csv = args.out_csv or cfg.out_csv or None
     emit_report(report, json_path=out_json, csv_path=out_csv)
@@ -73,9 +68,8 @@ def main(argv=None) -> int:
                                  description=__doc__.splitlines()[0])
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("sieve", help="build and optionally cache a prime table")
+    p = sub.add_parser("sieve", help="build a prime table and print its count")
     p.add_argument("--limit", type=int, default=10 ** 6)
-    p.add_argument("--cache", help="write the binary sieve cache here")
     p.set_defaults(func=_cmd_sieve)
 
     p = sub.add_parser("build-alpha", help="construct a rotation number")
@@ -91,7 +85,6 @@ def main(argv=None) -> int:
     p = sub.add_parser("run", help="run a registered experiment")
     p.add_argument("experiment", nargs="?", help="registry name")
     p.add_argument("--config", help="key = value manifest file")
-    p.add_argument("--cache", help="load a binary sieve cache")
     p.add_argument("--out-json")
     p.add_argument("--out-csv")
     p.add_argument("--seed", type=int)

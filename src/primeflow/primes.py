@@ -31,14 +31,11 @@ __all__ = [
     "short_interval_ap_average",
 ]
 
-DEFAULT_MAX_LIMIT = 1 << 31
 _SEGMENT = 1 << 22
+_MAX_LIMIT = 1 << 31
 # moduli x primes held at once by ap_error_many (one modulus at least):
 # 128 KiB float64 buffers stay in cache and are reused between chunks
 _AP_CHUNK = 1 << 14
-
-_CACHE_MAGIC = b"PFSIEVE1"
-_CACHE_VERSION = 1
 
 
 class ResourceError(RuntimeError):
@@ -55,85 +52,29 @@ def _simple_sieve(limit: int) -> np.ndarray:
 
 
 class PrimeTable:
-    """Primality bitset plus log-weighted cumulative sums up to a limit.
+    """The primes up to a limit as one sorted int64 array, which every query
+    reads, plus their log-weighted cumulative sums, accumulated in extended
+    precision so that theta queries stay well below 1e-6 absolute error at
+    1e8 scale."""
 
-    Cumulative theta values are accumulated in extended precision so that
-    theta queries stay well below 1e-6 absolute error at 1e8 scale.
-    """
-
-    def __init__(self, limit: int, packed_bits: np.ndarray, primes: np.ndarray):
+    def __init__(self, limit: int, primes: np.ndarray):
         self.limit = int(limit)
-        self._bits = packed_bits
         self.primes = primes
         self._cumlog = np.cumsum(np.log(primes.astype(np.longdouble)))
 
-    # -- construction -------------------------------------------------------
-
-    @classmethod
-    def build(cls, limit: int, *, segment: int = _SEGMENT,
-              max_limit: int = DEFAULT_MAX_LIMIT) -> "PrimeTable":
-        limit = int(limit)
-        if limit < 2:
-            raise ValueError("limit must be >= 2")
-        if limit > max_limit:
-            raise ResourceError(f"limit {limit} exceeds budget {max_limit}")
-        base = _simple_sieve(int(limit ** 0.5) + 1)
-        segment = -(-int(segment) // 8) * 8  # whole bytes of the bitset
-        packed = np.zeros((limit + 8) // 8 + 1, dtype=np.uint8)
-        prime_chunks = []
-        for lo in range(0, limit + 1, segment):
-            hi = min(lo + segment, limit + 1)
-            mask = np.ones(hi - lo, dtype=bool)
-            if lo == 0:
-                mask[: min(2, hi)] = False
-            for p in base:
-                start = max(p * p, ((lo + p - 1) // p) * p)
-                if start >= hi:
-                    continue
-                mask[start - lo :: p] = False
-            idx = np.flatnonzero(mask) + lo
-            prime_chunks.append(idx)
-            packed[lo // 8 : lo // 8 + (len(mask) + 7) // 8] |= np.packbits(
-                mask, bitorder="little"
-            )
-        primes = np.concatenate(prime_chunks)
-        return cls(limit, packed, primes)
-
-    # -- cache persistence --------------------------------------------------
-
-    def save(self, path) -> None:
-        with open(path, "wb") as fh:
-            fh.write(_CACHE_MAGIC)
-            fh.write(_CACHE_VERSION.to_bytes(4, "little"))
-            fh.write(self.limit.to_bytes(8, "little"))
-            fh.write(_SEGMENT.to_bytes(8, "little"))
-            fh.write(self._bits.tobytes())
-
-    @classmethod
-    def load(cls, path) -> "PrimeTable":
-        with open(path, "rb") as fh:
-            magic = fh.read(8)
-            if magic != _CACHE_MAGIC:
-                raise ValueError("not a sieve cache file")
-            version = int.from_bytes(fh.read(4), "little")
-            if version != _CACHE_VERSION:
-                raise ValueError(f"unsupported cache version {version}")
-            limit = int.from_bytes(fh.read(8), "little")
-            int.from_bytes(fh.read(8), "little")  # segment size, informational
-            packed = np.frombuffer(fh.read(), dtype=np.uint8).copy()
-        if len(packed) != (limit + 8) // 8 + 1:
-            raise ValueError(f"sieve cache payload does not match limit {limit}")
-        bits = np.unpackbits(packed, bitorder="little")[: limit + 1]
-        primes = np.flatnonzero(bits).astype(np.int64)
-        return cls(limit, packed, primes)
-
-    # -- queries ------------------------------------------------------------
-
     def is_prime(self, n) -> np.ndarray:
-        n = np.asarray(n, dtype=np.int64)
-        if np.any(n > self.limit) or np.any(n < 0):
+        """Primality of each integer n in [0, limit]; a non-integral n
+        raises ValueError, one outside the range ResourceError."""
+        raw = np.asarray(n)
+        with np.errstate(invalid="ignore"):  # nan and inf are caught below
+            k = raw.astype(np.int64)
+        bad = k != raw
+        if np.any(bad):
+            raise ValueError(f"is_prime needs int64 integers, got {raw[bad][0]}")
+        if np.any(k > self.limit) or np.any(k < 0):
             raise ResourceError("query outside sieve range")
-        return (self._bits[n >> 3] >> (n & 7).astype(np.uint8)) & 1 == 1
+        i = np.minimum(np.searchsorted(self.primes, k), len(self.primes) - 1)
+        return self.primes[i] == k
 
     def _count_upto(self, x) -> int:
         return int(np.searchsorted(self.primes, x, side="right"))
@@ -154,8 +95,26 @@ class PrimeTable:
         return self.primes[i:j]
 
 
-def build_table(limit: int, **kw) -> PrimeTable:
-    return PrimeTable.build(limit, **kw)
+def build_table(limit: int) -> PrimeTable:
+    """Sieve of Eratosthenes up to limit in windows of _SEGMENT integers; a
+    limit above _MAX_LIMIT raises ResourceError before anything is built."""
+    limit = int(limit)
+    if limit < 2:
+        raise ValueError("limit must be >= 2")
+    if limit > _MAX_LIMIT:
+        raise ResourceError(f"limit {limit} exceeds budget {_MAX_LIMIT}")
+    base = _simple_sieve(int(limit ** 0.5) + 1)
+    chunks = []
+    for lo in range(0, limit + 1, _SEGMENT):
+        hi = min(lo + _SEGMENT, limit + 1)
+        mask = np.ones(hi - lo, dtype=bool)
+        mask[: max(0, 2 - lo)] = False  # 0 and 1
+        for p in base:
+            start = max(p * p, ((lo + p - 1) // p) * p)
+            if start < hi:
+                mask[start - lo :: p] = False
+        chunks.append(np.flatnonzero(mask) + lo)
+    return PrimeTable(limit, np.concatenate(chunks))
 
 
 def theta_interval(table: PrimeTable, N: int, H: int) -> float:

@@ -36,9 +36,11 @@ __all__ = [
 
 _TWO_PI = 2.0 * math.pi
 # ReparamFlow.time_inverse_many: times per block, Halley steps per point
-# before the bisection fallback
+# before the bisection fallback, and the turns of the fastest mode past which
+# a converged point's last step is checked before it is kept
 _BLOCK = 1 << 15
 _MAX_STEPS = 40
+_CHECK_TURNS = 1e-3
 
 
 def _unit(x):
@@ -74,6 +76,7 @@ class ReparamFlow:
         self._osc_bound = sum(
             abs(c) / (math.pi * abs(w)) for _, _, c, w in self._terms
         )
+        self._max_freq = max((abs(w) for *_, w in self._terms), default=0.0)
 
     # -- cocycle ------------------------------------------------------------
 
@@ -171,8 +174,10 @@ class ReparamFlow:
         depends only on (t_i, x_i), never on the rest of the batch: Halley
         steps from u = t run per point until that point's residual meets
         the tolerance (the step computed at that evaluation is still taken,
-        which brings u to rounding level), and only the points that have not
-        converged after _MAX_STEPS are bisected.  tol must be finite and > 0.
+        which brings u to rounding level, unless it turns the fastest mode by
+        more than _CHECK_TURNS and raises the residual), and only the points
+        that have not converged after _MAX_STEPS are bisected.  tol must be
+        finite and > 0.
         """
         if not (math.isfinite(tol) and tol > 0.0):
             raise ValueError(f"tol must be finite and > 0, got {tol!r}")
@@ -185,8 +190,16 @@ class ReparamFlow:
             uk = u[todo]
             V, v, V2 = self._cocycle(uk, b, derivatives=True)
             r = V - t
-            u[todo] = uk - 2.0 * r * v / (2.0 * v * v - r * V2)
+            step = 2.0 * r * v / (2.0 * v * v - r * V2)
+            u[todo] = uk - step
             left = np.abs(r) > tol * (1.0 + np.abs(t))
+            big = np.flatnonzero(
+                ~left & (np.abs(step) * self._max_freq > _CHECK_TURNS))
+            if big.size:
+                bb = [bk[big] if np.ndim(bk) else bk for bk in b]
+                moved = self._cocycle(u[todo[big]], bb)
+                worse = big[np.abs(moved - t[big]) > np.abs(r[big])]
+                u[todo[worse]] = uk[worse]
             if not left.any():
                 return u
             todo, t = todo[left], t[left]

@@ -34,6 +34,11 @@ _TAIL_DEPTH = 48
 _BLOCK = 1 << 12
 _CHUNK = 1 << 16
 
+# _is_prime: Miller-Rabin on these bases is exact below _MR_BOUND, their least
+# common strong pseudoprime (Sorenson and Webster, Math. Comp. 86, 2017)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
 
 class ConstructionError(ValueError, RuntimeError):
     """Raised when the constructor of an alpha cannot satisfy its
@@ -259,12 +264,34 @@ def _scaled_d(growth, depth: int, seed: int) -> RotationNumber:
     return RotationNumber(quotients, flags)
 
 
-def _scaled_c_a(growth, depth: int, seed: int) -> RotationNumber:
-    import sympy  # only this construction needs it; keep it off the import path
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin primality of n < _MR_BOUND; a larger n
+    raises ConstructionError."""
+    if n >= _MR_BOUND:
+        raise ConstructionError(
+            f"{n} is past the exact primality bound {_MR_BOUND}")
+    if n < 2 or any(n % a == 0 for a in _MR_BASES):
+        return n in _MR_BASES
+    d, s = n - 1, 0  # n - 1 = d 2^s with d odd
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1:
+            continue
+        for _ in range(s):  # n - 1 among a^(d 2^j), j < s
+            if x == n - 1:
+                break
+            x = x * x % n
+        else:
+            return False
+    return True
 
+
+def _scaled_c_a(growth, depth: int, seed: int) -> RotationNumber:
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    if not sympy.isprime(seed):
+    if not _is_prime(int(seed)):
         raise ConstructionError(f"seed quotient {seed} must be prime")
     quotients = [int(seed)]
     q_prev, q_cur = 1, int(seed)
@@ -279,7 +306,7 @@ def _scaled_c_a(growth, depth: int, seed: int) -> RotationNumber:
         q_next = None
         c = first
         while c <= hi:
-            if c > q_cur and sympy.isprime(c):
+            if c > q_cur and _is_prime(c):
                 q_next = c
                 break
             c += q_cur

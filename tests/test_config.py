@@ -140,11 +140,9 @@ def test_cli_list(capsys):
         assert name in out
 
 
-def test_cli_sieve_cache(tmp_path, capsys):
-    cache = str(tmp_path / "sieve.bin")
-    assert cli.main(["sieve", "--limit", "1000", "--cache", cache]) == 0
-    assert (tmp_path / "sieve.bin").exists()
-    capsys.readouterr()
+def test_cli_sieve(capsys):
+    assert cli.main(["sieve", "--limit", "1000"]) == 0
+    assert "168 primes" in capsys.readouterr().out
 
 
 def test_cli_build_alpha(tmp_path, capsys):

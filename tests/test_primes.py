@@ -10,7 +10,6 @@ from primeflow import primes
 from primeflow.primes import (
     CircleInterval,
     PhaseCoefficients,
-    PrimeTable,
     ResourceError,
     ap_error,
     ap_error_many,
@@ -40,11 +39,21 @@ def test_small_primes(table):
 def test_is_prime_vectorized(table):
     got = table.is_prime([0, 1, 2, 3, 4, 97, 100, 7919])
     assert list(got) == [False, False, True, True, False, True, False, True]
+    # integral floats read as the integers, up to the limit
+    got = table.is_prime(np.array([7.0, 8.0, 999983.0, 10.0 ** 6]))
+    assert list(got) == [True, False, True, False]
 
 
 def test_is_prime_out_of_range(table):
     with pytest.raises(ResourceError):
         table.is_prime(10 ** 6 + 1)
+
+
+@pytest.mark.parametrize("n", [2.5, [7.9, 4.0], float("nan"), [3, float("inf")]])
+def test_is_prime_rejects_non_integral(n):
+    # the int64 cast would truncate 2.5 to the prime 2
+    with pytest.raises(ValueError, match="integers"):
+        build_table(100).is_prime(n)
 
 
 def test_theta_frozen_values(table):
@@ -389,35 +398,11 @@ def test_select_s_qr_loose_filter(table):
         assert table.is_prime(ell)
 
 
-def test_cache_roundtrip(tmp_path, table):
-    path = tmp_path / "sieve.bin"
-    table.save(path)
-    again = PrimeTable.load(path)
-    assert again.limit == table.limit
-    assert np.array_equal(again.primes, table.primes)
-    assert abs(again.theta(10 ** 6) - table.theta(10 ** 6)) < 1e-9
-
-
-def test_cache_rejects_garbage(tmp_path):
-    path = tmp_path / "bad.bin"
-    path.write_bytes(b"NOTASIEV" + b"\x00" * 32)
-    with pytest.raises(ValueError):
-        PrimeTable.load(path)
-
-
-def test_cache_rejects_truncated(tmp_path, table):
-    path = tmp_path / "sieve.bin"
-    table.save(path)
-    data = path.read_bytes()
-    path.write_bytes(data[: len(data) // 2])
-    with pytest.raises(ValueError):
-        PrimeTable.load(path)
-
-
 @pytest.mark.parametrize("segment", [1, 7, 8, 1001, 4096, 12345])
-def test_sieve_segments_match_sympy(segment):
+def test_sieve_segments_match_sympy(segment, monkeypatch):
+    monkeypatch.setattr(primes, "_SEGMENT", segment)
     limit = 20000
-    t = build_table(limit, segment=segment)
+    t = build_table(limit)
     n = np.arange(limit + 1)
     want = np.array([sympy.isprime(int(k)) for k in n])
     assert np.array_equal(t.is_prime(n), want)
@@ -425,5 +410,6 @@ def test_sieve_segments_match_sympy(segment):
 
 
 def test_build_limit_guard():
+    # one past the budget raises before anything is allocated
     with pytest.raises(ResourceError):
-        build_table(10 ** 6, max_limit=10 ** 5)
+        build_table((1 << 31) + 1)

@@ -358,6 +358,18 @@ def test_coboundary_array_start_matches_scalar(flow, xs):
 
 # -- time_inverse_many: per-point contract and the bisection fallback -------
 
+def test_time_inverse_checks_a_converged_overshoot():
+    # the residual at u = t (5.9e-7) already meets the tolerance, but the
+    # Halley step computed there turns the w = 33307 mode by about 1.24 rad
+    # and would land at a relative residual of 1.27e-12
+    flow = ReparamFlow(SCALED, TimeChange(
+        [(70774, 2, 0.48120674116381196 + 0.7494350958445328j), (0, 1, 0j)],
+        SCALED, check_band=False))
+    t, x1, x2 = np.array([988423.26026158]), 0.64760175, 0.0
+    u = flow.time_inverse_many(t, x1, x2)
+    assert _relative_residual(flow, u, t, x1, x2)[0] <= 1e-12
+
+
 def test_time_inverse_per_point_tolerance(flow):
     # one large time in the batch must not loosen the small times' tolerance
     x1, x2 = 0.31, 0.64

@@ -18,6 +18,8 @@ from hypothesis.extra.numpy import arrays
 from primeflow.rotation import (
     ConstructionError,
     RotationNumber,
+    _MR_BOUND,
+    _is_prime,
     _orbit_loop,
     construct_alpha,
     frac,
@@ -161,14 +163,13 @@ def test_scaled_c_a_rejects_composite_seed():
         construct_alpha("scaled_C_A", depth=2, seed=4)
 
 
-def test_sympy_is_imported_only_for_scaled_c_a():
-    # a fresh interpreter: the CLI's import graph leaves sympy out, and the
-    # first scaled_C_A construction brings it in
+def test_sympy_is_never_imported():
+    # a fresh interpreter: neither the CLI's import graph nor a scaled_C_A
+    # construction (primality by Miller-Rabin) brings sympy in
     script = """
 import json, sys
 import primeflow.cli
 from primeflow.rotation import ConstructionError, construct_alpha
-before = "sympy" in sys.modules
 alpha = construct_alpha("scaled_C_A", growth=lambda q: q ** 4.0, depth=4,
                         seed=2)
 try:
@@ -176,15 +177,29 @@ try:
     rejected = False
 except ConstructionError:
     rejected = True
-print(json.dumps([before, "sympy" in sys.modules, list(alpha.quotients),
-                  rejected]))
+print(json.dumps(["sympy" in sys.modules, list(alpha.quotients), rejected]))
 """
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, timeout=120, check=True)
-    before, after, quotients, rejected = json.loads(proc.stdout)
-    assert (before, after, rejected) == (False, True, True)
+    imported, quotients, rejected = json.loads(proc.stdout)
+    assert (imported, rejected) == (False, True)
     # katok_wm's default alpha: scaled_C_A, exponent 4, depth 4, seed 2
     assert quotients == [2, 5, 685, 214074801606]
+
+
+def test_miller_rabin_matches_sympy():
+    import sympy
+
+    rng = random.Random(5)
+    ns = list(range(3000)) + [rng.randrange(10 ** 15, 10 ** 24)
+                              for _ in range(2000)]
+    assert [_is_prime(n) for n in ns] == [sympy.isprime(n) for n in ns]
+    # strong pseudoprimes to the bases 2..7, 2..23 and 2..37
+    for n in (3215031751, 3825123056546413051, 318665857834031151167461):
+        assert not _is_prime(n)
+    assert _is_prime(_MR_BOUND - 2) == sympy.isprime(_MR_BOUND - 2)
+    with pytest.raises(ConstructionError):
+        _is_prime(_MR_BOUND)
 
 
 def test_json_roundtrip():
