@@ -16,9 +16,9 @@ from .observables import (
     KocherginFlow,
     TorusObservable,
     TowerObservable,
+    _box_discrepancy,
     _check_boxes,
     _prime_points,
-    box_discrepancy,
     coboundary_prime_discrepancy,
     pnt_report,
 )
@@ -463,18 +463,19 @@ def _exp_pnt_reparam(cfg, table):
 def _exp_equidist_boxes(cfg, table):
     """Box-counting equidistribution of the weighted prime orbit."""
     table = _table(cfg, table)
-    flow, _, start = _kochergin_setup(cfg)
+    flow, psi, start = _kochergin_setup(cfg)
     boxes = cfg.get_int("boxes", 32)
     _check_boxes(boxes)
     grid = tuple(n for n in cfg.n_grid if n <= table.limit)
     report = ExperimentReport("equidist_boxes",
                               {"n_grid": list(grid),
                                "quotients": list(flow.alpha.quotients)})
-    (xs, ss), weights = _prime_points(flow, start, table, max(grid, default=0),
-                                      "+", 0)
+    ((xs, ss), _), weights = _prime_points(flow, psi, start, table,
+                                           max(grid, default=0), "+", 0)
+    masses = flow.box_masses(boxes)
     vals = []
     for N, k in zip(grid, np.searchsorted(table.primes, grid, side="right")):
-        d = box_discrepancy((xs[:k], ss[:k]), weights[:k], flow, boxes=boxes)
+        d = _box_discrepancy((xs[:k], ss[:k]), weights[:k], masses, boxes)
         report.add("box_discrepancy", d, N=N)
         vals.append(d)
     if len(vals) >= 2:

@@ -177,9 +177,8 @@ def ab_decomposition(roof, alpha: RotationNumber, p: FlowPoint, horizon: float,
     xs, _, S, _ = _crossings(roof, alpha, p, [horizon])
     tau = S - p.s  # fiber i holds t in [tau[i], tau[i + 1])
     lo, hi = np.maximum(tau[:-1], 0.0), np.minimum(tau[1:], horizon)
-    centers = _offsets(alpha, qn, backward=True)  # {-i alpha}
-    in_ia = _min_dist_to_centers(xs, centers) <= ia_radius
-    core = np.minimum(xs, 1.0 - xs) <= a0_radius
+    in_ia, dist0 = _window_hits(alpha, p.x, xs, qn, ia_radius)
+    core = dist0 <= a0_radius
     A = _union(lo[in_ia], hi[in_ia])
     # height >= cutoff means t >= tau_i + cutoff
     A0 = _union(np.maximum(tau[:-1][core] + height_cutoff, lo[core]), hi[core])
@@ -201,15 +200,21 @@ def ab_decomposition(roof, alpha: RotationNumber, p: FlowPoint, horizon: float,
     )
 
 
-def _min_dist_to_centers(xs, centers) -> np.ndarray:
-    """Circle distance from each x to the nearest of the given centers."""
-    cs = np.sort(np.asarray(centers, dtype=np.float64))
-    idx = np.searchsorted(cs, xs)
-    lo = cs[(idx - 1) % len(cs)]
-    hi = cs[idx % len(cs)]
-    d1 = np.abs(frac((xs - lo) + 0.5) - 0.5)
-    d2 = np.abs(frac((xs - hi) + 0.5) - 0.5)
-    return np.minimum(d1, d2)
+def _window_hits(alpha, x, xs, qn, radius):
+    """For the forward bases xs[k] = x + k alpha: whether some center
+    -i alpha, 0 <= i < qn, lies within radius of xs[k], and the distance of
+    xs[k] to 0.
+
+    The distance from x + k alpha to -i alpha is the distance d_{k+i} of
+    x + (k+i) alpha to 0, so fiber k is in I_A when the window
+    d_k, ..., d_{k+qn-1} holds a hit d_j <= radius: one cumulative count of
+    the hits over the bases and qn - 1 more orbit points."""
+    K = len(xs)
+    ys = np.concatenate((xs, frac(x + _offsets(alpha, K + qn - 1)[K:])))
+    d = np.minimum(ys, 1.0 - ys)
+    c = np.zeros(len(d) + 1, dtype=np.int64)
+    np.cumsum(d <= radius, out=c[1:])
+    return c[qn:qn + K] > c[:K], d[:K]
 
 
 def _subtract(base, holes):
@@ -232,56 +237,66 @@ def _subtract(base, holes):
 
 
 def time_integral(roof, alpha: RotationNumber, psi, p: FlowPoint, T):
-    """Signed int_0^T psi(T_t(p)) dt for a scalar or an array of T: per
-    direction one cumulative sum of full-fiber integrals, corrected by the
-    partial first fiber and the partial fiber reached at each T.  psi
-    supplies the fiber integrals through fiber_integral_many(x, lo, hi),
-    int_lo^hi psi(x, s) ds elementwise, as observables.TowerObservable
-    does."""
-    T = np.asarray(T, dtype=np.float64)
-    out = np.zeros(T.shape)
-    for backward in (False, True):
-        # nan goes forward, where _crossings rejects it
-        sel = T < 0.0 if backward else ~(T <= 0.0)
-        if not np.any(sel):
-            continue
-        t = T[sel]
-        xs, fs, S, n = _crossings(roof, alpha, p, t, backward)
-        sign = -1.0 if backward else 1.0
-        # the fibers passed bottom to top; the fiber reached at each t up to
-        # its height there, and the start fiber up to height s
-        full = psi.fiber_integral_many(xs[1:] if backward else xs[:-1], 0.0,
-                                       fs[:-1])
-        part = psi.fiber_integral_many(np.append(xs[n], p.x), 0.0,
-                                       np.append(p.s + t - sign * S[n], p.s))
-        G = np.zeros(len(full) + 1)
-        G[1:] = np.cumsum(full, dtype=np.longdouble)
-        out[sel] = sign * G[n] + part[:-1] - part[-1]
+    """Signed int_0^T psi(T_t(p)) dt for a scalar or an array of T: the
+    time-integral view of _walk.  psi supplies the fiber integrals through
+    fiber_integral_many(x, lo, hi), int_lo^hi psi(x, s) ds elementwise, and
+    whole_fiber_integral_many(x, f), the same from 0 to the roof values
+    f = f(x) the walk already holds, as observables.TowerObservable does."""
+    out = _walk(roof, alpha, p, (), psi, T)[3]
     return float(out) if out.ndim == 0 else out
 
 
 def evaluate_times(roof, alpha: RotationNumber, p: FlowPoint, times):
     """Vectorized T_t(p) for an array of times: returns (x, s, N) arrays.
 
-    One cumulative roof-sum pass serves every requested time, so the total
-    work is O(max |t|) regardless of how many times are asked for.
+    The position view of _walk: one cumulative roof-sum pass serves every
+    requested time, so the total work is O(max |t|) regardless of how many
+    times are asked for.
+    """
+    return _walk(roof, alpha, p, times)[:3]
+
+
+def _walk(roof, alpha, p: FlowPoint, times, psi=None, T=()):
+    """Positions (x, s, N) of T_t(p) at every t in times and the signed
+    integrals int_0^T psi(T_t(p)) dt at every T in T, from one _crossings
+    per sign over the union of the times and the T of that sign.
+
+    The integral at T is a cumulative sum of whole-fiber integrals over the
+    fibers passed bottom to top, plus the fiber reached at T up to its
+    height there, minus the start fiber up to height s.
     """
     p.validate(roof)
     times = np.asarray(times, dtype=np.float64)
+    T = np.asarray(T, dtype=np.float64)
     xs, ss = np.empty(times.shape), np.empty(times.shape)
     Ns = np.zeros(times.shape, dtype=np.int64)
+    out = np.zeros(T.shape)
     for backward in (False, True):
-        # nan goes forward, where _crossings rejects it
-        sel = times < 0.0 if backward else ~(times < 0.0)
-        if not np.any(sel):
+        # nan goes forward, where _crossings rejects it; T = 0 needs no fiber
+        at = times < 0.0 if backward else ~(times < 0.0)
+        up = T < 0.0 if backward else ~(T <= 0.0)
+        t, u = times[at], T[up]
+        if not (t.size or u.size):
             continue
-        t_sel = times[sel]
-        bases, _, S, n = _crossings(roof, alpha, p, t_sel, backward)
+        bases, fs, S, n = _crossings(roof, alpha, p, np.concatenate((t, u)),
+                                     backward)
+        n, nT = n[:t.size], n[t.size:]
         sign = -1 if backward else 1
-        xs[sel] = bases[n]
-        ss[sel] = p.s + t_sel - sign * S[n]
-        Ns[sel] = sign * n
-    return xs, ss, Ns
+        xs[at] = bases[n]
+        ss[at] = p.s + t - sign * S[n]
+        Ns[at] = sign * n
+        if not u.size:
+            continue
+        top = int(np.max(nT))
+        # fiber k's base is bases[k]; backward its roof is fs[k - 1]
+        full = psi.whole_fiber_integral_many(
+            bases[1:top + 1] if backward else bases[:top], fs[:top])
+        part = psi.fiber_integral_many(np.append(bases[nT], p.x), 0.0,
+                                       np.append(p.s + u - sign * S[nT], p.s))
+        G = np.zeros(top + 1)
+        G[1:] = np.cumsum(full, dtype=np.longdouble)
+        out[up] = sign * G[nT] + part[:-1] - part[-1]
+    return xs, ss, Ns, out
 
 
 def _crossings(roof, alpha, p: FlowPoint, times, backward=False):

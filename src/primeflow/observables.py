@@ -7,13 +7,16 @@ the decay of rho forces convergence to psi_inf high up the tower, and the
 pair admits closed-form fiber integrals, so time integrals along the
 special flow stay cheap.
 
-Prime-orbit sums walk the whole orbit once: positions at every prime time
-come out of a single cumulative pass over the rotation orbit (special flow)
-or one vectorized cocycle inversion (reparametrized flow), so total work is
-linear in the time horizon, and a statistic over an N-grid reads every N
-off the prefixes of one pass at the largest N.  The statistics take either
-flow, KocherginFlow or reparam.ReparamFlow, through the four methods both
-define.
+Prime-orbit sums walk the whole orbit once per direction: one walk call
+returns the positions at every prime time and the time integrals at every N
+of the grid together, from a single crossing schedule over the rotation
+orbit (special flow: one cumulative roof sum per sign, whose roof values
+also give the whole-fiber integrals in closed form) or from one vectorized
+cocycle inversion and the closed-form integral (reparametrized flow).  So
+total work is linear in the time horizon, and a statistic over an N-grid
+reads every N off the prefixes of one pass at the largest N.  The
+statistics take either flow, KocherginFlow or reparam.ReparamFlow, through
+the five methods both define.
 """
 
 import math
@@ -23,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ExperimentReport
-from .flow import FlowPoint, evaluate_times, time_integral
+from .flow import FlowPoint, _walk, evaluate_times, time_integral
 from .primes import build_table
 from .reparam import ReparamFlow, TorusPoint
 from .roofs import _finite
@@ -54,7 +57,7 @@ class SingularOrbitError(RuntimeError):
 @dataclass(frozen=True)
 class KocherginFlow:
     """The special flow under roof over the rotation by alpha; like ReparamFlow
-    it defines positions, mean, time_integral and box_masses."""
+    it defines positions, time_integral, walk, mean and box_masses."""
 
     roof: object
     alpha: object
@@ -63,12 +66,21 @@ class KocherginFlow:
         """Coordinate arrays (x, s) of T_t(start) for every t in times;
         SingularOrbitError if one lands on the fiber over a singular 0."""
         xs, ss, _ = evaluate_times(self.roof, self.alpha, start, times)
+        return self._off_singular(xs), ss
+
+    def walk(self, psi, start: FlowPoint, times, T):
+        """positions(start, times) and time_integral(psi, start, T) together,
+        from one crossing schedule per sign over the times and T."""
+        xs, ss, _, I = _walk(self.roof, self.alpha, start, times, psi, T)
+        return (self._off_singular(xs), ss), I
+
+    def _off_singular(self, xs):
         dist = np.minimum(xs, 1.0 - xs)
         if getattr(self.roof, "gamma", 0.0) < 0.0 and np.any(dist < 1e-12):
             i = int(np.argmin(dist))
             raise SingularOrbitError(
                 f"orbit lands on the singular point at times[{i}]", i)
-        return xs, ss
+        return xs
 
     def mean(self, psi) -> float:
         """Mean of psi under the normalized invariant measure Leb^f / int f."""
@@ -128,6 +140,11 @@ class TowerObservable:
     and tend to psi_inf at fixed s where f blows up, and |psi - psi_inf| <=
     exp(-s/5) sum |coeff|; so only psi_inf and the coefficients are checked,
     for being finite.
+
+    Time integrals along the special flow take the fibers the orbit crosses
+    whole from whole_fiber_integral_many, on the roof values the walk
+    already holds, and the partial fibers at both ends from
+    fiber_integral_many.
     """
 
     def __init__(self, roof, psi_inf=0.0, u_terms=((1, 1.0, 0.0),)):
@@ -162,6 +179,19 @@ class TowerObservable:
         cospart = np.real((np.exp(z * hi) - np.exp(z * lo)) / z)
         decay = 0.5 * (plain - cospart)
         return self.psi_inf * (hi - lo) + self.u(y) * decay
+
+    def whole_fiber_integral_many(self, y, f):
+        """int_0^f psi(y, s) ds for the roof values f = f(y), elementwise.
+
+        With e^{i omega f} = 1 the oscillating part of fiber_integral_many
+        is real, and the decay integral is (1 - e^{-af}) (1/a - a / (a^2 +
+        omega^2)) / 2, a = 1/5, omega = 2 pi / f: one expm1 per fiber and no
+        roof evaluation."""
+        f = np.asarray(f, dtype=np.float64)
+        a = 1.0 / _SIGMA
+        w2 = (2.0 * math.pi / f) ** 2
+        decay = -0.5 * np.expm1(-a * f) * (_SIGMA - a / (a * a + w2))
+        return self.psi_inf * f + self.u(y) * decay
 
 
 class TorusObservable:
@@ -260,16 +290,18 @@ def _sign(direction) -> float:
     return 1.0 if direction == "+" else -1.0
 
 
-def _prime_points(flow, start, table, N, z, m):
-    """Flow positions at the times z(p - m), p <= N, and the weights log p."""
+def _prime_points(flow, psi, start, table, N, z, m, T=()):
+    """flow.walk at the times z(p - m), p <= N, and T: the positions at those
+    times and the signed time integrals of psi at T; and the weights log p."""
     ps = table.primes_between(1, N)
     times = _sign(z) * (ps.astype(np.float64) - float(m))
     try:
-        return flow.positions(start, times), np.log(ps.astype(np.float64))
+        out = flow.walk(psi, start, times, T)
     except SingularOrbitError as err:
         raise SingularOrbitError(
             f"orbit lands on the singular point at prime {int(ps[err.index])}",
             err.index) from None
+    return out, np.log(ps.astype(np.float64))
 
 
 def _integer_orbit_values(flow, g, x, M: int):
@@ -325,13 +357,35 @@ def box_discrepancy(points, weights, flow, boxes=32) -> float:
 
     The cells are those of flow.box_masses.  For the special flow they cover
     the tower up to height 5 and the mass above it enters as one extra cell,
-    with its reference value computed analytically from the roof.
+    with its reference value computed analytically from the roof.  The
+    points (x, y) must lie in [0, 1) x [0, inf), one finite weight >= 0 to
+    each, with a total weight > 0.
     """
     _check_boxes(boxes)
+    return _box_discrepancy(points, weights, flow.box_masses(boxes), boxes)
+
+
+def _box_discrepancy(points, weights, masses, boxes):
+    """box_discrepancy against masses = flow.box_masses(boxes)."""
+    xs, ys = (np.asarray(c, dtype=np.float64) for c in points)
     weights = np.asarray(weights, dtype=np.float64)
-    weights = weights / weights.sum()
-    ref, ref_tail, height = flow.box_masses(boxes)
-    xs, ys = (np.asarray(c) for c in points)
+    if not np.shape(xs) == np.shape(ys) == np.shape(weights):
+        raise ValueError(
+            f"points and weights must match in length, got {np.size(xs)} x, "
+            f"{np.size(ys)} y and {np.size(weights)} weights")
+    bad = ~(np.isfinite(weights) & (weights >= 0.0))
+    if np.any(bad):
+        raise ValueError(
+            f"weights must be finite and >= 0, got {weights[bad][0]}")
+    bad = ~((xs >= 0.0) & (xs < 1.0) & (ys >= 0.0) & (ys < math.inf))
+    if np.any(bad):
+        raise ValueError("points must lie in [0, 1) x [0, inf), got "
+                         f"({xs[bad][0]}, {ys[bad][0]})")
+    total = weights.sum()
+    if not 0.0 < total < math.inf:
+        raise ValueError(f"total weight must be finite and > 0, got {total}")
+    weights = weights / total
+    ref, ref_tail, height = masses
     emp = np.zeros((boxes, boxes))
     inside = ys < height
     i = np.minimum((xs[inside] * boxes).astype(int), boxes - 1)
@@ -359,9 +413,11 @@ def pnt_report(psi, flow, start, n_grid=(10 ** 4, 10 ** 5, 10 ** 6),
     On a grid of two points or more, verdicts assert the monotone trends
     along it.  Each direction,
     and "+" always for the boxes, makes one pass at the largest N (one
-    positions and one time_integral call) whose prefixes answer every N;
-    with workers > 1 the two direction passes run on a thread pool.  The
-    report is named "pnt_report"; the registered experiments rename theirs.
+    flow.walk call, for the prime positions and the time integrals at z N
+    together) whose prefixes answer every N; with workers > 1 the two
+    direction passes run on a thread pool.  The box masses are computed once.
+    The report is named "pnt_report"; the registered experiments rename
+    theirs.
     """
     t0 = _time.monotonic()
     if m < 0:
@@ -386,11 +442,13 @@ def pnt_report(psi, flow, start, n_grid=(10 ** 4, 10 ** 5, 10 ** 6),
     def run_pass(z):
         """The prime positions up to the largest N and, for a requested
         direction, (D1, D2, D3) at every N."""
-        pts, weights = _prime_points(flow, start, table, top, z, m)
+        T = signs[z] * np.array(n_grid if z in directions else (), float)
+        (pts, Is), weights = _prime_points(flow, psi, start, table, top, z, m,
+                                           T)
         if z not in directions:
             return pts, weights, None
         vals = np.asarray(psi(*pts), dtype=np.float64)
-        Is = signs[z] * flow.time_integral(psi, start, signs[z] * np.array(n_grid, float))
+        Is = signs[z] * Is
         cells = []
         for N, k, I in zip(n_grid, counts, Is.tolist()):
             P = float(np.dot(weights[:k], vals[:k]))
@@ -416,8 +474,9 @@ def pnt_report(psi, flow, start, n_grid=(10 ** 4, 10 ** 5, 10 ** 6),
             if log_power is not None:
                 report.add("D3_logA", d3 * math.log(N) ** log_power, N, z)
     (xs, ys), weights, _ = passes["+"]
-    box_out = [box_discrepancy((xs[:k], ys[:k]), weights[:k], flow,
-                               boxes=boxes) for k in counts]
+    masses = flow.box_masses(boxes)
+    box_out = [_box_discrepancy((xs[:k], ys[:k]), weights[:k], masses, boxes)
+               for k in counts]
     for N, box in zip(n_grid, box_out):
         report.add("box_discrepancy", box, N, "+")
     def decreasing(seq):

@@ -269,6 +269,11 @@ class ReparamFlow:
                         2j * math.pi * omega)
         return float(total.real) if np.ndim(total) == 0 else total.real
 
+    def walk(self, psi, start: TorusPoint, times, T):
+        """positions(start, times) and time_integral(psi, start, T), the
+        protocol call that KocherginFlow answers from one orbit pass."""
+        return self.positions(start, times), self.time_integral(psi, start, T)
+
     def box_masses(self, boxes: int):
         """Masses v dLeb of the cells [i/boxes, (i+1)/boxes) x [j/boxes,
         (j+1)/boxes), the mass outside them (0) and their height (1)."""

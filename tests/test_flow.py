@@ -13,10 +13,10 @@ from primeflow.flow import (
     FlowPoint,
     _covering_values,
     _crossings,
-    _min_dist_to_centers,
     _offsets,
     _subtract,
     _union,
+    _window_hits,
     ab_decomposition,
     evaluate,
     evaluate_naive,
@@ -25,7 +25,7 @@ from primeflow.flow import (
     tower_metric,
 )
 from primeflow.roofs import FourierRoof, PowerRoof
-from primeflow.rotation import construct_alpha, from_partial_quotients
+from primeflow.rotation import construct_alpha, frac, from_partial_quotients
 
 GOLDEN = from_partial_quotients([1] * 12)
 SCALED = construct_alpha("scaled_D", growth=lambda q: q * q, depth=5, seed=2)
@@ -283,6 +283,17 @@ def _merge_intervals_loop(pieces, tol=1e-9):
     return [(a, b) for a, b in merged]
 
 
+def _min_dist_to_centers(xs, centers) -> np.ndarray:
+    """Circle distance from each x to the nearest of the given centers."""
+    cs = np.sort(np.asarray(centers, dtype=np.float64))
+    idx = np.searchsorted(cs, xs)
+    lo = cs[(idx - 1) % len(cs)]
+    hi = cs[idx % len(cs)]
+    d1 = np.abs(frac((xs - lo) + 0.5) - 0.5)
+    d2 = np.abs(frac((xs - hi) + 0.5) - 0.5)
+    return np.minimum(d1, d2)
+
+
 def _ab_decomposition_loop(roof, alpha, p, horizon, n, delta,
                            height_cutoff=None, a0_radius=None):
     qn = alpha.q(n)
@@ -382,6 +393,28 @@ def test_ab_decomposition_matches_fiber_loop(name, n, x, frac, horizon, delta,
         assert _bits(getattr(got, field)) == _bits(getattr(ref, field))
 
 
+# fewer fibers than q_n: a horizon inside the first fiber (golden q_4 = 5)
+# and about 5 fibers against the scaled q_4 = 734
+@example(name="golden", n=4, x=0.3, frac=0.1, horizon=0.01, delta=0.5)
+@example(name="scaled", n=4, x=0.7, frac=0.0, horizon=5.0, delta=0.05)
+@settings(max_examples=150, deadline=None)
+@given(name=st.sampled_from(sorted(VISIT_ALPHAS)), n=st.integers(1, 4),
+       x=st.floats(1e-6, 1.0 - 1e-6), frac=st.floats(0.0, 0.99),
+       horizon=st.floats(1e-3, 3000.0), delta=st.floats(0.05, 0.9))
+def test_window_hits_match_nearest_center(name, n, x, frac, horizon, delta):
+    # fiber k is in I_A when some center -i alpha, i < q_n, is within
+    # q_n^(-1-delta) of its base: the window count against the nearest
+    # center of the sorted centers
+    alpha = VISIT_ALPHAS[name]
+    p = FlowPoint(x, frac * POWER(x))
+    qn, radius = alpha.q(n), alpha.q(n) ** (-1.0 - delta)
+    xs = _crossings(POWER, alpha, p, [horizon])[0]
+    got, dist0 = _window_hits(alpha, p.x, xs, qn, radius)
+    centers = _offsets(alpha, qn, backward=True)
+    assert np.array_equal(got, _min_dist_to_centers(xs, centers) <= radius)
+    assert np.array_equal(dist0, np.minimum(xs, 1.0 - xs))
+
+
 class _Affine:
     """psi(x, s) = c cos(2 pi x) + a + b s, whose fiber integrals
     (c cos 2 pi x + a)(hi - lo) + b (hi^2 - lo^2) / 2 are exact."""
@@ -397,6 +430,9 @@ class _Affine:
         x, lo, hi = (np.asarray(v, dtype=float) for v in (x, lo, hi))
         return ((self.c * np.cos(2 * np.pi * x) + self.a) * (hi - lo)
                 + self.b * (hi ** 2 - lo ** 2) / 2)
+
+    def whole_fiber_integral_many(self, x, f):
+        return self.fiber_integral_many(x, 0.0, f)
 
 
 def test_time_integral_constant():

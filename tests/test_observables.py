@@ -131,6 +131,22 @@ def test_fiber_integral_closed_form(psi):
         assert abs(float(psi.fiber_integral_many(y, lo, hi)) - riemann) < 1e-9
 
 
+@pytest.mark.parametrize("roof", [POWER, FourierRoof([(1, 0.4), (3, 0.2j)])],
+                         ids=["power", "fourier"])
+def test_whole_fiber_integral_matches_fiber_integral(roof):
+    # the closed form on the roof values against fiber_integral_many(y, 0,
+    # f(y)), on a y grid graded toward both ends, up to 1e-12 from either
+    psi = TowerObservable(roof, psi_inf=-0.7,
+                          u_terms=((1, 1.0, 0.5), (3, -0.2, 0.7)))
+    left = np.geomspace(1e-12, 0.5, 400)
+    ys = np.concatenate((left, 1.0 - left, np.linspace(0.0, 1.0, 101)[1:-1]))
+    assert ys.min() == 1e-12 and 1.0 - ys.max() < 1.1e-12
+    fs = np.asarray(roof(ys), dtype=np.float64)
+    got = psi.whole_fiber_integral_many(ys, fs)
+    want = psi.fiber_integral_many(ys, 0.0, fs)
+    assert np.all(np.abs(got - want) <= 1e-14 * np.maximum(1.0, fs))
+
+
 def test_space_average_oracle(psi):
     assert abs(space_average(psi, POWER) - SPACE_AVG_DEFAULT) <= 1e-12
 
@@ -237,21 +253,26 @@ def test_directions_must_be_distinct(table, directions):
                    (10 ** 3, 10 ** 4), directions=directions, table=table)
 
 
+def _flow_case(kind):
+    """(flow class, flow, observable, start) of a pnt_report test case."""
+    if kind == "kochergin":
+        return (KocherginFlow, KocherginFlow(POWER, GOLDEN),
+                TowerObservable(POWER, 0.3), FlowPoint(0.55, 0.05))
+    return (ReparamFlow, ReparamFlow(SCALED, make_timechange(SCALED)),
+            TorusObservable(0.0, [(1, 0, 1.0), (0, 1, 0.5)]),
+            TorusPoint(0.31, 0.64))
+
+
 @pytest.mark.parametrize("kind", ["kochergin", "reparam", "equidist_boxes"])
 def test_box_count_checked_before_the_orbit(kind, table, monkeypatch):
     # a bad box count is named before any orbit pass is paid for
-    if kind == "reparam":
-        cls, flow = ReparamFlow, ReparamFlow(SCALED, make_timechange(SCALED))
-        psi = TorusObservable(0.0, [(1, 0, 1.0), (0, 1, 0.5)])
-        start = TorusPoint(0.31, 0.64)
-    else:
-        cls, flow = KocherginFlow, KocherginFlow(POWER, GOLDEN)
-        psi, start = TowerObservable(POWER, 0.3), FlowPoint(0.55, 0.05)
+    cls, flow, psi, start = _flow_case(
+        "reparam" if kind == "reparam" else "kochergin")
     calls = []
-    orig = cls.positions
-    monkeypatch.setattr(
-        cls, "positions",
-        lambda self, *args: calls.append(args) or orig(self, *args))
+    for name in ("positions", "walk"):
+        monkeypatch.setattr(
+            cls, name, lambda self, *args, _orig=getattr(cls, name):
+            calls.append(args) or _orig(self, *args))
     with pytest.raises(ValueError, match="boxes must be >= 1, got 0"):
         if kind == "equidist_boxes":
             run_experiment(ExperimentConfig(
@@ -388,6 +409,37 @@ def test_box_discrepancy_reparam_reference():
     assert box_discrepancy((X1.ravel(), X2.ravel()), w, fl, boxes=32) < 1e-8
 
 
+_PTS = ([0.2, 0.7], [0.1, 0.4])
+
+
+@pytest.mark.parametrize("points, weights, msg", [
+    (_PTS, [0.0, 0.0], "total weight must be finite and > 0, got 0.0"),
+    (_PTS, [1.0, math.nan], "weights must be finite and >= 0, got nan"),
+    (_PTS, [math.inf, 1.0], "weights must be finite and >= 0, got inf"),
+    (_PTS, [1.0, -1.0], "weights must be finite and >= 0, got -1.0"),
+    pytest.param(_PTS, [1e308, 1e308],
+                 "total weight must be finite and > 0, got inf",
+                 marks=pytest.mark.filterwarnings("ignore:overflow")),
+    (_PTS, [1.0], "points and weights must match in length, got 2 x, 2 y "
+                  "and 1 weights"),
+    (([0.2, 0.7], [0.1]), [1.0, 1.0], "got 2 x, 1 y and 2 weights"),
+    (([-0.2, 0.7], [0.1, 0.4]), [1.0, 1.0], r"got \(-0.2, 0.1\)"),
+    (([0.2, 1.6], [0.1, 0.4]), [1.0, 1.0], r"got \(1.6, 0.4\)"),
+    (([0.2, 1.0], [0.1, 0.4]), [1.0, 1.0], r"got \(1.0, 0.4\)"),
+    (([0.2, 0.7], [0.1, -0.4]), [1.0, 1.0], r"got \(0.7, -0.4\)"),
+    (([0.2, 0.7], [math.nan, 0.4]), [1.0, 1.0], r"got \(0.2, nan\)"),
+], ids=["zero_total", "nan_weight", "inf_weight", "negative_weight",
+        "total_overflows", "short_weights", "short_y", "x_below_0",
+        "x_above_1", "x_at_1", "y_below_0", "nan_y"])
+@pytest.mark.parametrize("torus", [False, True])
+def test_box_discrepancy_rejects_bad_input(points, weights, msg, torus):
+    # each of these once returned nan, a wrong count or a bare IndexError
+    flow = (ReparamFlow(SCALED, make_timechange(SCALED)) if torus
+            else KocherginFlow(POWER, GOLDEN))
+    with pytest.raises(ValueError, match=msg):
+        box_discrepancy(points, weights, flow)
+
+
 def test_box_discrepancy_tower_reference():
     rng = np.random.default_rng(5)
     n = 10 ** 6
@@ -464,25 +516,71 @@ def test_box_rows_shared_by_equidist_and_pnt(table):
 
 @pytest.mark.parametrize("kind", ["kochergin", "reparam"])
 def test_pnt_report_one_pass_per_direction(kind, table, monkeypatch):
-    # every N of the grid reads prefixes of one pass per direction: one
-    # positions call at the prime times, one time_integral call at z N
-    if kind == "kochergin":
-        cls, flow = KocherginFlow, KocherginFlow(POWER, GOLDEN)
-        psi, start = TowerObservable(POWER, 0.3), FlowPoint(0.55, 0.05)
-    else:
-        cls, flow = ReparamFlow, ReparamFlow(SCALED, make_timechange(SCALED))
-        psi = TorusObservable(0.0, [(1, 0, 1.0), (0, 1, 0.5)])
-        start = TorusPoint(0.31, 0.64)
-    calls = []
-    for name in ("positions", "time_integral"):
-        def spy(self, *args, _name=name, _orig=getattr(cls, name)):
-            times = np.asarray(args[-1])
-            calls.append((_name, "+" if np.all(times >= 0) else "-"))
-            return _orig(self, *args)
-        monkeypatch.setattr(cls, name, spy)
+    # every N of the grid reads prefixes of one pass per direction: one walk
+    # call for the prime positions and the time integrals at z N together,
+    # which on the special flow is one crossing schedule per sign and on the
+    # torus one positions and one time_integral call
+    import primeflow.flow as flow_module
+
+    cls, flow, psi, start = _flow_case(kind)
+    calls, schedules = [], []
+
+    def spied(name, orig):
+        def spy(self, *args):
+            times = np.asarray(args[2] if name == "walk" else args[-1])
+            calls.append((name, "+" if np.all(times >= 0) else "-"))
+            return orig(self, *args)
+        return spy
+    for name in ("positions", "time_integral", "walk"):
+        monkeypatch.setattr(cls, name, spied(name, getattr(cls, name)))
+    crossings = flow_module._crossings
+    monkeypatch.setattr(
+        flow_module, "_crossings", lambda *args: schedules.append(args[-1])
+        or crossings(*args))
     pnt_report(psi, flow, start, (10 ** 3, 3 * 10 ** 3, 10 ** 4), table=table)
-    assert sorted(calls) == [("positions", "+"), ("positions", "-"),
-                             ("time_integral", "+"), ("time_integral", "-")]
+    walks = [("walk", "+"), ("walk", "-")]
+    if kind == "kochergin":
+        assert sorted(calls) == walks
+        assert sorted(schedules) == [False, True]
+    else:
+        assert sorted(calls) == sorted(walks + [
+            ("positions", "+"), ("positions", "-"),
+            ("time_integral", "+"), ("time_integral", "-")])
+        assert schedules == []
+
+
+@pytest.mark.parametrize("m, directions", [(0, ("+", "-")), (3, ("+", "-")),
+                                           (0, ("-",))],
+                         ids=["m0", "m3_mixed_signs", "boxes_only_plus"])
+@pytest.mark.parametrize("kind", ["kochergin", "reparam"])
+def test_walk_matches_positions_and_time_integral(kind, m, directions, table,
+                                                  monkeypatch):
+    # each walk pnt_report makes against separate positions and
+    # time_integral calls at the same times: bit-identical positions and
+    # the same integrals; with m = 3 the "+" pass reads t = 2 - 3 < 0 and the
+    # "-" pass t = 3 - 2 > 0, and with directions ("-",) the "+" pass asks
+    # for no integral
+    cls, flow, psi, start = _flow_case(kind)
+    seen = []
+    walk = cls.walk
+
+    def spy(self, *args):
+        seen.append((args, walk(self, *args)))
+        return seen[-1][1]
+    monkeypatch.setattr(cls, "walk", spy)
+    pnt_report(psi, flow, start, (10 ** 3, 3 * 10 ** 3, 10 ** 4),
+               directions=directions, m=m, table=table)
+    monkeypatch.undo()
+    assert sorted(args[3].size for args, _ in seen) == (
+        [0, 3] if directions == ("-",) else [3, 3])
+    for (_, _, times, T), (pts, Is) in seen:
+        if m:
+            assert np.any(times < 0) and np.any(times > 0)
+        for got, want in zip(pts, flow.positions(start, times)):
+            assert got.tobytes() == want.tobytes()
+        want = flow.time_integral(psi, start, T)
+        assert Is.shape == T.shape
+        assert np.all(np.abs(Is - want) <= 1e-13 * np.abs(want))
 
 
 def test_unknown_direction_is_named(psi, table):
@@ -553,13 +651,7 @@ def test_coboundary_discrepancy_rejects_bad_input(depth, N, name, table):
 @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("kind", ["kochergin", "reparam"])
 def test_non_finite_times_rejected(kind, t):
-    if kind == "kochergin":
-        flow, start = KocherginFlow(POWER, GOLDEN), FlowPoint(0.7, 0.3)
-        psi = TowerObservable(POWER, 0.3)
-    else:
-        flow = ReparamFlow(SCALED, make_timechange(SCALED))
-        start = TorusPoint(0.31, 0.64)
-        psi = TorusObservable(0.0, [(1, 0, 1.0), (0, 1, 0.5)])
+    _, flow, psi, start = _flow_case(kind)
     msg = f"t must be finite, got {t}"
     with pytest.raises(ValueError, match=msg):
         flow.positions(start, np.array([1.0, t]))
@@ -567,6 +659,9 @@ def test_non_finite_times_rejected(kind, t):
         flow.time_integral(psi, start, t)
     with pytest.raises(ValueError, match=msg):
         flow.time_integral(psi, start, np.array([2.0, t]))
+    for times, T in (([1.0, t], [2.0]), ([1.0], [2.0, t])):
+        with pytest.raises(ValueError, match=msg):
+            flow.walk(psi, start, np.array(times), np.array(T))
 
 
 @pytest.mark.parametrize("name", ["pnt_kochergin", "pnt_reparam"])
