@@ -16,9 +16,6 @@ from .observables import (
     KocherginFlow,
     TorusObservable,
     TowerObservable,
-    _box_discrepancy,
-    _check_boxes,
-    _prime_points,
     coboundary_prime_discrepancy,
     pnt_report,
 )
@@ -72,8 +69,12 @@ def _alpha_from(cfg: ExperimentConfig, mode, exponent, depth, seed):
                            depth=depth, seed=seed)
 
 
-def _table(cfg: ExperimentConfig, table):
-    return table if table is not None else build_table(cfg.sieve_limit)
+def _table(cfg: ExperimentConfig, table, limit=0):
+    """The given table, else one to cfg.sieve_limit; built anew to limit
+    when that one is smaller."""
+    if table is None:
+        table = build_table(max(cfg.sieve_limit, limit))
+    return table if table.limit >= limit else build_table(limit)
 
 
 def _verdict(report, name, ok):
@@ -277,9 +278,7 @@ def _exp_interval_factorization(cfg, table):
     partition, with the residual shrinking as q grows."""
     N = cfg.get_int("N", 10 ** 6)
     H = cfg.get_int("H", 10 ** 4)
-    table = _table(cfg, table)
-    if table.limit < N + H:
-        table = build_table(N + H)
+    table = _table(cfg, table, N + H)
     gamma2 = cfg.get_float("gamma2", math.sqrt(0.5) % 1.0)
     gamma1 = cfg.get_float("gamma1", 0.6180339887498949)
     B = cfg.get_float("B", 2.0)
@@ -339,12 +338,10 @@ def _exp_phase_contrast(cfg, table):
 
 def _exp_ap_short_avg(cfg, table):
     """Short-interval residue-class deviations, averaged over windows."""
-    table = _table(cfg, table)
     N = cfg.get_int("N", 10 ** 6)
     H = cfg.get_int("H", 10 ** 4)
     v = cfg.get_int("v", 3)
-    if table.limit < N + H:
-        table = build_table(N + H)
+    table = _table(cfg, table, N + H)
     avg, z = short_interval_ap_average(table, N, H, v)
     bound = 0.05 * H / _totient(v)
     report = ExperimentReport("ap_short_avg",
@@ -427,10 +424,9 @@ def _kochergin_setup(cfg):
 
 def _exp_pnt_kochergin(cfg, table):
     """Prime-orbit discrepancy trends for the singular special flow."""
-    table = _table(cfg, table)
+    table = _table(cfg, table, max(cfg.n_grid, default=0))
     flow, psi, start = _kochergin_setup(cfg)
-    grid = tuple(n for n in cfg.n_grid if n <= table.limit)
-    rep = pnt_report(psi, flow, start, grid, table=table,
+    rep = pnt_report(psi, flow, start, cfg.n_grid, table=table,
                      workers=cfg.get_int("threads", 1))
     rep.experiment = "pnt_kochergin"
     rep.params["quotients"] = list(flow.alpha.quotients)
@@ -440,47 +436,24 @@ def _exp_pnt_kochergin(cfg, table):
 def _exp_pnt_reparam(cfg, table):
     """Prime-orbit discrepancy for the reparametrized linear flow, with the
     coboundary observable's decaying discrepancy on top."""
-    table = _table(cfg, table)
+    table = _table(cfg, table, max(cfg.n_grid, default=0))
     alpha = _alpha_from(cfg, "scaled_D", 4.0, 4, 2)
     flow = ReparamFlow(alpha, make_timechange(alpha))
     psi = TorusObservable(0.0, [(1, 0, 1.0), (0, 1, 0.5)])
     start = TorusPoint(cfg.get_float("x1", 0.31), cfg.get_float("x2", 0.64))
-    grid = tuple(n for n in cfg.n_grid if n <= table.limit)
-    rep = pnt_report(psi, flow, start, grid, table=table, log_power=2.0,
+    rep = pnt_report(psi, flow, start, cfg.n_grid, table=table, log_power=2.0,
                      workers=cfg.get_int("threads", 1))
     rep.experiment = "pnt_reparam"
     rep.params["quotients"] = list(alpha.quotients)
     depth = cfg.get_int("coboundary_depth", 10 ** 3)
     g = lambda x1, x2: np.cos(2 * np.pi * np.asarray(x1))
-    d3s = coboundary_prime_discrepancy(flow, g, depth, start, grid, table)
-    for N, d3 in zip(grid, d3s):
+    d3s = coboundary_prime_discrepancy(flow, g, depth, start, cfg.n_grid,
+                                       table)
+    for N, d3 in zip(cfg.n_grid, d3s):
         rep.add("coboundary_D3", d3, N=N)
     if len(d3s) >= 2:
         _verdict(rep, "coboundary_halving", d3s[-1] <= 0.5 * d3s[0])
     return rep
-
-
-def _exp_equidist_boxes(cfg, table):
-    """Box-counting equidistribution of the weighted prime orbit."""
-    table = _table(cfg, table)
-    flow, psi, start = _kochergin_setup(cfg)
-    boxes = cfg.get_int("boxes", 32)
-    _check_boxes(boxes)
-    grid = tuple(n for n in cfg.n_grid if n <= table.limit)
-    report = ExperimentReport("equidist_boxes",
-                              {"n_grid": list(grid),
-                               "quotients": list(flow.alpha.quotients)})
-    ((xs, ss), _), weights = _prime_points(flow, psi, start, table,
-                                           max(grid, default=0), "+", 0)
-    masses = flow.box_masses(boxes)
-    vals = []
-    for N, k in zip(grid, np.searchsorted(table.primes, grid, side="right")):
-        d = _box_discrepancy((xs[:k], ss[:k]), weights[:k], masses, boxes)
-        report.add("box_discrepancy", d, N=N)
-        vals.append(d)
-    if len(vals) >= 2:
-        _verdict(report, "box_halving", vals[-1] <= 0.5 * vals[0])
-    return report
 
 
 REGISTRY = {
@@ -498,7 +471,6 @@ REGISTRY = {
     "katok_wm": _exp_katok_wm,
     "pnt_kochergin": _exp_pnt_kochergin,
     "pnt_reparam": _exp_pnt_reparam,
-    "equidist_boxes": _exp_equidist_boxes,
 }
 
 

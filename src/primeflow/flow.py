@@ -241,7 +241,8 @@ def time_integral(roof, alpha: RotationNumber, psi, p: FlowPoint, T):
     time-integral view of _walk.  psi supplies the fiber integrals through
     fiber_integral_many(x, lo, hi), int_lo^hi psi(x, s) ds elementwise, and
     whole_fiber_integral_many(x, f), the same from 0 to the roof values
-    f = f(x) the walk already holds, as observables.TowerObservable does."""
+    f = f(x) the walk already holds, as observables.TowerObservable does; a
+    psi that carries a roof must carry this one."""
     out = _walk(roof, alpha, p, (), psi, T)[3]
     return float(out) if out.ndim == 0 else out
 
@@ -266,6 +267,7 @@ def _walk(roof, alpha, p: FlowPoint, times, psi=None, T=()):
     height there, minus the start fiber up to height s.
     """
     p.validate(roof)
+    _same_roof(psi, roof)
     times = np.asarray(times, dtype=np.float64)
     T = np.asarray(T, dtype=np.float64)
     xs, ss = np.empty(times.shape), np.empty(times.shape)
@@ -297,6 +299,13 @@ def _walk(roof, alpha, p: FlowPoint, times, psi=None, T=()):
         G[1:] = np.cumsum(full, dtype=np.longdouble)
         out[up] = sign * G[nT] + part[:-1] - part[-1]
     return xs, ss, Ns, out
+
+
+def _same_roof(psi, roof):
+    """Reject a psi built on another roof: its fiber integrals would follow
+    its own roof while the walk crosses the fibers of this one."""
+    if getattr(psi, "roof", roof) is not roof:
+        raise ValueError("psi is built on another roof than the flow's")
 
 
 def _crossings(roof, alpha, p: FlowPoint, times, backward=False):

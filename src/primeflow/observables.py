@@ -16,7 +16,7 @@ cocycle inversion and the closed-form integral (reparametrized flow).  So
 total work is linear in the time horizon, and a statistic over an N-grid
 reads every N off the prefixes of one pass at the largest N.  The
 statistics take either flow, KocherginFlow or reparam.ReparamFlow, through
-the five methods both define.
+the three methods both define: walk, mean and box_masses.
 """
 
 import math
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ExperimentReport
-from .flow import FlowPoint, _walk, evaluate_times, time_integral
+from .flow import FlowPoint, _same_roof, _walk
 from .primes import build_table
 from .reparam import ReparamFlow, TorusPoint
 from .roofs import _finite
@@ -44,6 +44,7 @@ __all__ = [
 
 _SIGMA = 5.0  # the decay scale of rho(s) = exp(-s/5)
 _H_MAX = 5.0  # the height of the special flow's box grid
+_BOXES = 32  # pnt_report counts the prime orbit on a _BOXES x _BOXES grid
 
 
 class SingularOrbitError(RuntimeError):
@@ -57,20 +58,16 @@ class SingularOrbitError(RuntimeError):
 @dataclass(frozen=True)
 class KocherginFlow:
     """The special flow under roof over the rotation by alpha; like ReparamFlow
-    it defines positions, time_integral, walk, mean and box_masses."""
+    it defines walk, mean and box_masses."""
 
     roof: object
     alpha: object
 
-    def positions(self, start: FlowPoint, times):
-        """Coordinate arrays (x, s) of T_t(start) for every t in times;
-        SingularOrbitError if one lands on the fiber over a singular 0."""
-        xs, ss, _ = evaluate_times(self.roof, self.alpha, start, times)
-        return self._off_singular(xs), ss
-
     def walk(self, psi, start: FlowPoint, times, T):
-        """positions(start, times) and time_integral(psi, start, T) together,
-        from one crossing schedule per sign over the times and T."""
+        """The coordinate arrays (x, s) of T_t(start) at every t in times and
+        the signed int_0^T psi(T_t start) dt at every T in T, from one
+        crossing schedule per sign over the times and T; SingularOrbitError
+        if a position lands on the fiber over a singular 0."""
         xs, ss, _, I = _walk(self.roof, self.alpha, start, times, psi, T)
         return (self._off_singular(xs), ss), I
 
@@ -85,10 +82,6 @@ class KocherginFlow:
     def mean(self, psi) -> float:
         """Mean of psi under the normalized invariant measure Leb^f / int f."""
         return space_average(psi, self.roof)
-
-    def time_integral(self, psi, start: FlowPoint, T):
-        """Signed int_0^T psi(T_t start) dt for a scalar or an array of T."""
-        return time_integral(self.roof, self.alpha, psi, start, T)
 
     def box_masses(self, boxes: int):
         """Masses of the boxes [i/boxes, (i+1)/boxes) x [j dh, (j+1) dh) under
@@ -262,7 +255,9 @@ def space_average(psi: TowerObservable, roof) -> float:
     fiber integral, over the area.  That integrand is u(y) times a fiber
     integral of the decay, bounded and vanishing where the roof blows up,
     so the end slivers the y-mesh leaves out carry nothing of note; the
-    mesh still refines toward both ends, where the roof varies fastest."""
+    mesh still refines toward both ends, where the roof varies fastest.
+    psi must be built on this roof."""
+    _same_roof(psi, roof)
     edges = _graded_edges()
     cells = None
     for nodes in (16, 32, 64):
@@ -284,30 +279,11 @@ def space_average(psi: TowerObservable, roof) -> float:
 # prime-orbit sums
 
 
-def _sign(direction) -> float:
-    if direction not in ("+", "-"):
-        raise ValueError(f"direction must be '+' or '-', got {direction!r}")
-    return 1.0 if direction == "+" else -1.0
-
-
-def _prime_points(flow, psi, start, table, N, z, m, T=()):
-    """flow.walk at the times z(p - m), p <= N, and T: the positions at those
-    times and the signed time integrals of psi at T; and the weights log p."""
-    ps = table.primes_between(1, N)
-    times = _sign(z) * (ps.astype(np.float64) - float(m))
-    try:
-        out = flow.walk(psi, start, times, T)
-    except SingularOrbitError as err:
-        raise SingularOrbitError(
-            f"orbit lands on the singular point at prime {int(ps[err.index])}",
-            err.index) from None
-    return out, np.log(ps.astype(np.float64))
-
-
 def _integer_orbit_values(flow, g, x, M: int):
-    """g evaluated along x, T_1 x, ..., T_M x in one positions call."""
+    """g evaluated along x, T_1 x, ..., T_M x in one evaluate_many call."""
     steps = np.arange(M + 1, dtype=np.float64)
-    return np.asarray(g(*flow.positions(x, steps)), dtype=np.float64)
+    return np.asarray(g(*flow.evaluate_many(steps, x.x1, x.x2)),
+                      dtype=np.float64)
 
 
 def coboundary_prime_discrepancy(flow: ReparamFlow, g, depth: int,
@@ -346,11 +322,6 @@ def coboundary_prime_discrepancy(flow: ReparamFlow, g, depth: int,
 # equidistribution box counts
 
 
-def _check_boxes(boxes):
-    if boxes < 1:
-        raise ValueError(f"boxes must be >= 1, got {boxes}")
-
-
 def box_discrepancy(points, weights, flow, boxes=32) -> float:
     """Max deviation, over a boxes^2 partition, between the weighted
     empirical measure of the orbit points and the invariant measure.
@@ -361,7 +332,8 @@ def box_discrepancy(points, weights, flow, boxes=32) -> float:
     points (x, y) must lie in [0, 1) x [0, inf), one finite weight >= 0 to
     each, with a total weight > 0.
     """
-    _check_boxes(boxes)
+    if boxes < 1:
+        raise ValueError(f"boxes must be >= 1, got {boxes}")
     return _box_discrepancy(points, weights, flow.box_masses(boxes), boxes)
 
 
@@ -400,61 +372,64 @@ def _box_discrepancy(points, weights, masses, boxes):
 
 
 def pnt_report(psi, flow, start, n_grid=(10 ** 4, 10 ** 5, 10 ** 6),
-               directions=("+", "-"), m=0, table=None, boxes=32,
-               log_power=None, workers=1) -> ExperimentReport:
+               table=None, log_power=None, workers=1) -> ExperimentReport:
     """Discrepancy statistics of the prime-orbit sums across an N-grid.
 
-    The orbit is read at the times z (p - m) for a shift m >= 0.  For each
-    N and each of the distinct directions z the report records D1 (prime
-    sum vs time integral), D2 (time integral vs space average), D3 (prime
-    sum vs space average), all divided by N, plus the box-counting
-    discrepancy of the weighted "+" prime orbit against the invariant
-    measure.  When log_power A is given, D3 log^A N is recorded as well.
-    On a grid of two points or more, verdicts assert the monotone trends
-    along it.  Each direction,
-    and "+" always for the boxes, makes one pass at the largest N (one
-    flow.walk call, for the prime positions and the time integrals at z N
-    together) whose prefixes answer every N; with workers > 1 the two
-    direction passes run on a thread pool.  The box masses are computed once.
+    The orbit is read at the times +p and -p.  For each N and each direction
+    z the report records D1 (prime sum vs time integral), D2 (time integral
+    vs space average), D3 (prime sum vs space average), all divided by N,
+    plus the box-counting discrepancy of the weighted "+" prime orbit on the
+    32 x 32 grid of flow.box_masses.  When log_power A is given, D3 log^A N
+    is recorded as well.  On a grid of two points or more, verdicts assert
+    the monotone trends along it.  The grid must hold distinct N >= 2.  Each
+    direction makes one pass at the largest N (one flow.walk call, for the
+    prime positions and the time integrals at z N together) whose prefixes
+    answer every N; with workers > 1 the two passes run on a thread pool.
     The report is named "pnt_report"; the registered experiments rename
     theirs.
     """
     t0 = _time.monotonic()
-    if m < 0:
-        raise ValueError(f"shift m must be >= 0, got {m}")
-    if not directions or len(set(directions)) < len(directions):
-        raise ValueError(
-            f"directions must be non-empty and distinct, got {directions!r}")
-    _check_boxes(boxes)
     n_grid = tuple(sorted(int(n) for n in n_grid))
-    signs = {z: _sign(z) for z in ("+",) + tuple(directions)}
-    top = max(n_grid, default=0)
+    if not n_grid:
+        raise ValueError("n_grid must hold at least one N, got none")
+    if n_grid[0] < 2:
+        raise ValueError(f"N must be >= 2 (no prime below 2), got {n_grid[0]}")
+    for a, b in zip(n_grid, n_grid[1:]):
+        if a == b:
+            raise ValueError(f"n_grid repeats N = {a}")
+    signs = {"+": 1.0, "-": -1.0}
+    top = n_grid[-1]
     if table is None:
         table = build_table(top)
     mean = flow.mean(psi)
     report = ExperimentReport(
         experiment="pnt_report",
-        params={"n_grid": list(n_grid), "directions": list(directions),
-                "m": m, "boxes": boxes})
+        params={"n_grid": list(n_grid), "directions": list(signs), "m": 0,
+                "boxes": _BOXES})
     report.add("space_average", mean)
-    counts = np.searchsorted(table.primes, n_grid, side="right")
+    ps = table.primes_between(1, top).astype(np.float64)
+    weights = np.log(ps)
+    counts = np.searchsorted(ps, n_grid, side="right")
 
     def run_pass(z):
-        """The prime positions up to the largest N and, for a requested
-        direction, (D1, D2, D3) at every N."""
-        T = signs[z] * np.array(n_grid if z in directions else (), float)
-        (pts, Is), weights = _prime_points(flow, psi, start, table, top, z, m,
-                                           T)
-        if z not in directions:
-            return pts, weights, None
+        """The prime positions up to the largest N and (D1, D2, D3) at
+        every N."""
+        sign = signs[z]
+        try:
+            pts, Is = flow.walk(psi, start, sign * ps,
+                                sign * np.array(n_grid, float))
+        except SingularOrbitError as err:
+            raise SingularOrbitError(
+                "orbit lands on the singular point at prime "
+                f"{int(ps[err.index])}", err.index) from None
         vals = np.asarray(psi(*pts), dtype=np.float64)
-        Is = signs[z] * Is
+        Is = sign * Is
         cells = []
         for N, k, I in zip(n_grid, counts, Is.tolist()):
             P = float(np.dot(weights[:k], vals[:k]))
             cells.append((abs(P - I) / N, abs(I - N * mean) / N,
                           abs(P - N * mean) / N))
-        return pts, weights, cells
+        return pts, cells
 
     if workers > 1:
         from concurrent.futures import ThreadPoolExecutor
@@ -464,28 +439,28 @@ def pnt_report(psi, flow, start, n_grid=(10 ** 4, 10 ** 5, 10 ** 6),
     else:
         passes = {z: run_pass(z) for z in signs}
 
-    cells = {z: passes[z][2] for z in directions}
+    cells = {z: passes[z][1] for z in signs}
     for i, N in enumerate(n_grid):
-        for z in directions:
+        for z in signs:
             d1, d2, d3 = cells[z][i]
             report.add("D1", d1, N, z)
             report.add("D2", d2, N, z)
             report.add("D3", d3, N, z)
             if log_power is not None:
                 report.add("D3_logA", d3 * math.log(N) ** log_power, N, z)
-    (xs, ys), weights, _ = passes["+"]
-    masses = flow.box_masses(boxes)
-    box_out = [_box_discrepancy((xs[:k], ys[:k]), weights[:k], masses, boxes)
+    xs, ys = passes["+"][0]
+    masses = flow.box_masses(_BOXES)
+    box_out = [_box_discrepancy((xs[:k], ys[:k]), weights[:k], masses, _BOXES)
                for k in counts]
     for N, box in zip(n_grid, box_out):
         report.add("box_discrepancy", box, N, "+")
     def decreasing(seq):
         return all(b < a for a, b in zip(seq, seq[1:]))
     if len(n_grid) >= 2:
-        d1_max = [max(cells[z][i][0] for z in directions)
+        d1_max = [max(cells[z][i][0] for z in signs)
                   for i in range(len(n_grid))]
         report.verdicts["D1_trend"] = "pass" if decreasing(d1_max) else "fail"
-        for z in directions:
+        for z in signs:
             report.verdicts[f"D2_trend_{z}"] = (
                 "pass" if decreasing([c[1] for c in cells[z]]) else "fail")
         report.verdicts["box_halving"] = (

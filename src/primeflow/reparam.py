@@ -232,10 +232,6 @@ class ReparamFlow:
 
     # -- flow protocol, shared with observables.KocherginFlow ---------------
 
-    def positions(self, start: TorusPoint, times):
-        """Coordinate arrays (x1, x2) of T_t(start) for every t in times."""
-        return self.evaluate_many(times, start.x1, start.x2)
-
     def mean(self, psi) -> float:
         """Mean of the torus observable psi against the invariant density v."""
         return psi.mean(self.v)
@@ -270,9 +266,11 @@ class ReparamFlow:
         return float(total.real) if np.ndim(total) == 0 else total.real
 
     def walk(self, psi, start: TorusPoint, times, T):
-        """positions(start, times) and time_integral(psi, start, T), the
-        protocol call that KocherginFlow answers from one orbit pass."""
-        return self.positions(start, times), self.time_integral(psi, start, T)
+        """The coordinate arrays (x1, x2) of T_t(start) at every t in times
+        and time_integral(psi, start, T), the protocol call that
+        KocherginFlow answers from one orbit pass."""
+        return (self.evaluate_many(times, start.x1, start.x2),
+                self.time_integral(psi, start, T))
 
     def box_masses(self, boxes: int):
         """Masses v dLeb of the cells [i/boxes, (i+1)/boxes) x [j/boxes,

@@ -119,7 +119,7 @@ def test_registry_complete():
         "quad_expansion", "deriv_zeros", "section_claims",
         "interval_factorization", "phase_contrast", "ap_short_avg",
         "bt_ratio", "s_qr_build", "katok_wm", "pnt_kochergin",
-        "pnt_reparam", "equidist_boxes",
+        "pnt_reparam",
     }
     assert set(REGISTRY) == expected
 

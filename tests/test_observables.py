@@ -7,7 +7,7 @@ import pytest
 
 from primeflow.config import ExperimentConfig
 from primeflow.experiments import run_experiment
-from primeflow.flow import FlowPoint, evaluate, evaluate_times
+from primeflow.flow import FlowPoint, evaluate, evaluate_times, time_integral
 from primeflow.observables import (
     KocherginFlow,
     SingularOrbitError,
@@ -217,40 +217,8 @@ def test_prime_sum_of_one_is_theta(table):
     kf = KocherginFlow(POWER, GOLDEN)
     one = TowerObservable(POWER, psi_inf=1.0, u_terms=())
     N = 10 ** 5
-    rep = pnt_report(one, kf, FlowPoint(0.37, 0.05), (N,), directions=("+",),
-                     table=table)
+    rep = pnt_report(one, kf, FlowPoint(0.37, 0.05), (N,), table=table)
     assert abs(rep.metric("D1", N, "+") * N - abs(table.theta(N) - N)) < 1e-7
-
-
-def test_prime_sum_shift_relabels(table):
-    # a constant observable cannot see the shift m at all
-    kf = KocherginFlow(POWER, GOLDEN)
-    const = TowerObservable(POWER, psi_inf=0.4, u_terms=())
-    p = FlowPoint(0.3, 0.1)
-    a, b = (pnt_report(const, kf, p, (10 ** 4,), m=m, table=table)
-            for m in (0, 1))
-    for z in ("+", "-"):
-        assert abs(a.metric("D3", 10 ** 4, z) - b.metric("D3", 10 ** 4, z)) < 1e-12
-
-
-@pytest.mark.parametrize("m", [-1, -5])
-def test_negative_shift_rejected(table, m):
-    # at m < 0 the orbit would be read at the times p + |m|, after the prime
-    kf = KocherginFlow(POWER, GOLDEN)
-    psi = TowerObservable(POWER, 0.3)
-    with pytest.raises(ValueError, match=f"shift m must be >= 0, got {m}"):
-        pnt_report(psi, kf, FlowPoint(0.55, 0.05), (10 ** 3, 10 ** 4), m=m,
-                   table=table)
-
-
-@pytest.mark.parametrize("directions", [(), ("+", "+")])
-def test_directions_must_be_distinct(table, directions):
-    # () used to fail in max() on a grid of two points, ("+", "+") wrote
-    # every D1/D2/D3 row twice
-    kf = KocherginFlow(POWER, GOLDEN)
-    with pytest.raises(ValueError, match="directions"):
-        pnt_report(TowerObservable(POWER, 0.3), kf, FlowPoint(0.55, 0.05),
-                   (10 ** 3, 10 ** 4), directions=directions, table=table)
 
 
 def _flow_case(kind):
@@ -261,27 +229,6 @@ def _flow_case(kind):
     return (ReparamFlow, ReparamFlow(SCALED, make_timechange(SCALED)),
             TorusObservable(0.0, [(1, 0, 1.0), (0, 1, 0.5)]),
             TorusPoint(0.31, 0.64))
-
-
-@pytest.mark.parametrize("kind", ["kochergin", "reparam", "equidist_boxes"])
-def test_box_count_checked_before_the_orbit(kind, table, monkeypatch):
-    # a bad box count is named before any orbit pass is paid for
-    cls, flow, psi, start = _flow_case(
-        "reparam" if kind == "reparam" else "kochergin")
-    calls = []
-    for name in ("positions", "walk"):
-        monkeypatch.setattr(
-            cls, name, lambda self, *args, _orig=getattr(cls, name):
-            calls.append(args) or _orig(self, *args))
-    with pytest.raises(ValueError, match="boxes must be >= 1, got 0"):
-        if kind == "equidist_boxes":
-            run_experiment(ExperimentConfig(
-                kind, sieve_limit=10 ** 4, n_grid=(10 ** 3, 10 ** 4),
-                params={"boxes": "0"}), table)
-        else:
-            pnt_report(psi, flow, start, (10 ** 3, 10 ** 4), table=table,
-                       boxes=0)
-    assert calls == []
 
 
 @pytest.mark.parametrize("boxes", [0, -3])
@@ -308,17 +255,20 @@ class _BadRoof:
 def test_prime_sum_singular_hit(table):
     alpha = GOLDEN
     start = FlowPoint((-2 * alpha.float_value) % 1.0, 0.1)
-    kf = KocherginFlow(_BadRoof(), alpha)
-    one = TowerObservable(_BadRoof(), psi_inf=1.0, u_terms=())
+    roof = _BadRoof()
+    kf = KocherginFlow(roof, alpha)
+    one = TowerObservable(roof, psi_inf=1.0, u_terms=())
     with pytest.raises(SingularOrbitError, match="prime 2"):
         pnt_report(one, kf, start, (100,), table=table)
 
 
 def test_positions_name_the_singular_time():
     start = FlowPoint((-2 * GOLDEN.float_value) % 1.0, 0.1)
-    kf = KocherginFlow(_BadRoof(), GOLDEN)
+    roof = _BadRoof()
+    kf = KocherginFlow(roof, GOLDEN)
+    psi = TowerObservable(roof, psi_inf=1.0, u_terms=())
     with pytest.raises(SingularOrbitError, match=r"times\[1\]") as err:
-        kf.positions(start, np.array([1.0, 2.0, 3.0]))
+        kf.walk(psi, start, np.array([1.0, 2.0, 3.0]), ())
     assert err.value.index == 1
 
 
@@ -327,8 +277,9 @@ def test_kochergin_time_integral_is_signed(psi):
     kf = KocherginFlow(POWER, GOLDEN)
     p, T = FlowPoint(0.41, 0.2), 37.5
     back = evaluate(POWER, GOLDEN, p, -T).endpoint
-    whole = kf.time_integral(psi, back, 2.0 * T)
-    split = kf.time_integral(psi, p, T) - kf.time_integral(psi, p, -T)
+    whole = time_integral(POWER, GOLDEN, psi, back, 2.0 * T)
+    _, (ahead, behind) = kf.walk(psi, p, (), np.array([T, -T]))
+    split = ahead - behind
     assert abs(whole - split) < 1e-8 * (1.0 + abs(whole))
 
 
@@ -455,7 +406,7 @@ def test_pnt_report_constant_reduces_to_theta(table):
     kf = KocherginFlow(POWER, GOLDEN)
     flat = TowerObservable(POWER, 0.3, u_terms=((1, 0.0, 0.0),))
     rep = pnt_report(flat, kf, FlowPoint(0.3, 0.1), (10 ** 3, 10 ** 4),
-                     directions=("+",), table=table)
+                     table=table)
     for N in (10 ** 3, 10 ** 4):
         want = 0.3 * abs(table.theta(N) / N - 1.0)
         assert abs(rep.metric("D1", N, "+") - want) < 1e-8
@@ -480,7 +431,7 @@ def test_pnt_report_records_log_power(table):
     fl = ReparamFlow(SCALED, make_timechange(SCALED))
     psi = TorusObservable(0.0, [(1, 0, 1.0)])
     rep = pnt_report(psi, fl, TorusPoint(0.31, 0.64), (10 ** 3, 10 ** 4),
-                     directions=("+",), table=table, log_power=2.0)
+                     table=table, log_power=2.0)
     d3 = rep.metric("D3", 10 ** 4, "+")
     want = d3 * math.log(10 ** 4) ** 2
     assert abs(rep.metric("D3_logA", 10 ** 4, "+") - want) < 1e-12
@@ -502,64 +453,58 @@ def test_pnt_report_reparam_threads_match_serial(table):
     assert "D3_logA" not in {m["name"] for m in docs[0][1]}
 
 
-def test_box_rows_shared_by_equidist_and_pnt(table):
-    rows = []
-    for name in ("equidist_boxes", "pnt_kochergin"):
-        cfg = ExperimentConfig(name, sieve_limit=10 ** 4,
-                               n_grid=(10 ** 3, 10 ** 4))
-        rep = run_experiment(cfg, table)
-        rows.append([(m.N, m.value) for m in rep.metrics
-                     if m.name == "box_discrepancy"])
-    assert len(rows[0]) == 2
-    assert rows[0] == rows[1]
-
-
 @pytest.mark.parametrize("kind", ["kochergin", "reparam"])
 def test_pnt_report_one_pass_per_direction(kind, table, monkeypatch):
     # every N of the grid reads prefixes of one pass per direction: one walk
     # call for the prime positions and the time integrals at z N together,
     # which on the special flow is one crossing schedule per sign and on the
-    # torus one positions and one time_integral call
+    # torus one evaluate_many and one time_integral call
     import primeflow.flow as flow_module
 
     cls, flow, psi, start = _flow_case(kind)
     calls, schedules = [], []
+    # where each spied method takes the times it walks to
+    spied = {"walk": 2, "evaluate_many": 0, "time_integral": 2}
+    if kind == "kochergin":
+        spied = {"walk": 2}
 
-    def spied(name, orig):
-        def spy(self, *args):
-            times = np.asarray(args[2] if name == "walk" else args[-1])
+    def spy(name, orig):
+        def call(self, *args):
+            times = np.asarray(args[spied[name]])
             calls.append((name, "+" if np.all(times >= 0) else "-"))
             return orig(self, *args)
-        return spy
-    for name in ("positions", "time_integral", "walk"):
-        monkeypatch.setattr(cls, name, spied(name, getattr(cls, name)))
+        return call
+    for name in spied:
+        monkeypatch.setattr(cls, name, spy(name, getattr(cls, name)))
     crossings = flow_module._crossings
     monkeypatch.setattr(
         flow_module, "_crossings", lambda *args: schedules.append(args[-1])
         or crossings(*args))
     pnt_report(psi, flow, start, (10 ** 3, 3 * 10 ** 3, 10 ** 4), table=table)
-    walks = [("walk", "+"), ("walk", "-")]
-    if kind == "kochergin":
-        assert sorted(calls) == walks
-        assert sorted(schedules) == [False, True]
-    else:
-        assert sorted(calls) == sorted(walks + [
-            ("positions", "+"), ("positions", "-"),
-            ("time_integral", "+"), ("time_integral", "-")])
-        assert schedules == []
+    assert sorted(calls) == sorted((name, z) for name in spied
+                                   for z in ("+", "-"))
+    assert sorted(schedules) == ([False, True] if kind == "kochergin" else [])
 
 
-@pytest.mark.parametrize("m, directions", [(0, ("+", "-")), (3, ("+", "-")),
-                                           (0, ("-",))],
-                         ids=["m0", "m3_mixed_signs", "boxes_only_plus"])
+def _reference_walk(flow, psi, start, times, T):
+    """The positions and time integrals of flow.walk from the module
+    evaluate_times and time_integral (special flow) or evaluate_many and
+    the closed-form time_integral (torus)."""
+    if isinstance(flow, KocherginFlow):
+        pts = evaluate_times(flow.roof, flow.alpha, start, times)[:2]
+        return pts, time_integral(flow.roof, flow.alpha, psi, start, T)
+    return (flow.evaluate_many(times, start.x1, start.x2),
+            flow.time_integral(psi, start, T))
+
+
+@pytest.mark.parametrize("case", ["m0", "m3_mixed_signs"])
 @pytest.mark.parametrize("kind", ["kochergin", "reparam"])
-def test_walk_matches_positions_and_time_integral(kind, m, directions, table,
+def test_walk_matches_positions_and_time_integral(kind, case, table,
                                                   monkeypatch):
-    # each walk pnt_report makes against separate positions and
-    # time_integral calls at the same times: bit-identical positions and
-    # the same integrals; with m = 3 the "+" pass reads t = 2 - 3 < 0 and the
-    # "-" pass t = 3 - 2 > 0, and with directions ("-",) the "+" pass asks
-    # for no integral
+    # m0: each walk pnt_report makes; m3_mixed_signs: one walk at the times
+    # p - 3, from -1 at p = 2 up, and at T of both signs.  Against the
+    # separate position and integral views at the same times: bit-identical
+    # positions and integrals within 1e-13 relative
     cls, flow, psi, start = _flow_case(kind)
     seen = []
     walk = cls.walk
@@ -568,27 +513,22 @@ def test_walk_matches_positions_and_time_integral(kind, m, directions, table,
         seen.append((args, walk(self, *args)))
         return seen[-1][1]
     monkeypatch.setattr(cls, "walk", spy)
-    pnt_report(psi, flow, start, (10 ** 3, 3 * 10 ** 3, 10 ** 4),
-               directions=directions, m=m, table=table)
-    monkeypatch.undo()
-    assert sorted(args[3].size for args, _ in seen) == (
-        [0, 3] if directions == ("-",) else [3, 3])
-    for (_, _, times, T), (pts, Is) in seen:
-        if m:
-            assert np.any(times < 0) and np.any(times > 0)
-        for got, want in zip(pts, flow.positions(start, times)):
-            assert got.tobytes() == want.tobytes()
-        want = flow.time_integral(psi, start, T)
-        assert Is.shape == T.shape
-        assert np.all(np.abs(Is - want) <= 1e-13 * np.abs(want))
-
-
-def test_unknown_direction_is_named(psi, table):
-    kf = KocherginFlow(POWER, GOLDEN)
-    start = FlowPoint(0.55, 0.05)
-    with pytest.raises(ValueError, match="'x'"):
-        pnt_report(psi, kf, start, (10 ** 3,), directions=("+", "x"),
+    if case == "m0":
+        pnt_report(psi, flow, start, (10 ** 3, 3 * 10 ** 3, 10 ** 4),
                    table=table)
+        assert len(seen) == 2
+    else:
+        times = table.primes_between(1, 10 ** 4).astype(np.float64) - 3.0
+        flow.walk(psi, start, times, np.array([-3e3, 10.0, 0.0, -0.5, 1e4]))
+    monkeypatch.undo()
+    for (_, _, times, T), (pts, Is) in seen:
+        if case == "m3_mixed_signs":
+            assert np.any(times < 0) and np.any(times > 0)
+        want_pts, want = _reference_walk(flow, psi, start, times, T)
+        for got, ref in zip(pts, want_pts):
+            assert got.tobytes() == ref.tobytes()
+        assert Is.shape == T.shape == (len(T),) and len(T) >= 3
+        assert np.all(np.abs(Is - want) <= 1e-13 * np.abs(want))
 
 
 def test_reparam_time_integral_array_matches_scalar_calls():
@@ -654,11 +594,11 @@ def test_non_finite_times_rejected(kind, t):
     _, flow, psi, start = _flow_case(kind)
     msg = f"t must be finite, got {t}"
     with pytest.raises(ValueError, match=msg):
-        flow.positions(start, np.array([1.0, t]))
+        flow.walk(psi, start, np.array([1.0, t]), ())
     with pytest.raises(ValueError, match=msg):
-        flow.time_integral(psi, start, t)
+        _reference_walk(flow, psi, start, (), t)
     with pytest.raises(ValueError, match=msg):
-        flow.time_integral(psi, start, np.array([2.0, t]))
+        _reference_walk(flow, psi, start, (), np.array([2.0, t]))
     for times, T in (([1.0, t], [2.0]), ([1.0], [2.0, t])):
         with pytest.raises(ValueError, match=msg):
             flow.walk(psi, start, np.array(times), np.array(T))
@@ -666,9 +606,66 @@ def test_non_finite_times_rejected(kind, t):
 
 @pytest.mark.parametrize("name", ["pnt_kochergin", "pnt_reparam"])
 def test_one_point_grid_records_no_trend(name):
-    # a sieve limit of 1e4 leaves one point of the default grid; a trend of
-    # one point is vacuous, so no verdict is recorded
-    rep = run_experiment(ExperimentConfig(name, sieve_limit=10 ** 4))
+    # a trend of one point is vacuous, so no verdict is recorded
+    rep = run_experiment(ExperimentConfig(name, sieve_limit=10 ** 4,
+                                          n_grid=(10 ** 4,)))
     assert rep.params["n_grid"] == [10 ** 4]
     assert rep.verdicts == {}
     assert {m.name for m in rep.metrics if m.N == 10 ** 4} >= {"D1", "D2", "D3"}
+
+
+@pytest.mark.parametrize("n_grid, msg", [
+    ((), "n_grid must hold at least one N, got none"),
+    ((0, 10 ** 3), r"N must be >= 2 \(no prime below 2\), got 0"),
+    ((1, 10 ** 3), r"N must be >= 2 \(no prime below 2\), got 1"),
+    ((10 ** 3, -5), r"N must be >= 2 \(no prime below 2\), got -5"),
+    ((10 ** 3, 10 ** 2, 10 ** 3), "n_grid repeats N = 1000"),
+], ids=["empty", "zero", "one", "negative", "repeated"])
+@pytest.mark.parametrize("kind", ["kochergin", "reparam"])
+def test_pnt_report_rejects_bad_n_grid(kind, n_grid, msg, table, monkeypatch):
+    # an N-grid with no prime below some N, or with an N twice, is named
+    # before any orbit pass
+    cls, flow, psi, start = _flow_case(kind)
+    calls = []
+    walk = cls.walk
+    monkeypatch.setattr(cls, "walk", lambda self, *args: calls.append(args)
+                        or walk(self, *args))
+    with pytest.raises(ValueError, match=msg):
+        pnt_report(psi, flow, start, n_grid, table=table)
+    assert calls == []
+
+
+@pytest.mark.parametrize("n_grid", [(10 ** 3, 10 ** 4, 2 * 10 ** 4),
+                                    (2 * 10 ** 4, 5 * 10 ** 4)],
+                         ids=["past_the_limit", "all_past_the_limit"])
+@pytest.mark.parametrize("name", ["pnt_kochergin", "pnt_reparam"])
+def test_pnt_grid_past_the_sieve_limit_is_kept(name, n_grid):
+    # the sieve grows to the largest N: every N of the grid keeps its rows
+    small = build_table(10 ** 4)
+    rep = run_experiment(ExperimentConfig(name, sieve_limit=10 ** 4,
+                                          n_grid=n_grid), small)
+    assert rep.params["n_grid"] == list(n_grid)
+    for N in n_grid:
+        assert {m.name for m in rep.metrics if m.N == N} >= {
+            "D1", "D2", "D3", "box_discrepancy"}
+    assert {"D1_trend", "D2_trend_+", "D2_trend_-", "box_halving"} <= set(
+        rep.verdicts)
+
+
+def test_tower_observable_on_another_roof_rejected(table):
+    # psi's roof would shape its partial fibers while the walk crosses the
+    # flow's fibers
+    kf = KocherginFlow(POWER, GOLDEN)
+    psi = TowerObservable(PowerRoof(-0.9), 0.3)
+    start, msg = FlowPoint(0.55, 0.05), "another roof than the flow's"
+    with pytest.raises(ValueError, match=msg):
+        space_average(psi, POWER)
+    with pytest.raises(ValueError, match=msg):
+        kf.walk(psi, start, np.array([1.0, 2.0]), np.array([3.0]))
+    with pytest.raises(ValueError, match=msg):
+        time_integral(POWER, GOLDEN, psi, start, -3.0)
+    with pytest.raises(ValueError, match=msg):
+        pnt_report(psi, kf, start, (10 ** 3, 10 ** 4), table=table)
+    # an equal roof is not enough: the observable must share the flow's
+    with pytest.raises(ValueError, match=msg):
+        space_average(TowerObservable(PowerRoof(), 0.3), POWER)
