@@ -323,6 +323,10 @@ def _exp_phase_contrast(cfg, table):
     g2 = cfg.get_float("gamma2", (1.0 / math.sqrt(2.0)) % 1.0)
     if N + H > table.limit:
         N = table.limit - H
+        if N < 1:
+            raise ValueError(
+                "phase_contrast needs N >= 1, but the table limit "
+                f"{table.limit} less H = {H} leaves N = {N}")
     generic = abs(quad_phase_sum(table, PhaseCoefficients(g1, g2, N, H)))
     trivial = abs(quad_phase_sum(table, PhaseCoefficients(0.0, 0.0, N, H)))
     resonant_err = abs(trivial - theta_interval(table, N, H))

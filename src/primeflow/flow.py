@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .roofs import PowerRoof
-from .rotation import RotationNumber, circle_distance, frac
+from .rotation import RotationNumber, frac
 
 __all__ = [
     "FlowPoint",
@@ -28,7 +28,6 @@ __all__ = [
     "ABReport",
     "evaluate",
     "evaluate_naive",
-    "tower_metric",
     "ab_decomposition",
     "time_integral",
 ]
@@ -120,10 +119,6 @@ def evaluate_naive(roof, alpha: RotationNumber, p: FlowPoint, t: float) -> FlowS
             return _finish(roof, xi, s, t, -n, float(consumed))
         remaining -= fx
         n += 1
-
-
-def tower_metric(p: FlowPoint, q: FlowPoint) -> float:
-    return circle_distance(p.x - q.x) + abs(p.s - q.s)
 
 
 def _union(lo, hi):

@@ -108,11 +108,16 @@ class KocherginFlow:
 
 
 def _trig_eval(terms, y):
+    """sum a cos(2 pi k y) + b sin(2 pi k y) over the (k, a, b) terms; the
+    cosine or sine of a zero coefficient is not computed."""
     y = np.asarray(y, dtype=np.float64)
     out = np.zeros_like(y)
     for k, a, b in terms:
         ang = 2.0 * math.pi * k * y
-        out = out + a * np.cos(ang) + b * np.sin(ang)
+        if a:
+            out = out + a * np.cos(ang)
+        if b:
+            out = out + b * np.sin(ang)
     return out
 
 
@@ -280,10 +285,12 @@ def space_average(psi: TowerObservable, roof) -> float:
 
 
 def _integer_orbit_values(flow, g, x, M: int):
-    """g evaluated along x, T_1 x, ..., T_M x in one evaluate_many call."""
-    steps = np.arange(M + 1, dtype=np.float64)
-    return np.asarray(g(*flow.evaluate_many(steps, x.x1, x.x2)),
-                      dtype=np.float64)
+    """g evaluated along x, T_1 x, ..., T_M x from one pass over the times,
+    warm-started along the rigidity period P: the first q_n with drift bound
+    delta(q_n) = sum_k |c_k| |q_k q_n alpha mod 1| / |w_k| <= 1e-12 (1 + q_n).
+    With no such q_n every time is solved cold, as evaluate_many solves it."""
+    u = flow._integer_inverse(M, x.x1, x.x2)
+    return np.asarray(g(*flow._positions(u, x.x1, x.x2)), dtype=np.float64)
 
 
 def coboundary_prime_discrepancy(flow: ReparamFlow, g, depth: int,
@@ -296,6 +303,10 @@ def coboundary_prime_discrepancy(flow: ReparamFlow, g, depth: int,
     over precomputed orbit values of g, the difference of one cumulative
     sum, so every N reads a prefix of a single vectorized pass.  The invariant
     mean of psi is zero, so this is the full space-vs-prime discrepancy.
+
+    Past the flow's rigidity period P (see _integer_orbit_values) each time
+    is warm-started from u(n - P) + P; P depends only on the flow, so every N
+    still reads a prefix of one pass, and with no period all are solved cold.
     """
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")

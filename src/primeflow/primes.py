@@ -20,7 +20,6 @@ __all__ = [
     "CircleInterval",
     "build_table",
     "theta_interval",
-    "theta_ap",
     "ap_error",
     "ap_error_many",
     "select_S_qr",
@@ -123,15 +122,6 @@ def theta_interval(table: PrimeTable, N: int, H: int) -> float:
         raise ValueError(f"H must be >= 0, got {H}")
     ps = table.primes_between(N, N + H)
     return float(np.sum(np.log(ps.astype(np.longdouble)))) if len(ps) else 0.0
-
-
-def theta_ap(table: PrimeTable, x: int, q: int, a: int) -> float:
-    """Sum of log p over p <= x with p = a (mod q)."""
-    if q < 1 or not (0 <= a < q):
-        raise ValueError("need q >= 1 and 0 <= a < q")
-    ps = table.primes_between(1, x)
-    sel = ps[ps % q == a]
-    return float(np.sum(np.log(sel.astype(np.longdouble)))) if len(sel) else 0.0
 
 
 def _totient(q: int) -> int:

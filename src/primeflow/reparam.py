@@ -25,7 +25,6 @@ from .rotation import RotationNumber, circle_distance, frac
 __all__ = [
     "TorusPoint",
     "ReparamFlow",
-    "CoboundaryPair",
     "KatokRatios",
     "RigidityReport",
     "make_timechange",
@@ -39,6 +38,7 @@ _TWO_PI = 2.0 * math.pi
 # before the bisection fallback, and the turns of the fastest mode past which
 # a converged point's last step is checked before it is kept
 _BLOCK = 1 << 15
+_TOL = 1e-12  # time_inverse_many's default tolerance
 _MAX_STEPS = 40
 _CHECK_TURNS = 1e-3
 
@@ -77,6 +77,19 @@ class ReparamFlow:
             abs(c) / (math.pi * abs(w)) for _, _, c, w in self._terms
         )
         self._max_freq = max((abs(w) for *_, w in self._terms), default=0.0)
+        # the rigidity period of _integer_inverse: the smallest q_n whose
+        # drift bound meets the default tolerance at t = q_n, or None
+        self._period = next((q for q in alpha.denominators
+                             if self._drift(q) <= _TOL * (1.0 + q)), None)
+
+    def _drift(self, P: int) -> float:
+        """delta(P) >= |W(u + P) - W(u)| for every u, W = V - id.
+
+        Mode k adds Re b_k (e(w_k u) - 1) / i to W, so it moves by |b_k| |e(w_k
+        P) - 1| <= |c_k| |w_k P mod 1| / |w_k| over P, and w_k P = q_k P alpha
+        mod 1 is reduced exactly by signed_frac."""
+        return sum(abs(c) * abs(self.alpha.signed_frac(P * q)) / abs(w)
+                   for q, _, c, w in self._terms)
 
     # -- cocycle ------------------------------------------------------------
 
@@ -167,7 +180,7 @@ class ReparamFlow:
 
     # -- inverse ------------------------------------------------------------
 
-    def time_inverse_many(self, t, x1, x2, tol: float = 1e-12):
+    def time_inverse_many(self, t, x1, x2, tol: float = _TOL):
         """Solve V(u, x) = t for every broadcast point of (t, x1, x2).
 
         Each point meets |V(u_i) - t_i| <= tol (1 + |t_i|), and its u_i
@@ -183,8 +196,9 @@ class ReparamFlow:
             raise ValueError(f"tol must be finite and > 0, got {tol!r}")
         return self._blocks(lambda tb, b: self._halley(tb, b, tol), t, x1, x2)
 
-    def _halley(self, t, b, tol):
-        u = t.copy()
+    def _halley(self, t, b, tol, u0=None):
+        """Halley steps on V(u) = t for start factors b, from u0 or else t."""
+        u = (t if u0 is None else u0).copy()
         todo = np.arange(t.size)
         for _ in range(_MAX_STEPS):
             uk = u[todo]
@@ -207,6 +221,27 @@ class ReparamFlow:
         u[todo] = self._bisect(t, b)
         return u
 
+    def _integer_inverse(self, M: int, x1, x2):
+        """u(n, x) for n = 0..M at the scalar start point x, to the default
+        tolerance.  Times below the rigidity period P are solved cold; every
+        later n starts from u(n - P) + P, whose residual is that of u(n - P)
+        plus at most delta(P), and still runs to its own residual check.
+        Blocks of at most P times keep u(n - P) solved ahead of its block.
+        With no period this is time_inverse_many(arange(M + 1), x1, x2)."""
+        x1, x2 = float(_finite("x1", x1)), float(_finite("x2", x2))
+        b = self._start_factors(x1, x2)
+        t = np.arange(M + 1, dtype=np.float64)
+        u = np.empty_like(t)
+        P = self._period or M + 1
+        lo = 0
+        while lo <= M:
+            warm = lo >= P
+            hi = min(lo + _BLOCK, M + 1, lo + P if warm else P)
+            u0 = u[lo - P:hi - P] + P if warm else None
+            u[lo:hi] = self._halley(t[lo:hi], b, _TOL, u0)
+            lo = hi
+        return u
+
     def _bisect(self, t, b):
         width = self._osc_bound + 1.0
         lo, hi = t - width, t + width
@@ -223,9 +258,11 @@ class ReparamFlow:
         return TorusPoint(*map(float, self.evaluate_many(t, x.x1, x.x2)))
 
     def evaluate_many(self, t, x1, x2):
-        u = self.time_inverse_many(t, x1, x2)
-        a = self.alpha.float_value
-        return _unit(x1 + u * a), _unit(x2 + u)
+        return self._positions(self.time_inverse_many(t, x1, x2), x1, x2)
+
+    def _positions(self, u, x1, x2):
+        """L_u(x) = (x1 + u alpha, x2 + u) mod 1 as coordinate arrays."""
+        return _unit(x1 + u * self.alpha.float_value), _unit(x2 + u)
 
     def roof(self) -> FourierRoof:
         return roof_from_timechange(self.v)
@@ -301,45 +338,6 @@ def make_timechange(alpha: RotationNumber) -> TimeChange:
     if not terms:
         raise ValueError("alpha has no flagged levels to build a time change")
     return TimeChange(terms, alpha)
-
-
-class CoboundaryPair:
-    """psi = h - h o T_1 with h = -(1/N) sum_{n<=N} S_n(g), so that psi is an
-    exact coboundary of the time-one map and psi = -g + (1/N) sum g o T_1^n."""
-
-    def __init__(self, flow: ReparamFlow, g, N: int):
-        if N < 1:
-            raise ValueError("N must be >= 1")
-        self.flow = flow
-        self.g = g
-        self.N = N
-
-    def _orbit_sums(self, x1, x2):
-        """(sum_{n=1..N} g o T^n, sum_{n=0..N-1} (N - n) g o T^n) from the
-        positions T_n x at n = 0..N.  Each evaluate_many call takes a chunk
-        of times broadcast against the start points, of at most _BLOCK
-        points (one time per call once there are more start points)."""
-        x1, x2 = np.broadcast_arrays(np.asarray(x1, dtype=np.float64),
-                                     np.asarray(x2, dtype=np.float64))
-        psum = np.zeros(x1.shape)
-        hsum = np.zeros(x1.shape)
-        rows = max(1, _BLOCK // max(1, x1.size))
-        for lo in range(0, self.N + 1, rows):
-            n = np.arange(lo, min(lo + rows, self.N + 1), dtype=np.float64)
-            times = n.reshape(n.shape + (1,) * x1.ndim)
-            vals = np.asarray(self.g(*self.flow.evaluate_many(times, x1, x2)),
-                              dtype=np.float64)
-            psum += vals[n >= 1].sum(axis=0)
-            hsum += np.tensordot(self.N - n, vals, axes=1)
-        return psum, hsum
-
-    def psi(self, x1, x2):
-        psum, _ = self._orbit_sums(x1, x2)
-        return -self.g(np.asarray(x1), np.asarray(x2)) + psum / self.N
-
-    def h(self, x1, x2):
-        _, hsum = self._orbit_sums(x1, x2)
-        return -hsum / self.N
 
 
 @dataclass(frozen=True)

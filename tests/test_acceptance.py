@@ -14,15 +14,17 @@ import pytest
 from primeflow import experiments
 from primeflow.config import ExperimentConfig
 from primeflow.experiments import run_experiment
-from primeflow.flow import FlowPoint, evaluate, evaluate_naive, tower_metric
+from primeflow.flow import FlowPoint, evaluate, evaluate_naive
 from primeflow.observables import (
     _integer_orbit_values,
     coboundary_prime_discrepancy,
 )
-from primeflow.primes import ap_error, build_table, select_S_qr, theta_ap
+from primeflow.primes import ap_error, build_table, select_S_qr
 from primeflow.reparam import ReparamFlow, TorusPoint
 from primeflow.roofs import FourierRoof, PowerRoof, birkhoff_sum_many
 from primeflow.rotation import construct_alpha, from_partial_quotients
+
+from helpers import theta_ap, tower_metric
 
 X6 = 10 ** 6
 
@@ -207,6 +209,15 @@ def test_c10_phase_contrast(table):
     rep = _run("phase_contrast", table)
     assert rep.metric("contrast_ratio") <= 0.25
     assert rep.metric("resonant_error") < 1e-9
+
+
+@pytest.mark.parametrize("limit", [10 ** 4, 5 * 10 ** 3])
+def test_c10_phase_contrast_rejects_n_below_one(limit):
+    # N is clamped to the table limit less H = 1e4, which leaves N <= 0
+    cfg = ExperimentConfig("phase_contrast", sieve_limit=limit)
+    msg = f"table limit {limit} less H = 10000 leaves N = {limit - 10 ** 4}$"
+    with pytest.raises(ValueError, match=msg):
+        run_experiment(cfg)
 
 
 # -- 11: short-interval progressions ----------------------------------------

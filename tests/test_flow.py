@@ -22,10 +22,11 @@ from primeflow.flow import (
     evaluate_naive,
     evaluate_times,
     time_integral,
-    tower_metric,
 )
 from primeflow.roofs import FourierRoof, PowerRoof
 from primeflow.rotation import construct_alpha, frac, from_partial_quotients
+
+from helpers import tower_metric
 
 GOLDEN = from_partial_quotients([1] * 12)
 SCALED = construct_alpha("scaled_D", growth=lambda q: q * q, depth=5, seed=2)

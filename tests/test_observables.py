@@ -23,6 +23,8 @@ from primeflow.reparam import ReparamFlow, TorusPoint, make_timechange
 from primeflow.roofs import FourierRoof, PowerRoof, TimeChange
 from primeflow.rotation import construct_alpha, from_partial_quotients
 
+from helpers import CoboundaryPair
+
 GOLDEN = from_partial_quotients([1] * 12)
 POWER = PowerRoof()
 SCALED = construct_alpha("scaled_D", growth=lambda q: q ** 4, depth=4, seed=2)
@@ -121,6 +123,30 @@ def test_trivial_observables():
     flat = TowerObservable(POWER, 0.7, u_terms=((1, 0.0, 0.0),))
     assert flat(0.3, 0.2) == 0.7
     assert abs(space_average(flat, POWER) - 0.7) < 1e-9
+
+
+def test_trig_eval_skips_zero_coefficients(monkeypatch):
+    from primeflow.observables import _trig_eval
+
+    y = np.random.default_rng(8).random(1000)
+    terms = ((1, 0.7, -0.2), (3, 0.0, 0.4), (5, -0.3, 0.0), (2, 0.0, 0.0))
+    full = np.zeros_like(y)
+    for k, a, b in terms:
+        ang = 2.0 * math.pi * k * y
+        full = full + a * np.cos(ang) + b * np.sin(ang)
+    assert np.array_equal(_trig_eval(terms, y), full)
+    sines = []
+    sin = np.sin
+
+    def spy(*args, **kwargs):
+        sines.append(1)
+        return sin(*args, **kwargs)
+
+    monkeypatch.setattr(np, "sin", spy)
+    TowerObservable(POWER).u(y)  # u = cos(2 pi y)
+    assert sines == []
+    _trig_eval(terms, y)
+    assert len(sines) == 2
 
 
 def test_fiber_integral_closed_form(psi):
@@ -321,21 +347,38 @@ def test_reparam_time_integral_closed_form():
         assert abs(fl.time_integral(psi, x, T) - riemann) < 1e-6
 
 
-def test_coboundary_discrepancy_matches_direct(table):
-    fl = ReparamFlow(SCALED, make_timechange(SCALED))
-    from primeflow.reparam import CoboundaryPair
-
-    g = lambda x1, x2: np.cos(2 * np.pi * np.asarray(x1))
-    depth = 50
-    x = TorusPoint(0.31, 0.64)
-    N = 10 ** 4
-    fast = coboundary_prime_discrepancy(fl, g, depth, x, N, table)
+def _direct_coboundary_discrepancy(fl, g, depth, x, N, table):
+    """The slow oracle: psi from CoboundaryPair at every prime position,
+    each time solved cold through time_inverse_many."""
     pair = CoboundaryPair(fl, g, depth)
     ps = table.primes_between(1, N)
     u = fl.time_inverse_many(ps.astype(float), x.x1, x.x2)
     a = SCALED.float_value
     vals = pair.psi((x.x1 + u * a) % 1.0, (x.x2 + u) % 1.0)
-    slow = abs(float(np.dot(np.log(ps.astype(float)), vals))) / N
+    return abs(float(np.dot(np.log(ps.astype(float)), vals))) / N
+
+
+def test_coboundary_discrepancy_matches_direct(table):
+    fl = ReparamFlow(SCALED, make_timechange(SCALED))
+    g = lambda x1, x2: np.cos(2 * np.pi * np.asarray(x1))
+    depth = 50
+    x = TorusPoint(0.31, 0.64)
+    N = 10 ** 4
+    fast = coboundary_prime_discrepancy(fl, g, depth, x, N, table)
+    slow = _direct_coboundary_discrepancy(fl, g, depth, x, N, table)
+    assert abs(fast - slow) < 1e-10
+
+
+def test_coboundary_discrepancy_matches_direct_past_the_period(table):
+    # the times past the rigidity period q_3 = 83523 are warm-started
+    fl = ReparamFlow(SCALED, make_timechange(SCALED))
+    g = lambda x1, x2: np.cos(2 * np.pi * np.asarray(x1))
+    depth = 50
+    x = TorusPoint(0.31, 0.64)
+    N = 10 ** 5
+    assert N > fl._period + 10 ** 4
+    fast = coboundary_prime_discrepancy(fl, g, depth, x, N, table)
+    slow = _direct_coboundary_discrepancy(fl, g, depth, x, N, table)
     assert abs(fast - slow) < 1e-10
 
 

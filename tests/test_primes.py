@@ -20,9 +20,10 @@ from primeflow.primes import (
     quad_phase_sum,
     select_S_qr,
     short_interval_ap_average,
-    theta_ap,
     theta_interval,
 )
+
+from helpers import theta_ap
 
 
 @pytest.fixture(scope="module")

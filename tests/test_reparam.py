@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from primeflow import reparam
 from primeflow.reparam import (
-    CoboundaryPair,
     ReparamFlow,
     TorusPoint,
     katok_ratios,
@@ -22,6 +21,8 @@ from primeflow.rotation import (
     construct_alpha,
     from_partial_quotients,
 )
+
+from helpers import CoboundaryPair
 
 GOLDEN = from_partial_quotients([1] * 12)
 SCALED = construct_alpha("scaled_D", growth=lambda q: q ** 4, depth=4, seed=2)
@@ -511,6 +512,92 @@ def test_time_inverse_takes_tan_not_sin_or_cos(flow, monkeypatch):
     assert calls and bisected
     monkeypatch.undo()
     assert np.all(_relative_residual(flow, u, t, 0.31, 0.64) <= 1e-9)
+
+
+# -- the integer-time orbit, warm-started along the rigidity period ----------
+
+ORBIT_M = 2 * 10 ** 5
+
+
+def _meets_contract(flow, u):
+    """|V(u_n) - n| <= 1e-12 (1 + n) at every n, with V from the libm kernel
+    at the start point (0.31, 0.64)."""
+    n = np.arange(u.size, dtype=np.float64)
+    V = _libm_cocycle(flow, u, flow._start_factors(0.31, 0.64))
+    return bool(np.all(np.abs(V - n) <= 1e-12 * (1.0 + n)))
+
+
+def _warm_derivative_points(flow, monkeypatch, M, shift=0.0, tol=None):
+    """flow._integer_inverse(M, 0.31, 0.64) and the number of points at
+    which the warm-started Halley solves evaluated the derivatives; shift
+    moves every warm start, and a tol replaces the one of the warm solves."""
+    halley, cocycle = ReparamFlow._halley, ReparamFlow._cocycle
+    state = {"warm": False, "points": 0}
+
+    def spy_halley(self, t, b, tol_, u0=None):
+        state["warm"] = u0 is not None
+        if u0 is not None:
+            u0 = u0 + shift
+            tol_ = tol_ if tol is None else tol
+        return halley(self, t, b, tol_, u0)
+
+    def spy_cocycle(self, u, b, derivatives=False):
+        if derivatives and state["warm"]:
+            state["points"] += u.size
+        return cocycle(self, u, b, derivatives)
+
+    monkeypatch.setattr(ReparamFlow, "_halley", spy_halley)
+    monkeypatch.setattr(ReparamFlow, "_cocycle", spy_cocycle)
+    u = flow._integer_inverse(M, 0.31, 0.64)
+    monkeypatch.undo()
+    return u, state["points"]
+
+
+def test_integer_orbit_period_is_the_first_rigid_denominator(flow):
+    # delta(q_n) is 3.4e-2, 7.0e-6 and 1.2e-20 at q_1 = 2, q_2 = 17 and q_3
+    assert flow._period == SCALED.q(3) == 83523
+    assert flow._drift(SCALED.q(2)) > 1e-12 * (1 + SCALED.q(2))
+    assert flow._drift(SCALED.q(3)) < 1e-19
+
+
+def test_integer_orbit_warm_start(flow, monkeypatch):
+    P = flow._period
+    u, points = _warm_derivative_points(flow, monkeypatch, ORBIT_M)
+    assert _meets_contract(flow, u)
+    cold = flow.time_inverse_many(np.arange(ORBIT_M + 1.0), 0.31, 0.64)
+    assert np.array_equal(u[:P], cold[:P])
+    assert np.all(np.abs(u - cold) <= 4.0 * np.spacing(cold))
+    # one derivative evaluation per warm time, give or take a few re-solves
+    assert 0 < points <= 1.05 * (ORBIT_M + 1 - P)
+
+
+def test_integer_orbit_prefixes_are_stable(flow):
+    whole = flow._integer_inverse(ORBIT_M, 0.31, 0.64)
+    for M in (1000, flow._period + 5000):
+        assert np.array_equal(flow._integer_inverse(M, 0.31, 0.64),
+                              whole[:M + 1])
+
+
+def test_integer_orbit_without_a_period_is_solved_cold():
+    fl = ReparamFlow(GOLDEN, TimeChange([(2, 1, 0.1)]))
+    assert fl._period is None
+    M = 5 * 10 ** 4  # two blocks
+    assert np.array_equal(fl._integer_inverse(M, 0.31, 0.64),
+                          fl.time_inverse_many(np.arange(M + 1.0), 0.31, 0.64))
+
+
+def test_integer_orbit_contract_catches_a_wrong_warm_start(flow, monkeypatch):
+    # a warm start half a unit off still converges, through extra steps ...
+    M = flow._period + 20000
+    u, points = _warm_derivative_points(flow, monkeypatch, M, shift=0.5)
+    assert _meets_contract(flow, u)
+    assert points > 2 * (M + 1 - flow._period)
+    # ... but with the convergence check of the warm solves disabled the
+    # contract fails, at the warm times only
+    u, _ = _warm_derivative_points(flow, monkeypatch, M, shift=0.5,
+                                   tol=math.inf)
+    assert _meets_contract(flow, u[:flow._period])
+    assert not _meets_contract(flow, u)
 
 
 # -- bad input to the cocycle and its inverse --------------------------------
