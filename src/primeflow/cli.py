@@ -47,8 +47,6 @@ def _cmd_run(args):
         cfg = ExperimentConfig(args.experiment)
     if args.seed is not None:
         cfg.seed = args.seed
-    if args.threads:
-        cfg.params["threads"] = args.threads
     report = run_experiment(cfg)
     out_json = args.out_json or cfg.out_json or None
     out_csv = args.out_csv or cfg.out_csv or None
@@ -88,9 +86,6 @@ def main(argv=None) -> int:
     p.add_argument("--out-json")
     p.add_argument("--out-csv")
     p.add_argument("--seed", type=int)
-    p.add_argument("--threads", type=int, default=0,
-                   help="worker threads for experiments that parallelize "
-                        "(0 = sequential)")
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("list", help="list registered experiments")

@@ -316,17 +316,11 @@ def _exp_interval_factorization(cfg, table):
 def _exp_phase_contrast(cfg, table):
     """Quadratic phase sums: generic slopes cancel, resonant slopes reduce
     to the plain interval theta sum."""
-    table = _table(cfg, table)
     N = cfg.get_int("N", 10 ** 6)
     H = cfg.get_int("H", 10 ** 4)
+    table = _table(cfg, table, N + H)
     g1 = cfg.get_float("gamma1", (1.0 / math.sqrt(3.0)) % 1.0)
     g2 = cfg.get_float("gamma2", (1.0 / math.sqrt(2.0)) % 1.0)
-    if N + H > table.limit:
-        N = table.limit - H
-        if N < 1:
-            raise ValueError(
-                "phase_contrast needs N >= 1, but the table limit "
-                f"{table.limit} less H = {H} leaves N = {N}")
     generic = abs(quad_phase_sum(table, PhaseCoefficients(g1, g2, N, H)))
     trivial = abs(quad_phase_sum(table, PhaseCoefficients(0.0, 0.0, N, H)))
     resonant_err = abs(trivial - theta_interval(table, N, H))
@@ -359,8 +353,8 @@ def _exp_ap_short_avg(cfg, table):
 def _exp_bt_ratio(cfg, table):
     """Sieve-style upper bound on primes in short progressions: the counted
     mass never exceeds a few times 2y / (phi(q) log(y/q))."""
-    table = _table(cfg, table)
     N = cfg.get_int("N", 10 ** 6)
+    table = _table(cfg, table, N)
     q = cfg.get_int("q", 3)
     trials = cfg.get_int("trials", 1000)
     rng = cfg.rng()
@@ -430,8 +424,7 @@ def _exp_pnt_kochergin(cfg, table):
     """Prime-orbit discrepancy trends for the singular special flow."""
     table = _table(cfg, table, max(cfg.n_grid, default=0))
     flow, psi, start = _kochergin_setup(cfg)
-    rep = pnt_report(psi, flow, start, cfg.n_grid, table=table,
-                     workers=cfg.get_int("threads", 1))
+    rep = pnt_report(psi, flow, start, cfg.n_grid, table=table)
     rep.experiment = "pnt_kochergin"
     rep.params["quotients"] = list(flow.alpha.quotients)
     return rep
@@ -445,8 +438,7 @@ def _exp_pnt_reparam(cfg, table):
     flow = ReparamFlow(alpha, make_timechange(alpha))
     psi = TorusObservable(0.0, [(1, 0, 1.0), (0, 1, 0.5)])
     start = TorusPoint(cfg.get_float("x1", 0.31), cfg.get_float("x2", 0.64))
-    rep = pnt_report(psi, flow, start, cfg.n_grid, table=table, log_power=2.0,
-                     workers=cfg.get_int("threads", 1))
+    rep = pnt_report(psi, flow, start, cfg.n_grid, table=table, log_power=2.0)
     rep.experiment = "pnt_reparam"
     rep.params["quotients"] = list(alpha.quotients)
     depth = cfg.get_int("coboundary_depth", 10 ** 3)

@@ -383,7 +383,7 @@ def _box_discrepancy(points, weights, masses, boxes):
 
 
 def pnt_report(psi, flow, start, n_grid=(10 ** 4, 10 ** 5, 10 ** 6),
-               table=None, log_power=None, workers=1) -> ExperimentReport:
+               table=None, log_power=None) -> ExperimentReport:
     """Discrepancy statistics of the prime-orbit sums across an N-grid.
 
     The orbit is read at the times +p and -p.  For each N and each direction
@@ -395,9 +395,8 @@ def pnt_report(psi, flow, start, n_grid=(10 ** 4, 10 ** 5, 10 ** 6),
     the monotone trends along it.  The grid must hold distinct N >= 2.  Each
     direction makes one pass at the largest N (one flow.walk call, for the
     prime positions and the time integrals at z N together) whose prefixes
-    answer every N; with workers > 1 the two passes run on a thread pool.
-    The report is named "pnt_report"; the registered experiments rename
-    theirs.
+    answer every N.  The report is named "pnt_report"; the registered
+    experiments rename theirs.
     """
     t0 = _time.monotonic()
     n_grid = tuple(sorted(int(n) for n in n_grid))
@@ -421,11 +420,8 @@ def pnt_report(psi, flow, start, n_grid=(10 ** 4, 10 ** 5, 10 ** 6),
     ps = table.primes_between(1, top).astype(np.float64)
     weights = np.log(ps)
     counts = np.searchsorted(ps, n_grid, side="right")
-
-    def run_pass(z):
-        """The prime positions up to the largest N and (D1, D2, D3) at
-        every N."""
-        sign = signs[z]
+    cells = {}
+    for z, sign in signs.items():
         try:
             pts, Is = flow.walk(psi, start, sign * ps,
                                 sign * np.array(n_grid, float))
@@ -433,24 +429,14 @@ def pnt_report(psi, flow, start, n_grid=(10 ** 4, 10 ** 5, 10 ** 6),
             raise SingularOrbitError(
                 "orbit lands on the singular point at prime "
                 f"{int(ps[err.index])}", err.index) from None
+        if z == "+":
+            xs, ys = pts
         vals = np.asarray(psi(*pts), dtype=np.float64)
-        Is = sign * Is
-        cells = []
-        for N, k, I in zip(n_grid, counts, Is.tolist()):
+        cells[z] = []
+        for N, k, I in zip(n_grid, counts, (sign * Is).tolist()):
             P = float(np.dot(weights[:k], vals[:k]))
-            cells.append((abs(P - I) / N, abs(I - N * mean) / N,
-                          abs(P - N * mean) / N))
-        return pts, cells
-
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            passes = dict(zip(signs, pool.map(run_pass, signs)))
-    else:
-        passes = {z: run_pass(z) for z in signs}
-
-    cells = {z: passes[z][1] for z in signs}
+            cells[z].append((abs(P - I) / N, abs(I - N * mean) / N,
+                             abs(P - N * mean) / N))
     for i, N in enumerate(n_grid):
         for z in signs:
             d1, d2, d3 = cells[z][i]
@@ -459,7 +445,6 @@ def pnt_report(psi, flow, start, n_grid=(10 ** 4, 10 ** 5, 10 ** 6),
             report.add("D3", d3, N, z)
             if log_power is not None:
                 report.add("D3_logA", d3 * math.log(N) ** log_power, N, z)
-    xs, ys = passes["+"][0]
     masses = flow.box_masses(_BOXES)
     box_out = [_box_discrepancy((xs[:k], ys[:k]), weights[:k], masses, _BOXES)
                for k in counts]

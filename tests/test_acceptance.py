@@ -212,12 +212,12 @@ def test_c10_phase_contrast(table):
 
 
 @pytest.mark.parametrize("limit", [10 ** 4, 5 * 10 ** 3])
-def test_c10_phase_contrast_rejects_n_below_one(limit):
-    # N is clamped to the table limit less H = 1e4, which leaves N <= 0
-    cfg = ExperimentConfig("phase_contrast", sieve_limit=limit)
-    msg = f"table limit {limit} less H = 10000 leaves N = {limit - 10 ** 4}$"
-    with pytest.raises(ValueError, match=msg):
-        run_experiment(cfg)
+def test_c10_phase_contrast_sieves_to_n_plus_h(limit):
+    # a sieve limit below N + H (H = 1e4) builds the table to N + H, so the
+    # report reads the configured N
+    rep = run_experiment(ExperimentConfig("phase_contrast", sieve_limit=limit))
+    assert rep.params["N"] == X6
+    assert rep.verdicts == {"cancellation": "pass", "resonant_exact": "pass"}
 
 
 # -- 11: short-interval progressions ----------------------------------------
@@ -227,6 +227,16 @@ def test_c11_short_interval_averages(table):
     assert rep.metric("window_average") <= 0.05 * 10 ** 4 / 2  # phi(3) = 2
     bt = _run("bt_ratio", table)
     assert bt.metric("max_ratio") <= 4.0
+
+
+def test_c11_bt_ratio_sieves_to_n():
+    # N above the sieve limit builds the table to N, so every window
+    # [x, x + y] below N is counted
+    cfg = ExperimentConfig("bt_ratio", sieve_limit=X6,
+                           params={"N": str(2 * X6)})
+    rep = run_experiment(cfg)
+    assert rep.params["N"] == 2 * X6
+    assert rep.verdicts == {"ratio_bounded": "pass"}
 
 
 # -- 12: dyadic progression-error filter ------------------------------------

@@ -179,6 +179,15 @@ def test_cli_unknown_experiment_exit_code(capsys):
     assert "registry" in err
 
 
+def test_cli_run_rejects_threads(capsys):
+    # the run command takes no --threads: the two prime walks of the pnt
+    # experiments always run in one loop
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["run", "pnt_kochergin", "--threads", "2"])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+
+
 def test_cli_entry_point():
     proc = subprocess.run([sys.executable, "-m", "primeflow.cli", "list"],
                           capture_output=True, text=True)

@@ -1,4 +1,3 @@
-import json
 import math
 import random
 
@@ -455,19 +454,39 @@ def test_pnt_report_constant_reduces_to_theta(table):
         assert abs(rep.metric("D1", N, "+") - want) < 1e-8
         assert rep.metric("D2", N, "+") < 1e-8
     assert set(rep.verdicts) >= {"D1_trend", "D2_trend_+", "box_halving"}
+    # a direct call names its report generically and, without log_power,
+    # records no D3_logA
+    assert rep.experiment == "pnt_report"
+    assert "D3_logA" not in {m.name for m in rep.metrics}
 
 
-def test_pnt_report_threads_match_serial(psi, table):
-    # fresh rotation numbers, so the threaded cells grow the orbit cache
-    # concurrently from empty
-    docs = []
-    for workers in (1, 2):
-        kf = KocherginFlow(POWER, from_partial_quotients([1] * 12))
-        rep = pnt_report(psi, kf, FlowPoint(0.55, 0.05), (10 ** 3, 10 ** 4),
-                         table=table, workers=workers)
-        doc = json.loads(rep.to_json())
-        docs.append((doc["metrics"], doc["verdicts"]))
-    assert docs[0] == docs[1]
+class _OneCellFlow:
+    """A stub flow whose prime orbit sits in one box cell and whose time
+    integral grows like N^2, so no discrepancy decreases along the grid."""
+
+    def walk(self, psi, start, times, T):
+        times = np.asarray(times)
+        pts = (np.full(times.shape, 0.5), np.full(times.shape, 0.5))
+        return pts, np.sign(T) * np.asarray(T) ** 2
+
+    def mean(self, psi):
+        return 1.0
+
+    def box_masses(self, boxes):
+        return np.full((boxes, boxes), 1.0 / boxes ** 2), 0.0, 1.0
+
+
+def test_pnt_report_verdicts_can_fail(table):
+    # D1 = |theta(N) - N^2| / N and D2 = |N^2 - N| / N grow with N in both
+    # directions, and the box discrepancy stays at 1 - 1/32^2 on every N
+    rep = pnt_report(lambda x, y: np.ones_like(x), _OneCellFlow(), None,
+                     (10 ** 3, 10 ** 4), table=table)
+    assert rep.verdicts == {"D1_trend": "fail", "D2_trend_+": "fail",
+                            "D2_trend_-": "fail", "box_halving": "fail"}
+    for N in (10 ** 3, 10 ** 4):
+        assert rep.metric("D2", N, "-") == N - 1.0
+        box = rep.metric("box_discrepancy", N, "+")
+        assert abs(box - (1.0 - 1.0 / 32 ** 2)) < 1e-12
 
 
 def test_pnt_report_records_log_power(table):
@@ -478,22 +497,6 @@ def test_pnt_report_records_log_power(table):
     d3 = rep.metric("D3", 10 ** 4, "+")
     want = d3 * math.log(10 ** 4) ** 2
     assert abs(rep.metric("D3_logA", 10 ** 4, "+") - want) < 1e-12
-
-
-def test_pnt_report_reparam_threads_match_serial(table):
-    docs = []
-    for workers in (1, 2):
-        fl = ReparamFlow(SCALED, make_timechange(SCALED))
-        psi = TorusObservable(0.0, [(1, 0, 1.0), (0, 1, 0.5)])
-        rep = pnt_report(psi, fl, TorusPoint(0.31, 0.64), (10 ** 3, 10 ** 4),
-                         table=table, workers=workers)
-        doc = json.loads(rep.to_json())
-        docs.append((doc["experiment"], doc["metrics"], doc["verdicts"]))
-    assert docs[0] == docs[1]
-    # a direct call names its report generically and, without log_power,
-    # records no D3_logA
-    assert docs[0][0] == "pnt_report"
-    assert "D3_logA" not in {m["name"] for m in docs[0][1]}
 
 
 @pytest.mark.parametrize("kind", ["kochergin", "reparam"])
