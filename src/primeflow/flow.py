@@ -75,13 +75,21 @@ def evaluate(roof, alpha: RotationNumber, p: FlowPoint, t: float) -> FlowStep:
     return _finish(roof, float(xs[n]), p.s, t, sign * n, sign * float(S[n]))
 
 
+def _included(end_s, top):
+    """end_s, after checking -1e-7 <= s' < f(x') + 1e-7 for every height s'
+    in end_s and roof value f(x') in top; PrecisionError if one is outside."""
+    ok = (end_s >= -1e-7) & (end_s < top + 1e-7)
+    if not np.all(ok):
+        bad = ~np.asarray(ok)
+        s, f = np.broadcast_arrays(end_s, top)
+        raise PrecisionError("defining inclusion violated: "
+                             f"s' = {s[bad][0]}, f(x') = {f[bad][0]}")
+    return end_s
+
+
 def _finish(roof, end_x, s, t, N, consumed) -> FlowStep:
-    end_s = s + t - consumed
     top = roof(end_x)
-    if not -1e-7 <= end_s < top + 1e-7:
-        raise PrecisionError(
-            f"defining inclusion violated: s' = {end_s}, f(x') = {top}"
-        )
+    end_s = _included(s + t - consumed, top)
     end_s = min(max(end_s, 0.0), math.nextafter(top, 0.0))
     return FlowStep(FlowPoint(end_x, end_s), N, consumed)
 
@@ -255,7 +263,10 @@ def evaluate_times(roof, alpha: RotationNumber, p: FlowPoint, times):
 def _walk(roof, alpha, p: FlowPoint, times, psi=None, T=()):
     """Positions (x, s, N) of T_t(p) at every t in times and the signed
     integrals int_0^T psi(T_t(p)) dt at every T in T, from one _crossings
-    per sign over the union of the times and the T of that sign.
+    per sign over the union of the times and the T of that sign.  Each
+    height s' is checked as _finish checks it, -1e-7 <= s' < f(x') + 1e-7
+    with f(x') the roof the schedule holds for that fiber, and PrecisionError
+    raised if it fails; the heights are not clamped.
 
     The integral at T is a cumulative sum of whole-fiber integrals over the
     fibers passed bottom to top, plus the fiber reached at T up to its
@@ -280,7 +291,10 @@ def _walk(roof, alpha, p: FlowPoint, times, psi=None, T=()):
         n, nT = n[:t.size], n[t.size:]
         sign = -1 if backward else 1
         xs[at] = bases[n]
-        ss[at] = p.s + t - sign * S[n]
+        # the roof over each fiber reached; backward, fiber 0 is the start's
+        tops = (np.where(n == 0, roof(bases[0]), fs[n - 1]) if backward
+                else fs[n])
+        ss[at] = _included(p.s + t - sign * S[n], tops)
         Ns[at] = sign * n
         if not u.size:
             continue

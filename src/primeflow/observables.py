@@ -11,10 +11,11 @@ Prime-orbit sums walk the whole orbit once per direction: one walk call
 returns the positions at every prime time and the time integrals at every N
 of the grid together, from a single crossing schedule over the rotation
 orbit (special flow: one cumulative roof sum per sign, whose roof values
-also give the whole-fiber integrals in closed form) or from one vectorized
-cocycle inversion and the closed-form integral (reparametrized flow).  So
-total work is linear in the time horizon, and a statistic over an N-grid
-reads every N off the prefixes of one pass at the largest N.  The
+also give the whole-fiber integrals in closed form) or from one cocycle
+inversion and the closed-form integral (reparametrized flow; integer times
+read one cold rigidity period per start point).  So total work is linear
+in the time horizon, and a statistic over an N-grid reads every N off the
+prefixes of one pass at the largest N.  The
 statistics take either flow, KocherginFlow or reparam.ReparamFlow, through
 the three methods both define: walk, mean and box_masses.
 """
@@ -208,7 +209,8 @@ class TorusObservable:
         x2 = np.asarray(x2, dtype=np.float64)
         out = np.full(np.broadcast(x1, x2).shape, self.constant)
         for q, m, c in self.terms:
-            out = out + np.real(c * np.exp(2j * math.pi * (q * x1 + m * x2)))
+            # Re c e(y) = c.real cos(2 pi y) - c.imag sin(2 pi y)
+            out = out + _trig_eval(((1, c.real, -c.imag),), q * x1 + m * x2)
         return out
 
     def mean(self, v=None) -> float:
@@ -286,10 +288,11 @@ def space_average(psi: TowerObservable, roof) -> float:
 
 def _integer_orbit_values(flow, g, x, M: int):
     """g evaluated along x, T_1 x, ..., T_M x from one pass over the times,
-    warm-started along the rigidity period P: the first q_n with drift bound
-    delta(q_n) = sum_k |c_k| |q_k q_n alpha mod 1| / |w_k| <= 1e-12 (1 + q_n).
-    With no such q_n every time is solved cold, as evaluate_many solves it."""
-    u = flow._integer_inverse(M, x.x1, x.x2)
+    read off the flow's rigidity period P (see ReparamFlow._integer_times):
+    the first q_n with drift bound delta(q_n) = sum_k |c_k| |q_k q_n alpha
+    mod 1| / |w_k| <= 1e-12 (1 + q_n).  With no such q_n every time is solved
+    cold, as evaluate_many solves it."""
+    u = flow._integer_times(np.arange(M + 1), x.x1, x.x2)
     return np.asarray(g(*flow._positions(u, x.x1, x.x2)), dtype=np.float64)
 
 
@@ -304,9 +307,11 @@ def coboundary_prime_discrepancy(flow: ReparamFlow, g, depth: int,
     sum, so every N reads a prefix of a single vectorized pass.  The invariant
     mean of psi is zero, so this is the full space-vs-prime discrepancy.
 
-    Past the flow's rigidity period P (see _integer_orbit_values) each time
-    is warm-started from u(n - P) + P; P depends only on the flow, so every N
-    still reads a prefix of one pass, and with no period all are solved cold.
+    The times below the flow's rigidity period P (see _integer_orbit_values)
+    are the cold period table that pnt_report's two prime walks from the same
+    start also read, and each later time starts from it at u(n mod P) + (n -
+    n mod P).  Every u depends only on its time and the start, so every N
+    still reads a prefix of one pass; with no period all are solved cold.
     """
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")

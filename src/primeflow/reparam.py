@@ -77,10 +77,11 @@ class ReparamFlow:
             abs(c) / (math.pi * abs(w)) for _, _, c, w in self._terms
         )
         self._max_freq = max((abs(w) for *_, w in self._terms), default=0.0)
-        # the rigidity period of _integer_inverse: the smallest q_n whose
+        # the rigidity period of _integer_times: the smallest q_n whose
         # drift bound meets the default tolerance at t = q_n, or None
         self._period = next((q for q in alpha.denominators
                              if self._drift(q) <= _TOL * (1.0 + q)), None)
+        self._memo = None  # _period_table's last start point and table
 
     def _drift(self, P: int) -> float:
         """delta(P) >= |W(u + P) - W(u)| for every u, W = V - id.
@@ -221,25 +222,70 @@ class ReparamFlow:
         u[todo] = self._bisect(t, b)
         return u
 
-    def _integer_inverse(self, M: int, x1, x2):
-        """u(n, x) for n = 0..M at the scalar start point x, to the default
-        tolerance.  Times below the rigidity period P are solved cold; every
-        later n starts from u(n - P) + P, whose residual is that of u(n - P)
-        plus at most delta(P), and still runs to its own residual check.
-        Blocks of at most P times keep u(n - P) solved ahead of its block.
-        With no period this is time_inverse_many(arange(M + 1), x1, x2)."""
-        x1, x2 = float(_finite("x1", x1)), float(_finite("x2", x2))
-        b = self._start_factors(x1, x2)
-        t = np.arange(M + 1, dtype=np.float64)
-        u = np.empty_like(t)
-        P = self._period or M + 1
-        lo = 0
-        while lo <= M:
-            warm = lo >= P
-            hi = min(lo + _BLOCK, M + 1, lo + P if warm else P)
-            u0 = u[lo - P:hi - P] + P if warm else None
-            u[lo:hi] = self._halley(t[lo:hi], b, _TOL, u0)
-            lo = hi
+    def _integer_times(self, n, x1, x2):
+        """u(n, x) for an int64 array n, of either sign, at the scalar start
+        point x, to the default tolerance, from one cold rigidity period P.
+
+        u(n) = u(r) + (n - r) with r = n mod P holds up to k delta(P) for
+        |n| < (k + 1) P.  Times in [0, P) read the period table itself, so
+        they are bit-identical to time_inverse_many.  Every other n starts
+        at u0 = u(r) + (n - r) and makes one value-only cocycle evaluation:
+        where |V(u0) - n| <= tol (1 + |n|), one Newton step with the table's
+        V'(u(r)) brings u0 to rounding level (the Halley term in V'' is below
+        1e-17 there), and the step is re-checked and reverted as in _halley;
+        elsewhere, as at small negative n where u(r) - P cancels, _halley
+        runs from u0.  So each point still meets its own residual check and
+        depends only on (n, x).  With no period this is time_inverse_many.
+        """
+        n = np.asarray(n, dtype=np.int64)
+        P = self._period
+        if P is None:
+            return self.time_inverse_many(n.astype(np.float64), x1, x2)
+        b, tu, tv = self._period_table(x1, x2)
+        flat = n.ravel()
+        u = np.empty(flat.shape)
+        for lo in range(0, flat.size, _BLOCK):
+            nb = flat[lo:lo + _BLOCK]
+            r = nb % P
+            ub = tu[r]
+            far = np.flatnonzero(nb != r)
+            if far.size:
+                ub[far] = self._shifted(nb[far], r[far], b, tu, tv)
+            u[lo:lo + _BLOCK] = ub
+        return u.reshape(n.shape)
+
+    def _period_table(self, x1, x2):
+        """(b, u, v) at the start point x: its start factors, and u(r) and
+        v = V'(u(r)) for r = 0..P-1, u solved cold by time_inverse_many.
+        A one-entry memo keyed by the exact start point lets every integer
+        orbit from one start share one cold period."""
+        key = (float(_finite("x1", x1)), float(_finite("x2", x2)))
+        if self._memo is None or self._memo[0] != key:
+            t = np.arange(self._period, dtype=np.float64)
+            u = self.time_inverse_many(t, *key)
+            v = self._blocks(
+                lambda ub, b: self._cocycle(ub, b, derivatives=True)[1], u,
+                *key)
+            self._memo = (key, self._start_factors(*key), u, v)
+        return self._memo[1:]
+
+    def _shifted(self, n, r, b, tu, tv):
+        """u(n) for integer times n = r + k P, k != 0, from the period
+        table (tu, tv) at start factors b; see _integer_times."""
+        t = n.astype(np.float64)
+        u0 = tu[r] + (n - r)
+        res = self._cocycle(u0, b) - t
+        ok = np.abs(res) <= _TOL * (1.0 + np.abs(t))
+        step = np.where(ok, res / tv[r], 0.0)
+        u = u0 - step
+        big = np.flatnonzero(np.abs(step) * self._max_freq > _CHECK_TURNS)
+        if big.size:
+            worse = big[np.abs(self._cocycle(u[big], b) - t[big])
+                        > np.abs(res[big])]
+            u[worse] = u0[worse]
+        bad = np.flatnonzero(~ok)
+        if bad.size:
+            u[bad] = self._halley(t[bad], b, _TOL, u0[bad])
         return u
 
     def _bisect(self, t, b):
@@ -305,9 +351,17 @@ class ReparamFlow:
     def walk(self, psi, start: TorusPoint, times, T):
         """The coordinate arrays (x1, x2) of T_t(start) at every t in times
         and time_integral(psi, start, T), the protocol call that
-        KocherginFlow answers from one orbit pass."""
-        return (self.evaluate_many(times, start.x1, start.x2),
-                self.time_integral(psi, start, T))
+        KocherginFlow answers from one orbit pass.  Times that are all
+        integers of modulus below 2^62 are solved by _integer_times, from
+        the period table at start; any other batch by evaluate_many."""
+        times = _finite("t", times)
+        if times.size and np.all((times == np.rint(times))
+                                 & (np.abs(times) < 2.0 ** 62)):
+            u = self._integer_times(times.astype(np.int64), start.x1, start.x2)
+            pts = self._positions(u, start.x1, start.x2)
+        else:
+            pts = self.evaluate_many(times, start.x1, start.x2)
+        return pts, self.time_integral(psi, start, T)
 
     def box_masses(self, boxes: int):
         """Masses v dLeb of the cells [i/boxes, (i+1)/boxes) x [j/boxes,

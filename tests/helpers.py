@@ -14,7 +14,7 @@ class CoboundaryPair:
     exact coboundary of the time-one map and psi = -g + (1/N) sum g o T_1^n.
 
     Every integer time is solved cold through evaluate_many, so this is the
-    slow oracle for the rigidity warm start of
+    slow oracle for the period-table solve (ReparamFlow._integer_times) of
     observables._integer_orbit_values."""
 
     def __init__(self, flow: ReparamFlow, g, N: int):

@@ -133,6 +133,25 @@ def test_run_experiment_smoke():
     assert rep.wall_clock > 0
 
 
+def test_wall_clock_covers_the_whole_experiment(monkeypatch):
+    # pnt_report times its own part; the report's wall_clock still takes in
+    # the coboundary sums that pnt_reparam computes after it
+    import time
+
+    from primeflow import experiments
+
+    coboundary = experiments.coboundary_prime_discrepancy
+
+    def slow(*args):
+        time.sleep(0.3)
+        return coboundary(*args)
+
+    monkeypatch.setattr(experiments, "coboundary_prime_discrepancy", slow)
+    cfg = ExperimentConfig("pnt_reparam", sieve_limit=10 ** 4,
+                           n_grid=(10 ** 3, 10 ** 4))
+    assert run_experiment(cfg, build_table(10 ** 4)).wall_clock >= 0.3
+
+
 def test_cli_list(capsys):
     assert cli.main(["list"]) == 0
     out = capsys.readouterr().out

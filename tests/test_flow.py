@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from primeflow.flow import (
     ABReport,
     FlowPoint,
+    PrecisionError,
     _covering_values,
     _crossings,
     _offsets,
@@ -155,6 +156,28 @@ def test_defining_inclusion():
         resid = s + t - step.consumed
         assert -1e-9 <= resid < POWER(step.endpoint.x) + 1e-9
         assert abs(resid - step.endpoint.s) < 1e-9
+
+
+@pytest.mark.parametrize("shift", [1.0, -1.0])
+@pytest.mark.parametrize("backward", [False, True])
+def test_walk_checks_the_defining_inclusion(backward, shift, monkeypatch):
+    # partial sums S off by a unit put the heights s + t - S_N(f) about a
+    # unit outside [0, f(x')): evaluate_times raises instead of returning
+    # them, as evaluate does through _finish
+    import primeflow.flow as flow_module
+
+    crossings = flow_module._crossings
+
+    def shifted(*args):
+        xs, fs, S, n = crossings(*args)
+        return xs, fs, S + shift * (np.arange(S.size) > 0), n
+
+    p = FlowPoint(0.37, 0.05)
+    times = np.linspace(1.0, 3000.0, 50) * (-1.0 if backward else 1.0)
+    evaluate_times(POWER, GOLDEN, p, times)
+    monkeypatch.setattr(flow_module, "_crossings", shifted)
+    with pytest.raises(PrecisionError, match="defining inclusion violated"):
+        evaluate_times(POWER, GOLDEN, p, times)
 
 
 def test_covering_values_backward():

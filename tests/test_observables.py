@@ -318,6 +318,29 @@ def test_torus_coordinates_lie_in_unit_interval():
     assert box_discrepancy((x1, x2), [1.0], fl) == at_origin
 
 
+def test_torus_observable_matches_complex_exponential(monkeypatch):
+    # Re c e(q x1 + m x2) from a cosine and a sine, the zero part skipped:
+    # the real coefficients of pnt_reparam's psi take no sine and match the
+    # complex exponential bit for bit, a complex one is within 2 ulps of 1
+    rng = np.random.default_rng(5)
+    x1, x2 = rng.random(2000), rng.random(2000)
+
+    def reference(psi):
+        out = np.full(x1.shape, psi.constant)
+        for q, m, c in psi.terms:
+            out = out + np.real(c * np.exp(2j * math.pi * (q * x1 + m * x2)))
+        return out
+    real = TorusObservable(0.0, [(1, 0, 1.0), (0, 1, 0.5)])
+    mixed = TorusObservable(0.25, [(2, -3, 0.4 - 0.7j), (1, 1, 0.3j)])
+    sin = np.sin
+    monkeypatch.setattr(np, "sin", lambda *args, **kwargs: pytest.fail(
+        "sine of a zero part"))
+    assert np.array_equal(real(x1, x2), reference(real))
+    monkeypatch.setattr(np, "sin", sin)
+    assert np.all(np.abs(mixed(x1, x2) - reference(mixed))
+                  <= 2.0 * np.spacing(1.0))
+
+
 def test_torus_observable_means():
     v = TimeChange([(2, 0, 0.3), (1, 1, 0.2j)])
     psi = TorusObservable(0.25, [(2, 0, 0.4 + 0.1j), (-1, -1, 0.6)])
@@ -504,13 +527,15 @@ def test_pnt_report_one_pass_per_direction(kind, table, monkeypatch):
     # every N of the grid reads prefixes of one pass per direction: one walk
     # call for the prime positions and the time integrals at z N together,
     # which on the special flow is one crossing schedule per sign and on the
-    # torus one evaluate_many and one time_integral call
+    # torus one _integer_times and one time_integral call, both directions
+    # reading one cold period of the time change (one time_inverse_many
+    # call of P times, besides the time integrals' calls at the z N)
     import primeflow.flow as flow_module
 
     cls, flow, psi, start = _flow_case(kind)
-    calls, schedules = [], []
+    calls, schedules, cold = [], [], []
     # where each spied method takes the times it walks to
-    spied = {"walk": 2, "evaluate_many": 0, "time_integral": 2}
+    spied = {"walk": 2, "_integer_times": 0, "time_integral": 2}
     if kind == "kochergin":
         spied = {"walk": 2}
 
@@ -522,6 +547,10 @@ def test_pnt_report_one_pass_per_direction(kind, table, monkeypatch):
         return call
     for name in spied:
         monkeypatch.setattr(cls, name, spy(name, getattr(cls, name)))
+    if kind == "reparam":
+        inverse = cls.time_inverse_many
+        monkeypatch.setattr(cls, "time_inverse_many", lambda self, t, *args:
+                            cold.append(np.size(t)) or inverse(self, t, *args))
     crossings = flow_module._crossings
     monkeypatch.setattr(
         flow_module, "_crossings", lambda *args: schedules.append(args[-1])
@@ -530,12 +559,14 @@ def test_pnt_report_one_pass_per_direction(kind, table, monkeypatch):
     assert sorted(calls) == sorted((name, z) for name in spied
                                    for z in ("+", "-"))
     assert sorted(schedules) == ([False, True] if kind == "kochergin" else [])
+    if kind == "reparam":
+        assert sorted(cold) == [3, 3, flow._period]
 
 
 def _reference_walk(flow, psi, start, times, T):
     """The positions and time integrals of flow.walk from the module
-    evaluate_times and time_integral (special flow) or evaluate_many and
-    the closed-form time_integral (torus)."""
+    evaluate_times and time_integral (special flow) or the cold
+    evaluate_many and the closed-form time_integral (torus)."""
     if isinstance(flow, KocherginFlow):
         pts = evaluate_times(flow.roof, flow.alpha, start, times)[:2]
         return pts, time_integral(flow.roof, flow.alpha, psi, start, T)
@@ -543,14 +574,18 @@ def _reference_walk(flow, psi, start, times, T):
             flow.time_integral(psi, start, T))
 
 
-@pytest.mark.parametrize("case", ["m0", "m3_mixed_signs"])
+@pytest.mark.parametrize("case", ["m0", "m3_mixed_signs", "fractional"])
 @pytest.mark.parametrize("kind", ["kochergin", "reparam"])
 def test_walk_matches_positions_and_time_integral(kind, case, table,
                                                   monkeypatch):
     # m0: each walk pnt_report makes; m3_mixed_signs: one walk at the times
-    # p - 3, from -1 at p = 2 up, and at T of both signs.  Against the
-    # separate position and integral views at the same times: bit-identical
-    # positions and integrals within 1e-13 relative
+    # p - 3, from -1 at p = 2 up, and at T of both signs; fractional: the
+    # same at p - 2.5.  Against the separate position and integral views at
+    # the same times: integrals within 1e-13 relative, and bit-identical
+    # positions except on the torus at integer times, which are solved from
+    # the period table within 4 ulps of the cold u, so their coordinates
+    # x + u (alpha, 1) mod 1 lie within 4 ulps of max |t| times 1 + alpha < 2
+    # of the cold ones, plus the rounding of the sums
     cls, flow, psi, start = _flow_case(kind)
     seen = []
     walk = cls.walk
@@ -564,15 +599,22 @@ def test_walk_matches_positions_and_time_integral(kind, case, table,
                    table=table)
         assert len(seen) == 2
     else:
-        times = table.primes_between(1, 10 ** 4).astype(np.float64) - 3.0
+        shift = 3.0 if case == "m3_mixed_signs" else 2.5
+        times = table.primes_between(1, 10 ** 4).astype(np.float64) - shift
         flow.walk(psi, start, times, np.array([-3e3, 10.0, 0.0, -0.5, 1e4]))
     monkeypatch.undo()
     for (_, _, times, T), (pts, Is) in seen:
-        if case == "m3_mixed_signs":
+        if case != "m0":
             assert np.any(times < 0) and np.any(times > 0)
         want_pts, want = _reference_walk(flow, psi, start, times, T)
+        exact = kind == "kochergin" or case == "fractional"
+        bound = 8.0 * np.spacing(np.max(np.abs(times))) + 2.0 * np.spacing(1.0)
         for got, ref in zip(pts, want_pts):
-            assert got.tobytes() == ref.tobytes()
+            if exact:
+                assert got.tobytes() == ref.tobytes()
+            else:
+                dist = np.abs(got - ref)
+                assert np.all(np.minimum(dist, 1.0 - dist) <= bound)
         assert Is.shape == T.shape == (len(T),) and len(T) >= 3
         assert np.all(np.abs(Is - want) <= 1e-13 * np.abs(want))
 

@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from primeflow import reparam
+from primeflow.observables import TorusObservable
 from primeflow.reparam import (
     ReparamFlow,
     TorusPoint,
@@ -514,41 +515,45 @@ def test_time_inverse_takes_tan_not_sin_or_cos(flow, monkeypatch):
     assert np.all(_relative_residual(flow, u, t, 0.31, 0.64) <= 1e-9)
 
 
-# -- the integer-time orbit, warm-started along the rigidity period ----------
+# -- integer times, from one cold rigidity period per start point -----------
 
 ORBIT_M = 2 * 10 ** 5
 
 
-def _meets_contract(flow, u):
-    """|V(u_n) - n| <= 1e-12 (1 + n) at every n, with V from the libm kernel
-    at the start point (0.31, 0.64)."""
-    n = np.arange(u.size, dtype=np.float64)
+def _meets_contract(flow, u, n=None):
+    """|V(u_i) - n_i| <= 1e-12 (1 + |n_i|) at every i, n = 0, 1, ... unless
+    given, with V from the libm kernel at the start point (0.31, 0.64)."""
+    n = np.arange(u.size) if n is None else n
+    n = np.asarray(n, dtype=np.float64)
     V = _libm_cocycle(flow, u, flow._start_factors(0.31, 0.64))
-    return bool(np.all(np.abs(V - n) <= 1e-12 * (1.0 + n)))
+    return bool(np.all(np.abs(V - n) <= 1e-12 * (1.0 + np.abs(n))))
 
 
-def _warm_derivative_points(flow, monkeypatch, M, shift=0.0, tol=None):
-    """flow._integer_inverse(M, 0.31, 0.64) and the number of points at
-    which the warm-started Halley solves evaluated the derivatives; shift
-    moves every warm start, and a tol replaces the one of the warm solves."""
-    halley, cocycle = ReparamFlow._halley, ReparamFlow._cocycle
-    state = {"warm": False, "points": 0}
+def _table_derivative_points(flow, monkeypatch, n, tol=None):
+    """flow._integer_times(n, 0.31, 0.64) and the number of points at which
+    it evaluated the derivatives outside the cold solve of time_inverse_many
+    (which builds the period table); a tol replaces the default tolerance of
+    the solves from the table."""
+    cocycle, cold = ReparamFlow._cocycle, ReparamFlow.time_inverse_many
+    state = {"cold": False, "points": 0}
 
-    def spy_halley(self, t, b, tol_, u0=None):
-        state["warm"] = u0 is not None
-        if u0 is not None:
-            u0 = u0 + shift
-            tol_ = tol_ if tol is None else tol
-        return halley(self, t, b, tol_, u0)
+    def spy_cold(self, *args, **kwargs):
+        state["cold"] = True
+        try:
+            return cold(self, *args, **kwargs)
+        finally:
+            state["cold"] = False
 
     def spy_cocycle(self, u, b, derivatives=False):
-        if derivatives and state["warm"]:
+        if derivatives and not state["cold"]:
             state["points"] += u.size
         return cocycle(self, u, b, derivatives)
 
-    monkeypatch.setattr(ReparamFlow, "_halley", spy_halley)
+    monkeypatch.setattr(ReparamFlow, "time_inverse_many", spy_cold)
     monkeypatch.setattr(ReparamFlow, "_cocycle", spy_cocycle)
-    u = flow._integer_inverse(M, 0.31, 0.64)
+    if tol is not None:
+        monkeypatch.setattr(reparam, "_TOL", tol)
+    u = flow._integer_times(n, 0.31, 0.64)
     monkeypatch.undo()
     return u, state["points"]
 
@@ -560,44 +565,88 @@ def test_integer_orbit_period_is_the_first_rigid_denominator(flow):
     assert flow._drift(SCALED.q(3)) < 1e-19
 
 
-def test_integer_orbit_warm_start(flow, monkeypatch):
-    P = flow._period
-    u, points = _warm_derivative_points(flow, monkeypatch, ORBIT_M)
-    assert _meets_contract(flow, u)
-    cold = flow.time_inverse_many(np.arange(ORBIT_M + 1.0), 0.31, 0.64)
+def test_integer_orbit_warm_start(monkeypatch):
+    # the times past P start from the table at u(n mod P) + (n - n mod P):
+    # each meets its own residual check, within 4 ulps of the cold solve,
+    # and the times below P are the cold solve itself
+    fl = ReparamFlow(SCALED, make_timechange(SCALED))
+    P = fl._period
+    u, points = _table_derivative_points(fl, monkeypatch,
+                                         np.arange(ORBIT_M + 1))
+    assert _meets_contract(fl, u)
+    cold = fl.time_inverse_many(np.arange(ORBIT_M + 1.0), 0.31, 0.64)
     assert np.array_equal(u[:P], cold[:P])
     assert np.all(np.abs(u - cold) <= 4.0 * np.spacing(cold))
-    # one derivative evaluation per warm time, give or take a few re-solves
-    assert 0 < points <= 1.05 * (ORBIT_M + 1 - P)
+    # V' over the table, plus a Halley re-solve at under 1% of the times
+    assert P <= points <= P + 0.01 * (ORBIT_M + 1)
+
+
+def test_integer_times_of_either_sign_match_the_cold_solve(flow):
+    from primeflow.primes import build_table
+
+    ps = build_table(ORBIT_M).primes.astype(np.int64)
+    for n in (ps, -ps):
+        u = flow._integer_times(n, 0.31, 0.64)
+        cold = flow.time_inverse_many(n.astype(np.float64), 0.31, 0.64)
+        assert _meets_contract(flow, u, n)
+        assert np.all(np.abs(u - cold) <= 4.0 * np.spacing(np.abs(cold)))
+
+
+def test_integer_times_share_one_period_per_start_point(flow, monkeypatch):
+    sizes = []
+    cold = ReparamFlow.time_inverse_many
+    monkeypatch.setattr(ReparamFlow, "time_inverse_many",
+                        lambda self, t, *args: sizes.append(np.size(t))
+                        or cold(self, t, *args))
+    fl = ReparamFlow(SCALED, make_timechange(SCALED))
+    n = np.array([5, -7, 10 ** 6, -(10 ** 6)])
+    first = fl._integer_times(n, 0.31, 0.64)
+    assert np.array_equal(fl._integer_times(n[::-1], 0.31, 0.64), first[::-1])
+    assert sizes == [fl._period]
+    fl._integer_times(n, 0.31, 0.65)  # another start point: a new period
+    assert sizes == [fl._period] * 2
 
 
 def test_integer_orbit_prefixes_are_stable(flow):
-    whole = flow._integer_inverse(ORBIT_M, 0.31, 0.64)
+    whole = flow._integer_times(np.arange(ORBIT_M + 1), 0.31, 0.64)
     for M in (1000, flow._period + 5000):
-        assert np.array_equal(flow._integer_inverse(M, 0.31, 0.64),
-                              whole[:M + 1])
+        prefix = flow._integer_times(np.arange(M + 1), 0.31, 0.64)
+        assert np.array_equal(prefix, whole[:M + 1])
 
 
 def test_integer_orbit_without_a_period_is_solved_cold():
     fl = ReparamFlow(GOLDEN, TimeChange([(2, 1, 0.1)]))
     assert fl._period is None
     M = 5 * 10 ** 4  # two blocks
-    assert np.array_equal(fl._integer_inverse(M, 0.31, 0.64),
-                          fl.time_inverse_many(np.arange(M + 1.0), 0.31, 0.64))
+    t = np.arange(-M, M + 1.0)
+    cold = fl.time_inverse_many(t, 0.31, 0.64)
+    assert np.array_equal(fl._integer_times(np.arange(-M, M + 1), 0.31, 0.64),
+                          cold)
+    # so the walk at integer times gives evaluate_many's positions
+    psi, start = TorusObservable(0.0, [(1, 0, 1.0)]), TorusPoint(0.31, 0.64)
+    pts, _ = fl.walk(psi, start, t, np.array([1.0]))
+    for got, want in zip(pts, fl._positions(cold, 0.31, 0.64)):
+        assert got.tobytes() == want.tobytes()
 
 
-def test_integer_orbit_contract_catches_a_wrong_warm_start(flow, monkeypatch):
-    # a warm start half a unit off still converges, through extra steps ...
-    M = flow._period + 20000
-    u, points = _warm_derivative_points(flow, monkeypatch, M, shift=0.5)
-    assert _meets_contract(flow, u)
-    assert points > 2 * (M + 1 - flow._period)
-    # ... but with the convergence check of the warm solves disabled the
-    # contract fails, at the warm times only
-    u, _ = _warm_derivative_points(flow, monkeypatch, M, shift=0.5,
-                                   tol=math.inf)
-    assert _meets_contract(flow, u[:flow._period])
-    assert not _meets_contract(flow, u)
+def test_integer_orbit_contract_catches_a_wrong_warm_start(monkeypatch):
+    # table entries half a unit off fail the value check at every later
+    # time they start, and those times are re-solved by Halley steps ...
+    fl = ReparamFlow(SCALED, make_timechange(SCALED))
+    P = fl._period
+    _, tu, _ = fl._period_table(0.31, 0.64)
+    tu[::100] += 0.5
+    n = np.concatenate((np.arange(P, P + 20000), -np.arange(P, P + 20000)))
+    shifted = int(np.sum(n % P % 100 == 0))
+    u, points = _table_derivative_points(fl, monkeypatch, n)
+    assert _meets_contract(fl, u, n)
+    assert points >= 2 * shifted
+    # ... but with the value check disabled the contract fails, at those
+    # times only
+    u, _ = _table_derivative_points(fl, monkeypatch, n, tol=math.inf)
+    wrong = n % P % 100 == 0
+    assert _meets_contract(fl, u[~wrong], n[~wrong])
+    assert not _meets_contract(fl, u, n)
 
 
 # -- bad input to the cocycle and its inverse --------------------------------

@@ -6,7 +6,8 @@ Runs each experiment of primeflow.experiments.REGISTRY at its default
 config from the checkout this script sits in, and writes OUTDIR/<name>.json
 holding the report's experiment, params, metrics and verdicts (the
 run-dependent wall_clock and versions are left out).  Two checkouts agree on
-every report when `diff -r` of their OUTDIRs is empty.
+every report when `diff -r` of their OUTDIRs is empty.  Standard output has
+one line per experiment: its name and its wall_clock in seconds.
 """
 
 import json
@@ -33,7 +34,7 @@ def main(argv) -> int:
         doc = json.loads(run_experiment(ExperimentConfig(name), table).to_json())
         text = json.dumps({k: doc[k] for k in _KEPT}, indent=2)
         (out / f"{name}.json").write_text(text + "\n")
-        print(name)
+        print(f"{name} {doc['wall_clock']:.3f}")
     return 0
 
 
