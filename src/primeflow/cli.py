@@ -9,6 +9,8 @@ from .experiments import REGISTRY, UnknownExperimentError, run_experiment
 from .primes import build_table
 from .rotation import construct_alpha
 
+__all__ = ["main"]
+
 
 def _cmd_sieve(args):
     table = build_table(args.limit)

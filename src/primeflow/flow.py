@@ -28,6 +28,7 @@ __all__ = [
     "ABReport",
     "evaluate",
     "evaluate_naive",
+    "evaluate_times",
     "ab_decomposition",
     "time_integral",
 ]
@@ -57,7 +58,7 @@ class FlowStep:
 
 def _offsets(alpha: RotationNumber, n: int, backward: bool = False) -> np.ndarray:
     """Float images of {sign * i * alpha mod 1} for 0 <= i < n."""
-    return alpha.orbit(0, n, backward)
+    return alpha.orbit(n, backward)
 
 
 def _roof_values(roof, alpha, x, lo, hi, backward=False):

@@ -38,7 +38,7 @@ _TWO_PI = 2.0 * math.pi
 # before the bisection fallback, and the turns of the fastest mode past which
 # a converged point's last step is checked before it is kept
 _BLOCK = 1 << 15
-_TOL = 1e-12  # time_inverse_many's default tolerance
+_TOL = 1e-12  # time_inverse_many's tolerance
 _MAX_STEPS = 40
 _CHECK_TURNS = 1e-3
 
@@ -78,7 +78,7 @@ class ReparamFlow:
         )
         self._max_freq = max((abs(w) for *_, w in self._terms), default=0.0)
         # the rigidity period of _integer_times: the smallest q_n whose
-        # drift bound meets the default tolerance at t = q_n, or None
+        # drift bound meets _TOL at t = q_n, or None
         self._period = next((q for q in alpha.denominators
                              if self._drift(q) <= _TOL * (1.0 + q)), None)
         self._memo = None  # _period_table's last start point and table
@@ -181,23 +181,20 @@ class ReparamFlow:
 
     # -- inverse ------------------------------------------------------------
 
-    def time_inverse_many(self, t, x1, x2, tol: float = _TOL):
+    def time_inverse_many(self, t, x1, x2):
         """Solve V(u, x) = t for every broadcast point of (t, x1, x2).
 
-        Each point meets |V(u_i) - t_i| <= tol (1 + |t_i|), and its u_i
+        Each point meets |V(u_i) - t_i| <= _TOL (1 + |t_i|), and its u_i
         depends only on (t_i, x_i), never on the rest of the batch: Halley
         steps from u = t run per point until that point's residual meets
         the tolerance (the step computed at that evaluation is still taken,
         which brings u to rounding level, unless it turns the fastest mode by
         more than _CHECK_TURNS and raises the residual), and only the points
-        that have not converged after _MAX_STEPS are bisected.  tol must be
-        finite and > 0.
+        that have not converged after _MAX_STEPS are bisected.
         """
-        if not (math.isfinite(tol) and tol > 0.0):
-            raise ValueError(f"tol must be finite and > 0, got {tol!r}")
-        return self._blocks(lambda tb, b: self._halley(tb, b, tol), t, x1, x2)
+        return self._blocks(self._halley, t, x1, x2)
 
-    def _halley(self, t, b, tol, u0=None):
+    def _halley(self, t, b, u0=None):
         """Halley steps on V(u) = t for start factors b, from u0 or else t."""
         u = (t if u0 is None else u0).copy()
         todo = np.arange(t.size)
@@ -207,7 +204,7 @@ class ReparamFlow:
             r = V - t
             step = 2.0 * r * v / (2.0 * v * v - r * V2)
             u[todo] = uk - step
-            left = np.abs(r) > tol * (1.0 + np.abs(t))
+            left = np.abs(r) > _TOL * (1.0 + np.abs(t))
             big = np.flatnonzero(
                 ~left & (np.abs(step) * self._max_freq > _CHECK_TURNS))
             if big.size:
@@ -224,13 +221,13 @@ class ReparamFlow:
 
     def _integer_times(self, n, x1, x2):
         """u(n, x) for an int64 array n, of either sign, at the scalar start
-        point x, to the default tolerance, from one cold rigidity period P.
+        point x, to _TOL, from one cold rigidity period P.
 
         u(n) = u(r) + (n - r) with r = n mod P holds up to k delta(P) for
         |n| < (k + 1) P.  Times in [0, P) read the period table itself, so
         they are bit-identical to time_inverse_many.  Every other n starts
         at u0 = u(r) + (n - r) and makes one value-only cocycle evaluation:
-        where |V(u0) - n| <= tol (1 + |n|), one Newton step with the table's
+        where |V(u0) - n| <= _TOL (1 + |n|), one Newton step with the table's
         V'(u(r)) brings u0 to rounding level (the Halley term in V'' is below
         1e-17 there), and the step is re-checked and reverted as in _halley;
         elsewhere, as at small negative n where u(r) - P cancels, _halley
@@ -285,7 +282,7 @@ class ReparamFlow:
             u[worse] = u0[worse]
         bad = np.flatnonzero(~ok)
         if bad.size:
-            u[bad] = self._halley(t[bad], b, _TOL, u0[bad])
+            u[bad] = self._halley(t[bad], b, u0[bad])
         return u
 
     def _bisect(self, t, b):
@@ -300,9 +297,6 @@ class ReparamFlow:
 
     # -- evaluation ---------------------------------------------------------
 
-    def evaluate(self, t, x: TorusPoint) -> TorusPoint:
-        return TorusPoint(*map(float, self.evaluate_many(t, x.x1, x.x2)))
-
     def evaluate_many(self, t, x1, x2):
         return self._positions(self.time_inverse_many(t, x1, x2), x1, x2)
 
@@ -316,8 +310,20 @@ class ReparamFlow:
     # -- flow protocol, shared with observables.KocherginFlow ---------------
 
     def mean(self, psi) -> float:
-        """Mean of the torus observable psi against the invariant density v."""
-        return psi.mean(self.v)
+        """Mean of psi against the invariant density v: psi v's constant."""
+        return sum(c for q, m, c in self._product_terms(psi) if q == m == 0).real
+
+    def _product_terms(self, psi):
+        """psi v = sum c e(q x1 + m x2) as (q, m, c), one term per pair of modes."""
+        def expand(constant, terms):
+            out = [(0, 0, complex(constant))]
+            for q, m, c in terms:
+                out += [(q, m, 0.5 * c), (-q, -m, 0.5 * c.conjugate())]
+            return out
+
+        for q1, m1, c1 in expand(psi.constant, psi.terms):
+            for q2, m2, c2 in expand(1.0, self.v.terms):
+                yield q1 + q2, m1 + m2, c1 * c2
 
     def time_integral(self, psi, x: TorusPoint, T):
         """int_0^T psi(T_t x) dt, for a scalar or an array of T, in closed
@@ -326,26 +332,15 @@ class ReparamFlow:
         sum of exponentials in s."""
         U = self.time_inverse_many(T, x.x1, x.x2)
         a = self.alpha.float_value
-        # complex-exponential expansions of psi and v along the linear orbit
-        def expand(constant, terms):
-            out = [(0, 0, complex(constant))]
-            for q, m, c in terms:
-                out += [(q, m, 0.5 * c), (-q, -m, 0.5 * c.conjugate())]
-            return out
-
-        psi_terms = expand(psi.constant, psi.terms)
-        v_terms = expand(1.0, self.v.terms)
         total = 0.0 + 0.0j
-        for q1, m1, c1 in psi_terms:
-            for q2, m2, c2 in v_terms:
-                q, m = q1 + q2, m1 + m2
-                amp = c1 * c2 * np.exp(2j * math.pi * (q * x.x1 + m * x.x2))
-                omega = q * a + m
-                if q == 0 and m == 0:
-                    total += amp * U
-                else:
-                    total += amp * (np.exp(2j * math.pi * omega * U) - 1.0) / (
-                        2j * math.pi * omega)
+        for q, m, c in self._product_terms(psi):
+            amp = c * np.exp(2j * math.pi * (q * x.x1 + m * x.x2))
+            omega = q * a + m
+            if q == 0 and m == 0:
+                total += amp * U
+            else:
+                total += amp * (np.exp(2j * math.pi * omega * U) - 1.0) / (
+                    2j * math.pi * omega)
         return float(total.real) if np.ndim(total) == 0 else total.real
 
     def walk(self, psi, start: TorusPoint, times, T):

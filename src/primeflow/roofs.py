@@ -60,6 +60,27 @@ def _finite(name, x):
     return x
 
 
+def _integral(name, k) -> int:
+    """int(k); ValueError naming k unless it is an int or an integral float."""
+    if isinstance(k, (int, np.integer)) or isinstance(k, float) and k.is_integer():
+        return int(k)
+    raise ValueError(f"{name} must be an integer, got {k!r}")
+
+
+def _trig_sum(out, terms):
+    """out + sum Re c e(k y) = c.real cos 2 pi k y - c.imag sin 2 pi k y over
+    the (complex c, int k, phase array y) terms; a zero part is not computed."""
+    for c, k, y in terms:
+        ang = 2.0 * math.pi * k * y
+        if c.real and c.imag:
+            out = out + (c.real * np.cos(ang) - c.imag * np.sin(ang))
+        elif c.real:
+            out = out + c.real * np.cos(ang)
+        elif c.imag:
+            out = out - c.imag * np.sin(ang)
+    return out
+
+
 # _certify_positive: most grid points it evaluates before giving up
 _CERTIFY_POINTS = 1 << 20
 
@@ -128,10 +149,8 @@ class PowerRoof:
             out = k * (x ** g + y ** g) + self.c0
         elif order == 1:
             out = k * g * (x ** (g - 1.0) - y ** (g - 1.0))
-        elif order == 2:
-            out = k * g * (g - 1.0) * (x ** (g - 2.0) + y ** (g - 2.0))
         else:
-            raise ValueError("order must be 0, 1 or 2")
+            raise ValueError("order must be 0 or 1")
         return out if out.ndim else float(out)
 
     def integral(self) -> float:
@@ -148,7 +167,7 @@ class FourierRoof:
 
     def __init__(self, pairs, alpha: RotationNumber | None = None,
                  check_band: bool = True):
-        self.pairs = tuple((int(q), complex(b)) for q, b in pairs)
+        self.pairs = tuple((_integral("q", q), complex(b)) for q, b in pairs)
         if not self.pairs:
             raise ValueError("need at least one (frequency, coefficient) pair")
         _finite("b", [b for _, b in self.pairs])
@@ -173,10 +192,8 @@ class FourierRoof:
 
     def __call__(self, x, order: int = 0):
         x = np.asarray(x, dtype=np.float64)
-        out = np.ones_like(x) if order == 0 else np.zeros_like(x)
-        for q, b in self.pairs:
-            factor = (2j * math.pi * q) ** order
-            out = out + np.real(b * factor * np.exp(2j * math.pi * q * x))
+        out = _trig_sum(np.ones_like(x) if order == 0 else np.zeros_like(x), (
+            (b * (2j * math.pi * q) ** order, q, x) for q, b in self.pairs))
         return out if out.ndim else float(out)
 
     def integral(self) -> float:
@@ -195,7 +212,8 @@ class TimeChange:
 
     def __init__(self, terms, alpha: RotationNumber | None = None,
                  check_band: bool = True):
-        self.terms = tuple((int(q), int(m), complex(a)) for q, m, a in terms)
+        self.terms = tuple((_integral("q", q), _integral("m", m), complex(a))
+                           for q, m, a in terms)
         _finite("a", [a for _, _, a in self.terms])
         self.alpha = alpha
         if alpha is not None and check_band:
@@ -208,13 +226,9 @@ class TimeChange:
     def __call__(self, x, y):
         x = np.asarray(x, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)
-        out = np.ones(np.broadcast(x, y).shape)
-        for q, m, a in self.terms:
-            out = out + np.real(a * np.exp(2j * math.pi * (q * x + m * y)))
+        out = _trig_sum(np.ones(np.broadcast(x, y).shape),
+                        ((a, 1, q * x + m * y) for q, m, a in self.terms))
         return out if out.ndim else float(out)
-
-    def mean(self) -> float:
-        return 1.0
 
 
 class PiecewiseLinear:
@@ -244,7 +258,7 @@ class PiecewiseLinear:
 
 def _orbit_offsets(alpha: RotationNumber, n: int) -> np.ndarray:
     """Float images of {i*alpha mod 1} for 0 <= i < n, from exact residues."""
-    return alpha.orbit(0, n)
+    return alpha.orbit(n)
 
 
 def _check_orbit_clear(roof, x: float, n: int, alpha: RotationNumber) -> None:
@@ -424,7 +438,7 @@ def quadratic_expansion_check(roof, x: float, k: int, n: int,
 
 def _partition_points(alpha: RotationNumber, n: int) -> np.ndarray:
     """Sorted circle points {-i alpha mod 1 : i < q_n}."""
-    return np.sort(alpha.orbit(0, alpha.q(n), backward=True))
+    return np.sort(alpha.orbit(alpha.q(n), backward=True))
 
 
 def derivative_zero_locator(roof: PowerRoof, n: int, alpha: RotationNumber):

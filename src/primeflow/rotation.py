@@ -77,13 +77,13 @@ class RotationNumber:
     """
 
     def __init__(self, quotients, flags=()):
-        quotients = tuple(int(a) for a in quotients)
+        quotients = tuple(quotients)
         if not quotients:
             raise ValueError("need at least one partial quotient")
         for a in quotients:
-            if a < 1:
-                raise ValueError(f"partial quotients must be >= 1, got {a}")
-        self.quotients = quotients
+            if int(a) != a or a < 1:
+                raise ValueError(f"partial quotients must be integers >= 1, got {a!r}")
+        self.quotients = quotients = tuple(int(a) for a in quotients)
         self.flags = tuple(sorted(int(n) for n in flags))
 
         full = quotients + (1,) * _TAIL_DEPTH
@@ -119,9 +119,6 @@ class RotationNumber:
     def q(self, n: int) -> int:
         return self._q[self._level(n)]
 
-    def p(self, n: int) -> int:
-        return self._p[self._level(n)]
-
     def residual(self, n: int) -> Fraction:
         """beta_n = q_n * alpha - p_n, exact."""
         return self._residuals[self._level(n)]
@@ -147,24 +144,22 @@ class RotationNumber:
             r -= Q
         return r / Q
 
-    def orbit(self, lo: int, hi: int, backward: bool = False) -> np.ndarray:
-        """Float images of i*alpha mod 1 (-i*alpha if backward), lo <= i < hi,
+    def orbit(self, n: int, backward: bool = False) -> np.ndarray:
+        """Float images of i*alpha mod 1 (-i*alpha if backward), 0 <= i < n,
         each r / Q for the exact r = +-i*P mod Q: bit-identical to `_orbit_loop`.
-        Read-only; a range from inside the cached prefix grows the cache."""
-        if not 0 <= lo <= hi:
-            raise ValueError(f"need 0 <= lo <= hi, got [{lo}, {hi})")
+        Read-only; a prefix longer than the cached one grows the cache."""
+        if n < 0:
+            raise ValueError(f"need n >= 0, got {n}")
         P, Q = self._value.numerator, self._value.denominator
         with self._orbit_lock:
             cached = self._orbit_cache[backward]
-            if lo > len(cached):
-                return _orbit_fill(P, Q, lo, np.empty(hi - lo), backward)
-            if hi > len(cached):
-                grown = np.empty(max(hi, 1024, 2 * len(cached)))
+            if n > len(cached):
+                grown = np.empty(max(n, 1024, 2 * len(cached)))
                 grown[: len(cached)] = cached
                 _orbit_fill(P, Q, len(cached), grown[len(cached):], backward)
                 grown.flags.writeable = False
                 self._orbit_cache[backward] = cached = grown
-            return cached[lo:hi]
+            return cached[:n]
 
     def orbit_min_distance(self, x: float, n: int) -> float:
         """min over 0 <= i <= n of the distance of x + i*alpha to Z."""

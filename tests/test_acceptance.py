@@ -5,6 +5,7 @@ near-machine assertions, desk-scale numerics get fixed bounds, and the
 grid-trend checks assert monotone decay across the N-grid.
 """
 
+import dataclasses
 import math
 import time
 
@@ -158,6 +159,22 @@ def test_c06_quadratic_expansion_budget():
     assert rep.metric("frac_within_best") == 1.0
 
 
+def test_quad_expansion_verdicts_can_fail(monkeypatch):
+    # an actual sum 11 budgets past both predictions fails both readings
+    real = experiments.quadratic_expansion_check
+
+    def missed(*args, **kwargs):
+        res = real(*args, **kwargs)
+        gap = abs(res.predicted_triangular - res.predicted) + 11.0 * res.budget
+        return dataclasses.replace(res, actual=res.predicted + gap)
+
+    monkeypatch.setattr(experiments, "quadratic_expansion_check", missed)
+    rep = _run("quad_expansion", cases=20)
+    assert rep.metric("frac_within_budget") == 0.0
+    assert rep.metric("frac_within_best") == 0.0
+    assert rep.verdicts == {"budget_95": "fail", "best_100": "fail"}
+
+
 # -- 7: derivative zeros and containment ------------------------------------
 
 def test_c07_derivative_zeros():
@@ -309,6 +326,17 @@ def test_c14_coboundary_discrepancy_and_bound(table):
     partials = np.cumsum(psi_vals)
     assert np.max(np.abs(partials)) <= 2.0 * np.max(np.abs(h)) + 1e-9
 
+
+
+def test_pnt_reparam_coboundary_halving_can_fail(table, monkeypatch):
+    # the coboundary D3 more than halves from N = 1e4 to 1e6 at the
+    # defaults, and a D3 that does not decay fails the verdict
+    assert _run("pnt_reparam", table).verdicts["coboundary_halving"] == "pass"
+    monkeypatch.setattr(experiments, "coboundary_prime_discrepancy",
+                        lambda flow, g, depth, x, N, table: np.full(len(N), 0.1))
+    rep = _run("pnt_reparam", table)
+    assert [m.value for m in rep.metrics if m.name == "coboundary_D3"] == [0.1] * 3
+    assert rep.verdicts["coboundary_halving"] == "fail"
 
 # -- 15: prime-orbit discrepancy pipeline -----------------------------------
 

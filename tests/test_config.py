@@ -134,8 +134,8 @@ def test_run_experiment_smoke():
 
 
 def test_wall_clock_covers_the_whole_experiment(monkeypatch):
-    # pnt_report times its own part; the report's wall_clock still takes in
-    # the coboundary sums that pnt_reparam computes after it
+    # the report's wall_clock takes in the coboundary sums that pnt_reparam
+    # computes after pnt_report
     import time
 
     from primeflow import experiments

@@ -1,4 +1,5 @@
 import importlib
+import inspect
 import pkgutil
 
 import pytest
@@ -13,4 +14,16 @@ def test_all_names_resolve(name):
     # a name deleted from a module must not stay exported
     module = importlib.import_module(f"primeflow.{name}")
     missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+    assert missing == []
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_public_names_are_exported(name):
+    # every public function or class a module defines is in its __all__
+    module = importlib.import_module(f"primeflow.{name}")
+    defined = [n for n, obj in vars(module).items()
+               if not n.startswith("_")
+               and (inspect.isfunction(obj) or inspect.isclass(obj))
+               and obj.__module__ == module.__name__]
+    missing = sorted(set(defined) - set(getattr(module, "__all__", ())))
     assert missing == []

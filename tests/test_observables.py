@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -118,6 +119,51 @@ def test_non_finite_parameters_rejected(name, build, bad):
         build(bad)
 
 
+# a frequency is an integer or an integral float; anything else is named in
+# the error instead of truncated by int()
+FREQUENCIES = [2.5, np.float64(1.5), math.nan, "2", 2.0, np.int64(2)]
+
+
+def _integral_or_named(name, value, build):
+    if value == 2:
+        got = build(value)
+        assert got == 2 and type(got) is int
+    else:
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got "
+                           + re.escape(repr(value))):
+            build(value)
+
+
+@pytest.mark.parametrize("value", FREQUENCIES)
+def test_torus_observable_frequencies_are_integers(value):
+    _integral_or_named("q", value,
+                       lambda k: TorusObservable(0, [(k, 1, 1.0)]).terms[0][0])
+    _integral_or_named("m", value,
+                       lambda k: TorusObservable(0, [(1, k, 1.0)]).terms[0][1])
+
+
+@pytest.mark.parametrize("value", FREQUENCIES)
+def test_tower_observable_frequencies_are_integers(value):
+    _integral_or_named(
+        "u_terms k", value,
+        lambda k: TowerObservable(POWER, u_terms=((k, 1, 0),)).u_terms[0][0])
+
+
+@pytest.mark.parametrize("value", FREQUENCIES)
+def test_fourier_roof_frequencies_are_integers(value):
+    _integral_or_named(
+        "q", value,
+        lambda k: FourierRoof([(k, 0.1)], check_band=False).pairs[0][0])
+
+
+@pytest.mark.parametrize("value", FREQUENCIES)
+def test_time_change_frequencies_are_integers(value):
+    _integral_or_named("q", value,
+                       lambda k: TimeChange([(k, 1, 0.1)]).terms[0][0])
+    _integral_or_named("m", value,
+                       lambda k: TimeChange([(1, k, 0.1)]).terms[0][1])
+
+
 def test_trivial_observables():
     flat = TowerObservable(POWER, 0.7, u_terms=((1, 0.0, 0.0),))
     assert flat(0.3, 0.2) == 0.7
@@ -125,15 +171,18 @@ def test_trivial_observables():
 
 
 def test_trig_eval_skips_zero_coefficients(monkeypatch):
-    from primeflow.observables import _trig_eval
+    # the shared kernel adds Re c e(k y) = c.real cos 2 pi k y - c.imag sin
+    # 2 pi k y term by term, and skips the cosine or sine of a zero part
+    from primeflow.roofs import _trig_sum
 
     y = np.random.default_rng(8).random(1000)
     terms = ((1, 0.7, -0.2), (3, 0.0, 0.4), (5, -0.3, 0.0), (2, 0.0, 0.0))
     full = np.zeros_like(y)
     for k, a, b in terms:
         ang = 2.0 * math.pi * k * y
-        full = full + a * np.cos(ang) + b * np.sin(ang)
-    assert np.array_equal(_trig_eval(terms, y), full)
+        full = full + (a * np.cos(ang) + b * np.sin(ang))
+    pairs = [(complex(a, -b), k, y) for k, a, b in terms]
+    assert np.array_equal(_trig_sum(np.zeros_like(y), pairs), full)
     sines = []
     sin = np.sin
 
@@ -143,8 +192,10 @@ def test_trig_eval_skips_zero_coefficients(monkeypatch):
 
     monkeypatch.setattr(np, "sin", spy)
     TowerObservable(POWER).u(y)  # u = cos(2 pi y)
+    FourierRoof([(2, 0.3), (3, 0.1)])(y)
+    TimeChange([(2, 0, 0.3), (1, 1, 0.2)])(y, y)
     assert sines == []
-    _trig_eval(terms, y)
+    _trig_sum(np.zeros_like(y), pairs)
     assert len(sines) == 2
 
 
@@ -342,6 +393,8 @@ def test_torus_observable_matches_complex_exponential(monkeypatch):
 
 
 def test_torus_observable_means():
+    # the Lebesgue mean is the constant, the invariant mean the constant
+    # part of psi v, read by ReparamFlow.mean
     v = TimeChange([(2, 0, 0.3), (1, 1, 0.2j)])
     psi = TorusObservable(0.25, [(2, 0, 0.4 + 0.1j), (-1, -1, 0.6)])
     fine = 64
@@ -350,9 +403,9 @@ def test_torus_observable_means():
     vv = 1.0
     for q, m, c in v.terms:
         vv = vv + np.real(c * np.exp(2j * np.pi * (q * X1 + m * X2)))
+    assert abs(float(np.mean(psi(X1, X2))) - psi.constant) < 1e-12
     grid_mean = float(np.mean(psi(X1, X2) * vv))
-    assert abs(psi.mean() - 0.25) < 1e-12
-    assert abs(psi.mean(v) - grid_mean) < 1e-10
+    assert abs(ReparamFlow(GOLDEN, v).mean(psi) - grid_mean) < 1e-10
     with pytest.raises(ValueError):
         TorusObservable(0.0, [(0, 0, 1.0)])
 

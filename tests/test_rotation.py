@@ -2,6 +2,7 @@ import ast
 import json
 import math
 import random
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -20,6 +21,7 @@ from primeflow.rotation import (
     RotationNumber,
     _MR_BOUND,
     _is_prime,
+    _orbit_fill,
     _orbit_loop,
     construct_alpha,
     frac,
@@ -66,10 +68,23 @@ def test_bracketing_invariant():
             assert Fraction(1, alpha.q(n + 1) + alpha.q(n)) < d <= Fraction(1, alpha.q(n + 1))
 
 
+@pytest.mark.parametrize("a", [2.5, np.float64(3.9), "2", 2.0, np.int64(2)])
+def test_partial_quotients_are_integers(a):
+    # an integral float is taken as its integer; anything else is named
+    # instead of truncated by int()
+    if a == 2:
+        assert RotationNumber([1, a]).quotients == (1, 2)
+        assert all(type(k) is int for k in RotationNumber([1, a]).quotients)
+    else:
+        with pytest.raises(ValueError, match="partial quotients must be "
+                           f"integers >= 1, got {re.escape(repr(a))}"):
+            RotationNumber([1, a])
+
+
 @pytest.mark.parametrize("n", [-1, -2, 6])
 def test_index_outside_depth_rejected(n):
     alpha = from_partial_quotients([1, 2, 3, 4, 5])
-    for accessor in (alpha.q, alpha.p, alpha.residual):
+    for accessor in (alpha.q, alpha.residual):
         with pytest.raises(ValueError, match=f"n = {n} outside \\[0, depth = 5\\]"):
             accessor(n)
     assert (alpha.q(0), alpha.q(5)) == (1, alpha.denominators[-1])
@@ -236,19 +251,19 @@ def test_orbit_matches_bigint_loop(bits, data):
     alpha = data.draw(alphas_in_band(*bits))
     P, Q = alpha.value.numerator, alpha.value.denominator
     assert bits[0] <= Q.bit_length() <= bits[1]
-    hi = {False: 0, True: 0}
     for _ in range(4):
         backward = data.draw(st.booleans())
-        # growing prefixes extend the cache; far ranges bypass it
+        # prefixes of any length read or grow the cache, which _orbit_fill
+        # extends from its end; far ranges check that fill on its own
         if data.draw(st.booleans()):
-            lo = data.draw(st.integers(0, hi[backward]))
-            hi[backward] = max(hi[backward], lo + data.draw(st.integers(0, 70000)))
-            end = hi[backward]
+            n = data.draw(st.integers(0, 70000))
+            got, want = alpha.orbit(n, backward), _orbit_loop(P, Q, 0, n, backward)
         else:
             lo = data.draw(st.integers(0, 10 ** 15))
             end = lo + data.draw(st.integers(0, 5000))
-        got = alpha.orbit(lo, end, backward)
-        assert np.array_equal(got, _orbit_loop(P, Q, lo, end, backward))
+            got = _orbit_fill(P, Q, lo, np.empty(end - lo), backward)
+            want = _orbit_loop(P, Q, lo, end, backward)
+        assert np.array_equal(got, want)
 
 
 def test_orbit_long_double_midpoints():
@@ -260,15 +275,14 @@ def test_orbit_long_double_midpoints():
     assert Q.bit_length() == 54
     n = alpha.q(15)
     for backward in (False, True):
-        assert np.array_equal(alpha.orbit(0, n, backward),
+        assert np.array_equal(alpha.orbit(n, backward),
                               _orbit_loop(P, Q, 0, n, backward))
 
 
 def test_orbit_rejects_bad_range():
-    with pytest.raises(ValueError):
-        GOLDEN.orbit(5, 3)
-    with pytest.raises(ValueError):
-        GOLDEN.orbit(-1, 3)
+    with pytest.raises(ValueError, match="need n >= 0, got -1"):
+        GOLDEN.orbit(-1)
+    assert GOLDEN.orbit(0).size == 0
 
 
 def test_orbit_cache_concurrent_growth():
@@ -281,12 +295,12 @@ def test_orbit_cache_concurrent_growth():
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=8) as pool:
-            got = list(pool.map(alpha.orbit, [0] * 8, sizes, timeout=60))
+            got = list(pool.map(alpha.orbit, sizes, timeout=60))
     finally:
         sys.setswitchinterval(old)
     for n, arr in zip(sizes, got):
         assert np.array_equal(arr, want[:n])
-    assert np.array_equal(alpha.orbit(0, 40000), want)
+    assert np.array_equal(alpha.orbit(40000), want)
 
 
 def _same_bits(a, b):
