@@ -29,7 +29,7 @@ from .config import ExperimentReport
 from .flow import FlowPoint, _same_roof, _walk
 from .primes import build_table
 from .reparam import ReparamFlow, TorusPoint
-from .roofs import _finite, _integral, _trig_sum
+from .roofs import TorusObservable, _finite, _integral, _trig_sum
 
 __all__ = [
     "SingularOrbitError",
@@ -179,25 +179,6 @@ class TowerObservable:
         w2 = (2.0 * math.pi / f) ** 2
         decay = -0.5 * np.expm1(-a * f) * (_SIGMA - a / (a * a + w2))
         return self.psi_inf * f + self.u(y) * decay
-
-
-class TorusObservable:
-    """Real trig polynomial c0 + Re sum c e(q x1 + m x2) on the torus."""
-
-    def __init__(self, constant=0.0, terms=()):
-        self.constant = float(_finite("constant", constant))
-        self.terms = tuple((_integral("q", q), _integral("m", m), complex(c))
-                           for q, m, c in terms)
-        _finite("c", [c for _, _, c in self.terms])
-        for q, m, _ in self.terms:
-            if q == 0 and m == 0:
-                raise ValueError("fold the (0, 0) mode into the constant")
-
-    def __call__(self, x1, x2):
-        x1 = np.asarray(x1, dtype=np.float64)
-        x2 = np.asarray(x2, dtype=np.float64)
-        return _trig_sum(np.full(np.broadcast(x1, x2).shape, self.constant),
-                         ((c, 1, q * x1 + m * x2) for q, m, c in self.terms))
 
 
 # ---------------------------------------------------------------------------

@@ -50,16 +50,19 @@ def _simple_sieve(limit: int) -> np.ndarray:
     return np.flatnonzero(is_p).astype(np.int64)
 
 
+def _log_sum(ps) -> float:
+    """Sum of log p over the primes ps: math.fsum of their float64 logs,
+    exactly rounded on every platform."""
+    return math.fsum(np.log(ps.astype(np.float64)))
+
+
 class PrimeTable:
     """The primes up to a limit as one sorted int64 array, which every query
-    reads, plus their log-weighted cumulative sums, accumulated in extended
-    precision so that theta queries stay well below 1e-6 absolute error at
-    1e8 scale."""
+    reads."""
 
     def __init__(self, limit: int, primes: np.ndarray):
         self.limit = int(limit)
         self.primes = primes
-        self._cumlog = np.cumsum(np.log(primes.astype(np.longdouble)))
 
     def is_prime(self, n) -> np.ndarray:
         """Primality of each integer n in [0, limit]; a non-integral n
@@ -75,15 +78,11 @@ class PrimeTable:
         i = np.minimum(np.searchsorted(self.primes, k), len(self.primes) - 1)
         return self.primes[i] == k
 
-    def _count_upto(self, x) -> int:
-        return int(np.searchsorted(self.primes, x, side="right"))
-
     def theta(self, x) -> float:
         """Sum of log p over primes p <= x."""
         if x > self.limit:
             raise ResourceError(f"theta({x}) beyond sieve limit {self.limit}")
-        k = self._count_upto(x)
-        return float(self._cumlog[k - 1]) if k else 0.0
+        return _log_sum(self.primes_between(0, x))
 
     def primes_between(self, lo, hi) -> np.ndarray:
         """Primes p with lo < p <= hi."""
@@ -120,8 +119,7 @@ def theta_interval(table: PrimeTable, N: int, H: int) -> float:
     """Sum of log p over primes in (N, N+H], for H >= 0."""
     if H < 0:
         raise ValueError(f"H must be >= 0, got {H}")
-    ps = table.primes_between(N, N + H)
-    return float(np.sum(np.log(ps.astype(np.longdouble)))) if len(ps) else 0.0
+    return _log_sum(table.primes_between(N, N + H))
 
 
 def _totient(q: int) -> int:
@@ -360,10 +358,7 @@ def box_indicator_sum(table: PrimeTable, coeffs: PhaseCoefficients,
     ps, u, w = _phase_pairs(table, coeffs)
     if len(ps) == 0:
         return 0.0
-    sel = I.contains(u) & J.contains(w)
-    if not sel.any():
-        return 0.0
-    return float(math.fsum(np.log(ps[sel].astype(np.float64))))
+    return _log_sum(ps[I.contains(u) & J.contains(w)])
 
 
 def build_interval_partition(table: PrimeTable, q: int, gamma1: float,

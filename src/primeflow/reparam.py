@@ -315,14 +315,14 @@ class ReparamFlow:
 
     def _product_terms(self, psi):
         """psi v = sum c e(q x1 + m x2) as (q, m, c), one term per pair of modes."""
-        def expand(constant, terms):
-            out = [(0, 0, complex(constant))]
-            for q, m, c in terms:
+        def expand(f):
+            out = [(0, 0, complex(f.constant))]
+            for q, m, c in f.terms:
                 out += [(q, m, 0.5 * c), (-q, -m, 0.5 * c.conjugate())]
             return out
 
-        for q1, m1, c1 in expand(psi.constant, psi.terms):
-            for q2, m2, c2 in expand(1.0, self.v.terms):
+        for q1, m1, c1 in expand(psi):
+            for q2, m2, c2 in expand(self.v):
                 yield q1 + q2, m1 + m2, c1 * c2
 
     def time_integral(self, psi, x: TorusPoint, T):
@@ -447,7 +447,6 @@ class RigidityReport:
     time: int
     epsilon: float
     distance: float
-    roof_deviation: float
 
 
 def rigidity_distance(flow: ReparamFlow, k: int, n: int,
@@ -477,6 +476,4 @@ def rigidity_distance(flow: ReparamFlow, k: int, n: int,
     a = alpha.float_value
     d1 = abs(alpha.signed_frac(t0) + eps * a)
     d2 = abs(eps) if abs(eps) < 0.5 else circle_distance(eps)
-    dev = roof_sum_deviation(flow.roof(), alpha, t0, x.x1)
-    return RigidityReport(time=t0, epsilon=eps, distance=d1 + d2,
-                          roof_deviation=dev)
+    return RigidityReport(time=t0, epsilon=eps, distance=d1 + d2)

@@ -5,7 +5,8 @@ with g in (-1, 0), and trigonometric-polynomial roofs built from resonant
 frequencies of a rotation number.  On top of them: Birkhoff sums (with the
 negative-time convention S_{-n}(g)(x) = -S_n(g)(x - n*alpha)), the quadratic
 expansion of long sums over a rotation block, and the zero set of the
-derivative sum with its small-derivative neighborhood.
+derivative sum with its small-derivative neighborhood.  Also the torus trig
+polynomials; a time change is the positive one with constant 1.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ __all__ = [
     "ContainmentError",
     "PowerRoof",
     "FourierRoof",
+    "TorusObservable",
     "TimeChange",
     "PiecewiseLinear",
     "QuadraticExpansion",
@@ -160,13 +162,12 @@ class PowerRoof:
 class FourierRoof:
     """f(x) = 1 + Re(sum_j b_j e(q_j x)) for a finite frequency list.
 
-    When built against a rotation number the frequencies are flagged
-    denominators q_n and each coefficient modulus must sit in the band
-    [q_{n+1}^(-2/3), q_{n+1}^(-1/2)].
+    Given a rotation number alpha, the frequencies must be denominators q_n
+    with n < depth and each coefficient modulus must sit in the band
+    [q_{n+1}^(-2/3), q_{n+1}^(-1/2)]; without one the band is not checked.
     """
 
-    def __init__(self, pairs, alpha: RotationNumber | None = None,
-                 check_band: bool = True):
+    def __init__(self, pairs, alpha: RotationNumber | None = None):
         self.pairs = tuple((_integral("q", q), complex(b)) for q, b in pairs)
         if not self.pairs:
             raise ValueError("need at least one (frequency, coefficient) pair")
@@ -174,8 +175,7 @@ class FourierRoof:
         for q, b in self.pairs:
             if q < 1:
                 raise ValueError("frequencies must be positive integers")
-        self.alpha = alpha
-        if alpha is not None and check_band:
+        if alpha is not None:
             qmap = {alpha.q(n): n for n in range(alpha.depth + 1)}
             for q, b in self.pairs:
                 n = qmap.get(q)
@@ -207,28 +207,40 @@ class FourierRoof:
         return 0j
 
 
-class TimeChange:
-    """v(x, y) = 1 + Re(sum a_{q,m} e(q x + m y)) on the torus."""
+class TorusObservable:
+    """Real trig polynomial c0 + Re sum c e(q x1 + m x2) on the torus."""
 
-    def __init__(self, terms, alpha: RotationNumber | None = None,
-                 check_band: bool = True):
-        self.terms = tuple((_integral("q", q), _integral("m", m), complex(a))
-                           for q, m, a in terms)
-        _finite("a", [a for _, _, a in self.terms])
-        self.alpha = alpha
-        if alpha is not None and check_band:
-            zero_modes = [(q, a) for q, m, a in self.terms if m == 0]
-            if zero_modes:
-                FourierRoof(zero_modes, alpha)
+    _coeff = "c"  # the coefficients' name in a non-finite error
+
+    def __init__(self, constant=0.0, terms=()):
+        self.constant = float(_finite("constant", constant))
+        self.terms = tuple((_integral("q", q), _integral("m", m), complex(c))
+                           for q, m, c in terms)
+        _finite(self._coeff, [c for _, _, c in self.terms])
+        for q, m, _ in self.terms:
+            if q == 0 and m == 0:
+                raise ValueError("fold the (0, 0) mode into the constant")
+
+    def __call__(self, x1, x2):
+        x1 = np.asarray(x1, dtype=np.float64)
+        x2 = np.asarray(x2, dtype=np.float64)
+        out = _trig_sum(np.full(np.broadcast(x1, x2).shape, self.constant),
+                        ((c, 1, q * x1 + m * x2) for q, m, c in self.terms))
+        return out if out.ndim else float(out)
+
+
+class TimeChange(TorusObservable):
+    """v(x, y) = 1 + Re(sum a_{q,m} e(q x + m y)), certified positive on the
+    torus.  Given alpha, its m = 0 modes must pass FourierRoof's band check."""
+
+    _coeff = "a"
+
+    def __init__(self, terms, alpha: RotationNumber | None = None):
+        super().__init__(1.0, terms)
+        if alpha is not None and any(m == 0 for _, m, _ in self.terms):
+            FourierRoof([(q, a) for q, m, a in self.terms if m == 0], alpha)
         _certify_positive(self, [[q, m] for q, m, _ in self.terms],
                           [a for _, _, a in self.terms], "time change")
-
-    def __call__(self, x, y):
-        x = np.asarray(x, dtype=np.float64)
-        y = np.asarray(y, dtype=np.float64)
-        out = _trig_sum(np.ones(np.broadcast(x, y).shape),
-                        ((a, 1, q * x + m * y) for q, m, a in self.terms))
-        return out if out.ndim else float(out)
 
 
 class PiecewiseLinear:
@@ -390,10 +402,7 @@ def birkhoff_sum_many(g, n: int, xs: np.ndarray, alpha: RotationNumber,
 def roof_from_timechange(v: TimeChange) -> FourierRoof:
     """Fiber average f(x) = int_0^1 v(x, s) ds: int_0^1 e(m s) ds vanishes
     for m != 0, so exactly the m = 0 modes survive."""
-    zero_modes = [(q, a) for q, m, a in v.terms if m == 0]
-    if zero_modes:
-        return FourierRoof(zero_modes, v.alpha, check_band=False)
-    return FourierRoof([(1, 0.0)], check_band=False)
+    return FourierRoof([(q, a) for q, m, a in v.terms if m == 0] or [(1, 0.0)])
 
 
 @dataclass(frozen=True)

@@ -65,6 +65,14 @@ def frac(x):
     return np.subtract(x, f, out=f)
 
 
+def _whole(x) -> bool:
+    """int(x) == x, false where int() raises (nan, inf, a non-number)."""
+    try:
+        return int(x) == x
+    except (TypeError, ValueError, OverflowError):
+        return False
+
+
 class RotationNumber:
     """An irrational rotation number given by its partial quotients.
 
@@ -81,9 +89,14 @@ class RotationNumber:
         if not quotients:
             raise ValueError("need at least one partial quotient")
         for a in quotients:
-            if int(a) != a or a < 1:
+            if not _whole(a) or a < 1:
                 raise ValueError(f"partial quotients must be integers >= 1, got {a!r}")
         self.quotients = quotients = tuple(int(a) for a in quotients)
+        flags = tuple(flags)
+        for n in flags:
+            if not _whole(n) or not 0 <= n <= len(quotients):
+                raise ValueError(f"flags must be integers in [0, depth = "
+                                 f"{len(quotients)}], got {n!r}")
         self.flags = tuple(sorted(int(n) for n in flags))
 
         full = quotients + (1,) * _TAIL_DEPTH

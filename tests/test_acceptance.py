@@ -338,6 +338,20 @@ def test_pnt_reparam_coboundary_halving_can_fail(table, monkeypatch):
     assert [m.value for m in rep.metrics if m.name == "coboundary_D3"] == [0.1] * 3
     assert rep.verdicts["coboundary_halving"] == "fail"
 
+
+@pytest.mark.parametrize("grid, lo, hi", [
+    ((10 ** 3, 10 ** 4), (0.004, 0.005), (0.031, 0.032)),
+    ((10 ** 4, 10 ** 5), (0.031, 0.032), (0.038, 0.040)),
+])
+def test_pnt_reparam_coboundary_halving_reads_only_the_grid_ends(
+        table, grid, lo, hi):
+    # the verdict compares the first and the last D3, and at depth 1000 the
+    # coboundary D3 rises from N = 1e3 to 1e5 before it falls at 1e6 (README)
+    rep = run_experiment(ExperimentConfig("pnt_reparam", n_grid=grid), table)
+    first, last = [m.value for m in rep.metrics if m.name == "coboundary_D3"]
+    assert lo[0] <= first <= lo[1] and hi[0] <= last <= hi[1]
+    assert rep.verdicts["coboundary_halving"] == "fail"
+
 # -- 15: prime-orbit discrepancy pipeline -----------------------------------
 
 def test_c15_prime_orbit_pipeline(table):

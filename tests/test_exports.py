@@ -27,3 +27,17 @@ def test_public_names_are_exported(name):
                and obj.__module__ == module.__name__]
     missing = sorted(set(defined) - set(getattr(module, "__all__", ())))
     assert missing == []
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_reexports_are_the_defining_objects(name):
+    # a name exported from a module that another module defines (such as
+    # observables.TorusObservable, defined in roofs) is the very object the
+    # defining module exports, not a copy
+    module = importlib.import_module(f"primeflow.{name}")
+    for n in getattr(module, "__all__", ()):
+        home = getattr(getattr(module, n), "__module__", module.__name__)
+        if home != module.__name__:
+            origin = importlib.import_module(home)
+            assert n in origin.__all__
+            assert getattr(origin, n) is getattr(module, n)

@@ -111,8 +111,7 @@ def _random_flow(draw):
                              max_size=n))
         qs = draw(st.lists(st.integers(1, 12), min_size=n, max_size=n))
         roof = FourierRoof([(q, r * complex(math.cos(a), math.sin(a)))
-                            for q, r, a in zip(qs, mods, args)],
-                           check_band=False)
+                            for q, r, a in zip(qs, mods, args)])
     alpha = from_partial_quotients(
         draw(st.lists(st.integers(1, 6), min_size=8, max_size=14)))
     x = draw(st.floats(0.001, 0.999))

@@ -153,7 +153,7 @@ def test_tower_observable_frequencies_are_integers(value):
 def test_fourier_roof_frequencies_are_integers(value):
     _integral_or_named(
         "q", value,
-        lambda k: FourierRoof([(k, 0.1)], check_band=False).pairs[0][0])
+        lambda k: FourierRoof([(k, 0.1)]).pairs[0][0])
 
 
 @pytest.mark.parametrize("value", FREQUENCIES)

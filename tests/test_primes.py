@@ -33,8 +33,8 @@ def table():
 
 def test_small_primes(table):
     assert list(table.primes[:10]) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
-    assert table._count_upto(100) == 25
-    assert table._count_upto(10 ** 6) == 78498
+    assert len(table.primes_between(0, 100)) == 25
+    assert len(table.primes_between(0, 10 ** 6)) == 78498
 
 
 def test_is_prime_vectorized(table):

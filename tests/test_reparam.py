@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -227,10 +228,11 @@ def RotationSingleFlag(alpha, n):
 
 
 def test_rigidity_distance_decay(flow):
-    reports = [rigidity_distance(flow, 2, n, TorusPoint(0.3, 0.7))
-               for n in (1, 2, 3)]
-    dists = [r.distance for r in reports]
-    devs = [r.roof_deviation for r in reports]
+    dists = [rigidity_distance(flow, 2, n, TorusPoint(0.3, 0.7)).distance
+             for n in (1, 2, 3)]
+    roof, alpha = flow.roof(), flow.alpha
+    devs = [roof_sum_deviation(roof, alpha, 2 * alpha.q(n), 0.3)
+            for n in (1, 2, 3)]
     for a, b in zip(dists, dists[1:]):
         assert b <= a / 3.0
     for a, b in zip(devs, devs[1:]):
@@ -259,8 +261,17 @@ def test_roof_sum_deviation_matches_direct():
 
 
 def test_resonant_mode_rejected():
-    with pytest.raises(ValueError):
-        ReparamFlow(GOLDEN, TimeChange([(0, 0, 0.1)]))
+    # q_3 alpha - p_3 = -2.05e-20 rounds to 0 in float (a (0, 0) mode is
+    # already refused by TimeChange, test_roofs.py)
+    q3 = SCALED.q(3)
+    mode = (q3, -round(q3 * SCALED.value))
+    with pytest.raises(ValueError,
+                       match=re.escape(f"mode {mode} is resonant")):
+        ReparamFlow(SCALED, TimeChange([(*mode, 0.1)]))
+
+
+def test_make_timechange_is_a_torus_observable(flow):
+    assert isinstance(flow.v, TorusObservable) and flow.v.constant == 1.0
 
 
 # -- the cocycle evaluator against the complex-exponential formula ---------
@@ -303,7 +314,7 @@ def random_flows(draw):
         budget -= r
         theta = draw(st.floats(0.0, 2.0 * math.pi))
         terms.append((q, m, r * complex(math.cos(theta), math.sin(theta))))
-    return ReparamFlow(alpha, TimeChange(terms, alpha, check_band=False))
+    return ReparamFlow(alpha, TimeChange(terms))
 
 
 @st.composite
@@ -365,8 +376,7 @@ def test_time_inverse_checks_a_converged_overshoot():
     # Halley step computed there turns the w = 33307 mode by about 1.24 rad
     # and would land at a relative residual of 1.27e-12
     flow = ReparamFlow(SCALED, TimeChange(
-        [(70774, 2, 0.48120674116381196 + 0.7494350958445328j), (0, 1, 0j)],
-        SCALED, check_band=False))
+        [(70774, 2, 0.48120674116381196 + 0.7494350958445328j), (0, 1, 0j)]))
     t, x1, x2 = np.array([988423.26026158]), 0.64760175, 0.0
     u = flow.time_inverse_many(t, x1, x2)
     assert _relative_residual(flow, u, t, x1, x2)[0] <= 1e-12

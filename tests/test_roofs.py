@@ -15,6 +15,7 @@ from primeflow.roofs import (
     PowerRoof,
     SingularityError,
     TimeChange,
+    TorusObservable,
     _check_orbit_clear,
     birkhoff_sum,
     birkhoff_sum_many,
@@ -103,8 +104,8 @@ def test_fourier_roof_positivity_rejected():
 @pytest.mark.parametrize("build", [
     # 1 + 1.5 cos(2 pi q x) = -0.5 at x = 0.5/q, between the points of a
     # fixed grid of q points
-    lambda: FourierRoof([(4096, 1.5)], check_band=False),
-    lambda: TimeChange([(256, 0, 1.5)], check_band=False),
+    lambda: FourierRoof([(4096, 1.5)]),
+    lambda: TimeChange([(256, 0, 1.5)]),
 ])
 def test_positivity_is_certified_off_the_grid(build):
     with pytest.raises(ValueError, match="not positive"):
@@ -112,10 +113,9 @@ def test_positivity_is_certified_off_the_grid(build):
 
 
 @pytest.mark.parametrize("build", [
-    lambda: FourierRoof([(1000, 0.8), (2000, 0.3)], check_band=False),
-    lambda: FourierRoof([(5, 0.8j), (10, -0.3)], check_band=False),
-    lambda: TimeChange([(100, 0, 0.8), (200, 0, 0.3), (3, 50, 0.05)],
-                       check_band=False),
+    lambda: FourierRoof([(1000, 0.8), (2000, 0.3)]),
+    lambda: FourierRoof([(5, 0.8j), (10, -0.3)]),
+    lambda: TimeChange([(100, 0, 0.8), (200, 0, 0.3), (3, 50, 0.05)]),
 ])
 def test_positive_roofs_above_total_one_construct(build):
     # 1 + 0.8 c + 0.3 (2c^2 - 1) >= 0.7 - 0.8^2/(4 * 0.6) = 0.433... for c a
@@ -129,7 +129,7 @@ def test_positive_roofs_above_total_one_construct(build):
 def test_positivity_not_certified_raises():
     # min 1e-9 at x = 1/2: positive, but the slack pi/n never drops below it
     with pytest.raises(ValueError, match="could not be certified"):
-        FourierRoof([(1, 1.0), (2, 1e-9)], check_band=False)
+        FourierRoof([(1, 1.0), (2, 1e-9)])
 
 
 def test_fourier_roof_band_validation():
@@ -142,6 +142,51 @@ def test_fourier_roof_band_validation():
         FourierRoof([(q, 0.9)], alpha)
     with pytest.raises(ValueError):
         FourierRoof([(q + 1, q1 ** -0.6)], alpha)
+
+
+@pytest.mark.parametrize("build", [
+    lambda terms, alpha: FourierRoof([(q, a) for q, _, a in terms], alpha),
+    TimeChange,
+], ids=["fourier", "timechange"])
+def test_band_is_checked_exactly_when_alpha_is_given(build):
+    n = 2
+    q, q1 = SCALED.q(n), SCALED.q(n + 1)
+    in_band = [(q, 0, q1 ** -0.6)]
+    out_of_band = [(q, 0, 0.9)]
+    not_a_denominator = [(q + 1, 0, q1 ** -0.6)]
+    build(in_band, SCALED)
+    with pytest.raises(ValueError, match=r"outside \["):
+        build(out_of_band, SCALED)
+    with pytest.raises(ValueError, match=f"frequency {q + 1} is not a usable"):
+        build(not_a_denominator, SCALED)
+    for terms in (in_band, out_of_band, not_a_denominator):
+        build(terms, None)
+    assert not hasattr(build(in_band, SCALED), "alpha")
+
+
+def test_timechange_band_skips_modes_with_m():
+    # only the m = 0 modes are the fiber average the band rule is about
+    q = SCALED.q(2)
+    TimeChange([(q + 1, 1, 0.45), (q, -1, 0.45)], SCALED)
+    with pytest.raises(ValueError, match="not a usable"):
+        TimeChange([(q + 1, 1, 0.9), (q + 1, 0, 0.01)], SCALED)
+
+
+def test_timechange_is_the_torus_observable_with_constant_one():
+    terms = [(2, 0, 0.2 + 0.1j), (1, -3, 0.3), (0, 2, -0.15j), (5, 1, 0.0)]
+    v = TimeChange(terms)
+    assert isinstance(v, TorusObservable) and v.constant == 1.0
+    rng = np.random.default_rng(3)
+    x, y = rng.random(500), rng.random((7, 1))
+    want = np.ones((7, 500))
+    for q, m, a in terms:
+        ang = 2.0 * math.pi * (q * x + m * y)
+        want = want + (a.real * np.cos(ang) - a.imag * np.sin(ang))
+    assert np.array_equal(v(x, y), want)
+    assert np.array_equal(TorusObservable(1.0, terms)(x, y), want)
+    assert v(x[3], y[2, 0]) == want[2, 3] and type(v(0.1, 0.2)) is float
+    with pytest.raises(ValueError, match="fold the \\(0, 0\\) mode"):
+        TimeChange([(0, 0, 0.1)])
 
 
 def test_timechange_mean_and_eval():
@@ -166,8 +211,7 @@ def test_roof_from_timechange_modes():
 def test_roof_from_timechange_matches_fiber_rule(m):
     # the 256-point equispaced rule in y integrates e(k y) exactly for
     # |k| < 256, so it is an exact oracle for the fiber average
-    v = TimeChange([(2, 0, 0.2 + 0.1j), (3, m, 0.1), (1, -m, 0.05j)],
-                   check_band=False)
+    v = TimeChange([(2, 0, 0.2 + 0.1j), (3, m, 0.1), (1, -m, 0.05j)])
     f = roof_from_timechange(v)
     xs = np.arange(97) / 97
     ys = np.arange(256) / 256

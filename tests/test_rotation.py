@@ -68,10 +68,11 @@ def test_bracketing_invariant():
             assert Fraction(1, alpha.q(n + 1) + alpha.q(n)) < d <= Fraction(1, alpha.q(n + 1))
 
 
-@pytest.mark.parametrize("a", [2.5, np.float64(3.9), "2", 2.0, np.int64(2)])
+@pytest.mark.parametrize("a", [2.5, np.float64(3.9), "2", 2.0, np.int64(2),
+                               math.inf, math.nan])
 def test_partial_quotients_are_integers(a):
-    # an integral float is taken as its integer; anything else is named
-    # instead of truncated by int()
+    # an integral float is taken as its integer; anything else, nan and inf
+    # included, is named instead of truncated by (or failing in) int()
     if a == 2:
         assert RotationNumber([1, a]).quotients == (1, 2)
         assert all(type(k) is int for k in RotationNumber([1, a]).quotients)
@@ -79,6 +80,17 @@ def test_partial_quotients_are_integers(a):
         with pytest.raises(ValueError, match="partial quotients must be "
                            f"integers >= 1, got {re.escape(repr(a))}"):
             RotationNumber([1, a])
+
+
+@pytest.mark.parametrize("flag", [1.5, 2.9, -1, 4, 7, math.nan, math.inf,
+                                  "1"])
+def test_bad_flags_rejected(flag):
+    # a flag names a level in [0, depth]; nothing is truncated by int()
+    with pytest.raises(ValueError, match=re.escape(
+            f"flags must be integers in [0, depth = 3], got {flag!r}")):
+        RotationNumber([1, 2, 3], flags=[1, flag])
+    assert RotationNumber([1, 2, 3], flags=[3.0, 0, np.int64(1)]).flags == (
+        0, 1, 3)
 
 
 @pytest.mark.parametrize("n", [-1, -2, 6])
