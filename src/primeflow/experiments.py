@@ -444,7 +444,7 @@ def _exp_pnt_reparam(cfg, table):
     rep.experiment = "pnt_reparam"
     rep.params["quotients"] = list(alpha.quotients)
     depth = cfg.get_int("coboundary_depth", 10 ** 3)
-    g = lambda x1, x2: np.cos(2 * np.pi * np.asarray(x1))
+    g = TorusObservable(0.0, [(1, 0, 1.0)])
     d3s = coboundary_prime_discrepancy(flow, g, depth, start, cfg.n_grid,
                                        table)
     for N, d3 in zip(cfg.n_grid, d3s):

@@ -12,12 +12,11 @@ returns the positions at every prime time and the time integrals at every N
 of the grid together, from a single crossing schedule over the rotation
 orbit (special flow: one cumulative roof sum per sign, whose roof values
 also give the whole-fiber integrals in closed form) or from one cocycle
-inversion and the closed-form integral (reparametrized flow; integer times
-read one cold rigidity period per start point).  So total work is linear
-in the time horizon, and a statistic over an N-grid reads every N off the
-prefixes of one pass at the largest N.  The
-statistics take either flow, KocherginFlow or reparam.ReparamFlow, through
-the three methods both define: walk, mean and box_masses.
+inversion and the closed-form integral (reparametrized flow).  So total
+work is linear in the time horizon, and a statistic over an N-grid reads
+every N off the prefixes of one pass at the largest N.  The statistics take
+either flow, KocherginFlow or reparam.ReparamFlow, through the three
+methods both define: walk, mean and box_masses.
 """
 
 import math
@@ -28,7 +27,6 @@ import numpy as np
 from .config import ExperimentReport
 from .flow import FlowPoint, _same_roof, _walk
 from .primes import build_table
-from .reparam import ReparamFlow, TorusPoint
 from .roofs import TorusObservable, _finite, _integral, _trig_sum
 
 __all__ = [
@@ -239,32 +237,17 @@ def space_average(psi: TowerObservable, roof) -> float:
 # prime-orbit sums
 
 
-def _integer_orbit_values(flow, g, x, M: int):
-    """g evaluated along x, T_1 x, ..., T_M x from one pass over the times,
-    read off the flow's rigidity period P (see ReparamFlow._integer_times):
-    the first q_n with drift bound delta(q_n) = sum_k |c_k| |q_k q_n alpha
-    mod 1| / |w_k| <= 1e-12 (1 + q_n).  With no such q_n every time is solved
-    cold, as evaluate_many solves it."""
-    u = flow._integer_times(np.arange(M + 1), x.x1, x.x2)
-    return np.asarray(g(*flow._positions(u, x.x1, x.x2)), dtype=np.float64)
-
-
-def coboundary_prime_discrepancy(flow: ReparamFlow, g, depth: int,
-                                 x: TorusPoint, N, table=None):
+def coboundary_prime_discrepancy(flow, g, depth: int, x, N, table=None):
     """|sum_{p <= N} psi(T_p x) log p| / N for the coboundary observable
     psi = h - h o T_1 built from g by depth-fold averaging, for an int N or
-    each N of a sequence.
+    each N of a sequence.  g is an observable of the flow, which walks its
+    integer orbit.
 
-    psi at every integer orbit time up to the largest N is one moving sum
-    over precomputed orbit values of g, the difference of one cumulative
-    sum, so every N reads a prefix of a single vectorized pass.  The invariant
-    mean of psi is zero, so this is the full space-vs-prime discrepancy.
-
-    The times below the flow's rigidity period P (see _integer_orbit_values)
-    are the cold period table that pnt_report's two prime walks from the same
-    start also read, and each later time starts from it at u(n mod P) + (n -
-    n mod P).  Every u depends only on its time and the start, so every N
-    still reads a prefix of one pass; with no period all are solved cold.
+    g at every integer orbit time up to the largest N plus depth comes from
+    one flow.walk at the integer times, and psi there is one moving sum over
+    those values, the difference of one cumulative sum, so every N reads a
+    prefix of a single vectorized pass.  The invariant mean of psi is zero,
+    so this is the full space-vs-prime discrepancy.
     """
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
@@ -274,7 +257,7 @@ def coboundary_prime_discrepancy(flow: ReparamFlow, g, depth: int,
     top = int(np.max(Ns, initial=0))
     if table is None:
         table = build_table(top)
-    gv = _integer_orbit_values(flow, g, x, top + depth)
+    gv = g(*flow.walk(g, x, np.arange(top + depth + 1), ())[0])
     # h(T_j x) = -(1/depth) sum_{i=0..depth-1} (depth - i) g(T_{j+i} x), so
     # psi(T_j x) = h(T_j x) - h(T_{j+1} x) = -g_j + (1/depth) sum_{i=1..depth} g_{j+i}
     cs = np.cumsum(gv)
@@ -364,7 +347,7 @@ def pnt_report(psi, flow, start, n_grid=(10 ** 4, 10 ** 5, 10 ** 6),
     for a, b in zip(n_grid, n_grid[1:]):
         if a == b:
             raise ValueError(f"n_grid repeats N = {a}")
-    signs = {"+": 1.0, "-": -1.0}
+    signs = {"+": 1, "-": -1}
     top = n_grid[-1]
     if table is None:
         table = build_table(top)
@@ -374,7 +357,7 @@ def pnt_report(psi, flow, start, n_grid=(10 ** 4, 10 ** 5, 10 ** 6),
         params={"n_grid": list(n_grid), "directions": list(signs), "m": 0,
                 "boxes": _BOXES})
     report.add("space_average", mean)
-    ps = table.primes_between(1, top).astype(np.float64)
+    ps = table.primes_between(1, top)
     weights = np.log(ps)
     counts = np.searchsorted(ps, n_grid, side="right")
     cells = {}

@@ -56,6 +56,18 @@ def _log_sum(ps) -> float:
     return math.fsum(np.log(ps.astype(np.float64)))
 
 
+def _int64(name, n) -> np.ndarray:
+    """n as an int64 array; ValueError naming it unless every entry is an
+    integer (the cast alone would truncate 2.5 to 2)."""
+    raw = np.asarray(n)
+    with np.errstate(invalid="ignore"):  # nan and inf are caught below
+        k = raw.astype(np.int64)
+    bad = k != raw
+    if np.any(bad):
+        raise ValueError(f"{name} must hold int64 integers, got {raw[bad][0]}")
+    return k
+
+
 class PrimeTable:
     """The primes up to a limit as one sorted int64 array, which every query
     reads."""
@@ -67,12 +79,7 @@ class PrimeTable:
     def is_prime(self, n) -> np.ndarray:
         """Primality of each integer n in [0, limit]; a non-integral n
         raises ValueError, one outside the range ResourceError."""
-        raw = np.asarray(n)
-        with np.errstate(invalid="ignore"):  # nan and inf are caught below
-            k = raw.astype(np.int64)
-        bad = k != raw
-        if np.any(bad):
-            raise ValueError(f"is_prime needs int64 integers, got {raw[bad][0]}")
+        k = _int64("is_prime's n", n)
         if np.any(k > self.limit) or np.any(k < 0):
             raise ResourceError("query outside sieve range")
         i = np.minimum(np.searchsorted(self.primes, k), len(self.primes) - 1)
@@ -85,7 +92,10 @@ class PrimeTable:
         return _log_sum(self.primes_between(0, x))
 
     def primes_between(self, lo, hi) -> np.ndarray:
-        """Primes p with lo < p <= hi."""
+        """Primes p with lo < p <= hi; a nan bound raises ValueError."""
+        for name, bound in (("lo", lo), ("hi", hi)):
+            if bound != bound:
+                raise ValueError(f"{name} must not be nan, got {bound}")
         if hi > self.limit:
             raise ResourceError(f"range ({lo}, {hi}] beyond sieve limit {self.limit}")
         i = np.searchsorted(self.primes, lo, side="right")
@@ -153,6 +163,7 @@ def ap_error(table: PrimeTable, x: int, q: int) -> float:
     """
     if q < 1:
         raise ValueError("q must be >= 1")
+    q = int(_int64("q", q))
     _check_x(x)
     # every select_S_qr candidate is prime: read it off the sieve
     phi = q - 1 if q <= table.limit and table.is_prime(q) else _totient(q)
@@ -184,7 +195,7 @@ def ap_error_many(table: PrimeTable, x, qs) -> np.ndarray:
     row cumulative sums over the others are the scalar ones.
     """
     _check_x(x)
-    qs = np.asarray(qs, dtype=np.int64)
+    qs = _int64("q", qs)
     flat = qs.reshape(-1)
     if flat.size and flat.min() < 1:
         raise ValueError(f"q must be >= 1, got {int(flat.min())}")

@@ -221,22 +221,22 @@ class ReparamFlow:
 
     def _integer_times(self, n, x1, x2):
         """u(n, x) for an int64 array n, of either sign, at the scalar start
-        point x, to _TOL, from one cold rigidity period P.
+        point x, to _TOL.
 
-        u(n) = u(r) + (n - r) with r = n mod P holds up to k delta(P) for
-        |n| < (k + 1) P.  Times in [0, P) read the period table itself, so
-        they are bit-identical to time_inverse_many.  Every other n starts
-        at u0 = u(r) + (n - r) and makes one value-only cocycle evaluation:
-        where |V(u0) - n| <= _TOL (1 + |n|), one Newton step with the table's
-        V'(u(r)) brings u0 to rounding level (the Halley term in V'' is below
-        1e-17 there), and the step is re-checked and reverted as in _halley;
+        Once max |n| reaches the rigidity period P, u(n) = u(r) + (n - r)
+        with r = n mod P holds up to k delta(P) for |n| < (k + 1) P.  Times
+        in [0, P) read the cold period table, bit-identical to
+        time_inverse_many.  Every other n takes one value check and, where
+        it passes, one Newton step from u(r) + (n - r) with the table's V'
+        (V'' would add below 1e-17; the step is re-checked as in _halley);
         elsewhere, as at small negative n where u(r) - P cancels, _halley
-        runs from u0.  So each point still meets its own residual check and
-        depends only on (n, x).  With no period this is time_inverse_many.
+        runs from there.  So each point meets its own residual check.  Below
+        P, or with no period, this is time_inverse_many, negative n
+        included, and u at n >= 0 depends only on (n, x).
         """
         n = np.asarray(n, dtype=np.int64)
         P = self._period
-        if P is None:
+        if P is None or P > max(n.max(initial=0), -n.min(initial=0)):
             return self.time_inverse_many(n.astype(np.float64), x1, x2)
         b, tu, tv = self._period_table(x1, x2)
         flat = n.ravel()
@@ -346,17 +346,16 @@ class ReparamFlow:
     def walk(self, psi, start: TorusPoint, times, T):
         """The coordinate arrays (x1, x2) of T_t(start) at every t in times
         and time_integral(psi, start, T), the protocol call that
-        KocherginFlow answers from one orbit pass.  Times that are all
-        integers of modulus below 2^62 are solved by _integer_times, from
-        the period table at start; any other batch by evaluate_many."""
-        times = _finite("t", times)
-        if times.size and np.all((times == np.rint(times))
-                                 & (np.abs(times) < 2.0 ** 62)):
-            u = self._integer_times(times.astype(np.int64), start.x1, start.x2)
-            pts = self._positions(u, start.x1, start.x2)
-        else:
-            pts = self.evaluate_many(times, start.x1, start.x2)
-        return pts, self.time_integral(psi, start, T)
+        KocherginFlow answers from one orbit pass.  Times of a signed
+        integer dtype are solved by _integer_times, from the period table
+        at start once they reach the period; times of any other dtype cold,
+        as by evaluate_many."""
+        times = np.asarray(times)
+        integer = np.issubdtype(times.dtype, np.signedinteger)
+        u = (self._integer_times if integer else self.time_inverse_many)(
+            times, start.x1, start.x2)
+        return (self._positions(u, start.x1, start.x2),
+                self.time_integral(psi, start, T))
 
     def box_masses(self, boxes: int):
         """Masses v dLeb of the cells [i/boxes, (i+1)/boxes) x [j/boxes,

@@ -71,15 +71,18 @@ def _integral(name, k) -> int:
 
 def _trig_sum(out, terms):
     """out + sum Re c e(k y) = c.real cos 2 pi k y - c.imag sin 2 pi k y over
-    the (complex c, int k, phase array y) terms; a zero part is not computed."""
+    the (complex c, int k, phase array y) terms; a zero part is not computed.
+    The sum goes into the float array out, each cosine into its phase array."""
     for c, k, y in terms:
-        ang = 2.0 * math.pi * k * y
-        if c.real and c.imag:
-            out = out + (c.real * np.cos(ang) - c.imag * np.sin(ang))
-        elif c.real:
-            out = out + c.real * np.cos(ang)
+        ang = np.asarray(2.0 * math.pi * k * y)  # a new array, never y
+        s = c.imag * np.sin(ang) if c.imag else 0.0
+        if c.real:
+            np.cos(ang, out=ang)
+            ang *= c.real
+            ang -= s
+            out += ang
         elif c.imag:
-            out = out - c.imag * np.sin(ang)
+            out -= s
     return out
 
 
@@ -224,8 +227,10 @@ class TorusObservable:
     def __call__(self, x1, x2):
         x1 = np.asarray(x1, dtype=np.float64)
         x2 = np.asarray(x2, dtype=np.float64)
+        # with m = 0, m x2 would add nothing to the phase but a zero's sign
         out = _trig_sum(np.full(np.broadcast(x1, x2).shape, self.constant),
-                        ((c, 1, q * x1 + m * x2) for q, m, c in self.terms))
+                        ((c, 1, q * x1 + m * x2 if m else q * x1)
+                         for q, m, c in self.terms))
         return out if out.ndim else float(out)
 
 

@@ -14,8 +14,8 @@ class CoboundaryPair:
     exact coboundary of the time-one map and psi = -g + (1/N) sum g o T_1^n.
 
     Every integer time is solved cold through evaluate_many, so this is the
-    slow oracle for the period-table solve (ReparamFlow._integer_times) of
-    observables._integer_orbit_values."""
+    slow oracle for coboundary_prime_discrepancy, whose integer orbit
+    ReparamFlow.walk reads from the rigidity period once it reaches it."""
 
     def __init__(self, flow: ReparamFlow, g, N: int):
         if N < 1:

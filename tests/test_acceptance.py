@@ -17,7 +17,7 @@ from primeflow.config import ExperimentConfig
 from primeflow.experiments import run_experiment
 from primeflow.flow import FlowPoint, evaluate, evaluate_naive
 from primeflow.observables import (
-    _integer_orbit_values,
+    TorusObservable,
     coboundary_prime_discrepancy,
 )
 from primeflow.primes import ap_error, build_table, select_S_qr
@@ -309,7 +309,7 @@ def test_c14_coboundary_discrepancy_and_bound(table):
     from primeflow.reparam import make_timechange
 
     flow = ReparamFlow(alpha, make_timechange(alpha))
-    g = lambda x1, x2: np.cos(2 * np.pi * np.asarray(x1))
+    g = TorusObservable(0.0, [(1, 0, 1.0)])  # cos(2 pi x1)
     depth = 10 ** 3
     x = TorusPoint(0.31, 0.64)
     d3_small = coboundary_prime_discrepancy(flow, g, depth, x, 10 ** 4, table)
@@ -319,7 +319,7 @@ def test_c14_coboundary_discrepancy_and_bound(table):
     # exact coboundary property: S_M(psi) telescopes to h(x) - h(T_M x),
     # so every partial sum up to M = 10^4 is bounded by 2 sup|h|
     M = 10 ** 4
-    gv = _integer_orbit_values(flow, g, x, M + depth + 1)
+    gv = g(*flow.walk(g, x, np.arange(M + depth + 2), ())[0])
     kernel = np.arange(depth, 0, -1, dtype=np.float64) / depth
     h = -np.convolve(gv, kernel[::-1], mode="full")[depth - 1: depth + M + 1]
     psi_vals = h[:-1] - h[1:]

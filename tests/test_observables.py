@@ -1,6 +1,8 @@
 import math
 import random
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -28,6 +30,7 @@ from helpers import CoboundaryPair
 GOLDEN = from_partial_quotients([1] * 12)
 POWER = PowerRoof()
 SCALED = construct_alpha("scaled_D", growth=lambda q: q ** 4, depth=4, seed=2)
+COS_X1 = TorusObservable(0.0, [(1, 0, 1.0)])  # cos(2 pi x1), pnt_reparam's g
 
 # independent high-precision quadrature (30-digit) of the normalized space
 # average of the default observable with psi_inf = 0.3 over the default roof
@@ -435,7 +438,7 @@ def _direct_coboundary_discrepancy(fl, g, depth, x, N, table):
 
 def test_coboundary_discrepancy_matches_direct(table):
     fl = ReparamFlow(SCALED, make_timechange(SCALED))
-    g = lambda x1, x2: np.cos(2 * np.pi * np.asarray(x1))
+    g = COS_X1
     depth = 50
     x = TorusPoint(0.31, 0.64)
     N = 10 ** 4
@@ -447,7 +450,7 @@ def test_coboundary_discrepancy_matches_direct(table):
 def test_coboundary_discrepancy_matches_direct_past_the_period(table):
     # the times past the rigidity period q_3 = 83523 are warm-started
     fl = ReparamFlow(SCALED, make_timechange(SCALED))
-    g = lambda x1, x2: np.cos(2 * np.pi * np.asarray(x1))
+    g = COS_X1
     depth = 50
     x = TorusPoint(0.31, 0.64)
     N = 10 ** 5
@@ -461,7 +464,7 @@ def test_coboundary_discrepancy_bound_shape(table):
     # |sum log p psi(T_p x)| <= 2 sup|h| theta(N) by Abel summation, with
     # sup|h| <= (depth + 1)/2 sup|g|
     fl = ReparamFlow(SCALED, make_timechange(SCALED))
-    g = lambda x1, x2: np.cos(2 * np.pi * np.asarray(x1))
+    g = COS_X1
     depth = 20
     N = 10 ** 4
     d3 = coboundary_prime_discrepancy(fl, g, depth, TorusPoint(0.17, 0.44),
@@ -580,9 +583,9 @@ def test_pnt_report_one_pass_per_direction(kind, table, monkeypatch):
     # every N of the grid reads prefixes of one pass per direction: one walk
     # call for the prime positions and the time integrals at z N together,
     # which on the special flow is one crossing schedule per sign and on the
-    # torus one _integer_times and one time_integral call, both directions
-    # reading one cold period of the time change (one time_inverse_many
-    # call of P times, besides the time integrals' calls at the z N)
+    # torus one _integer_times and one time_integral call; the primes stay
+    # below the rigidity period, so each direction's are one cold
+    # time_inverse_many call, besides the time integrals' calls at the z N
     import primeflow.flow as flow_module
 
     cls, flow, psi, start = _flow_case(kind)
@@ -613,7 +616,20 @@ def test_pnt_report_one_pass_per_direction(kind, table, monkeypatch):
                                    for z in ("+", "-"))
     assert sorted(schedules) == ([False, True] if kind == "kochergin" else [])
     if kind == "reparam":
-        assert sorted(cold) == [3, 3, flow._period]
+        assert sorted(cold) == [3, 3, 1229, 1229]
+
+
+def test_pnt_report_past_the_period_reads_one_table(table, monkeypatch):
+    # primes past the rigidity period P: both directions read one cold
+    # period of the time change, one time_inverse_many call of P times
+    _, flow, psi, start = _flow_case("reparam")
+    cold, inverse = [], ReparamFlow.time_inverse_many
+    monkeypatch.setattr(ReparamFlow, "time_inverse_many",
+                        lambda self, t, *args: cold.append(np.size(t))
+                        or inverse(self, t, *args))
+    pnt_report(psi, flow, start, (10 ** 4, 10 ** 5), table=table)
+    assert 10 ** 4 < flow._period < 10 ** 5
+    assert sorted(cold) == [2, 2, flow._period]
 
 
 def _reference_walk(flow, psi, start, times, T):
@@ -631,12 +647,13 @@ def _reference_walk(flow, psi, start, times, T):
 @pytest.mark.parametrize("kind", ["kochergin", "reparam"])
 def test_walk_matches_positions_and_time_integral(kind, case, table,
                                                   monkeypatch):
-    # m0: each walk pnt_report makes; m3_mixed_signs: one walk at the times
-    # p - 3, from -1 at p = 2 up, and at T of both signs; fractional: the
-    # same at p - 2.5.  Against the separate position and integral views at
-    # the same times: integrals within 1e-13 relative, and bit-identical
-    # positions except on the torus at integer times, which are solved from
-    # the period table within 4 ulps of the cold u, so their coordinates
+    # m0: each walk pnt_report makes; m3_mixed_signs: one walk at the int64
+    # times p - 3, from -1 at p = 2 up past the rigidity period, and at T of
+    # both signs; fractional: the same at the float times p - 2.5.  Against
+    # the separate position and integral views at the same times: integrals
+    # within 1e-13 relative, and bit-identical positions except on the torus
+    # at integer times that reach the period, which are solved from the
+    # period table within 4 ulps of the cold u, so their coordinates
     # x + u (alpha, 1) mod 1 lie within 4 ulps of max |t| times 1 + alpha < 2
     # of the cold ones, plus the rounding of the sums
     cls, flow, psi, start = _flow_case(kind)
@@ -652,15 +669,17 @@ def test_walk_matches_positions_and_time_integral(kind, case, table,
                    table=table)
         assert len(seen) == 2
     else:
-        shift = 3.0 if case == "m3_mixed_signs" else 2.5
-        times = table.primes_between(1, 10 ** 4).astype(np.float64) - shift
+        ps = table.primes_between(1, 10 ** 5)
+        times = ps - 3 if case == "m3_mixed_signs" else ps - 2.5
         flow.walk(psi, start, times, np.array([-3e3, 10.0, 0.0, -0.5, 1e4]))
     monkeypatch.undo()
     for (_, _, times, T), (pts, Is) in seen:
         if case != "m0":
             assert np.any(times < 0) and np.any(times > 0)
         want_pts, want = _reference_walk(flow, psi, start, times, T)
-        exact = kind == "kochergin" or case == "fractional"
+        exact = (kind == "kochergin" or times.dtype == np.float64
+                 or np.max(np.abs(times)) < flow._period)
+        assert exact != (kind == "reparam" and case == "m3_mixed_signs")
         bound = 8.0 * np.spacing(np.max(np.abs(times))) + 2.0 * np.spacing(1.0)
         for got, ref in zip(pts, want_pts):
             if exact:
@@ -687,7 +706,7 @@ def test_reparam_time_integral_array_matches_scalar_calls():
 
 def test_coboundary_discrepancy_array_matches_scalar_calls(table):
     fl = ReparamFlow(SCALED, make_timechange(SCALED))
-    g = lambda x1, x2: np.cos(2 * np.pi * np.asarray(x1))
+    g = COS_X1
     x = TorusPoint(0.31, 0.64)
     Ns = np.array([10 ** 3, 5 * 10 ** 3, 2 * 10 ** 4])
     many = coboundary_prime_discrepancy(fl, g, 40, x, Ns, table)
@@ -700,14 +719,12 @@ def test_coboundary_discrepancy_array_matches_scalar_calls(table):
 @pytest.mark.parametrize("depth", [1, 7, 300])
 def test_coboundary_moving_sum_matches_convolution(depth, table):
     # oracle: h from the weighted convolution, psi = h - h o T_1
-    from primeflow.observables import _integer_orbit_values
-
     fl = ReparamFlow(SCALED, make_timechange(SCALED))
-    g = lambda x1, x2: np.cos(2 * np.pi * np.asarray(x1))
+    g = COS_X1
     x = TorusPoint(0.31, 0.64)
     Ns = np.array([10 ** 3, 10 ** 4, 3 * 10 ** 4])
     top = int(Ns[-1])
-    gv = _integer_orbit_values(fl, g, x, top + depth + 1)
+    gv = g(*fl.walk(g, x, np.arange(top + depth + 2), ())[0])
     kernel = np.arange(depth, 0, -1, dtype=np.float64) / depth
     h = -np.convolve(gv, kernel[::-1], mode="full")[depth - 1: depth + top + 1]
     ps = table.primes_between(1, top)
@@ -717,13 +734,43 @@ def test_coboundary_moving_sum_matches_convolution(depth, table):
     assert np.allclose(got, want, rtol=1e-12, atol=0.0)
 
 
+@pytest.mark.parametrize("depth", [1, 6])
+def test_coboundary_discrepancy_on_the_special_flow(depth, table):
+    # the statistic walks the special flow's integer orbit too; oracle: g at
+    # every integer time from evaluate_times, and psi(T_p x) = -g(T_p x) +
+    # (1/depth) sum_{i=1..depth} g(T_{p+i} x) summed term by term
+    kf = KocherginFlow(POWER, GOLDEN)
+    g = TowerObservable(POWER, 0.3, ((1, 1.0, 0.0), (2, 0.0, 0.5)))
+    start, Ns = FlowPoint(0.55, 0.05), np.array([500, 1200, 2000])
+    times = np.arange(Ns[-1] + depth + 1, dtype=np.float64)
+    gv = g(*evaluate_times(POWER, GOLDEN, start, times)[:2])
+    want = []
+    for N in Ns:
+        ps = table.primes_between(1, N)
+        psi = [-gv[p] + math.fsum(gv[p + 1:p + depth + 1]) / depth for p in ps]
+        want.append(abs(math.fsum(math.log(p) * v for p, v in zip(ps, psi)))
+                    / N)
+    got = coboundary_prime_discrepancy(kf, g, depth, start, Ns, table)
+    assert np.allclose(got, want, rtol=1e-11, atol=1e-15)
+
+
+def test_observables_import_leaves_reparam_out():
+    # the statistics reach either flow through its methods alone, so a
+    # fresh interpreter importing them does not import the torus flow
+    script = ("import sys, primeflow.observables; "
+              "print('primeflow.reparam' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert proc.stdout.strip() == "False"
+
+
 @pytest.mark.parametrize("depth, N, name", [(0, 10 ** 3, "depth"),
                                             (-2, 10 ** 3, "depth"),
                                             (40, [10 ** 3, 0], "N"),
                                             (40, 0, "N")])
 def test_coboundary_discrepancy_rejects_bad_input(depth, N, name, table):
     fl = ReparamFlow(SCALED, make_timechange(SCALED))
-    g = lambda x1, x2: np.cos(2 * np.pi * np.asarray(x1))
+    g = COS_X1
     with pytest.raises(ValueError, match=f"^{name} must be >= 1"):
         coboundary_prime_discrepancy(fl, g, depth, TorusPoint(0.31, 0.64), N,
                                      table)

@@ -77,6 +77,17 @@ def test_theta_interval_rejects_negative_length(table):
         theta_interval(table, 10, -1)
 
 
+def test_nan_bounds_rejected():
+    # searchsorted puts nan past every prime: (10, nan] read as (10, limit]
+    small = build_table(1000)
+    for call, name in ((lambda: small.primes_between(10, math.nan), "hi"),
+                       (lambda: small.primes_between(math.nan, 100), "lo"),
+                       (lambda: small.theta(math.nan), "hi"),
+                       (lambda: theta_interval(small, 10, math.nan), "hi")):
+        with pytest.raises(ValueError, match=f"^{name} must not be nan"):
+            call()
+
+
 def test_theta_interval_additive(table):
     a = theta_interval(table, 1000, 500)
     b = theta_interval(table, 1500, 500)
@@ -166,6 +177,16 @@ def test_ap_error_rejects_non_finite_x(table, x):
 def test_ap_error_many_rejects_q_below_one(table, qs):
     with pytest.raises(ValueError, match=f"q must be >= 1, got {min(qs)}"):
         ap_error_many(table, 100, qs)
+
+
+@pytest.mark.parametrize("q", [2.5, math.nan, 7.000001])
+def test_ap_error_rejects_non_integral_modulus(table, q):
+    # the int64 cast alone would read 2.5 as the modulus 2
+    msg = f"^q must hold int64 integers, got {q}"
+    with pytest.raises(ValueError, match=msg):
+        ap_error_many(table, 100, [3, q])
+    with pytest.raises(ValueError, match=msg):
+        ap_error(table, 100, q)
 
 
 _MULTI_CHUNK = (5000, list(range(1, 201)))

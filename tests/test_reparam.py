@@ -635,9 +635,46 @@ def test_integer_orbit_without_a_period_is_solved_cold():
                           cold)
     # so the walk at integer times gives evaluate_many's positions
     psi, start = TorusObservable(0.0, [(1, 0, 1.0)]), TorusPoint(0.31, 0.64)
-    pts, _ = fl.walk(psi, start, t, np.array([1.0]))
+    pts, _ = fl.walk(psi, start, np.arange(-M, M + 1), np.array([1.0]))
     for got, want in zip(pts, fl._positions(cold, 0.31, 0.64)):
         assert got.tobytes() == want.tobytes()
+
+
+def test_integer_times_below_the_period_are_solved_cold(monkeypatch):
+    # P = q_3 = 823,546 here: a call whose max |n| stays below P, of either
+    # sign, is the cold solve itself and builds no period table
+    alpha = construct_alpha("scaled_D", growth=lambda q: q ** 3.5, depth=3,
+                            seed=3)
+    fl = ReparamFlow(alpha, make_timechange(alpha))
+    assert fl._period == alpha.q(3) == 823546
+
+    def no_table(self, *args):
+        raise AssertionError("a period table was built")
+    monkeypatch.setattr(ReparamFlow, "_period_table", no_table)
+    for n in (np.arange(1001), np.arange(-1000, 1001),
+              np.array([fl._period - 1, 1 - fl._period])):
+        cold = fl.time_inverse_many(n.astype(np.float64), 0.31, 0.64)
+        assert np.array_equal(fl._integer_times(n, 0.31, 0.64), cold)
+
+
+@pytest.mark.parametrize("dtype, integer", [
+    (np.int64, True), (np.int32, True), (np.float64, False),
+    (np.uint64, False)])
+def test_walk_picks_the_path_from_the_time_dtype(flow, monkeypatch, dtype,
+                                                 integer):
+    # signed-integer times go to _integer_times, any other dtype, integral
+    # float values included, to the cold solve; below the period both give
+    # evaluate_many's positions
+    calls, orig = [], ReparamFlow._integer_times
+    monkeypatch.setattr(ReparamFlow, "_integer_times", lambda self, *args:
+                        calls.append(args) or orig(self, *args))
+    psi, start = TorusObservable(0.0, [(1, 0, 1.0)]), TorusPoint(0.31, 0.64)
+    pts, _ = flow.walk(psi, start, np.arange(1, 50, dtype=dtype), ())
+    assert len(calls) == integer
+    monkeypatch.undo()
+    want = flow.evaluate_many(np.arange(1.0, 50.0), 0.31, 0.64)
+    for got, ref in zip(pts, want):
+        assert got.tobytes() == ref.tobytes()
 
 
 def test_integer_orbit_contract_catches_a_wrong_warm_start(monkeypatch):
