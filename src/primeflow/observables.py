@@ -261,10 +261,9 @@ def coboundary_prime_discrepancy(flow, g, depth: int, x, N, table=None):
     # h(T_j x) = -(1/depth) sum_{i=0..depth-1} (depth - i) g(T_{j+i} x), so
     # psi(T_j x) = h(T_j x) - h(T_{j+1} x) = -g_j + (1/depth) sum_{i=1..depth} g_{j+i}
     cs = np.cumsum(gv)
-    psi = (cs[depth:] - cs[: top + 1]) / depth - gv[: top + 1]
     ps = table.primes_between(1, top)
     weights = np.log(ps.astype(np.float64))
-    vals = psi[ps]  # psi at the prime times
+    vals = (cs[ps + depth] - cs[ps]) / depth - gv[ps]  # psi at the primes
     out = np.array([abs(float(np.dot(weights[:k], vals[:k]))) / int(n)
                     for n, k in zip(Ns, np.searchsorted(ps, Ns, side="right"))])
     return float(out[0]) if np.ndim(N) == 0 else out

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -77,10 +78,27 @@ class ReparamFlow:
             abs(c) / (math.pi * abs(w)) for _, _, c, w in self._terms
         )
         self._max_freq = max((abs(w) for *_, w in self._terms), default=0.0)
-        # the rigidity period of _integer_times: the smallest q_n whose
+        # the rigidity period of _integer_positions: the smallest q_n whose
         # drift bound meets _TOL at t = q_n, or None
         self._period = next((q for q in alpha.denominators
                              if self._drift(q) <= _TOL * (1.0 + q)), None)
+        # |V - V_f| <= _eval_slope |u| + _eval_floor, V the cocycle of the
+        # exact alpha and V_f _cocycle's: per mode of size |b_k| = |c_k| /
+        # (2 pi |w_k|), 2 pi |u| (eps |w_k| / 2 + dw_k) from the phase (u w_k
+        # rounds, dw_k = |w_k - q_k alpha - m_k|), 16 eps from the sine and
+        # cosine (the kernel's documented eps and 2 eps against libm, libm's
+        # ulp and the pi eps rounding of its argument, each weighted by
+        # sqrt 2, and the mode's products and sum), and twice the relative
+        # error of b_k, 2 (2 pi eps (|q_k| + |m_k|) + 8 eps + dw_k / |w_k|);
+        # then eps / 2 of |u| + 2 sum |b_k| per addition into V.
+        eps, K = np.finfo(np.float64).eps, len(self._terms)
+        self._eval_slope, self._eval_floor = K * eps / 2, 0.0
+        for q, m, c, w in self._terms:
+            size = abs(c) / (_TWO_PI * abs(w))
+            dw = float(abs(Fraction(w) - q * alpha.value - m))
+            self._eval_slope += size * _TWO_PI * (eps * abs(w) / 2 + dw)
+            self._eval_floor += size * (2 * dw / abs(w) + eps * (
+                32 + K + 2 * _TWO_PI * (abs(q) + abs(m))))
         self._memo = None  # _period_table's last start point and table
 
     def _drift(self, P: int) -> float:
@@ -194,9 +212,9 @@ class ReparamFlow:
         """
         return self._blocks(self._halley, t, x1, x2)
 
-    def _halley(self, t, b, u0=None):
-        """Halley steps on V(u) = t for start factors b, from u0 or else t."""
-        u = (t if u0 is None else u0).copy()
+    def _halley(self, t, b):
+        """Halley steps on V(u) = t for start factors b, from u = t."""
+        u = t.copy()
         todo = np.arange(t.size)
         for _ in range(_MAX_STEPS):
             uk = u[todo]
@@ -219,71 +237,49 @@ class ReparamFlow:
         u[todo] = self._bisect(t, b)
         return u
 
-    def _integer_times(self, n, x1, x2):
-        """u(n, x) for an int64 array n, of either sign, at the scalar start
-        point x, to _TOL.
-
-        Once max |n| reaches the rigidity period P, u(n) = u(r) + (n - r)
-        with r = n mod P holds up to k delta(P) for |n| < (k + 1) P.  Times
-        in [0, P) read the cold period table, bit-identical to
-        time_inverse_many.  Every other n takes one value check and, where
-        it passes, one Newton step from u(r) + (n - r) with the table's V'
-        (V'' would add below 1e-17; the step is re-checked as in _halley);
-        elsewhere, as at small negative n where u(r) - P cancels, _halley
-        runs from there.  So each point meets its own residual check.  Below
-        P, or with no period, this is time_inverse_many, negative n
-        included, and u at n >= 0 depends only on (n, x).
-        """
+    def _integer_positions(self, n, x1, x2):
+        """L_{u(n)}(x) for an int64 array n, of either sign, at the scalar
+        start point x, as coordinate arrays: evaluate_many below the period
+        P or with none.  Otherwise n = r + k P, r in [0, P), reads the period
+        table: u(r) + k P solves V = n up to rho_r + |k| delta(P), as W = V -
+        id drifts by <= delta(P) per period, and its position is exactly
+        (p1_r + k (P alpha mod 1), p2_r) mod 1.  That answer is kept where
+        the bound meets _TOL (1 + |n|); elsewhere, as at small negative n, n
+        is solved cold.  Either way n in [0, P) gets evaluate_many's bits."""
         n = np.asarray(n, dtype=np.int64)
         P = self._period
         if P is None or P > max(n.max(initial=0), -n.min(initial=0)):
-            return self.time_inverse_many(n.astype(np.float64), x1, x2)
-        b, tu, tv = self._period_table(x1, x2)
+            return self.evaluate_many(n.astype(np.float64), x1, x2)
+        rho, p1, p2 = self._period_table(x1, x2)
+        shift, delta = self.alpha.signed_frac(P), self._drift(P)
         flat = n.ravel()
-        u = np.empty(flat.shape)
+        y1, y2 = np.empty(flat.shape), np.empty(flat.shape)
+        cold = np.empty(flat.shape, dtype=bool)
         for lo in range(0, flat.size, _BLOCK):
-            nb = flat[lo:lo + _BLOCK]
-            r = nb % P
-            ub = tu[r]
-            far = np.flatnonzero(nb != r)
-            if far.size:
-                ub[far] = self._shifted(nb[far], r[far], b, tu, tv)
-            u[lo:lo + _BLOCK] = ub
-        return u.reshape(n.shape)
+            sl = slice(lo, lo + _BLOCK)
+            k, r = np.divmod(flat[sl], P)
+            y1[sl] = _unit(p1[r] + k * shift)
+            y2[sl] = p2[r]
+            cold[sl] = (rho[r] + np.abs(k) * delta
+                        > _TOL * (1.0 + np.abs(flat[sl])))
+        if cold.any():
+            y1[cold], y2[cold] = self.evaluate_many(
+                flat[cold].astype(np.float64), x1, x2)
+        return y1.reshape(n.shape), y2.reshape(n.shape)
 
     def _period_table(self, x1, x2):
-        """(b, u, v) at the start point x: its start factors, and u(r) and
-        v = V'(u(r)) for r = 0..P-1, u solved cold by time_inverse_many.
-        A one-entry memo keyed by the exact start point lets every integer
-        orbit from one start share one cold period."""
+        """(rho, p1, p2) at the start point x: for r = 0..P-1, with u(r)
+        solved cold, the bound rho_r >= |V(u(r)) - r| and the position (p1_r,
+        p2_r) = L_{u(r)}(x).  A one-entry memo keyed by the exact start point
+        lets every integer orbit from one start share one cold period."""
         key = (float(_finite("x1", x1)), float(_finite("x2", x2)))
         if self._memo is None or self._memo[0] != key:
             t = np.arange(self._period, dtype=np.float64)
             u = self.time_inverse_many(t, *key)
-            v = self._blocks(
-                lambda ub, b: self._cocycle(ub, b, derivatives=True)[1], u,
-                *key)
-            self._memo = (key, self._start_factors(*key), u, v)
+            rho = np.abs(self.cocycle_many(u, *key) - t)
+            rho += self._eval_slope * np.abs(u) + self._eval_floor
+            self._memo = (key, rho, *self._positions(u, *key))
         return self._memo[1:]
-
-    def _shifted(self, n, r, b, tu, tv):
-        """u(n) for integer times n = r + k P, k != 0, from the period
-        table (tu, tv) at start factors b; see _integer_times."""
-        t = n.astype(np.float64)
-        u0 = tu[r] + (n - r)
-        res = self._cocycle(u0, b) - t
-        ok = np.abs(res) <= _TOL * (1.0 + np.abs(t))
-        step = np.where(ok, res / tv[r], 0.0)
-        u = u0 - step
-        big = np.flatnonzero(np.abs(step) * self._max_freq > _CHECK_TURNS)
-        if big.size:
-            worse = big[np.abs(self._cocycle(u[big], b) - t[big])
-                        > np.abs(res[big])]
-            u[worse] = u0[worse]
-        bad = np.flatnonzero(~ok)
-        if bad.size:
-            u[bad] = self._halley(t[bad], b, u0[bad])
-        return u
 
     def _bisect(self, t, b):
         width = self._osc_bound + 1.0
@@ -347,15 +343,14 @@ class ReparamFlow:
         """The coordinate arrays (x1, x2) of T_t(start) at every t in times
         and time_integral(psi, start, T), the protocol call that
         KocherginFlow answers from one orbit pass.  Times of a signed
-        integer dtype are solved by _integer_times, from the period table
-        at start once they reach the period; times of any other dtype cold,
-        as by evaluate_many."""
+        integer dtype are answered by _integer_positions, from the period
+        table at start once they reach the period; times of any other dtype
+        cold, by evaluate_many."""
         times = np.asarray(times)
         integer = np.issubdtype(times.dtype, np.signedinteger)
-        u = (self._integer_times if integer else self.time_inverse_many)(
+        pts = (self._integer_positions if integer else self.evaluate_many)(
             times, start.x1, start.x2)
-        return (self._positions(u, start.x1, start.x2),
-                self.time_integral(psi, start, T))
+        return pts, self.time_integral(psi, start, T)
 
     def box_masses(self, boxes: int):
         """Masses v dLeb of the cells [i/boxes, (i+1)/boxes) x [j/boxes,

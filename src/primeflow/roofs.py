@@ -227,9 +227,11 @@ class TorusObservable:
     def __call__(self, x1, x2):
         x1 = np.asarray(x1, dtype=np.float64)
         x2 = np.asarray(x2, dtype=np.float64)
-        # with m = 0, m x2 would add nothing to the phase but a zero's sign
+        # with m = 0, m x2 would add nothing to the phase but a zero's sign,
+        # and with q = 1 as well the phase is x1 itself, never copied
         out = _trig_sum(np.full(np.broadcast(x1, x2).shape, self.constant),
-                        ((c, 1, q * x1 + m * x2 if m else q * x1)
+                        ((c, 1, q * x1 + m * x2 if m else
+                          x1 if q == 1 else q * x1)
                          for q, m, c in self.terms))
         return out if out.ndim else float(out)
 

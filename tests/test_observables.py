@@ -448,7 +448,7 @@ def test_coboundary_discrepancy_matches_direct(table):
 
 
 def test_coboundary_discrepancy_matches_direct_past_the_period(table):
-    # the times past the rigidity period q_3 = 83523 are warm-started
+    # the times past the rigidity period q_3 = 83523 read the period table
     fl = ReparamFlow(SCALED, make_timechange(SCALED))
     g = COS_X1
     depth = 50
@@ -583,15 +583,15 @@ def test_pnt_report_one_pass_per_direction(kind, table, monkeypatch):
     # every N of the grid reads prefixes of one pass per direction: one walk
     # call for the prime positions and the time integrals at z N together,
     # which on the special flow is one crossing schedule per sign and on the
-    # torus one _integer_times and one time_integral call; the primes stay
-    # below the rigidity period, so each direction's are one cold
+    # torus one _integer_positions and one time_integral call; the primes
+    # stay below the rigidity period, so each direction's are one cold
     # time_inverse_many call, besides the time integrals' calls at the z N
     import primeflow.flow as flow_module
 
     cls, flow, psi, start = _flow_case(kind)
     calls, schedules, cold = [], [], []
     # where each spied method takes the times it walks to
-    spied = {"walk": 2, "_integer_times": 0, "time_integral": 2}
+    spied = {"walk": 2, "_integer_positions": 0, "time_integral": 2}
     if kind == "kochergin":
         spied = {"walk": 2}
 
@@ -621,7 +621,10 @@ def test_pnt_report_one_pass_per_direction(kind, table, monkeypatch):
 
 def test_pnt_report_past_the_period_reads_one_table(table, monkeypatch):
     # primes past the rigidity period P: both directions read one cold
-    # period of the time change, one time_inverse_many call of P times
+    # period of the time change, one time_inverse_many call of P times;
+    # besides it and the time integrals' calls at the z N, only the 17 "-"
+    # primes whose table bound misses the tolerance, all <= 61, are solved
+    # cold, in one call
     _, flow, psi, start = _flow_case("reparam")
     cold, inverse = [], ReparamFlow.time_inverse_many
     monkeypatch.setattr(ReparamFlow, "time_inverse_many",
@@ -629,7 +632,7 @@ def test_pnt_report_past_the_period_reads_one_table(table, monkeypatch):
                         or inverse(self, t, *args))
     pnt_report(psi, flow, start, (10 ** 4, 10 ** 5), table=table)
     assert 10 ** 4 < flow._period < 10 ** 5
-    assert sorted(cold) == [2, 2, flow._period]
+    assert sorted(cold) == [2, 2, 17, flow._period]
 
 
 def _reference_walk(flow, psi, start, times, T):
@@ -652,10 +655,10 @@ def test_walk_matches_positions_and_time_integral(kind, case, table,
     # both signs; fractional: the same at the float times p - 2.5.  Against
     # the separate position and integral views at the same times: integrals
     # within 1e-13 relative, and bit-identical positions except on the torus
-    # at integer times that reach the period, which are solved from the
-    # period table within 4 ulps of the cold u, so their coordinates
-    # x + u (alpha, 1) mod 1 lie within 4 ulps of max |t| times 1 + alpha < 2
-    # of the cold ones, plus the rounding of the sums
+    # at integer times that reach the period, which are read from the
+    # period table; the cold u errs by a few ulps of max |t|, so the cold
+    # coordinates x + u (alpha, 1) mod 1 lie within 4 ulps of max |t| times
+    # 1 + alpha < 2 of the table's, plus the rounding of the sums
     cls, flow, psi, start = _flow_case(kind)
     seen = []
     walk = cls.walk

@@ -540,33 +540,33 @@ def _meets_contract(flow, u, n=None):
     return bool(np.all(np.abs(V - n) <= 1e-12 * (1.0 + np.abs(n))))
 
 
-def _table_derivative_points(flow, monkeypatch, n, tol=None):
-    """flow._integer_times(n, 0.31, 0.64) and the number of points at which
-    it evaluated the derivatives outside the cold solve of time_inverse_many
-    (which builds the period table); a tol replaces the default tolerance of
-    the solves from the table."""
-    cocycle, cold = ReparamFlow._cocycle, ReparamFlow.time_inverse_many
-    state = {"cold": False, "points": 0}
+def _near_cold(flow, pts, n):
+    """Whether the positions pts at the integer times n lie, on the circle,
+    within 8 ulps of max |n| plus 2 ulps of 1 of evaluate_many's at the
+    start point (0.31, 0.64): its u errs by a few ulps of |n|, and 1 + alpha
+    < 2 carries that to the coordinates."""
+    cold = flow.evaluate_many(np.asarray(n, dtype=np.float64), 0.31, 0.64)
+    bound = 8.0 * np.spacing(float(np.max(np.abs(n)))) + 2.0 * np.spacing(1.0)
+    dist = [np.abs(got - want) for got, want in zip(pts, cold)]
+    return all(np.all(np.minimum(d, 1.0 - d) <= bound) for d in dist)
 
-    def spy_cold(self, *args, **kwargs):
-        state["cold"] = True
-        try:
-            return cold(self, *args, **kwargs)
-        finally:
-            state["cold"] = False
 
-    def spy_cocycle(self, u, b, derivatives=False):
-        if derivatives and not state["cold"]:
-            state["points"] += u.size
-        return cocycle(self, u, b, derivatives)
+def _spy_cold(monkeypatch):
+    """The sizes of the time_inverse_many calls made from here on."""
+    sizes, cold = [], ReparamFlow.time_inverse_many
+    monkeypatch.setattr(ReparamFlow, "time_inverse_many",
+                        lambda self, t, *args: sizes.append(np.size(t))
+                        or cold(self, t, *args))
+    return sizes
 
-    monkeypatch.setattr(ReparamFlow, "time_inverse_many", spy_cold)
-    monkeypatch.setattr(ReparamFlow, "_cocycle", spy_cocycle)
-    if tol is not None:
-        monkeypatch.setattr(reparam, "_TOL", tol)
-    u = flow._integer_times(n, 0.31, 0.64)
-    monkeypatch.undo()
-    return u, state["points"]
+
+def _shifted_u(flow, n):
+    """u(n mod P) + (n - n mod P) from a cold solve of the period at the
+    start point (0.31, 0.64): the u whose position the period table gives."""
+    P = flow._period
+    k, r = np.divmod(np.asarray(n, dtype=np.int64), P)
+    return flow.time_inverse_many(np.arange(P, dtype=np.float64), 0.31,
+                                  0.64)[r] + k * P
 
 
 def test_integer_orbit_period_is_the_first_rigid_denominator(flow):
@@ -576,68 +576,107 @@ def test_integer_orbit_period_is_the_first_rigid_denominator(flow):
     assert flow._drift(SCALED.q(3)) < 1e-19
 
 
+def test_integer_positions_shift_by_whole_periods():
+    # a faint time change on the golden rotation: P = q_10 = 89 with P alpha
+    # mod 1 = 0.005, so k periods on x1 moves by a visible k (P alpha mod
+    # 1), and delta(P) = 8.1e-11 is close enough to 1e-12 (1 + P) that the
+    # drift term sends 455 of the times -20 P..20 P cold, most of them
+    # negative.  The others sit exactly at u(r) + k P, which meets the
+    # residual contract: their positions lie within the rounding of
+    # x + u (alpha, 1) at |u| <= 20 P of the float view at that u
+    fl = ReparamFlow(GOLDEN, TimeChange([(1, 0, 1e-8)]))
+    P = fl._period
+    assert P == GOLDEN.q(10) == 89
+    n = np.arange(-20 * P, 20 * P + 1)
+    pts = fl._integer_positions(n, 0.31, 0.64)
+    k, r = np.divmod(n, P)
+    rho = fl._period_table(0.31, 0.64)[0]
+    read = rho[r] + np.abs(k) * fl._drift(P) <= 1e-12 * (1.0 + np.abs(n))
+    assert np.sum(~read) == 455
+    u = _shifted_u(fl, n)
+    assert _meets_contract(fl, u[read], n[read])
+    cold = fl.evaluate_many(n[~read].astype(np.float64), 0.31, 0.64)
+    for got, at_u, want in zip(pts, fl._positions(u, 0.31, 0.64), cold):
+        d = np.abs(got - at_u)[read]
+        assert np.all(np.minimum(d, 1.0 - d) <= 8.0 * np.spacing(20.0 * P))
+        assert got[~read].tobytes() == want.tobytes()
+
+
 def test_integer_orbit_warm_start(monkeypatch):
-    # the times past P start from the table at u(n mod P) + (n - n mod P):
-    # each meets its own residual check, within 4 ulps of the cold solve,
-    # and the times below P are the cold solve itself
+    # the times past P read the table at r = n mod P, k = n div P periods
+    # on: their u(r) + k P meets the residual contract, their positions lie
+    # within the cold solve's rounding of evaluate_many's, the times below P
+    # are evaluate_many itself, and nothing but the period is solved cold
     fl = ReparamFlow(SCALED, make_timechange(SCALED))
     P = fl._period
-    u, points = _table_derivative_points(fl, monkeypatch,
-                                         np.arange(ORBIT_M + 1))
-    assert _meets_contract(fl, u)
-    cold = fl.time_inverse_many(np.arange(ORBIT_M + 1.0), 0.31, 0.64)
-    assert np.array_equal(u[:P], cold[:P])
-    assert np.all(np.abs(u - cold) <= 4.0 * np.spacing(cold))
-    # V' over the table, plus a Halley re-solve at under 1% of the times
-    assert P <= points <= P + 0.01 * (ORBIT_M + 1)
+    n = np.arange(ORBIT_M + 1)
+    sizes = _spy_cold(monkeypatch)
+    pts = fl._integer_positions(n, 0.31, 0.64)
+    assert sizes == [P]
+    monkeypatch.undo()
+    assert _meets_contract(fl, _shifted_u(fl, n))
+    assert _near_cold(fl, pts, n)
+    below = fl.evaluate_many(np.arange(P, dtype=np.float64), 0.31, 0.64)
+    for got, want in zip(pts, below):
+        assert got[:P].tobytes() == want.tobytes()
 
 
 def test_integer_times_of_either_sign_match_the_cold_solve(flow):
+    # the +- primes up to ORBIT_M: each is read from the table where its
+    # bound rho_r + |k| delta(P) meets the tolerance, there at a u that
+    # meets the residual contract, and solved cold elsewhere
     from primeflow.primes import build_table
 
     ps = build_table(ORBIT_M).primes.astype(np.int64)
+    rho = flow._period_table(0.31, 0.64)[0]
+    delta = flow._drift(flow._period)
     for n in (ps, -ps):
-        u = flow._integer_times(n, 0.31, 0.64)
-        cold = flow.time_inverse_many(n.astype(np.float64), 0.31, 0.64)
-        assert _meets_contract(flow, u, n)
-        assert np.all(np.abs(u - cold) <= 4.0 * np.spacing(np.abs(cold)))
+        pts = flow._integer_positions(n, 0.31, 0.64)
+        assert _near_cold(flow, pts, n)
+        k, r = np.divmod(n, flow._period)
+        read = rho[r] + np.abs(k) * delta <= 1e-12 * (1.0 + np.abs(n))
+        assert _meets_contract(flow, _shifted_u(flow, n[read]), n[read])
+        # only 17 "-" primes, all of them down to -61 but -59, miss the bound
+        assert np.array_equal(n[~read], [] if n[0] > 0 else
+                              -np.setdiff1d(ps[:18], [59]))
+        cold = flow.evaluate_many(n[~read].astype(np.float64), 0.31, 0.64)
+        for got, want in zip(pts, cold):
+            assert got[~read].tobytes() == want.tobytes()
 
 
 def test_integer_times_share_one_period_per_start_point(flow, monkeypatch):
-    sizes = []
-    cold = ReparamFlow.time_inverse_many
-    monkeypatch.setattr(ReparamFlow, "time_inverse_many",
-                        lambda self, t, *args: sizes.append(np.size(t))
-                        or cold(self, t, *args))
+    sizes = _spy_cold(monkeypatch)
     fl = ReparamFlow(SCALED, make_timechange(SCALED))
     n = np.array([5, -7, 10 ** 6, -(10 ** 6)])
-    first = fl._integer_times(n, 0.31, 0.64)
-    assert np.array_equal(fl._integer_times(n[::-1], 0.31, 0.64), first[::-1])
-    assert sizes == [fl._period]
-    fl._integer_times(n, 0.31, 0.65)  # another start point: a new period
-    assert sizes == [fl._period] * 2
+    first = fl._integer_positions(n, 0.31, 0.64)
+    again = fl._integer_positions(n[::-1], 0.31, 0.64)
+    for got, want in zip(again, first):
+        assert np.array_equal(got, want[::-1])
+    # one period, plus the cold solve of n = -7 (below the bound) per call
+    assert sizes == [fl._period, 1, 1]
+    fl._integer_positions(n, 0.31, 0.65)  # another start point: a new period
+    assert sizes == [fl._period, 1, 1, fl._period, 1]
 
 
 def test_integer_orbit_prefixes_are_stable(flow):
-    whole = flow._integer_times(np.arange(ORBIT_M + 1), 0.31, 0.64)
+    whole = flow._integer_positions(np.arange(ORBIT_M + 1), 0.31, 0.64)
     for M in (1000, flow._period + 5000):
-        prefix = flow._integer_times(np.arange(M + 1), 0.31, 0.64)
-        assert np.array_equal(prefix, whole[:M + 1])
+        prefix = flow._integer_positions(np.arange(M + 1), 0.31, 0.64)
+        for got, want in zip(prefix, whole):
+            assert np.array_equal(got, want[:M + 1])
 
 
 def test_integer_orbit_without_a_period_is_solved_cold():
     fl = ReparamFlow(GOLDEN, TimeChange([(2, 1, 0.1)]))
     assert fl._period is None
     M = 5 * 10 ** 4  # two blocks
-    t = np.arange(-M, M + 1.0)
-    cold = fl.time_inverse_many(t, 0.31, 0.64)
-    assert np.array_equal(fl._integer_times(np.arange(-M, M + 1), 0.31, 0.64),
-                          cold)
+    cold = fl.evaluate_many(np.arange(-M, M + 1.0), 0.31, 0.64)
+    got = fl._integer_positions(np.arange(-M, M + 1), 0.31, 0.64)
     # so the walk at integer times gives evaluate_many's positions
     psi, start = TorusObservable(0.0, [(1, 0, 1.0)]), TorusPoint(0.31, 0.64)
     pts, _ = fl.walk(psi, start, np.arange(-M, M + 1), np.array([1.0]))
-    for got, want in zip(pts, fl._positions(cold, 0.31, 0.64)):
-        assert got.tobytes() == want.tobytes()
+    for a, b, want in zip(got, pts, cold):
+        assert a.tobytes() == b.tobytes() == want.tobytes()
 
 
 def test_integer_times_below_the_period_are_solved_cold(monkeypatch):
@@ -653,8 +692,9 @@ def test_integer_times_below_the_period_are_solved_cold(monkeypatch):
     monkeypatch.setattr(ReparamFlow, "_period_table", no_table)
     for n in (np.arange(1001), np.arange(-1000, 1001),
               np.array([fl._period - 1, 1 - fl._period])):
-        cold = fl.time_inverse_many(n.astype(np.float64), 0.31, 0.64)
-        assert np.array_equal(fl._integer_times(n, 0.31, 0.64), cold)
+        cold = fl.evaluate_many(n.astype(np.float64), 0.31, 0.64)
+        for got, want in zip(fl._integer_positions(n, 0.31, 0.64), cold):
+            assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("dtype, integer", [
@@ -662,12 +702,13 @@ def test_integer_times_below_the_period_are_solved_cold(monkeypatch):
     (np.uint64, False)])
 def test_walk_picks_the_path_from_the_time_dtype(flow, monkeypatch, dtype,
                                                  integer):
-    # signed-integer times go to _integer_times, any other dtype, integral
-    # float values included, to the cold solve; below the period both give
-    # evaluate_many's positions
-    calls, orig = [], ReparamFlow._integer_times
-    monkeypatch.setattr(ReparamFlow, "_integer_times", lambda self, *args:
-                        calls.append(args) or orig(self, *args))
+    # signed-integer times go to _integer_positions, any other dtype,
+    # integral float values included, to the cold solve; below the period
+    # both give evaluate_many's positions
+    calls, orig = [], ReparamFlow._integer_positions
+    monkeypatch.setattr(ReparamFlow, "_integer_positions",
+                        lambda self, *args: calls.append(args)
+                        or orig(self, *args))
     psi, start = TorusObservable(0.0, [(1, 0, 1.0)]), TorusPoint(0.31, 0.64)
     pts, _ = flow.walk(psi, start, np.arange(1, 50, dtype=dtype), ())
     assert len(calls) == integer
@@ -678,23 +719,71 @@ def test_walk_picks_the_path_from_the_time_dtype(flow, monkeypatch, dtype,
 
 
 def test_integer_orbit_contract_catches_a_wrong_warm_start(monkeypatch):
-    # table entries half a unit off fail the value check at every later
-    # time they start, and those times are re-solved by Halley steps ...
+    # u off by half a unit at every 100th residue while the table is solved:
+    # rho sees it, so every later time at those residues is solved cold ...
     fl = ReparamFlow(SCALED, make_timechange(SCALED))
     P = fl._period
-    _, tu, _ = fl._period_table(0.31, 0.64)
-    tu[::100] += 0.5
+    cold = ReparamFlow.time_inverse_many
+
+    def corrupt(self, t, *args):
+        u = cold(self, t, *args)
+        if np.size(t) == P:
+            u[::100] += 0.5
+        return u
+    monkeypatch.setattr(ReparamFlow, "time_inverse_many", corrupt)
+    fl._period_table(0.31, 0.64)
+    monkeypatch.undo()
     n = np.concatenate((np.arange(P, P + 20000), -np.arange(P, P + 20000)))
-    shifted = int(np.sum(n % P % 100 == 0))
-    u, points = _table_derivative_points(fl, monkeypatch, n)
-    assert _meets_contract(fl, u, n)
-    assert points >= 2 * shifted
-    # ... but with the value check disabled the contract fails, at those
-    # times only
-    u, _ = _table_derivative_points(fl, monkeypatch, n, tol=math.inf)
     wrong = n % P % 100 == 0
-    assert _meets_contract(fl, u[~wrong], n[~wrong])
-    assert not _meets_contract(fl, u, n)
+    sizes = _spy_cold(monkeypatch)
+    pts = fl._integer_positions(n, 0.31, 0.64)
+    assert sizes == [int(wrong.sum())]
+    monkeypatch.undo()
+    assert _near_cold(fl, pts, n)
+    # ... but with the bound disabled those times, and only those, come out
+    # wrong
+    monkeypatch.setattr(reparam, "_TOL", math.inf)
+    pts = fl._integer_positions(n, 0.31, 0.64)
+    monkeypatch.undo()
+    assert _near_cold(fl, [p[~wrong] for p in pts], n[~wrong])
+    far = np.abs(pts[1][wrong] - fl.evaluate_many(
+        n[wrong].astype(np.float64), 0.31, 0.64)[1])
+    assert np.all(np.minimum(far, 1.0 - far) > 0.1)
+
+
+def test_integer_walk_matches_a_50_digit_solve(flow):
+    # V(u) = n solved to 50 digits with the exact alpha at integer times of
+    # both signs up to 1e6: the walk's positions lie within 5e-11 on the
+    # circle (the cold solve, whose u alpha rounds at |u| ~ 1e6, errs by up
+    # to 1.2e-10 at such times)
+    mp = pytest.importorskip("mpmath").mp
+    P = flow._period
+    n = np.array([1, 97, P - 1, P, 2 * P + 5, 250001, 999983, -3, -61,
+                  -P - 1, -500009, -999999])
+    x1, x2 = 0.31, 0.64
+    (g1, g2), _ = flow.walk(TorusObservable(0.0, [(1, 0, 1.0)]),
+                            TorusPoint(x1, x2), n, ())
+    with mp.workdps(50):
+        alpha = mp.mpf(SCALED.value.numerator) / SCALED.value.denominator
+        modes = []
+        for q, m, c, _ in flow._terms:
+            w = q * alpha + m
+            phase = q * mp.mpf(x1) + m * mp.mpf(x2)
+            modes.append((w, c * mp.expjpi(2 * phase) / (2 * mp.pi * w)))
+        for i, t in enumerate(n.tolist()):
+            u = mp.mpf(t)
+            for _ in range(50):
+                V, dV = u - t, mp.mpf(1)
+                for w, b in modes:
+                    s, c = mp.sinpi(2 * w * u), mp.cospi(2 * w * u)
+                    V += b.real * s + b.imag * (c - 1)
+                    dV += 2 * mp.pi * w * (b.real * c - b.imag * s)
+                u -= V / dV
+                if abs(V / dV) < mp.mpf(10) ** -40:
+                    break
+            for got, want in ((g1[i], x1 + u * alpha), (g2[i], x2 + u)):
+                d = mp.frac(mp.mpf(float(got)) - want)
+                assert float(min(d, 1 - d)) <= 5e-11, (t, float(d))
 
 
 # -- bad input to the cocycle and its inverse --------------------------------
