@@ -18,8 +18,6 @@ end.
 import argparse
 import io
 import json
-import os
-import platform
 import shutil
 import statistics
 import subprocess
@@ -64,20 +62,6 @@ def summary(values) -> dict:
     return {"median": med, "q1": q1, "q3": q3}
 
 
-def host() -> dict:
-    import numpy
-
-    cpu = platform.processor() or "unknown"
-    try:
-        with open("/proc/cpuinfo") as fh:
-            cpu = next((line.split(":", 1)[1].strip() for line in fh
-                        if line.startswith("model name")), cpu)
-    except OSError:
-        pass
-    return {"nproc": os.cpu_count(), "cpu": cpu, "system": platform.system(),
-            "python": platform.python_version(), "numpy": numpy.__version__}
-
-
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("ref", help="the commit to compare against")
@@ -107,11 +91,15 @@ def main(argv=None) -> int:
                 for k in METRICS), flush=True)
     finally:
         shutil.rmtree(copy, ignore_errors=True)
+    # the host and versions, from the environment record of the last run
+    with open(ROOT / "perfbench" / "out" / f"result-{args.workload}-seed"
+              f"{args.pairs}-trace0.json") as fh:
+        env = json.load(fh)["environment"]
     doc = {
         "workload": args.workload,
         "command": (f"python3 perfbench/run.py --workload {args.workload} "
                     f"--seed <pair> --seconds {args.seconds:g} --trace 0"),
-        "host": host(),
+        "host": {k: v for k, v in env.items() if k != "commit"},
         "ref": {"commit": ref},
         "change": change,
         "pairs": pairs,
