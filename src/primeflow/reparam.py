@@ -244,8 +244,9 @@ class ReparamFlow:
         table: u(r) + k P solves V = n up to rho_r + |k| delta(P), as W = V -
         id drifts by <= delta(P) per period, and its position is exactly
         (p1_r + k (P alpha mod 1), p2_r) mod 1.  That answer is kept where
-        the bound meets _TOL (1 + |n|); elsewhere, as at small negative n, n
-        is solved cold.  Either way n in [0, P) gets evaluate_many's bits."""
+        the bound meets _TOL (1 + |n|); elsewhere n is solved cold, and so is
+        every n in [-P, 0), whose u(n + P) would carry the rounding of a time
+        near P rather than of n.  So n in [-P, P) gets evaluate_many's bits."""
         n = np.asarray(n, dtype=np.int64)
         P = self._period
         if P is None or P > max(n.max(initial=0), -n.min(initial=0)):
@@ -260,8 +261,8 @@ class ReparamFlow:
             k, r = np.divmod(flat[sl], P)
             y1[sl] = _unit(p1[r] + k * shift)
             y2[sl] = p2[r]
-            cold[sl] = (rho[r] + np.abs(k) * delta
-                        > _TOL * (1.0 + np.abs(flat[sl])))
+            cold[sl] = (k == -1) | (rho[r] + np.abs(k) * delta
+                                    > _TOL * (1.0 + np.abs(flat[sl])))
         if cold.any():
             y1[cold], y2[cold] = self.evaluate_many(
                 flat[cold].astype(np.float64), x1, x2)

@@ -622,9 +622,8 @@ def test_pnt_report_one_pass_per_direction(kind, table, monkeypatch):
 def test_pnt_report_past_the_period_reads_one_table(table, monkeypatch):
     # primes past the rigidity period P: both directions read one cold
     # period of the time change, one time_inverse_many call of P times;
-    # besides it and the time integrals' calls at the z N, only the 17 "-"
-    # primes whose table bound misses the tolerance, all <= 61, are solved
-    # cold, in one call
+    # besides it and the time integrals' calls at the z N, only the "-"
+    # primes above -P are solved cold, in one call
     _, flow, psi, start = _flow_case("reparam")
     cold, inverse = [], ReparamFlow.time_inverse_many
     monkeypatch.setattr(ReparamFlow, "time_inverse_many",
@@ -632,7 +631,9 @@ def test_pnt_report_past_the_period_reads_one_table(table, monkeypatch):
                         or inverse(self, t, *args))
     pnt_report(psi, flow, start, (10 ** 4, 10 ** 5), table=table)
     assert 10 ** 4 < flow._period < 10 ** 5
-    assert sorted(cold) == [2, 2, 17, flow._period]
+    below = table.primes_between(1, flow._period).size
+    assert below == 8152
+    assert sorted(cold) == [2, 2, below, flow._period]
 
 
 def _reference_walk(flow, psi, start, times, T):

@@ -581,9 +581,10 @@ def test_integer_positions_shift_by_whole_periods():
     # mod 1 = 0.005, so k periods on x1 moves by a visible k (P alpha mod
     # 1), and delta(P) = 8.1e-11 is close enough to 1e-12 (1 + P) that the
     # drift term sends 455 of the times -20 P..20 P cold, most of them
-    # negative.  The others sit exactly at u(r) + k P, which meets the
-    # residual contract: their positions lie within the rounding of
-    # x + u (alpha, 1) at |u| <= 20 P of the float view at that u
+    # negative; the times in [-P, 0) go cold besides.  The others sit
+    # exactly at u(r) + k P, which meets the residual contract: their
+    # positions lie within the rounding of x + u (alpha, 1) at |u| <= 20 P
+    # of the float view at that u
     fl = ReparamFlow(GOLDEN, TimeChange([(1, 0, 1e-8)]))
     P = fl._period
     assert P == GOLDEN.q(10) == 89
@@ -591,8 +592,10 @@ def test_integer_positions_shift_by_whole_periods():
     pts = fl._integer_positions(n, 0.31, 0.64)
     k, r = np.divmod(n, P)
     rho = fl._period_table(0.31, 0.64)[0]
-    read = rho[r] + np.abs(k) * fl._drift(P) <= 1e-12 * (1.0 + np.abs(n))
-    assert np.sum(~read) == 455
+    bound = rho[r] + np.abs(k) * fl._drift(P) <= 1e-12 * (1.0 + np.abs(n))
+    assert np.sum(~bound) == 455
+    read = bound & (k != -1)
+    assert np.sum(~read) == 455 + np.sum(bound & (k == -1))
     u = _shifted_u(fl, n)
     assert _meets_contract(fl, u[read], n[read])
     cold = fl.evaluate_many(n[~read].astype(np.float64), 0.31, 0.64)
@@ -623,8 +626,9 @@ def test_integer_orbit_warm_start(monkeypatch):
 
 def test_integer_times_of_either_sign_match_the_cold_solve(flow):
     # the +- primes up to ORBIT_M: each is read from the table where its
-    # bound rho_r + |k| delta(P) meets the tolerance, there at a u that
-    # meets the residual contract, and solved cold elsewhere
+    # bound rho_r + |k| delta(P) meets the tolerance and n is not in
+    # [-P, 0), there at a u that meets the residual contract, and solved
+    # cold elsewhere
     from primeflow.primes import build_table
 
     ps = build_table(ORBIT_M).primes.astype(np.int64)
@@ -634,11 +638,15 @@ def test_integer_times_of_either_sign_match_the_cold_solve(flow):
         pts = flow._integer_positions(n, 0.31, 0.64)
         assert _near_cold(flow, pts, n)
         k, r = np.divmod(n, flow._period)
-        read = rho[r] + np.abs(k) * delta <= 1e-12 * (1.0 + np.abs(n))
+        bound = rho[r] + np.abs(k) * delta <= 1e-12 * (1.0 + np.abs(n))
+        read = bound & (k != -1)
         assert _meets_contract(flow, _shifted_u(flow, n[read]), n[read])
-        # only 17 "-" primes, all of them down to -61 but -59, miss the bound
-        assert np.array_equal(n[~read], [] if n[0] > 0 else
+        # only 17 "-" primes, all of them down to -61 but -59, miss the
+        # bound, and the cold ones are the "-" primes above -P
+        assert np.array_equal(n[~bound], [] if n[0] > 0 else
                               -np.setdiff1d(ps[:18], [59]))
+        assert np.array_equal(n[~read], [] if n[0] > 0 else
+                              -ps[ps < flow._period])
         cold = flow.evaluate_many(n[~read].astype(np.float64), 0.31, 0.64)
         for got, want in zip(pts, cold):
             assert got[~read].tobytes() == want.tobytes()
@@ -733,7 +741,8 @@ def test_integer_orbit_contract_catches_a_wrong_warm_start(monkeypatch):
     monkeypatch.setattr(ReparamFlow, "time_inverse_many", corrupt)
     fl._period_table(0.31, 0.64)
     monkeypatch.undo()
-    n = np.concatenate((np.arange(P, P + 20000), -np.arange(P, P + 20000)))
+    n = np.concatenate((np.arange(P, P + 20000),
+                        -np.arange(P + 1, P + 20001)))
     wrong = n % P % 100 == 0
     sizes = _spy_cold(monkeypatch)
     pts = fl._integer_positions(n, 0.31, 0.64)
@@ -755,11 +764,13 @@ def test_integer_walk_matches_a_50_digit_solve(flow):
     # V(u) = n solved to 50 digits with the exact alpha at integer times of
     # both signs up to 1e6: the walk's positions lie within 5e-11 on the
     # circle (the cold solve, whose u alpha rounds at |u| ~ 1e6, errs by up
-    # to 1.2e-10 at such times)
+    # to 1.2e-10 at such times), and within 4 ulps of min(|n|, P) plus 4
+    # of 1: a time reads a u of at most P from the table, or is solved cold
+    # below P in modulus, -1000, -P/2 and -P + 100 included
     mp = pytest.importorskip("mpmath").mp
     P = flow._period
     n = np.array([1, 97, P - 1, P, 2 * P + 5, 250001, 999983, -3, -61,
-                  -P - 1, -500009, -999999])
+                  -1000, -(P // 2), -P + 100, -P - 1, -500009, -999999])
     x1, x2 = 0.31, 0.64
     (g1, g2), _ = flow.walk(TorusObservable(0.0, [(1, 0, 1.0)]),
                             TorusPoint(x1, x2), n, ())
@@ -781,9 +792,11 @@ def test_integer_walk_matches_a_50_digit_solve(flow):
                 u -= V / dV
                 if abs(V / dV) < mp.mpf(10) ** -40:
                     break
+            bound = min(5e-11, 4.0 * np.spacing(float(min(abs(t), P)))
+                        + 4.0 * np.spacing(1.0))
             for got, want in ((g1[i], x1 + u * alpha), (g2[i], x2 + u)):
                 d = mp.frac(mp.mpf(float(got)) - want)
-                assert float(min(d, 1 - d)) <= 5e-11, (t, float(d))
+                assert float(min(d, 1 - d)) <= bound, (t, float(d))
 
 
 # -- bad input to the cocycle and its inverse --------------------------------

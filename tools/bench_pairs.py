@@ -7,10 +7,10 @@ and runs the unchanged `perfbench/run.py --workload W --seed i --seconds S
 --trace 0` N times in it and N times in this checkout, in pairs i = 1..N
 whose two runs share seed i.  REF runs first in the odd pairs and second in
 the even ones, so a steady drift of the host's speed favours neither side.
-Writes BENCH_<W>.json at the root of the checkout (or --out) with every
-pair's wall_s, setup_s, peak_rss_mb, success_rate and correctness, the
-median and quartiles of each metric on both sides, the number of pairs in
-which the checkout was lower, the host and versions, and both commits (the
+Writes BENCH_<W>.json at the root of the checkout with every pair's
+wall_s, setup_s, peak_rss_mb, success_rate and correctness, the median and
+quartiles of each metric on both sides, the number of pairs in which the
+checkout was lower, the host and versions, and both commits (the
 checkout's with the paths it has uncommitted).  The copy is removed at the
 end.
 """
@@ -68,14 +68,12 @@ def main(argv=None) -> int:
     ap.add_argument("--workload", required=True)
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seconds", type=float, default=20.0)
-    ap.add_argument("--out", type=Path)
     args = ap.parse_args(argv)
     if args.pairs < 2:
         ap.error("--pairs must be at least 2 for quartiles")
     ref = git("rev-parse", "--verify", args.ref + "^{commit}")
     change = {"commit": git("rev-parse", "HEAD"),
               "uncommitted": git("status", "--porcelain").splitlines()}
-    out = args.out or ROOT / f"BENCH_{args.workload}.json"
     pairs = []
     copy = Path(tempfile.mkdtemp(prefix="bench_pairs-"))
     try:
@@ -110,7 +108,7 @@ def main(argv=None) -> int:
         "all_correct": all(p[s]["correct"] and p[s]["success_rate"] == 1.0
                            for p in pairs for s in ("ref", "change")),
     }
-    with open(out, "w") as fh:
+    with open(ROOT / f"BENCH_{args.workload}.json", "w") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
     for k in METRICS:
