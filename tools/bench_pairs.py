@@ -2,17 +2,18 @@
 
 Usage: python3 tools/bench_pairs.py REF --workload W --pairs N --seconds S
 
-Extracts a `git archive` copy of the commit REF into a temporary directory
-and runs the unchanged `perfbench/run.py --workload W --seed i --seconds S
---trace 0` N times in it and N times in this checkout, in pairs i = 1..N
-whose two runs share seed i.  REF runs first in the odd pairs and second in
-the even ones, so a steady drift of the host's speed favours neither side.
-Writes BENCH_<W>.json at the root of the checkout with every pair's
-wall_s, setup_s, peak_rss_mb, success_rate and correctness, the median and
-quartiles of each metric on both sides, the number of pairs in which the
-checkout was lower, the host and versions, and both commits (the
-checkout's with the paths it has uncommitted).  The copy is removed at the
-end.
+Extracts `git archive` copies of the commit REF and of HEAD into two
+temporary directories of equal path length and runs the unchanged
+`perfbench/run.py --workload W --seed i --seconds S --trace 0` N times in
+each, in pairs i = 1..N whose two runs share seed i.  Both sides run from
+fresh copies, so where a tree sits cannot favour one side.  REF runs first
+in the odd pairs and second in the even ones, so a steady drift of the
+host's speed favours neither side.  Writes BENCH_<W>.json at the root of
+the checkout with every pair's wall_s, setup_s, peak_rss_mb, success_rate
+and correctness, the median and quartiles of each metric on both sides,
+the number of pairs in which HEAD was lower, the host and versions, and
+both commits.  Uncommitted changes are not measured.  The copies are
+removed at the end.
 """
 
 import argparse
@@ -42,8 +43,9 @@ def extract(ref: str, dest: Path) -> None:
         fh.extractall(dest, filter="data")
 
 
-def run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One perfbench run in tree: its end-to-end metrics and correctness."""
+def run(tree: Path, workload: str, seed: int, seconds: float):
+    """One perfbench run in tree: its end-to-end metrics and correctness,
+    and the host record, from the result file it writes."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
@@ -51,10 +53,12 @@ def run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     if proc.returncode != 0:
         sys.stderr.write(proc.stderr)
         raise SystemExit(f"perfbench exited {proc.returncode} in {tree}")
-    doc = json.loads(proc.stdout.strip().splitlines()[-1])
+    with open(tree / "perfbench" / "out"
+              / f"result-{workload}-seed{seed}-trace0.json") as fh:
+        doc = json.load(fh)
     out = {k: doc["metrics"][k]["value"] for k in METRICS + ("success_rate",)}
-    out["correct"] = doc["correct"]
-    return out
+    out["correct"] = doc["failed"] == 0
+    return out, doc["environment"]
 
 
 def summary(values) -> dict:
@@ -71,35 +75,34 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     if args.pairs < 2:
         ap.error("--pairs must be at least 2 for quartiles")
-    ref = git("rev-parse", "--verify", args.ref + "^{commit}")
-    change = {"commit": git("rev-parse", "HEAD"),
-              "uncommitted": git("status", "--porcelain").splitlines()}
+    commits = {side: git("rev-parse", "--verify", name + "^{commit}")
+               for side, name in (("ref", args.ref), ("change", "HEAD"))}
+    trees = {side: Path(tempfile.mkdtemp(prefix="bench_pairs-"))
+             for side in commits}
     pairs = []
-    copy = Path(tempfile.mkdtemp(prefix="bench_pairs-"))
     try:
-        extract(ref, copy)
+        for side, tree in trees.items():
+            extract(commits[side], tree)
         for seed in range(1, args.pairs + 1):
-            sides = [("ref", copy), ("change", ROOT)][::1 if seed % 2 else -1]
-            pair = {"seed": seed, "first": sides[0][0]}
-            for side, tree in sides:
-                pair[side] = run(tree, args.workload, seed, args.seconds)
+            sides = ["ref", "change"][::1 if seed % 2 else -1]
+            pair = {"seed": seed, "first": sides[0]}
+            for side in sides:
+                pair[side], env = run(trees[side], args.workload, seed,
+                                      args.seconds)
             pairs.append(pair)
             print(f"pair {seed}: " + ", ".join(
                 f"{k} {pair['ref'][k]:.4g} -> {pair['change'][k]:.4g}"
                 for k in METRICS), flush=True)
     finally:
-        shutil.rmtree(copy, ignore_errors=True)
-    # the host and versions, from the environment record of the last run
-    with open(ROOT / "perfbench" / "out" / f"result-{args.workload}-seed"
-              f"{args.pairs}-trace0.json") as fh:
-        env = json.load(fh)["environment"]
+        for tree in trees.values():
+            shutil.rmtree(tree, ignore_errors=True)
     doc = {
         "workload": args.workload,
         "command": (f"python3 perfbench/run.py --workload {args.workload} "
                     f"--seed <pair> --seconds {args.seconds:g} --trace 0"),
         "host": {k: v for k, v in env.items() if k != "commit"},
-        "ref": {"commit": ref},
-        "change": change,
+        "ref": {"commit": commits["ref"]},
+        "change": {"commit": commits["change"]},
         "pairs": pairs,
         "summary": {k: {side: summary([p[side][k] for p in pairs])
                         for side in ("ref", "change")} for k in METRICS},
