@@ -183,12 +183,18 @@ def ab_decomposition(roof, alpha: RotationNumber, p: FlowPoint, horizon: float,
     lo, hi = np.maximum(tau[:-1], 0.0), np.minimum(tau[1:], horizon)
     in_ia, dist0 = _window_hits(alpha, p.x, xs, qn, ia_radius)
     core = dist0 <= a0_radius
-    A = _union(lo[in_ia], hi[in_ia])
     # height >= cutoff means t >= tau_i + cutoff
     A0 = _union(np.maximum(tau[:-1][core] + height_cutoff, lo[core]), hi[core])
-    # B and the excess A \ A_0 by interval subtraction
-    B = _subtract([(0.0, horizon)], A)
-    excess = _subtract(A, A0)
+    lo, hi = lo[in_ia], hi[in_ia]
+    A = _union(lo, hi)
+    # fibers hold disjoint times: B is the gaps of A, A minus A_0 each I_A
+    # fiber up to where A_0 starts in it (its core height, or its bottom if
+    # A_0's 1e-9 merge bridged that sliver from the core fiber before it)
+    B = [(a, b) for a, b in zip([0.0] + [b for _, b in A],
+                                [a for a, _ in A] + [horizon]) if b - a > 1e-12]
+    a0 = np.array(A0 + [(horizon, np.inf)])
+    cut = np.clip(a0[np.searchsorted(a0[:, 1], lo, side="right"), 0], lo, hi)
+    excess = [(a, b) for a, b in _union(lo, cut) if b - a > 1e-12]
     a_measure = sum(b - a for a, b in A)
     a0_measure = sum(b - a for a, b in A0)
     excess_measure = sum(b - a for a, b in excess)
@@ -221,32 +227,13 @@ def _window_hits(alpha, x, xs, qn, radius):
     return c[qn:qn + K] > c[:K], d[:K]
 
 
-def _subtract(base, holes):
-    out = []
-    for a, b in base:
-        pieces = [(a, b)]
-        for ha, hb in holes:
-            nxt = []
-            for pa, pb in pieces:
-                if hb <= pa or ha >= pb:
-                    nxt.append((pa, pb))
-                    continue
-                if ha > pa:
-                    nxt.append((pa, ha))
-                if hb < pb:
-                    nxt.append((hb, pb))
-            pieces = nxt
-        out.extend(pieces)
-    return [(a, b) for a, b in out if b - a > 1e-12]
-
-
 def time_integral(roof, alpha: RotationNumber, psi, p: FlowPoint, T):
     """Signed int_0^T psi(T_t(p)) dt for a scalar or an array of T: the
-    time-integral view of _walk.  psi supplies the fiber integrals through
-    fiber_integral_many(x, lo, hi), int_lo^hi psi(x, s) ds elementwise, and
-    whole_fiber_integral_many(x, f), the same from 0 to the roof values
-    f = f(x) the walk already holds, as observables.TowerObservable does; a
-    psi that carries a roof must carry this one."""
+    time-integral view of _walk.  psi supplies the fiber integrals from the
+    fiber bottom through fiber_integral_many(x, h), int_0^h psi(x, s) ds
+    elementwise, and whole_fiber_integral_many(x, f), the same up to the roof
+    values f = f(x) the walk already holds, as observables.TowerObservable
+    does; a psi that carries a roof must carry this one."""
     out = _walk(roof, alpha, p, (), psi, T)[3]
     return float(out) if out.ndim == 0 else out
 
@@ -264,14 +251,16 @@ def evaluate_times(roof, alpha: RotationNumber, p: FlowPoint, times):
 def _walk(roof, alpha, p: FlowPoint, times, psi=None, T=()):
     """Positions (x, s, N) of T_t(p) at every t in times and the signed
     integrals int_0^T psi(T_t(p)) dt at every T in T, from one _crossings
-    per sign over the union of the times and the T of that sign.  Each
-    height s' is checked as _finish checks it, -1e-7 <= s' < f(x') + 1e-7
-    with f(x') the roof the schedule holds for that fiber, and PrecisionError
-    raised if it fails; the heights are not clamped.
+    per sign over the union of the times and the T of that sign.  The fiber
+    table reads alike in both directions: fiber n, reached at a time, has
+    base bases[n] and roof fs[n].  Each height s' is checked as _finish
+    checks it, -1e-7 <= s' < f(x') + 1e-7 with f(x') = fs[n], and
+    PrecisionError raised if it fails; the heights are not clamped.
 
     The integral at T is a cumulative sum of whole-fiber integrals over the
-    fibers passed bottom to top, plus the fiber reached at T up to its
-    height there, minus the start fiber up to height s.
+    fibers passed bottom to top (0..n-1 forward, 1..n backward), plus the
+    fiber reached at T up to its height there, minus the start fiber up to
+    height s.
     """
     p.validate(roof)
     _same_roof(psi, roof)
@@ -292,18 +281,15 @@ def _walk(roof, alpha, p: FlowPoint, times, psi=None, T=()):
         n, nT = n[:t.size], n[t.size:]
         sign = -1 if backward else 1
         xs[at] = bases[n]
-        # the roof over each fiber reached; backward, fiber 0 is the start's
-        tops = (np.where(n == 0, roof(bases[0]), fs[n - 1]) if backward
-                else fs[n])
-        ss[at] = _included(p.s + t - sign * S[n], tops)
+        ss[at] = _included(p.s + t - sign * S[n], fs[n])
         Ns[at] = sign * n
         if not u.size:
             continue
         top = int(np.max(nT))
-        # fiber k's base is bases[k]; backward its roof is fs[k - 1]
-        full = psi.whole_fiber_integral_many(
-            bases[1:top + 1] if backward else bases[:top], fs[:top])
-        part = psi.fiber_integral_many(np.append(bases[nT], p.x), 0.0,
+        # the fibers passed: 0..top-1 forward, 1..top backward
+        passed = slice(1, top + 1) if backward else slice(top)
+        full = psi.whole_fiber_integral_many(bases[passed], fs[passed])
+        part = psi.fiber_integral_many(np.append(bases[nT], p.x),
                                        np.append(p.s + u - sign * S[nT], p.s))
         G = np.zeros(top + 1)
         G[1:] = np.cumsum(full, dtype=np.longdouble)
@@ -319,16 +305,16 @@ def _same_roof(psi, roof):
 
 
 def _crossings(roof, alpha, p: FlowPoint, times, backward=False):
-    """The fibers the orbit of p visits up to every time in times (all >= 0,
+    """The fiber table of the orbit of p up to every time in times (all >= 0,
     or all < 0 when backward), from one roof evaluation per fiber.
 
-    Fiber k, k crossings away, has base x + k alpha (x - k alpha backward).
-    Returns the bases xs of fibers 0..n_max, the farthest one reached; fs,
-    the roofs crossed in order (fibers 0..n_max, backward 1..n_max+1); S,
-    their long-double partial sums rounded to float, S[0] = 0; and n, the
-    fiber holding each time.  Fiber k holds s + t in [S[k], S[k+1]), or
-    backward in [-S[k], -S[k-1]).  A non-finite time raises ValueError.
-    """
+    Fiber k, k crossings away, has base x + k alpha (x - k alpha backward);
+    fiber 0 is x either way.  Returns the bases xs and the roofs fs of fibers
+    0..n_max, the farthest one reached; S, the long-double partial sums of
+    the roofs crossed, rounded to float, S[0] = 0; and n, the fiber holding
+    each time.  Forward S sums from fiber 0 and fiber k holds s + t in
+    [S[k], S[k+1]); backward S sums from fiber 1 and fiber k holds s + t in
+    [-S[k], -S[k-1]).  A non-finite time raises ValueError."""
     p.validate(roof)
     times = np.asarray(times, dtype=np.float64)
     if not np.isfinite(times).all():
@@ -338,27 +324,26 @@ def _crossings(roof, alpha, p: FlowPoint, times, backward=False):
         targets = np.maximum(-targets, 0.0)
     bases, vals = _covering_values(roof, alpha, p.x, float(np.max(targets)),
                                    backward)
-    S = np.zeros(len(vals) + 1)
-    S[1:] = np.cumsum(vals, dtype=np.longdouble)
+    S = np.zeros(len(vals) + 1 - backward)
+    S[1:] = np.cumsum(vals[int(backward):], dtype=np.longdouble)
     n = (np.searchsorted(S, targets, side="left") if backward
          else np.searchsorted(S, targets, side="right") - 1)
     top = int(np.max(n))
-    # backward, the bases start at fiber 1; fiber 0 is x - 0 alpha
-    xs = (np.concatenate(([(p.x + 0.0) % 1.0], bases[:top])) if backward
-          else bases[:top + 1])
-    return xs, vals[:top + 1], S[:top + 2], n
+    return bases[:top + 1], vals[:top + 1], S[:top + 2], n
 
 
 def _covering_values(roof, alpha, x, span, backward=False):
-    """Fiber bases and roof values on the orbit of x (fibers 0, 1, ...
-    forward, 1, 2, ... backward), over enough fibers that all but the last
-    two roof values sum to >= span.  The count starts at span over the
-    roof's mean and grows geometrically."""
-    lo = 1 if backward else 0
-    bases, vals = _roof_values(roof, alpha, x, lo,
-                               lo + int(span / roof.integral()) + 18, backward)
-    while float(np.sum(vals[:-2])) < span:
-        end = lo + len(vals)
-        b, v = _roof_values(roof, alpha, x, end, end + len(vals) // 8 + 16, backward)
-        bases, vals = np.append(bases, b), np.append(vals, v)
+    """Fiber bases and roof values on the orbit of x, fibers 0, 1, ... in
+    either direction, over enough fibers that the roof values crossed (from
+    fiber 0 forward, from fiber 1 backward) sum to >= span without the last
+    two.  The count starts at span over the roof's mean and grows
+    geometrically."""
+    b = int(backward)
+    bases, vals = _roof_values(roof, alpha, x, 0,
+                               b + int(span / roof.integral()) + 18, backward)
+    while float(np.sum(vals[b:-2])) < span:
+        end = len(vals)
+        more, v = _roof_values(roof, alpha, x, end, end + (end - b) // 8 + 16,
+                               backward)
+        bases, vals = np.append(bases, more), np.append(vals, v)
     return bases, vals

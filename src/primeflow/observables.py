@@ -149,21 +149,20 @@ class TowerObservable:
 
     # -- fiber integrals ----------------------------------------------------
 
-    def fiber_integral_many(self, y, lo, hi):
-        """int_lo^hi psi(y, s) ds in closed form, elementwise over the
-        broadcast of y, lo and hi."""
+    def fiber_integral_many(self, y, h):
+        """int_0^h psi(y, s) ds in closed form, elementwise over the
+        broadcast of y and h."""
         y = np.asarray(y, dtype=np.float64)
-        lo = np.asarray(lo, dtype=np.float64)
-        hi = np.asarray(hi, dtype=np.float64)
+        h = np.asarray(h, dtype=np.float64)
         fy = np.asarray(self.roof(y), dtype=np.float64)
         a = 1.0 / _SIGMA
         omega = 2.0 * math.pi / fy
         # int e^{-as} sin^2(pi s / f) = (1/2) int e^{-as} (1 - cos(omega s))
-        plain = (np.exp(-a * lo) - np.exp(-a * hi)) / a
+        plain = (1.0 - np.exp(-a * h)) / a
         z = -a + 1j * omega
-        cospart = np.real((np.exp(z * hi) - np.exp(z * lo)) / z)
+        cospart = np.real((np.exp(z * h) - 1.0) / z)
         decay = 0.5 * (plain - cospart)
-        return self.psi_inf * (hi - lo) + self.u(y) * decay
+        return self.psi_inf * h + self.u(y) * decay
 
     def whole_fiber_integral_many(self, y, f):
         """int_0^f psi(y, s) ds for the roof values f = f(y), elementwise.
@@ -222,7 +221,7 @@ def space_average(psi: TowerObservable, roof) -> float:
         prev = cells
         ys, wts = _gauss_nodes(edges, nodes)
         fys = np.asarray(roof(ys), dtype=np.float64)
-        excess = psi.fiber_integral_many(ys, 0.0, fys) - psi.psi_inf * fys
+        excess = psi.fiber_integral_many(ys, fys) - psi.psi_inf * fys
         cells = (wts * excess).reshape(-1, nodes).sum(axis=1)
         num = float(cells.sum())
         if prev is not None and abs(num - prev.sum()) <= 1e-6 * (1.0 + abs(num)):

@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from .roofs import FourierRoof, TimeChange, _finite, roof_from_timechange
-from .rotation import RotationNumber, circle_distance, frac
+from .rotation import RotationNumber, _index, circle_distance, frac
 
 __all__ = [
     "TorusPoint",
@@ -427,7 +427,7 @@ def roof_sum_deviation(roof: FourierRoof, alpha: RotationNumber, M: int,
     """|S_M(f)(x) - M| via the geometric-series closed form
     S_M(e(qx)) = e(qx) (e(M q alpha) - 1) / (e(q alpha) - 1), with all
     phases reduced exactly before exponentiation."""
-    total = 0.0
+    total, M = 0.0, _index(M, "M")
     for q, b in roof.pairs:
         if b == 0:
             continue
@@ -454,7 +454,7 @@ def rigidity_distance(flow: ReparamFlow, k: int, n: int,
     down to ~1e-15 even though t0 itself is large.
     """
     alpha = flow.alpha
-    t0 = k * alpha.q(n)
+    t0 = _index(k, "k") * alpha.q(n)
     modes = [(alpha.signed_frac(t0 * q), w, b) for (q, _, _, w), b in
              zip(flow._terms, flow._start_factors(x.x1, x.x2))]
     eps = 0.0

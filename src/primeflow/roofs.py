@@ -12,14 +12,13 @@ polynomials; a time change is the positive one with constant 1.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .primes import CircleInterval
-from .rotation import RotationNumber, frac
+from .rotation import RotationNumber, _index, frac
 
 __all__ = [
     "SingularityError",
@@ -299,7 +298,7 @@ def _check_orbit_clear(roof, x: float, n: int, alpha: RotationNumber) -> None:
 def birkhoff_sum(g, n: int, x: float, alpha: RotationNumber, order: int = 0) -> float:
     """S_n(g)(x) = sum_{0 <= i < n} g(x + i*alpha); for n < 0 the convention
     S_n(g)(x) = -S_{|n|}(g)(x + n*alpha), so that S is a cocycle over Z."""
-    n = _term_count(n)
+    n = _index(n)
     _check_order(g, order)
     if not math.isfinite(x):
         raise ValueError(f"x must be finite, got {x}")
@@ -325,13 +324,6 @@ def _check_order(g, order) -> None:
     if order != 0 and not _takes_order(g):
         raise ValueError(f"order={order} needs a roof that takes an order, "
                          f"not {type(g).__name__}")
-
-
-def _term_count(n) -> int:
-    try:
-        return operator.index(n)
-    except TypeError:
-        raise ValueError(f"n must be an integer, got {n!r}") from None
 
 
 def _piecewise_sums(g: PiecewiseLinear, offs: np.ndarray,
@@ -387,7 +379,7 @@ def birkhoff_sum_many(g, n: int, xs: np.ndarray, alpha: RotationNumber,
     A `PiecewiseLinear` g is summed from one sorted orbit in
     O((n + xs.size) log n): its indicator terms equal the block path's and
     its linear part agrees to the rounding of each x + o_i."""
-    n = _term_count(n)
+    n = _index(n)
     if n < 1:
         raise ValueError("n must be >= 1")
     _check_order(g, order)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import threading
 from fractions import Fraction
 
@@ -63,6 +64,15 @@ def frac(x):
     if f.ndim == 0:
         return x - f
     return np.subtract(x, f, out=f)
+
+
+def _index(value, name: str = "n") -> int:
+    """value as a Python int, for an int or a numpy integer; anything else,
+    an integral float included, raises ValueError naming the argument."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _whole(x) -> bool:
@@ -125,6 +135,7 @@ class RotationNumber:
         return tuple(self._q[1:])
 
     def _level(self, n: int) -> int:
+        n = _index(n)
         if not 0 <= n <= self.depth:
             raise ValueError(f"index n = {n} outside [0, depth = {self.depth}]")
         return n
@@ -152,7 +163,7 @@ class RotationNumber:
         exact r = i*P mod Q (less Q when 2r >= Q), reduced in bigints, so
         phases far below 1 ulp of 1.0 stay fully resolved."""
         P, Q = self._value.numerator, self._value.denominator
-        r = (i * P) % Q
+        r = (_index(i, "i") * P) % Q
         if 2 * r >= Q:
             r -= Q
         return r / Q
@@ -161,6 +172,7 @@ class RotationNumber:
         """Float images of i*alpha mod 1 (-i*alpha if backward), 0 <= i < n,
         each r / Q for the exact r = +-i*P mod Q: bit-identical to `_orbit_loop`.
         Read-only; a prefix longer than the cached one grows the cache."""
+        n = _index(n)
         if n < 0:
             raise ValueError(f"need n >= 0, got {n}")
         P, Q = self._value.numerator, self._value.denominator
@@ -257,21 +269,6 @@ def _orbit_fill(P: int, Q: int, lo: int, out: np.ndarray, backward: bool) -> np.
     return out
 
 
-def _scaled_d(growth, depth: int, seed: int) -> RotationNumber:
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    quotients = [int(seed)]
-    q_prev, q_cur = 1, int(seed)
-    flags = []
-    for level in range(1, depth):
-        target = int(math.ceil(growth(q_cur)))
-        a_next = max(1, -(-(target - q_prev) // q_cur))
-        quotients.append(a_next)
-        q_prev, q_cur = q_cur, a_next * q_cur + q_prev
-        flags.append(level)
-    return RotationNumber(quotients, flags)
-
-
 def _is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin primality of n < _MR_BOUND; a larger n
     raises ConstructionError."""
@@ -296,38 +293,18 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _scaled_c_a(growth, depth: int, seed: int) -> RotationNumber:
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    if not _is_prime(int(seed)):
-        raise ConstructionError(f"seed quotient {seed} must be prime")
-    quotients = [int(seed)]
-    q_prev, q_cur = 1, int(seed)
-    flags = []
-    for level in range(1, depth):
-        target = growth(q_cur)
-        lo = int(math.ceil(target * 0.5))
-        hi = int(math.floor(float(target)))
-        residue = q_prev % q_cur
-        # smallest candidate >= lo congruent to q_prev mod q_cur
-        first = lo + ((residue - lo) % q_cur)
-        q_next = None
-        c = first
-        while c <= hi:
-            if c > q_cur and _is_prime(c):
-                q_next = c
-                break
-            c += q_cur
-        if q_next is None:
-            raise ConstructionError(
-                f"no prime congruent to {residue} mod {q_cur} in "
-                f"[{lo}, {hi}] at level {level}"
-            )
-        a_next = (q_next - q_prev) // q_cur
-        quotients.append(a_next)
-        q_prev, q_cur = q_cur, q_next
-        flags.append(level)
-    return RotationNumber(quotients, flags)
+def _prime_in_window(target, q_prev: int, q_cur: int, level: int) -> int:
+    """The least prime q_next > q_cur in [target / 2, target] with q_next =
+    q_prev (mod q_cur); ConstructionError if the window holds none."""
+    lo = int(math.ceil(target * 0.5))
+    hi = int(math.floor(float(target)))
+    residue = q_prev % q_cur
+    # candidates from the smallest one >= lo congruent to q_prev mod q_cur
+    for c in range(lo + (residue - lo) % q_cur, hi + 1, q_cur):
+        if c > q_cur and _is_prime(c):
+            return c
+    raise ConstructionError(f"no prime congruent to {residue} mod {q_cur} in "
+                            f"[{lo}, {hi}] at level {level}")
 
 
 def construct_alpha(mode: str, *, growth=None, depth: int = 4,
@@ -339,10 +316,23 @@ def construct_alpha(mode: str, *, growth=None, depth: int = 4,
     q_{n+1} = q_{n-1} (mod q_n) with q_{n+1} chosen prime inside the window
     [growth(q_n) / 2, growth(q_n)].
     """
+    if mode not in ("scaled_D", "scaled_C_A"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
+    prime = mode == "scaled_C_A"
+    if prime and not _is_prime(int(seed)):
+        raise ConstructionError(f"seed quotient {seed} must be prime")
     if growth is None:
         growth = lambda q: q * q
-    if mode == "scaled_D":
-        return _scaled_d(growth, depth, seed)
-    if mode == "scaled_C_A":
-        return _scaled_c_a(growth, depth, seed)
-    raise ValueError(f"unknown mode {mode!r}")
+    quotients = [int(seed)]
+    q_prev, q_cur = 1, int(seed)
+    for level in range(1, depth):
+        if prime:
+            q_next = _prime_in_window(growth(q_cur), q_prev, q_cur, level)
+        else:
+            target = int(math.ceil(growth(q_cur)))
+            q_next = max(1, -(-(target - q_prev) // q_cur)) * q_cur + q_prev
+        quotients.append((q_next - q_prev) // q_cur)
+        q_prev, q_cur = q_cur, q_next
+    return RotationNumber(quotients, range(1, depth))

@@ -15,7 +15,6 @@ from primeflow.flow import (
     _covering_values,
     _crossings,
     _offsets,
-    _subtract,
     _union,
     _window_hits,
     ab_decomposition,
@@ -180,15 +179,17 @@ def test_walk_checks_the_defining_inclusion(backward, shift, monkeypatch):
 
 
 def test_covering_values_backward():
-    # the backward walk is sized on {x - i alpha}, not the forward orbit
+    # the backward walk is sized on {x - i alpha}, not the forward orbit:
+    # fibers start at 0, x itself, and the roofs crossed from fiber 1 on
     x, span = 0.37, 5000.0
     bases, vals = _covering_values(POWER, SCALED, x, span, backward=True)
     pts = [float((Fraction(x) - i * SCALED.value) % 1)
-           for i in range(1, len(vals) + 1)]
+           for i in range(len(vals))]
+    assert bases[0] == x
     assert np.allclose(bases, pts, rtol=0.0, atol=1e-12)
     assert np.allclose(vals, POWER(np.array(pts)), rtol=1e-9, atol=0.0)
     assert np.array_equal(vals, POWER(bases))
-    assert np.sum(vals[:-2]) >= span
+    assert np.sum(vals[1:-2]) >= span
 
 
 @pytest.mark.parametrize("backward", [False, True])
@@ -291,7 +292,27 @@ def test_ab_decomposition_rejects_roof_without_singularity():
                          10.0, 3, 0.9)
 
 
-# Reference: the per-fiber loop the visit sets were first written with.
+# Reference: the per-fiber loop the visit sets were first written with, and
+# the pairwise interval subtraction it takes B and A minus A_0 from.
+
+
+def _subtract(base, holes):
+    out = []
+    for a, b in base:
+        pieces = [(a, b)]
+        for ha, hb in holes:
+            nxt = []
+            for pa, pb in pieces:
+                if hb <= pa or ha >= pb:
+                    nxt.append((pa, pb))
+                    continue
+                if ha > pa:
+                    nxt.append((pa, ha))
+                if hb < pb:
+                    nxt.append((hb, pb))
+            pieces = nxt
+        out.extend(pieces)
+    return [(a, b) for a, b in out if b - a > 1e-12]
 
 
 def _merge_intervals_loop(pieces, tol=1e-9):
@@ -416,6 +437,35 @@ def test_ab_decomposition_matches_fiber_loop(name, n, x, frac, horizon, delta,
         assert _bits(getattr(got, field)) == _bits(getattr(ref, field))
 
 
+@pytest.mark.parametrize("gamma", [-0.5, -0.3])
+@pytest.mark.parametrize("name", sorted(VISIT_ALPHAS))
+def test_visit_sets_match_interval_subtraction(name, gamma):
+    # B and A minus A_0, read off the fibers, against the pairwise
+    # subtraction of the reported A and A_0, on cutoffs of every scale: at or
+    # below A_0's 1e-9 merge tolerance, A_0 bridges the lowest sliver of
+    # each core fiber after the first in a run, and that sliver is not excess;
+    # a start just below the roof puts fiber 1 an ulp after t = 0, so a gap
+    # of B that short is dropped
+    alpha, roof = VISIT_ALPHAS[name], PowerRoof(gamma)
+    rng = np.random.default_rng([ord(name[0]), int(-10 * gamma)])
+    for _ in range(400):
+        x = rng.uniform(1e-6, 1.0 - 1e-6)
+        s = [rng.uniform(0.0, 0.99) * roof(x),
+             np.nextafter(roof(x), 0.0)][rng.integers(2)]
+        p = FlowPoint(x, float(s))
+        horizon = 10.0 ** rng.uniform(-3.0, 3.3)
+        cutoff = [None, 0.0, rng.uniform(0.0, 10.0),
+                  10.0 ** rng.uniform(-14.0, -8.0)][rng.integers(4)]
+        core = [None, rng.uniform(1e-4, 0.6),
+                10.0 ** rng.uniform(-4.0, -1.0)][rng.integers(3)]
+        rep = ab_decomposition(roof, alpha, p, horizon, int(rng.integers(2, 5)),
+                               rng.uniform(0.05, 0.9), cutoff, core)
+        B, excess = _subtract([(0.0, horizon)], rep.A), _subtract(rep.A, rep.A0)
+        assert rep.B == B and _bits(rep.B) == _bits(B)
+        assert rep.excess_measure == sum(b - a for a, b in excess)
+        assert rep.p3 == (len(excess) <= 2)
+
+
 # fewer fibers than q_n: a horizon inside the first fiber (golden q_4 = 5)
 # and about 5 fibers against the scaled q_4 = 734
 @example(name="golden", n=4, x=0.3, frac=0.1, horizon=0.01, delta=0.5)
@@ -439,8 +489,8 @@ def test_window_hits_match_nearest_center(name, n, x, frac, horizon, delta):
 
 
 class _Affine:
-    """psi(x, s) = c cos(2 pi x) + a + b s, whose fiber integrals
-    (c cos 2 pi x + a)(hi - lo) + b (hi^2 - lo^2) / 2 are exact."""
+    """psi(x, s) = c cos(2 pi x) + a + b s, whose fiber integrals from the
+    bottom, (c cos 2 pi x + a) h + b h^2 / 2, are exact."""
 
     def __init__(self, c, a, b):
         self.c, self.a, self.b = c, a, b
@@ -449,13 +499,12 @@ class _Affine:
         return (self.c * np.cos(2 * np.pi * np.asarray(x)) + self.a
                 + self.b * np.asarray(s, dtype=float))
 
-    def fiber_integral_many(self, x, lo, hi):
-        x, lo, hi = (np.asarray(v, dtype=float) for v in (x, lo, hi))
-        return ((self.c * np.cos(2 * np.pi * x) + self.a) * (hi - lo)
-                + self.b * (hi ** 2 - lo ** 2) / 2)
+    def fiber_integral_many(self, x, h):
+        x, h = (np.asarray(v, dtype=float) for v in (x, h))
+        return (self.c * np.cos(2 * np.pi * x) + self.a) * h + self.b * h ** 2 / 2
 
     def whole_fiber_integral_many(self, x, f):
-        return self.fiber_integral_many(x, 0.0, f)
+        return self.fiber_integral_many(x, f)
 
 
 def test_time_integral_constant():
@@ -497,8 +546,8 @@ def test_time_integral_array_matches_scalar_calls():
         assert abs(got - one) <= 1e-12 * max(1.0, abs(one))
     # inside the first fiber the integral is one fiber integral
     for T in (0.05, -0.1):
-        lo, hi = sorted((p.s, p.s + T))
-        direct = float(psi.fiber_integral_many(p.x, lo, hi)) * np.sign(T)
+        direct = float(psi.fiber_integral_many(p.x, p.s + T)
+                       - psi.fiber_integral_many(p.x, p.s))
         assert abs(time_integral(POWER, GOLDEN, psi, p, T) - direct) < 1e-14
     # signed: int_{-T}^{T} is the forward integral from T_{-T} p
     for T in (3.7, 41.0, 250.5):

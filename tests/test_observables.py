@@ -203,17 +203,19 @@ def test_trig_eval_skips_zero_coefficients(monkeypatch):
 
 
 def test_fiber_integral_closed_form(psi):
-    # a whole fiber and a partial one against the trapezoid rule
+    # a whole fiber and a partial one against the trapezoid rule; the
+    # integral over [lo, hi] is the difference of the two from the bottom
     for y, lo, hi in ((0.23, 0.0, POWER(0.23)), (0.6, 0.2, 0.9)):
         ss = np.linspace(lo, hi, 200001)
         riemann = float(np.trapezoid(psi(np.full_like(ss, y), ss), ss))
-        assert abs(float(psi.fiber_integral_many(y, lo, hi)) - riemann) < 1e-9
+        got = psi.fiber_integral_many(y, hi) - psi.fiber_integral_many(y, lo)
+        assert abs(float(got) - riemann) < 1e-9
 
 
 @pytest.mark.parametrize("roof", [POWER, FourierRoof([(1, 0.4), (3, 0.2j)])],
                          ids=["power", "fourier"])
 def test_whole_fiber_integral_matches_fiber_integral(roof):
-    # the closed form on the roof values against fiber_integral_many(y, 0,
+    # the closed form on the roof values against fiber_integral_many(y,
     # f(y)), on a y grid graded toward both ends, up to 1e-12 from either
     psi = TowerObservable(roof, psi_inf=-0.7,
                           u_terms=((1, 1.0, 0.5), (3, -0.2, 0.7)))
@@ -222,7 +224,7 @@ def test_whole_fiber_integral_matches_fiber_integral(roof):
     assert ys.min() == 1e-12 and 1.0 - ys.max() < 1.1e-12
     fs = np.asarray(roof(ys), dtype=np.float64)
     got = psi.whole_fiber_integral_many(ys, fs)
-    want = psi.fiber_integral_many(ys, 0.0, fs)
+    want = psi.fiber_integral_many(ys, fs)
     assert np.all(np.abs(got - want) <= 1e-14 * np.maximum(1.0, fs))
 
 
@@ -246,7 +248,7 @@ class _Ragged:
     """A fiber integral that oscillates fast on [1/4, 1/2] only."""
     psi_inf = 0.0
 
-    def fiber_integral_many(self, y, lo, hi):
+    def fiber_integral_many(self, y, h):
         return np.where((y > 0.25) & (y < 0.5), np.cos(1e4 * y), 0.0)
 
 

@@ -248,6 +248,25 @@ def test_rigidity_time_and_epsilon(flow):
     assert abs((u - rep.time) - rep.epsilon) < 1e-7
 
 
+def test_rigidity_indices_must_be_integers():
+    # on katok_wm's alpha an integral float k or M used to read a phase
+    # reduced in float: 8.6e-13 against 2.4e-15, and 1.83e-3 against 9.15e-6
+    alpha = construct_alpha("scaled_C_A", growth=lambda q: q ** 4.0, depth=4,
+                            seed=2)
+    flow = ReparamFlow(alpha, make_timechange(alpha))
+    roof, x, M = flow.roof(), TorusPoint(0.3, 0.7), 2 * alpha.q(3)
+    with pytest.raises(ValueError, match=r"^k must be an integer, got 2\.0$"):
+        rigidity_distance(flow, 2.0, 3, x)
+    with pytest.raises(ValueError, match=f"^M must be an integer, got {M}\\.0$"):
+        roof_sum_deviation(roof, alpha, float(M), 0.3)
+    rep = rigidity_distance(flow, 2, 3, x)
+    assert abs(rep.distance - 2.44e-15) < 1e-17
+    assert rigidity_distance(flow, np.int64(2), 3, x) == rep
+    dev = roof_sum_deviation(roof, alpha, M, 0.3)
+    assert abs(dev - 9.152e-6) < 1e-9
+    assert roof_sum_deviation(roof, alpha, np.int64(M), 0.3) == dev
+
+
 def test_roof_sum_deviation_matches_direct():
     alpha = SCALED
     n = 2

@@ -152,6 +152,39 @@ def test_multiple_mod_one_additivity():
         assert abs(diff - round(diff)) < 1e-11
 
 
+# pnt_reparam's alpha: q_3 = 83523 and q_3 alpha - p_3 = -2.05e-20
+REPARAM_ALPHA = construct_alpha("scaled_D", growth=lambda q: q ** 4.0, depth=4,
+                                seed=2)
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda a: a.signed_frac(float(a.q(3))), "i"),  # read 5.15e-12
+    (lambda a: a.signed_frac("3"), "i"),
+    (lambda a: a.q(1.0), "n"),
+    (lambda a: a.residual(np.float64(2.0)), "n"),
+    (lambda a: a.orbit(10.0), "n"),
+    (lambda a: a.orbit(None), "n"),
+], ids=["signed_frac", "signed_frac-str", "q", "residual", "orbit",
+        "orbit-none"])
+def test_indices_must_be_integers(call, name):
+    # an integral float index no longer reduces i P mod Q in float, nor fails
+    # in list or slice indexing: it raises, naming the argument
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+        call(REPARAM_ALPHA)
+
+
+def test_numpy_integer_indices_give_the_int_answers():
+    # np.int64(q_3) * P used to overflow a C long in signed_frac
+    a, q3 = REPARAM_ALPHA, REPARAM_ALPHA.q(3)
+    assert q3 == 83523
+    assert a.signed_frac(np.int64(q3)) == a.signed_frac(q3)
+    assert abs(a.signed_frac(q3) + 2.0548e-20) < 1e-24
+    assert a.signed_frac(np.int32(-7)) == a.signed_frac(-7)
+    assert type(a.q(np.int64(2))) is int and a.q(np.int64(2)) == a.q(2)
+    assert a.residual(np.int64(2)) == a.residual(2)
+    assert np.array_equal(a.orbit(np.int64(10), True), a.orbit(10, True))
+
+
 def test_scaled_d_growth():
     alpha = construct_alpha("scaled_D", growth=lambda q: q * q, depth=4, seed=1)
     qs = [alpha.q(n) for n in range(alpha.depth + 1)]
@@ -356,7 +389,6 @@ _SCALAR_MOD_SITES = Counter({
     ("experiments.py", "_exp_interval_factorization"): 1,  # config defaults
     ("experiments.py", "_exp_phase_contrast"): 2,
     ("flow.py", "evaluate_naive"): 3,
-    ("flow.py", "_crossings"): 1,  # the backward fiber-0 base
     ("primes.py", "diophantine_gamma2_check"): 1,
     ("primes.py", "CircleInterval.__post_init__"): 1,
     ("roofs.py", "small_derivative_set"): 1,  # one arc start per offset
