@@ -334,10 +334,9 @@ def _crossings(roof, alpha, p: FlowPoint, times, backward=False):
 
 def _covering_values(roof, alpha, x, span, backward=False):
     """Fiber bases and roof values on the orbit of x, fibers 0, 1, ... in
-    either direction, over enough fibers that the roof values crossed (from
-    fiber 0 forward, from fiber 1 backward) sum to >= span without the last
-    two.  The count starts at span over the roof's mean and grows
-    geometrically."""
+    either direction, over enough fibers that the roofs crossed (backward
+    from fiber 1) sum to >= span without the last two.  The count starts at
+    span over the roof's mean and grows geometrically."""
     b = int(backward)
     bases, vals = _roof_values(roof, alpha, x, 0,
                                b + int(span / roof.integral()) + 18, backward)
