@@ -56,6 +56,9 @@ class FlowStep:
     consumed: float
 
 
+_SUM_BLOCK = 32  # terms per plain float64 block of _prefix_sums
+
+
 def _offsets(alpha: RotationNumber, n: int, backward: bool = False) -> np.ndarray:
     """Float images of {sign * i * alpha mod 1} for 0 <= i < n."""
     return alpha.orbit(n, backward)
@@ -132,14 +135,15 @@ def evaluate_naive(roof, alpha: RotationNumber, p: FlowPoint, t: float) -> FlowS
 
 def _union(lo, hi):
     """The intervals [lo, hi), sorted by lo, merged into (a, b) tuples: empty
-    pieces drop out, and a piece starting within 1e-9 of the largest end
-    before it joins that interval."""
+    pieces drop out, and a piece that starts at or before the largest end
+    before it joins that interval.  Adjacent fibers share their S entries
+    exactly, so touching pieces need no rounding tolerance to merge."""
     keep = hi > lo
     lo, hi = lo[keep], hi[keep]
     if not len(lo):
         return []
     end = np.maximum.accumulate(hi)
-    first = np.flatnonzero(np.append(True, lo[1:] > end[:-1] + 1e-9))
+    first = np.flatnonzero(np.append(True, lo[1:] > end[:-1]))
     last = np.append(first[1:], len(lo)) - 1
     return list(zip(lo[first].tolist(), end[last].tolist()))
 
@@ -179,22 +183,24 @@ def ab_decomposition(roof, alpha: RotationNumber, p: FlowPoint, horizon: float,
         a0_radius = 0.25 / alpha.q(n + 1) if n + 1 <= alpha.depth else 0.25 / alpha._virtual_q
     ia_radius = qn ** (-1.0 - delta)
     xs, _, S, _ = _crossings(roof, alpha, p, [horizon])
-    tau = S - p.s  # fiber i holds t in [tau[i], tau[i + 1])
-    lo, hi = np.maximum(tau[:-1], 0.0), np.minimum(tau[1:], horizon)
     in_ia, dist0 = _window_hits(alpha, p.x, xs, qn, ia_radius)
     core = dist0 <= a0_radius
-    # height >= cutoff means t >= tau_i + cutoff
-    A0 = _union(np.maximum(tau[:-1][core] + height_cutoff, lo[core]), hi[core])
-    lo, hi = lo[in_ia], hi[in_ia]
-    A = _union(lo, hi)
+    # only the fibers in I_A or in the core: fiber k holds t in
+    # [S[k] - s, S[k + 1] - s)
+    k = np.flatnonzero(in_ia | core)
+    in_ia, core = in_ia[k], core[k]
+    tau = S[k] - p.s
+    lo, hi = np.maximum(tau, 0.0), np.minimum(S[k + 1] - p.s, horizon)
+    # height >= cutoff means t >= tau + cutoff
+    start0 = np.clip(tau + height_cutoff, lo, hi)
+    A0 = _union(start0[core], hi[core])
+    A = _union(lo[in_ia], hi[in_ia])
     # fibers hold disjoint times: B is the gaps of A, A minus A_0 each I_A
-    # fiber up to where A_0 starts in it (its core height, or its bottom if
-    # A_0's 1e-9 merge bridged that sliver from the core fiber before it)
+    # fiber up to its core height (its top if it is not in the core)
     B = [(a, b) for a, b in zip([0.0] + [b for _, b in A],
                                 [a for a, _ in A] + [horizon]) if b - a > 1e-12]
-    a0 = np.array(A0 + [(horizon, np.inf)])
-    cut = np.clip(a0[np.searchsorted(a0[:, 1], lo, side="right"), 0], lo, hi)
-    excess = [(a, b) for a, b in _union(lo, cut) if b - a > 1e-12]
+    cut = np.where(core, start0, hi)[in_ia]
+    excess = [(a, b) for a, b in _union(lo[in_ia], cut) if b - a > 1e-12]
     a_measure = sum(b - a for a, b in A)
     a0_measure = sum(b - a for a, b in A0)
     excess_measure = sum(b - a for a, b in excess)
@@ -291,9 +297,7 @@ def _walk(roof, alpha, p: FlowPoint, times, psi=None, T=()):
         full = psi.whole_fiber_integral_many(bases[passed], fs[passed])
         part = psi.fiber_integral_many(np.append(bases[nT], p.x),
                                        np.append(p.s + u - sign * S[nT], p.s))
-        G = np.zeros(top + 1)
-        G[1:] = np.cumsum(full, dtype=np.longdouble)
-        out[up] = sign * G[nT] + part[:-1] - part[-1]
+        out[up] = sign * _prefix_sums(full)[nT] + part[:-1] - part[-1]
     return xs, ss, Ns, out
 
 
@@ -310,11 +314,11 @@ def _crossings(roof, alpha, p: FlowPoint, times, backward=False):
 
     Fiber k, k crossings away, has base x + k alpha (x - k alpha backward);
     fiber 0 is x either way.  Returns the bases xs and the roofs fs of fibers
-    0..n_max, the farthest one reached; S, the long-double partial sums of
-    the roofs crossed, rounded to float, S[0] = 0; and n, the fiber holding
-    each time.  Forward S sums from fiber 0 and fiber k holds s + t in
-    [S[k], S[k+1]); backward S sums from fiber 1 and fiber k holds s + t in
-    [-S[k], -S[k-1]).  A non-finite time raises ValueError."""
+    0..n_max, the farthest one reached; S, the _prefix_sums of the roofs
+    crossed, S[0] = 0; and n, the fiber holding each time.  Forward S sums
+    from fiber 0 and fiber k holds s + t in [S[k], S[k+1]); backward S sums
+    from fiber 1 and fiber k holds s + t in [-S[k], -S[k-1]).  A non-finite
+    time raises ValueError."""
     p.validate(roof)
     times = np.asarray(times, dtype=np.float64)
     if not np.isfinite(times).all():
@@ -324,8 +328,7 @@ def _crossings(roof, alpha, p: FlowPoint, times, backward=False):
         targets = np.maximum(-targets, 0.0)
     bases, vals = _covering_values(roof, alpha, p.x, float(np.max(targets)),
                                    backward)
-    S = np.zeros(len(vals) + 1 - backward)
-    S[1:] = np.cumsum(vals[int(backward):], dtype=np.longdouble)
+    S = _prefix_sums(vals[int(backward):])
     n = (np.searchsorted(S, targets, side="left") if backward
          else np.searchsorted(S, targets, side="right") - 1)
     top = int(np.max(n))
@@ -336,13 +339,52 @@ def _covering_values(roof, alpha, x, span, backward=False):
     """Fiber bases and roof values on the orbit of x, fibers 0, 1, ... in
     either direction, over enough fibers that the roofs crossed (backward
     from fiber 1) sum to >= span without the last two.  The count starts at
-    span over the roof's mean and grows geometrically."""
-    b = int(backward)
-    bases, vals = _roof_values(roof, alpha, x, 0,
-                               b + int(span / roof.integral()) + 18, backward)
-    while float(np.sum(vals[b:-2])) < span:
-        end = len(vals)
-        more, v = _roof_values(roof, alpha, x, end, end + (end - b) // 8 + 16,
+    span over the roof's mean, and each growth adds the shortfall over the
+    mean."""
+    b, mean = int(backward), roof.integral()
+    bases, vals = _roof_values(roof, alpha, x, 0, b + int(span / mean) + 18,
                                backward)
+    while (total := float(np.sum(vals[b:-2]))) < span:
+        end = len(vals)
+        more, v = _roof_values(roof, alpha, x, end,
+                               end + int((span - total) / mean) + 18, backward)
         bases, vals = np.append(bases, more), np.append(vals, v)
     return bases, vals
+
+
+def _prefix_sums(v):
+    """[0, v0, v0 + v1, ...] in float64 with no long double: plain
+    cumulative sums inside blocks of B = _SUM_BLOCK terms, each block then
+    shifted by its start, the sum of the block totals before it (blocked
+    summation, Higham, Accuracy and Stability of Numerical Algorithms, 2nd
+    ed., sec. 4.2).  The starts are correctly rounded running totals of the
+    block totals: each total splits exactly into hi on a 2^-k grid, coarse
+    enough that every running total of the hi is exact, and lo = total - hi,
+    whose running totals are all that rounds (Ogita, Rump and Oishi,
+    "Accurate sum and dot product", SISC 26, 2005).
+
+    Entry i is within (B - 1) eps A_i + eps (A_i + |S_i|) / 2 of the exact
+    S_i = v0 + ... + v_{i-1}, with A_i = |v0| + ... + |v_{i-1}| and
+    eps = 2^-52: the local sums contribute at most (B - 1) eps A_i, and the
+    start (at most A_i in size) and the final addition one rounding each."""
+    v = np.asarray(v, dtype=np.float64)
+    n, B = len(v), _SUM_BLOCK
+    out = np.empty(n + 1)
+    out[0] = 0.0
+    m = n - n % B
+    blocks = out[1:m + 1].reshape(-1, B)
+    np.cumsum(v[:m].reshape(-1, B), axis=1, out=blocks)
+    np.cumsum(v[m:], out=out[m + 1:])
+    totals = out[B::B].copy()
+    size = float(np.sum(np.abs(totals)))
+    if math.isfinite(size):
+        # the running totals of the hi stay below 2^52 grid steps
+        k = 51 - math.frexp(size)[1]
+        hi = np.ldexp(np.rint(np.ldexp(totals, k)), -k)
+        starts = np.cumsum(hi) + np.cumsum(totals - hi)
+    else:
+        starts = np.cumsum(totals)
+    blocks[1:] += starts[:len(blocks) - 1, None]
+    if m < n and m:
+        out[m + 1:] += starts[-1]
+    return out

@@ -2,6 +2,7 @@ import math
 import random
 import re
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -12,9 +13,12 @@ from primeflow.flow import (
     ABReport,
     FlowPoint,
     PrecisionError,
+    _SUM_BLOCK,
     _covering_values,
     _crossings,
     _offsets,
+    _prefix_sums,
+    _roof_values,
     _union,
     _window_hits,
     ab_decomposition,
@@ -23,6 +27,8 @@ from primeflow.flow import (
     evaluate_times,
     time_integral,
 )
+from primeflow.config import ExperimentConfig
+from primeflow.experiments import run_experiment
 from primeflow.roofs import FourierRoof, PowerRoof
 from primeflow.rotation import construct_alpha, frac, from_partial_quotients
 
@@ -201,6 +207,54 @@ def test_crossing_bases_are_the_offset_bases(backward):
     assert np.array_equal(xs, (p.x + offs) % 1.0)
 
 
+def _exact_prefix_sums(v):
+    """The prefix sums of v, each correctly rounded from the exact sum: every
+    float is an integer over 2^E, summed as Python ints."""
+    ratios = [x.as_integer_ratio() for x in v.tolist()]
+    E = max((d.bit_length() - 1 for _, d in ratios), default=0)
+    ints = [m << (E - d.bit_length() + 1) for m, d in ratios]
+    return np.array([a / (1 << E) for a in accumulate(ints, initial=0)])
+
+
+def _check_prefix_sums(v):
+    # the docstring's bound: (B - 1) eps A_i from the local sums, one
+    # rounding for the start (at most A_i) and one for the final addition
+    got, exact = _prefix_sums(v), _exact_prefix_sums(v)
+    A = _exact_prefix_sums(np.abs(v))
+    eps = np.finfo(np.float64).eps
+    bound = (_SUM_BLOCK - 1) * eps * A + eps * (A + np.abs(exact)) / 2
+    assert got.shape == (len(v) + 1,) and got[0] == 0.0
+    assert np.all(np.abs(got - exact) <= bound)
+    return got, exact
+
+
+def test_prefix_sums_of_a_long_roof_orbit():
+    # the power roof on section_claims' alpha over ~2.6e5 fibers, about a
+    # section_claims walk: a plain float64 cumsum is 124 ulps off here and
+    # breaks the bound; the blocked sum stays within 2 ulps (a long-double
+    # cumsum: 1)
+    v = _roof_values(POWER, SCALED, 0.3, 0, 2 ** 18 + 3)[1]
+    got, exact = _check_prefix_sums(v)
+    assert np.max(np.abs(got - exact)[1:] / np.spacing(exact[1:])) <= 2.0
+
+
+@pytest.mark.parametrize("n", [0, 1, _SUM_BLOCK - 1, _SUM_BLOCK,
+                               _SUM_BLOCK + 1, 40 * _SUM_BLOCK + 7, 100_000])
+def test_prefix_sums_of_signed_values(n):
+    rng = np.random.default_rng(n)
+    v = rng.standard_normal(n) * 10.0 ** rng.uniform(-3.0, 3.0, n)
+    _check_prefix_sums(v)
+    _check_prefix_sums(np.abs(v))
+
+
+def test_prefix_sums_keep_non_finite_values():
+    v = np.ones(3 * _SUM_BLOCK)
+    v[_SUM_BLOCK + 2] = np.inf
+    got = _prefix_sums(v)
+    assert np.array_equal(got[:_SUM_BLOCK + 3], np.arange(_SUM_BLOCK + 3.0))
+    assert np.all(got[_SUM_BLOCK + 3:] == np.inf)
+
+
 @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
 def test_naive_rejects_non_finite_time(t):
     # the stepping loop never ends for a time no fiber can hold
@@ -315,12 +369,12 @@ def _subtract(base, holes):
     return [(a, b) for a, b in out if b - a > 1e-12]
 
 
-def _merge_intervals_loop(pieces, tol=1e-9):
+def _merge_intervals_loop(pieces):
     merged = []
     for a, b in pieces:
         if b <= a:
             continue
-        if merged and a <= merged[-1][1] + tol:
+        if merged and a <= merged[-1][1]:
             merged[-1][1] = max(merged[-1][1], b)
         else:
             merged.append([a, b])
@@ -437,33 +491,120 @@ def test_ab_decomposition_matches_fiber_loop(name, n, x, frac, horizon, delta,
         assert _bits(getattr(got, field)) == _bits(getattr(ref, field))
 
 
-@pytest.mark.parametrize("gamma", [-0.5, -0.3])
-@pytest.mark.parametrize("name", sorted(VISIT_ALPHAS))
-def test_visit_sets_match_interval_subtraction(name, gamma):
-    # B and A minus A_0, read off the fibers, against the pairwise
-    # subtraction of the reported A and A_0, on cutoffs of every scale: at or
-    # below A_0's 1e-9 merge tolerance, A_0 bridges the lowest sliver of
-    # each core fiber after the first in a run, and that sliver is not excess;
-    # a start just below the roof puts fiber 1 an ulp after t = 0, so a gap
-    # of B that short is dropped
+def _random_decompositions(name, gamma, count):
+    """count random ab_decomposition arguments on VISIT_ALPHAS[name] and
+    PowerRoof(gamma): cutoffs of every scale down to 1e-14, and starts just
+    below the roof, which put fiber 1 an ulp after t = 0."""
     alpha, roof = VISIT_ALPHAS[name], PowerRoof(gamma)
     rng = np.random.default_rng([ord(name[0]), int(-10 * gamma)])
-    for _ in range(400):
+    for _ in range(count):
         x = rng.uniform(1e-6, 1.0 - 1e-6)
         s = [rng.uniform(0.0, 0.99) * roof(x),
              np.nextafter(roof(x), 0.0)][rng.integers(2)]
-        p = FlowPoint(x, float(s))
         horizon = 10.0 ** rng.uniform(-3.0, 3.3)
         cutoff = [None, 0.0, rng.uniform(0.0, 10.0),
                   10.0 ** rng.uniform(-14.0, -8.0)][rng.integers(4)]
         core = [None, rng.uniform(1e-4, 0.6),
                 10.0 ** rng.uniform(-4.0, -1.0)][rng.integers(3)]
-        rep = ab_decomposition(roof, alpha, p, horizon, int(rng.integers(2, 5)),
-                               rng.uniform(0.05, 0.9), cutoff, core)
+        yield (roof, alpha, FlowPoint(x, float(s)), horizon,
+               int(rng.integers(2, 5)), rng.uniform(0.05, 0.9), cutoff, core)
+
+
+@pytest.mark.parametrize("gamma", [-0.5, -0.3])
+@pytest.mark.parametrize("name", sorted(VISIT_ALPHAS))
+def test_visit_sets_match_interval_subtraction(name, gamma):
+    # B and A minus A_0, read off the fibers, against the pairwise
+    # subtraction of the reported A and A_0; a gap of B an ulp short is
+    # dropped
+    for args in _random_decompositions(name, gamma, 400):
+        rep = ab_decomposition(*args)
+        horizon = args[3]
         B, excess = _subtract([(0.0, horizon)], rep.A), _subtract(rep.A, rep.A0)
         assert rep.B == B and _bits(rep.B) == _bits(B)
         assert rep.excess_measure == sum(b - a for a, b in excess)
         assert rep.p3 == (len(excess) <= 2)
+
+
+def _ab_decomposition_all_fibers(roof, alpha, p, horizon, n, delta,
+                                 height_cutoff=None, a0_radius=None):
+    # ab_decomposition as it read before it selected fibers: tau, lo and hi
+    # over every fiber reached, and A minus A_0 cut where A_0 starts
+    qn = alpha.q(n)
+    if height_cutoff is None:
+        height_cutoff = math.log(horizon)
+    if a0_radius is None:
+        a0_radius = 0.25 / alpha.q(n + 1) if n + 1 <= alpha.depth else 0.25 / alpha._virtual_q
+    xs, _, S, _ = _crossings(roof, alpha, p, [horizon])
+    tau = S - p.s
+    lo, hi = np.maximum(tau[:-1], 0.0), np.minimum(tau[1:], horizon)
+    in_ia, dist0 = _window_hits(alpha, p.x, xs, qn, qn ** (-1.0 - delta))
+    core = dist0 <= a0_radius
+    A0 = _union(np.maximum(tau[:-1][core] + height_cutoff, lo[core]), hi[core])
+    lo, hi = lo[in_ia], hi[in_ia]
+    A = _union(lo, hi)
+    B = [(a, b) for a, b in zip([0.0] + [b for _, b in A],
+                                [a for a, _ in A] + [horizon]) if b - a > 1e-12]
+    a0 = np.array(A0 + [(horizon, np.inf)])
+    cut = np.clip(a0[np.searchsorted(a0[:, 1], lo, side="right"), 0], lo, hi)
+    excess = [(a, b) for a, b in _union(lo, cut) if b - a > 1e-12]
+    excess_measure = sum(b - a for a, b in excess)
+    return ABReport(A=A, A0=A0, B=B, p1=len(A) <= 1, p2=len(A0) <= 1,
+                    p3=len(excess) <= 2, a_measure=sum(b - a for a, b in A),
+                    a0_measure=sum(b - a for a, b in A0),
+                    excess_measure=excess_measure,
+                    excess_ratio=excess_measure / horizon)
+
+
+@pytest.mark.parametrize("gamma", [-0.5, -0.3])
+@pytest.mark.parametrize("name", sorted(VISIT_ALPHAS))
+def test_ab_decomposition_on_selected_fibers_matches_all_fibers(name, gamma):
+    # reading tau, lo and hi at the I_A and core fibers only, and cutting
+    # each I_A fiber at its core height, gives the all-fiber answers bit for
+    # bit
+    for args in _random_decompositions(name, gamma, 200):
+        got, ref = ab_decomposition(*args), _ab_decomposition_all_fibers(*args)
+        assert got == ref
+        for field in ("A", "A0", "B"):
+            assert _bits(getattr(got, field)) == _bits(getattr(ref, field))
+        assert _bits([got.a_measure, got.a0_measure, got.excess_measure]) \
+            == _bits([ref.a_measure, ref.a0_measure, ref.excess_measure])
+
+
+def test_core_set_does_not_depend_on_a_merge_tolerance():
+    # a cutoff of 1e-10 leaves a sliver at the bottom of each core fiber as
+    # real as one of 2e-9: both report A_0 as the same 42 intervals
+    p = FlowPoint(0.41, 0.02)
+    fine, coarse = (ab_decomposition(POWER, GOLDEN, p, 40.0, 3, 0.9, cutoff, 0.6)
+                    for cutoff in (1e-10, 2e-9))
+    assert len(fine.A0) == len(coarse.A0) == 42
+    assert fine.p2 == coarse.p2 is False
+    assert [b for _, b in fine.A0] == [b for _, b in coarse.A0]
+    assert all(0.0 <= b - a <= 2e-9 for (a, _), (b, _) in zip(fine.A0, coarse.A0))
+
+
+def test_section_claims_walk_sized_by_its_shortfall(monkeypatch):
+    # the covering walk grows by the missing span over the roof's mean, not
+    # by an eighth of the walk: section_claims (samples 4) reaches the same
+    # fibers with under 945,000 roof values (1,023,834 before)
+    import primeflow.flow as flow_module
+
+    roof_values, crossings = flow_module._roof_values, flow_module._crossings
+    evaluated, reached = [], []
+
+    def counted_roofs(roof, alpha, x, lo, hi, backward=False):
+        evaluated.append(hi - lo)
+        return roof_values(roof, alpha, x, lo, hi, backward)
+
+    def counted_fibers(*args):
+        out = crossings(*args)
+        reached.append(len(out[0]))
+        return out
+
+    monkeypatch.setattr(flow_module, "_roof_values", counted_roofs)
+    monkeypatch.setattr(flow_module, "_crossings", counted_fibers)
+    run_experiment(ExperimentConfig("section_claims", params={"samples": 4}))
+    assert reached == [234_931, 235_340, 232_178, 235_945]
+    assert sum(evaluated) <= 945_000
 
 
 # fewer fibers than q_n: a horizon inside the first fiber (golden q_4 = 5)
