@@ -384,7 +384,7 @@ def _prefix_sums(v):
         starts = np.cumsum(hi) + np.cumsum(totals - hi)
     else:
         starts = np.cumsum(totals)
-    blocks[1:] += starts[:len(blocks) - 1, None]
+    blocks[1:] += starts[:-1, None]
     if m < n and m:
         out[m + 1:] += starts[-1]
     return out

@@ -392,14 +392,21 @@ def _min_dist_to_centers(xs, centers) -> np.ndarray:
     return np.minimum(d1, d2)
 
 
-def _ab_decomposition_loop(roof, alpha, p, horizon, n, delta,
-                           height_cutoff=None, a0_radius=None):
+def _visit_parameters(alpha, horizon, n, delta, height_cutoff, a0_radius):
+    """q_n, the I_A radius, and the cutoff and core radius with
+    ab_decomposition's defaults filled in."""
     qn = alpha.q(n)
     if height_cutoff is None:
         height_cutoff = math.log(horizon)
     if a0_radius is None:
         a0_radius = 0.25 / alpha.q(n + 1) if n + 1 <= alpha.depth else 0.25 / alpha._virtual_q
-    ia_radius = qn ** (-1.0 - delta)
+    return qn, qn ** (-1.0 - delta), height_cutoff, a0_radius
+
+
+def _ab_decomposition_loop(roof, alpha, p, horizon, n, delta,
+                           height_cutoff=None, a0_radius=None):
+    qn, ia_radius, height_cutoff, a0_radius = _visit_parameters(
+        alpha, horizon, n, delta, height_cutoff, a0_radius)
     xs, _, S, _ = _crossings(roof, alpha, p, [horizon])
     tau = S - p.s
     centers = _offsets(alpha, qn, backward=True)
@@ -529,15 +536,12 @@ def _ab_decomposition_all_fibers(roof, alpha, p, horizon, n, delta,
                                  height_cutoff=None, a0_radius=None):
     # ab_decomposition as it read before it selected fibers: tau, lo and hi
     # over every fiber reached, and A minus A_0 cut where A_0 starts
-    qn = alpha.q(n)
-    if height_cutoff is None:
-        height_cutoff = math.log(horizon)
-    if a0_radius is None:
-        a0_radius = 0.25 / alpha.q(n + 1) if n + 1 <= alpha.depth else 0.25 / alpha._virtual_q
+    qn, ia_radius, height_cutoff, a0_radius = _visit_parameters(
+        alpha, horizon, n, delta, height_cutoff, a0_radius)
     xs, _, S, _ = _crossings(roof, alpha, p, [horizon])
     tau = S - p.s
     lo, hi = np.maximum(tau[:-1], 0.0), np.minimum(tau[1:], horizon)
-    in_ia, dist0 = _window_hits(alpha, p.x, xs, qn, qn ** (-1.0 - delta))
+    in_ia, dist0 = _window_hits(alpha, p.x, xs, qn, ia_radius)
     core = dist0 <= a0_radius
     A0 = _union(np.maximum(tau[:-1][core] + height_cutoff, lo[core]), hi[core])
     lo, hi = lo[in_ia], hi[in_ia]
