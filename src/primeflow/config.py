@@ -55,10 +55,17 @@ class ExperimentConfig:
         return self.params.get(key, default)
 
     def get_int(self, key, default):
-        return int(self.params.get(key, default))
+        return self._get(int, key, default)
 
     def get_float(self, key, default):
-        return float(self.params.get(key, default))
+        return self._get(float, key, default)
+
+    def _get(self, kind, key, default):
+        value = self.params.get(key, default)
+        try:
+            return kind(value)
+        except ValueError:
+            raise ConfigError(f"bad value in [params]: {key} = {value!r}")
 
     def rng(self):
         return np.random.Generator(np.random.PCG64(self.seed))

@@ -71,30 +71,27 @@ def _roof_values(roof, alpha, x, lo, hi, backward=False):
 
 
 def evaluate(roof, alpha: RotationNumber, p: FlowPoint, t: float) -> FlowStep:
-    """T_t(p): find N with S_N(f)(x) <= s + t < S_{N+1}(f)(x) on the crossing
-    schedule of evaluate_times."""
-    backward = t < 0.0
-    xs, _, S, n = _crossings(roof, alpha, p, [t], backward)
-    n, sign = int(n[0]), -1 if backward else 1
-    return _finish(roof, float(xs[n]), p.s, t, sign * n, sign * float(S[n]))
+    """T_t(p): find N with S_N(f)(x) <= s + t < S_{N+1}(f)(x).  The one-time
+    view of _walk, so it equals evaluate_times' entry bit for bit."""
+    xs, ss, Ns, _, S = _walk(roof, alpha, p, [t])
+    return FlowStep(FlowPoint(float(xs[0]), float(ss[0])), int(Ns[0]),
+                    float(S[0]))
 
 
 def _included(end_s, top):
-    """end_s, after checking -1e-7 <= s' < f(x') + 1e-7 for every height s'
-    in end_s and roof value f(x') in top; PrecisionError if one is outside."""
+    """end_s clamped into [0, top) once each height s' in it lies in
+    [-1e-7, f(x') + 1e-7), f(x') its entry of top; else PrecisionError."""
     ok = (end_s >= -1e-7) & (end_s < top + 1e-7)
     if not np.all(ok):
         bad = ~np.asarray(ok)
         s, f = np.broadcast_arrays(end_s, top)
         raise PrecisionError("defining inclusion violated: "
                              f"s' = {s[bad][0]}, f(x') = {f[bad][0]}")
-    return end_s
+    return np.clip(end_s, 0.0, np.nextafter(top, 0.0))
 
 
 def _finish(roof, end_x, s, t, N, consumed) -> FlowStep:
-    top = roof(end_x)
-    end_s = _included(s + t - consumed, top)
-    end_s = min(max(end_s, 0.0), math.nextafter(top, 0.0))
+    end_s = float(_included(s + t - consumed, roof(end_x)))
     return FlowStep(FlowPoint(end_x, end_s), N, consumed)
 
 
@@ -255,13 +252,13 @@ def evaluate_times(roof, alpha: RotationNumber, p: FlowPoint, times):
 
 
 def _walk(roof, alpha, p: FlowPoint, times, psi=None, T=()):
-    """Positions (x, s, N) of T_t(p) at every t in times and the signed
-    integrals int_0^T psi(T_t(p)) dt at every T in T, from one _crossings
-    per sign over the union of the times and the T of that sign.  The fiber
-    table reads alike in both directions: fiber n, reached at a time, has
-    base bases[n] and roof fs[n].  Each height s' is checked as _finish
-    checks it, -1e-7 <= s' < f(x') + 1e-7 with f(x') = fs[n], and
-    PrecisionError raised if it fails; the heights are not clamped.
+    """Positions (x, s, N) of T_t(p) at every t in times, the signed
+    integrals int_0^T psi(T_t(p)) dt at every T in T, and the signed roof
+    sums S_N(f)(x) crossed to the times, from one _crossings per sign over
+    the union of the times and the T of that sign.  Fiber n, reached at a
+    time, has base bases[n] and roof fs[n] in either direction; its height
+    s' = s + t - S_N is checked and clamped into [0, fs[n]) by _included, so
+    every position lies in the tower.
 
     The integral at T is a cumulative sum of whole-fiber integrals over the
     fibers passed bottom to top (0..n-1 forward, 1..n backward), plus the
@@ -272,7 +269,7 @@ def _walk(roof, alpha, p: FlowPoint, times, psi=None, T=()):
     _same_roof(psi, roof)
     times = np.asarray(times, dtype=np.float64)
     T = np.asarray(T, dtype=np.float64)
-    xs, ss = np.empty(times.shape), np.empty(times.shape)
+    xs, ss, Ss = (np.empty(times.shape) for _ in range(3))
     Ns = np.zeros(times.shape, dtype=np.int64)
     out = np.zeros(T.shape)
     for backward in (False, True):
@@ -286,9 +283,8 @@ def _walk(roof, alpha, p: FlowPoint, times, psi=None, T=()):
                                      backward)
         n, nT = n[:t.size], n[t.size:]
         sign = -1 if backward else 1
-        xs[at] = bases[n]
-        ss[at] = _included(p.s + t - sign * S[n], fs[n])
-        Ns[at] = sign * n
+        xs[at], Ss[at], Ns[at] = bases[n], sign * S[n], sign * n
+        ss[at] = _included(p.s + t - Ss[at], fs[n])
         if not u.size:
             continue
         top = int(np.max(nT))
@@ -298,7 +294,7 @@ def _walk(roof, alpha, p: FlowPoint, times, psi=None, T=()):
         part = psi.fiber_integral_many(np.append(bases[nT], p.x),
                                        np.append(p.s + u - sign * S[nT], p.s))
         out[up] = sign * _prefix_sums(full)[nT] + part[:-1] - part[-1]
-    return xs, ss, Ns, out
+    return xs, ss, Ns, out, Ss
 
 
 def _same_roof(psi, roof):

@@ -9,10 +9,10 @@ special flow stay cheap.
 
 Prime-orbit sums walk the whole orbit once per direction: one walk call
 returns the positions at every prime time and the time integrals at every N
-of the grid together, from a single crossing schedule over the rotation
-orbit (special flow: one cumulative roof sum per sign, whose roof values
-also give the whole-fiber integrals in closed form) or from one cocycle
-inversion and the closed-form integral (reparametrized flow).  So total
+of the grid together, from one crossing schedule per sign over the rotation
+orbit (special flow; its roof values also give the whole-fiber integrals in
+closed form) or from one rigidity period table per start point, read at
+every integral time, and closed-form integrals (reparametrized flow).  So
 work is linear in the time horizon, and a statistic over an N-grid reads
 every N off the prefixes of one pass at the largest N.  The statistics take
 either flow, KocherginFlow or reparam.ReparamFlow, through the three
@@ -66,7 +66,7 @@ class KocherginFlow:
         the signed int_0^T psi(T_t start) dt at every T in T, from one
         crossing schedule per sign over the times and T; SingularOrbitError
         if a position lands on the fiber over a singular 0."""
-        xs, ss, _, I = _walk(self.roof, self.alpha, start, times, psi, T)
+        xs, ss, _, I, _ = _walk(self.roof, self.alpha, start, times, psi, T)
         return (self._off_singular(xs), ss), I
 
     def _off_singular(self, xs):

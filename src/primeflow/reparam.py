@@ -78,7 +78,7 @@ class ReparamFlow:
             abs(c) / (math.pi * abs(w)) for _, _, c, w in self._terms
         )
         self._max_freq = max((abs(w) for *_, w in self._terms), default=0.0)
-        # the rigidity period of _integer_positions: the smallest q_n whose
+        # the rigidity period of _orbit_positions: the smallest q_n whose
         # drift bound meets _TOL at t = q_n, or None
         self._period = next((q for q in alpha.denominators
                              if self._drift(q) <= _TOL * (1.0 + q)), None)
@@ -237,45 +237,46 @@ class ReparamFlow:
         u[todo] = self._bisect(t, b)
         return u
 
-    def _integer_positions(self, n, x1, x2):
-        """L_{u(n)}(x) for an int64 array n, of either sign, at the scalar
-        start point x, as coordinate arrays: evaluate_many below the period
-        P or with none.  Otherwise n = r + k P, r in [0, P), reads the period
-        table: u(r) + k P solves V = n up to rho_r + |k| delta(P), as W = V -
-        id drifts by <= delta(P) per period, and its position is exactly
-        (p1_r + k (P alpha mod 1), p2_r) mod 1.  That answer is kept where
-        the bound meets _TOL (1 + |n|); elsewhere n is solved cold, and so is
-        every n in [-P, 0), whose u(n + P) would carry the rounding of a time
-        near P rather than of n.  So n in [-P, P) gets evaluate_many's bits."""
-        n = np.asarray(n, dtype=np.int64)
+    def _orbit_positions(self, t, x1, x2):
+        """L_{u(t)}(x) at every t in t, of any dtype, at the scalar start point
+        x, as coordinate arrays.  An integral t = n, |n| < 2^62, is n = r + k P
+        with r = i - P // 2, i = (n + P // 2) mod P: u(r) + k P solves V = n
+        up to rho_i + |k| delta(P), as W = V - id drifts by <= delta(P) per
+        period, and its position is exactly (p1_i + k (P alpha mod 1), p2_i)
+        mod 1, kept where that bound meets _TOL (1 + |n|).  Every other time
+        is solved cold by evaluate_many, as is every time of a call with no
+        period P or with P above its largest integral |t|.  At k = 0, n in
+        [-P // 2, P - P // 2), the entry is n's own cold solve; any other n
+        reads u(r), |r| <= P / 2, so rounds at the scale of min(|n|, P / 2)."""
+        t = _finite("t", t)
+        whole = (t == np.rint(t)) & (np.abs(t) < 2.0 ** 62)
         P = self._period
-        if P is None or P > max(n.max(initial=0), -n.min(initial=0)):
-            return self.evaluate_many(n.astype(np.float64), x1, x2)
+        if P is None or P > np.max(np.abs(t), where=whole, initial=0.0):
+            return self.evaluate_many(t, x1, x2)
         rho, p1, p2 = self._period_table(x1, x2)
         shift, delta = self.alpha.signed_frac(P), self._drift(P)
-        flat = n.ravel()
+        flat, cold = t.ravel(), ~whole.ravel()
         y1, y2 = np.empty(flat.shape), np.empty(flat.shape)
-        cold = np.empty(flat.shape, dtype=bool)
         for lo in range(0, flat.size, _BLOCK):
             sl = slice(lo, lo + _BLOCK)
-            k, r = np.divmod(flat[sl], P)
-            y1[sl] = _unit(p1[r] + k * shift)
-            y2[sl] = p2[r]
-            cold[sl] = (k == -1) | (rho[r] + np.abs(k) * delta
-                                    > _TOL * (1.0 + np.abs(flat[sl])))
+            n = np.where(cold[sl], 0.0, flat[sl]).astype(np.int64)
+            k, i = np.divmod(n + P // 2, P)
+            y1[sl] = _unit(p1[i] + k * shift)
+            y2[sl] = p2[i]
+            cold[sl] |= (rho[i] + np.abs(k) * delta
+                         > _TOL * (1.0 + np.abs(flat[sl])))
         if cold.any():
-            y1[cold], y2[cold] = self.evaluate_many(
-                flat[cold].astype(np.float64), x1, x2)
-        return y1.reshape(n.shape), y2.reshape(n.shape)
+            y1[cold], y2[cold] = self.evaluate_many(flat[cold], x1, x2)
+        return y1.reshape(t.shape), y2.reshape(t.shape)
 
     def _period_table(self, x1, x2):
-        """(rho, p1, p2) at the start point x: for r = 0..P-1, with u(r)
-        solved cold, the bound rho_r >= |V(u(r)) - r| and the position (p1_r,
-        p2_r) = L_{u(r)}(x).  A one-entry memo keyed by the exact start point
-        lets every integer orbit from one start share one cold period."""
+        """(rho, p1, p2) at the start point x: for i = 0..P-1, with u(r) solved
+        cold at r = i - P // 2, the bound rho_i >= |V(u(r)) - r| and the
+        position (p1_i, p2_i) = L_{u(r)}(x).  A one-entry memo keyed by the
+        exact start point lets every orbit from one start share one period."""
         key = (float(_finite("x1", x1)), float(_finite("x2", x2)))
         if self._memo is None or self._memo[0] != key:
-            t = np.arange(self._period, dtype=np.float64)
+            t = np.arange(self._period, dtype=np.float64) - self._period // 2
             u = self.time_inverse_many(t, *key)
             rho = np.abs(self.cocycle_many(u, *key) - t)
             rho += self._eval_slope * np.abs(u) + self._eval_floor
@@ -343,15 +344,11 @@ class ReparamFlow:
     def walk(self, psi, start: TorusPoint, times, T):
         """The coordinate arrays (x1, x2) of T_t(start) at every t in times
         and time_integral(psi, start, T), the protocol call that
-        KocherginFlow answers from one orbit pass.  Times of a signed
-        integer dtype are answered by _integer_positions, from the period
-        table at start once they reach the period; times of any other dtype
-        cold, by evaluate_many."""
-        times = np.asarray(times)
-        integer = np.issubdtype(times.dtype, np.signedinteger)
-        pts = (self._integer_positions if integer else self.evaluate_many)(
-            times, start.x1, start.x2)
-        return pts, self.time_integral(psi, start, T)
+        KocherginFlow answers from one orbit pass.  The positions are
+        _orbit_positions': integral times read the period table at start
+        once they reach the period, whatever their dtype."""
+        return (self._orbit_positions(times, start.x1, start.x2),
+                self.time_integral(psi, start, T))
 
     def box_masses(self, boxes: int):
         """Masses v dLeb of the cells [i/boxes, (i+1)/boxes) x [j/boxes,

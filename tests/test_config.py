@@ -192,6 +192,20 @@ def test_cli_run_with_config(tmp_path, capsys):
     assert header == ",".join(CSV_COLUMNS)
 
 
+@pytest.mark.parametrize("name, key, value", [
+    ("dk_bound", "samples", "1e3"), ("katok_wm", "alpha_exponent", "four")])
+def test_cli_run_reports_a_bad_params_value(tmp_path, capsys, name, key,
+                                            value):
+    # get_int and get_float name the key of a [params] value they cannot
+    # read, and the command reports it as it reports a bad [experiment] value
+    cfgpath = tmp_path / "run.cfg"
+    cfgpath.write_text(f"[experiment]\nname = {name}\nsieve_limit = 1000\n"
+                       f"[params]\n{key} = {value}\n")
+    assert cli.main(["run", "--config", str(cfgpath)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: bad value in [params]: {key} = {value!r}\n"
+
+
 def test_cli_unknown_experiment_exit_code(capsys):
     assert cli.main(["run", "no_such_thing"]) == 2
     err = capsys.readouterr().err

@@ -167,7 +167,7 @@ def test_defining_inclusion():
 def test_walk_checks_the_defining_inclusion(backward, shift, monkeypatch):
     # partial sums S off by a unit put the heights s + t - S_N(f) about a
     # unit outside [0, f(x')): evaluate_times raises instead of returning
-    # them, as evaluate does through _finish
+    # them
     import primeflow.flow as flow_module
 
     crossings = flow_module._crossings
@@ -182,6 +182,26 @@ def test_walk_checks_the_defining_inclusion(backward, shift, monkeypatch):
     monkeypatch.setattr(flow_module, "_crossings", shifted)
     with pytest.raises(PrecisionError, match="defining inclusion violated"):
         evaluate_times(POWER, GOLDEN, p, times)
+
+
+@pytest.mark.parametrize("backward", [False, True])
+@pytest.mark.parametrize("start", [FlowPoint(0.37, 0.05), FlowPoint(0.81, 0.3)])
+def test_heights_at_fiber_tops_stay_in_the_tower(start, backward):
+    # the times t = S_k - s that reach fiber k's bottom (-S_k - s backward)
+    # and their float neighbours, k = 1..2000: s + t - S_N rounds to f(x')
+    # at some of them, and the walk clamps that height into [0, f(x')); the
+    # scalar evaluate is the same walk, so it equals evaluate_times bit for
+    # bit
+    _, _, S, _ = _crossings(POWER, GOLDEN, start,
+                            [-3000.0 if backward else 3000.0], backward)
+    base = (-S[1:2001] if backward else S[1:2001]) - start.s
+    times = np.concatenate((base, np.nextafter(base, -np.inf),
+                            np.nextafter(base, np.inf)))
+    xs, ss, Ns = evaluate_times(POWER, GOLDEN, start, times)
+    assert np.all((ss >= 0.0) & (ss < POWER(xs)))
+    for t, x, s, N in zip(times.tolist(), xs, ss, Ns):
+        step = evaluate(POWER, GOLDEN, start, t)
+        assert (step.endpoint.x, step.endpoint.s, step.hits) == (x, s, N)
 
 
 def test_covering_values_backward():

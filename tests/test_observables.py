@@ -585,7 +585,7 @@ def test_pnt_report_one_pass_per_direction(kind, table, monkeypatch):
     # every N of the grid reads prefixes of one pass per direction: one walk
     # call for the prime positions and the time integrals at z N together,
     # which on the special flow is one crossing schedule per sign and on the
-    # torus one _integer_positions and one time_integral call; the primes
+    # torus one _orbit_positions and one time_integral call; the primes
     # stay below the rigidity period, so each direction's are one cold
     # time_inverse_many call, besides the time integrals' calls at the z N
     import primeflow.flow as flow_module
@@ -593,7 +593,7 @@ def test_pnt_report_one_pass_per_direction(kind, table, monkeypatch):
     cls, flow, psi, start = _flow_case(kind)
     calls, schedules, cold = [], [], []
     # where each spied method takes the times it walks to
-    spied = {"walk": 2, "_integer_positions": 0, "time_integral": 2}
+    spied = {"walk": 2, "_orbit_positions": 0, "time_integral": 2}
     if kind == "kochergin":
         spied = {"walk": 2}
 
@@ -623,9 +623,9 @@ def test_pnt_report_one_pass_per_direction(kind, table, monkeypatch):
 
 def test_pnt_report_past_the_period_reads_one_table(table, monkeypatch):
     # primes past the rigidity period P: both directions read one cold
-    # period of the time change, one time_inverse_many call of P times;
-    # besides it and the time integrals' calls at the z N, only the "-"
-    # primes above -P are solved cold, in one call
+    # period of the time change, one time_inverse_many call of P times
+    # centered at 0, and every prime of either sign reads it: besides it
+    # only the time integrals at the z N are solved cold
     _, flow, psi, start = _flow_case("reparam")
     cold, inverse = [], ReparamFlow.time_inverse_many
     monkeypatch.setattr(ReparamFlow, "time_inverse_many",
@@ -633,9 +633,7 @@ def test_pnt_report_past_the_period_reads_one_table(table, monkeypatch):
                         or inverse(self, t, *args))
     pnt_report(psi, flow, start, (10 ** 4, 10 ** 5), table=table)
     assert 10 ** 4 < flow._period < 10 ** 5
-    below = table.primes_between(1, flow._period).size
-    assert below == 8152
-    assert sorted(cold) == [2, 2, below, flow._period]
+    assert sorted(cold) == [2, 2, flow._period]
 
 
 def _reference_walk(flow, psi, start, times, T):
@@ -655,13 +653,13 @@ def test_walk_matches_positions_and_time_integral(kind, case, table,
                                                   monkeypatch):
     # m0: each walk pnt_report makes; m3_mixed_signs: one walk at the int64
     # times p - 3, from -1 at p = 2 up past the rigidity period, and at T of
-    # both signs; fractional: the same at the float times p - 2.5.  Against
-    # the separate position and integral views at the same times: integrals
+    # both signs; fractional: the same at the times p - 2.5.  Against the
+    # separate position and integral views at the same times: integrals
     # within 1e-13 relative, and bit-identical positions except on the torus
-    # at integer times that reach the period, which are read from the
-    # period table; the cold u errs by a few ulps of max |t|, so the cold
-    # coordinates x + u (alpha, 1) mod 1 lie within 4 ulps of max |t| times
-    # 1 + alpha < 2 of the table's, plus the rounding of the sums
+    # at integral times in a call that reaches the period, which are read
+    # from the period table; the cold u errs by a few ulps of max |t|, so the
+    # cold coordinates x + u (alpha, 1) mod 1 lie within 4 ulps of max |t|
+    # times 1 + alpha < 2 of the table's, plus the rounding of the sums
     cls, flow, psi, start = _flow_case(kind)
     seen = []
     walk = cls.walk
@@ -683,7 +681,7 @@ def test_walk_matches_positions_and_time_integral(kind, case, table,
         if case != "m0":
             assert np.any(times < 0) and np.any(times > 0)
         want_pts, want = _reference_walk(flow, psi, start, times, T)
-        exact = (kind == "kochergin" or times.dtype == np.float64
+        exact = (kind == "kochergin" or case == "fractional"
                  or np.max(np.abs(times)) < flow._period)
         assert exact != (kind == "reparam" and case == "m3_mixed_signs")
         bound = 8.0 * np.spacing(np.max(np.abs(times))) + 2.0 * np.spacing(1.0)

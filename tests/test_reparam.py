@@ -579,13 +579,30 @@ def _spy_cold(monkeypatch):
     return sizes
 
 
-def _shifted_u(flow, n):
-    """u(n mod P) + (n - n mod P) from a cold solve of the period at the
-    start point (0.31, 0.64): the u whose position the period table gives."""
+def _centered(flow, n):
+    """(k, i) with n = (i - P // 2) + k P and i in [0, P): the whole periods
+    and the period table index that the integer time n reads."""
     P = flow._period
-    k, r = np.divmod(np.asarray(n, dtype=np.int64), P)
-    return flow.time_inverse_many(np.arange(P, dtype=np.float64), 0.31,
-                                  0.64)[r] + k * P
+    return np.divmod(np.asarray(n, dtype=np.int64) + P // 2, P)
+
+
+def _bound_met(flow, n):
+    """Whether rho_i + |k| delta(P) <= 1e-12 (1 + |n|) at the times n from
+    the start point (0.31, 0.64): where the period table is read."""
+    k, i = _centered(flow, n)
+    rho = flow._period_table(0.31, 0.64)[0]
+    return rho[i] + np.abs(k) * flow._drift(flow._period) <= 1e-12 * (
+        1.0 + np.abs(n))
+
+
+def _shifted_u(flow, n):
+    """u(r) + k P, n = r + k P with r = i - P // 2, from a cold solve of the
+    centered period at the start point (0.31, 0.64): the u whose position
+    the period table gives."""
+    P = flow._period
+    k, i = _centered(flow, n)
+    r = np.arange(P, dtype=np.float64) - P // 2
+    return flow.time_inverse_many(r, 0.31, 0.64)[i] + k * P
 
 
 def test_integer_orbit_period_is_the_first_rigid_denominator(flow):
@@ -599,22 +616,17 @@ def test_integer_positions_shift_by_whole_periods():
     # a faint time change on the golden rotation: P = q_10 = 89 with P alpha
     # mod 1 = 0.005, so k periods on x1 moves by a visible k (P alpha mod
     # 1), and delta(P) = 8.1e-11 is close enough to 1e-12 (1 + P) that the
-    # drift term sends 455 of the times -20 P..20 P cold, most of them
-    # negative; the times in [-P, 0) go cold besides.  The others sit
-    # exactly at u(r) + k P, which meets the residual contract: their
-    # positions lie within the rounding of x + u (alpha, 1) at |u| <= 20 P
-    # of the float view at that u
+    # drift term sends 204 of the times -20 P..20 P cold, 102 of each sign.
+    # The others sit exactly at u(r) + k P, which meets the residual
+    # contract: their positions lie within the rounding of x + u (alpha, 1)
+    # at |u| <= 20 P of the float view at that u
     fl = ReparamFlow(GOLDEN, TimeChange([(1, 0, 1e-8)]))
     P = fl._period
     assert P == GOLDEN.q(10) == 89
     n = np.arange(-20 * P, 20 * P + 1)
-    pts = fl._integer_positions(n, 0.31, 0.64)
-    k, r = np.divmod(n, P)
-    rho = fl._period_table(0.31, 0.64)[0]
-    bound = rho[r] + np.abs(k) * fl._drift(P) <= 1e-12 * (1.0 + np.abs(n))
-    assert np.sum(~bound) == 455
-    read = bound & (k != -1)
-    assert np.sum(~read) == 455 + np.sum(bound & (k == -1))
+    pts = fl._orbit_positions(n, 0.31, 0.64)
+    read = _bound_met(fl, n)
+    assert np.sum(~read) == 204 and np.sum(~read & (n < 0)) == 102
     u = _shifted_u(fl, n)
     assert _meets_contract(fl, u[read], n[read])
     cold = fl.evaluate_many(n[~read].astype(np.float64), 0.31, 0.64)
@@ -625,72 +637,74 @@ def test_integer_positions_shift_by_whole_periods():
 
 
 def test_integer_orbit_warm_start(monkeypatch):
-    # the times past P read the table at r = n mod P, k = n div P periods
-    # on: their u(r) + k P meets the residual contract, their positions lie
-    # within the cold solve's rounding of evaluate_many's, the times below P
-    # are evaluate_many itself, and nothing but the period is solved cold
+    # the times from P - P // 2 on read the table at i = (n + P // 2) mod P,
+    # k = (n + P // 2) div P periods on: their u(r) + k P meets the residual
+    # contract, their positions lie within the cold solve's rounding of
+    # evaluate_many's, the times below P - P // 2 are evaluate_many itself,
+    # and nothing but the period is solved cold
     fl = ReparamFlow(SCALED, make_timechange(SCALED))
     P = fl._period
     n = np.arange(ORBIT_M + 1)
     sizes = _spy_cold(monkeypatch)
-    pts = fl._integer_positions(n, 0.31, 0.64)
+    pts = fl._orbit_positions(n, 0.31, 0.64)
     assert sizes == [P]
     monkeypatch.undo()
     assert _meets_contract(fl, _shifted_u(fl, n))
     assert _near_cold(fl, pts, n)
-    below = fl.evaluate_many(np.arange(P, dtype=np.float64), 0.31, 0.64)
+    h = P - P // 2
+    below = fl.evaluate_many(np.arange(h, dtype=np.float64), 0.31, 0.64)
     for got, want in zip(pts, below):
-        assert got[:P].tobytes() == want.tobytes()
+        assert got[:h].tobytes() == want.tobytes()
 
 
 def test_integer_times_of_either_sign_match_the_cold_solve(flow):
-    # the +- primes up to ORBIT_M: each is read from the table where its
-    # bound rho_r + |k| delta(P) meets the tolerance and n is not in
-    # [-P, 0), there at a u that meets the residual contract, and solved
-    # cold elsewhere
+    # the +- primes up to ORBIT_M: each is read from the centered table, at
+    # a u that meets the residual contract, where its bound rho_i + |k|
+    # delta(P) meets the tolerance, and that holds at every one of them; the
+    # primes up to P // 2 are the cold solve itself
     from primeflow.primes import build_table
 
     ps = build_table(ORBIT_M).primes.astype(np.int64)
-    rho = flow._period_table(0.31, 0.64)[0]
-    delta = flow._drift(flow._period)
+    low = ps <= flow._period // 2
     for n in (ps, -ps):
-        pts = flow._integer_positions(n, 0.31, 0.64)
+        pts = flow._orbit_positions(n, 0.31, 0.64)
         assert _near_cold(flow, pts, n)
-        k, r = np.divmod(n, flow._period)
-        bound = rho[r] + np.abs(k) * delta <= 1e-12 * (1.0 + np.abs(n))
-        read = bound & (k != -1)
-        assert _meets_contract(flow, _shifted_u(flow, n[read]), n[read])
-        # only 17 "-" primes, all of them down to -61 but -59, miss the
-        # bound, and the cold ones are the "-" primes above -P
-        assert np.array_equal(n[~bound], [] if n[0] > 0 else
-                              -np.setdiff1d(ps[:18], [59]))
-        assert np.array_equal(n[~read], [] if n[0] > 0 else
-                              -ps[ps < flow._period])
-        cold = flow.evaluate_many(n[~read].astype(np.float64), 0.31, 0.64)
+        assert np.all(_bound_met(flow, n))
+        assert _meets_contract(flow, _shifted_u(flow, n), n)
+        cold = flow.evaluate_many(n[low].astype(np.float64), 0.31, 0.64)
         for got, want in zip(pts, cold):
-            assert got[~read].tobytes() == want.tobytes()
+            assert got[low].tobytes() == want.tobytes()
 
 
 def test_integer_times_share_one_period_per_start_point(flow, monkeypatch):
     sizes = _spy_cold(monkeypatch)
     fl = ReparamFlow(SCALED, make_timechange(SCALED))
     n = np.array([5, -7, 10 ** 6, -(10 ** 6)])
-    first = fl._integer_positions(n, 0.31, 0.64)
-    again = fl._integer_positions(n[::-1], 0.31, 0.64)
+    first = fl._orbit_positions(n, 0.31, 0.64)
+    again = fl._orbit_positions(n[::-1], 0.31, 0.64)
     for got, want in zip(again, first):
         assert np.array_equal(got, want[::-1])
-    # one period, plus the cold solve of n = -7 (below the bound) per call
-    assert sizes == [fl._period, 1, 1]
-    fl._integer_positions(n, 0.31, 0.65)  # another start point: a new period
-    assert sizes == [fl._period, 1, 1, fl._period, 1]
+    # one period, and every time of both calls read from it
+    assert sizes == [fl._period]
+    fl._orbit_positions(n, 0.31, 0.65)  # another start point: a new period
+    assert sizes == [fl._period, fl._period]
 
 
 def test_integer_orbit_prefixes_are_stable(flow):
-    whole = flow._integer_positions(np.arange(ORBIT_M + 1), 0.31, 0.64)
+    whole = flow._orbit_positions(np.arange(ORBIT_M + 1), 0.31, 0.64)
     for M in (1000, flow._period + 5000):
-        prefix = flow._integer_positions(np.arange(M + 1), 0.31, 0.64)
+        prefix = flow._orbit_positions(np.arange(M + 1), 0.31, 0.64)
         for got, want in zip(prefix, whole):
             assert np.array_equal(got, want[:M + 1])
+    # a call below the period is solved cold: up to P - P // 2 that is the
+    # table's k = 0 entry, and from there on it agrees with the table's
+    # reading to the cold solve's rounding
+    P = flow._period
+    h = P - P // 2
+    below = flow._orbit_positions(np.arange(P), 0.31, 0.64)
+    for got, want in zip(below, whole):
+        assert np.array_equal(got[:h], want[:h])
+    assert _near_cold(flow, [w[:P] for w in whole], np.arange(P))
 
 
 def test_integer_orbit_without_a_period_is_solved_cold():
@@ -698,7 +712,7 @@ def test_integer_orbit_without_a_period_is_solved_cold():
     assert fl._period is None
     M = 5 * 10 ** 4  # two blocks
     cold = fl.evaluate_many(np.arange(-M, M + 1.0), 0.31, 0.64)
-    got = fl._integer_positions(np.arange(-M, M + 1), 0.31, 0.64)
+    got = fl._orbit_positions(np.arange(-M, M + 1), 0.31, 0.64)
     # so the walk at integer times gives evaluate_many's positions
     psi, start = TorusObservable(0.0, [(1, 0, 1.0)]), TorusPoint(0.31, 0.64)
     pts, _ = fl.walk(psi, start, np.arange(-M, M + 1), np.array([1.0]))
@@ -720,34 +734,34 @@ def test_integer_times_below_the_period_are_solved_cold(monkeypatch):
     for n in (np.arange(1001), np.arange(-1000, 1001),
               np.array([fl._period - 1, 1 - fl._period])):
         cold = fl.evaluate_many(n.astype(np.float64), 0.31, 0.64)
-        for got, want in zip(fl._integer_positions(n, 0.31, 0.64), cold):
+        for got, want in zip(fl._orbit_positions(n, 0.31, 0.64), cold):
             assert got.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("dtype, integer", [
-    (np.int64, True), (np.int32, True), (np.float64, False),
-    (np.uint64, False)])
-def test_walk_picks_the_path_from_the_time_dtype(flow, monkeypatch, dtype,
-                                                 integer):
-    # signed-integer times go to _integer_positions, any other dtype,
-    # integral float values included, to the cold solve; below the period
-    # both give evaluate_many's positions
-    calls, orig = [], ReparamFlow._integer_positions
-    monkeypatch.setattr(ReparamFlow, "_integer_positions",
-                        lambda self, *args: calls.append(args)
-                        or orig(self, *args))
+@pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint64,
+                                   np.float64])
+def test_walk_positions_do_not_depend_on_the_time_dtype(flow, dtype):
+    # one position rule for every dtype: integral times read the period
+    # table once a call reaches the period, whatever their dtype, so int64,
+    # int32, uint64 and integral float64 times give the same bits; below P
+    # - P // 2 those are evaluate_many's
+    P = flow._period
+    n = np.concatenate((np.arange(1, 50), np.arange(P - 50, P + 50),
+                        [3 * P + 7, 10 ** 6]))
     psi, start = TorusObservable(0.0, [(1, 0, 1.0)]), TorusPoint(0.31, 0.64)
-    pts, _ = flow.walk(psi, start, np.arange(1, 50, dtype=dtype), ())
-    assert len(calls) == integer
-    monkeypatch.undo()
-    want = flow.evaluate_many(np.arange(1.0, 50.0), 0.31, 0.64)
-    for got, ref in zip(pts, want):
+    pts, _ = flow.walk(psi, start, n.astype(dtype), ())
+    want, _ = flow.walk(psi, start, n, ())
+    assert _near_cold(flow, want, n)
+    cold = flow.evaluate_many(np.arange(1.0, 50.0), 0.31, 0.64)
+    for got, ref, below in zip(pts, want, cold):
         assert got.tobytes() == ref.tobytes()
+        assert got[:49].tobytes() == below.tobytes()
 
 
 def test_integer_orbit_contract_catches_a_wrong_warm_start(monkeypatch):
-    # u off by half a unit at every 100th residue while the table is solved:
-    # rho sees it, so every later time at those residues is solved cold ...
+    # u off by half a unit at every 100th table index while the table is
+    # solved: rho sees it, so every later time at those indices is solved
+    # cold ...
     fl = ReparamFlow(SCALED, make_timechange(SCALED))
     P = fl._period
     cold = ReparamFlow.time_inverse_many
@@ -762,16 +776,16 @@ def test_integer_orbit_contract_catches_a_wrong_warm_start(monkeypatch):
     monkeypatch.undo()
     n = np.concatenate((np.arange(P, P + 20000),
                         -np.arange(P + 1, P + 20001)))
-    wrong = n % P % 100 == 0
+    wrong = _centered(fl, n)[1] % 100 == 0
     sizes = _spy_cold(monkeypatch)
-    pts = fl._integer_positions(n, 0.31, 0.64)
+    pts = fl._orbit_positions(n, 0.31, 0.64)
     assert sizes == [int(wrong.sum())]
     monkeypatch.undo()
     assert _near_cold(fl, pts, n)
     # ... but with the bound disabled those times, and only those, come out
     # wrong
     monkeypatch.setattr(reparam, "_TOL", math.inf)
-    pts = fl._integer_positions(n, 0.31, 0.64)
+    pts = fl._orbit_positions(n, 0.31, 0.64)
     monkeypatch.undo()
     assert _near_cold(fl, [p[~wrong] for p in pts], n[~wrong])
     far = np.abs(pts[1][wrong] - fl.evaluate_many(
@@ -781,15 +795,17 @@ def test_integer_orbit_contract_catches_a_wrong_warm_start(monkeypatch):
 
 def test_integer_walk_matches_a_50_digit_solve(flow):
     # V(u) = n solved to 50 digits with the exact alpha at integer times of
-    # both signs up to 1e6: the walk's positions lie within 5e-11 on the
-    # circle (the cold solve, whose u alpha rounds at |u| ~ 1e6, errs by up
-    # to 1.2e-10 at such times), and within 4 ulps of min(|n|, P) plus 4
-    # of 1: a time reads a u of at most P from the table, or is solved cold
-    # below P in modulus, -1000, -P/2 and -P + 100 included
+    # both signs up to 1e6, [P/2, P) and [-P, -P/2) included: the walk's
+    # positions lie within 4 ulps of min(|n|, P/2) plus 4 of 1 on the
+    # circle, as a time reads a u of modulus at most P/2 from the centered
+    # table, or is solved cold below P/2 in modulus (the cold solve, whose
+    # u alpha rounds at |u| ~ 1e6, errs by up to 1.2e-10 at such times)
     mp = pytest.importorskip("mpmath").mp
     P = flow._period
-    n = np.array([1, 97, P - 1, P, 2 * P + 5, 250001, 999983, -3, -61,
-                  -1000, -(P // 2), -P + 100, -P - 1, -500009, -999999])
+    n = np.array([1, 97, P // 2, P // 2 + 1, (3 * P) // 4, P - 1, P,
+                  2 * P + 5, 250001, 999983, -3, -61, -1000, -(P // 2),
+                  -(P // 2) - 1, -(3 * P) // 4, -P + 100, -P, -P - 1,
+                  -500009, -999999])
     x1, x2 = 0.31, 0.64
     (g1, g2), _ = flow.walk(TorusObservable(0.0, [(1, 0, 1.0)]),
                             TorusPoint(x1, x2), n, ())
@@ -811,8 +827,8 @@ def test_integer_walk_matches_a_50_digit_solve(flow):
                 u -= V / dV
                 if abs(V / dV) < mp.mpf(10) ** -40:
                     break
-            bound = min(5e-11, 4.0 * np.spacing(float(min(abs(t), P)))
-                        + 4.0 * np.spacing(1.0))
+            bound = (4.0 * np.spacing(float(min(abs(t), P / 2)))
+                     + 4.0 * np.spacing(1.0))
             for got, want in ((g1[i], x1 + u * alpha), (g2[i], x2 + u)):
                 d = mp.frac(mp.mpf(float(got)) - want)
                 assert float(min(d, 1 - d)) <= bound, (t, float(d))
