@@ -238,33 +238,34 @@ class ReparamFlow:
         return u
 
     def _orbit_positions(self, t, x1, x2):
-        """L_{u(t)}(x) at every t in t, of any dtype, at the scalar start point
-        x, as coordinate arrays.  An integral t = n, |n| < 2^62, is n = r + k P
-        with r = i - P // 2, i = (n + P // 2) mod P: u(r) + k P solves V = n
-        up to rho_i + |k| delta(P), as W = V - id drifts by <= delta(P) per
-        period, and its position is exactly (p1_i + k (P alpha mod 1), p2_i)
-        mod 1, kept where that bound meets _TOL (1 + |n|).  Every other time
-        is solved cold by evaluate_many, as is every time of a call with no
-        period P or with P above its largest integral |t|.  At k = 0, n in
-        [-P // 2, P - P // 2), the entry is n's own cold solve; any other n
-        reads u(r), |r| <= P / 2, so rounds at the scale of min(|n|, P / 2)."""
-        t = _finite("t", t)
-        whole = (t == np.rint(t)) & (np.abs(t) < 2.0 ** 62)
+        """L_{u(t)}(x), x a scalar, as coordinate arrays.  An integral t = n
+        of any dtype, |n| < 2^62, is n = r + k P with r = i - P // 2 and
+        i = (n + P // 2) mod P: u(r) + k P solves V = n up to rho_i + |k|
+        delta(P), as W = V - id drifts by <= delta(P) per period, and its
+        position (p1_i + k (P alpha mod 1), p2_i) mod 1 is exact; it is kept
+        where that bound meets _TOL (1 + |n|).  Other times are solved cold,
+        as is every time of a call with no period P or P above its largest
+        |t|.  At k = 0, n in [-P // 2, P - P // 2), it is n's own cold solve;
+        other n read u(r), |r| <= P/2: rounding ~ min(|n|, P/2)."""
+        t = np.asarray(t)
         P = self._period
-        if P is None or P > np.max(np.abs(t), where=whole, initial=0.0):
+        if P is None or P > max(t.max(initial=0), -float(t.min(initial=0))):
             return self.evaluate_many(t, x1, x2)
         rho, p1, p2 = self._period_table(x1, x2)
         shift, delta = self.alpha.signed_frac(P), self._drift(P)
-        flat, cold = t.ravel(), ~whole.ravel()
+        flat = t.ravel()
         y1, y2 = np.empty(flat.shape), np.empty(flat.shape)
+        cold = np.empty(flat.shape, dtype=bool)
         for lo in range(0, flat.size, _BLOCK):
             sl = slice(lo, lo + _BLOCK)
-            n = np.where(cold[sl], 0.0, flat[sl]).astype(np.int64)
+            f = flat[sl]
+            whole = (f == np.rint(f)) & (np.abs(f) < 2 ** 62)
+            n = np.where(whole, f, 0).astype(np.int64, copy=False)
             k, i = np.divmod(n + P // 2, P)
             y1[sl] = _unit(p1[i] + k * shift)
             y2[sl] = p2[i]
-            cold[sl] |= (rho[i] + np.abs(k) * delta
-                         > _TOL * (1.0 + np.abs(flat[sl])))
+            cold[sl] = ~whole | (rho[i] + np.abs(k) * delta
+                                 > _TOL * (1.0 + np.abs(f)))
         if cold.any():
             y1[cold], y2[cold] = self.evaluate_many(flat[cold], x1, x2)
         return y1.reshape(t.shape), y2.reshape(t.shape)
@@ -344,9 +345,8 @@ class ReparamFlow:
     def walk(self, psi, start: TorusPoint, times, T):
         """The coordinate arrays (x1, x2) of T_t(start) at every t in times
         and time_integral(psi, start, T), the protocol call that
-        KocherginFlow answers from one orbit pass.  The positions are
-        _orbit_positions': integral times read the period table at start
-        once they reach the period, whatever their dtype."""
+        KocherginFlow answers from one orbit pass; the positions are
+        _orbit_positions'."""
         return (self._orbit_positions(times, start.x1, start.x2),
                 self.time_integral(psi, start, T))
 
