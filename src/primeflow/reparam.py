@@ -247,25 +247,25 @@ class ReparamFlow:
         as is every time of a call with no period P or P above its largest
         |t|.  At k = 0, n in [-P // 2, P - P // 2), it is n's own cold solve;
         other n read u(r), |r| <= P/2: rounding ~ min(|n|, P/2)."""
-        t = np.asarray(t)
-        P = self._period
-        if P is None or P > max(t.max(initial=0), -float(t.min(initial=0))):
+        t, P = np.asarray(t), self._period
+        top = max(t.max(initial=0), -float(t.min(initial=0)))
+        if P is None or P > top:
             return self.evaluate_many(t, x1, x2)
         rho, p1, p2 = self._period_table(x1, x2)
         shift, delta = self.alpha.signed_frac(P), self._drift(P)
+        whole = t.dtype.kind in "iu" and top < 2 ** 62  # integral as given
         flat = t.ravel()
-        y1, y2 = np.empty(flat.shape), np.empty(flat.shape)
-        cold = np.empty(flat.shape, dtype=bool)
+        (y1, y2), cold = np.empty((2, flat.size)), np.empty(flat.size, bool)
         for lo in range(0, flat.size, _BLOCK):
             sl = slice(lo, lo + _BLOCK)
             f = flat[sl]
-            whole = (f == np.rint(f)) & (np.abs(f) < 2 ** 62)
-            n = np.where(whole, f, 0).astype(np.int64, copy=False)
+            ok = whole or (f == np.rint(f)) & (np.abs(f) < 2 ** 62)
+            n = (f if whole else np.where(ok, f, 0)).astype(np.int64, copy=False)
             k, i = np.divmod(n + P // 2, P)
             y1[sl] = _unit(p1[i] + k * shift)
             y2[sl] = p2[i]
-            cold[sl] = ~whole | (rho[i] + np.abs(k) * delta
-                                 > _TOL * (1.0 + np.abs(f)))
+            cold[sl] = np.logical_not(ok) | (rho[i] + np.abs(k) * delta
+                                             > _TOL * (1.0 + np.abs(f)))
         if cold.any():
             y1[cold], y2[cold] = self.evaluate_many(flat[cold], x1, x2)
         return y1.reshape(t.shape), y2.reshape(t.shape)
