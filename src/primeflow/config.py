@@ -60,6 +60,11 @@ class ExperimentConfig:
     def get_float(self, key, default):
         return self._get(float, key, default)
 
+    def get_ints(self, key, default):
+        """A comma-separated list of ints, as "3,5,7"."""
+        return self._get(lambda v: [int(t) for t in str(v).split(",")],
+                         key, default)
+
     def _get(self, kind, key, default):
         value = self.params.get(key, default)
         try:

@@ -73,26 +73,29 @@ def _roof_values(roof, alpha, x, lo, hi, backward=False):
 def evaluate(roof, alpha: RotationNumber, p: FlowPoint, t: float) -> FlowStep:
     """T_t(p): find N with S_N(f)(x) <= s + t < S_{N+1}(f)(x).  The one-time
     view of _walk, so it equals evaluate_times' entry bit for bit."""
-    xs, ss, Ns, _, S = _walk(roof, alpha, p, [t])
+    xs, ss, Ns, _, S = _walk(roof, alpha, p, [t], sums=True)
     return FlowStep(FlowPoint(float(xs[0]), float(ss[0])), int(Ns[0]),
                     float(S[0]))
 
 
 def _included(end_s, top):
-    """end_s clamped into [0, top) once each height s' in it lies in
-    [-1e-7, f(x') + 1e-7), f(x') its entry of top; else PrecisionError."""
+    """The height array end_s, clamped in place into [0, top) once each
+    height s' in it lies in [-1e-7, f(x') + 1e-7), f(x') its entry of the
+    array top; else PrecisionError."""
     ok = (end_s >= -1e-7) & (end_s < top + 1e-7)
     if not np.all(ok):
-        bad = ~np.asarray(ok)
-        s, f = np.broadcast_arrays(end_s, top)
+        bad = ~ok
         raise PrecisionError("defining inclusion violated: "
-                             f"s' = {s[bad][0]}, f(x') = {f[bad][0]}")
-    return np.clip(end_s, 0.0, np.nextafter(top, 0.0))
+                             f"s' = {end_s[bad][0]}, f(x') = {top[bad][0]}")
+    np.maximum(end_s, 0.0, out=end_s)
+    over = np.flatnonzero(end_s >= top)
+    end_s[over] = np.nextafter(top[over], 0.0)
+    return end_s
 
 
 def _finish(roof, end_x, s, t, N, consumed) -> FlowStep:
-    end_s = float(_included(s + t - consumed, roof(end_x)))
-    return FlowStep(FlowPoint(end_x, end_s), N, consumed)
+    end_s = _included(np.array([s + t - consumed]), np.array([roof(end_x)]))
+    return FlowStep(FlowPoint(end_x, float(end_s[0])), N, consumed)
 
 
 def evaluate_naive(roof, alpha: RotationNumber, p: FlowPoint, t: float) -> FlowStep:
@@ -251,14 +254,14 @@ def evaluate_times(roof, alpha: RotationNumber, p: FlowPoint, times):
     return _walk(roof, alpha, p, times)[:3]
 
 
-def _walk(roof, alpha, p: FlowPoint, times, psi=None, T=()):
+def _walk(roof, alpha, p: FlowPoint, times, psi=None, T=(), sums=False):
     """Positions (x, s, N) of T_t(p) at every t in times, the signed
-    integrals int_0^T psi(T_t(p)) dt at every T in T, and the signed roof
-    sums S_N(f)(x) crossed to the times, from one _crossings per sign over
-    the union of the times and the T of that sign.  Fiber n, reached at a
-    time, has base bases[n] and roof fs[n] in either direction; its height
-    s' = s + t - S_N is checked and clamped into [0, fs[n]) by _included, so
-    every position lies in the tower.
+    integrals int_0^T psi(T_t(p)) dt at every T in T, and with sums the
+    signed roof sums S_N(f)(x) crossed to the times (else None), from one
+    _crossings per sign over the union of the times and the T of that sign.
+    Fiber n, reached at a time, has base bases[n] and roof fs[n] in either
+    direction; its height s' = s + t - S_N is checked and clamped into
+    [0, fs[n]) by _included, so every position lies in the tower.
 
     The integral at T is a cumulative sum of whole-fiber integrals over the
     fibers passed bottom to top (0..n-1 forward, 1..n backward), plus the
@@ -269,7 +272,8 @@ def _walk(roof, alpha, p: FlowPoint, times, psi=None, T=()):
     _same_roof(psi, roof)
     times = np.asarray(times, dtype=np.float64)
     T = np.asarray(T, dtype=np.float64)
-    xs, ss, Ss = (np.empty(times.shape) for _ in range(3))
+    xs, ss = np.empty(times.shape), np.empty(times.shape)
+    Ss = np.empty(times.shape) if sums else None
     Ns = np.zeros(times.shape, dtype=np.int64)
     out = np.zeros(T.shape)
     for backward in (False, True):
@@ -283,8 +287,16 @@ def _walk(roof, alpha, p: FlowPoint, times, psi=None, T=()):
                                      backward)
         n, nT = n[:t.size], n[t.size:]
         sign = -1 if backward else 1
-        xs[at], Ss[at], Ns[at] = bases[n], sign * S[n], sign * n
-        ss[at] = _included(p.s + t - Ss[at], fs[n])
+        xs[at], Ns[at] = bases[n], sign * n
+        SN = S[n]
+        if sums:
+            Ss[at] = sign * SN
+        t += p.s  # s' = s + t - sign S_N, in t's own copy
+        if backward:
+            t += SN
+        else:
+            t -= SN
+        ss[at] = _included(t, fs[n])
         if not u.size:
             continue
         top = int(np.max(nT))

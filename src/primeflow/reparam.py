@@ -244,18 +244,22 @@ class ReparamFlow:
         delta(P), as W = V - id drifts by <= delta(P) per period, and its
         position (p1_i + k (P alpha mod 1), p2_i) mod 1 is exact; it is kept
         where that bound meets _TOL (1 + |n|).  Other times are solved cold,
-        as is every time of a call with no period P or P above its largest
-        |t|.  At k = 0, n in [-P // 2, P - P // 2), it is n's own cold solve;
-        other n read u(r), |r| <= P/2: rounding ~ min(|n|, P/2)."""
+        as is every time of a call with no period P or with its largest |t|
+        below P - P // 2.  At k = 0, n in [-P // 2, P - P // 2), the table
+        entry is n's own cold solve, so no position depends on the call;
+        other n read u(r), |r| <= P/2: rounding ~ min(|n|, P/2).  A block of
+        times whose max rho + max |k| delta(P) meets _TOL (1 + min |t|) meets
+        every elementwise bound, as rounding is monotone, and skips them."""
         t, P = np.asarray(t), self._period
         top = max(t.max(initial=0), -float(t.min(initial=0)))
-        if P is None or P > top:
+        if P is None or P - P // 2 > top:
             return self.evaluate_many(t, x1, x2)
         rho, p1, p2 = self._period_table(x1, x2)
         shift, delta = self.alpha.signed_frac(P), self._drift(P)
+        rho_max = float(rho.max())
         whole = t.dtype.kind in "iu" and top < 2 ** 62  # integral as given
         flat = t.ravel()
-        (y1, y2), cold = np.empty((2, flat.size)), np.empty(flat.size, bool)
+        (y1, y2), cold = np.empty((2, flat.size)), np.zeros(flat.size, bool)
         for lo in range(0, flat.size, _BLOCK):
             sl = slice(lo, lo + _BLOCK)
             f = flat[sl]
@@ -264,8 +268,12 @@ class ReparamFlow:
             k, i = np.divmod(n + P // 2, P)
             y1[sl] = _unit(p1[i] + k * shift)
             y2[sl] = p2[i]
-            cold[sl] = np.logical_not(ok) | (rho[i] + np.abs(k) * delta
-                                             > _TOL * (1.0 + np.abs(f)))
+            low, high = f.min(), f.max()
+            near = 0 if low <= 0 <= high else min(abs(low), abs(high))
+            if not (np.all(ok) and rho_max + max(k.max(), -k.min()) * delta
+                    <= _TOL * (1.0 + near)):
+                cold[sl] = np.logical_not(ok) | (rho[i] + np.abs(k) * delta
+                                                 > _TOL * (1.0 + np.abs(f)))
         if cold.any():
             y1[cold], y2[cold] = self.evaluate_many(flat[cold], x1, x2)
         return y1.reshape(t.shape), y2.reshape(t.shape)

@@ -70,15 +70,18 @@ def _integral(name, k) -> int:
 
 def _trig_sum(out, terms):
     """out + sum Re c e(k y) = c.real cos 2 pi k y - c.imag sin 2 pi k y over
-    the (complex c, int k, phase array y) terms; a zero part is not computed.
-    The sum goes into the float array out, each cosine into its phase array."""
+    the (complex c, int k, phase array y) terms; a zero part is not computed,
+    nor a product by a real part of 1.  The sum goes into the float array
+    out, each cosine into its phase array."""
     for c, k, y in terms:
         ang = np.asarray(2.0 * math.pi * k * y)  # a new array, never y
-        s = c.imag * np.sin(ang) if c.imag else 0.0
+        s = c.imag * np.sin(ang) if c.imag else None
         if c.real:
             np.cos(ang, out=ang)
-            ang *= c.real
-            ang -= s
+            if c.real != 1.0:
+                ang *= c.real
+            if s is not None:
+                ang -= s
             out += ang
         elif c.imag:
             out -= s
@@ -326,9 +329,9 @@ def _check_order(g, order) -> None:
                          f"not {type(g).__name__}")
 
 
-def _piecewise_sums(g: PiecewiseLinear, offs: np.ndarray,
+def _piecewise_sums(g: PiecewiseLinear, o: np.ndarray,
                     x: np.ndarray) -> np.ndarray:
-    """S_n(g)(x) for each x from the sorted orbit.
+    """S_n(g)(x) for each x from the sorted orbit o.
 
     The block path sums g at y_i = frac(frac(x + o_i)): it reduces x + o_i
     with frac and g reduces again.  With k = floor(x) and
@@ -341,8 +344,7 @@ def _piecewise_sums(g: PiecewiseLinear, offs: np.ndarray,
     threshold).  Jump counts are therefore those of the block path; the
     linear part sum y_i = n (x - k) + sum o_i - sum s_i is exact up to the
     rounding of each x + o_i."""
-    n = len(offs)
-    o = np.sort(offs)
+    n = len(o)
     k = np.floor(x)
     xr = x - k
 
@@ -386,9 +388,10 @@ def birkhoff_sum_many(g, n: int, xs: np.ndarray, alpha: RotationNumber,
     xs = np.asarray(xs, dtype=np.float64)
     if not np.isfinite(xs).all():
         raise ValueError(f"x must be finite, got {xs[~np.isfinite(xs)][0]}")
-    offs = _orbit_offsets(alpha, n)
     if isinstance(g, PiecewiseLinear):
-        return _piecewise_sums(g, offs, xs.ravel()).reshape(xs.shape)
+        return _piecewise_sums(g, alpha.sorted_orbit(n),
+                               xs.ravel()).reshape(xs.shape)
+    offs = _orbit_offsets(alpha, n)
     out = np.zeros(xs.shape)
     step = max(1, (1 << 22) // max(1, xs.size))
     for lo in range(0, n, step):
@@ -445,8 +448,8 @@ def quadratic_expansion_check(roof, x: float, k: int, n: int,
 
 
 def _partition_points(alpha: RotationNumber, n: int) -> np.ndarray:
-    """Sorted circle points {-i alpha mod 1 : i < q_n}."""
-    return np.sort(alpha.orbit(alpha.q(n), backward=True))
+    """Sorted circle points {-i alpha mod 1 : i < q_n}, read-only."""
+    return alpha.sorted_orbit(alpha.q(n), backward=True)
 
 
 def derivative_zero_locator(roof: PowerRoof, n: int, alpha: RotationNumber):

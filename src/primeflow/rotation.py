@@ -75,6 +75,14 @@ def _index(value, name: str = "n") -> int:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
+def _count(n) -> int:
+    """_index(n) for an orbit length; a negative n raises ValueError."""
+    n = _index(n)
+    if n < 0:
+        raise ValueError(f"need n >= 0, got {n}")
+    return n
+
+
 def _whole(x) -> bool:
     """int(x) == x, false where int() raises (nan, inf, a non-number)."""
     try:
@@ -126,6 +134,7 @@ class RotationNumber:
         ]
         self._orbit_lock = threading.Lock()
         self._orbit_cache = {False: np.empty(0), True: np.empty(0)}
+        self._sorted = None  # sorted_orbit's last (n, backward) and array
 
     # -- basic accessors ----------------------------------------------------
 
@@ -172,19 +181,34 @@ class RotationNumber:
         """Float images of i*alpha mod 1 (-i*alpha if backward), 0 <= i < n,
         each r / Q for the exact r = +-i*P mod Q: bit-identical to `_orbit_loop`.
         Read-only; a prefix longer than the cached one grows the cache."""
-        n = _index(n)
-        if n < 0:
-            raise ValueError(f"need n >= 0, got {n}")
-        P, Q = self._value.numerator, self._value.denominator
+        n = _count(n)
         with self._orbit_lock:
-            cached = self._orbit_cache[backward]
-            if n > len(cached):
-                grown = np.empty(max(n, 1024, 2 * len(cached)))
-                grown[: len(cached)] = cached
-                _orbit_fill(P, Q, len(cached), grown[len(cached):], backward)
-                grown.flags.writeable = False
-                self._orbit_cache[backward] = cached = grown
-            return cached[:n]
+            return self._orbit(n, backward)
+
+    def sorted_orbit(self, n: int, backward: bool = False) -> np.ndarray:
+        """np.sort(orbit(n, backward)), read-only.  A one-entry memo keeps
+        the last one, so callers that sort the same orbit in turn, as the
+        test functions of one Denjoy-Koksma level do, share one sort."""
+        key = (_count(n), bool(backward))
+        with self._orbit_lock:
+            if self._sorted is None or self._sorted[0] != key:
+                self._sorted = None  # the old array goes before the new one
+                out = np.sort(self._orbit(*key))
+                out.flags.writeable = False
+                self._sorted = (key, out)
+            return self._sorted[1]
+
+    def _orbit(self, n: int, backward: bool) -> np.ndarray:
+        """orbit(n, backward) with the orbit lock held."""
+        P, Q = self._value.numerator, self._value.denominator
+        cached = self._orbit_cache[backward]
+        if n > len(cached):
+            grown = np.empty(max(n, 1024, 2 * len(cached)))
+            grown[: len(cached)] = cached
+            _orbit_fill(P, Q, len(cached), grown[len(cached):], backward)
+            grown.flags.writeable = False
+            self._orbit_cache[backward] = cached = grown
+        return cached[:n]
 
     def orbit_min_distance(self, x: float, n: int) -> float:
         """min over 0 <= i <= n of the distance of x + i*alpha to Z."""
@@ -248,6 +272,7 @@ def _orbit_fill(P: int, Q: int, lo: int, out: np.ndarray, backward: bool) -> np.
         table[s : 2 * s] = table[:s] + s * P % Q
         table[s : 2 * s] -= Q * (table[s : 2 * s] >= Q)
         s *= 2
+    Qld = np.array(Q).astype(np.longdouble)
     for a in range(0, len(out), _CHUNK):
         n = min(_CHUNK, len(out) - a)
         starts = np.array([(lo + a + b) * P % Q for b in range(0, n, _BLOCK)])
@@ -260,13 +285,34 @@ def _orbit_fill(P: int, Q: int, lo: int, out: np.ndarray, backward: bool) -> np.
             continue
         # long double holds r and Q exactly; rounding its quotient to binary64
         # errs only where it lands exactly on a binary64 midpoint
-        ld = r.astype(np.longdouble) / np.array(Q).astype(np.longdouble)
+        ld = r.astype(np.longdouble) / Qld
         d = ld.astype(np.float64)
-        other = np.nextafter(d, np.where(ld > d, np.inf, -np.inf))
-        tie = np.flatnonzero((ld != d) & ((d.astype(np.longdouble) + other) / 2 == ld))
+        tie = _midpoints(ld, d)
         d[tie] = [int(r[k]) / Q for k in tie]
         out[a : a + n] = d
     return out
+
+
+def _midpoints(ld: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """The indices where the long double ld lies exactly halfway between
+    d = ld rounded to binary64 and its neighbour on ld's side.
+
+    There e = |ld - d| is half the gap to that neighbour: spacing(d) / 2,
+    or spacing(d) / 4 where ld lies below a power of two d.  e is exact in
+    binary64 (ld and d agree to 53 bits), so 4 e == spacing(d) or 2
+    spacing(d) screens every element in float64; the few it passes are then
+    kept only where 2 e is the gap on ld's side exactly."""
+    e = (ld - d).astype(np.float64)
+    np.abs(e, out=e)
+    e *= 4.0
+    gap = np.spacing(d)
+    hit = e == gap
+    gap += gap
+    hit |= e == gap
+    k = np.flatnonzero(hit)
+    dk = d[k]
+    below = dk - np.nextafter(dk, 0.0)
+    return k[e[k] == 2.0 * np.where(ld[k] > dk, np.spacing(dk), below)]
 
 
 def _is_prime(n: int) -> bool:

@@ -193,7 +193,8 @@ def test_cli_run_with_config(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("name, key, value", [
-    ("dk_bound", "samples", "1e3"), ("katok_wm", "alpha_exponent", "four")])
+    ("dk_bound", "samples", "1e3"), ("katok_wm", "alpha_exponent", "four"),
+    ("interval_factorization", "qs", "3,x")])
 def test_cli_run_reports_a_bad_params_value(tmp_path, capsys, name, key,
                                             value):
     # get_int and get_float name the key of a [params] value they cannot

@@ -696,15 +696,15 @@ def test_integer_orbit_prefixes_are_stable(flow):
         prefix = flow._orbit_positions(np.arange(M + 1), 0.31, 0.64)
         for got, want in zip(prefix, whole):
             assert np.array_equal(got, want[:M + 1])
-    # a call below the period is solved cold: up to P - P // 2 that is the
-    # table's k = 0 entry, and from there on it agrees with the table's
-    # reading to the cold solve's rounding
+    # a call that reaches P - P // 2 reads the table as a longer one does,
+    # and a shorter one is solved cold, which is the table's k = 0 entry:
+    # no position depends on the call
     P = flow._period
     h = P - P // 2
-    below = flow._orbit_positions(np.arange(P), 0.31, 0.64)
-    for got, want in zip(below, whole):
-        assert np.array_equal(got[:h], want[:h])
-    assert _near_cold(flow, [w[:P] for w in whole], np.arange(P))
+    for M in (h - 1, h, P - 1):
+        below = flow._orbit_positions(np.arange(M + 1), 0.31, 0.64)
+        for got, want in zip(below, whole):
+            assert got.tobytes() == want[:M + 1].tobytes()
 
 
 def test_integer_orbit_without_a_period_is_solved_cold():
@@ -721,21 +721,58 @@ def test_integer_orbit_without_a_period_is_solved_cold():
 
 
 def test_integer_times_below_the_period_are_solved_cold(monkeypatch):
-    # P = q_3 = 823,546 here: a call whose max |n| stays below P, of either
-    # sign, is the cold solve itself and builds no period table
+    # P = q_3 = 823,546 here: a call whose max |n| stays below P - P // 2 =
+    # 411,773, of either sign, is the cold solve itself and builds no
+    # period table; a call that reaches it builds one
     alpha = construct_alpha("scaled_D", growth=lambda q: q ** 3.5, depth=3,
                             seed=3)
     fl = ReparamFlow(alpha, make_timechange(alpha))
-    assert fl._period == alpha.q(3) == 823546
+    P = fl._period
+    assert P == alpha.q(3) == 823546
+    h = P - P // 2
 
     def no_table(self, *args):
         raise AssertionError("a period table was built")
     monkeypatch.setattr(ReparamFlow, "_period_table", no_table)
     for n in (np.arange(1001), np.arange(-1000, 1001),
-              np.array([fl._period - 1, 1 - fl._period])):
+              np.array([h - 1, 1 - h])):
         cold = fl.evaluate_many(n.astype(np.float64), 0.31, 0.64)
         for got, want in zip(fl._orbit_positions(n, 0.31, 0.64), cold):
             assert got.tobytes() == want.tobytes()
+    for n in (h, -h):
+        with pytest.raises(AssertionError, match="a period table was built"):
+            fl._orbit_positions(np.array([5, n]), 0.31, 0.64)
+
+
+@pytest.mark.parametrize("block", [64, reparam._BLOCK])
+@pytest.mark.parametrize("dtype", [np.int64, np.float64])
+@pytest.mark.parametrize("faint", [False, True], ids=["scaled", "faint"])
+def test_block_bound_keeps_the_elementwise_cold_set(flow, monkeypatch, block,
+                                                    dtype, faint):
+    # a block skips the elementwise bound only where its max rho + max |k|
+    # delta(P) meets _TOL (1 + min |t|), so the times solved cold are still
+    # exactly those whose own bound fails.  On the scaled flow max rho =
+    # 4.6e-11 fails the block bound where min |t| < 47 and no time fails its
+    # own; on the faint golden flow (P = 89, delta(P) = 8.1e-11) 204 of the
+    # times -20 P..20 P fail theirs
+    fl = ReparamFlow(GOLDEN, TimeChange([(1, 0, 1e-8)])) if faint else flow
+    P = fl._period
+    if faint:
+        n = np.arange(-20 * P, 20 * P + 1)
+    else:
+        n = np.concatenate((np.arange(-3000, 3001),
+                            np.arange(P - 2000, P + 2000),
+                            np.arange(-P - 2000, -P + 2000), [-10 ** 6]))
+        assert 4e-11 < fl._period_table(0.31, 0.64)[0].max() < 5e-11
+    fails = n[~_bound_met(fl, n)]  # solves the table before _BLOCK moves
+    assert fails.size == (204 if faint else 0)
+    monkeypatch.setattr(reparam, "_BLOCK", block)
+    seen, cold = [], ReparamFlow.evaluate_many
+    monkeypatch.setattr(ReparamFlow, "evaluate_many",
+                        lambda self, t, *args: seen.append(np.array(t))
+                        or cold(self, t, *args))
+    fl._orbit_positions(n.astype(dtype), 0.31, 0.64)
+    assert [list(t) for t in seen] == ([list(fails)] if faint else [])
 
 
 @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint64,

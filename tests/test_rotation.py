@@ -21,6 +21,7 @@ from primeflow.rotation import (
     RotationNumber,
     _MR_BOUND,
     _is_prime,
+    _midpoints,
     _orbit_fill,
     _orbit_loop,
     construct_alpha,
@@ -322,6 +323,78 @@ def test_orbit_long_double_midpoints():
     for backward in (False, True):
         assert np.array_equal(alpha.orbit(n, backward),
                               _orbit_loop(P, Q, 0, n, backward))
+
+
+def _old_midpoint_screen(ld, d):
+    """The midpoints of the long-double quotients ld found by comparing ld
+    with the long-double mean of d and its neighbour on ld's side."""
+    other = np.nextafter(d, np.where(ld > d, np.inf, -np.inf))
+    return np.flatnonzero(
+        (ld != d) & ((d.astype(np.longdouble) + other) / 2 == ld))
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63,
+                    reason="no 64-bit long double significand")
+def test_orbit_midpoints_match_the_neighbour_mean_screen():
+    # on the Pell q_15 orbit the float64 screen 4 |ld - d| in {spacing(d), 2
+    # spacing(d)} also passes about as many quarter points as midpoints; the
+    # exact gap test keeps just the midpoints the neighbour-mean screen found
+    alpha = from_partial_quotients([2] * 16)
+    P, Q = alpha.value.numerator, alpha.value.denominator
+    n = alpha.q(15)
+    r = np.array([i * P % Q for i in range(n)], dtype=np.int64)
+    counts = []
+    for res in (r, (Q - r) * (r != 0)):  # forward, backward
+        ld = res.astype(np.longdouble) / np.array(Q).astype(np.longdouble)
+        d = ld.astype(np.float64)
+        got = _midpoints(ld, d)
+        assert np.array_equal(got, _old_midpoint_screen(ld, d))
+        e = 4.0 * np.abs(ld - d).astype(np.float64)
+        screened = (e == np.spacing(d)) | (e == 2.0 * np.spacing(d))
+        counts.append((got.size, int(screened.sum())))
+    assert counts == [(220, 673), (237, 688)]
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63,
+                    reason="no 64-bit long double significand")
+def test_orbit_midpoint_just_below_a_power_of_two():
+    # r / Q a little below 1/2 - 2^-55, the midpoint of 1/2 - 2^-54 and 1/2,
+    # and near enough that the long-double quotient is that midpoint: then
+    # d = 1/2 by ties to even, the gap below d is spacing(d) / 2, and the
+    # entry is redone to the correctly rounded 1/2 - 2^-54
+    m = Fraction(1, 2) - Fraction(1, 2 ** 55)
+    rng = random.Random(5)
+    for _ in range(2000):  # about one Q in 32 qualifies
+        Q = rng.randrange(2 ** 61, 2 ** 62)
+        r = math.floor(m * Q)
+        ld = (np.array([r]).astype(np.longdouble)
+              / np.array([Q]).astype(np.longdouble))
+        if ld[0] == np.longdouble(0.5) - np.longdouble(2.0 ** -55):
+            break
+    else:
+        pytest.fail("no quotient on the midpoint")
+    d = ld.astype(np.float64)
+    assert d[0] == 0.5 and Fraction(r, Q) < m
+    assert list(_midpoints(ld, d)) == [0]
+    want = np.nextafter(0.5, 0.0)
+    assert r / Q == want
+    assert _orbit_fill(r, Q, 1, np.empty(1), False)[0] == want
+    assert _orbit_loop(r, Q, 1, 2)[0] == want
+
+
+@pytest.mark.parametrize("alpha", [GOLDEN, PELL], ids=["golden", "pell"])
+def test_sorted_orbit_is_the_sorted_orbit(alpha):
+    # one memo entry: every call with another (n, backward) sorts anew, and
+    # the same one in a row is the same read-only array
+    calls = [(10, False), (10, True), (10, False), (300, False), (7, False),
+             (300, True), (0, False), (alpha.q(11), True), (300, True)]
+    for n, backward in calls:
+        got = alpha.sorted_orbit(n, backward)
+        assert np.array_equal(got, np.sort(alpha.orbit(n, backward)))
+        assert got is alpha.sorted_orbit(np.int64(n), backward)
+        assert not got.flags.writeable
+    with pytest.raises(ValueError, match="need n >= 0"):
+        alpha.sorted_orbit(-1)
 
 
 def test_orbit_rejects_bad_range():

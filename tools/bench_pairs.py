@@ -8,12 +8,13 @@ temporary directories of equal path length and runs the unchanged
 each, in pairs i = 1..N whose two runs share seed i.  Both sides run from
 fresh copies, so where a tree sits cannot favour one side.  REF runs first
 in the odd pairs and second in the even ones, so a steady drift of the
-host's speed favours neither side.  Writes BENCH_<W>.json at the root of
-the checkout with every pair's wall_s, setup_s, peak_rss_mb, success_rate
-and correctness, the median and quartiles of each metric on both sides,
-the number of pairs in which HEAD was lower, the host and versions, and
-both commits.  Uncommitted changes are not measured.  The copies are
-removed at the end.
+host's speed favours neither side.  Appends to the `history` list of
+BENCH_<W>.json at the root of the checkout one record with every pair's
+wall_s, setup_s, peak_rss_mb, success_rate and correctness, the median
+and quartiles of each metric on both sides, the number of pairs in which
+HEAD was lower, the host and versions, and both commits; a file from
+before the list becomes its first record.  Uncommitted changes are not
+measured.  The copies are removed at the end.
 """
 
 import argparse
@@ -111,8 +112,15 @@ def main(argv=None) -> int:
         "all_correct": all(p[s]["correct"] and p[s]["success_rate"] == 1.0
                            for p in pairs for s in ("ref", "change")),
     }
-    with open(ROOT / f"BENCH_{args.workload}.json", "w") as fh:
-        json.dump(doc, fh, indent=1)
+    path = ROOT / f"BENCH_{args.workload}.json"
+    history = []
+    if path.exists():
+        with open(path) as fh:
+            old = json.load(fh)
+        history = old.get("history", [old])
+    with open(path, "w") as fh:
+        json.dump({"workload": args.workload, "history": history + [doc]}, fh,
+                  indent=1)
         fh.write("\n")
     for k in METRICS:
         r, c = doc["summary"][k]["ref"], doc["summary"][k]["change"]
