@@ -298,10 +298,11 @@ def _midpoints(ld: np.ndarray, d: np.ndarray) -> np.ndarray:
     d = ld rounded to binary64 and its neighbour on ld's side.
 
     There e = |ld - d| is half the gap to that neighbour: spacing(d) / 2,
-    or spacing(d) / 4 where ld lies below a power of two d.  e is exact in
-    binary64 (ld and d agree to 53 bits), so 4 e == spacing(d) or 2
-    spacing(d) screens every element in float64; the few it passes are then
-    kept only where 2 e is the gap on ld's side exactly."""
+    or spacing(d) / 4 where ld lies below a power of two d.  With a 64-bit
+    significand e has at most 11 bits and is exact in binary64 (a wider one
+    can round e onto a midpoint's, which only adds an entry to redo), so 4 e
+    == spacing(d) or 2 spacing(d) screens every element in float64; the few
+    it passes are kept only where 2 e is the gap on ld's side exactly."""
     e = (ld - d).astype(np.float64)
     np.abs(e, out=e)
     e *= 4.0

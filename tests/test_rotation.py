@@ -414,10 +414,15 @@ def test_orbit_cache_concurrent_growth():
     try:
         with ThreadPoolExecutor(max_workers=8) as pool:
             got = list(pool.map(alpha.orbit, sizes, timeout=60))
+            # and the sorted-orbit memo, replaced at nearly every call
+            ranked = list(pool.map(alpha.sorted_orbit, sizes + sizes[::-1],
+                                   timeout=60))
     finally:
         sys.setswitchinterval(old)
     for n, arr in zip(sizes, got):
         assert np.array_equal(arr, want[:n])
+    for n, arr in zip(sizes + sizes[::-1], ranked):
+        assert np.array_equal(arr, np.sort(want[:n]))
     assert np.array_equal(alpha.orbit(40000), want)
 
 
