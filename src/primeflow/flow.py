@@ -288,14 +288,13 @@ def _walk(roof, alpha, p: FlowPoint, times, psi=None, T=(), sums=False):
         n, nT = n[:t.size], n[t.size:]
         sign = -1 if backward else 1
         xs[at], Ns[at] = bases[n], sign * n
-        SN = S[n]
-        if sums:
-            Ss[at] = sign * SN
-        t += p.s  # s' = s + t - sign S_N, in t's own copy
+        SN = S[n]  # sign S_N
         if backward:
-            t += SN
-        else:
-            t -= SN
+            np.negative(SN, out=SN)
+        if sums:
+            Ss[at] = SN
+        t += p.s  # s' = s + t - sign S_N, in t's own copy
+        t -= SN
         ss[at] = _included(t, fs[n])
         if not u.size:
             continue
