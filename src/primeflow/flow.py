@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .roofs import PowerRoof
+from .roofs import PowerRoof, SingularityError
 from .rotation import RotationNumber, frac
 
 __all__ = [
@@ -57,6 +57,7 @@ class FlowStep:
 
 
 _SUM_BLOCK = 32  # terms per plain float64 block of _prefix_sums
+_NAIVE_BLOCK = 256  # evaluate_naive's first block of fibers
 
 
 def _offsets(alpha: RotationNumber, n: int, backward: bool = False) -> np.ndarray:
@@ -93,44 +94,61 @@ def _included(end_s, top):
     return end_s
 
 
-def _finish(roof, end_x, s, t, N, consumed) -> FlowStep:
-    end_s = _included(np.array([s + t - consumed]), np.array([roof(end_x)]))
+def _finish(end_x, f, s, t, N, consumed) -> FlowStep:
+    """evaluate_naive's step to height s + t - consumed on the fiber over
+    end_x with roof f."""
+    end_s = _included(np.array([s + t - consumed]), np.array([f]))
     return FlowStep(FlowPoint(end_x, float(end_s[0])), N, consumed)
 
 
+def _fibers(roof, alpha, x, backward):
+    """(base, roof) of the fibers 0, 1, 2, ... of x (x + i alpha, or x - i
+    alpha backward) one at a time, read in blocks of _NAIVE_BLOCK fibers
+    and then 4 times more each block.  A block that meets the singularity
+    of a PowerRoof is evaluated fiber by fiber, so only a fiber reached
+    raises SingularityError."""
+    lo, hi = 0, _NAIVE_BLOCK
+    while True:
+        pts = frac(x + _offsets(alpha, hi, backward)[lo:hi])
+        try:
+            fs = np.asarray(roof(pts), dtype=np.float64).tolist()
+        except SingularityError:
+            fs = map(roof, pts.tolist())
+        yield from zip(pts.tolist(), fs)
+        lo, hi = hi, hi + 4 * (hi - lo)
+
+
 def evaluate_naive(roof, alpha: RotationNumber, p: FlowPoint, t: float) -> FlowStep:
-    """Fiber-by-fiber stepping oracle for evaluate."""
+    """Fiber-by-fiber stepping oracle for evaluate: the roofs are read in
+    growing blocks (_fibers), and the fibers are stepped through one at a
+    time in long double."""
     if not math.isfinite(t):
         raise ValueError(f"t must be finite, got {t}")
-    x, s = p.x, p.s
+    s = p.s
+    fibers = _fibers(roof, alpha, p.x, t < 0.0)
     if t >= 0.0:
         remaining = np.longdouble(t)
         height = np.longdouble(s)
-        i = 0
         consumed = np.longdouble(0.0)
-        while True:
-            xi = (x + float(_offsets(alpha, i + 1)[i])) % 1.0
-            room = np.longdouble(roof(xi)) - height
+        for i, (xi, fi) in enumerate(fibers):
+            room = np.longdouble(fi) - height
             if remaining < room:
-                return _finish(roof, xi, s, t, i, float(consumed))
+                return _finish(xi, fi, s, t, i, float(consumed))
             remaining -= room
             consumed += height + room
             height = np.longdouble(0.0)
-            i += 1
     remaining = np.longdouble(-t)
+    x0, f0 = next(fibers)
     if remaining <= s:
-        return _finish(roof, x % 1.0, s, t, 0, 0.0)
+        return _finish(x0, f0, s, t, 0, 0.0)
     remaining -= np.longdouble(s)
     consumed = np.longdouble(0.0)
-    n = 1
-    while True:
-        xi = (x + float(_offsets(alpha, n + 1, backward=True)[n])) % 1.0
-        fx = np.longdouble(roof(xi))
+    for n, (xi, fi) in enumerate(fibers, 1):
+        fx = np.longdouble(fi)
         consumed -= fx
         if remaining <= fx:
-            return _finish(roof, xi, s, t, -n, float(consumed))
+            return _finish(xi, fi, s, t, -n, float(consumed))
         remaining -= fx
-        n += 1
 
 
 def _union(lo, hi):

@@ -19,6 +19,7 @@ either flow, KocherginFlow or reparam.ReparamFlow, through the three
 methods both define: walk, mean and box_masses.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -27,7 +28,8 @@ import numpy as np
 from .config import ExperimentReport
 from .flow import FlowPoint, _same_roof, _walk
 from .primes import build_table
-from .roofs import TorusObservable, _finite, _integral, _trig_sum
+from .roofs import (_TRIG_BLOCK, TorusObservable, _finite, _half_angle,
+                    _integral, _trig_sum)
 
 __all__ = [
     "SingularOrbitError",
@@ -110,7 +112,17 @@ def _rho(s):
 
 
 def _w(r):
-    return np.sin(math.pi * np.asarray(r, dtype=np.float64)) ** 2
+    """w(r) = sin^2(pi r) = t^2 / (1 + t^2), t = tan(pi (r - rint r)): minus
+    half the cos 2 pi r - 1 of roofs._half_angle, written into a copy of r
+    block by block (within 3.3e-16 of the exact value at the float r)."""
+    out = np.array(r, dtype=np.float64)
+    flat = out.reshape(-1)
+    c, d = np.empty((2, min(flat.size, _TRIG_BLOCK)))
+    for lo in range(0, flat.size, _TRIG_BLOCK):
+        s = flat[lo:lo + _TRIG_BLOCK]
+        _half_angle(s, c[:s.size], d[:s.size])
+        np.multiply(c[:s.size], -0.5, out=s)
+    return out if out.ndim else float(out)
 
 
 class TowerObservable:
@@ -138,8 +150,8 @@ class TowerObservable:
 
     def u(self, y):
         y = np.asarray(y, dtype=np.float64)
-        return _trig_sum(np.zeros_like(y), ((complex(a, -b), k, y)
-                                            for k, a, b in self.u_terms))
+        return _trig_sum(np.zeros_like(y), (y,), ((complex(a, -b), (k,))
+                                                  for k, a, b in self.u_terms))
 
     def __call__(self, y, s):
         y = np.asarray(y, dtype=np.float64)
@@ -194,10 +206,19 @@ def _graded_edges():
     return np.unique(np.concatenate((left, 1.0 - left[::-1])))
 
 
+@functools.cache
+def _gauss_rule(nodes: int):
+    """np.polynomial.legendre.leggauss(nodes), computed once per node count
+    and kept as read-only arrays."""
+    y, w = np.polynomial.legendre.leggauss(nodes)
+    y.flags.writeable = w.flags.writeable = False
+    return y, w
+
+
 def _gauss_nodes(edges, nodes):
     """Points and weights of the nodes-point Gauss-Legendre rule on each
     cell of the mesh edges, cell after cell."""
-    y, w = np.polynomial.legendre.leggauss(nodes)
+    y, w = _gauss_rule(nodes)
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])
     return ((mid[:, None] + half[:, None] * y).ravel(),

@@ -20,7 +20,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .roofs import FourierRoof, TimeChange, _finite, roof_from_timechange
+from .roofs import (FourierRoof, TimeChange, _finite, _half_angle,
+                    roof_from_timechange)
 from .rotation import RotationNumber, _index, circle_distance, frac
 
 __all__ = [
@@ -48,6 +49,16 @@ def _unit(x):
     """x mod 1 in [0, 1): for a tiny negative x, frac(x) rounds up to 1.0."""
     x = frac(x)
     return x * (x < 1.0)
+
+
+def _period_split(n, P: int):
+    """(k, i) = np.divmod(n + P // 2, P), bit for bit, for an int64 array n
+    with |n| < 2^62 and an int 0 < P < 2^62: numpy floor-divides int64 by
+    one scalar divisor with a multiplication (libdivide), where np.divmod
+    divides element by element, and i = m - k P is exact."""
+    m = n + P // 2
+    k = m // P
+    return k, m - k * P
 
 
 @dataclass(frozen=True)
@@ -86,10 +97,10 @@ class ReparamFlow:
         # exact alpha and V_f _cocycle's: per mode of size |b_k| = |c_k| /
         # (2 pi |w_k|), 2 pi |u| (eps |w_k| / 2 + dw_k) from the phase (u w_k
         # rounds, dw_k = |w_k - q_k alpha - m_k|), 16 eps from the sine and
-        # cosine (the kernel's documented eps and 2 eps against libm, libm's
-        # ulp and the pi eps rounding of its argument, each weighted by
-        # sqrt 2, and the mode's products and sum), and twice the relative
-        # error of b_k, 2 (2 pi eps (|q_k| + |m_k|) + 8 eps + dw_k / |w_k|);
+        # cosine (roofs._half_angle's documented 2.1 eps and 2.9 eps at the
+        # float phase, weighted by sqrt 2, and the mode's products and sum,
+        # with room to spare), and twice the relative error of b_k,
+        # 2 (2 pi eps (|q_k| + |m_k|) + 8 eps + dw_k / |w_k|);
         # then eps / 2 of |u| + 2 sum |b_k| per addition into V.
         eps, K = np.finfo(np.float64).eps, len(self._terms)
         self._eval_slope, self._eval_floor = K * eps / 2, 0.0
@@ -126,18 +137,14 @@ class ReparamFlow:
         """V(u) for start factors b, and with derivatives also v = V' and V''.
 
         V = u + sum Re(b) sin(2 pi w u) + Im(b) (cos(2 pi w u) - 1).  The
-        phase w u is reduced to p in [-1/2, 1/2] turns first: at w ~ 4e4 and
-        u ~ 1e6 the radian argument would reach ~2.5e11, where libm takes a
-        slow argument-reduction path.  Then one tan per mode gives the sine
-        and cosine by the half-angle identities: with t = tan(pi p) and
-        d = 2 / (1 + t^2), sin 2 pi p = t d and cos 2 pi p - 1 = -t^2 d (at
-        p = +-1/2, t ~ 1.6e16 and t^2 stays far from overflow).  Against
-        libm, over 2M random phases and p = 0, +-1/4, +-1/2 with their
-        neighbouring floats, the sine is within 2.2e-16 absolute, and the
-        cosine and -t^2 d (against cos - 1) within 4.4e-16.  Each mode's
-        terms are formed whole in per-call buffers and added once, as in the
-        closed form, so u from time_inverse_many is bit-identical to the one
-        libm sin and cos give on the pnt_reparam times.
+        phase w u goes to roofs._half_angle in turns, which reduces it to
+        [-1/2, 1/2] exactly first: at w ~ 4e4 and u ~ 1e6 a radian argument
+        would reach ~2.5e11, where libm takes a slow argument-reduction path.
+        From one tan per mode the kernel gives the sine and cos - 1, within
+        4.6e-16 and 6.6e-16 absolute of their values at the float phase.  Each
+        mode's terms are formed whole in per-call buffers and added once, as
+        in the closed form, so u from time_inverse_many is bit-identical to
+        the one libm sin and cos give on the pnt_reparam times.
         """
         V = u.copy()
         if derivatives:
@@ -146,15 +153,7 @@ class ReparamFlow:
         s, cm1, tmp, tmp2 = (np.empty_like(u) for _ in range(4))
         for (_, _, _, w), bk in zip(self._terms, b):
             np.multiply(u, w, out=s)
-            s -= np.rint(s, out=tmp)
-            s *= math.pi
-            np.tan(s, out=s)
-            np.multiply(s, s, out=cm1)
-            np.add(cm1, 1.0, out=tmp)
-            np.divide(2.0, tmp, out=tmp)
-            s *= tmp  # sin 2 pi p
-            cm1 *= tmp
-            np.negative(cm1, out=cm1)  # cos 2 pi p - 1
+            _half_angle(s, cm1, tmp)  # sin 2 pi p, cos 2 pi p - 1
             br, bi = bk.real, bk.imag
             np.multiply(br, s, out=tmp)
             tmp += np.multiply(bi, cm1, out=tmp2)
@@ -265,7 +264,7 @@ class ReparamFlow:
             f = flat[sl]
             ok = whole or (f == np.rint(f)) & (np.abs(f) < 2 ** 62)
             n = (f if whole else np.where(ok, f, 0)).astype(np.int64, copy=False)
-            k, i = np.divmod(n + P // 2, P)
+            k, i = _period_split(n, P)
             y1[sl] = _unit(p1[i] + k * shift)
             y2[sl] = p2[i]
             low, high = f.min(), f.max()

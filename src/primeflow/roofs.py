@@ -68,23 +68,96 @@ def _integral(name, k) -> int:
     raise ValueError(f"{name} must be an integer, got {k!r}")
 
 
-def _trig_sum(out, terms):
-    """out + sum Re c e(k y) = c.real cos 2 pi k y - c.imag sin 2 pi k y over
-    the (complex c, int k, phase array y) terms; a zero part is not computed,
-    nor a product by a real part of 1.  The sum goes into the float array
-    out, each cosine into its phase array."""
-    for c, k, y in terms:
-        ang = np.asarray(2.0 * math.pi * k * y)  # a new array, never y
-        s = c.imag * np.sin(ang) if c.imag else None
-        if c.real:
-            np.cos(ang, out=ang)
-            if c.real != 1.0:
-                ang *= c.real
-            if s is not None:
-                ang -= s
-            out += ang
-        elif c.imag:
-            out -= s
+# _trig_sum: points per block, and so per scratch buffer (32 KiB each)
+_TRIG_BLOCK = 1 << 12
+
+
+def _half_angle(s, c, d):
+    """The one sine and cosine kernel of the package, in place on phases in
+    turns: with p the phases s holds on entry, t = tan(pi (p - rint p)) and
+    d = 2 / (1 + t^2), it leaves sin 2 pi p = t d in s, cos 2 pi p - 1 =
+    -t^2 d in c and d = 1 + cos 2 pi p in d, three float arrays of one shape.
+
+    Reducing p in turns is exact, so the error does not grow with |p| as a
+    radian argument's does (the idea of IEEE 754-2019's sinPi and cosPi),
+    and one tan costs a tenth of numpy's float64 sin or cos.  At p = +-1/2,
+    t ~ 1.6e16 and t^2 stays far from overflow.  Against the exact values at
+    the float phase, over 2 10^7 random phases in [-1/2, 1), the sine errs
+    by at most 4.6e-16 and the cosine d - 1 by 4.8e-16 (2.1 eps), cos - 1
+    by 6.6e-16 (2.9 eps) and -c / 2 = sin^2 pi p by 3.3e-16, where libm's
+    cos(2 pi y) at y in [0, 1) errs by up to 6.5e-16; tests/test_roofs.py
+    checks 40-digit values at 0, +-1/8, +-1/4, +-3/8, +-1/2, their
+    neighbouring floats and random phases."""
+    s -= np.rint(s, out=d)
+    s *= math.pi
+    np.tan(s, out=s)
+    np.multiply(s, s, out=c)
+    np.add(c, 1.0, out=d)
+    np.divide(2.0, d, out=d)
+    s *= d
+    c *= d
+    np.negative(c, out=c)
+
+
+def _half_angle_scalar(p: float):
+    """_half_angle's (s, c, d) for one float phase p in turns: its operations
+    in the same order on Python floats, so bit for bit its entries at p,
+    without its per-array call costs."""
+    t = float(np.tan((p - float(np.rint(p))) * math.pi))
+    c = t * t
+    d = 2.0 / (c + 1.0)
+    return t * d, -(c * d), d
+
+
+def _trig_sum(out, coords, terms):
+    """out + sum over terms (c, ks) of Re c e(p) = c.real cos 2 pi p -
+    c.imag sin 2 pi p, p = sum_j k_j y_j in turns, with one integer k_j per
+    coordinate array y_j of coords (broadcast to out's shape).
+
+    Every term takes one _half_angle, over blocks of _TRIG_BLOCK points that
+    reuse three scratch buffers, and adds into the float array out in place;
+    a zero part of c is not computed, nor a product by a real part of 1, nor
+    a zero frequency's product past the first coordinate's.  A 0-d out is
+    summed in Python floats, bit for bit as the blocks would.  So no phase
+    array of out's size is made, and each term errs from Re c e(p) at the
+    float phase p by a few ulps of |c|: the kernel's 4.8e-16 for the sine
+    and the cosine d - 1, and the roundings of the sum."""
+    terms = [(c, ks) for c, ks in terms if c]
+    if out.ndim == 0:
+        ys = [float(y) for y in coords]
+        total = float(out)
+        for c, ks in terms:
+            p = ks[0] * ys[0]
+            for k, y in zip(ks[1:], ys[1:]):
+                if k:
+                    p += k * y
+            sn, _, d = _half_angle_scalar(p)
+            if c.real:
+                total += c.real * (d - 1.0)
+            if c.imag:
+                total -= c.imag * sn
+        out[()] = total
+        return out
+    buf = np.empty((3, min(out.size, _TRIG_BLOCK)))
+    with np.nditer((out, *coords), ("external_loop", "buffered", "zerosize_ok"),
+                   [["readwrite"]] + [["readonly"]] * len(coords),
+                   buffersize=_TRIG_BLOCK) as blocks:
+        for o, *ys in blocks:
+            s, cm1, d = buf[:, :o.size]
+            for c, ks in terms:
+                np.multiply(ys[0], ks[0], out=s)
+                for k, y in zip(ks[1:], ys[1:]):
+                    if k:
+                        s += np.multiply(y, k, out=cm1)
+                _half_angle(s, cm1, d)
+                if c.real:
+                    np.subtract(d, 1.0, out=cm1)  # cos 2 pi p
+                    if c.real != 1.0:
+                        cm1 *= c.real
+                    o += cm1
+                if c.imag:
+                    s *= c.imag
+                    o -= s
     return out
 
 
@@ -197,8 +270,9 @@ class FourierRoof:
 
     def __call__(self, x, order: int = 0):
         x = np.asarray(x, dtype=np.float64)
-        out = _trig_sum(np.ones_like(x) if order == 0 else np.zeros_like(x), (
-            (b * (2j * math.pi * q) ** order, q, x) for q, b in self.pairs))
+        out = _trig_sum(np.ones_like(x) if order == 0 else np.zeros_like(x),
+                        (x,), ((b * (2j * math.pi * q) ** order, (q,))
+                               for q, b in self.pairs))
         return out if out.ndim else float(out)
 
     def integral(self) -> float:
@@ -229,12 +303,8 @@ class TorusObservable:
     def __call__(self, x1, x2):
         x1 = np.asarray(x1, dtype=np.float64)
         x2 = np.asarray(x2, dtype=np.float64)
-        # with m = 0, m x2 would add nothing to the phase but a zero's sign,
-        # and with q = 1 as well the phase is x1 itself, never copied
         out = _trig_sum(np.full(np.broadcast(x1, x2).shape, self.constant),
-                        ((c, 1, q * x1 + m * x2 if m else
-                          x1 if q == 1 else q * x1)
-                         for q, m, c in self.terms))
+                        (x1, x2), ((c, (q, m)) for q, m, c in self.terms))
         return out if out.ndim else float(out)
 
 

@@ -29,7 +29,7 @@ from primeflow.flow import (
 )
 from primeflow.config import ExperimentConfig
 from primeflow.experiments import run_experiment
-from primeflow.roofs import FourierRoof, PowerRoof
+from primeflow.roofs import FourierRoof, PowerRoof, SingularityError
 from primeflow.rotation import construct_alpha, frac, from_partial_quotients
 
 from helpers import tower_metric
@@ -280,6 +280,43 @@ def test_naive_rejects_non_finite_time(t):
     # the stepping loop never ends for a time no fiber can hold
     with pytest.raises(ValueError, match=f"t must be finite, got {t}"):
         evaluate_naive(POWER, GOLDEN, FlowPoint(0.7, 0.3), t)
+
+
+class _CountedRoof:
+    """A roof that records the size of every evaluation."""
+
+    def __init__(self, roof):
+        self.roof, self.sizes = roof, []
+
+    def __call__(self, x):
+        self.sizes.append(np.size(x))
+        return self.roof(x)
+
+
+@pytest.mark.parametrize("t", [1500.0, -1500.0])
+def test_naive_reads_the_roofs_in_growing_blocks(t):
+    # about 1500 fibers: blocks of 256, 1024 and 4096, and no scalar call
+    roof = _CountedRoof(POWER)
+    p = FlowPoint(0.3, 0.1)
+    got = evaluate_naive(roof, GOLDEN, p, t)
+    assert roof.sizes == [256, 1024, 4096]
+    want = evaluate(POWER, GOLDEN, p, t)
+    assert got.hits == want.hits
+    assert tower_metric(got.endpoint, want.endpoint) <= 1e-9
+
+
+def test_naive_raises_only_at_a_singular_fiber_it_reaches():
+    # fiber j of x = 1 - (j alpha mod 1) sits on the singularity, inside the
+    # first block: a walk that stops before it returns, one past it raises
+    o = GOLDEN.orbit(200)
+    j = int(np.flatnonzero(o[20:] >= 0.5)[0]) + 20
+    x = 1.0 - float(o[j])
+    assert frac(x + o[j]) == 0.0
+    p = FlowPoint(x, 0.0)
+    step = evaluate_naive(POWER, GOLDEN, p, 3.0)
+    assert 0 < step.hits < j
+    with pytest.raises(SingularityError):
+        evaluate_naive(POWER, GOLDEN, p, 10.0 * j)
 
 
 def test_start_height_checked():

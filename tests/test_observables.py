@@ -173,33 +173,61 @@ def test_trivial_observables():
     assert abs(space_average(flat, POWER) - 0.7) < 1e-9
 
 
+def _libm_trig_sum(constant, coords, terms):
+    """constant + sum Re c e(p) over terms (c, ks), p = sum k_j y_j, by libm
+    cos and sin of the exactly reduced float phase: the oracle of
+    roofs._trig_sum, which takes both from one tan."""
+    out = np.full(np.broadcast(*coords).shape, float(constant))
+    for c, ks in terms:
+        p = sum(k * y for k, y in zip(ks, coords))
+        ang = 2.0 * math.pi * (p - np.rint(p))
+        out = out + (c.real * np.cos(ang) - c.imag * np.sin(ang))
+    return out
+
+
+def _trig_scale(constant, terms):
+    """4 eps (|constant| + sum |c|): the bound of the cocycle kernel test."""
+    return 4.0 * np.finfo(float).eps * (abs(constant)
+                                         + sum(abs(c) for c, _ in terms))
+
+
 def test_trig_eval_skips_zero_coefficients(monkeypatch):
     # the shared kernel adds Re c e(k y) = c.real cos 2 pi k y - c.imag sin
-    # 2 pi k y term by term, and skips the cosine or sine of a zero part
-    from primeflow.roofs import _trig_sum
+    # 2 pi k y term by term from one tan per nonzero term, and none for a
+    # zero coefficient; no sin or cos is called
+    from primeflow.roofs import _TRIG_BLOCK, _trig_sum
 
     y = np.random.default_rng(8).random(1000)
     terms = ((1, 0.7, -0.2), (3, 0.0, 0.4), (5, -0.3, 0.0), (2, 0.0, 0.0))
-    full = np.zeros_like(y)
-    for k, a, b in terms:
-        ang = 2.0 * math.pi * k * y
-        full = full + (a * np.cos(ang) + b * np.sin(ang))
-    pairs = [(complex(a, -b), k, y) for k, a, b in terms]
-    assert np.array_equal(_trig_sum(np.zeros_like(y), pairs), full)
-    sines = []
-    sin = np.sin
+    pairs = [(complex(a, -b), (k,)) for k, a, b in terms]
+    got = _trig_sum(np.zeros_like(y), (y,), pairs)
+    assert np.all(np.abs(got - _libm_trig_sum(0.0, (y,), pairs))
+                  <= _trig_scale(0.0, pairs))
+    u, roof = TowerObservable(POWER), FourierRoof([(2, 0.3), (3, 0.1)])
+    v = TimeChange([(2, 0, 0.3), (1, 1, 0.2)])
+    tans = []
+    tan = np.tan
 
     def spy(*args, **kwargs):
-        sines.append(1)
-        return sin(*args, **kwargs)
+        tans.append(1)
+        return tan(*args, **kwargs)
 
-    monkeypatch.setattr(np, "sin", spy)
-    TowerObservable(POWER).u(y)  # u = cos(2 pi y)
-    FourierRoof([(2, 0.3), (3, 0.1)])(y)
-    TimeChange([(2, 0, 0.3), (1, 1, 0.2)])(y, y)
-    assert sines == []
-    _trig_sum(np.zeros_like(y), pairs)
-    assert len(sines) == 2
+    def refuse(*args, **kwargs):
+        raise AssertionError("a trig sum called sin or cos")
+
+    monkeypatch.setattr(np, "tan", spy)
+    monkeypatch.setattr(np, "sin", refuse)
+    monkeypatch.setattr(np, "cos", refuse)
+    for call, nonzero in ((lambda: u.u(y), 1), (lambda: roof(y), 2),
+                          (lambda: v(y, y), 2), (lambda: roof(0.3), 2),
+                          (lambda: _trig_sum(np.zeros_like(y), (y,), pairs), 3)):
+        tans.clear()
+        call()
+        assert len(tans) == nonzero
+    # one tan per term and block: 2.5 blocks are 3
+    tans.clear()
+    roof(np.random.default_rng(9).random(5 * _TRIG_BLOCK // 2))
+    assert len(tans) == 2 * 3
 
 
 def test_fiber_integral_closed_form(psi):
@@ -242,6 +270,41 @@ def test_space_average_oracle_across_gamma(gamma, want):
     roof = PowerRoof(gamma, c0=0.2)
     psi = TowerObservable(roof, psi_inf=0.3)
     assert abs(space_average(psi, roof) - want) <= 1e-12
+
+
+def test_gauss_rules_are_cached_leggauss():
+    # space_average asks for 16, 32 and 64 nodes and box_masses for 24 on
+    # every call; each rule is built once, bit for bit leggauss's, read-only
+    from primeflow.observables import _gauss_rule
+
+    for nodes in (16, 24, 32, 64, 5):
+        y, w = _gauss_rule(nodes)
+        ref_y, ref_w = np.polynomial.legendre.leggauss(nodes)
+        assert np.array_equal(y, ref_y) and np.array_equal(w, ref_w)
+        assert not (y.flags.writeable or w.flags.writeable)
+        again = _gauss_rule(nodes)
+        assert again[0] is y and again[1] is w
+
+
+def test_w_is_sin_squared_to_40_digits():
+    # w(r) = sin^2(pi r) = t^2 / (1 + t^2) from the half-angle kernel, over
+    # both ends of a fiber, their neighbours, a few blocks of random r and r
+    # past the fiber; a 0-d r gives a float
+    mpmath = pytest.importorskip("mpmath")
+    from primeflow.observables import _w
+    from primeflow.roofs import _TRIG_BLOCK
+
+    rng = np.random.default_rng(15)
+    r = np.concatenate(([0.0, 5e-324, 1e-300, 0.5, 1.0, np.nextafter(1.0, 0.0),
+                         np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0)],
+                        rng.random(2 * _TRIG_BLOCK + 3), rng.uniform(1, 9, 9)))
+    got = _w(r)
+    eps = np.finfo(float).eps
+    with mpmath.workdps(40):
+        for ri, gi in zip(r[::7].tolist(), got[::7].tolist()):
+            assert abs(gi - mpmath.sin(mpmath.pi * ri) ** 2) <= 2.0 * eps, ri
+    assert np.array_equal(_w(r.reshape(-1, 1)).ravel(), got)
+    assert _w(np.float64(r[11])) == got[11] and type(_w(0.25)) is float
 
 
 class _Ragged:
@@ -375,26 +438,29 @@ def test_torus_coordinates_lie_in_unit_interval():
 
 
 def test_torus_observable_matches_complex_exponential(monkeypatch):
-    # Re c e(q x1 + m x2) from a cosine and a sine, the zero part skipped:
-    # the real coefficients of pnt_reparam's psi take no sine and match the
-    # complex exponential bit for bit, a complex one is within 2 ulps of 1
+    # Re c e(q x1 + m x2) from one tan per term, against the complex
+    # exponential of the exactly reduced float phase: within 4 eps (|c0| +
+    # sum |c|), with no sin or cos called
     rng = np.random.default_rng(5)
     x1, x2 = rng.random(2000), rng.random(2000)
 
     def reference(psi):
         out = np.full(x1.shape, psi.constant)
         for q, m, c in psi.terms:
-            out = out + np.real(c * np.exp(2j * math.pi * (q * x1 + m * x2)))
+            p = q * x1 + m * x2
+            out = out + np.real(c * np.exp(2j * math.pi * (p - np.rint(p))))
         return out
     real = TorusObservable(0.0, [(1, 0, 1.0), (0, 1, 0.5)])
-    mixed = TorusObservable(0.25, [(2, -3, 0.4 - 0.7j), (1, 1, 0.3j)])
-    sin = np.sin
-    monkeypatch.setattr(np, "sin", lambda *args, **kwargs: pytest.fail(
-        "sine of a zero part"))
-    assert np.array_equal(real(x1, x2), reference(real))
-    monkeypatch.setattr(np, "sin", sin)
-    assert np.all(np.abs(mixed(x1, x2) - reference(mixed))
-                  <= 2.0 * np.spacing(1.0))
+    mixed = TorusObservable(0.25, [(2, -3, 0.4 - 0.7j), (1, 1, 0.3j),
+                                   (-7, 40, 0.05 + 0.02j)])
+    for psi in (real, mixed):
+        bound = _trig_scale(psi.constant, [(c, ()) for *_, c in psi.terms])
+        monkeypatch.setattr(np, "sin", lambda *a, **k: pytest.fail("sin"))
+        monkeypatch.setattr(np, "cos", lambda *a, **k: pytest.fail("cos"))
+        got = psi(x1, x2)
+        monkeypatch.undo()
+        assert np.all(np.abs(got - reference(psi)) <= bound)
+        assert [psi(a, b) for a, b in zip(x1[:50], x2[:50])] == got[:50].tolist()
 
 
 def test_torus_observable_means():

@@ -605,6 +605,25 @@ def _shifted_u(flow, n):
     return flow.time_inverse_many(r, 0.31, 0.64)[i] + k * P
 
 
+@pytest.mark.parametrize("P", [2, 3, 83523])
+def test_period_split_is_divmod(P):
+    # (k, i) = divmod(n + P // 2, P) bit for bit: random n, n = +-P//2 and
+    # their neighbours, multiples of P and theirs, and |n| near 2^62
+    rng = np.random.default_rng(P)
+    h = P // 2
+    edges = [v + d for v in (h, -h, 2 ** 62 - 2, -(2 ** 62) + 2)
+             for d in (-1, 0, 1)]
+    n = np.concatenate((rng.integers(-10 ** 7, 10 ** 7, 10 ** 5),
+                        rng.integers(-(2 ** 62) + 1, 2 ** 62, 10 ** 5),
+                        np.outer(np.arange(-5, 6), [P]).ravel() + [[-1], [0], [1]],
+                        (2 ** 62 - 1) // P * P + np.arange(-3, 3),
+                        edges), axis=None).astype(np.int64)
+    k, i = reparam._period_split(n, P)
+    want_k, want_i = np.divmod(n + h, P)
+    assert k.dtype == i.dtype == np.int64
+    assert np.array_equal(k, want_k) and np.array_equal(i, want_i)
+
+
 def test_integer_orbit_period_is_the_first_rigid_denominator(flow):
     # delta(q_n) is 3.4e-2, 7.0e-6 and 1.2e-20 at q_1 = 2, q_2 = 17 and q_3
     assert flow._period == SCALED.q(3) == 83523

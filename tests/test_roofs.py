@@ -179,14 +179,81 @@ def test_timechange_is_the_torus_observable_with_constant_one():
     rng = np.random.default_rng(3)
     x, y = rng.random(500), rng.random((7, 1))
     want = np.ones((7, 500))
-    for q, m, a in terms:
-        ang = 2.0 * math.pi * (q * x + m * y)
+    for q, m, a in terms:  # libm at the exactly reduced float phase
+        p = q * x + m * y
+        ang = 2.0 * math.pi * (p - np.rint(p))
         want = want + (a.real * np.cos(ang) - a.imag * np.sin(ang))
-    assert np.array_equal(v(x, y), want)
-    assert np.array_equal(TorusObservable(1.0, terms)(x, y), want)
-    assert v(x[3], y[2, 0]) == want[2, 3] and type(v(0.1, 0.2)) is float
+    got = v(x, y)
+    eps = np.finfo(float).eps
+    assert np.all(np.abs(got - want)
+                  <= 4.0 * eps * (1.0 + sum(abs(a) for *_, a in terms)))
+    assert np.array_equal(TorusObservable(1.0, terms)(x, y), got)
+    assert v(x[3], y[2, 0]) == got[2, 3] and type(v(0.1, 0.2)) is float
     with pytest.raises(ValueError, match="fold the \\(0, 0\\) mode"):
         TimeChange([(0, 0, 0.1)])
+
+
+def _kernel_phases(rng):
+    """0, +-1/8, +-1/4, +-3/8, +-1/2 with their neighbouring floats, random
+    phases in [-1/2, 1) and a few far from 0."""
+    out = []
+    for p in (0.0, 0.125, 0.25, 0.375, 0.5):
+        for v in (p, -p):
+            out += [np.nextafter(v, -1.0), v, np.nextafter(v, 1.0)]
+    return np.concatenate((out, rng.uniform(-0.5, 1.0, 400),
+                           rng.uniform(-1e6, 1e6, 100)))
+
+
+def test_half_angle_kernel_against_40_digits():
+    # sin 2 pi p, cos 2 pi p - 1 and the cosine d - 1 at the float phase p,
+    # against 40-digit values; the documented bounds are 2.1 eps and 2.9 eps
+    mpmath = pytest.importorskip("mpmath")
+    from primeflow.roofs import _half_angle
+
+    p = _kernel_phases(np.random.default_rng(12))
+    s, c, d = p.copy(), np.empty_like(p), np.empty_like(p)
+    _half_angle(s, c, d)
+    eps = np.finfo(float).eps
+    with mpmath.workdps(40):
+        for pi, si, ci, di in zip(p.tolist(), s.tolist(), c.tolist(),
+                                  (d - 1.0).tolist()):
+            a = 2 * mpmath.pi * mpmath.mpf(pi)
+            sin, cos = mpmath.sin(a), mpmath.cos(a)
+            assert abs(si - sin) <= 2.5 * eps, pi
+            assert abs(di - cos) <= 2.5 * eps, pi
+            assert abs(ci - (cos - 1)) <= 3.0 * eps, pi
+
+
+def test_half_angle_scalar_is_the_array_kernel():
+    # the Python-float twin does the same operations in the same order
+    from primeflow.roofs import _half_angle, _half_angle_scalar
+
+    p = np.concatenate((_kernel_phases(np.random.default_rng(13)),
+                        [np.nan, np.inf, -np.inf, 2.0 ** 60, -0.0]))
+    s, c, d = p.copy(), np.empty_like(p), np.empty_like(p)
+    with np.errstate(invalid="ignore"):
+        _half_angle(s, c, d)
+        twin = np.array([_half_angle_scalar(v) for v in p.tolist()])
+    assert np.array_equal(twin, np.stack((s, c, d), axis=1), equal_nan=True)
+
+
+def test_trig_sums_do_not_depend_on_the_blocks():
+    # a point's value is the same in a long array, a short one, a 0-d one
+    # and a scalar call, and broadcasting is blocked like a full array
+    from primeflow.roofs import _TRIG_BLOCK
+
+    roof = FourierRoof([(1, 0.3 - 0.2j), (6, 0.1)])
+    x = np.random.default_rng(14).random(3 * _TRIG_BLOCK + 5)
+    full = roof(x)
+    assert np.array_equal(np.concatenate([roof(x[i:i + 777])
+                                          for i in range(0, x.size, 777)]),
+                          full)
+    assert [roof(v) for v in x[-40:].tolist()] == full[-40:].tolist()
+    assert roof(np.asarray(x[7])) == full[7]
+    v = TorusObservable(0.5, [(2, -1, 0.2j), (0, 3, 0.1)])
+    a, b = x[:300], x[-50:]
+    assert np.array_equal(v(a[None, :], b[:, None]),
+                          v(np.tile(a, (50, 1)), np.repeat(b[:, None], 300, 1)))
 
 
 def test_timechange_mean_and_eval():

@@ -466,7 +466,6 @@ def test_frac_of_a_scalar(x):
 _SCALAR_MOD_SITES = Counter({
     ("experiments.py", "_exp_interval_factorization"): 1,  # config defaults
     ("experiments.py", "_exp_phase_contrast"): 2,
-    ("flow.py", "evaluate_naive"): 3,
     ("primes.py", "diophantine_gamma2_check"): 1,
     ("primes.py", "CircleInterval.__post_init__"): 1,
     ("roofs.py", "small_derivative_set"): 1,  # one arc start per offset

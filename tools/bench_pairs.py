@@ -11,9 +11,12 @@ in the odd pairs and second in the even ones, so a steady drift of the
 host's speed favours neither side.  Appends to the `history` list of
 BENCH_<W>.json at the root of the checkout one record with every pair's
 wall_s, setup_s, peak_rss_mb, success_rate and correctness, the median
-and quartiles of each metric on both sides, the number of pairs in which
-HEAD was lower, the host and versions, and both commits; a file from
-before the list becomes its first record.  Uncommitted changes are not
+and quartiles of each metric on both sides and of its per-pair ratio
+HEAD/REF, the number of pairs in which HEAD was lower, the host and
+versions, and both commits; a file from before the list becomes its first
+record.  The two runs of a pair are close in time, so the ratios do not
+mix a drift of the host's speed across the session into the comparison,
+as the side medians and quartiles do.  Uncommitted changes are not
 measured.  The copies are removed at the end.
 """
 
@@ -107,6 +110,8 @@ def main(argv=None) -> int:
         "pairs": pairs,
         "summary": {k: {side: summary([p[side][k] for p in pairs])
                         for side in ("ref", "change")} for k in METRICS},
+        "ratio": {k: summary([p["change"][k] / p["ref"][k] for p in pairs])
+                  for k in METRICS},
         "change_lower": {k: sum(p["change"][k] < p["ref"][k] for p in pairs)
                          for k in METRICS},
         "all_correct": all(p[s]["correct"] and p[s]["success_rate"] == 1.0
@@ -124,8 +129,11 @@ def main(argv=None) -> int:
         fh.write("\n")
     for k in METRICS:
         r, c = doc["summary"][k]["ref"], doc["summary"][k]["change"]
+        q = doc["ratio"][k]
         print(f"{k}: median {r['median']:.4g} -> {c['median']:.4g}, change "
-              f"lower in {doc['change_lower'][k]} of {len(pairs)}")
+              f"lower in {doc['change_lower'][k]} of {len(pairs)}; per-pair "
+              f"ratio median {q['median']:.4f} (quartiles {q['q1']:.4f}, "
+              f"{q['q3']:.4f})")
     return 0
 
 
