@@ -27,9 +27,8 @@ import numpy as np
 
 from .config import ExperimentReport
 from .flow import FlowPoint, _same_roof, _walk
-from .primes import build_table
-from .roofs import (_TRIG_BLOCK, TorusObservable, _finite, _half_angle,
-                    _integral, _trig_sum)
+from .primes import _int64, build_table
+from .roofs import TorusObservable, _finite, _integral, _trig_sum
 
 __all__ = [
     "SingularOrbitError",
@@ -112,16 +111,11 @@ def _rho(s):
 
 
 def _w(r):
-    """w(r) = sin^2(pi r) = t^2 / (1 + t^2), t = tan(pi (r - rint r)): minus
-    half the cos 2 pi r - 1 of roofs._half_angle, written into a copy of r
-    block by block (within 3.3e-16 of the exact value at the float r)."""
-    out = np.array(r, dtype=np.float64)
-    flat = out.reshape(-1)
-    c, d = np.empty((2, min(flat.size, _TRIG_BLOCK)))
-    for lo in range(0, flat.size, _TRIG_BLOCK):
-        s = flat[lo:lo + _TRIG_BLOCK]
-        _half_angle(s, c[:s.size], d[:s.size])
-        np.multiply(c[:s.size], -0.5, out=s)
+    """w(r) = sin^2(pi r) = 1/2 - cos(2 pi r) / 2, from one _trig_sum: over
+    24,000 points it errs from the exact value at the float r by at most
+    2.5e-16 (1.12 eps)."""
+    r = np.asarray(r, dtype=np.float64)
+    out = _trig_sum(np.full_like(r, 0.5), (r,), ((-0.5, (1,)),))
     return out if out.ndim else float(out)
 
 
@@ -269,9 +263,10 @@ def coboundary_prime_discrepancy(flow, g, depth: int, x, N, table=None):
     prefix of a single vectorized pass.  The invariant mean of psi is zero,
     so this is the full space-vs-prime discrepancy.
     """
+    depth = _integral("depth", depth)
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
-    Ns = np.atleast_1d(np.asarray(N, dtype=np.int64))
+    Ns = np.atleast_1d(_int64("N", N))
     if np.any(Ns < 1):
         raise ValueError(f"N must be >= 1, got {int(np.min(Ns))}")
     top = int(np.max(Ns, initial=0))
@@ -352,13 +347,13 @@ def pnt_report(psi, flow, start, n_grid=(10 ** 4, 10 ** 5, 10 ** 6),
     plus the box-counting discrepancy of the weighted "+" prime orbit on the
     32 x 32 grid of flow.box_masses.  When log_power A is given, D3 log^A N
     is recorded as well.  On a grid of two points or more, verdicts assert
-    the monotone trends along it.  The grid must hold distinct N >= 2.  Each
-    direction makes one pass at the largest N (one flow.walk call, for the
-    prime positions and the time integrals at z N together) whose prefixes
-    answer every N.  The report is named "pnt_report"; the registered
+    the monotone trends along it.  The grid must hold distinct integers N >=
+    2.  Each direction makes one pass at the largest N (one flow.walk call,
+    for the prime positions and the time integrals at z N together) whose
+    prefixes answer every N.  The report is named "pnt_report"; the registered
     experiments rename theirs.
     """
-    n_grid = tuple(sorted(int(n) for n in n_grid))
+    n_grid = tuple(sorted(_int64("n_grid", n_grid).tolist()))
     if not n_grid:
         raise ValueError("n_grid must hold at least one N, got none")
     if n_grid[0] < 2:

@@ -3,8 +3,9 @@
 The linear flow L_t moves x to x + (t*alpha, t); the time change v > 0
 reparametrizes it through the cocycle V(t, x) = int_0^t v(L_s x) ds and its
 inverse u(t, x), giving T_t(x) = L_{u(t,x)}(x).  Because time changes are
-finite trigonometric polynomials the cocycle has a closed form: along the
-linear flow each mode e(q x1 + m x2) oscillates at frequency q*alpha + m.
+finite trigonometric polynomials the cocycle and the time integrals of trig
+polynomials share one closed form: along the linear flow each mode e(q x1 +
+m x2) oscillates at frequency q*alpha + m.
 
 Also here: the coboundary observables built from Birkhoff averages of the
 time-one map, rigidity diagnostics at times k*q_n (with exactly reduced
@@ -123,20 +124,23 @@ class ReparamFlow:
 
     # -- cocycle ------------------------------------------------------------
 
-    def _start_factors(self, x1, x2) -> list:
-        """b_k = c_k e(q x1 + m x2) / (2 pi w_k) for every mode: scalars for
-        a scalar start point, arrays for an array one."""
+    def _start_factors(self, terms, x1, x2) -> list:
+        """b_k = c_k e(q x1 + m x2) / (2 pi w_k) for every mode (q, m, c, w)
+        of terms: scalars for a scalar start point, arrays for an array one."""
         out = []
-        for q, m, c, w in self._terms:
+        for q, m, c, w in terms:
             p = q * x1 + m * x2
             p = _TWO_PI * (p - np.rint(p))
             out.append(c * (np.cos(p) + 1j * np.sin(p)) / (_TWO_PI * w))
         return out
 
-    def _cocycle(self, u, b, derivatives: bool = False):
-        """V(u) for start factors b, and with derivatives also v = V' and V''.
+    def _integral(self, u, c0, terms, b, derivatives: bool = False):
+        """G(u) = int_0^u g(L_s x) ds for g = c0 + Re sum c e(q x1 + m x2)
+        with modes terms (q, m, c, w) and their start factors b at x, and with
+        derivatives also G' = g(L_u x) and G''.
 
-        V = u + sum Re(b) sin(2 pi w u) + Im(b) (cos(2 pi w u) - 1).  The
+        G = c0 u + sum Re(b) sin(2 pi w u) + Im(b) (cos(2 pi w u) - 1), as
+        each mode oscillates at w = q alpha + m along the linear flow.  The
         phase w u goes to roofs._half_angle in turns, which reduces it to
         [-1/2, 1/2] exactly first: at w ~ 4e4 and u ~ 1e6 a radian argument
         would reach ~2.5e11, where libm takes a slow argument-reduction path.
@@ -146,30 +150,35 @@ class ReparamFlow:
         in the closed form, so u from time_inverse_many is bit-identical to
         the one libm sin and cos give on the pnt_reparam times.
         """
-        V = u.copy()
+        G = np.multiply(u, c0, out=np.empty_like(u))
         if derivatives:
-            v = np.ones_like(u)
-            V2 = np.zeros_like(u)
+            g = np.full_like(u, c0)
+            G2 = np.zeros_like(u)
         s, cm1, tmp, tmp2 = (np.empty_like(u) for _ in range(4))
-        for (_, _, _, w), bk in zip(self._terms, b):
+        for (_, _, _, w), bk in zip(terms, b):
             np.multiply(u, w, out=s)
             _half_angle(s, cm1, tmp)  # sin 2 pi p, cos 2 pi p - 1
             br, bi = bk.real, bk.imag
             np.multiply(br, s, out=tmp)
             tmp += np.multiply(bi, cm1, out=tmp2)
-            V += tmp
+            G += tmp
             if derivatives:
                 k = _TWO_PI * w
                 cm1 += 1.0  # cos 2 pi p
                 np.multiply(br, cm1, out=tmp)
                 tmp -= np.multiply(bi, s, out=tmp2)
                 tmp *= k
-                v += tmp
+                g += tmp
                 np.multiply(br, s, out=tmp)
                 tmp += np.multiply(bi, cm1, out=tmp2)
                 tmp *= k * k
-                V2 -= tmp
-        return (V, v, V2) if derivatives else V
+                G2 -= tmp
+        return (G, g, G2) if derivatives else G
+
+    def _cocycle(self, u, b, derivatives: bool = False):
+        """V(u) = G_v(u) for v's start factors b, and with derivatives also
+        v = V' and V''; v's constant is 1, so V starts at u itself."""
+        return self._integral(u, self.v.constant, self._terms, b, derivatives)
 
     def _blocks(self, fn, t, x1, x2):
         """fn(t_block, b_block) over blocks of the broadcast of (t, x1, x2),
@@ -181,14 +190,14 @@ class ReparamFlow:
         out = np.empty(ts.size)
         scalar = x1.ndim == 0 and x2.ndim == 0
         if scalar:
-            b = self._start_factors(float(x1), float(x2))
+            b = self._start_factors(self._terms, float(x1), float(x2))
         else:
             x1s = np.broadcast_to(x1, shape).ravel()
             x2s = np.broadcast_to(x2, shape).ravel()
         for lo in range(0, ts.size, _BLOCK):
             sl = slice(lo, lo + _BLOCK)
             if not scalar:
-                b = self._start_factors(x1s[sl], x2s[sl])
+                b = self._start_factors(self._terms, x1s[sl], x2s[sl])
             out[sl] = fn(ts[sl], b)
         return out.reshape(shape)
 
@@ -317,37 +326,34 @@ class ReparamFlow:
 
     def mean(self, psi) -> float:
         """Mean of psi against the invariant density v: psi v's constant."""
-        return sum(c for q, m, c in self._product_terms(psi) if q == m == 0).real
+        return self._product(psi)[0]
 
-    def _product_terms(self, psi):
-        """psi v = sum c e(q x1 + m x2) as (q, m, c), one term per pair of modes."""
-        def expand(f):
-            out = [(0, 0, complex(f.constant))]
-            for q, m, c in f.terms:
-                out += [(q, m, 0.5 * c), (-q, -m, 0.5 * c.conjugate())]
-            return out
-
-        for q1, m1, c1 in expand(psi):
-            for q2, m2, c2 in expand(self.v):
-                yield q1 + q2, m1 + m2, c1 * c2
+    def _product(self, psi):
+        """psi v = c0 + Re sum c e(q x1 + m x2) as c0 and its modes (q, m, c,
+        w), one per +-(q, m): with the constants as (0, 0) modes, Re A Re B
+        = (Re AB + Re A conj(B)) / 2 for each pair of modes, and a product
+        at -(q, m) is folded into (q, m) as its conjugate."""
+        coeffs = {}
+        for q1, m1, c1 in ((0, 0, complex(psi.constant)), *psi.terms):
+            for q2, m2, c2 in ((0, 0, complex(self.v.constant)), *self.v.terms):
+                for q, m, c in ((q1 + q2, m1 + m2, c1 * c2),
+                                (q1 - q2, m1 - m2, c1 * c2.conjugate())):
+                    if (q, m) < (0, 0):
+                        q, m, c = -q, -m, c.conjugate()
+                    coeffs[q, m] = coeffs.get((q, m), 0.0) + 0.5 * c
+        c0 = coeffs.pop((0, 0), 0.0).real
+        a = self.alpha.float_value
+        return c0, [(q, m, c, q * a + m) for (q, m), c in coeffs.items() if c]
 
     def time_integral(self, psi, x: TorusPoint, T):
         """int_0^T psi(T_t x) dt, for a scalar or an array of T, in closed
-        form: substituting t = V(s) turns the integral into int_0^{U} psi(L_s
-        x) v(L_s x) ds with U the inverted time, and the integrand is a finite
-        sum of exponentials in s."""
+        form: substituting t = V(s) turns it into int_0^U (psi v)(L_s x) ds,
+        U the inverted time, which is _integral for psi v as V is for v."""
         U = self.time_inverse_many(T, x.x1, x.x2)
-        a = self.alpha.float_value
-        total = 0.0 + 0.0j
-        for q, m, c in self._product_terms(psi):
-            amp = c * np.exp(2j * math.pi * (q * x.x1 + m * x.x2))
-            omega = q * a + m
-            if q == 0 and m == 0:
-                total += amp * U
-            else:
-                total += amp * (np.exp(2j * math.pi * omega * U) - 1.0) / (
-                    2j * math.pi * omega)
-        return float(total.real) if np.ndim(total) == 0 else total.real
+        c0, terms = self._product(psi)
+        out = self._integral(U, c0, terms,
+                             self._start_factors(terms, x.x1, x.x2))
+        return out if out.ndim else float(out)
 
     def walk(self, psi, start: TorusPoint, times, T):
         """The coordinate arrays (x1, x2) of T_t(start) at every t in times
@@ -460,7 +466,7 @@ def rigidity_distance(flow: ReparamFlow, k: int, n: int,
     alpha = flow.alpha
     t0 = _index(k, "k") * alpha.q(n)
     modes = [(alpha.signed_frac(t0 * q), w, b) for (q, _, _, w), b in
-             zip(flow._terms, flow._start_factors(x.x1, x.x2))]
+             zip(flow._terms, flow._start_factors(flow._terms, x.x1, x.x2))]
     eps = 0.0
     for _ in range(60):
         W = 0.0

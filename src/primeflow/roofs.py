@@ -99,16 +99,6 @@ def _half_angle(s, c, d):
     np.negative(c, out=c)
 
 
-def _half_angle_scalar(p: float):
-    """_half_angle's (s, c, d) for one float phase p in turns: its operations
-    in the same order on Python floats, so bit for bit its entries at p,
-    without its per-array call costs."""
-    t = float(np.tan((p - float(np.rint(p))) * math.pi))
-    c = t * t
-    d = 2.0 / (c + 1.0)
-    return t * d, -(c * d), d
-
-
 def _trig_sum(out, coords, terms):
     """out + sum over terms (c, ks) of Re c e(p) = c.real cos 2 pi p -
     c.imag sin 2 pi p, p = sum_j k_j y_j in turns, with one integer k_j per
@@ -118,26 +108,11 @@ def _trig_sum(out, coords, terms):
     reuse three scratch buffers, and adds into the float array out in place;
     a zero part of c is not computed, nor a product by a real part of 1, nor
     a zero frequency's product past the first coordinate's.  A 0-d out is
-    summed in Python floats, bit for bit as the blocks would.  So no phase
-    array of out's size is made, and each term errs from Re c e(p) at the
-    float phase p by a few ulps of |c|: the kernel's 4.8e-16 for the sine
-    and the cosine d - 1, and the roundings of the sum."""
+    one block of one point.  So no phase array of out's size is made, and
+    each term errs from Re c e(p) at the float phase p by a few ulps of |c|:
+    the kernel's 4.8e-16 for the sine and the cosine d - 1, and the
+    roundings of the sum."""
     terms = [(c, ks) for c, ks in terms if c]
-    if out.ndim == 0:
-        ys = [float(y) for y in coords]
-        total = float(out)
-        for c, ks in terms:
-            p = ks[0] * ys[0]
-            for k, y in zip(ks[1:], ys[1:]):
-                if k:
-                    p += k * y
-            sn, _, d = _half_angle_scalar(p)
-            if c.real:
-                total += c.real * (d - 1.0)
-            if c.imag:
-                total -= c.imag * sn
-        out[()] = total
-        return out
     buf = np.empty((3, min(out.size, _TRIG_BLOCK)))
     with np.nditer((out, *coords), ("external_loop", "buffered", "zerosize_ok"),
                    [["readwrite"]] + [["readonly"]] * len(coords),

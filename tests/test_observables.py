@@ -287,9 +287,10 @@ def test_gauss_rules_are_cached_leggauss():
 
 
 def test_w_is_sin_squared_to_40_digits():
-    # w(r) = sin^2(pi r) = t^2 / (1 + t^2) from the half-angle kernel, over
-    # both ends of a fiber, their neighbours, a few blocks of random r and r
-    # past the fiber; a 0-d r gives a float
+    # w(r) = sin^2(pi r) = 1/2 - cos(2 pi r) / 2 from one trig sum, whose
+    # cosine errs by 2.1 eps, so w by about 1 eps; over both ends of a
+    # fiber, their neighbours, a few blocks of random r and r past the
+    # fiber; a 0-d r gives a float
     mpmath = pytest.importorskip("mpmath")
     from primeflow.observables import _w
     from primeflow.roofs import _TRIG_BLOCK
@@ -491,6 +492,48 @@ def test_reparam_time_integral_closed_form():
                                   np.full_like(ts, x.x2))
         riemann = float(np.mean(psi(y1, y2))) * T
         assert abs(fl.time_integral(psi, x, T) - riemann) < 1e-6
+
+
+@pytest.mark.parametrize("T", [1e4, -1e4, 1e5, -1e5, 1e6, -1e6])
+def test_reparam_time_integral_against_30_digits(T):
+    # pnt_reparam's flow, psi and start: the closed form at the solver's U
+    # against psi v's integral along the linear flow (float alpha) summed
+    # in 30 digits over every pair of exponentials, with b = c e(q x1 + m
+    # x2) / (2 pi w) per pair.  Rounding w, then w U, moves a mode's phase
+    # by eps |w U| turns, so its term by 2 pi |b| eps |w U|; the reduction
+    # of q x1 + m x2 adds eps (|q| + |m|) turns, the kernel and the sums
+    # 8 eps |b|, and c0 U rounds by eps |c0 U|
+    mpmath = pytest.importorskip("mpmath")
+    fl = ReparamFlow(SCALED, make_timechange(SCALED))
+    psi = TorusObservable(0.0, [(1, 0, 1.0), (0, 1, 0.5)])
+    x = TorusPoint(0.31, 0.64)
+    U = float(fl.time_inverse_many(T, x.x1, x.x2))
+    eps = np.finfo(float).eps
+    with mpmath.workdps(30):
+        def exponentials(f):
+            out = [(0, 0, mpmath.mpc(f.constant))]
+            for q, m, c in f.terms:
+                c = mpmath.mpc(c.real, c.imag) / 2
+                out += [(q, m, c), (-q, -m, mpmath.conj(c))]
+            return out
+
+        a, x1, x2 = (mpmath.mpf(v) for v in (SCALED.float_value, x.x1, x.x2))
+        want, bound = mpmath.mpf(0), 0.0
+        for q1, m1, c1 in exponentials(psi):
+            for q2, m2, c2 in exponentials(fl.v):
+                q, m = q1 + q2, m1 + m2
+                amp = c1 * c2 * mpmath.expjpi(2 * (q * x1 + m * x2))
+                if q == m == 0:
+                    want += amp * U
+                    bound += eps * abs(float(amp.real) * U)
+                    continue
+                w = q * a + m
+                want += amp * (mpmath.expjpi(2 * w * U) - 1) / (
+                    2j * mpmath.pi * w)
+                b = float(abs(amp) / (2 * mpmath.pi * abs(w)))
+                bound += b * (2 * math.pi * eps * (abs(float(w) * U) + abs(q)
+                                                   + abs(m)) + 8 * eps)
+        assert abs(fl.time_integral(psi, x, T) - float(want.real)) <= bound
 
 
 def _direct_coboundary_discrepancy(fl, g, depth, x, N, table):
@@ -846,6 +889,22 @@ def test_coboundary_discrepancy_rejects_bad_input(depth, N, name, table):
                                      table)
 
 
+@pytest.mark.parametrize("depth, N, msg", [
+    (2.5, 10 ** 3, "depth must be an integer, got 2.5"),
+    (40, 100.9, "N must hold int64 integers, got 100.9"),
+    (40, [10 ** 3, 100.9], "N must hold int64 integers, got 100.9")])
+def test_coboundary_discrepancy_rejects_fractional_input(depth, N, msg,
+                                                         table):
+    # a cast would truncate these to 2 and 100; integral floats still pass
+    fl = ReparamFlow(SCALED, make_timechange(SCALED))
+    start = TorusPoint(0.31, 0.64)
+    with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
+        coboundary_prime_discrepancy(fl, COS_X1, depth, start, N, table)
+    assert (coboundary_prime_discrepancy(fl, COS_X1, 40.0, start, 1e3, table)
+            == coboundary_prime_discrepancy(fl, COS_X1, 40, start, 1000,
+                                            table))
+
+
 @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("kind", ["kochergin", "reparam"])
 def test_non_finite_times_rejected(kind, t):
@@ -878,7 +937,8 @@ def test_one_point_grid_records_no_trend(name):
     ((1, 10 ** 3), r"N must be >= 2 \(no prime below 2\), got 1"),
     ((10 ** 3, -5), r"N must be >= 2 \(no prime below 2\), got -5"),
     ((10 ** 3, 10 ** 2, 10 ** 3), "n_grid repeats N = 1000"),
-], ids=["empty", "zero", "one", "negative", "repeated"])
+    ((1000.7, 5000.2), "n_grid must hold int64 integers, got 1000.7"),
+], ids=["empty", "zero", "one", "negative", "repeated", "fractional"])
 @pytest.mark.parametrize("kind", ["kochergin", "reparam"])
 def test_pnt_report_rejects_bad_n_grid(kind, n_grid, msg, table, monkeypatch):
     # an N-grid with no prime below some N, or with an N twice, is named
@@ -891,6 +951,17 @@ def test_pnt_report_rejects_bad_n_grid(kind, n_grid, msg, table, monkeypatch):
     with pytest.raises(ValueError, match=msg):
         pnt_report(psi, flow, start, n_grid, table=table)
     assert calls == []
+
+
+def test_pnt_report_takes_integral_float_grids(table):
+    # 1e3 and 2e3 are the ints 1000 and 2000 (a fractional N raises above)
+    _, flow, psi, start = _flow_case("reparam")
+    floats = pnt_report(psi, flow, start, (2e3, 1e3), table=table)
+    ints = pnt_report(psi, flow, start, (1000, 2000), table=table)
+    assert floats.params == ints.params
+    assert floats.params["n_grid"] == [1000, 2000]
+    assert [(m.name, m.N, m.z, m.value) for m in floats.metrics] == [
+        (m.name, m.N, m.z, m.value) for m in ints.metrics]
 
 
 @pytest.mark.parametrize("n_grid", [(10 ** 3, 10 ** 4, 2 * 10 ** 4),

@@ -358,7 +358,8 @@ def test_cocycle_many_matches_reference(flow, case):
     assert got.shape == t.shape
     ref = _reference_cocycle(flow, t, x1, x2)
     assert np.all(np.abs(got - ref) <= 1e-12 * (1.0 + np.abs(t)))
-    V, v, _ = flow._cocycle(t, flow._start_factors(x1, x2), derivatives=True)
+    b = flow._start_factors(flow._terms, x1, x2)
+    V, v, _ = flow._cocycle(t, b, derivatives=True)
     assert np.array_equal(V, got)
     # v = V' carries the phase rounding of V times 2 pi w
     k = 2.0 * math.pi * max(abs(w) for *_, w in flow._terms)
@@ -484,9 +485,10 @@ def test_cocycle_kernel_matches_libm(flow, scalar_start):
     u = np.concatenate((rng.uniform(-1e7, 1e7, 4000), rng.uniform(-5, 5, 500),
                         exact, [0.0]))
     if scalar_start:
-        b = flow._start_factors(0.31, 0.64)
+        b = flow._start_factors(flow._terms, 0.31, 0.64)
     else:
-        b = flow._start_factors(rng.random(u.size), rng.random(u.size))
+        b = flow._start_factors(flow._terms, rng.random(u.size),
+                                rng.random(u.size))
     got = flow._cocycle(u, b, derivatives=True)
     ref = _libm_cocycle(flow, u, b, derivatives=True)
     assert np.array_equal(flow._cocycle(u, b), got[0])
@@ -516,7 +518,7 @@ def test_time_inverse_matches_libm_kernel(flow, monkeypatch):
 def test_time_inverse_takes_tan_not_sin_or_cos(flow, monkeypatch):
     # one Halley step, then bisection: both branches of the solve run
     t = np.linspace(-200.0, 200.0, 161)
-    b = flow._start_factors(0.31, 0.64)
+    b = flow._start_factors(flow._terms, 0.31, 0.64)
     calls = []
     tan = np.tan
 
@@ -555,7 +557,7 @@ def _meets_contract(flow, u, n=None):
     given, with V from the libm kernel at the start point (0.31, 0.64)."""
     n = np.arange(u.size) if n is None else n
     n = np.asarray(n, dtype=np.float64)
-    V = _libm_cocycle(flow, u, flow._start_factors(0.31, 0.64))
+    V = _libm_cocycle(flow, u, flow._start_factors(flow._terms, 0.31, 0.64))
     return bool(np.all(np.abs(V - n) <= 1e-12 * (1.0 + np.abs(n))))
 
 

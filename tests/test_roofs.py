@@ -224,19 +224,6 @@ def test_half_angle_kernel_against_40_digits():
             assert abs(ci - (cos - 1)) <= 3.0 * eps, pi
 
 
-def test_half_angle_scalar_is_the_array_kernel():
-    # the Python-float twin does the same operations in the same order
-    from primeflow.roofs import _half_angle, _half_angle_scalar
-
-    p = np.concatenate((_kernel_phases(np.random.default_rng(13)),
-                        [np.nan, np.inf, -np.inf, 2.0 ** 60, -0.0]))
-    s, c, d = p.copy(), np.empty_like(p), np.empty_like(p)
-    with np.errstate(invalid="ignore"):
-        _half_angle(s, c, d)
-        twin = np.array([_half_angle_scalar(v) for v in p.tolist()])
-    assert np.array_equal(twin, np.stack((s, c, d), axis=1), equal_nan=True)
-
-
 def test_trig_sums_do_not_depend_on_the_blocks():
     # a point's value is the same in a long array, a short one, a 0-d one
     # and a scalar call, and broadcasting is blocked like a full array

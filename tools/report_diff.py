@@ -6,9 +6,11 @@ Extracts `git archive` copies of the commit REF and of HEAD into two
 temporary directories, as tools/bench_pairs.py does, runs
 `tools/report_docs.py` in each, and compares the two sets of reports row
 by row.  A row is one metric, keyed by its experiment, name, N, z and
-its place among the rows of that key.  Prints each row whose value moved
-with its relative move |new - old| / |old|, then each experiment, row,
-params entry or verdict present on one side only or changed.  Exits 1 if
+its place among the rows of that key.  Prints, for each experiment with a
+moved row, the number of moved rows and the largest relative move |new -
+old| / |old| with its row; then each moved row with its relative move,
+then each experiment, row, params entry or verdict present on one side
+only or changed.  Exits 1 if
 a verdict, a params entry or the set of rows changed, else 0; moved
 values alone do not fail.  Uncommitted changes are not compared.  The
 copies are removed at the end.
@@ -47,9 +49,10 @@ def same(a, b) -> bool:
                       and math.isnan(a) and math.isnan(b))
 
 
-def compare(old: dict, new: dict) -> tuple[list, list]:
-    """The moved rows and the changes that fail the comparison, as lines."""
-    moved, changed = [], []
+def compare(old: dict, new: dict) -> tuple[list, list, list]:
+    """The moved rows, the changes that fail the comparison and one summary
+    per experiment with a moved row, as lines."""
+    moved, changed, most = [], [], {}
     for name in sorted(old.keys() | new.keys()):
         if name not in old or name not in new:
             side = "HEAD" if name in new else "REF"
@@ -63,8 +66,9 @@ def compare(old: dict, new: dict) -> tuple[list, list]:
                     changed.append(f"{name} {part} {k}: {va} -> {vb}")
         ra, rb = rows(a), rows(b)
         for key in sorted(ra.keys() | rb.keys(), key=repr):
-            label = f"{name} {key[0]} N={key[1]} z={key[2]}" + (
+            row = f"{key[0]} N={key[1]} z={key[2]}" + (
                 f" #{key[3]}" if key[3] else "")
+            label = f"{name} {row}"
             if key not in ra or key not in rb:
                 changed.append(f"{label}: only in "
                                f"{'HEAD' if key in rb else 'REF'}")
@@ -72,7 +76,11 @@ def compare(old: dict, new: dict) -> tuple[list, list]:
                 va, vb = ra[key], rb[key]
                 rel = abs(vb - va) / abs(va) if va else math.inf
                 moved.append(f"{label}: {va!r} -> {vb!r} ({rel:.2g} rel)")
-    return moved, changed
+                count, top, at = most.get(name, (0, -1.0, ""))
+                most[name] = (count + 1, *max((top, at), (rel, row)))
+    summary = [f"{name}: {count} rows moved, largest {top:.2g} rel at {at}"
+               for name, (count, top, at) in most.items()]
+    return moved, changed, summary
 
 
 def main(argv) -> int:
@@ -89,10 +97,10 @@ def main(argv) -> int:
             docs.append(reports(tmp / side, tmp / f"{side}-out"))
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
-    moved, changed = compare(*docs)
+    moved, changed, summary = compare(*docs)
     print(f"{commits[0][:12]} -> {commits[1][:12]}: {len(moved)} rows moved, "
           f"{len(changed)} changes")
-    for line in moved + changed:
+    for line in summary + moved + changed:
         print(line)
     return 1 if changed else 0
 
