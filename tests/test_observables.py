@@ -895,7 +895,8 @@ def test_coboundary_discrepancy_rejects_bad_input(depth, N, name, table):
     (40, [10 ** 3, 100.9], "N must hold int64 integers, got 100.9")])
 def test_coboundary_discrepancy_rejects_fractional_input(depth, N, msg,
                                                          table):
-    # a cast would truncate these to 2 and 100; integral floats still pass
+    # a cast would truncate N to 100, and a float depth is no index;
+    # integral floats still pass
     fl = ReparamFlow(SCALED, make_timechange(SCALED))
     start = TorusPoint(0.31, 0.64)
     with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):

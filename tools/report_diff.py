@@ -10,10 +10,9 @@ its place among the rows of that key.  Prints, for each experiment with a
 moved row, the number of moved rows and the largest relative move |new -
 old| / |old| with its row; then each moved row with its relative move,
 then each experiment, row, params entry or verdict present on one side
-only or changed.  Exits 1 if
-a verdict, a params entry or the set of rows changed, else 0; moved
-values alone do not fail.  Uncommitted changes are not compared.  The
-copies are removed at the end.
+only or changed.  Exits 1 if a verdict, a params entry or the set of rows
+changed, else 0; moved values alone do not fail.  Uncommitted changes are
+not compared.  The copies are removed at the end.
 """
 
 import json
