@@ -146,6 +146,10 @@ class ExperimentReport:
     def add(self, name, value, N=None, z=None):
         self.metrics.append(Metric(name, float(value), N, z))
 
+    def verdict(self, name, ok):
+        """Record the verdict name: "pass" if ok, else "fail"."""
+        self.verdicts[name] = "pass" if ok else "fail"
+
     def metric(self, name, N=None, z=None) -> float:
         for m in self.metrics:
             if m.name == name and m.N == N and m.z == z:

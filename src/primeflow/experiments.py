@@ -78,10 +78,6 @@ def _table(cfg: ExperimentConfig, table, limit=0):
     return table if table.limit >= limit else build_table(limit)
 
 
-def _verdict(report, name, ok):
-    report.verdicts[name] = "pass" if ok else "fail"
-
-
 # ---------------------------------------------------------------------------
 
 
@@ -111,7 +107,7 @@ def _exp_dk_bound(cfg, table):
         for gname, (_, var) in banks.items():
             report.add(f"max_dev_{aname}_{gname}", worst[gname])
             ok = ok and worst[gname] <= var + 1e-6
-    _verdict(report, "within_variation", ok)
+    report.verdict("within_variation", ok)
     return report
 
 
@@ -139,10 +135,10 @@ def _exp_birkhoff_rigidity(cfg, table):
         report.add("rigidity_dist", dist, N=n)
         devs.append(dev)
         dists.append(dist)
-    _verdict(report, "birkhoff_decay",
-             all(b <= a / 3.0 for a, b in zip(devs, devs[1:])))
-    _verdict(report, "rigidity_decay",
-             all(b <= a / 3.0 for a, b in zip(dists, dists[1:])))
+    report.verdict("birkhoff_decay",
+                   all(b <= a / 3.0 for a, b in zip(devs, devs[1:])))
+    report.verdict("rigidity_decay",
+                   all(b <= a / 3.0 for a, b in zip(dists, dists[1:])))
     return report
 
 
@@ -166,7 +162,7 @@ def _exp_singular_birkhoff(cfg, table):
             cs.append(dev / xmin ** f.gamma)
         consts.append(max(cs))
         report.add("fitted_constant", consts[-1], N=n)
-    _verdict(report, "constant_stable", max(consts) <= 2.0 * min(consts))
+    report.verdict("constant_stable", max(consts) <= 2.0 * min(consts))
     n = 3
     qn = alpha.q(n)
     resid = []
@@ -176,7 +172,7 @@ def _exp_singular_birkhoff(cfg, table):
         resid.append(abs(birkhoff_sum(f, qn, float(x), alpha, order=1)
                          - f(closest, 1)))
     report.add("deriv_residual", max(resid), N=n)
-    _verdict(report, "residual_small", max(resid) < qn ** (1.0 - f.gamma))
+    report.verdict("residual_small", max(resid) < qn ** (1.0 - f.gamma))
     return report
 
 
@@ -214,8 +210,8 @@ def _exp_quad_expansion(cfg, table):
                                "quotients": list(alpha.quotients)})
     report.add("frac_within_budget", within / cases)
     report.add("frac_within_best", within_max / cases)
-    _verdict(report, "budget_95", within / cases >= 0.95)
-    _verdict(report, "best_100", within_max == cases)
+    report.verdict("budget_95", within / cases >= 0.95)
+    report.verdict("best_100", within_max == cases)
     return report
 
 
@@ -234,7 +230,7 @@ def _exp_deriv_zeros(cfg, table):
         zeros = derivative_zero_locator(f, n, alpha)
         report.add("zero_count", len(zeros), N=n)
         counts_ok = counts_ok and len(zeros) == alpha.q(n)
-    _verdict(report, "one_zero_per_interval", counts_ok)
+    report.verdict("one_zero_per_interval", counts_ok)
     n = min(top, 3)
     threshold = cfg.get_float("threshold", 1e-3)
     try:
@@ -243,7 +239,7 @@ def _exp_deriv_zeros(cfg, table):
     except ContainmentError:
         witnesses = 1
     report.add("containment_witnesses", witnesses, N=n)
-    _verdict(report, "containment", witnesses == 0)
+    report.verdict("containment", witnesses == 0)
     return report
 
 
@@ -272,8 +268,8 @@ def _exp_section_claims(cfg, table):
     report.add("pass_fraction", passed / samples)
     report.add("max_excess_ratio", max_excess)
     report.add("nonempty_visits", nonempty)
-    _verdict(report, "interval_claims", passed == samples)
-    _verdict(report, "excess_small", max_excess < 0.2)
+    report.verdict("interval_claims", passed == samples)
+    report.verdict("excess_small", max_excess < 0.2)
     return report
 
 
@@ -291,9 +287,9 @@ def _exp_interval_factorization(cfg, table):
     report = ExperimentReport("interval_factorization",
                               {"N": N, "H": H, "qs": qs})
     if not diophantine_gamma2_check(gamma2, N, H, B):
-        _verdict(report, "gamma2_admissible", False)
+        report.verdict("gamma2_admissible", False)
         return report
-    _verdict(report, "gamma2_admissible", True)
+    report.verdict("gamma2_admissible", True)
     coeffs = PhaseCoefficients(gamma1, gamma2, N, H)
     whole = CircleInterval.full_circle()
     maxes = []
@@ -312,8 +308,8 @@ def _exp_interval_factorization(cfg, table):
                 ok = ok and resid <= 1.0 / q
         report.add("max_residual", worst, N=q)
         maxes.append(worst)
-    _verdict(report, "cell_bound", ok)
-    _verdict(report, "decay_trend", maxes[-1] < maxes[0])
+    report.verdict("cell_bound", ok)
+    report.verdict("decay_trend", maxes[-1] < maxes[0])
     return report
 
 
@@ -333,8 +329,8 @@ def _exp_phase_contrast(cfg, table):
     report.add("trivial_sum", trivial)
     report.add("contrast_ratio", generic / trivial)
     report.add("resonant_error", resonant_err)
-    _verdict(report, "cancellation", generic <= 0.25 * trivial)
-    _verdict(report, "resonant_exact", resonant_err < 1e-9)
+    report.verdict("cancellation", generic <= 0.25 * trivial)
+    report.verdict("resonant_exact", resonant_err < 1e-9)
     return report
 
 
@@ -350,7 +346,7 @@ def _exp_ap_short_avg(cfg, table):
                               {"N": N, "H": H, "v": v, "offset": z})
     report.add("window_average", avg)
     report.add("bound", bound)
-    _verdict(report, "average_small", avg <= bound)
+    report.verdict("average_small", avg <= bound)
     return report
 
 
@@ -376,7 +372,7 @@ def _exp_bt_ratio(cfg, table):
     report = ExperimentReport("bt_ratio",
                               {"N": N, "q": q, "trials": trials})
     report.add("max_ratio", worst)
-    _verdict(report, "ratio_bounded", worst <= 4.0)
+    report.verdict("ratio_bounded", worst <= 4.0)
     return report
 
 
@@ -395,8 +391,8 @@ def _exp_s_qr_build(cfg, table):
     members_ok = all(
         int(table.is_prime(ell)) and ell % q == r and N // 2 <= ell <= N
         for ell in sel)
-    _verdict(report, "members_valid", members_ok)
-    _verdict(report, "nonempty", len(sel) > 0)
+    report.verdict("members_valid", members_ok)
+    report.verdict("nonempty", len(sel) > 0)
     return report
 
 
@@ -411,8 +407,8 @@ def _exp_katok_wm(cfg, table):
         report.add("ratio1", r.ratio1, N=r.level)
         report.add("ratio2", r.ratio2, N=r.level)
     deepest = max(ratios, key=lambda r: r.level)
-    _verdict(report, "ratio1_small", deepest.ratio1 <= 0.1)
-    _verdict(report, "ratio2_large", deepest.ratio2 >= 0.5)
+    report.verdict("ratio1_small", deepest.ratio1 <= 0.1)
+    report.verdict("ratio2_large", deepest.ratio2 >= 0.5)
     return report
 
 
@@ -452,7 +448,7 @@ def _exp_pnt_reparam(cfg, table):
     for N, d3 in zip(cfg.n_grid, d3s):
         rep.add("coboundary_D3", d3, N=N)
     if len(d3s) >= 2:
-        _verdict(rep, "coboundary_halving", d3s[-1] <= 0.5 * d3s[0])
+        rep.verdict("coboundary_halving", d3s[-1] <= 0.5 * d3s[0])
     return rep
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .roofs import PowerRoof, SingularityError
-from .rotation import RotationNumber, frac
+from .rotation import RotationNumber, _finite, frac
 
 __all__ = [
     "FlowPoint",
@@ -122,8 +122,7 @@ def evaluate_naive(roof, alpha: RotationNumber, p: FlowPoint, t: float) -> FlowS
     """Fiber-by-fiber stepping oracle for evaluate: the roofs are read in
     growing blocks (_fibers), and the fibers are stepped through one at a
     time in long double."""
-    if not math.isfinite(t):
-        raise ValueError(f"t must be finite, got {t}")
+    _finite("t", t)
     s = p.s
     fibers = _fibers(roof, alpha, p.x, t < 0.0)
     if t >= 0.0:
@@ -345,9 +344,7 @@ def _crossings(roof, alpha, p: FlowPoint, times, backward=False):
     from fiber 1 and fiber k holds s + t in [-S[k], -S[k-1]).  A non-finite
     time raises ValueError."""
     p.validate(roof)
-    times = np.asarray(times, dtype=np.float64)
-    if not np.isfinite(times).all():
-        raise ValueError(f"t must be finite, got {times[~np.isfinite(times)][0]}")
+    times = _finite("t", times)
     targets = p.s + times
     if backward:
         targets = np.maximum(-targets, 0.0)

@@ -27,8 +27,9 @@ import numpy as np
 
 from .config import ExperimentReport
 from .flow import FlowPoint, _same_roof, _walk
-from .primes import _int64, build_table
-from .roofs import TorusObservable, _finite, _integral, _trig_sum
+from .primes import build_table
+from .roofs import TorusObservable, _trig_sum
+from .rotation import _finite, _integral
 
 __all__ = [
     "SingularOrbitError",
@@ -47,11 +48,7 @@ _BOXES = 32  # pnt_report counts the prime orbit on a _BOXES x _BOXES grid
 
 
 class SingularOrbitError(RuntimeError):
-    """An orbit point landed on the singular base point (times[index])."""
-
-    def __init__(self, message, index):
-        super().__init__(message)
-        self.index = index
+    """An orbit point landed on the singular base point."""
 
 
 @dataclass(frozen=True)
@@ -65,18 +62,15 @@ class KocherginFlow:
     def walk(self, psi, start: FlowPoint, times, T):
         """The coordinate arrays (x, s) of T_t(start) at every t in times and
         the signed int_0^T psi(T_t start) dt at every T in T, from one
-        crossing schedule per sign over the times and T; SingularOrbitError
-        if a position lands on the fiber over a singular 0."""
+        crossing schedule per sign over the times and T; SingularOrbitError,
+        naming the time, if a position lands on the fiber over a singular 0."""
         xs, ss, _, I, _ = _walk(self.roof, self.alpha, start, times, psi, T)
-        return (self._off_singular(xs), ss), I
-
-    def _off_singular(self, xs):
         dist = np.minimum(xs, 1.0 - xs)
         if getattr(self.roof, "gamma", 0.0) < 0.0 and np.any(dist < 1e-12):
-            i = int(np.argmin(dist))
+            t = np.asarray(times).flat[np.argmin(dist)]
             raise SingularOrbitError(
-                f"orbit lands on the singular point at times[{i}]", i)
-        return xs
+                f"orbit lands on the singular point at time {t}")
+        return (xs, ss), I
 
     def mean(self, psi) -> float:
         """Mean of psi under the normalized invariant measure Leb^f / int f."""
@@ -224,9 +218,9 @@ def space_average(psi: TowerObservable, roof) -> float:
     the area roof.integral(), to relative tolerance 1e-6.
 
     The mean is psi_inf plus the integral of F(y) - psi_inf f(y), F the
-    fiber integral, over the area.  That integrand is u(y) times a fiber
-    integral of the decay, bounded and vanishing where the roof blows up,
-    so the end slivers the y-mesh leaves out carry nothing of note; the
+    whole-fiber integral, over the area.  That integrand is u(y) times a
+    fiber integral of the decay, bounded and vanishing where the roof blows
+    up, so the end slivers the y-mesh leaves out carry nothing of note; the
     mesh still refines toward both ends, where the roof varies fastest.
     psi must be built on this roof."""
     _same_roof(psi, roof)
@@ -236,7 +230,7 @@ def space_average(psi: TowerObservable, roof) -> float:
         prev = cells
         ys, wts = _gauss_nodes(edges, nodes)
         fys = np.asarray(roof(ys), dtype=np.float64)
-        excess = psi.fiber_integral_many(ys, fys) - psi.psi_inf * fys
+        excess = psi.whole_fiber_integral_many(ys, fys) - psi.psi_inf * fys
         cells = (wts * excess).reshape(-1, nodes).sum(axis=1)
         num = float(cells.sum())
         if prev is not None and abs(num - prev.sum()) <= 1e-6 * (1.0 + abs(num)):
@@ -266,7 +260,7 @@ def coboundary_prime_discrepancy(flow, g, depth: int, x, N, table=None):
     depth = _integral("depth", depth)
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
-    Ns = np.atleast_1d(_int64("N", N))
+    Ns = np.atleast_1d(_integral("N", N))
     if np.any(Ns < 1):
         raise ValueError(f"N must be >= 1, got {int(np.min(Ns))}")
     top = int(np.max(Ns, initial=0))
@@ -353,7 +347,7 @@ def pnt_report(psi, flow, start, n_grid=(10 ** 4, 10 ** 5, 10 ** 6),
     prefixes answer every N.  The report is named "pnt_report"; the registered
     experiments rename theirs.
     """
-    n_grid = tuple(sorted(_int64("n_grid", n_grid).tolist()))
+    n_grid = tuple(sorted(_integral("n_grid", n_grid).tolist()))
     if not n_grid:
         raise ValueError("n_grid must hold at least one N, got none")
     if n_grid[0] < 2:
@@ -376,13 +370,8 @@ def pnt_report(psi, flow, start, n_grid=(10 ** 4, 10 ** 5, 10 ** 6),
     counts = np.searchsorted(ps, n_grid, side="right")
     cells = {}
     for z, sign in signs.items():
-        try:
-            pts, Is = flow.walk(psi, start, sign * ps,
-                                sign * np.array(n_grid, float))
-        except SingularOrbitError as err:
-            raise SingularOrbitError(
-                "orbit lands on the singular point at prime "
-                f"{int(ps[err.index])}", err.index) from None
+        pts, Is = flow.walk(psi, start, sign * ps,
+                            sign * np.array(n_grid, float))
         if z == "+":
             xs, ys = pts
         vals = np.asarray(psi(*pts), dtype=np.float64)
@@ -409,10 +398,9 @@ def pnt_report(psi, flow, start, n_grid=(10 ** 4, 10 ** 5, 10 ** 6),
     if len(n_grid) >= 2:
         d1_max = [max(cells[z][i][0] for z in signs)
                   for i in range(len(n_grid))]
-        report.verdicts["D1_trend"] = "pass" if decreasing(d1_max) else "fail"
+        report.verdict("D1_trend", decreasing(d1_max))
         for z in signs:
-            report.verdicts[f"D2_trend_{z}"] = (
-                "pass" if decreasing([c[1] for c in cells[z]]) else "fail")
-        report.verdicts["box_halving"] = (
-            "pass" if box_out[-1] <= 0.5 * box_out[0] else "fail")
+            report.verdict(f"D2_trend_{z}",
+                           decreasing([c[1] for c in cells[z]]))
+        report.verdict("box_halving", box_out[-1] <= 0.5 * box_out[0])
     return report

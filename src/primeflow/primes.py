@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rotation import frac
+from .rotation import _finite, _integral, frac
 
 __all__ = [
     "ResourceError",
@@ -56,30 +56,18 @@ def _log_sum(ps) -> float:
     return math.fsum(np.log(ps.astype(np.float64)))
 
 
-def _int64(name, n) -> np.ndarray:
-    """n as an int64 array; ValueError naming it unless every entry is an
-    integer (the cast alone would truncate 2.5 to 2)."""
-    raw = np.asarray(n)
-    with np.errstate(invalid="ignore"):  # nan and inf are caught below
-        k = raw.astype(np.int64)
-    bad = k != raw
-    if np.any(bad):
-        raise ValueError(f"{name} must hold int64 integers, got {raw[bad][0]}")
-    return k
-
-
 class PrimeTable:
     """The primes up to a limit as one sorted int64 array, which every query
     reads."""
 
     def __init__(self, limit: int, primes: np.ndarray):
-        self.limit = int(limit)
+        self.limit = _integral("limit", limit)
         self.primes = primes
 
     def is_prime(self, n) -> np.ndarray:
         """Primality of each integer n in [0, limit]; a non-integral n
         raises ValueError, one outside the range ResourceError."""
-        k = _int64("is_prime's n", n)
+        k = _integral("is_prime's n", n)
         if np.any(k > self.limit) or np.any(k < 0):
             raise ResourceError("query outside sieve range")
         i = np.minimum(np.searchsorted(self.primes, k), len(self.primes) - 1)
@@ -106,7 +94,7 @@ class PrimeTable:
 def build_table(limit: int) -> PrimeTable:
     """Sieve of Eratosthenes up to limit in windows of _SEGMENT integers; a
     limit above _MAX_LIMIT raises ResourceError before anything is built."""
-    limit = int(limit)
+    limit = _integral("limit", limit)
     if limit < 2:
         raise ValueError("limit must be >= 2")
     if limit > _MAX_LIMIT:
@@ -146,10 +134,9 @@ def _totient(q: int) -> int:
 
 
 def _check_x(x) -> None:
+    _finite("x", x)
     if not x >= 1:
         raise ValueError(f"x must be >= 1, got {x}")
-    if not math.isfinite(x):
-        raise ValueError(f"x must be finite, got {x}")
 
 
 def ap_error(table: PrimeTable, x: int, q: int) -> float:
@@ -161,9 +148,9 @@ def ap_error(table: PrimeTable, x: int, q: int) -> float:
     prime p < x of the class and |theta - x/phi| as y -> x; a class with no
     prime below x contributes x/phi.
     """
+    q = _integral("q", q)
     if q < 1:
         raise ValueError("q must be >= 1")
-    q = int(_int64("q", q))
     _check_x(x)
     # every select_S_qr candidate is prime: read it off the sieve
     phi = q - 1 if q <= table.limit and table.is_prime(q) else _totient(q)
@@ -195,7 +182,7 @@ def ap_error_many(table: PrimeTable, x, qs) -> np.ndarray:
     row cumulative sums over the others are the scalar ones.
     """
     _check_x(x)
-    qs = _int64("q", qs)
+    qs = np.asarray(_integral("q", qs))
     flat = qs.reshape(-1)
     if flat.size and flat.min() < 1:
         raise ValueError(f"q must be >= 1, got {int(flat.min())}")
@@ -258,6 +245,7 @@ def select_S_qr(table: PrimeTable, q: int, r: int, N: int, C: float,
     """Primes l in [N/2, N] with l = r (mod q) passing the dyadic E-filter
     E(x_n, l) <= C * x_n / (N * log(x_n)^(2A)) for x_1 = N^(1/2 + 1/100),
     x_{n+1} = 2 x_n, up to the sieve limit."""
+    q, r, N = _integral("q", q), _integral("r", r), _integral("N", N)
     if q < 1:
         raise ValueError(f"q must be >= 1, got {q}")
     x1 = N ** (0.5 + 0.01)
@@ -404,6 +392,7 @@ def short_interval_ap_average(table: PrimeTable, N: int, H: int,
                               v: int) -> tuple[float, int]:
     """Average over windows [z+jH, z+(j+1)H] of the sup-over-class deviation
     |theta-window - H/phi(v)|, minimized over the window offset z < H."""
+    N, H, v = _integral("N", N), _integral("H", H), _integral("v", v)
     if H < 2 or v < 1 or N > table.limit:
         raise ValueError("need H >= 2, v >= 1, N <= limit")
     phi = _totient(v)

@@ -21,9 +21,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .roofs import (FourierRoof, TimeChange, _finite, _half_angle,
-                    roof_from_timechange)
-from .rotation import RotationNumber, _index, circle_distance, frac
+from .roofs import FourierRoof, TimeChange, _half_angle, roof_from_timechange
+from .rotation import RotationNumber, _finite, _index, circle_distance, frac
 
 __all__ = [
     "TorusPoint",

@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from .primes import CircleInterval
-from .rotation import RotationNumber, _index, frac
+from .rotation import RotationNumber, _finite, _index, _integral, frac
 
 __all__ = [
     "SingularityError",
@@ -49,23 +49,6 @@ class HypothesisError(RuntimeError):
 
 class ContainmentError(RuntimeError):
     """A set-containment verification found a witness outside the set."""
-
-
-def _finite(name, x):
-    """x as a float64 array (complex128 if x is complex); ValueError naming
-    it if any entry is not finite."""
-    x = np.asarray(x, dtype=np.complex128 if np.iscomplexobj(x) else np.float64)
-    bad = ~np.isfinite(x)
-    if bad.any():
-        raise ValueError(f"{name} must be finite, got {x[bad].flat[0]}")
-    return x
-
-
-def _integral(name, k) -> int:
-    """int(k); ValueError naming k unless it is an int or an integral float."""
-    if isinstance(k, (int, np.integer)) or isinstance(k, float) and k.is_integer():
-        return int(k)
-    raise ValueError(f"{name} must be an integer, got {k!r}")
 
 
 # _trig_sum: points per block, and so per scratch buffer (32 KiB each)
@@ -348,8 +331,7 @@ def birkhoff_sum(g, n: int, x: float, alpha: RotationNumber, order: int = 0) -> 
     S_n(g)(x) = -S_{|n|}(g)(x + n*alpha), so that S is a cocycle over Z."""
     n = _index(n)
     _check_order(g, order)
-    if not math.isfinite(x):
-        raise ValueError(f"x must be finite, got {x}")
+    _finite("x", x)
     if n == 0:
         return 0.0
     if n < 0:
@@ -430,9 +412,7 @@ def birkhoff_sum_many(g, n: int, xs: np.ndarray, alpha: RotationNumber,
     if n < 1:
         raise ValueError("n must be >= 1")
     _check_order(g, order)
-    xs = np.asarray(xs, dtype=np.float64)
-    if not np.isfinite(xs).all():
-        raise ValueError(f"x must be finite, got {xs[~np.isfinite(xs)][0]}")
+    xs = _finite("x", xs)
     if isinstance(g, PiecewiseLinear):
         return _piecewise_sums(g, alpha.sorted_orbit(n),
                                xs.ravel()).reshape(xs.shape)

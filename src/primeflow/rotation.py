@@ -83,12 +83,33 @@ def _count(n) -> int:
     return n
 
 
-def _whole(x) -> bool:
-    """int(x) == x, false where int() raises (nan, inf, a non-number)."""
-    try:
-        return int(x) == x
-    except (TypeError, ValueError, OverflowError):
-        return False
+def _integral(name, value):
+    """value as a Python int for a scalar (a big int included) and as an
+    int64 array for an array; an integral float such as 1e4 counts as its
+    integer.  Anything else, nan and inf included, raises ValueError naming
+    the argument instead of being truncated by int() or a cast."""
+    if np.ndim(value) == 0:
+        v = value.item() if isinstance(value, (np.generic, np.ndarray)) else value
+        if isinstance(v, int) or isinstance(v, float) and v.is_integer():
+            return int(v)
+    else:
+        v = np.asarray(value)
+        with np.errstate(invalid="ignore"):  # nan and inf are caught below
+            k = v.astype(np.int64)
+        bad = k != v
+        if not bad.any():
+            return k
+        v = v[bad].flat[0].item()
+    raise ValueError(f"{name} must be an integer, got {v!r}")
+
+
+def _finite(name, x):
+    """x as a float64 array (complex128 if x is complex); ValueError naming
+    it if any entry is not finite."""
+    x = np.asarray(x, dtype=np.complex128 if np.iscomplexobj(x) else np.float64)
+    if not np.isfinite(x).all():
+        raise ValueError(f"{name} must be finite, got {x[~np.isfinite(x)].flat[0]}")
+    return x
 
 
 class RotationNumber:
@@ -106,16 +127,17 @@ class RotationNumber:
         quotients = tuple(quotients)
         if not quotients:
             raise ValueError("need at least one partial quotient")
+        quotients = tuple(_integral("partial quotient", a) for a in quotients)
         for a in quotients:
-            if not _whole(a) or a < 1:
-                raise ValueError(f"partial quotients must be integers >= 1, got {a!r}")
-        self.quotients = quotients = tuple(int(a) for a in quotients)
-        flags = tuple(flags)
+            if a < 1:
+                raise ValueError(f"partial quotients must be integers >= 1, got {a}")
+        self.quotients = quotients
+        flags = tuple(_integral("flag", n) for n in flags)
         for n in flags:
-            if not _whole(n) or not 0 <= n <= len(quotients):
+            if not 0 <= n <= len(quotients):
                 raise ValueError(f"flags must be integers in [0, depth = "
-                                 f"{len(quotients)}], got {n!r}")
-        self.flags = tuple(sorted(int(n) for n in flags))
+                                 f"{len(quotients)}], got {n}")
+        self.flags = tuple(sorted(flags))
 
         full = quotients + (1,) * _TAIL_DEPTH
         p = [0, 1]
@@ -365,15 +387,16 @@ def construct_alpha(mode: str, *, growth=None, depth: int = 4,
     """
     if mode not in ("scaled_D", "scaled_C_A"):
         raise ValueError(f"unknown mode {mode!r}")
+    depth, seed = _integral("depth", depth), _integral("seed", seed)
     if depth < 1:
         raise ValueError("depth must be >= 1")
     prime = mode == "scaled_C_A"
-    if prime and not _is_prime(int(seed)):
+    if prime and not _is_prime(seed):
         raise ConstructionError(f"seed quotient {seed} must be prime")
     if growth is None:
         growth = lambda q: q * q
-    quotients = [int(seed)]
-    q_prev, q_cur = 1, int(seed)
+    quotients = [seed]
+    q_prev, q_cur = 1, seed
     for level in range(1, depth):
         if prime:
             q_next = _prime_in_window(growth(q_cur), q_prev, q_cur, level)

@@ -69,13 +69,14 @@ def test_report_json_schema():
     rep = ExperimentReport("demo", params={"k": 3})
     rep.add("stat", 1.5)
     rep.add("D1", 0.25, N=100, z="+")
-    rep.verdicts["ok"] = "pass"
+    rep.verdict("ok", True)
+    rep.verdict("trend", 0.5 < 0.25)
     doc = json.loads(rep.to_json())
     assert doc["schema_version"] == 1
     assert doc["experiment"] == "demo"
     assert doc["metrics"][1] == {"name": "D1", "N": 100, "z": "+",
                                  "value": 0.25}
-    assert doc["verdicts"] == {"ok": "pass"}
+    assert doc["verdicts"] == {"ok": "pass", "trend": "fail"}
     assert "timestamp" not in doc
 
 
@@ -83,7 +84,7 @@ def test_report_json_deterministic():
     def make():
         rep = ExperimentReport("demo", params={"b": 2, "a": 1})
         rep.add("stat", 0.125, N=10)
-        rep.verdicts["v"] = "fail"
+        rep.verdict("v", False)
         rep.wall_clock = 1.23456
         return rep.to_json()
 

@@ -128,12 +128,14 @@ FREQUENCIES = [2.5, np.float64(1.5), math.nan, "2", 2.0, np.int64(2)]
 
 
 def _integral_or_named(name, value, build):
+    # a numpy value is named as the Python number it holds
+    shown = value.item() if isinstance(value, np.generic) else value
     if value == 2:
         got = build(value)
         assert got == 2 and type(got) is int
     else:
         with pytest.raises(ValueError, match=f"^{name} must be an integer, got "
-                           + re.escape(repr(value))):
+                           + re.escape(repr(shown)) + "$"):
             build(value)
 
 
@@ -312,7 +314,7 @@ class _Ragged:
     """A fiber integral that oscillates fast on [1/4, 1/2] only."""
     psi_inf = 0.0
 
-    def fiber_integral_many(self, y, h):
+    def whole_fiber_integral_many(self, y, f):
         return np.where((y > 0.25) & (y < 0.5), np.cos(1e4 * y), 0.0)
 
 
@@ -403,7 +405,8 @@ def test_prime_sum_singular_hit(table):
     roof = _BadRoof()
     kf = KocherginFlow(roof, alpha)
     one = TowerObservable(roof, psi_inf=1.0, u_terms=())
-    with pytest.raises(SingularOrbitError, match="prime 2"):
+    # the "+" pass meets the singular fiber at the time t = 2 itself
+    with pytest.raises(SingularOrbitError, match="at time 2$"):
         pnt_report(one, kf, start, (100,), table=table)
 
 
@@ -412,9 +415,10 @@ def test_positions_name_the_singular_time():
     roof = _BadRoof()
     kf = KocherginFlow(roof, GOLDEN)
     psi = TowerObservable(roof, psi_inf=1.0, u_terms=())
-    with pytest.raises(SingularOrbitError, match=r"times\[1\]") as err:
+    with pytest.raises(SingularOrbitError, match=r"at time 2\.0$"):
         kf.walk(psi, start, np.array([1.0, 2.0, 3.0]), ())
-    assert err.value.index == 1
+    with pytest.raises(SingularOrbitError, match="at time 2$"):
+        kf.walk(psi, start, np.array([1, 2, 3]), ())
 
 
 def test_kochergin_time_integral_is_signed(psi):
@@ -891,8 +895,8 @@ def test_coboundary_discrepancy_rejects_bad_input(depth, N, name, table):
 
 @pytest.mark.parametrize("depth, N, msg", [
     (2.5, 10 ** 3, "depth must be an integer, got 2.5"),
-    (40, 100.9, "N must hold int64 integers, got 100.9"),
-    (40, [10 ** 3, 100.9], "N must hold int64 integers, got 100.9")])
+    (40, 100.9, "N must be an integer, got 100.9"),
+    (40, [10 ** 3, 100.9], "N must be an integer, got 100.9")])
 def test_coboundary_discrepancy_rejects_fractional_input(depth, N, msg,
                                                          table):
     # a cast would truncate N to 100, and a float depth is no index;
@@ -938,7 +942,7 @@ def test_one_point_grid_records_no_trend(name):
     ((1, 10 ** 3), r"N must be >= 2 \(no prime below 2\), got 1"),
     ((10 ** 3, -5), r"N must be >= 2 \(no prime below 2\), got -5"),
     ((10 ** 3, 10 ** 2, 10 ** 3), "n_grid repeats N = 1000"),
-    ((1000.7, 5000.2), "n_grid must hold int64 integers, got 1000.7"),
+    ((1000.7, 5000.2), "n_grid must be an integer, got 1000.7"),
 ], ids=["empty", "zero", "one", "negative", "repeated", "fractional"])
 @pytest.mark.parametrize("kind", ["kochergin", "reparam"])
 def test_pnt_report_rejects_bad_n_grid(kind, n_grid, msg, table, monkeypatch):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from primeflow.primes import (
     short_interval_ap_average,
     theta_interval,
 )
+from primeflow.rotation import construct_alpha
 
 from helpers import theta_ap
 
@@ -53,7 +55,7 @@ def test_is_prime_out_of_range(table):
 @pytest.mark.parametrize("n", [2.5, [7.9, 4.0], float("nan"), [3, float("inf")]])
 def test_is_prime_rejects_non_integral(n):
     # the int64 cast would truncate 2.5 to the prime 2
-    with pytest.raises(ValueError, match="integers"):
+    with pytest.raises(ValueError, match="^is_prime's n must be an integer"):
         build_table(100).is_prime(n)
 
 
@@ -182,11 +184,41 @@ def test_ap_error_many_rejects_q_below_one(table, qs):
 @pytest.mark.parametrize("q", [2.5, math.nan, 7.000001])
 def test_ap_error_rejects_non_integral_modulus(table, q):
     # the int64 cast alone would read 2.5 as the modulus 2
-    msg = f"^q must hold int64 integers, got {q}"
+    msg = f"^q must be an integer, got {q}$"
     with pytest.raises(ValueError, match=msg):
         ap_error_many(table, 100, [3, q])
     with pytest.raises(ValueError, match=msg):
         ap_error(table, 100, q)
+
+
+def _alpha(depth=4, seed=2):
+    return construct_alpha("scaled_D", growth=lambda q: q ** 2, depth=depth,
+                           seed=seed).quotients
+
+
+@pytest.mark.parametrize("name, call, good", [
+    ("q", lambda t, v: select_S_qr(t, v, 2, 2000, 1e7, 2.0), 3),
+    ("r", lambda t, v: select_S_qr(t, 3, v, 2000, 1e7, 2.0), 2),
+    ("N", lambda t, v: select_S_qr(t, 3, 2, v, 1e7, 2.0), 2000),
+    ("depth", lambda t, v: _alpha(depth=v), 4),
+    ("seed", lambda t, v: _alpha(seed=v), 2),
+    ("limit", lambda t, v: build_table(v).primes.tolist(), 1000),
+    ("N", lambda t, v: short_interval_ap_average(t, v, 100, 3), 2000),
+    ("H", lambda t, v: short_interval_ap_average(t, 2000, v, 3), 100),
+    ("v", lambda t, v: short_interval_ap_average(t, 2000, 100, v), 3),
+], ids=["select_S_qr-q", "select_S_qr-r", "select_S_qr-N",
+        "construct_alpha-depth", "construct_alpha-seed", "build_table-limit",
+        "short_interval-N", "short_interval-H", "short_interval-v"])
+def test_integral_arguments(name, call, good):
+    # a cast or int() would read good + 0.5 as good (q = 3.5 as a float
+    # modulus), and range() or np.zeros would fail on it with a raw
+    # TypeError; an integral float such as 2e3 gives the int answer
+    small = build_table(10 ** 4)
+    for bad in (good + 0.5, math.nan, str(good)):
+        msg = f"^{name} must be an integer, got {re.escape(repr(bad))}$"
+        with pytest.raises(ValueError, match=msg):
+            call(small, bad)
+    assert call(small, float(good)) == call(small, good)
 
 
 _MULTI_CHUNK = (5000, list(range(1, 201)))

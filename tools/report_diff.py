@@ -10,9 +10,11 @@ its place among the rows of that key.  Prints, for each experiment with a
 moved row, the number of moved rows and the largest relative move |new -
 old| / |old| with its row; then each moved row with its relative move,
 then each experiment, row, params entry or verdict present on one side
-only or changed.  Exits 1 if a verdict, a params entry or the set of rows
-changed, else 0; moved values alone do not fail.  Uncommitted changes are
-not compared.  The copies are removed at the end.
+only or changed.  Below the per-experiment lines it prints the line count
+of src/primeflow at REF and at HEAD, in total and for each module whose
+text differs.  Exits 1 if a verdict, a params entry or the set of rows
+changed, else 0; moved values alone and line counts do not fail.
+Uncommitted changes are not compared.  The copies are removed at the end.
 """
 
 import json
@@ -40,6 +42,26 @@ def rows(doc: dict) -> dict:
         key = (m["name"], m["N"], m["z"])
         seen[key] = seen.get(key, -1) + 1
         out[key + (seen[key],)] = m["value"]
+    return out
+
+
+def sources(tree: Path) -> dict:
+    """{module file name: text} of src/primeflow in tree."""
+    return {p.name: p.read_text()
+            for p in (tree / "src" / "primeflow").glob("*.py")}
+
+
+def line_counts(old: dict, new: dict) -> list:
+    """The src/primeflow line count (as wc -l) of old and new, in total and
+    for each module whose text differs, as lines."""
+    def count(texts):
+        return sum(text.count("\n") for text in texts)
+    out = [f"src/primeflow: {count(old.values())} -> {count(new.values())} "
+           "lines"]
+    for name in sorted(old.keys() | new.keys()):
+        a, b = old.get(name, ""), new.get(name, "")
+        if a != b:
+            out.append(f"  {name}: {count([a])} -> {count([b])}")
     return out
 
 
@@ -90,16 +112,17 @@ def main(argv) -> int:
                for ref in (argv[1], "HEAD")]
     tmp = Path(tempfile.mkdtemp(prefix="report_diff-"))
     try:
-        docs = []
+        docs, texts = [], []
         for side, commit in zip(("ref", "head"), commits):
             extract(commit, tmp / side)
+            texts.append(sources(tmp / side))
             docs.append(reports(tmp / side, tmp / f"{side}-out"))
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
     moved, changed, summary = compare(*docs)
     print(f"{commits[0][:12]} -> {commits[1][:12]}: {len(moved)} rows moved, "
           f"{len(changed)} changes")
-    for line in summary + moved + changed:
+    for line in summary + line_counts(*texts) + moved + changed:
         print(line)
     return 1 if changed else 0
 
