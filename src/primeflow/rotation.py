@@ -108,7 +108,8 @@ def _finite(name, x):
     it if any entry is not finite."""
     x = np.asarray(x, dtype=np.complex128 if np.iscomplexobj(x) else np.float64)
     if not np.isfinite(x).all():
-        raise ValueError(f"{name} must be finite, got {x[~np.isfinite(x)].flat[0]}")
+        raise ValueError(
+            f"{name} must be finite, got {x[~np.isfinite(x)].flat[0]}")
     return x
 
 
@@ -124,14 +125,13 @@ class RotationNumber:
     """
 
     def __init__(self, quotients, flags=()):
-        quotients = tuple(quotients)
+        self.quotients = quotients = tuple(
+            _integral("partial quotient", a) for a in quotients)
         if not quotients:
             raise ValueError("need at least one partial quotient")
-        quotients = tuple(_integral("partial quotient", a) for a in quotients)
         for a in quotients:
             if a < 1:
                 raise ValueError(f"partial quotients must be integers >= 1, got {a}")
-        self.quotients = quotients
         flags = tuple(_integral("flag", n) for n in flags)
         for n in flags:
             if not 0 <= n <= len(quotients):
