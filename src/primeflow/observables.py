@@ -292,6 +292,7 @@ def box_discrepancy(points, weights, flow, boxes=32) -> float:
     points (x, y) must lie in [0, 1) x [0, inf), one finite weight >= 0 to
     each, with a total weight > 0.
     """
+    boxes = _integral("boxes", boxes)
     if boxes < 1:
         raise ValueError(f"boxes must be >= 1, got {boxes}")
     return _box_discrepancy(points, weights, flow.box_masses(boxes), boxes)
@@ -347,7 +348,7 @@ def pnt_report(psi, flow, start, n_grid=(10 ** 4, 10 ** 5, 10 ** 6),
     prefixes answer every N.  The report is named "pnt_report"; the registered
     experiments rename theirs.
     """
-    n_grid = tuple(sorted(_integral("n_grid", n_grid).tolist()))
+    n_grid = tuple(sorted(np.atleast_1d(_integral("n_grid", n_grid)).tolist()))
     if not n_grid:
         raise ValueError("n_grid must hold at least one N, got none")
     if n_grid[0] < 2:

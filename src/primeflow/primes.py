@@ -282,6 +282,8 @@ class PhaseCoefficients:
     def __post_init__(self):
         if not (0.0 <= self.gamma1 < 1.0 and 0.0 <= self.gamma2 < 1.0):
             raise ValueError("gamma1, gamma2 must lie in [0, 1)")
+        object.__setattr__(self, "N", _integral("N", self.N))
+        object.__setattr__(self, "H", _integral("H", self.H))
 
 
 def _phase_pairs(table: PrimeTable, coeffs: PhaseCoefficients):
@@ -369,6 +371,7 @@ def build_interval_partition(table: PrimeTable, q: int, gamma1: float,
     whose gamma1-phase falls in the union of cells
     [j/q^2 + l0 * 2/q^9, j/q^2 + (l0+1) * 2/q^9), j < q^2.
     """
+    q, N, H = _integral("q", q), _integral("N", N), _integral("H", H)
     if q < 2:
         raise ValueError("q must be >= 2")
     ps = table.primes_between(N, N + H)

@@ -90,9 +90,9 @@ class ReparamFlow:
         )
         self._max_freq = max((abs(w) for *_, w in self._terms), default=0.0)
         # the rigidity period of _orbit_positions: the smallest q_n whose
-        # drift bound meets _TOL at t = q_n, or None
+        # drift meets the certificate of _period_table, or None
         self._period = next((q for q in alpha.denominators
-                             if self._drift(q) <= _TOL * (1.0 + q)), None)
+                             if self._drift(q) <= _TOL * (1.0 + q / 2)), None)
         # |V - V_f| <= _eval_slope |u| + _eval_floor, V the cocycle of the
         # exact alpha and V_f _cocycle's: per mode of size |b_k| = |c_k| /
         # (2 pi |w_k|), 2 pi |u| (eps |w_k| / 2 + dw_k) from the phase (u w_k
@@ -247,23 +247,18 @@ class ReparamFlow:
     def _orbit_positions(self, t, x1, x2):
         """L_{u(t)}(x), x a scalar, as coordinate arrays.  An integral t = n
         of any dtype, |n| < 2^62, is n = r + k P with r = i - P // 2 and
-        i = (n + P // 2) mod P: u(r) + k P solves V = n up to rho_i + |k|
-        delta(P), as W = V - id drifts by <= delta(P) per period, and its
-        position (p1_i + k (P alpha mod 1), p2_i) mod 1 is exact; it is kept
-        where that bound meets _TOL (1 + |n|).  Other times are solved cold,
-        as is every time of a call with no period P or with its largest |t|
-        below P - P // 2.  At k = 0, n in [-P // 2, P - P // 2), the table
-        entry is n's own cold solve, so no position depends on the call;
-        other n read u(r), |r| <= P/2: rounding ~ min(|n|, P/2).  A block of
-        times whose max rho + max |k| delta(P) meets _TOL (1 + min |t|) meets
-        every elementwise bound, as rounding is monotone, and skips them."""
+        i = (n + P // 2) mod P, and is read off _period_table at the exact
+        position (p1_i + k (P alpha mod 1), p2_i) mod 1 of u(r) + k P.
+        Non-integral times are solved cold, as is every time of a call with
+        no period, no certified table or its largest |t| below P - P // 2.  At
+        k = 0 the table entry is n's own cold solve, so no position depends
+        on the call; other n read u(r), |r| <= P/2: rounding ~ min(|n|, P/2)."""
         t, P = np.asarray(t), self._period
         top = max(t.max(initial=0), -float(t.min(initial=0)))
-        if P is None or P - P // 2 > top:
+        if (P is None or P - P // 2 > top
+                or (table := self._period_table(x1, x2)) is None):
             return self.evaluate_many(t, x1, x2)
-        rho, p1, p2 = self._period_table(x1, x2)
-        shift, delta = self.alpha.signed_frac(P), self._drift(P)
-        rho_max = float(rho.max())
+        (p1, p2), shift = table, self.alpha.signed_frac(P)
         whole = t.dtype.kind in "iu" and top < 2 ** 62  # integral as given
         flat = t.ravel()
         (y1, y2), cold = np.empty((2, flat.size)), np.zeros(flat.size, bool)
@@ -275,29 +270,33 @@ class ReparamFlow:
             k, i = _period_split(n, P)
             y1[sl] = _unit(p1[i] + k * shift)
             y2[sl] = p2[i]
-            low, high = f.min(), f.max()
-            near = 0 if low <= 0 <= high else min(abs(low), abs(high))
-            if not (np.all(ok) and rho_max + max(k.max(), -k.min()) * delta
-                    <= _TOL * (1.0 + near)):
-                cold[sl] = np.logical_not(ok) | (rho[i] + np.abs(k) * delta
-                                                 > _TOL * (1.0 + np.abs(f)))
+            cold[sl] = np.logical_not(ok)
         if cold.any():
             y1[cold], y2[cold] = self.evaluate_many(flat[cold], x1, x2)
         return y1.reshape(t.shape), y2.reshape(t.shape)
 
     def _period_table(self, x1, x2):
-        """(rho, p1, p2) at the start point x: for i = 0..P-1, with u(r) solved
-        cold at r = i - P // 2, the bound rho_i >= |V(u(r)) - r| and the
-        position (p1_i, p2_i) = L_{u(r)}(x).  A one-entry memo keyed by the
-        exact start point lets every orbit from one start share one period."""
+        """(p1, p2) at the start point x, p_i = L_{u(r)}(x) for the cold u(r),
+        r = i - P // 2, or None unless rho + delta(P) <= _TOL (1 + P/2) and
+        delta(P) <= _TOL P, rho >= max |V(u(r)) - r| (the float residual and
+        the _eval_slope |u| + _eval_floor allowance).  That certifies every
+        read n = r + k P: with k != 0, |n| >= (|k| - 1/2) P and W = V - id
+        drifts by <= delta(P) per period, so |V(u(r) + k P) - n| <= rho + |k|
+        delta(P) <= _TOL (1 + P/2) + (|k| - 1) _TOL P = _TOL (1 + (|k| - 1/2)
+        P) <= _TOL (1 + |n|); with k = 0 it is the cold solve.  A one-entry
+        memo keyed by the exact start point lets every orbit from one start
+        share one period."""
         key = (float(_finite("x1", x1)), float(_finite("x2", x2)))
         if self._memo is None or self._memo[0] != key:
-            t = np.arange(self._period, dtype=np.float64) - self._period // 2
+            P = self._period
+            t = np.arange(P, dtype=np.float64) - P // 2
             u = self.time_inverse_many(t, *key)
-            rho = np.abs(self.cocycle_many(u, *key) - t)
-            rho += self._eval_slope * np.abs(u) + self._eval_floor
-            self._memo = (key, rho, *self._positions(u, *key))
-        return self._memo[1:]
+            rho = float(np.max(np.abs(self.cocycle_many(u, *key) - t)
+                               + self._eval_slope * np.abs(u))) + self._eval_floor
+            delta = self._drift(P)
+            ok = rho + delta <= _TOL * (1.0 + P / 2) and delta <= _TOL * P
+            self._memo = (key, self._positions(u, *key) if ok else None)
+        return self._memo[1]
 
     def _bisect(self, t, b):
         width = self._osc_bound + 1.0
@@ -457,26 +456,20 @@ def rigidity_distance(flow: ReparamFlow, k: int, n: int,
                       x: TorusPoint) -> RigidityReport:
     """d(T_{k q_n}(x), x) at the rigidity time t0 = k q_n.
 
-    Writing u(t0, x) = t0 + eps, the defect eps solves the fixed-point
-    equation eps = -W(t0 + eps) where W = V - id; W is evaluated with the
-    integer part of every phase reduced exactly, which keeps eps meaningful
-    down to ~1e-15 even though t0 itself is large.
+    Writing u(t0, x) = t0 + eps, the mode j of W = V - id at t0 + eps is Im
+    b_j (e(w_j t0) e(w_j eps) - 1), and w_j t0 = q_j t0 alpha mod 1 is
+    reduced exactly by signed_frac.  With the turned start factors b'_j =
+    b_j e(q_j t0 alpha), V(t0 + eps) = t0 reads V_{b'}(eps) = -sum Im(b'_j
+    - b_j), which the flow's own Halley solve answers; this keeps eps
+    meaningful down to ~1e-15 even though t0 itself is large.
     """
     alpha = flow.alpha
     t0 = _index(k, "k") * alpha.q(n)
-    modes = [(alpha.signed_frac(t0 * q), w, b) for (q, _, _, w), b in
-             zip(flow._terms, flow._start_factors(flow._terms, x.x1, x.x2))]
-    eps = 0.0
-    for _ in range(60):
-        W = 0.0
-        for frac_t0, w, b in modes:
-            p = _TWO_PI * (frac_t0 + w * eps)
-            W += b.real * math.sin(p) + b.imag * (math.cos(p) - 1.0)
-        new = -W
-        if abs(new - eps) < 1e-17 * (1.0 + abs(eps)):
-            eps = new
-            break
-        eps = new
+    b = flow._start_factors(flow._terms, x.x1, x.x2)
+    turned = [bk * np.exp(2j * math.pi * alpha.signed_frac(t0 * q))
+              for (q, *_), bk in zip(flow._terms, b)]
+    shift = sum((bt - bk).imag for bt, bk in zip(turned, b))
+    eps = float(flow._halley(np.array([-shift]), turned)[0])
     a = alpha.float_value
     d1 = abs(alpha.signed_frac(t0) + eps * a)
     d2 = abs(eps) if abs(eps) < 0.5 else circle_distance(eps)

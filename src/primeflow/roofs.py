@@ -447,6 +447,7 @@ def quadratic_expansion_check(roof, x: float, k: int, n: int,
     coefficient readings coeff = k^2 and coeff = k(k-1)/2, under the orbit
     avoidance hypothesis {x + i alpha}_{i < k q_n} disjoint from [-1/L, 1/L].
     """
+    k = _index(k, "k")
     if n + 1 > alpha.depth:
         raise ValueError("need n + 1 within the quotient depth")
     qn, qn1 = alpha.q(n), alpha.q(n + 1)
@@ -515,6 +516,7 @@ def small_derivative_set(roof: PowerRoof, n: int, alpha: RotationNumber,
     """Union of radius-2*threshold arcs around the orbit {x_n + i alpha} of a
     derivative-sum zero, verified to contain the grid points where
     |S_{q_n}(f')| < threshold."""
+    grid = _integral("grid", grid)
     if threshold <= 0.0:
         return []
     zeros = derivative_zero_locator(roof, n, alpha)

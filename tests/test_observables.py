@@ -381,11 +381,17 @@ def _flow_case(kind):
 @pytest.mark.parametrize("boxes", [0, -3])
 @pytest.mark.parametrize("torus", [False, True])
 def test_box_count_must_be_positive(boxes, torus):
+    # an integral float counts as its integer; a fractional count or nan is
+    # named, where a cast would read 2.5 as 2 and nan has no arange length
     flow = (ReparamFlow(SCALED, make_timechange(SCALED)) if torus
             else KocherginFlow(POWER, GOLDEN))
     pts = (np.array([0.2, 0.7]), np.array([0.1, 0.4]))
-    with pytest.raises(ValueError, match=f"boxes must be >= 1, got {boxes}"):
-        box_discrepancy(pts, np.ones(2), flow, boxes=boxes)
+    for b in (boxes, float(boxes)):
+        with pytest.raises(ValueError, match=f"^boxes must be >= 1, got {boxes}$"):
+            box_discrepancy(pts, np.ones(2), flow, boxes=b)
+    for b in (boxes + 0.5, math.nan):
+        with pytest.raises(ValueError, match=f"^boxes must be an integer, got {b}$"):
+            box_discrepancy(pts, np.ones(2), flow, boxes=b)
 
 
 class _BadRoof:
@@ -967,6 +973,13 @@ def test_pnt_report_takes_integral_float_grids(table):
     assert floats.params["n_grid"] == [1000, 2000]
     assert [(m.name, m.N, m.z, m.value) for m in floats.metrics] == [
         (m.name, m.N, m.z, m.value) for m in ints.metrics]
+    # a scalar N is a one-point grid, as coboundary_prime_discrepancy reads
+    # it, and a one-point grid records no verdicts
+    scalar = pnt_report(psi, flow, start, 1e3, table=table)
+    one = pnt_report(psi, flow, start, (1000,), table=table)
+    assert scalar.params == one.params and scalar.verdicts == one.verdicts == {}
+    assert [(m.name, m.N, m.z, m.value) for m in scalar.metrics] == [
+        (m.name, m.N, m.z, m.value) for m in one.metrics]
 
 
 @pytest.mark.parametrize("n_grid", [(10 ** 3, 10 ** 4, 2 * 10 ** 4),

@@ -191,6 +191,9 @@ def test_ap_error_rejects_non_integral_modulus(table, q):
         ap_error(table, 100, q)
 
 
+_HALF = CircleInterval(0.0, 0.5)
+
+
 def _alpha(depth=4, seed=2):
     return construct_alpha("scaled_D", growth=lambda q: q ** 2, depth=depth,
                            seed=seed).quotients
@@ -206,9 +209,18 @@ def _alpha(depth=4, seed=2):
     ("N", lambda t, v: short_interval_ap_average(t, v, 100, 3), 2000),
     ("H", lambda t, v: short_interval_ap_average(t, 2000, v, 3), 100),
     ("v", lambda t, v: short_interval_ap_average(t, 2000, 100, v), 3),
+    ("N", lambda t, v: box_indicator_sum(
+        t, PhaseCoefficients(0.1, 0.2, v, 100), _HALF, _HALF), 1000),
+    ("H", lambda t, v: box_indicator_sum(
+        t, PhaseCoefficients(0.1, 0.2, 1000, v), _HALF, _HALF), 100),
+    ("q", lambda t, v: build_interval_partition(t, v, 0.1, 5000, 100), 2),
+    ("N", lambda t, v: build_interval_partition(t, 2, 0.1, v, 100), 5000),
+    ("H", lambda t, v: build_interval_partition(t, 2, 0.1, 5000, v), 100),
 ], ids=["select_S_qr-q", "select_S_qr-r", "select_S_qr-N",
         "construct_alpha-depth", "construct_alpha-seed", "build_table-limit",
-        "short_interval-N", "short_interval-H", "short_interval-v"])
+        "short_interval-N", "short_interval-H", "short_interval-v",
+        "phase_coefficients-N", "phase_coefficients-H", "interval_partition-q",
+        "interval_partition-N", "interval_partition-H"])
 def test_integral_arguments(name, call, good):
     # a cast or int() would read good + 0.5 as good (q = 3.5 as a float
     # modulus), and range() or np.zeros would fail on it with a raw

@@ -248,6 +248,32 @@ def test_rigidity_time_and_epsilon(flow):
     assert abs((u - rep.time) - rep.epsilon) < 1e-7
 
 
+def test_rigidity_epsilon_matches_a_50_digit_solve():
+    # eps at t0 = 2 q_n, n = 1..3, on birkhoff_rigidity's flow, against
+    # V(t0 + eps) = t0 solved to 50 digits with the exact alpha.  Halley's
+    # last step starts from a residual <= 1e-12 and converges cubically, so
+    # the float value of V(t0 + eps) - t0 = V_b'(eps) + sum Im(b'_j - b_j)
+    # sets the error: the flow's allowance _eval_slope |eps| + _eval_floor
+    # covers the start factors, the frequencies and the kernel, each b'_j =
+    # b_j e(q_j t0 alpha) adds 8 eps |b_j| (the phase, its 2 pi, the exp and
+    # the product) and the sum 1 eps |b_j|; as V' = v >= 1 - sum |c_j|, eps
+    # errs by at most that over 1 - sum |c_j|: 2.0e-15 here, against at most
+    # 5.8e-18 measured
+    mp = pytest.importorskip("mpmath").mp
+    alpha = construct_alpha("scaled_C_A", growth=lambda q: q ** 4.0, depth=4,
+                            seed=2)
+    flow, x = ReparamFlow(alpha, make_timechange(alpha)), TorusPoint(0.3, 0.7)
+    sizes = sum(abs(b) for b in flow._start_factors(flow._terms, x.x1, x.x2))
+    slope = 1.0 - sum(abs(c) for _, _, c, _ in flow._terms)
+    reps = [rigidity_distance(flow, 2, n, x) for n in (1, 2, 3)]
+    with mp.workdps(50):
+        _, us = _mp_inverse(mp, flow, x.x1, x.x2, [r.time for r in reps])
+        for rep, u in zip(reps, us):
+            tol = (flow._eval_slope * abs(rep.epsilon) + flow._eval_floor
+                   + 9 * np.finfo(np.float64).eps * sizes) / slope
+            assert float(abs(rep.epsilon - (u - rep.time))) <= tol, rep
+
+
 def test_rigidity_indices_must_be_integers():
     # on katok_wm's alpha an integral float k or M used to read a phase
     # reduced in float: 8.6e-13 against 2.4e-15, and 1.83e-3 against 9.15e-6
@@ -588,15 +614,6 @@ def _centered(flow, n):
     return np.divmod(np.asarray(n, dtype=np.int64) + P // 2, P)
 
 
-def _bound_met(flow, n):
-    """Whether rho_i + |k| delta(P) <= 1e-12 (1 + |n|) at the times n from
-    the start point (0.31, 0.64): where the period table is read."""
-    k, i = _centered(flow, n)
-    rho = flow._period_table(0.31, 0.64)[0]
-    return rho[i] + np.abs(k) * flow._drift(flow._period) <= 1e-12 * (
-        1.0 + np.abs(n))
-
-
 def _shifted_u(flow, n):
     """u(r) + k P, n = r + k P with r = i - P // 2, from a cold solve of the
     centered period at the start point (0.31, 0.64): the u whose position
@@ -629,32 +646,41 @@ def test_period_split_is_divmod(P):
 def test_integer_orbit_period_is_the_first_rigid_denominator(flow):
     # delta(q_n) is 3.4e-2, 7.0e-6 and 1.2e-20 at q_1 = 2, q_2 = 17 and q_3
     assert flow._period == SCALED.q(3) == 83523
-    assert flow._drift(SCALED.q(2)) > 1e-12 * (1 + SCALED.q(2))
+    assert flow._drift(SCALED.q(2)) > 1e-12 * (1 + SCALED.q(2) / 2)
     assert flow._drift(SCALED.q(3)) < 1e-19
 
 
-def test_integer_positions_shift_by_whole_periods():
-    # a faint time change on the golden rotation: P = q_10 = 89 with P alpha
-    # mod 1 = 0.005, so k periods on x1 moves by a visible k (P alpha mod
-    # 1), and delta(P) = 8.1e-11 is close enough to 1e-12 (1 + P) that the
-    # drift term sends 204 of the times -20 P..20 P cold, 102 of each sign.
-    # The others sit exactly at u(r) + k P, which meets the residual
-    # contract: their positions lie within the rounding of x + u (alpha, 1)
-    # at |u| <= 20 P of the float view at that u
+def test_integer_positions_shift_by_whole_periods(monkeypatch):
+    # a faint time change on the golden rotation.  q_10 = 89 fails the
+    # period rule, delta = 8.1e-11 > 1e-12 (1 + 89/2), so its table could
+    # not be certified; P = q_11 = 144 meets it, delta = 5.0e-11, with P
+    # alpha mod 1 = -0.0031, so k periods move x1 by a visible k (P alpha
+    # mod 1).  The table is certified and every time -20 P..20 P is read
+    # from it at u(r) + k P, which meets the residual contract: its
+    # positions lie within the rounding of x + u (alpha, 1) at |u| <= 20 P
+    # of the float view at that u
     fl = ReparamFlow(GOLDEN, TimeChange([(1, 0, 1e-8)]))
     P = fl._period
-    assert P == GOLDEN.q(10) == 89
+    assert P == GOLDEN.q(11) == 144
+    assert fl._drift(GOLDEN.q(10)) > 1e-12 * (1 + GOLDEN.q(10) / 2)
     n = np.arange(-20 * P, 20 * P + 1)
+    sizes = _spy_cold(monkeypatch)
     pts = fl._orbit_positions(n, 0.31, 0.64)
-    read = _bound_met(fl, n)
-    assert np.sum(~read) == 204 and np.sum(~read & (n < 0)) == 102
+    assert sizes == [P]
+    monkeypatch.undo()
     u = _shifted_u(fl, n)
-    assert _meets_contract(fl, u[read], n[read])
-    cold = fl.evaluate_many(n[~read].astype(np.float64), 0.31, 0.64)
-    for got, at_u, want in zip(pts, fl._positions(u, 0.31, 0.64), cold):
-        d = np.abs(got - at_u)[read]
+    assert _meets_contract(fl, u, n)
+    for got, at_u in zip(pts, fl._positions(u, 0.31, 0.64)):
+        d = np.abs(got - at_u)
         assert np.all(np.minimum(d, 1.0 - d) <= 8.0 * np.spacing(20.0 * P))
-        assert got[~read].tobytes() == want.tobytes()
+    # x1 moves by k (P alpha mod 1) off the k = 0 entry, x2 not at all
+    k, i = _centered(fl, n)
+    shift = GOLDEN.signed_frac(P)
+    assert -0.0032 < shift < -0.0031
+    p1, p2 = fl._period_table(0.31, 0.64)
+    d = (pts[0] - p1[i] - k * shift) % 1.0
+    assert np.all(np.minimum(d, 1.0 - d) <= 4.0 * np.spacing(20.0))
+    assert pts[1].tobytes() == p2[i].tobytes()
 
 
 def test_integer_orbit_warm_start(monkeypatch):
@@ -678,21 +704,24 @@ def test_integer_orbit_warm_start(monkeypatch):
         assert got[:h].tobytes() == want.tobytes()
 
 
-def test_integer_times_of_either_sign_match_the_cold_solve(flow):
-    # the +- primes up to ORBIT_M: each is read from the centered table, at
-    # a u that meets the residual contract, where its bound rho_i + |k|
-    # delta(P) meets the tolerance, and that holds at every one of them; the
-    # primes up to P // 2 are the cold solve itself
+def test_integer_times_of_either_sign_match_the_cold_solve(monkeypatch):
+    # the +- primes up to ORBIT_M: the certified table sends none of them
+    # cold, so both calls together solve only the period; each is read at
+    # a u that meets the residual contract, and the primes up to P // 2 are
+    # the cold solve itself
     from primeflow.primes import build_table
 
+    fl = ReparamFlow(SCALED, make_timechange(SCALED))
     ps = build_table(ORBIT_M).primes.astype(np.int64)
-    low = ps <= flow._period // 2
-    for n in (ps, -ps):
-        pts = flow._orbit_positions(n, 0.31, 0.64)
-        assert _near_cold(flow, pts, n)
-        assert np.all(_bound_met(flow, n))
-        assert _meets_contract(flow, _shifted_u(flow, n), n)
-        cold = flow.evaluate_many(n[low].astype(np.float64), 0.31, 0.64)
+    sizes = _spy_cold(monkeypatch)
+    walks = [fl._orbit_positions(n, 0.31, 0.64) for n in (ps, -ps)]
+    assert sizes == [fl._period]
+    monkeypatch.undo()
+    low = ps <= fl._period // 2
+    for n, pts in zip((ps, -ps), walks):
+        assert _near_cold(fl, pts, n)
+        assert _meets_contract(fl, _shifted_u(fl, n), n)
+        cold = fl.evaluate_many(n[low].astype(np.float64), 0.31, 0.64)
         for got, want in zip(pts, cold):
             assert got[low].tobytes() == want.tobytes()
 
@@ -729,16 +758,21 @@ def test_integer_orbit_prefixes_are_stable(flow):
 
 
 def test_integer_orbit_without_a_period_is_solved_cold():
-    fl = ReparamFlow(GOLDEN, TimeChange([(2, 1, 0.1)]))
-    assert fl._period is None
+    # no q_n meets the period rule on the first flow; on the second P = q_1
+    # = 1 meets it, delta = 1.24e-12 <= 1e-12 (1 + 1/2), but its table fails
+    # the certificate's delta(P) <= 1e-12 P, so it has no usable period
     M = 5 * 10 ** 4  # two blocks
-    cold = fl.evaluate_many(np.arange(-M, M + 1.0), 0.31, 0.64)
-    got = fl._orbit_positions(np.arange(-M, M + 1), 0.31, 0.64)
-    # so the walk at integer times gives evaluate_many's positions
     psi, start = TorusObservable(0.0, [(1, 0, 1.0)]), TorusPoint(0.31, 0.64)
-    pts, _ = fl.walk(psi, start, np.arange(-M, M + 1), np.array([1.0]))
-    for a, b, want in zip(got, pts, cold):
-        assert a.tobytes() == b.tobytes() == want.tobytes()
+    for fl in (ReparamFlow(GOLDEN, TimeChange([(2, 1, 0.1)])),
+               ReparamFlow(GOLDEN, TimeChange([(1, 0, 2e-12)]))):
+        cold = fl.evaluate_many(np.arange(-M, M + 1.0), 0.31, 0.64)
+        got = fl._orbit_positions(np.arange(-M, M + 1), 0.31, 0.64)
+        # so the walk at integer times gives evaluate_many's positions
+        pts, _ = fl.walk(psi, start, np.arange(-M, M + 1), np.array([1.0]))
+        for a, b, want in zip(got, pts, cold):
+            assert a.tobytes() == b.tobytes() == want.tobytes()
+    assert ReparamFlow(GOLDEN, TimeChange([(2, 1, 0.1)]))._period is None
+    assert fl._period == 1 and fl._period_table(0.31, 0.64) is None
 
 
 def test_integer_times_below_the_period_are_solved_cold(monkeypatch):
@@ -765,37 +799,6 @@ def test_integer_times_below_the_period_are_solved_cold(monkeypatch):
             fl._orbit_positions(np.array([5, n]), 0.31, 0.64)
 
 
-@pytest.mark.parametrize("block", [64, reparam._BLOCK])
-@pytest.mark.parametrize("dtype", [np.int64, np.float64])
-@pytest.mark.parametrize("faint", [False, True], ids=["scaled", "faint"])
-def test_block_bound_keeps_the_elementwise_cold_set(flow, monkeypatch, block,
-                                                    dtype, faint):
-    # a block skips the elementwise bound only where its max rho + max |k|
-    # delta(P) meets _TOL (1 + min |t|), so the times solved cold are still
-    # exactly those whose own bound fails.  On the scaled flow max rho =
-    # 4.6e-11 fails the block bound where min |t| < 47 and no time fails its
-    # own; on the faint golden flow (P = 89, delta(P) = 8.1e-11) 204 of the
-    # times -20 P..20 P fail theirs
-    fl = ReparamFlow(GOLDEN, TimeChange([(1, 0, 1e-8)])) if faint else flow
-    P = fl._period
-    if faint:
-        n = np.arange(-20 * P, 20 * P + 1)
-    else:
-        n = np.concatenate((np.arange(-3000, 3001),
-                            np.arange(P - 2000, P + 2000),
-                            np.arange(-P - 2000, -P + 2000), [-10 ** 6]))
-        assert 4e-11 < fl._period_table(0.31, 0.64)[0].max() < 5e-11
-    fails = n[~_bound_met(fl, n)]  # solves the table before _BLOCK moves
-    assert fails.size == (204 if faint else 0)
-    monkeypatch.setattr(reparam, "_BLOCK", block)
-    seen, cold = [], ReparamFlow.evaluate_many
-    monkeypatch.setattr(ReparamFlow, "evaluate_many",
-                        lambda self, t, *args: seen.append(np.array(t))
-                        or cold(self, t, *args))
-    fl._orbit_positions(n.astype(dtype), 0.31, 0.64)
-    assert [list(t) for t in seen] == ([list(fails)] if faint else [])
-
-
 @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint64,
                                    np.float64])
 def test_walk_positions_do_not_depend_on_the_time_dtype(flow, dtype):
@@ -817,38 +820,60 @@ def test_walk_positions_do_not_depend_on_the_time_dtype(flow, dtype):
 
 
 def test_integer_orbit_contract_catches_a_wrong_warm_start(monkeypatch):
-    # u off by half a unit at every 100th table index while the table is
-    # solved: rho sees it, so every later time at those indices is solved
-    # cold ...
+    # u off by half a unit at every 100th table index: rho sees it, the
+    # table fails its certificate and is never read, so every position is
+    # evaluate_many's ...
     fl = ReparamFlow(SCALED, make_timechange(SCALED))
     P = fl._period
-    cold = ReparamFlow.time_inverse_many
-
-    def corrupt(self, t, *args):
-        u = cold(self, t, *args)
-        if np.size(t) == P:
-            u[::100] += 0.5
-        return u
-    monkeypatch.setattr(ReparamFlow, "time_inverse_many", corrupt)
-    fl._period_table(0.31, 0.64)
+    r = np.arange(P, dtype=np.float64) - P // 2
+    u = fl.time_inverse_many(r, 0.31, 0.64) + 0.5 * (np.arange(P) % 100 == 0)
+    monkeypatch.setattr(ReparamFlow, "time_inverse_many", lambda *args: u)
+    assert fl._period_table(0.31, 0.64) is None
     monkeypatch.undo()
     n = np.concatenate((np.arange(P, P + 20000),
                         -np.arange(P + 1, P + 20001)))
-    wrong = _centered(fl, n)[1] % 100 == 0
-    sizes = _spy_cold(monkeypatch)
     pts = fl._orbit_positions(n, 0.31, 0.64)
-    assert sizes == [int(wrong.sum())]
-    monkeypatch.undo()
-    assert _near_cold(fl, pts, n)
-    # ... but with the bound disabled those times, and only those, come out
-    # wrong
+    cold = fl.evaluate_many(n.astype(np.float64), 0.31, 0.64)
+    for got, want in zip(pts, cold):
+        assert got.tobytes() == want.tobytes()
+    # ... but with the certificate disabled the table is read, and the times
+    # at those indices, and only those, come out wrong
+    fl._memo = None
+    monkeypatch.setattr(ReparamFlow, "time_inverse_many", lambda *args: u)
     monkeypatch.setattr(reparam, "_TOL", math.inf)
-    pts = fl._orbit_positions(n, 0.31, 0.64)
+    assert fl._period_table(0.31, 0.64) is not None
     monkeypatch.undo()
+    pts = fl._orbit_positions(n, 0.31, 0.64)
+    wrong = _centered(fl, n)[1] % 100 == 0
     assert _near_cold(fl, [p[~wrong] for p in pts], n[~wrong])
-    far = np.abs(pts[1][wrong] - fl.evaluate_many(
-        n[wrong].astype(np.float64), 0.31, 0.64)[1])
+    far = np.abs(pts[1][wrong] - cold[1][wrong])
     assert np.all(np.minimum(far, 1.0 - far) > 0.1)
+
+
+def _mp_inverse(mp, flow, x1, x2, ts):
+    """The exact alpha and the u solving V(u) = t at the start point (x1,
+    x2) for each t of ts, by Newton steps from u = t at mp's precision:
+    call it inside mp.workdps."""
+    alpha = mp.mpf(flow.alpha.value.numerator) / flow.alpha.value.denominator
+    modes = []
+    for q, m, c, _ in flow._terms:
+        w = q * alpha + m
+        phase = q * mp.mpf(x1) + m * mp.mpf(x2)
+        modes.append((w, c * mp.expjpi(2 * phase) / (2 * mp.pi * w)))
+    us = []
+    for t in ts:
+        u = mp.mpf(t)
+        for _ in range(50):
+            V, dV = u - t, mp.mpf(1)
+            for w, b in modes:
+                s, c = mp.sinpi(2 * w * u), mp.cospi(2 * w * u)
+                V += b.real * s + b.imag * (c - 1)
+                dV += 2 * mp.pi * w * (b.real * c - b.imag * s)
+            u -= V / dV
+            if abs(V / dV) < mp.mpf(10) ** -40:
+                break
+        us.append(u)
+    return alpha, us
 
 
 def test_integer_walk_matches_a_50_digit_solve(flow):
@@ -868,23 +893,8 @@ def test_integer_walk_matches_a_50_digit_solve(flow):
     (g1, g2), _ = flow.walk(TorusObservable(0.0, [(1, 0, 1.0)]),
                             TorusPoint(x1, x2), n, ())
     with mp.workdps(50):
-        alpha = mp.mpf(SCALED.value.numerator) / SCALED.value.denominator
-        modes = []
-        for q, m, c, _ in flow._terms:
-            w = q * alpha + m
-            phase = q * mp.mpf(x1) + m * mp.mpf(x2)
-            modes.append((w, c * mp.expjpi(2 * phase) / (2 * mp.pi * w)))
-        for i, t in enumerate(n.tolist()):
-            u = mp.mpf(t)
-            for _ in range(50):
-                V, dV = u - t, mp.mpf(1)
-                for w, b in modes:
-                    s, c = mp.sinpi(2 * w * u), mp.cospi(2 * w * u)
-                    V += b.real * s + b.imag * (c - 1)
-                    dV += 2 * mp.pi * w * (b.real * c - b.imag * s)
-                u -= V / dV
-                if abs(V / dV) < mp.mpf(10) ** -40:
-                    break
+        alpha, us = _mp_inverse(mp, flow, x1, x2, n.tolist())
+        for i, (t, u) in enumerate(zip(n.tolist(), us)):
             bound = (4.0 * np.spacing(float(min(abs(t), P / 2)))
                      + 4.0 * np.spacing(1.0))
             for got, want in ((g1[i], x1 + u * alpha), (g2[i], x2 + u)):

@@ -581,6 +581,11 @@ def test_quadratic_expansion_k_range_guard():
         quadratic_expansion_check(f, 0.3, 1, 2, SCALED, L=10.0)
     with pytest.raises(ValueError):
         quadratic_expansion_check(f, 0.3, 10 ** 6, 2, SCALED, L=10.0)
+    # k is an exact index, as rigidity_distance's k: range() would fail on
+    # 2.5 with a raw TypeError
+    for k in (2.5, 3.0):
+        with pytest.raises(ValueError, match=f"^k must be an integer, got {k}$"):
+            quadratic_expansion_check(f, 0.3, k, 2, SCALED, L=1.0)
 
 
 def test_zero_locator_counts_and_residuals():
@@ -631,4 +636,9 @@ def test_small_derivative_set_containment():
     for arc in arcs:
         assert abs(arc.length - 0.004) < 1e-12
     assert small_derivative_set(f, 3, SCALED, 0.0) == []
+    # a cast would end a grid of 1000.5 points at 1.0, the singularity;
+    # an integral float counts as its integer
+    with pytest.raises(ValueError, match=r"^grid must be an integer, got 1000\.5$"):
+        small_derivative_set(f, 3, SCALED, 0.001, grid=1000.5)
+    assert small_derivative_set(f, 3, SCALED, 0.001, grid=1e5) == arcs
 

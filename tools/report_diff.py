@@ -11,8 +11,8 @@ moved row, the number of moved rows and the largest relative move |new -
 old| / |old| with its row; then each moved row with its relative move,
 then each experiment, row, params entry or verdict present on one side
 only or changed.  Below the per-experiment lines it prints the line count
-of src/primeflow at REF and at HEAD, in total and for each module whose
-text differs.  Exits 1 if a verdict, a params entry or the set of rows
+of src/primeflow and of tests at REF and at HEAD, in total and for each
+file whose text differs.  Exits 1 if a verdict, a params entry or the set of rows
 changed, else 0; moved values alone and line counts do not fail.
 Uncommitted changes are not compared.  The copies are removed at the end.
 """
@@ -26,6 +26,8 @@ import tempfile
 from pathlib import Path
 
 from bench_pairs import extract, git
+
+DIRS = ("src/primeflow", "tests")  # whose line counts are printed
 
 
 def reports(tree: Path, out: Path) -> dict:
@@ -46,22 +48,25 @@ def rows(doc: dict) -> dict:
 
 
 def sources(tree: Path) -> dict:
-    """{module file name: text} of src/primeflow in tree."""
-    return {p.name: p.read_text()
-            for p in (tree / "src" / "primeflow").glob("*.py")}
+    """{directory: {file name: text}} of the .py files of each of DIRS in
+    tree."""
+    return {d: {p.name: p.read_text() for p in (tree / d).glob("*.py")}
+            for d in DIRS}
 
 
 def line_counts(old: dict, new: dict) -> list:
-    """The src/primeflow line count (as wc -l) of old and new, in total and
-    for each module whose text differs, as lines."""
+    """The line count (as wc -l) of each of DIRS in old and new, in total
+    and for each file whose text differs, as lines."""
     def count(texts):
         return sum(text.count("\n") for text in texts)
-    out = [f"src/primeflow: {count(old.values())} -> {count(new.values())} "
-           "lines"]
-    for name in sorted(old.keys() | new.keys()):
-        a, b = old.get(name, ""), new.get(name, "")
-        if a != b:
-            out.append(f"  {name}: {count([a])} -> {count([b])}")
+    out = []
+    for d in DIRS:
+        a, b = old[d], new[d]
+        out.append(f"{d}: {count(a.values())} -> {count(b.values())} lines")
+        for name in sorted(a.keys() | b.keys()):
+            x, y = a.get(name, ""), b.get(name, "")
+            if x != y:
+                out.append(f"  {name}: {count([x])} -> {count([y])}")
     return out
 
 
