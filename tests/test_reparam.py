@@ -264,13 +264,13 @@ def test_rigidity_epsilon_matches_a_50_digit_solve():
                             seed=2)
     flow, x = ReparamFlow(alpha, make_timechange(alpha)), TorusPoint(0.3, 0.7)
     sizes = sum(abs(b) for b in flow._start_factors(flow._terms, x.x1, x.x2))
-    slope = 1.0 - sum(abs(c) for _, _, c, _ in flow._terms)
+    v_min = 1.0 - sum(abs(c) for _, _, c, _ in flow._terms)
     reps = [rigidity_distance(flow, 2, n, x) for n in (1, 2, 3)]
     with mp.workdps(50):
         _, us = _mp_inverse(mp, flow, x.x1, x.x2, [r.time for r in reps])
         for rep, u in zip(reps, us):
             tol = (flow._eval_slope * abs(rep.epsilon) + flow._eval_floor
-                   + 9 * np.finfo(np.float64).eps * sizes) / slope
+                   + 9 * np.finfo(np.float64).eps * sizes) / v_min
             assert float(abs(rep.epsilon - (u - rep.time))) <= tol, rep
 
 
@@ -761,18 +761,19 @@ def test_integer_orbit_without_a_period_is_solved_cold():
     # no q_n meets the period rule on the first flow; on the second P = q_1
     # = 1 meets it, delta = 1.24e-12 <= 1e-12 (1 + 1/2), but its table fails
     # the certificate's delta(P) <= 1e-12 P, so it has no usable period
+    none = ReparamFlow(GOLDEN, TimeChange([(2, 1, 0.1)]))
+    faint = ReparamFlow(GOLDEN, TimeChange([(1, 0, 2e-12)]))
+    assert none._period is None
+    assert faint._period == 1 and faint._period_table(0.31, 0.64) is None
     M = 5 * 10 ** 4  # two blocks
     psi, start = TorusObservable(0.0, [(1, 0, 1.0)]), TorusPoint(0.31, 0.64)
-    for fl in (ReparamFlow(GOLDEN, TimeChange([(2, 1, 0.1)])),
-               ReparamFlow(GOLDEN, TimeChange([(1, 0, 2e-12)]))):
+    for fl in (none, faint):
         cold = fl.evaluate_many(np.arange(-M, M + 1.0), 0.31, 0.64)
         got = fl._orbit_positions(np.arange(-M, M + 1), 0.31, 0.64)
         # so the walk at integer times gives evaluate_many's positions
         pts, _ = fl.walk(psi, start, np.arange(-M, M + 1), np.array([1.0]))
         for a, b, want in zip(got, pts, cold):
             assert a.tobytes() == b.tobytes() == want.tobytes()
-    assert ReparamFlow(GOLDEN, TimeChange([(2, 1, 0.1)]))._period is None
-    assert fl._period == 1 and fl._period_table(0.31, 0.64) is None
 
 
 def test_integer_times_below_the_period_are_solved_cold(monkeypatch):

@@ -12,8 +12,8 @@ old| / |old| with its row; then each moved row with its relative move,
 then each experiment, row, params entry or verdict present on one side
 only or changed.  Below the per-experiment lines it prints the line count
 of src/primeflow and of tests at REF and at HEAD, in total and for each
-file whose text differs.  Exits 1 if a verdict, a params entry or the set of rows
-changed, else 0; moved values alone and line counts do not fail.
+file whose text differs.  Exits 1 if a verdict, a params entry or the set
+of rows changed, else 0; moved values alone and line counts do not fail.
 Uncommitted changes are not compared.  The copies are removed at the end.
 """
 
