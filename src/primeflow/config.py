@@ -54,8 +54,14 @@ class ExperimentConfig:
     def get(self, key, default=None):
         return self.params.get(key, default)
 
-    def get_int(self, key, default):
-        return self._get(int, key, default)
+    def get_int(self, key, default, low=None):
+        """The int at key; below low, when low is given, raises ConfigError
+        naming the key."""
+        value = self._get(int, key, default)
+        if low is not None and value < low:
+            raise ConfigError(f"bad value in [params]: {key} must be >= {low}, "
+                              f"got {value}")
+        return value
 
     def get_float(self, key, default):
         return self._get(float, key, default)
@@ -107,17 +113,17 @@ def parse_config(path) -> ExperimentConfig:
     if "name" not in sec:
         raise ConfigError("missing key 'name' in [experiment]")
     try:
-        grid = tuple(
-            int(tok) for tok in sec.get("n_grid", "10000,100000,1000000").split(",")
-            if tok.strip()
-        )
+        # an absent key keeps the default of ExperimentConfig's field
+        grid = ExperimentConfig.n_grid
+        if "n_grid" in sec:
+            grid = tuple(int(t) for t in sec["n_grid"].split(",") if t.strip())
         cfg = ExperimentConfig(
             experiment=sec["name"],
-            seed=sec.getint("seed", 0),
-            sieve_limit=sec.getint("sieve_limit", 10 ** 6),
+            seed=sec.getint("seed", ExperimentConfig.seed),
+            sieve_limit=sec.getint("sieve_limit", ExperimentConfig.sieve_limit),
             n_grid=grid,
-            out_json=sec.get("out_json", ""),
-            out_csv=sec.get("out_csv", ""),
+            out_json=sec.get("out_json", ExperimentConfig.out_json),
+            out_csv=sec.get("out_csv", ExperimentConfig.out_csv),
             params=dict(cp["params"]) if "params" in cp else {},
         )
     except ValueError as exc:

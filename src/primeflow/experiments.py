@@ -85,7 +85,7 @@ def _exp_dk_bound(cfg, table):
     """Bounded-variation Birkhoff sums at denominator times stay within the
     variation of the test function."""
     depth = cfg.get_int("depth", 15)
-    samples = cfg.get_int("samples", 1000)
+    samples = cfg.get_int("samples", 1000, low=1)
     report = ExperimentReport("dk_bound", {"depth": depth, "samples": samples})
     rng = cfg.rng()
     xs = rng.random(samples)
@@ -116,7 +116,7 @@ def _exp_birkhoff_rigidity(cfg, table):
     reparametrized rigidity distance both collapse level by level."""
     alpha = _alpha_from(cfg, "scaled_C_A", 4.0, 4, 2)
     k = cfg.get_int("k", 2)
-    samples = cfg.get_int("samples", 100)
+    samples = cfg.get_int("samples", 100, low=1)
     flow = ReparamFlow(alpha, make_timechange(alpha))
     roof = flow.roof()
     rng = cfg.rng()
@@ -149,7 +149,7 @@ def _exp_singular_birkhoff(cfg, table):
     alpha = _alpha_from(cfg, "scaled_D", 2.0, 4, 3)
     f = PowerRoof()
     rng = cfg.rng()
-    xs = rng.random(cfg.get_int("samples", 60))
+    xs = rng.random(cfg.get_int("samples", 60, low=1))
     report = ExperimentReport("singular_birkhoff",
                               {"quotients": list(alpha.quotients)})
     consts = []
@@ -181,7 +181,7 @@ def _exp_quad_expansion(cfg, table):
     alpha = _alpha_from(cfg, "scaled_D", 2.0, 4, 3)
     f = PowerRoof()
     n = cfg.get_int("level", 3)
-    cases = cfg.get_int("cases", 100)
+    cases = cfg.get_int("cases", 100, low=1)
     L = alpha.q(n + 1) / 4 * 0.99
     rng = cfg.rng()
     within, within_max, tried = 0, 0, 0
@@ -221,7 +221,7 @@ def _exp_deriv_zeros(cfg, table):
     alpha = _alpha_from(cfg, "scaled_D", 2.0, 4, 3)
     f = PowerRoof()
     top = cfg.get_int("max_level", 3)
-    grid = cfg.get_int("grid", 10 ** 5)
+    grid = cfg.get_int("grid", 10 ** 5, low=1)
     report = ExperimentReport("deriv_zeros",
                               {"max_level": top,
                                "quotients": list(alpha.quotients)})
@@ -249,7 +249,7 @@ def _exp_section_claims(cfg, table):
     alpha = _alpha_from(cfg, "scaled_D", 2.0, 5, 2)
     f = PowerRoof()
     n = cfg.get_int("level", 4)
-    samples = cfg.get_int("samples", 100)
+    samples = cfg.get_int("samples", 100, low=1)
     delta = cfg.get_float("delta", 0.9)
     horizon = alpha.q(n + 1) / math.log(10)
     rng = cfg.rng()
@@ -353,10 +353,11 @@ def _exp_ap_short_avg(cfg, table):
 def _exp_bt_ratio(cfg, table):
     """Sieve-style upper bound on primes in short progressions: the counted
     mass never exceeds a few times 2y / (phi(q) log(y/q))."""
-    N = cfg.get_int("N", 10 ** 6)
+    # y reaches 10^4 - 1 and x is drawn from [1, N - y)
+    N = cfg.get_int("N", 10 ** 6, low=10 ** 4 + 1)
     table = _table(cfg, table, N)
-    q = cfg.get_int("q", 3)
-    trials = cfg.get_int("trials", 1000)
+    q = cfg.get_int("q", 3, low=2)
+    trials = cfg.get_int("trials", 1000, low=1)
     rng = cfg.rng()
     ymin = int(math.ceil(N ** 0.1))
     phi = _totient(q)

@@ -257,12 +257,8 @@ def coboundary_prime_discrepancy(flow, g, depth: int, x, N, table=None):
     prefix of a single vectorized pass.  The invariant mean of psi is zero,
     so this is the full space-vs-prime discrepancy.
     """
-    depth = _integral("depth", depth)
-    if depth < 1:
-        raise ValueError(f"depth must be >= 1, got {depth}")
-    Ns = np.atleast_1d(_integral("N", N))
-    if np.any(Ns < 1):
-        raise ValueError(f"N must be >= 1, got {int(np.min(Ns))}")
+    depth = _integral("depth", depth, 1)
+    Ns = np.atleast_1d(_integral("N", N, 1))
     top = int(np.max(Ns, initial=0))
     if table is None:
         table = build_table(top)
@@ -292,9 +288,7 @@ def box_discrepancy(points, weights, flow, boxes=32) -> float:
     points (x, y) must lie in [0, 1) x [0, inf), one finite weight >= 0 to
     each, with a total weight > 0.
     """
-    boxes = _integral("boxes", boxes)
-    if boxes < 1:
-        raise ValueError(f"boxes must be >= 1, got {boxes}")
+    boxes = _integral("boxes", boxes, 1)
     return _box_discrepancy(points, weights, flow.box_masses(boxes), boxes)
 
 
@@ -348,11 +342,9 @@ def pnt_report(psi, flow, start, n_grid=(10 ** 4, 10 ** 5, 10 ** 6),
     prefixes answer every N.  The report is named "pnt_report"; the registered
     experiments rename theirs.
     """
-    n_grid = tuple(sorted(np.atleast_1d(_integral("n_grid", n_grid)).tolist()))
+    n_grid = tuple(sorted(np.atleast_1d(_integral("n_grid", n_grid, 2)).tolist()))
     if not n_grid:
         raise ValueError("n_grid must hold at least one N, got none")
-    if n_grid[0] < 2:
-        raise ValueError(f"N must be >= 2 (no prime below 2), got {n_grid[0]}")
     for a, b in zip(n_grid, n_grid[1:]):
         if a == b:
             raise ValueError(f"n_grid repeats N = {a}")

@@ -94,9 +94,7 @@ class PrimeTable:
 def build_table(limit: int) -> PrimeTable:
     """Sieve of Eratosthenes up to limit in windows of _SEGMENT integers; a
     limit above _MAX_LIMIT raises ResourceError before anything is built."""
-    limit = _integral("limit", limit)
-    if limit < 2:
-        raise ValueError("limit must be >= 2")
+    limit = _integral("limit", limit, 2)
     if limit > _MAX_LIMIT:
         raise ResourceError(f"limit {limit} exceeds budget {_MAX_LIMIT}")
     base = _simple_sieve(int(limit ** 0.5) + 1)
@@ -115,8 +113,7 @@ def build_table(limit: int) -> PrimeTable:
 
 def theta_interval(table: PrimeTable, N: int, H: int) -> float:
     """Sum of log p over primes in (N, N+H], for H >= 0."""
-    if H < 0:
-        raise ValueError(f"H must be >= 0, got {H}")
+    N, H = _integral("N", N), _integral("H", H, 0)
     return _log_sum(table.primes_between(N, N + H))
 
 
@@ -148,9 +145,7 @@ def ap_error(table: PrimeTable, x: int, q: int) -> float:
     prime p < x of the class and |theta - x/phi| as y -> x; a class with no
     prime below x contributes x/phi.
     """
-    q = _integral("q", q)
-    if q < 1:
-        raise ValueError("q must be >= 1")
+    q = _integral("q", q, 1)
     _check_x(x)
     # every select_S_qr candidate is prime: read it off the sieve
     phi = q - 1 if q <= table.limit and table.is_prime(q) else _totient(q)
@@ -182,10 +177,8 @@ def ap_error_many(table: PrimeTable, x, qs) -> np.ndarray:
     row cumulative sums over the others are the scalar ones.
     """
     _check_x(x)
-    qs = np.asarray(_integral("q", qs))
+    qs = np.asarray(_integral("q", qs, 1))
     flat = qs.reshape(-1)
-    if flat.size and flat.min() < 1:
-        raise ValueError(f"q must be >= 1, got {int(flat.min())}")
     phi = flat - 1
     # trial division only for moduli the sieve does not mark prime
     other = flat > table.limit
@@ -245,9 +238,7 @@ def select_S_qr(table: PrimeTable, q: int, r: int, N: int, C: float,
     """Primes l in [N/2, N] with l = r (mod q) passing the dyadic E-filter
     E(x_n, l) <= C * x_n / (N * log(x_n)^(2A)) for x_1 = N^(1/2 + 1/100),
     x_{n+1} = 2 x_n, up to the sieve limit."""
-    q, r, N = _integral("q", q), _integral("r", r), _integral("N", N)
-    if q < 1:
-        raise ValueError(f"q must be >= 1, got {q}")
+    q, r, N = _integral("q", q, 1), _integral("r", r), _integral("N", N, 1)
     x1 = N ** (0.5 + 0.01)
     if x1 > table.limit:
         raise ResourceError(
@@ -308,8 +299,7 @@ def quad_phase_sum(table: PrimeTable, coeffs: PhaseCoefficients) -> complex:
 
 def diophantine_gamma2_check(gamma2: float, N: int, H: int, B: float) -> bool:
     """True iff |r * gamma2| >= (log N)^B / H^2 for every 0 < r <= (log N)^B."""
-    if H < 1:
-        raise ValueError("H must be >= 1")
+    N, H = _integral("N", N), _integral("H", H, 1)
     bound = math.log(N) ** B
     thresh = bound / (H * H)
     r = 1
@@ -371,9 +361,7 @@ def build_interval_partition(table: PrimeTable, q: int, gamma1: float,
     whose gamma1-phase falls in the union of cells
     [j/q^2 + l0 * 2/q^9, j/q^2 + (l0+1) * 2/q^9), j < q^2.
     """
-    q, N, H = _integral("q", q), _integral("N", N), _integral("H", H)
-    if q < 2:
-        raise ValueError("q must be >= 2")
+    q, N, H = _integral("q", q, 2), _integral("N", N), _integral("H", H)
     ps = table.primes_between(N, N + H)
     m = (ps - N).astype(np.float64)
     y = frac(gamma1 * m)
@@ -395,9 +383,10 @@ def short_interval_ap_average(table: PrimeTable, N: int, H: int,
                               v: int) -> tuple[float, int]:
     """Average over windows [z+jH, z+(j+1)H] of the sup-over-class deviation
     |theta-window - H/phi(v)|, minimized over the window offset z < H."""
-    N, H, v = _integral("N", N), _integral("H", H), _integral("v", v)
-    if H < 2 or v < 1 or N > table.limit:
-        raise ValueError("need H >= 2, v >= 1, N <= limit")
+    H, v = _integral("H", H, 2), _integral("v", v, 1)
+    N = _integral("N", N, H)  # J = N // H >= 1 windows
+    if N > table.limit:
+        raise ValueError(f"N must be <= limit = {table.limit}, got {N}")
     phi = _totient(v)
     target = H / phi
     ps = table.primes_between(1, N + H)

@@ -204,13 +204,10 @@ class FourierRoof:
     """
 
     def __init__(self, pairs, alpha: RotationNumber | None = None):
-        self.pairs = tuple((_integral("q", q), complex(b)) for q, b in pairs)
+        self.pairs = tuple((_integral("q", q, 1), complex(b)) for q, b in pairs)
         if not self.pairs:
             raise ValueError("need at least one (frequency, coefficient) pair")
         _finite("b", [b for _, b in self.pairs])
-        for q, b in self.pairs:
-            if q < 1:
-                raise ValueError("frequencies must be positive integers")
         if alpha is not None:
             qmap = {alpha.q(n): n for n in range(alpha.depth + 1)}
             for q, b in self.pairs:
@@ -408,9 +405,7 @@ def birkhoff_sum_many(g, n: int, xs: np.ndarray, alpha: RotationNumber,
     A `PiecewiseLinear` g is summed from one sorted orbit in
     O((n + xs.size) log n): its indicator terms equal the block path's and
     its linear part agrees to the rounding of each x + o_i."""
-    n = _index(n)
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = _index(n, low=1)
     _check_order(g, order)
     xs = _finite("x", xs)
     if isinstance(g, PiecewiseLinear):
@@ -516,7 +511,7 @@ def small_derivative_set(roof: PowerRoof, n: int, alpha: RotationNumber,
     """Union of radius-2*threshold arcs around the orbit {x_n + i alpha} of a
     derivative-sum zero, verified to contain the grid points where
     |S_{q_n}(f')| < threshold."""
-    grid = _integral("grid", grid)
+    grid = _integral("grid", grid, 1)
     if threshold <= 0.0:
         return []
     zeros = derivative_zero_locator(roof, n, alpha)

@@ -66,38 +66,37 @@ def frac(x):
     return np.subtract(x, f, out=f)
 
 
-def _index(value, name: str = "n") -> int:
+def _index(value, name: str = "n", low=None) -> int:
     """value as a Python int, for an int or a numpy integer; anything else,
-    an integral float included, raises ValueError naming the argument."""
+    an integral float included, raises ValueError naming the argument, as
+    does a value below low when low is given."""
     try:
-        return operator.index(value)
+        n = operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
-
-
-def _count(n) -> int:
-    """_index(n) for an orbit length; a negative n raises ValueError."""
-    n = _index(n)
-    if n < 0:
-        raise ValueError(f"need n >= 0, got {n}")
+    if low is not None and n < low:
+        raise ValueError(f"{name} must be >= {low}, got {n}")
     return n
 
 
-def _integral(name, value):
+def _integral(name, value, low=None):
     """value as a Python int for a scalar (a big int included) and as an
     int64 array for an array; an integral float such as 1e4 counts as its
     integer.  Anything else, nan and inf included, raises ValueError naming
-    the argument instead of being truncated by int() or a cast."""
+    the argument instead of being truncated by int() or a cast, as does a
+    value below low when low is given (for an array, its first such entry)."""
     if np.ndim(value) == 0:
         v = value.item() if isinstance(value, (np.generic, np.ndarray)) else value
         if isinstance(v, int) or isinstance(v, float) and v.is_integer():
-            return int(v)
+            return _index(int(v), name, low)
     else:
         v = np.asarray(value)
         with np.errstate(invalid="ignore"):  # nan and inf are caught below
             k = v.astype(np.int64)
         bad = k != v
         if not bad.any():
+            if low is not None and (k < low).any():
+                _index(k[k < low].flat[0], name, low)  # raises for that entry
             return k
         v = v[bad].flat[0].item()
     raise ValueError(f"{name} must be an integer, got {v!r}")
@@ -126,12 +125,9 @@ class RotationNumber:
 
     def __init__(self, quotients, flags=()):
         self.quotients = quotients = tuple(
-            _integral("partial quotient", a) for a in quotients)
+            _integral("partial quotient", a, 1) for a in quotients)
         if not quotients:
             raise ValueError("need at least one partial quotient")
-        for a in quotients:
-            if a < 1:
-                raise ValueError(f"partial quotients must be integers >= 1, got {a}")
         flags = tuple(_integral("flag", n) for n in flags)
         for n in flags:
             if not 0 <= n <= len(quotients):
@@ -203,7 +199,7 @@ class RotationNumber:
         """Float images of i*alpha mod 1 (-i*alpha if backward), 0 <= i < n,
         each r / Q for the exact r = +-i*P mod Q: bit-identical to `_orbit_loop`.
         Read-only; a prefix longer than the cached one grows the cache."""
-        n = _count(n)
+        n = _index(n, low=0)
         with self._orbit_lock:
             return self._orbit(n, backward)
 
@@ -211,7 +207,7 @@ class RotationNumber:
         """np.sort(orbit(n, backward)), read-only.  A one-entry memo keeps
         the last one, so callers that sort the same orbit in turn, as the
         test functions of one Denjoy-Koksma level do, share one sort."""
-        key = (_count(n), bool(backward))
+        key = (_index(n, low=0), bool(backward))
         with self._orbit_lock:
             if self._sorted is None or self._sorted[0] != key:
                 self._sorted = None  # the old array goes before the new one
@@ -234,8 +230,7 @@ class RotationNumber:
 
     def orbit_min_distance(self, x: float, n: int) -> float:
         """min over 0 <= i <= n of the distance of x + i*alpha to Z."""
-        if n < 0:
-            raise ValueError("n must be >= 0")
+        n = _index(n, low=0)
         X = Fraction(x) % 1
         P, Q = self._value.numerator, self._value.denominator
         D = X.denominator
@@ -387,9 +382,7 @@ def construct_alpha(mode: str, *, growth=None, depth: int = 4,
     """
     if mode not in ("scaled_D", "scaled_C_A"):
         raise ValueError(f"unknown mode {mode!r}")
-    depth, seed = _integral("depth", depth), _integral("seed", seed)
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
+    depth, seed = _integral("depth", depth, 1), _integral("seed", seed)
     prime = mode == "scaled_C_A"
     if prime and not _is_prime(seed):
         raise ConstructionError(f"seed quotient {seed} must be prime")

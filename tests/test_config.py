@@ -134,6 +134,22 @@ def test_run_experiment_smoke():
     assert rep.wall_clock > 0
 
 
+@pytest.mark.parametrize("name, key, value, low", [
+    ("dk_bound", "samples", 0, 1), ("section_claims", "samples", 0, 1),
+    ("singular_birkhoff", "samples", 0, 1),
+    ("birkhoff_rigidity", "samples", 0, 1), ("quad_expansion", "cases", 0, 1),
+    ("bt_ratio", "trials", 0, 1), ("deriv_zeros", "grid", 0, 1),
+    ("bt_ratio", "N", 10 ** 4, 10 ** 4 + 1), ("bt_ratio", "q", 1, 2)])
+def test_run_experiment_rejects_params_below_their_bound(name, key, value,
+                                                          low):
+    # below its bound a [params] value once raised a raw ValueError or
+    # ZeroDivisionError, or passed a verdict that tested nothing
+    cfg = ExperimentConfig(name, sieve_limit=10 ** 4, params={key: str(value)})
+    msg = rf"^bad value in \[params\]: {key} must be >= {low}, got {value}$"
+    with pytest.raises(ConfigError, match=msg):
+        run_experiment(cfg)
+
+
 def test_wall_clock_covers_the_whole_experiment(monkeypatch):
     # the report's wall_clock takes in the coboundary sums that pnt_reparam
     # computes after pnt_report

@@ -82,11 +82,13 @@ def test_theta_interval_rejects_negative_length(table):
 def test_nan_bounds_rejected():
     # searchsorted puts nan past every prime: (10, nan] read as (10, limit]
     small = build_table(1000)
-    for call, name in ((lambda: small.primes_between(10, math.nan), "hi"),
-                       (lambda: small.primes_between(math.nan, 100), "lo"),
-                       (lambda: small.theta(math.nan), "hi"),
-                       (lambda: theta_interval(small, 10, math.nan), "hi")):
-        with pytest.raises(ValueError, match=f"^{name} must not be nan"):
+    for call, msg in (
+            (lambda: small.primes_between(10, math.nan), "hi must not be nan"),
+            (lambda: small.primes_between(math.nan, 100), "lo must not be nan"),
+            (lambda: small.theta(math.nan), "hi must not be nan"),
+            (lambda: theta_interval(small, 10, math.nan),
+             "H must be an integer, got nan")):
+        with pytest.raises(ValueError, match=f"^{msg}"):
             call()
 
 
@@ -216,11 +218,16 @@ def _alpha(depth=4, seed=2):
     ("q", lambda t, v: build_interval_partition(t, v, 0.1, 5000, 100), 2),
     ("N", lambda t, v: build_interval_partition(t, 2, 0.1, v, 100), 5000),
     ("H", lambda t, v: build_interval_partition(t, 2, 0.1, 5000, v), 100),
+    ("N", lambda t, v: theta_interval(t, v, 100), 1000),
+    ("H", lambda t, v: theta_interval(t, 1000, v), 100),
+    ("N", lambda t, v: diophantine_gamma2_check(0.4142, v, 1000, 2.0), 10 ** 6),
+    ("H", lambda t, v: diophantine_gamma2_check(0.4142, 10 ** 6, v, 2.0), 1000),
 ], ids=["select_S_qr-q", "select_S_qr-r", "select_S_qr-N",
         "construct_alpha-depth", "construct_alpha-seed", "build_table-limit",
         "short_interval-N", "short_interval-H", "short_interval-v",
         "phase_coefficients-N", "phase_coefficients-H", "interval_partition-q",
-        "interval_partition-N", "interval_partition-H"])
+        "interval_partition-N", "interval_partition-H", "theta_interval-N",
+        "theta_interval-H", "gamma2_check-N", "gamma2_check-H"])
 def test_integral_arguments(name, call, good):
     # a cast or int() would read good + 0.5 as good (q = 3.5 as a float
     # modulus), and range() or np.zeros would fail on it with a raw
@@ -231,6 +238,30 @@ def test_integral_arguments(name, call, good):
         with pytest.raises(ValueError, match=msg):
             call(small, bad)
     assert call(small, float(good)) == call(small, good)
+
+
+@pytest.mark.parametrize("call, msg", [
+    (lambda t: build_table(1), "limit must be >= 2, got 1"),
+    (lambda t: ap_error(t, 100, 0), "q must be >= 1, got 0"),
+    (lambda t: build_interval_partition(t, 1, 0.1, 5000, 100),
+     "q must be >= 2, got 1"),
+    (lambda t: short_interval_ap_average(t, 2000, 1, 3), "H must be >= 2, got 1"),
+    (lambda t: short_interval_ap_average(t, 2000, 100, 0), "v must be >= 1, got 0"),
+    # J = N // H = 0 windows once averaged to nan
+    (lambda t: short_interval_ap_average(t, 100, 1000, 3),
+     "N must be >= 1000, got 100"),
+    (lambda t: short_interval_ap_average(t, 10 ** 6 + 1, 100, 3),
+     "N must be <= limit = 1000000, got 1000001"),
+    (lambda t: diophantine_gamma2_check(0.4142, 10 ** 6, 0, 2.0),
+     "H must be >= 1, got 0"),
+    (lambda t: _alpha(depth=0), "depth must be >= 1, got 0"),
+], ids=["build_table-limit", "ap_error-q", "interval_partition-q",
+        "short_interval-H", "short_interval-v", "short_interval-N",
+        "short_interval-N-limit", "gamma2_check-H", "construct_alpha-depth"])
+def test_integer_lower_bounds(table, call, msg):
+    # the lower bound is read with the integer and named with it
+    with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
+        call(table)
 
 
 _MULTI_CHUNK = (5000, list(range(1, 201)))
@@ -435,10 +466,14 @@ def test_select_s_qr_one_call_per_round(table, monkeypatch, N, C, A, rounds):
     assert (len(sel) > 0) == (rounds == len(_ladder(table, N)))
 
 
-@pytest.mark.parametrize("q", [0, -3])
-def test_select_s_qr_rejects_q_below_one(table, q):
-    with pytest.raises(ValueError, match=f"q must be >= 1, got {q}"):
-        select_S_qr(table, q, 2, 10 ** 4, 10.0, 2.0)
+@pytest.mark.parametrize("q, N, msg", [
+    (0, 10 ** 4, "q must be >= 1, got 0"), (-3, 10 ** 4, "q must be >= 1, got -3"),
+    # x_1 = 0 would double forever; (-5)^0.51 is complex
+    (3, 0, "N must be >= 1, got 0"), (3, -5, "N must be >= 1, got -5")],
+    ids=["0", "-3", "N=0", "N=-5"])
+def test_select_s_qr_rejects_q_below_one(table, q, N, msg):
+    with pytest.raises(ValueError, match=f"^{msg}$"):
+        select_S_qr(table, q, 2, N, 10.0, 2.0)
 
 
 def test_select_s_qr_desk_scale(table):

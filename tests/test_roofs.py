@@ -142,6 +142,8 @@ def test_fourier_roof_band_validation():
         FourierRoof([(q, 0.9)], alpha)
     with pytest.raises(ValueError):
         FourierRoof([(q + 1, q1 ** -0.6)], alpha)
+    with pytest.raises(ValueError, match="^q must be >= 1, got 0$"):
+        FourierRoof([(0, 0.1)])
 
 
 @pytest.mark.parametrize("build", [
@@ -460,6 +462,8 @@ def test_birkhoff_rejects_non_integer_n(n):
             birkhoff_sum(g, n, 0.3, GOLDEN)
     got = birkhoff_sum_many(SAWTOOTH, np.int64(3), np.array([0.3]), GOLDEN)
     assert got.shape == (1,)
+    with pytest.raises(ValueError, match="^n must be >= 1, got 0$"):
+        birkhoff_sum_many(SAWTOOTH, 0, np.array([0.3]), GOLDEN)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -641,4 +645,7 @@ def test_small_derivative_set_containment():
     with pytest.raises(ValueError, match=r"^grid must be an integer, got 1000\.5$"):
         small_derivative_set(f, 3, SCALED, 0.001, grid=1000.5)
     assert small_derivative_set(f, 3, SCALED, 0.001, grid=1e5) == arcs
+    # an empty grid would pass without testing a point
+    with pytest.raises(ValueError, match="^grid must be >= 1, got 0$"):
+        small_derivative_set(f, 3, SCALED, 0.001, grid=0)
 

@@ -56,9 +56,9 @@ def test_single_quotient():
 def test_rejects_bad_quotients():
     with pytest.raises(ValueError):
         from_partial_quotients([])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^partial quotient must be >= 1, got 0$"):
         from_partial_quotients([1, 0, 2])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^partial quotient must be >= 1, got -3$"):
         from_partial_quotients([-3])
 
 
@@ -396,14 +396,19 @@ def test_sorted_orbit_is_the_sorted_orbit(alpha):
         assert np.array_equal(got, np.sort(alpha.orbit(n, backward)))
         assert got is alpha.sorted_orbit(np.int64(n), backward)
         assert not got.flags.writeable
-    with pytest.raises(ValueError, match="need n >= 0"):
+    with pytest.raises(ValueError, match="^n must be >= 0, got -1$"):
         alpha.sorted_orbit(-1)
 
 
 def test_orbit_rejects_bad_range():
-    with pytest.raises(ValueError, match="need n >= 0, got -1"):
+    with pytest.raises(ValueError, match="^n must be >= 0, got -1$"):
         GOLDEN.orbit(-1)
     assert GOLDEN.orbit(0).size == 0
+    with pytest.raises(ValueError, match="^n must be >= 0, got -1$"):
+        GOLDEN.orbit_min_distance(0.3, -1)
+    # range() would raise a raw TypeError
+    with pytest.raises(ValueError, match=r"^n must be an integer, got 2\.5$"):
+        GOLDEN.orbit_min_distance(0.3, 2.5)
 
 
 def test_orbit_cache_concurrent_growth():
