@@ -258,8 +258,8 @@ def test_integral_arguments(name, call, good):
 ], ids=["build_table-limit", "ap_error-q", "interval_partition-q",
         "short_interval-H", "short_interval-v", "short_interval-N",
         "short_interval-N-limit", "gamma2_check-H", "construct_alpha-depth"])
-def test_integer_lower_bounds(table, call, msg):
-    # the lower bound is read with the integer and named with it
+def test_integer_bounds_name_the_argument(table, call, msg):
+    # each bound is checked where the integer is read, and named with it
     with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
         call(table)
 
