@@ -341,18 +341,29 @@ def _crossings(roof, alpha, p: FlowPoint, times, backward=False):
     0..n_max, the farthest one reached; S, the _prefix_sums of the roofs
     crossed, S[0] = 0; and n, the fiber holding each time.  Forward S sums
     from fiber 0 and fiber k holds s + t in [S[k], S[k+1]); backward S sums
-    from fiber 1 and fiber k holds s + t in [-S[k], -S[k-1]).  A non-finite
-    time raises ValueError."""
+    from fiber 1 and fiber k holds s + t in [-S[k], -S[k-1]).  The fiber
+    is the one of the exact s + t: where its float rounding lands on an S
+    entry, the rounding error (Knuth's TwoSum) says which side it lies on.
+    A non-finite time raises ValueError."""
     p.validate(roof)
     times = _finite("t", times)
-    targets = p.s + times
+    raw = p.s + times
     if backward:
-        targets = np.maximum(-targets, 0.0)
+        np.negative(raw, out=raw)
+    targets = np.maximum(raw, 0.0)
     bases, vals = _covering_values(roof, alpha, p.x, float(np.max(targets)),
                                    backward)
     S = _prefix_sums(vals[int(backward):])
     n = (np.searchsorted(S, targets, side="left") if backward
          else np.searchsorted(S, targets, side="right") - 1)
+    edge = np.flatnonzero(S[n] == raw)
+    if edge.size:
+        t = times[edge]
+        u = p.s + t
+        low = u - t
+        err = (p.s - low) + (t - (u - low))  # s + t = u + err exactly
+        # err < 0: s + t lies below S[n] forward, past -S[n] backward
+        n[edge] += (1 if backward else -1) * (err < 0.0)
     top = int(np.max(n))
     return bases[:top + 1], vals[:top + 1], S[:top + 2], n
 

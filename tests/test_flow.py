@@ -130,12 +130,30 @@ def _random_flow(draw):
 
 @settings(max_examples=30, deadline=None)
 @given(case=_random_flow(), t=st.floats(-50.0, 50.0))
+# s + t rounds onto a fiber boundary that the exact sum falls short of
+@example(case=(UNIT, GOLDEN, FlowPoint(0.01, 0.01)), t=0.99)
+@example(case=(UNIT, GOLDEN, FlowPoint(0.01, 0.01)), t=-1.01)
 def test_evaluate_matches_naive_random_roofs(case, t):
     roof, alpha, p = case
     a = evaluate(roof, alpha, p, t)
     b = evaluate_naive(roof, alpha, p, t)
     assert a.hits == b.hits
     assert tower_metric(a.endpoint, b.endpoint) <= 1e-9
+
+
+def test_rounded_target_on_a_fiber_boundary():
+    # 0.01 + 0.99 and 0.01 - 1.01 round to the roof sums 1 and -1 of the
+    # unit roof, but the exact sums lie just short of them: the flow stays
+    # below the top of fiber 0, or goes on to the top of fiber -2
+    p = FlowPoint(0.01, 0.01)
+    up = evaluate(UNIT, GOLDEN, p, 0.99)
+    top = math.nextafter(1.0, 0.0)
+    assert (up.hits, up.endpoint) == (0, FlowPoint(0.01, top))
+    down = evaluate(UNIT, GOLDEN, p, -1.01)
+    assert down.hits == -2
+    assert down.endpoint.s == top
+    times = evaluate_times(UNIT, GOLDEN, p, [0.99, -1.01])
+    assert list(times[2]) == [0, -2]
 
 
 @settings(max_examples=30, deadline=None)
