@@ -84,7 +84,7 @@ def _table(cfg: ExperimentConfig, table, limit=0):
 def _exp_dk_bound(cfg, table):
     """Bounded-variation Birkhoff sums at denominator times stay within the
     variation of the test function."""
-    depth = cfg.get_int("depth", 15)
+    depth = cfg.get_int("depth", 15, low=1)
     samples = cfg.get_int("samples", 1000, low=1)
     report = ExperimentReport("dk_bound", {"depth": depth, "samples": samples})
     rng = cfg.rng()
@@ -115,7 +115,7 @@ def _exp_birkhoff_rigidity(cfg, table):
     """Denominator-time Birkhoff sums of the band-limited roof and the
     reparametrized rigidity distance both collapse level by level."""
     alpha = _alpha_from(cfg, "scaled_C_A", 4.0, 4, 2)
-    k = cfg.get_int("k", 2)
+    k = cfg.get_int("k", 2, low=1)
     samples = cfg.get_int("samples", 100, low=1)
     flow = ReparamFlow(alpha, make_timechange(alpha))
     roof = flow.roof()
@@ -220,7 +220,7 @@ def _exp_deriv_zeros(cfg, table):
     the small-derivative set."""
     alpha = _alpha_from(cfg, "scaled_D", 2.0, 4, 3)
     f = PowerRoof()
-    top = cfg.get_int("max_level", 3)
+    top = cfg.get_int("max_level", 3, low=1)
     grid = cfg.get_int("grid", 10 ** 5, low=1)
     report = ExperimentReport("deriv_zeros",
                               {"max_level": top,

@@ -27,7 +27,6 @@ import numpy as np
 
 from .config import ExperimentReport
 from .flow import FlowPoint, _same_roof, _walk
-from .primes import build_table
 from .roofs import TorusObservable, _trig_sum
 from .rotation import _finite, _integral
 
@@ -85,6 +84,7 @@ class KocherginFlow:
         (delta = 2^-45), which no node reaches, lands above: all of it
         belongs there under a singular roof, and under a bounded one it
         adds at most 2 delta sup f (5.7e-14 sup f) that belongs below."""
+        boxes = _integral("boxes", boxes, 1)
         cuts = np.unique(np.clip(
             np.concatenate((_graded_edges(), np.arange(boxes + 1) / boxes)),
             _DELTA, 1.0 - _DELTA))
@@ -245,7 +245,7 @@ def space_average(psi: TowerObservable, roof) -> float:
 # prime-orbit sums
 
 
-def coboundary_prime_discrepancy(flow, g, depth: int, x, N, table=None):
+def coboundary_prime_discrepancy(flow, g, depth: int, x, N, table):
     """|sum_{p <= N} psi(T_p x) log p| / N for the coboundary observable
     psi = h - h o T_1 built from g by depth-fold averaging, for an int N or
     each N of a sequence.  g is an observable of the flow, which walks its
@@ -260,8 +260,6 @@ def coboundary_prime_discrepancy(flow, g, depth: int, x, N, table=None):
     depth = _integral("depth", depth, 1)
     Ns = np.atleast_1d(_integral("N", N, 1))
     top = int(np.max(Ns, initial=0))
-    if table is None:
-        table = build_table(top)
     gv = g(*flow.walk(g, x, np.arange(top + depth + 1), ())[0])
     # h(T_j x) = -(1/depth) sum_{i=0..depth-1} (depth - i) g(T_{j+i} x), so
     # psi(T_j x) = h(T_j x) - h(T_{j+1} x) = -g_j + (1/depth) sum_{i=1..depth} g_{j+i}
@@ -278,22 +276,17 @@ def coboundary_prime_discrepancy(flow, g, depth: int, x, N, table=None):
 # equidistribution box counts
 
 
-def box_discrepancy(points, weights, flow, boxes=32) -> float:
+def box_discrepancy(points, weights, masses) -> float:
     """Max deviation, over a boxes^2 partition, between the weighted
     empirical measure of the orbit points and the invariant measure.
 
-    The cells are those of flow.box_masses.  For the special flow they cover
-    the tower up to height 5 and the mass above it enters as one extra cell,
-    with its reference value computed analytically from the roof.  The
-    points (x, y) must lie in [0, 1) x [0, inf), one finite weight >= 0 to
-    each, with a total weight > 0.
+    masses is the (cell masses, mass above, height) triple that
+    flow.box_masses(boxes) returns, and boxes is read from its shape.  For
+    the special flow the cells cover the tower up to height 5 and the mass
+    above it enters as one extra cell, with its reference value computed
+    analytically from the roof.  The points (x, y) must lie in [0, 1) x
+    [0, inf), one finite weight >= 0 to each, with a total weight > 0.
     """
-    boxes = _integral("boxes", boxes, 1)
-    return _box_discrepancy(points, weights, flow.box_masses(boxes), boxes)
-
-
-def _box_discrepancy(points, weights, masses, boxes):
-    """box_discrepancy against masses = flow.box_masses(boxes)."""
     xs, ys = (np.asarray(c, dtype=np.float64) for c in points)
     weights = np.asarray(weights, dtype=np.float64)
     if not np.shape(xs) == np.shape(ys) == np.shape(weights):
@@ -313,6 +306,7 @@ def _box_discrepancy(points, weights, masses, boxes):
         raise ValueError(f"total weight must be finite and > 0, got {total}")
     weights = weights / total
     ref, ref_tail, height = masses
+    boxes = len(ref)
     emp = np.zeros((boxes, boxes))
     inside = ys < height
     i = np.minimum((xs[inside] * boxes).astype(int), boxes - 1)
@@ -326,8 +320,8 @@ def _box_discrepancy(points, weights, masses, boxes):
 # the full report
 
 
-def pnt_report(psi, flow, start, n_grid=(10 ** 4, 10 ** 5, 10 ** 6),
-               table=None, log_power=None) -> ExperimentReport:
+def pnt_report(psi, flow, start, n_grid, table,
+               log_power=None) -> ExperimentReport:
     """Discrepancy statistics of the prime-orbit sums across an N-grid.
 
     The orbit is read at the times +p and -p.  For each N and each direction
@@ -337,10 +331,10 @@ def pnt_report(psi, flow, start, n_grid=(10 ** 4, 10 ** 5, 10 ** 6),
     32 x 32 grid of flow.box_masses.  When log_power A is given, D3 log^A N
     is recorded as well.  On a grid of two points or more, verdicts assert
     the monotone trends along it.  The grid must hold distinct integers N >=
-    2.  Each direction makes one pass at the largest N (one flow.walk call,
-    for the prime positions and the time integrals at z N together) whose
-    prefixes answer every N.  The report is named "pnt_report"; the registered
-    experiments rename theirs.
+    2, and the prime table must reach the largest.  Each direction makes one
+    pass at the largest N (one flow.walk call, for the prime positions and
+    the time integrals at z N together) whose prefixes answer every N.  The
+    report is named "pnt_report"; the registered experiments rename theirs.
     """
     n_grid = tuple(sorted(np.atleast_1d(_integral("n_grid", n_grid, 2)).tolist()))
     if not n_grid:
@@ -350,8 +344,6 @@ def pnt_report(psi, flow, start, n_grid=(10 ** 4, 10 ** 5, 10 ** 6),
             raise ValueError(f"n_grid repeats N = {a}")
     signs = {"+": 1, "-": -1}
     top = n_grid[-1]
-    if table is None:
-        table = build_table(top)
     mean = flow.mean(psi)
     report = ExperimentReport(
         experiment="pnt_report",
@@ -382,7 +374,7 @@ def pnt_report(psi, flow, start, n_grid=(10 ** 4, 10 ** 5, 10 ** 6),
             if log_power is not None:
                 report.add("D3_logA", d3 * math.log(N) ** log_power, N, z)
     masses = flow.box_masses(_BOXES)
-    box_out = [_box_discrepancy((xs[:k], ys[:k]), weights[:k], masses, _BOXES)
+    box_out = [box_discrepancy((xs[:k], ys[:k]), weights[:k], masses)
                for k in counts]
     for N, box in zip(n_grid, box_out):
         report.add("box_discrepancy", box, N, "+")

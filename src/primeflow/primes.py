@@ -288,8 +288,6 @@ def _phase_pairs(table: PrimeTable, coeffs: PhaseCoefficients):
 def quad_phase_sum(table: PrimeTable, coeffs: PhaseCoefficients) -> complex:
     """Sum of e(gamma1 (p-N) + gamma2 (p-N)^2) log p over primes in (N, N+H]."""
     ps, u, w = _phase_pairs(table, coeffs)
-    if len(ps) == 0:
-        return 0j
     logs = np.log(ps.astype(np.float64))
     phase = 2.0 * np.pi * frac(u + w)
     re = math.fsum(logs * np.cos(phase))
@@ -322,18 +320,12 @@ class CircleInterval:
         object.__setattr__(self, "start", self.start % 1.0)
 
     @property
-    def empty(self) -> bool:
-        return self.length <= 0.0
-
-    @property
     def full(self) -> bool:
         return self.length >= 1.0
 
     def contains(self, x):
         x = np.asarray(x, dtype=np.float64)
-        if self.empty:
-            return np.zeros(x.shape, dtype=bool)
-        if self.full:
+        if self.full:  # frac of a tiny negative x - start rounds up to 1.0
             return np.ones(x.shape, dtype=bool)
         return frac(x - self.start) < self.length
 
@@ -347,8 +339,6 @@ def box_indicator_sum(table: PrimeTable, coeffs: PhaseCoefficients,
     """Log-weighted count of primes in (N, N+H] whose phase pair
     (gamma1 (p-N), gamma2 (p-N)^2) mod 1 lands in I x J."""
     ps, u, w = _phase_pairs(table, coeffs)
-    if len(ps) == 0:
-        return 0.0
     return _log_sum(ps[I.contains(u) & J.contains(w)])
 
 
@@ -368,11 +358,9 @@ def build_interval_partition(table: PrimeTable, q: int, gamma1: float,
     cell = 1.0 / (q * q)
     binw = 2.0 * q ** -9.0
     nbins = q ** 7 // 2  # complete bins only
-    if nbins < 1:
-        nbins = 1
     offs = (y % cell) / binw
     idx = np.minimum(offs.astype(np.int64), nbins - 1)
-    weights = np.log(ps.astype(np.float64)) if len(ps) else np.zeros(0)
+    weights = np.log(ps.astype(np.float64))
     hist = np.bincount(idx, weights=weights, minlength=nbins)
     ell0 = int(np.argmin(hist))
     c0 = (2 * ell0 + 1) * q ** -9.0

@@ -22,7 +22,8 @@ from fractions import Fraction
 import numpy as np
 
 from .roofs import FourierRoof, TimeChange, _half_angle, roof_from_timechange
-from .rotation import RotationNumber, _finite, _index, circle_distance, frac
+from .rotation import (RotationNumber, _finite, _index, _integral,
+                       circle_distance, frac)
 
 __all__ = [
     "TorusPoint",
@@ -364,6 +365,7 @@ class ReparamFlow:
     def box_masses(self, boxes: int):
         """Masses v dLeb of the cells [i/boxes, (i+1)/boxes) x [j/boxes,
         (j+1)/boxes), the mass outside them (0) and their height (1)."""
+        boxes = _integral("boxes", boxes, 1)
         ref = np.zeros((boxes, boxes))
         grid = np.arange(boxes) / boxes
         for q, m, c in self.v.terms:
@@ -414,7 +416,7 @@ def katok_ratios(flow: ReparamFlow) -> list[KatokRatios]:
         if fhat == 0.0:
             raise ValueError(f"flagged frequency q_{n} = {q} has zero coefficient")
         beta = abs(float(alpha.residual(n)))
-        full = sum(abs(roof.fhat(k * q)) for k in range(1, _max_multiple(roof, q) + 1))
+        full = sum(abs(b / 2.0) for qq, b in roof.pairs if qq % q == 0)
         tail = full - fhat
         out.append(KatokRatios(
             level=n, q=q,
@@ -423,11 +425,6 @@ def katok_ratios(flow: ReparamFlow) -> list[KatokRatios]:
             ratio2_tail=(fhat / tail) if tail > 0.0 else math.inf,
         ))
     return out
-
-
-def _max_multiple(roof: FourierRoof, q: int) -> int:
-    top = max(qq for qq, _ in roof.pairs)
-    return max(1, top // q)
 
 
 def roof_sum_deviation(roof: FourierRoof, alpha: RotationNumber, M: int,

@@ -200,6 +200,15 @@ def test_c07_containment_margin():
     assert 0.01 <= smallest <= 0.1
 
 
+def test_c07_containment_can_fail():
+    # on pnt_kochergin's alpha a grid point of the small-derivative set at
+    # N = 3 lies outside every arc, so the verdict that checks nothing at
+    # its defaults fails here
+    rep = _run("deriv_zeros", alpha_exponent=2.5, alpha_depth=5, alpha_seed=1)
+    assert rep.metric("containment_witnesses", N=3) == 1
+    assert rep.verdicts["containment"] == "fail"
+
+
 # -- 8: visit-set interval structure ----------------------------------------
 
 def test_c08_visit_set_claims():
@@ -264,6 +273,16 @@ def test_c12_good_prime_set_nonempty(table):
     # the assertion is kept as written rather than loosened
     sel = select_S_qr(table, q=3, r=2, N=10 ** 4, C=10.0, A=2.0)
     assert len(sel) > 0
+
+
+def test_c12_s_qr_build_report(table):
+    # the experiment records the selection that select_S_qr makes, and its
+    # verdicts agree with it
+    rep = _run("s_qr_build", table)
+    count = len(select_S_qr(table, 3, 2, 10 ** 4, 10.0, 2.0))
+    assert rep.metric("selected_count") == count
+    assert rep.verdicts["members_valid"] == "pass"
+    assert rep.verdicts["nonempty"] == ("pass" if count > 0 else "fail")
 
 
 def test_c12_good_prime_members_valid(table):

@@ -57,6 +57,12 @@ def test_config_errors(tmp_path):
     bad.write_text("[experiment]\nname = x\nseed = not_an_int\n")
     with pytest.raises(ConfigError):
         parse_config(bad)
+    bad.write_text("name = x\n")
+    with pytest.raises(ConfigError, match="no section headers"):
+        parse_config(bad)
+    bad.write_text("[experiment]\nseed = 1\n")
+    with pytest.raises(ConfigError, match="^missing key 'name' in"):
+        parse_config(bad)
 
 
 def test_config_rng_deterministic():
@@ -139,7 +145,9 @@ def test_run_experiment_smoke():
     ("singular_birkhoff", "samples", 0, 1),
     ("birkhoff_rigidity", "samples", 0, 1), ("quad_expansion", "cases", 0, 1),
     ("bt_ratio", "trials", 0, 1), ("deriv_zeros", "grid", 0, 1),
-    ("bt_ratio", "N", 10 ** 4, 10 ** 4 + 1), ("bt_ratio", "q", 1, 2)])
+    ("bt_ratio", "N", 10 ** 4, 10 ** 4 + 1), ("bt_ratio", "q", 1, 2),
+    ("dk_bound", "depth", 0, 1), ("deriv_zeros", "max_level", 0, 1),
+    ("birkhoff_rigidity", "k", 0, 1)])
 def test_run_experiment_rejects_params_below_their_bound(name, key, value,
                                                           low):
     # below its bound a [params] value once raised a raw ValueError or
@@ -222,6 +230,25 @@ def test_cli_run_reports_a_bad_params_value(tmp_path, capsys, name, key,
     assert cli.main(["run", "--config", str(cfgpath)]) == 2
     err = capsys.readouterr().err
     assert err == f"error: bad value in [params]: {key} = {value!r}\n"
+
+
+def test_cli_run_needs_a_name_or_config(capsys):
+    assert cli.main(["run"]) == 2
+    assert capsys.readouterr().err == (
+        "run: need an experiment name or --config\n")
+
+
+def test_cli_run_flags_override_the_config(tmp_path, capsys):
+    # the positional name and --seed win over the manifest's name and seed
+    cfgpath = tmp_path / "run.cfg"
+    cfgpath.write_text("[experiment]\nname = no_such_thing\nseed = 5\n")
+    out_json = tmp_path / "rep.json"
+    rc = cli.main(["run", "katok_wm", "--config", str(cfgpath),
+                   "--seed", "9", "--out-json", str(out_json)])
+    assert rc == 0
+    capsys.readouterr()
+    doc = json.loads(out_json.read_text())
+    assert (doc["experiment"], doc["params"]["seed"]) == ("katok_wm", "9")
 
 
 def test_cli_unknown_experiment_exit_code(capsys):

@@ -385,13 +385,12 @@ def test_box_count_must_be_positive(boxes, torus):
     # named, where a cast would read 2.5 as 2 and nan has no arange length
     flow = (ReparamFlow(SCALED, make_timechange(SCALED)) if torus
             else KocherginFlow(POWER, GOLDEN))
-    pts = (np.array([0.2, 0.7]), np.array([0.1, 0.4]))
     for b in (boxes, float(boxes)):
         with pytest.raises(ValueError, match=f"^boxes must be >= 1, got {boxes}$"):
-            box_discrepancy(pts, np.ones(2), flow, boxes=b)
+            flow.box_masses(b)
     for b in (boxes + 0.5, math.nan):
         with pytest.raises(ValueError, match=f"^boxes must be an integer, got {b}$"):
-            box_discrepancy(pts, np.ones(2), flow, boxes=b)
+            flow.box_masses(b)
 
 
 class _BadRoof:
@@ -444,8 +443,9 @@ def test_torus_coordinates_lie_in_unit_interval():
     assert TorusPoint(-1e-17, 0.5).x1 == 0.0
     x1, x2 = fl.evaluate_many(np.array([-1e-17]), 0.0, 0.0)
     assert 0.0 <= x1[0] < 1.0 and 0.0 <= x2[0] < 1.0
-    at_origin = box_discrepancy((np.zeros(1), np.zeros(1)), [1.0], fl)
-    assert box_discrepancy((x1, x2), [1.0], fl) == at_origin
+    masses = fl.box_masses(32)
+    at_origin = box_discrepancy((np.zeros(1), np.zeros(1)), [1.0], masses)
+    assert box_discrepancy((x1, x2), [1.0], masses) == at_origin
 
 
 def test_torus_observable_matches_complex_exponential(monkeypatch):
@@ -599,7 +599,8 @@ def test_box_discrepancy_reparam_reference():
     xs = (np.arange(fine) + 0.5) / fine
     X1, X2 = np.meshgrid(xs, xs)
     w = fl.v(X1.ravel(), X2.ravel())
-    assert box_discrepancy((X1.ravel(), X2.ravel()), w, fl, boxes=32) < 1e-8
+    assert box_discrepancy((X1.ravel(), X2.ravel()), w,
+                           fl.box_masses(32)) < 1e-8
 
 
 _PTS = ([0.2, 0.7], [0.1, 0.4])
@@ -630,7 +631,7 @@ def test_box_discrepancy_rejects_bad_input(points, weights, msg, torus):
     flow = (ReparamFlow(SCALED, make_timechange(SCALED)) if torus
             else KocherginFlow(POWER, GOLDEN))
     with pytest.raises(ValueError, match=msg):
-        box_discrepancy(points, weights, flow)
+        box_discrepancy(points, weights, flow.box_masses(32))
 
 
 def test_box_discrepancy_tower_reference():
@@ -641,7 +642,7 @@ def test_box_discrepancy_tower_reference():
     ss = rng.random(n) * fy
     kf = KocherginFlow(POWER, GOLDEN)
     # (y, s) uniform under each fiber with weight f(y) samples Leb^f
-    assert box_discrepancy((ys, ss), fy, kf, boxes=32) < 5e-3
+    assert box_discrepancy((ys, ss), fy, kf.box_masses(32)) < 5e-3
 
 
 def test_pnt_report_constant_reduces_to_theta(table):

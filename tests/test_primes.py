@@ -50,6 +50,10 @@ def test_is_prime_vectorized(table):
 def test_is_prime_out_of_range(table):
     with pytest.raises(ResourceError):
         table.is_prime(10 ** 6 + 1)
+    with pytest.raises(ResourceError, match=r"^theta\(1000001\) beyond"):
+        table.theta(10 ** 6 + 1)
+    with pytest.raises(ResourceError, match=r"^range \(0, 1000001\] beyond"):
+        table.primes_between(0, 10 ** 6 + 1)
 
 
 @pytest.mark.parametrize("n", [2.5, [7.9, 4.0], float("nan"), [3, float("inf")]])
@@ -341,6 +345,23 @@ def test_circle_interval_wraparound():
     assert arc.contains(0.05)
     assert not arc.contains(0.5)
     assert CircleInterval.full_circle().contains(0.123)
+
+
+def test_empty_windows_and_arcs(table):
+    # (24, 28] holds no prime: the sums are the empty fsum, and the
+    # partition falls back to offset 0
+    c = PhaseCoefficients(0.618, 0.414, 24, 4)
+    full = CircleInterval.full_circle()
+    assert quad_phase_sum(table, c) == 0j
+    assert box_indicator_sum(table, c, full, full) == 0.0
+    parts = build_interval_partition(table, 2, 0.618, 24, 4)
+    assert [p.start for p in parts] == [j / 4 + 2 ** -9 for j in range(4)]
+    # an arc of length <= 0 or nan holds no point, not even its start; a
+    # full arc holds a point just below its start, whose offset rounds to 1
+    xs = np.array([0.3, 0.3 - 1e-17, 0.7])
+    for length in (0.0, -0.2, math.nan):
+        assert not CircleInterval(0.3, length).contains(xs).any()
+    assert CircleInterval(0.3, 1.0).contains(xs).all()
 
 
 def test_box_sum_full_box_is_theta(table):

@@ -319,6 +319,13 @@ def test_make_timechange_is_a_torus_observable(flow):
     assert isinstance(flow.v, TorusObservable) and flow.v.constant == 1.0
 
 
+def test_make_timechange_needs_a_flagged_level():
+    alpha = from_partial_quotients([1, 1, 1])
+    assert alpha.flags == ()
+    with pytest.raises(ValueError, match="no flagged levels"):
+        make_timechange(alpha)
+
+
 # -- the cocycle evaluator against the complex-exponential formula ---------
 
 def _reference_cocycle(flow, t, x1, x2):

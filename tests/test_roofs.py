@@ -69,6 +69,21 @@ def test_power_roof_singularity_guard():
         f(np.array([0.5, 1.0]))
 
 
+@pytest.mark.parametrize("build, msg", [
+    (lambda: PowerRoof(gamma=0.0), r"gamma must be in \(-1, 0\)"),
+    (lambda: PowerRoof(gamma=-1.0), r"gamma must be in \(-1, 0\)"),
+    (lambda: PowerRoof(gamma=math.nan), r"gamma must be in \(-1, 0\)"),
+    (lambda: PowerRoof(c0=0.0), "c0 must be positive"),
+    (lambda: PowerRoof(kappa=0.0), "kappa must be positive"),
+    (lambda: PowerRoof(kappa=-1.0), "kappa must be positive"),
+    (lambda: FourierRoof([]), r"need at least one \(frequency, coefficient\)"),
+], ids=["gamma_0", "gamma_-1", "gamma_nan", "c0_0", "kappa_0", "kappa_-1",
+        "no_pairs"])
+def test_roofs_reject_bad_parameters(build, msg):
+    with pytest.raises(ValueError, match=f"^{msg}"):
+        build()
+
+
 def test_power_roof_limit_coefficients():
     # d^i f(x) ~ A_i x^(gamma-i) near 0+ and d^i f(1-u) ~ B_i u^(gamma-i),
     # for the two orders a PowerRoof takes
@@ -590,6 +605,11 @@ def test_quadratic_expansion_k_range_guard():
     for k in (2.5, 3.0):
         with pytest.raises(ValueError, match=f"^k must be an integer, got {k}$"):
             quadratic_expansion_check(f, 0.3, k, 2, SCALED, L=1.0)
+    # the level must leave q_{n+1} inside the depth, and L < q_{n+1}/4
+    with pytest.raises(ValueError, match="^need n \\+ 1 within the quotient"):
+        quadratic_expansion_check(f, 0.3, 2, SCALED.depth, SCALED, L=1.0)
+    with pytest.raises(ValueError, match=r"^need L < q_\(n\+1\)/4$"):
+        quadratic_expansion_check(f, 0.3, 2, 2, SCALED, L=SCALED.q(3))
 
 
 def test_zero_locator_counts_and_residuals():
@@ -613,6 +633,11 @@ def test_zero_locator_sign_change_oracle():
         lo = birkhoff_sum(f, qn, (z - eps) % 1.0, SCALED, order=1)
         hi = birkhoff_sum(f, qn, (z + eps) % 1.0, SCALED, order=1)
         assert lo < 0.0 < hi
+
+
+def test_zero_locator_requires_a_power_roof():
+    with pytest.raises(TypeError, match="power-singularity roof"):
+        derivative_zero_locator(FourierRoof([(1, 0.1)]), 1, SCALED)
 
 
 def test_zero_locator_trivial_level():

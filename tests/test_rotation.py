@@ -227,6 +227,14 @@ def test_scaled_c_a_rejects_composite_seed():
         construct_alpha("scaled_C_A", depth=2, seed=4)
 
 
+def test_construct_alpha_rejects_unknown_mode_and_empty_window():
+    with pytest.raises(ValueError, match="^unknown mode 'bogus'$"):
+        construct_alpha("bogus")
+    # growth(2) = 2 leaves the window [1, 2], where no prime is 1 mod 2
+    with pytest.raises(ConstructionError, match="^no prime congruent"):
+        construct_alpha("scaled_C_A", growth=lambda q: q, depth=3, seed=2)
+
+
 def test_sympy_is_never_imported():
     # a fresh interpreter: neither the CLI's import graph nor a scaled_C_A
     # construction (primality by Miller-Rabin) brings sympy in
