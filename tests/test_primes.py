@@ -358,7 +358,7 @@ def test_empty_windows_and_arcs(table):
     assert [p.start for p in parts] == [j / 4 + 2 ** -9 for j in range(4)]
     # an arc of length <= 0 or nan holds no point, not even its start; a
     # full arc holds a point just below its start, whose offset rounds to 1
-    xs = np.array([0.3, 0.3 - 1e-17, 0.7])
+    xs = np.array([0.3, np.nextafter(0.3, 0.0), 0.7])
     for length in (0.0, -0.2, math.nan):
         assert not CircleInterval(0.3, length).contains(xs).any()
     assert CircleInterval(0.3, 1.0).contains(xs).all()
