@@ -122,7 +122,7 @@ def _exp_birkhoff_rigidity(cfg, table):
     rng = cfg.rng()
     xs = rng.random(samples)
     x0 = TorusPoint(0.3, 0.7)
-    levels = [n for n in alpha.flags if n + 1 <= alpha.depth]
+    levels = list(alpha.flags)
     report = ExperimentReport("birkhoff_rigidity",
                               {"k": k, "levels": levels,
                                "quotients": list(alpha.quotients)})
@@ -413,21 +413,17 @@ def _exp_katok_wm(cfg, table):
     return report
 
 
-def _kochergin_setup(cfg):
+def _exp_pnt_kochergin(cfg, table):
+    """Prime-orbit discrepancy trends for the singular special flow."""
+    table = _table(cfg, table, max(cfg.n_grid, default=0))
     alpha = _alpha_from(cfg, "scaled_D", 2.5, 5, 1)
     roof = PowerRoof()
     psi = TowerObservable(roof, psi_inf=cfg.get_float("psi_inf", 0.3))
     start = FlowPoint(cfg.get_float("x0", 0.55), cfg.get_float("s0", 0.05))
-    return KocherginFlow(roof, alpha), psi, start
-
-
-def _exp_pnt_kochergin(cfg, table):
-    """Prime-orbit discrepancy trends for the singular special flow."""
-    table = _table(cfg, table, max(cfg.n_grid, default=0))
-    flow, psi, start = _kochergin_setup(cfg)
-    rep = pnt_report(psi, flow, start, cfg.n_grid, table=table)
+    rep = pnt_report(psi, KocherginFlow(roof, alpha), start, cfg.n_grid,
+                     table=table)
     rep.experiment = "pnt_kochergin"
-    rep.params["quotients"] = list(flow.alpha.quotients)
+    rep.params["quotients"] = list(alpha.quotients)
     return rep
 
 

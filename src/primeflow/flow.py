@@ -66,15 +66,25 @@ def _offsets(alpha: RotationNumber, n: int, backward: bool = False) -> np.ndarra
 
 
 def _roof_values(roof, alpha, x, lo, hi, backward=False):
-    """Bases x +- i alpha of the fibers lo <= i < hi and the roofs on them."""
+    """Bases x +- i alpha of the fibers lo <= i < hi and the roofs on them,
+    cut before the first fiber whose roof raises SingularityError."""
     pts = frac(x + _offsets(alpha, hi, backward)[lo:hi])
-    return pts, np.asarray(roof(pts), dtype=np.float64)
+    try:
+        return pts, np.asarray(roof(pts), dtype=np.float64)
+    except SingularityError:
+        vals = []
+        for y in pts.tolist():
+            try:
+                vals.append(roof(y))
+            except SingularityError:
+                break
+        return pts[:len(vals)], np.array(vals, dtype=np.float64)
 
 
 def evaluate(roof, alpha: RotationNumber, p: FlowPoint, t: float) -> FlowStep:
     """T_t(p): find N with S_N(f)(x) <= s + t < S_{N+1}(f)(x).  The one-time
     view of _walk, so it equals evaluate_times' entry bit for bit."""
-    xs, ss, Ns, _, S = _walk(roof, alpha, p, [t], sums=True)
+    xs, ss, Ns, _, S = _walk(roof, alpha, p, [t])
     return FlowStep(FlowPoint(float(xs[0]), float(ss[0])), int(Ns[0]),
                     float(S[0]))
 
@@ -271,11 +281,11 @@ def evaluate_times(roof, alpha: RotationNumber, p: FlowPoint, times):
     return _walk(roof, alpha, p, times)[:3]
 
 
-def _walk(roof, alpha, p: FlowPoint, times, psi=None, T=(), sums=False):
+def _walk(roof, alpha, p: FlowPoint, times, psi=None, T=()):
     """Positions (x, s, N) of T_t(p) at every t in times, the signed
-    integrals int_0^T psi(T_t(p)) dt at every T in T, and with sums the
-    signed roof sums S_N(f)(x) crossed to the times (else None), from one
-    _crossings per sign over the union of the times and the T of that sign.
+    integrals int_0^T psi(T_t(p)) dt at every T in T, and the signed roof
+    sums S_N(f)(x) crossed to the times, from one _crossings per sign over
+    the union of the times and the T of that sign.
     Fiber n, reached at a time, has base bases[n] and roof fs[n] in either
     direction; its height s' = s + t - S_N is checked and clamped into
     [0, fs[n]) by _included, so every position lies in the tower.
@@ -289,8 +299,7 @@ def _walk(roof, alpha, p: FlowPoint, times, psi=None, T=(), sums=False):
     _same_roof(psi, roof)
     times = np.asarray(times, dtype=np.float64)
     T = np.asarray(T, dtype=np.float64)
-    xs, ss = np.empty(times.shape), np.empty(times.shape)
-    Ss = np.empty(times.shape) if sums else None
+    xs, ss, Ss = (np.empty(times.shape) for _ in range(3))
     Ns = np.zeros(times.shape, dtype=np.int64)
     out = np.zeros(T.shape)
     for backward in (False, True):
@@ -308,8 +317,7 @@ def _walk(roof, alpha, p: FlowPoint, times, psi=None, T=(), sums=False):
         SN = S[n]  # sign S_N
         if backward:
             np.negative(SN, out=SN)
-        if sums:
-            Ss[at] = SN
+        Ss[at] = SN
         t += p.s  # s' = s + t - sign S_N, in t's own copy
         t -= SN
         ss[at] = _included(t, fs[n])
@@ -344,7 +352,8 @@ def _crossings(roof, alpha, p: FlowPoint, times, backward=False):
     from fiber 1 and fiber k holds s + t in [-S[k], -S[k-1]).  The fiber
     is the one of the exact s + t: where its float rounding lands on an S
     entry, the rounding error (Knuth's TwoSum) says which side it lies on.
-    A non-finite time raises ValueError."""
+    A non-finite time raises ValueError, and SingularityError names the
+    first of the times whose s + t reaches a fiber whose roof raises it."""
     p.validate(roof)
     times = _finite("t", times)
     raw = p.s + times
@@ -356,7 +365,8 @@ def _crossings(roof, alpha, p: FlowPoint, times, backward=False):
     S = _prefix_sums(vals[int(backward):])
     n = (np.searchsorted(S, targets, side="left") if backward
          else np.searchsorted(S, targets, side="right") - 1)
-    edge = np.flatnonzero(S[n] == raw)
+    # backward, a time past the table has n = len(S), one past the last entry
+    edge = np.flatnonzero(S[np.minimum(n, len(S) - 1)] == raw)
     if edge.size:
         t = times[edge]
         u = p.s + t
@@ -364,6 +374,11 @@ def _crossings(roof, alpha, p: FlowPoint, times, backward=False):
         err = (p.s - low) + (t - (u - low))  # s + t = u + err exactly
         # err < 0: s + t lies below S[n] forward, past -S[n] backward
         n[edge] += (1 if backward else -1) * (err < 0.0)
+    past = np.flatnonzero(n >= len(vals))
+    if past.size:
+        fiber = -len(vals) if backward else len(vals)
+        raise SingularityError(f"the orbit reaches the singular fiber N = "
+                               f"{fiber} at time {float(times[past[0]])}")
     top = int(np.max(n))
     return bases[:top + 1], vals[:top + 1], S[:top + 2], n
 
@@ -371,16 +386,15 @@ def _crossings(roof, alpha, p: FlowPoint, times, backward=False):
 def _covering_values(roof, alpha, x, span, backward=False):
     """Fiber bases and roof values on the orbit of x, fibers 0, 1, ... in
     either direction, over enough fibers that the roofs crossed (backward
-    from fiber 1) sum to >= span without the last two.  The count starts at
-    span over the roof's mean, and each growth adds the shortfall over the
-    mean."""
+    from fiber 1) sum to >= span without the last two, or up to the cut
+    _roof_values makes.  The count starts at span over the roof's mean, and
+    each growth adds the shortfall over the mean."""
     b, mean = int(backward), roof.integral()
-    bases, vals = _roof_values(roof, alpha, x, 0, b + int(span / mean) + 18,
-                               backward)
-    while (total := float(np.sum(vals[b:-2]))) < span:
-        end = len(vals)
-        more, v = _roof_values(roof, alpha, x, end,
-                               end + int((span - total) / mean) + 18, backward)
+    hi = b + int(span / mean) + 18
+    bases, vals = _roof_values(roof, alpha, x, 0, hi, backward)
+    while len(vals) == hi and (total := float(np.sum(vals[b:-2]))) < span:
+        hi = len(vals) + int((span - total) / mean) + 18
+        more, v = _roof_values(roof, alpha, x, len(vals), hi, backward)
         bases, vals = np.append(bases, more), np.append(vals, v)
     return bases, vals
 

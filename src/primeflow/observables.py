@@ -31,7 +31,6 @@ from .roofs import TorusObservable, _trig_sum
 from .rotation import _finite, _integral
 
 __all__ = [
-    "SingularOrbitError",
     "TowerObservable",
     "TorusObservable",
     "KocherginFlow",
@@ -46,10 +45,6 @@ _H_MAX = 5.0  # the height of the special flow's box grid
 _BOXES = 32  # pnt_report counts the prime orbit on a _BOXES x _BOXES grid
 
 
-class SingularOrbitError(RuntimeError):
-    """An orbit point landed on the singular base point."""
-
-
 @dataclass(frozen=True)
 class KocherginFlow:
     """The special flow under roof over the rotation by alpha; like ReparamFlow
@@ -61,14 +56,9 @@ class KocherginFlow:
     def walk(self, psi, start: FlowPoint, times, T):
         """The coordinate arrays (x, s) of T_t(start) at every t in times and
         the signed int_0^T psi(T_t start) dt at every T in T, from one
-        crossing schedule per sign over the times and T; SingularOrbitError,
-        naming the time, if a position lands on the fiber over a singular 0."""
+        crossing schedule per sign over the times and T; SingularityError,
+        naming the time, if the orbit reaches a fiber whose roof raises it."""
         xs, ss, _, I, _ = _walk(self.roof, self.alpha, start, times, psi, T)
-        dist = np.minimum(xs, 1.0 - xs)
-        if getattr(self.roof, "gamma", 0.0) < 0.0 and np.any(dist < 1e-12):
-            t = np.asarray(times).flat[np.argmin(dist)]
-            raise SingularOrbitError(
-                f"orbit lands on the singular point at time {t}")
         return (xs, ss), I
 
     def mean(self, psi) -> float:

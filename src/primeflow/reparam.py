@@ -385,8 +385,6 @@ def make_timechange(alpha: RotationNumber) -> TimeChange:
     the change genuinely two-dimensional."""
     terms = []
     for n in alpha.flags:
-        if n + 1 > alpha.depth:
-            continue
         amp = alpha.q(n + 1) ** -0.6
         terms += [(alpha.q(n), 0, amp), (alpha.q(n), 1, amp)]
     if not terms:
@@ -434,8 +432,6 @@ def roof_sum_deviation(roof: FourierRoof, alpha: RotationNumber, M: int,
     phases reduced exactly before exponentiation."""
     total, M = 0.0, _index(M, "M")
     for q, b in roof.pairs:
-        if b == 0:
-            continue
         num = np.exp(2j * math.pi * alpha.signed_frac(M * q)) - 1.0
         den = np.exp(2j * math.pi * alpha.signed_frac(q)) - 1.0
         total += (b * np.exp(2j * math.pi * q * x) * num / den).real

@@ -337,18 +337,14 @@ def birkhoff_sum(g, n: int, x: float, alpha: RotationNumber, order: int = 0) -> 
     _check_orbit_clear(g, x, n, alpha)
     offs = _orbit_offsets(alpha, n)
     pts = frac(x + offs)
-    vals = g(pts, order) if _takes_order(g) else g(pts)
+    vals = g(pts, order) if order else g(pts)
     return float(math.fsum(np.asarray(vals, dtype=np.float64)))
-
-
-def _takes_order(g) -> bool:
-    return isinstance(g, (PowerRoof, FourierRoof))
 
 
 def _check_order(g, order) -> None:
     """A derivative order is only taken by the roof types; any other g would
     silently be summed at order 0."""
-    if order != 0 and not _takes_order(g):
+    if order != 0 and not isinstance(g, (PowerRoof, FourierRoof)):
         raise ValueError(f"order={order} needs a roof that takes an order, "
                          f"not {type(g).__name__}")
 
@@ -416,7 +412,7 @@ def birkhoff_sum_many(g, n: int, xs: np.ndarray, alpha: RotationNumber,
     step = max(1, (1 << 22) // max(1, xs.size))
     for lo in range(0, n, step):
         block = frac(xs[..., None] + offs[lo : lo + step])
-        vals = g(block, order) if _takes_order(g) else g(block)
+        vals = g(block, order) if order else g(block)
         out += np.asarray(vals, dtype=np.float64).sum(axis=-1)
     return out
 
@@ -468,11 +464,6 @@ def quadratic_expansion_check(roof, x: float, k: int, n: int,
     )
 
 
-def _partition_points(alpha: RotationNumber, n: int) -> np.ndarray:
-    """Sorted circle points {-i alpha mod 1 : i < q_n}, read-only."""
-    return alpha.sorted_orbit(alpha.q(n), backward=True)
-
-
 def derivative_zero_locator(roof: PowerRoof, n: int, alpha: RotationNumber):
     """One zero of S_{q_n}(f') per interval of the {-i alpha}_{i<q_n}
     partition, by simultaneous bisection.  On each interval the sum is
@@ -483,7 +474,7 @@ def derivative_zero_locator(roof: PowerRoof, n: int, alpha: RotationNumber):
     if not isinstance(roof, PowerRoof):
         raise TypeError("zero locator requires a power-singularity roof")
     qn = alpha.q(n)
-    pts = _partition_points(alpha, n)
+    pts = alpha.sorted_orbit(qn, backward=True)
     a = pts
     b = np.r_[pts[1:], pts[0] + 1.0]
     lo, hi = a.copy(), b.copy()

@@ -130,9 +130,9 @@ class RotationNumber:
             raise ValueError("need at least one partial quotient")
         flags = tuple(_integral("flag", n) for n in flags)
         for n in flags:
-            if not 0 <= n <= len(quotients):
+            if not 0 <= n < len(quotients):
                 raise ValueError(f"flags must be integers in [0, depth = "
-                                 f"{len(quotients)}], got {n}")
+                                 f"{len(quotients)}), got {n}")
         self.flags = tuple(sorted(flags))
 
         full = quotients + (1,) * _TAIL_DEPTH

@@ -140,6 +140,16 @@ def test_run_experiment_smoke():
     assert rep.wall_clock > 0
 
 
+def test_interval_factorization_stops_at_an_inadmissible_gamma2():
+    # 2 gamma2 = 1 is 0 mod 1, so the Diophantine check on gamma2 fails and
+    # no box count is made
+    cfg = ExperimentConfig("interval_factorization", sieve_limit=10 ** 4,
+                           params={"N": "1000", "H": "100", "gamma2": "0.5"})
+    rep = run_experiment(cfg, build_table(10 ** 4))
+    assert rep.verdicts == {"gamma2_admissible": "fail"}
+    assert rep.metrics == []
+
+
 @pytest.mark.parametrize("name, key, value, low", [
     ("dk_bound", "samples", 0, 1), ("section_claims", "samples", 0, 1),
     ("singular_birkhoff", "samples", 0, 1),

@@ -325,7 +325,9 @@ def test_naive_reads_the_roofs_in_growing_blocks(t):
 
 def test_naive_raises_only_at_a_singular_fiber_it_reaches():
     # fiber j of x = 1 - (j alpha mod 1) sits on the singularity, inside the
-    # first block: a walk that stops before it returns, one past it raises
+    # first block: a walk that stops before it returns, one past it raises.
+    # The fast paths decide as the oracle does, though the roofs they read
+    # cover fibers past j.
     o = GOLDEN.orbit(200)
     j = int(np.flatnonzero(o[20:] >= 0.5)[0]) + 20
     x = 1.0 - float(o[j])
@@ -335,6 +337,20 @@ def test_naive_raises_only_at_a_singular_fiber_it_reaches():
     assert 0 < step.hits < j
     with pytest.raises(SingularityError):
         evaluate_naive(POWER, GOLDEN, p, 10.0 * j)
+    times = [4.0, 8.0, 15.0, -4.0, -8.0, -15.0]
+    xs, ss, Ns = evaluate_times(POWER, GOLDEN, p, times)
+    for t, x, s, N in zip(times, xs, ss, Ns):
+        want = evaluate_naive(POWER, GOLDEN, p, t)
+        got = evaluate(POWER, GOLDEN, p, t)
+        assert got.hits == N == want.hits
+        assert (got.endpoint.x, got.endpoint.s) == (x, s)
+        assert abs(x - want.endpoint.x) < 1e-12
+        assert abs(s - want.endpoint.s) < 1e-12
+    msg = f"N = {j} at time {10.0 * j}$"
+    with pytest.raises(SingularityError, match=msg):
+        evaluate(POWER, GOLDEN, p, 10.0 * j)
+    with pytest.raises(SingularityError, match=msg):
+        evaluate_times(POWER, GOLDEN, p, [4.0, 10.0 * j, -4.0])
 
 
 def test_start_height_checked():

@@ -9,10 +9,15 @@ import pytest
 
 from primeflow.config import ExperimentConfig
 from primeflow.experiments import run_experiment
-from primeflow.flow import FlowPoint, evaluate, evaluate_times, time_integral
+from primeflow.flow import (
+    FlowPoint,
+    evaluate,
+    evaluate_naive,
+    evaluate_times,
+    time_integral,
+)
 from primeflow.observables import (
     KocherginFlow,
-    SingularOrbitError,
     TorusObservable,
     TowerObservable,
     box_discrepancy,
@@ -22,7 +27,7 @@ from primeflow.observables import (
 )
 from primeflow.primes import build_table
 from primeflow.reparam import ReparamFlow, TorusPoint, make_timechange
-from primeflow.roofs import FourierRoof, PowerRoof, TimeChange
+from primeflow.roofs import FourierRoof, PowerRoof, SingularityError, TimeChange
 from primeflow.rotation import construct_alpha, from_partial_quotients
 
 from helpers import CoboundaryPair
@@ -393,37 +398,33 @@ def test_box_count_must_be_positive(boxes, torus):
             flow.box_masses(b)
 
 
-class _BadRoof:
-    """A flat roof that claims a singularity at 0."""
-    gamma = -0.5
-
-    def __call__(self, x, order=0):
-        return np.ones_like(np.asarray(x, dtype=float))
-
-    def integral(self):
-        return 1.0
+# fiber 21 of this start, its base x + 21 alpha, is the singular point 0,
+# and the roofs below it sum to S_21 in (19, 20]
+SINGULAR_START = FlowPoint(1.0 - GOLDEN.orbit(22)[21], 0.0)
 
 
 def test_prime_sum_singular_hit(table):
-    alpha = GOLDEN
-    start = FlowPoint((-2 * alpha.float_value) % 1.0, 0.1)
-    roof = _BadRoof()
-    kf = KocherginFlow(roof, alpha)
-    one = TowerObservable(roof, psi_inf=1.0, u_terms=())
-    # the "+" pass meets the singular fiber at the time t = 2 itself
-    with pytest.raises(SingularOrbitError, match="at time 2$"):
-        pnt_report(one, kf, start, (100,), table=table)
+    kf = KocherginFlow(POWER, GOLDEN)
+    one = TowerObservable(POWER, psi_inf=1.0, u_terms=())
+    # the "+" pass reaches the singular fiber first at the prime 23
+    with pytest.raises(SingularityError, match=r"N = 21 at time 23\.0$"):
+        pnt_report(one, kf, SINGULAR_START, (100,), table=table)
 
 
-def test_positions_name_the_singular_time():
-    start = FlowPoint((-2 * GOLDEN.float_value) % 1.0, 0.1)
-    roof = _BadRoof()
-    kf = KocherginFlow(roof, GOLDEN)
-    psi = TowerObservable(roof, psi_inf=1.0, u_terms=())
-    with pytest.raises(SingularOrbitError, match=r"at time 2\.0$"):
-        kf.walk(psi, start, np.array([1.0, 2.0, 3.0]), ())
-    with pytest.raises(SingularOrbitError, match="at time 2$"):
-        kf.walk(psi, start, np.array([1, 2, 3]), ())
+def test_positions_name_the_singular_time(psi):
+    kf = KocherginFlow(POWER, GOLDEN)
+    for times in (np.array([1.0, 25.0, 3.0, 30.0]), np.array([1, 25, 3, 30])):
+        with pytest.raises(SingularityError, match=r"at time 25\.0$"):
+            kf.walk(psi, SINGULAR_START, times, ())
+    # an integral horizon past the fiber raises as a position does
+    with pytest.raises(SingularityError, match=r"at time 20\.0$"):
+        kf.walk(psi, SINGULAR_START, (), np.array([20.0]))
+    # a walk that stops short of the fiber answers as the oracle does
+    times = np.array([4.0, 8.0, 15.0, 19.0, -4.0, -100.0])
+    (xs, ss), _ = kf.walk(psi, SINGULAR_START, times, ())
+    for t, x, s in zip(times, xs, ss):
+        end = evaluate_naive(POWER, GOLDEN, SINGULAR_START, t).endpoint
+        assert abs(x - end.x) < 1e-12 and abs(s - end.s) < 1e-12
 
 
 def test_kochergin_time_integral_is_signed(psi):

@@ -200,13 +200,22 @@ def test_katok_ratio1_band_floor():
     alpha = SCALED
     tc_terms = []
     for n in alpha.flags:
-        if n + 1 > alpha.depth:
-            continue
         tc_terms.append((alpha.q(n), 0, alpha.q(n + 1) ** (-2.0 / 3.0)))
     fl = ReparamFlow(alpha, TimeChange(tc_terms, alpha))
     for r in katok_ratios(fl):
         n = r.level
         assert r.ratio1 <= 2.0 * alpha.q(n) * alpha.q(n + 1) ** (-1.0 / 3.0) + 1e-12
+
+
+def test_katok_rejects_a_flagged_level_without_its_mode():
+    # the time change has no m = 0 mode, so its roof is the constant 1 and
+    # fhat(q_1) = 0 at the first flagged level
+    alpha = construct_alpha("scaled_C_A", growth=lambda q: q ** 4.0, depth=4,
+                            seed=2)
+    flow = ReparamFlow(alpha, TimeChange([(2, 1, 0.1)]))
+    with pytest.raises(ValueError, match="^flagged frequency q_1 = 2 has "
+                       "zero coefficient$"):
+        katok_ratios(flow)
 
 
 def test_katok_multi_harmonic_ratio2():
@@ -303,6 +312,9 @@ def test_roof_sum_deviation_matches_direct():
     direct = abs(sum(roof((x + alpha.signed_frac(i)) % 1.0)
                      for i in range(M)) - M)
     assert abs(roof_sum_deviation(roof, alpha, M, x) - direct) < 1e-8
+    # roof_from_timechange's roof for a time change with no m = 0 mode: its
+    # zero coefficient adds exactly 0
+    assert roof_sum_deviation(FourierRoof([(1, 0.0)]), alpha, M, x) == 0.0
 
 
 def test_resonant_mode_rejected():

@@ -84,17 +84,18 @@ def test_partial_quotients_are_integers(a):
             RotationNumber([1, a])
 
 
-@pytest.mark.parametrize("flag", [1.5, 2.9, -1, 4, 7, math.nan, math.inf,
+@pytest.mark.parametrize("flag", [1.5, 2.9, -1, 3, 4, 7, math.nan, math.inf,
                                   "1"])
 def test_bad_flags_rejected(flag):
-    # a flag names a level in [0, depth]; nothing is truncated by int()
-    msg = (f"flags must be integers in [0, depth = 3], got {flag}"
+    # a flag names a level n in [0, depth), so that q_{n+1} is among the
+    # quotients; nothing is truncated by int()
+    msg = (f"flags must be integers in [0, depth = 3), got {flag}"
            if isinstance(flag, int) else
            f"flag must be an integer, got {flag!r}")
     with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
         RotationNumber([1, 2, 3], flags=[1, flag])
-    assert RotationNumber([1, 2, 3], flags=[3.0, 0, np.int64(1)]).flags == (
-        0, 1, 3)
+    assert RotationNumber([1, 2, 3], flags=[2.0, 0, np.int64(1)]).flags == (
+        0, 1, 2)
 
 
 @pytest.mark.parametrize("n", [-1, -2, 6])
